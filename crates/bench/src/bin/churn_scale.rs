@@ -50,6 +50,27 @@ struct Scenario {
     churn_window_s: u64,
 }
 
+/// What a full-scale scenario is held to. The simulated outcome is a
+/// contract: a host-side optimisation must leave every one of these
+/// exactly where the parent commit had it (asserted). The host numbers
+/// are the parent commit's ([`BEFORE_COMMIT`]), measured on the machine
+/// that regenerated the section just before this run — the "before" row
+/// beside its "after".
+struct Pinned {
+    events: u64,
+    makespan_s: f64,
+    attempts: u32,
+    rereplications: u64,
+    solver_calls: u64,
+    solver_rounds: u64,
+    wall_bar_s: f64,
+    before_wall_s: f64,
+    before_fabric_ns_per_event: f64,
+}
+
+/// The commit the `before_*` host numbers were measured at.
+const BEFORE_COMMIT: &str = "06c2e5f";
+
 struct Sample {
     workers: usize,
     joins: usize,
@@ -195,10 +216,11 @@ fn run(sc: &Scenario) -> Sample {
 }
 
 /// Runs one scenario, prints its report, and rewrites `section` of the
-/// bench JSON. `wall_bar_s` pins the wall-clock acceptance bar (skipped
-/// under `--quick`, where the scenario is scaled down). Returns the
-/// sample so the caller can pin cross-scenario ratios.
-fn run_and_report(sc: &Scenario, section: &str, quick: bool, wall_bar_s: f64) -> Sample {
+/// bench JSON. `pinned` holds a full-scale scenario to its simulated
+/// outcome and wall-clock bar; `None` is a scaled-down `--quick` run.
+/// Returns the sample so the caller can pin cross-scenario ratios.
+fn run_and_report(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> Sample {
+    let quick = pinned.is_none();
     println!(
         "# {section} — {}-node terasort under join/leave churn",
         sc.workers
@@ -239,17 +261,38 @@ fn run_and_report(sc: &Scenario, section: &str, quick: bool, wall_bar_s: f64) ->
             c.nanos as f64 / c.events.max(1) as f64
         );
     }
-    if !quick {
+    let mut before = String::new();
+    if let Some(p) = pinned {
+        assert_eq!(
+            (s.events, s.attempts, s.replications, s.solver_calls, s.solver_rounds),
+            (p.events, p.attempts, p.rereplications, p.solver_calls, p.solver_rounds),
+            "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds) moved"
+        );
         assert!(
-            s.wall_s < wall_bar_s,
-            "acceptance bar: {}-node churn terasort under {wall_bar_s:.0}s wall, got {:.2}s",
+            (s.makespan_s - p.makespan_s).abs() < 1e-3,
+            "{section}: makespan moved: {} s, pinned {} s",
+            s.makespan_s,
+            p.makespan_s
+        );
+        assert!(
+            s.wall_s < p.wall_bar_s,
+            "acceptance bar: {}-node churn terasort under {:.0}s wall, got {:.2}s",
             sc.workers,
+            p.wall_bar_s,
             s.wall_s
+        );
+        println!(
+            "  before ({BEFORE_COMMIT}): wall {:.2} s, net.fabric {:.0} ns/event",
+            p.before_wall_s, p.before_fabric_ns_per_event
+        );
+        before = format!(
+            "\n    \"before\": {{ \"commit\": \"{BEFORE_COMMIT}\", \"wall_s\": {:.4}, \"net_fabric_nanos_per_event\": {:.0} }},",
+            p.before_wall_s, p.before_fabric_ns_per_event
         );
     }
 
     let body = format!(
-        "{{\n    \"scenario\": \"terasort, 64 MB blocks x{}, replication 3, {} reducers, churn wave {}j+{}l over [{}s, {}s]\",\n    \"quick\": {quick},\n    \"runs\": [\n      {{ \"workers\": {}, \"joins\": {}, \"leaves\": {}, \"churn_pct\": {pct:.1}, \"flows\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"wall_s\": {:.4}, \"makespan_s\": {:.3}, \"attempts\": {}, \"rereplications\": {}, \"abort_flows_scanned\": {}, \"joined_node_dispatches\": {}, \"solver_calls\": {}, \"solver_rounds\": {}, \"queue\": {}, \"robustness\": {{ \"mr.attempt_retries\": {}, \"dfs.read_retries\": {}, \"mr.blacklist_entries\": {}, \"net.partitions_healed\": {} }}, \"nanos_per_event\": {:.0}, \"actor_costs\": {} }}\n    ]\n  }}",
+        "{{\n    \"scenario\": \"terasort, 64 MB blocks x{}, replication 3, {} reducers, churn wave {}j+{}l over [{}s, {}s]\",\n    \"quick\": {quick},{before}\n    \"runs\": [\n      {{ \"workers\": {}, \"joins\": {}, \"leaves\": {}, \"churn_pct\": {pct:.1}, \"flows\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"wall_s\": {:.4}, \"makespan_s\": {:.3}, \"attempts\": {}, \"rereplications\": {}, \"abort_flows_scanned\": {}, \"joined_node_dispatches\": {}, \"solver_calls\": {}, \"solver_rounds\": {}, \"queue\": {}, \"robustness\": {{ \"mr.attempt_retries\": {}, \"dfs.read_retries\": {}, \"mr.blacklist_entries\": {}, \"net.partitions_healed\": {} }}, \"nanos_per_event\": {:.0}, \"actor_costs\": {} }}\n    ]\n  }}",
         sc.blocks,
         sc.reducers,
         sc.joins,
@@ -316,7 +359,20 @@ fn main() {
         }
     };
 
-    let base = run_and_report(&sc, "churn_scale", quick, 10.0);
+    let pinned_1k = Pinned {
+        events: 1_729_614,
+        makespan_s: 221.219,
+        attempts: 6296,
+        rereplications: 971,
+        solver_calls: 3475,
+        solver_rounds: 7653,
+        wall_bar_s: 10.0,
+        // Median of six parent runs (2.25-2.81 s), alternated with this
+        // commit's (1.39-1.47 s) on the same machine.
+        before_wall_s: 2.36,
+        before_fabric_ns_per_event: 2780.0,
+    };
+    let base = run_and_report(&sc, "churn_scale", (!quick).then_some(&pinned_1k));
 
     if quick {
         // CI smoke of the 10k scenario's *shape* at a scaled-down worker
@@ -334,7 +390,7 @@ fn main() {
             churn_start_s: 12,
             churn_window_s: 40,
         };
-        run_and_report(&smoke, "terasort_10k", true, f64::INFINITY);
+        run_and_report(&smoke, "terasort_10k", None);
         return;
     }
 
@@ -348,12 +404,14 @@ fn main() {
         // (pre-rewrite) landed at ~30M events in ~100s wall; the
         // expiry-heap liveness sweeps and incremental slot accounting
         // brought it to ~47s (~640k events/s) with identical makespan,
-        // attempts, and re-replication counts. The per-actor profile says
-        // what remains: ~2/3 of the wall is the fluid fabric (flow
-        // re-pricing across the 1.9M-flow shuffle fan-out), not the
-        // control plane — the ROADMAP target (<10s, 2M+ events/s) now
-        // points at the solver. Only the full bench regeneration pays for
-        // this run; CI's --quick path stops above.
+        // attempts, and re-replication counts; O(1) flow unlink and
+        // sort-free component solves then halved the fabric's per-event
+        // cost (2830 -> ~1400 ns; 39 s -> ~29 s on one machine), again
+        // with every simulated number identical. The per-actor profile
+        // says what remains: ~40% of the wall is still the fluid fabric,
+        // now mostly O(component) re-solves that change no rate. Only the
+        // full bench regeneration pays for this run; CI's --quick path
+        // stops above.
         let sc10k = Scenario {
             workers: 10_000,
             blocks: 3 * 10_000,
@@ -363,7 +421,20 @@ fn main() {
             churn_start_s: 12,
             churn_window_s: 40,
         };
-        let big = run_and_report(&sc10k, "terasort_10k", false, 75.0);
+        let pinned_10k = Pinned {
+            events: 29_708_157,
+            makespan_s: 782.040,
+            attempts: 31_550,
+            rereplications: 4873,
+            solver_calls: 16_540,
+            solver_rounds: 33_416,
+            // The 1.6x headroom the 75 s bar had over its 46.7 s run, over
+            // the median of this commit's three (27.5 / 29.3 / 30.0 s).
+            wall_bar_s: 47.0,
+            before_wall_s: 39.02,
+            before_fabric_ns_per_event: 2830.0,
+        };
+        let big = run_and_report(&sc10k, "terasort_10k", Some(&pinned_10k));
 
         // The heartbeat-path scalability pin: per-event host cost must
         // stay roughly flat from 1k to 10k nodes. Before the expiry-heap
@@ -382,8 +453,7 @@ fn main() {
                 .cloned()
                 .collect()
         };
-        let cratio =
-            nanos_per_event(&control(&big)) / nanos_per_event(&control(&base));
+        let cratio = nanos_per_event(&control(&big)) / nanos_per_event(&control(&base));
         println!(
             "\nper-event cost ratio 1k -> 10k nodes: {ratio:.2}x overall (bar 1.6x), {cratio:.2}x control-plane (bar 1.5x)"
         );

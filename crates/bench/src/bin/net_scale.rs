@@ -19,6 +19,14 @@
 //! every size run on both engines the simulated makespans must agree to
 //! 1e-6 s — the perf rewrite is not allowed to move a single completion.
 //!
+//! A second scenario, `incast`, guards the per-flow bookkeeping: N and then
+//! 2N equal flows (N = 16,384) into one receiver, all finishing at one
+//! instant — a reducer's fetch wave. Everything the fabric does for it is
+//! O(flows) (one solve at the start, one settle at the end), so the 2N/N
+//! wall ratio sits near 2; a linear scan per unlink makes it 4. The bench
+//! asserts the ratio stays under 3: a ratio holds across machines where a
+//! wall bar would not.
+//!
 //! Writes `BENCH_perf.json` (or `BENCH_perf.quick.json` under `--quick`,
 //! which CI smoke-runs) and, in full mode, asserts the ≥10x speedup bar at
 //! 256 nodes.
@@ -93,6 +101,77 @@ impl Actor for ShuffleDriver {
             _ => {}
         }
     }
+}
+
+/// Sender pool of the incast scenario (the receiver is node 0).
+const INCAST_SENDERS: u32 = 1024;
+/// Bar on the incast's 2N/N wall ratio: linear is 2, a scan per unlink 4.
+const INCAST_RATIO_BAR: f64 = 3.0;
+
+/// Starts `flows` equal uncapped transfers into node 0 from the sender
+/// pool at t=0 and stops when the last one lands. The receiver's downlink
+/// is the only bottleneck, so every flow gets the same rate and they all
+/// complete in one `settle_due` sweep.
+struct IncastDriver {
+    net: NetHandle,
+    flows: u64,
+    completed: u64,
+}
+
+impl Actor for IncastDriver {
+    fn name(&self) -> String {
+        "bench.incast_driver".into()
+    }
+
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        match ev {
+            Event::Start => {
+                for i in 0..self.flows {
+                    let s = 1 + (i % u64::from(INCAST_SENDERS)) as u32;
+                    self.net
+                        .start_flow(ctx, NodeId(s), NodeId(0), 1 << 20, None, i);
+                }
+            }
+            Event::Msg { msg, .. } if msg.peek::<FlowDone>().is_some() => {
+                self.completed += 1;
+                if self.completed == self.flows {
+                    ctx.stop();
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Best-of-`REPS` wall seconds and the (identical every time) simulated
+/// makespan of one incast of `flows` flows.
+fn run_incast(flows: u64) -> (f64, f64) {
+    const REPS: usize = 7;
+    let mut best = f64::INFINITY;
+    let mut makespan_s = 0.0;
+    for _ in 0..REPS {
+        let mut sim = Sim::new(7);
+        let fabric = sim.spawn(Box::new(Fabric::new(
+            NetConfig::default(),
+            INCAST_SENDERS as usize + 1,
+        )));
+        let driver = sim.spawn(Box::new(IncastDriver {
+            net: NetHandle { fabric },
+            flows,
+            completed: 0,
+        }));
+        let started = Instant::now();
+        let summary = sim.run();
+        best = best.min(started.elapsed().as_secs_f64());
+        makespan_s = summary.end_time.as_secs_f64();
+        let d = sim.actor_ref::<IncastDriver>(driver).expect("driver");
+        assert_eq!(d.completed, flows);
+        assert!(
+            sim.stats().counter("net.solver_calls") <= 2,
+            "incast must price once and finish at one instant"
+        );
+    }
+    (best, makespan_s)
 }
 
 struct Sample {
@@ -217,6 +296,23 @@ fn main() {
         );
     }
 
+    // Incast: the linear-unlink bar. Same size under `--quick`: the whole
+    // row costs ~0.1 s, and at 2k flows the scan it guards against is
+    // still cheap enough to slip under the bar (measured 2.6 on the
+    // pre-index fabric, against 3.5 at 16k).
+    let incast_n: u64 = 16 << 10;
+    let incast_2n = 2 * incast_n;
+    let (wall_n, makespan_n) = run_incast(incast_n);
+    let (wall_2n, makespan_2n) = run_incast(incast_2n);
+    let incast_ratio = wall_2n / wall_n.max(1e-9);
+    println!(
+        "\nincast into one receiver: {incast_n} flows {wall_n:.4} s, {incast_2n} flows {wall_2n:.4} s wall -> 2N/N ratio {incast_ratio:.2} (linear 2, bar {INCAST_RATIO_BAR})"
+    );
+    assert!(
+        incast_ratio < INCAST_RATIO_BAR,
+        "incast wall grew {incast_ratio:.2}x for 2x the flows — a per-flow linear scan is back on the completion path"
+    );
+
     let rows: Vec<String> = samples
         .iter()
         .map(|s| {
@@ -227,7 +323,7 @@ fn main() {
         })
         .collect();
     let section = format!(
-        "{{\n    \"scenario\": \"terasort-style shuffle, {waves} waves, fan-in min(nodes-1,16), 20 MB/s stream cap\",\n    \"quick\": {quick},\n    \"speedup_at_{headline}_nodes\": {speedup:.2},\n    \"runs\": [\n{}\n    ]\n  }}",
+        "{{\n    \"scenario\": \"terasort-style shuffle, {waves} waves, fan-in min(nodes-1,16), 20 MB/s stream cap\",\n    \"quick\": {quick},\n    \"speedup_at_{headline}_nodes\": {speedup:.2},\n    \"incast\": {{ \"flows_n\": {incast_n}, \"wall_n_s\": {wall_n:.5}, \"makespan_n_s\": {makespan_n:.6}, \"flows_2n\": {incast_2n}, \"wall_2n_s\": {wall_2n:.5}, \"makespan_2n_s\": {makespan_2n:.6}, \"wall_ratio_2n_over_n\": {incast_ratio:.2}, \"ratio_bar\": {INCAST_RATIO_BAR:.1}, \"before\": {{ \"commit\": \"06c2e5f\", \"wall_n_s\": 0.0325, \"wall_2n_s\": 0.1141, \"wall_ratio_2n_over_n\": 3.51 }} }},\n    \"runs\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     );
     // Quick runs write next to the baseline, never over it: the committed

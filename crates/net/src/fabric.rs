@@ -40,9 +40,16 @@
 //!    split into a hot array (remaining bytes, rate, route — what the
 //!    decrement/solve loops touch) and a cold array (notification
 //!    endpoints, payloads), with freed slots recycled. Link indices and
-//!    the completion heap refer to flows by slot (O(1), no hashing);
-//!    every order-sensitive sweep sorts by the flow's monotonic id, so
-//!    the event stream is identical to the original id-ordered map's.
+//!    the completion heap refer to flows by slot, and each flow records
+//!    its position in every link list it sits on, so unlinking is an
+//!    indexed `swap_remove`: F flows finishing on one rx link at one
+//!    instant cost O(F), not O(F²). Order-sensitive sweeps — abort
+//!    notifications, everything in `Reference` — sort by the flow's
+//!    monotonic id. The component solve and the rate write-back provably
+//!    need no order and run in walk order, unsorted: rates are
+//!    bit-identical under any `add_flow` / `add_link` order (argued at
+//!    [`MaxMinSolver::solve`], property-tested beside it), and the heap
+//!    keys `(finish, id, gen)` are unique, so pops ignore push order.
 //!
 //! [`FluidEngine::Reference`] preserves the original engine — one global
 //! [`max_min_rates`] solve per flow event — event-for-event; it is the
@@ -169,14 +176,14 @@ pub struct FlowAborted {
 
 /// Hot per-flow state, slot-indexed and densely packed: exactly the
 /// fields the component walk, the rate write-back, and the settle loop
-/// touch. Keeping these in one ~80-byte record (no boxed payload) means a
+/// touch. Keeping these in one ~88-byte record (no boxed payload) means a
 /// resolve sweep streams through a compact array instead of taking two
 /// cache misses per flow on a fat mixed record — the component walk is
 /// the single hottest loop in the 1000-node churn profile.
 #[derive(Clone, Copy)]
 struct FlowHot {
-    /// Monotonic flow id: the deterministic sort key for every
-    /// order-sensitive sweep and the completion-heap tiebreaker. Slab
+    /// Monotonic flow id: the sort key of the abort sweep and of
+    /// `Reference`'s sweeps, and the completion-heap tiebreaker. Slab
     /// *slots* are recycled; ids never are. `u64::MAX` marks a free slot
     /// (no live flow can carry it — ids count up from zero).
     id: u64,
@@ -190,6 +197,9 @@ struct FlowHot {
     gen: u64,
     cap: f64,
     route: Route,
+    /// `pos[k]` is this flow's index in `link_flows[route.links()[k]]`
+    /// (`attach`/`detach` keep it current; loopback leaves `pos[1]` unused).
+    pos: [u32; 2],
     /// Component-walk visit stamp (see `resolve_dirty`).
     mark: u32,
 }
@@ -203,21 +213,6 @@ struct FlowCold {
     src: NodeId,
     dst: NodeId,
     on_done: Option<Box<dyn Msg>>,
-}
-
-/// Per-flow snapshot taken as the component walk first visits a flow: by
-/// then every link on its route holds a dense solver slot, so the solver
-/// feed and the `add_flow` order need no further flow-table lookups.
-#[derive(Clone, Copy)]
-struct CompFlow {
-    /// Monotonic flow id — the deterministic solve-order key.
-    id: u64,
-    /// Slab slot, for the lookup-free rate write-back.
-    slot: u32,
-    cap: f64,
-    /// Dense solver slots of the route's links (first `n_links` valid).
-    slots: [u32; 2],
-    n_links: u8,
 }
 
 /// Completion-timer tag (kept at 0, matching the original fabric).
@@ -243,9 +238,8 @@ pub struct Fabric {
     /// hot path — the component walk visits every flow of a component per
     /// resolve, and map descents dominated the 1000-node churn profile.
     /// Slots recycle through `free_slots`; the monotonic flow *id* lives
-    /// in [`FlowHot`], and every sweep whose order can reach events or
-    /// float rounding sorts by id, preserving the original BTreeMap
-    /// id-order semantics exactly.
+    /// in [`FlowHot`], and the sweeps whose order reaches the event
+    /// stream (abort notifications, all of `Reference`) sort by it.
     hot: Vec<FlowHot>,
     cold: Vec<Option<FlowCold>>,
     free_slots: Vec<u32>,
@@ -260,7 +254,10 @@ pub struct Fabric {
     // --- incremental engine state ---
     /// Whether a deferred resolve wakeup is already queued for this instant.
     resolve_pending: bool,
-    /// Persistent link → active-flow slab slots index.
+    /// Persistent link → active-flow slab slots index, each entry's index
+    /// mirrored in its flow's `pos`. List order (insertion/`swap_remove`)
+    /// reaches nothing observable: solve and write-back are order-free,
+    /// the abort sweep sorts by id.
     link_flows: Vec<Vec<u32>>,
     /// Links whose flow set changed since the last resolve.
     dirty_links: Vec<LinkId>,
@@ -269,8 +266,9 @@ pub struct Fabric {
     epoch: u32,
     link_mark: Vec<u32>,
     link_slot: Vec<u32>,
-    /// Scratch: flows of the current component / link BFS frontier.
-    comp_flows: Vec<CompFlow>,
+    /// Scratch: the current component's flows (slab slots, in solver
+    /// `add_flow` order) / link BFS frontier.
+    comp_slots: Vec<u32>,
     bfs_links: Vec<LinkId>,
     solver: MaxMinSolver,
     /// Min-heap of (projected finish, flow id, generation, slab slot).
@@ -315,7 +313,7 @@ impl Fabric {
             epoch: 0,
             link_mark: vec![0; n_links],
             link_slot: vec![0; n_links],
-            comp_flows: Vec::new(),
+            comp_slots: Vec::new(),
             bfs_links: Vec::new(),
             solver: MaxMinSolver::new(),
             done_heap: BinaryHeap::new(),
@@ -390,19 +388,41 @@ impl Fabric {
         }
     }
 
-    /// Stores a flow in a recycled (or fresh) slab slot.
-    fn insert_flow(&mut self, h: FlowHot, c: FlowCold) -> u32 {
+    /// Admits a non-empty [`StartFlow`] at rate 0 into a recycled (or
+    /// fresh) slab slot; the engine prices it at its next solve.
+    fn insert_flow(&mut self, ctx: &mut Ctx<'_>, now: SimTime, req: StartFlow) -> u32 {
+        let h = FlowHot {
+            id: self.next_flow_id,
+            remaining: req.bytes as f64,
+            rate: 0.0,
+            updated_at: now,
+            gen: 0,
+            cap: req.cap_bytes_per_sec.unwrap_or(f64::INFINITY),
+            route: self.route(req.src, req.dst),
+            pos: [0; 2],
+            mark: 0,
+        };
+        let c = Some(FlowCold {
+            notify: req.notify,
+            tag: req.tag,
+            total: req.bytes,
+            src: req.src,
+            dst: req.dst,
+            on_done: req.on_done,
+        });
+        self.next_flow_id += 1;
         self.live_flows += 1;
+        ctx.stats().incr("net.flows_started");
         match self.free_slots.pop() {
             Some(s) => {
                 debug_assert_eq!(self.hot[s as usize].id, u64::MAX);
                 self.hot[s as usize] = h;
-                self.cold[s as usize] = Some(c);
+                self.cold[s as usize] = c;
                 s
             }
             None => {
                 self.hot.push(h);
-                self.cold.push(Some(c));
+                self.cold.push(c);
                 (self.hot.len() - 1) as u32
             }
         }
@@ -543,30 +563,7 @@ impl Fabric {
             if req.bytes == 0 {
                 Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
             } else {
-                let id = self.next_flow_id;
-                self.next_flow_id += 1;
-                let route = self.route(req.src, req.dst);
-                self.insert_flow(
-                    FlowHot {
-                        id,
-                        remaining: req.bytes as f64,
-                        rate: 0.0,
-                        updated_at: now,
-                        gen: 0,
-                        cap: req.cap_bytes_per_sec.unwrap_or(f64::INFINITY),
-                        route,
-                        mark: 0,
-                    },
-                    FlowCold {
-                        notify: req.notify,
-                        tag: req.tag,
-                        total: req.bytes,
-                        src: req.src,
-                        dst: req.dst,
-                        on_done: req.on_done,
-                    },
-                );
-                ctx.stats().incr("net.flows_started");
+                self.insert_flow(ctx, now, *req);
             }
             self.ref_reschedule(ctx);
         } else if let Some(abort) = msg.peek::<AbortNode>() {
@@ -623,12 +620,30 @@ impl Fabric {
         }
     }
 
-    /// Unindexes a flow's slab slot from its links.
-    fn detach(&mut self, route: Route, slot: u32) {
-        for &l in route.links() {
+    /// Indexes the flow in `slot` on each link of its route (now dirty),
+    /// recording where it landed.
+    fn attach(&mut self, slot: u32) {
+        let h = &mut self.hot[slot as usize];
+        for (p, &l) in h.pos.iter_mut().zip(h.route.links()) {
+            *p = self.link_flows[l.0].len() as u32;
+            self.link_flows[l.0].push(slot);
+        }
+        self.mark_dirty(self.hot[slot as usize].route);
+    }
+
+    /// Unindexes a removed flow (`h`, formerly in `slot`) from its links
+    /// (now dirty): one indexed `swap_remove` per link, re-pointing the
+    /// flow that moved into the hole.
+    fn detach(&mut self, h: &FlowHot, slot: u32) {
+        self.mark_dirty(h.route);
+        for (&p, &l) in h.pos.iter().zip(h.route.links()) {
             let v = &mut self.link_flows[l.0];
-            if let Some(p) = v.iter().position(|&x| x == slot) {
-                v.swap_remove(p);
+            debug_assert_eq!(v[p as usize], slot, "flow at its recorded position");
+            v.swap_remove(p as usize);
+            if let Some(&moved) = v.get(p as usize) {
+                // A route's links are distinct, so `l` is its first or second.
+                let m = &mut self.hot[moved as usize];
+                m.pos[usize::from(m.route.links()[0] != l)] = p;
             }
         }
     }
@@ -656,8 +671,7 @@ impl Fabric {
             }
             if h.remaining <= EPS_BYTES {
                 let (h, c) = self.remove_flow(slot);
-                self.detach(h.route, slot);
-                self.mark_dirty(h.route);
+                self.detach(&h, slot);
                 ctx.stats().add("net.flow_bytes_done", c.total);
                 ctx.stats().incr("net.flows_done");
                 Self::deliver_done(ctx, c.notify, c.tag, c.total, c.on_done);
@@ -694,7 +708,7 @@ impl Fabric {
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        self.comp_flows.clear();
+        self.comp_slots.clear();
         self.bfs_links.clear();
         self.solver.begin();
         // Seed the walk with the dirty links.
@@ -716,50 +730,33 @@ impl Fabric {
                     continue;
                 }
                 h.mark = epoch;
-                let (id, cap, route) = (h.id, h.cap, h.route);
-                for &l2 in route.links() {
+                let (cap, route) = (h.cap, h.route);
+                let mut slots = [0u32; 2];
+                for (s, &l2) in slots.iter_mut().zip(route.links()) {
                     if self.link_mark[l2.0] != epoch {
                         self.link_mark[l2.0] = epoch;
                         self.link_slot[l2.0] = self.solver.add_link(self.links.capacity(l2));
                         self.bfs_links.push(l2);
                     }
-                }
-                // Every route link now holds a solver slot (assigned above
-                // or on an earlier visit): snapshot, so the solver feed
-                // below is lookup-free.
-                let links = route.links();
-                let mut slots = [0u32; 2];
-                for (s, l2) in slots.iter_mut().zip(links) {
                     *s = self.link_slot[l2.0];
                 }
-                self.comp_flows.push(CompFlow {
-                    id,
-                    slot,
-                    cap,
-                    slots,
-                    n_links: links.len() as u8,
-                });
+                // Walk order, unsorted: the solve is order-independent.
+                self.solver.add_flow(&slots[..route.links().len()], cap);
+                self.comp_slots.push(slot);
             }
         }
-        if self.comp_flows.is_empty() {
+        if self.comp_slots.is_empty() {
             // Dirty links with no remaining flows (e.g. last flow on a
             // node pair finished): nothing to solve.
             return;
-        }
-        // Flow-id order keeps the solve order (and thus float rounding)
-        // independent of walk order.
-        self.comp_flows.sort_unstable_by_key(|c| c.id);
-        for c in &self.comp_flows {
-            self.solver.add_flow(&c.slots[..c.n_links as usize], c.cap);
         }
         let rounds_before = self.solver.rounds();
         let rates = self.solver.solve();
         ctx.stats().incr("net.solver_calls");
         ctx.stats()
-            .add("net.comp_flow_visits", self.comp_flows.len() as u64);
-        for (i, c) in self.comp_flows.iter().enumerate() {
-            let new_rate = rates[i];
-            let h = &mut self.hot[c.slot as usize];
+            .add("net.comp_flow_visits", self.comp_slots.len() as u64);
+        for (&slot, &new_rate) in self.comp_slots.iter().zip(rates) {
+            let h = &mut self.hot[slot as usize];
             let dt = (now - h.updated_at).as_secs_f64();
             if dt > 0.0 {
                 h.remaining -= h.rate * dt;
@@ -772,7 +769,7 @@ impl Fabric {
                     let delay = SimDuration::from_secs_f64(h.remaining / new_rate)
                         .max(SimDuration::from_nanos(1));
                     self.done_heap
-                        .push(Reverse((now + delay, c.id, h.gen, c.slot)));
+                        .push(Reverse((now + delay, h.id, h.gen, slot)));
                 }
             }
         }
@@ -816,6 +813,40 @@ impl Fabric {
         }
     }
 
+    /// Completes what is due, re-prices what got dirty, re-arms the timer.
+    fn incr_advance(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
+        self.settle_due(ctx, now);
+        self.resolve_dirty(ctx, now);
+        self.rearm(ctx);
+        #[cfg(debug_assertions)]
+        self.debug_check_link_index();
+    }
+
+    /// Link-index invariant: every `link_flows` entry points at a live flow
+    /// recording that position for that link, and entry and slot counts
+    /// match the live flows — so every live flow sits where it says.
+    #[cfg(debug_assertions)]
+    fn debug_check_link_index(&self) {
+        let mut entries = 0;
+        for (l, v) in self.link_flows.iter().enumerate() {
+            for (p, &slot) in v.iter().enumerate() {
+                let h = &self.hot[slot as usize];
+                let links = h.route.links();
+                let k = usize::from(links[0].0 != l);
+                assert!(
+                    h.id != u64::MAX && links.get(k) == Some(&LinkId(l)) && h.pos[k] as usize == p,
+                    "link {l} entry {p} -> slot {slot}: not a live flow recording that position"
+                );
+            }
+            entries += v.len();
+        }
+        let live = || self.hot.iter().filter(|h| h.id != u64::MAX);
+        assert_eq!(live().count(), self.live_flows);
+        assert_eq!(self.hot.len() - self.free_slots.len(), self.live_flows);
+        let routed: usize = live().map(|h| h.route.links().len()).sum();
+        assert_eq!(routed, entries);
+    }
+
     fn incr_handle_msg(&mut self, ctx: &mut Ctx<'_>, now: SimTime, msg: Box<dyn Msg>) {
         if msg.is::<StartFlow>() {
             let req = msg.downcast::<StartFlow>().expect("checked");
@@ -823,34 +854,8 @@ impl Fabric {
                 Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
                 return;
             }
-            let id = self.next_flow_id;
-            self.next_flow_id += 1;
-            let route = self.route(req.src, req.dst);
-            let slot = self.insert_flow(
-                FlowHot {
-                    id,
-                    remaining: req.bytes as f64,
-                    rate: 0.0,
-                    updated_at: now,
-                    gen: 0,
-                    cap: req.cap_bytes_per_sec.unwrap_or(f64::INFINITY),
-                    route,
-                    mark: 0,
-                },
-                FlowCold {
-                    notify: req.notify,
-                    tag: req.tag,
-                    total: req.bytes,
-                    src: req.src,
-                    dst: req.dst,
-                    on_done: req.on_done,
-                },
-            );
-            for &l in route.links() {
-                self.link_flows[l.0].push(slot);
-            }
-            self.mark_dirty(route);
-            ctx.stats().incr("net.flows_started");
+            let slot = self.insert_flow(ctx, now, *req);
+            self.attach(slot);
             self.request_resolve(ctx);
         } else if let Some(abort) = msg.peek::<AbortNode>() {
             let node = abort.node;
@@ -883,8 +888,7 @@ impl Fabric {
             dead.sort_unstable();
             for (_, slot) in dead {
                 let (mut h, c) = self.remove_flow(slot);
-                self.detach(h.route, slot);
-                self.mark_dirty(h.route);
+                self.detach(&h, slot);
                 // A flow settled to within EPS of done may still hold a
                 // heap entry a nanosecond out (timer quantization); the
                 // reference engine's elapse-before-abort delivers FlowDone
@@ -903,6 +907,8 @@ impl Fabric {
                     ctx.send(c.notify, FlowAborted { tag: c.tag });
                 }
             }
+            #[cfg(debug_assertions)]
+            self.debug_check_link_index();
             self.request_resolve(ctx);
         }
     }
@@ -923,9 +929,7 @@ impl Actor for Fabric {
                 tag: TAG_RESOLVE, ..
             } => {
                 self.resolve_pending = false;
-                self.settle_due(ctx, now);
-                self.resolve_dirty(ctx, now);
-                self.rearm(ctx);
+                self.incr_advance(ctx, now);
             }
             Event::Timer { .. } => {
                 self.timer = None;
@@ -934,11 +938,7 @@ impl Actor for Fabric {
                         self.ref_elapse(ctx, now);
                         self.ref_reschedule(ctx);
                     }
-                    FluidEngine::Incremental => {
-                        self.settle_due(ctx, now);
-                        self.resolve_dirty(ctx, now);
-                        self.rearm(ctx);
-                    }
+                    FluidEngine::Incremental => self.incr_advance(ctx, now),
                 }
             }
             Event::Msg { msg, .. } => {
@@ -1689,6 +1689,28 @@ mod tests {
         }
     }
 
+    /// A random `WaveDriver` script over 12 nodes — bursty starts (usually
+    /// the same instant, sometimes a gap), mixed sizes, a quarter capped.
+    fn random_bursts(
+        rng: &mut Xoshiro256,
+        n_flows: usize,
+    ) -> Vec<(u64, u32, u32, u64, Option<f64>)> {
+        let mut t_ms = 0u64;
+        (0..n_flows)
+            .map(|_| {
+                if rng.next_below(3) == 0 {
+                    t_ms += rng.next_below(400);
+                }
+                let s = rng.next_below(12) as u32;
+                let d = rng.next_below(12) as u32;
+                let bytes = 1_000_000 + rng.next_below(200_000_000);
+                let capped = rng.next_below(4) == 0;
+                let cap = capped.then(|| 4.0e6 * (1 + rng.next_below(10)) as f64);
+                (t_ms, s, d, bytes, cap)
+            })
+            .collect()
+    }
+
     /// Satellite property test at the fabric level: randomized bursts on a
     /// 12-node fabric; the incremental engine's completion times must match
     /// the reference engine's within 1e-6 s on every flow.
@@ -1697,23 +1719,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut rng = Xoshiro256::seed_from_u64(0xbeef ^ seed);
             let n_flows = 40 + rng.next_below(40) as usize;
-            let mut script = Vec::with_capacity(n_flows);
-            let mut t_ms = 0u64;
-            for _ in 0..n_flows {
-                // Bursty starts: usually same instant, sometimes a gap.
-                if rng.next_below(3) == 0 {
-                    t_ms += rng.next_below(400);
-                }
-                let s = rng.next_below(12) as u32;
-                let d = rng.next_below(12) as u32;
-                let bytes = 1_000_000 + rng.next_below(200_000_000);
-                let cap = if rng.next_below(4) == 0 {
-                    Some(4.0e6 * (1 + rng.next_below(10)) as f64)
-                } else {
-                    None
-                };
-                script.push((t_ms, s, d, bytes, cap));
-            }
+            let script = random_bursts(&mut rng, n_flows);
             let run = |engine: FluidEngine| {
                 let mut sim = Sim::new(seed);
                 let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 12)));
@@ -1743,5 +1749,187 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The fabric-level face of the solver's order independence: the same
+    /// flows started in a different order *within* each instant get
+    /// different flow ids, link-list positions and component walk orders,
+    /// yet every tag completes at the identical nanosecond.
+    #[test]
+    fn same_instant_start_order_does_not_move_completions() {
+        for seed in 0..8u64 {
+            let mut rng = Xoshiro256::seed_from_u64(0x5a4e ^ seed);
+            let n_flows = 60 + rng.next_below(60) as usize;
+            let script = random_bursts(&mut rng, n_flows);
+            // `order[i]` is the script index issued i-th: a shuffle within
+            // each same-instant group (the sort is stable on the instant).
+            let mut order: Vec<usize> = (0..n_flows).collect();
+            rng.shuffle(&mut order);
+            order.sort_by_key(|&i| script[i].0);
+            let run = |order: &[usize]| {
+                let mut sim = Sim::new(seed);
+                let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 12)));
+                let driver = sim.spawn(Box::new(WaveDriver {
+                    net: NetHandle { fabric },
+                    script: order.iter().map(|&i| script[i]).collect(),
+                    issued: 0,
+                    done: Vec::new(),
+                    expected: n_flows,
+                }));
+                sim.run();
+                // WaveDriver tags a flow with its issue index; map back.
+                let mut done: Vec<(usize, u64)> = sim
+                    .actor_ref::<WaveDriver>(driver)
+                    .expect("driver")
+                    .done
+                    .iter()
+                    .map(|&(tag, at)| (order[tag as usize], at))
+                    .collect();
+                assert_eq!(done.len(), n_flows, "seed {seed}: flows lost");
+                done.sort_unstable();
+                done
+            };
+            let in_order: Vec<usize> = (0..n_flows).collect();
+            assert_ne!(order, in_order, "seed {seed}: shuffle was the identity");
+            assert_eq!(run(&order), run(&in_order), "seed {seed}");
+        }
+    }
+
+    /// One scripted action of the link-index churn test.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Start(u32, u32, u64),
+        Abort(u32),
+        Bandwidth(u32, f64),
+        Ensure(u32),
+    }
+
+    struct ChurnDriver {
+        net: NetHandle,
+        script: Vec<(u64, Op)>,
+        next: usize,
+        finished: u64,
+    }
+
+    impl Actor for ChurnDriver {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+            match ev {
+                Event::Start | Event::Timer { .. } => {
+                    let now_ms = ctx.now().as_nanos() / 1_000_000;
+                    while let Some(&(at, op)) = self.script.get(self.next) {
+                        if at > now_ms {
+                            ctx.after_at(SimTime::from_nanos(at * 1_000_000), 100);
+                            break;
+                        }
+                        self.next += 1;
+                        match op {
+                            Op::Start(s, d, bytes) => {
+                                self.net
+                                    .start_flow(ctx, NodeId(s), NodeId(d), bytes, None, 0)
+                            }
+                            Op::Abort(n) => self.net.abort_node(ctx, NodeId(n)),
+                            Op::Bandwidth(n, f) => self.net.set_node_bandwidth(ctx, NodeId(n), f),
+                            Op::Ensure(n) => self.net.ensure_node(ctx, NodeId(n)),
+                        }
+                    }
+                }
+                Event::Msg { msg, .. } => {
+                    if msg.peek::<FlowDone>().is_some() || msg.peek::<FlowAborted>().is_some() {
+                        self.finished += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Drives the O(1) unlink bookkeeping through everything that touches
+    /// it — bursts, staggered completions, crashes, partitions and heals,
+    /// growth, loopback routes, recycled slots — with
+    /// `debug_check_link_index` run by the fabric after every advance and
+    /// abort (debug builds), and a drained index at the end.
+    #[test]
+    fn link_index_survives_random_churn() {
+        for seed in 0..6u64 {
+            let mut rng = Xoshiro256::seed_from_u64(0x11d3 ^ seed);
+            let mut nodes = 6u32;
+            let mut script = Vec::new();
+            let mut started = 0u64;
+            let mut t_ms = 0u64;
+            for _ in 0..400 {
+                if rng.next_below(4) == 0 {
+                    t_ms += rng.next_below(40);
+                }
+                let node = rng.next_below(u64::from(nodes)) as u32;
+                let op = match rng.next_below(20) {
+                    0 => Op::Abort(node),
+                    1 => Op::Bandwidth(node, [0.0, 0.3, 1.0][rng.next_below(3) as usize]),
+                    2 => {
+                        nodes += 1;
+                        Op::Ensure(nodes - 1)
+                    }
+                    // One start in six is a loopback (single-link) route.
+                    k => {
+                        started += 1;
+                        let dst = if k % 6 == 3 {
+                            node
+                        } else {
+                            rng.next_below(u64::from(nodes)) as u32
+                        };
+                        Op::Start(node, dst, 100_000 + rng.next_below(4_000_000))
+                    }
+                };
+                script.push((t_ms, op));
+            }
+            // Heal everything so stalled flows drain.
+            script.extend((0..nodes).map(|n| (t_ms + 1, Op::Bandwidth(n, 1.0))));
+
+            let mut sim = Sim::new(seed);
+            let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 6)));
+            let driver = sim.spawn(Box::new(ChurnDriver {
+                net: NetHandle { fabric },
+                script,
+                next: 0,
+                finished: 0,
+            }));
+            sim.run();
+            let finished = sim
+                .actor_ref::<ChurnDriver>(driver)
+                .expect("driver")
+                .finished;
+            assert_eq!(finished, started, "seed {seed}: every flow ends once");
+            let f = sim.actor_ref::<Fabric>(fabric).expect("fabric");
+            #[cfg(debug_assertions)]
+            f.debug_check_link_index();
+            assert_eq!(f.live_flows, 0, "seed {seed}");
+            assert!(f.link_flows.iter().all(Vec::is_empty), "seed {seed}");
+            assert_eq!(f.free_slots.len(), f.hot.len(), "seed {seed}");
+            assert!(
+                (f.hot.len() as u64) < started,
+                "seed {seed}: slots were never recycled ({} slots, {started} flows)",
+                f.hot.len()
+            );
+        }
+    }
+
+    /// The invariant check is not vacuous: a position that is off by one
+    /// (what a `detach` that forgot to re-point the moved flow leaves
+    /// behind) trips it.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not a live flow recording that position")]
+    fn link_index_check_catches_a_stale_position() {
+        let mut sim = Sim::new(0);
+        let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 4)));
+        sim.spawn(Box::new(Driver {
+            net: NetHandle { fabric },
+            flows: vec![(1, 2, 125_000_000, None), (1, 3, 125_000_000, None)],
+            done: Vec::new(),
+            expected: 2,
+        }));
+        sim.run_until(SimTime::from_nanos(1_000_000));
+        let f = sim.actor_mut::<Fabric>(fabric).expect("fabric");
+        f.debug_check_link_index();
+        f.hot[1].pos[0] = 0;
+        f.debug_check_link_index();
     }
 }

@@ -309,6 +309,16 @@ impl MaxMinSolver {
     /// Runs progressive filling over the staged component; returns one rate
     /// per flow in [`MaxMinSolver::add_flow`] order. Allocation-free once
     /// the buffers have warmed up.
+    ///
+    /// Each flow's rate is **bitwise independent of `add_flow` and
+    /// `add_link` order**, so callers need not sort their input: a round's
+    /// `delta` is a `min` over non-NaN values (order-free), every unfrozen
+    /// flow adds that same `delta` to its own rate, a link's residual takes
+    /// one subtraction of that same `delta` per unfrozen flow crossing it
+    /// (the same sequence of values whoever performs them), and the freeze
+    /// test reads only the flow's own rate and its links' end-of-round
+    /// residuals. `rates_are_bitwise_order_independent` checks it on random
+    /// components.
     pub fn solve(&mut self) -> &[f64] {
         self.solves += 1;
         let n = self.rates.len();
@@ -633,6 +643,68 @@ mod tests {
             solver_vs_reference(&caps, &flows, &mut solver);
         }
         assert_eq!(solver.solves(), 200, "one solve per instance");
+    }
+
+    /// What lets the fabric feed a component in walk order instead of
+    /// sorting it by flow id first: the same component under any
+    /// permutation of `add_link` and `add_flow` order yields each flow the
+    /// bit-identical rate.
+    #[test]
+    fn rates_are_bitwise_order_independent() {
+        use accelmr_des::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0x0D0E_50F7);
+        let mut solver = MaxMinSolver::new();
+        for _ in 0..300 {
+            let n_links = rng.range_inclusive(1, 12) as usize;
+            let mut caps: Vec<f64> = (0..n_links)
+                .map(|_| 1.0e6 * (1.0 + 249.0 * rng.next_f64()))
+                .collect();
+            // A partitioned link on most instances.
+            if rng.next_below(4) != 0 {
+                caps[rng.next_below(n_links as u64) as usize] = 0.0;
+            }
+            let n_flows = rng.range_inclusive(1, 96) as usize;
+            let flows: Vec<(Vec<usize>, f64)> = (0..n_flows)
+                .map(|_| {
+                    let a = rng.next_below(n_links as u64) as usize;
+                    let b = rng.next_below(n_links as u64) as usize;
+                    let links = if a == b { vec![a] } else { vec![a, b] };
+                    let cap = if rng.next_below(2) == 0 {
+                        1.0e5 * (1.0 + 99.0 * rng.next_f64())
+                    } else {
+                        f64::INFINITY
+                    };
+                    (links, cap)
+                })
+                .collect();
+            // Solves with links added in `link_order` and flows in
+            // `flow_order`; returns rate bits indexed by original flow.
+            let mut solve = |link_order: &[usize], flow_order: &[usize]| {
+                solver.begin();
+                let mut local = vec![0u32; n_links];
+                for &l in link_order {
+                    local[l] = solver.add_link(caps[l]);
+                }
+                for &f in flow_order {
+                    let route: Vec<u32> = flows[f].0.iter().map(|&l| local[l]).collect();
+                    solver.add_flow(&route, flows[f].1);
+                }
+                let rates = solver.solve();
+                let mut bits = vec![0u64; n_flows];
+                for (&f, r) in flow_order.iter().zip(rates) {
+                    bits[f] = r.to_bits();
+                }
+                bits
+            };
+            let mut link_order: Vec<usize> = (0..n_links).collect();
+            let mut flow_order: Vec<usize> = (0..n_flows).collect();
+            let base = solve(&link_order, &flow_order);
+            for _ in 0..4 {
+                rng.shuffle(&mut link_order);
+                rng.shuffle(&mut flow_order);
+                assert_eq!(solve(&link_order, &flow_order), base);
+            }
+        }
     }
 
     #[test]
