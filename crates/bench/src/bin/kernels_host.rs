@@ -1,0 +1,124 @@
+//! kernels_host — **wall-clock** rates of the real AES kernels and of the
+//! functional Cell path that carries them.
+//!
+//! The simulated cost of a kernel comes from `cycles_per_byte` and never
+//! from the host; this bin tracks what a *materialized* run costs to
+//! execute. Rows: ECB and CTR for every [`AesImpl`] over one buffer
+//! (16 MiB; 2 MiB under `--quick`), and [`CellMachine::run_data`] with the
+//! SPU AES kernel over a warmed 2 MiB real record in 4 KB blocks.
+//!
+//! Two ratios are asserted, because a ratio holds across machines where a
+//! MB/s bar would not:
+//!
+//! * `lanes4 CTR / ttable CTR >= 0.75` — the four-lane kernel with every
+//!   lane filled runs at about the T-table rate; a CTR path that feeds it
+//!   one block per quad sits near 0.2.
+//! * `run_data / lanes4 CTR >= 0.75` — the event loop and the two staging
+//!   copies through the local store may not cost more than a quarter of
+//!   the kernel.
+//!
+//! Writes the `kernels_host` section of `BENCH_perf.json`
+//! (`BENCH_perf.quick.json` under `--quick`, the CI smoke path).
+
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
+
+use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput};
+use accelmr_kernels::aes::modes::{ctr_xor, ecb_encrypt};
+use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
+
+const RECORD: usize = 2 << 20;
+const SPU_BLOCK: usize = 4096;
+const NONCE: u64 = 7;
+const RATIO_BAR: f64 = 0.75;
+/// This bin at the parent commit on the same machine, 16 MiB: `lanes4`
+/// CTR kept one lane of each quad.
+const BEFORE: &str = "{ \"commit\": \"ce7d876\", \"aes\": [ { \"impl\": \"scalar\", \"ecb_mb_per_s\": 96.3, \"ctr_mb_per_s\": 103.4 }, { \"impl\": \"ttable\", \"ecb_mb_per_s\": 360.7, \"ctr_mb_per_s\": 320.0 }, { \"impl\": \"lanes4\", \"ecb_mb_per_s\": 293.9, \"ctr_mb_per_s\": 72.8 } ], \"run_data_mb_per_s\": 71.1, \"lanes4_over_ttable_ctr\": 0.23, \"run_data_over_lanes4_ctr\": 0.98 }";
+
+/// Best of `reps` timings of `f`, as MB/s over `bytes`: disturbance on a
+/// shared host only ever adds time.
+fn mb_per_s(bytes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
+    let best = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    bytes as f64 / 1e6 / best
+}
+
+fn main() {
+    let quick = accelmr_bench::quick_mode();
+    let len = if quick { 2 << 20 } else { 16 << 20 };
+    let key = Arc::new(Aes128::new(b"benchmark-key!!!"));
+    let mut buf = vec![0u8; len];
+    fill_deterministic(1, 0, &mut buf);
+
+    println!("# kernels_host: {} MiB buffer, best of 5", len >> 20);
+    println!("{:<8} {:>12} {:>12}", "impl", "ecb MB/s", "ctr MB/s");
+    let rates: Vec<(AesImpl, f64, f64)> = AesImpl::ALL
+        .into_iter()
+        .map(|imp| {
+            let ecb = mb_per_s(len, 5, || ecb_encrypt(&key, imp, black_box(&mut buf)));
+            let ctr = mb_per_s(len, 5, || ctr_xor(&key, imp, NONCE, 0, black_box(&mut buf)));
+            println!("{:<8} {ecb:>12.1} {ctr:>12.1}", imp.name());
+            (imp, ecb, ctr)
+        })
+        .collect();
+    let ctr_of = |want: AesImpl| {
+        let (_, _, ctr) = rates.iter().find(|r| r.0 == want).expect("in ALL");
+        *ctr
+    };
+    let lanes4_ctr = ctr_of(AesImpl::Lanes4);
+    let rows: Vec<String> = rates
+        .iter()
+        .map(|(imp, ecb, ctr)| {
+            format!(
+                "      {{ \"impl\": \"{}\", \"ecb_mb_per_s\": {ecb:.1}, \"ctr_mb_per_s\": {ctr:.1} }}",
+                imp.name()
+            )
+        })
+        .collect();
+
+    let kernel = AesCtrSpeKernel::new(key, NONCE);
+    let mut machine = CellMachine::new(CellConfig::default(), true).expect("default config");
+    machine.warm_up();
+    let record = &buf[..RECORD];
+    let run_data = mb_per_s(RECORD, 9, || {
+        let report = machine
+            .run_data(DataInput::Real(record), &kernel, SPU_BLOCK)
+            .expect("4 KB blocks are valid");
+        black_box(report.output);
+    });
+    println!("run_data {run_data:>12.1} MB/s (2 MiB real record, 4 KB blocks, warmed)");
+
+    let lanes_over_ttable = lanes4_ctr / ctr_of(AesImpl::TTable);
+    let run_data_over_lanes = run_data / lanes4_ctr;
+    println!(
+        "lanes4/ttable CTR {lanes_over_ttable:.2}, run_data/lanes4 CTR {run_data_over_lanes:.2} (bar {RATIO_BAR})"
+    );
+    assert!(
+        lanes_over_ttable >= RATIO_BAR,
+        "lanes4 CTR runs at {lanes_over_ttable:.2} of the T-table rate: are all four lanes filled?"
+    );
+    assert!(
+        run_data_over_lanes >= RATIO_BAR,
+        "run_data runs at {run_data_over_lanes:.2} of its kernel's rate: staging or event-loop overhead"
+    );
+
+    let section = format!(
+        "{{\n    \"scenario\": \"host MB/s, best of 5: AES-128 ECB and CTR per implementation over {} MiB; CellMachine::run_data (aes128-ctr-spu) over a warmed 2 MiB real record in 4 KB blocks\",\n    \"quick\": {quick},\n    \"aes\": [\n{}\n    ],\n    \"run_data_mb_per_s\": {run_data:.1},\n    \"lanes4_over_ttable_ctr\": {lanes_over_ttable:.2},\n    \"run_data_over_lanes4_ctr\": {run_data_over_lanes:.2},\n    \"ratio_bar\": {RATIO_BAR},\n    \"before\": {BEFORE}\n  }}",
+        len >> 20,
+        rows.join(",\n"),
+    );
+    let out = if quick {
+        "BENCH_perf.quick.json"
+    } else {
+        "BENCH_perf.json"
+    };
+    accelmr_bench::update_bench_section(out, "kernels_host", &section)
+        .unwrap_or_else(|e| panic!("write {out}: {e}"));
+    eprintln!("\nwrote {out} (kernels_host section)");
+}

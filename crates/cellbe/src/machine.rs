@@ -26,7 +26,8 @@ use crate::localstore::{LocalStore, LsBuffer};
 pub enum DataInput<'a> {
     /// Timing-only run over `len` virtual bytes.
     Virtual(u64),
-    /// Functional run: the kernel transforms a copy of these bytes.
+    /// Real bytes: on a materialized machine the run is functional and
+    /// the kernel transforms a copy of them; otherwise timing-only.
     Real(&'a [u8]),
 }
 
@@ -66,7 +67,8 @@ pub struct OffloadReport {
     pub spe_busy: Vec<SimDuration>,
     /// Total time the memory interface was transferring.
     pub bus_busy: SimDuration,
-    /// Transformed bytes (materialized runs only).
+    /// Transformed bytes (functional runs only: a materialized machine
+    /// given [`DataInput::Real`]).
     pub output: Option<Vec<u8>>,
     /// Per-SPE results of a compute run (e.g. Pi inside-counts).
     pub unit_results: Vec<u64>,
@@ -216,6 +218,14 @@ impl CellMachine {
         self.cfg.check_block_size(block_size)?;
         let len = input.len();
         let startup = self.take_startup();
+        // Functional or timing-only is decided here, once: a functional run
+        // needs real bytes and stores that hold them. Both then take the
+        // identical event path.
+        let src = match input {
+            DataInput::Real(src) if self.materialized => Some(src),
+            _ => None,
+        };
+        let mut output = src.map(|src| vec![0u8; src.len()]);
         if len == 0 {
             return Ok(OffloadReport {
                 elapsed: startup,
@@ -227,7 +237,7 @@ impl CellMachine {
                 peak_mfc_queue: 0,
                 spe_busy: vec![SimDuration::ZERO; self.cfg.n_spes],
                 bus_busy: SimDuration::ZERO,
-                output: self.materialized.then(Vec::new),
+                output,
                 unit_results: Vec::new(),
             });
         }
@@ -238,17 +248,12 @@ impl CellMachine {
             let start = b * block_size as u64;
             (len - start).min(block_size as u64)
         };
-
-        // Materialized state: output buffer + per-SPE LS buffers (2 each,
-        // used in place for input and output).
-        let mut output = if self.materialized {
-            match &input {
-                DataInput::Real(bytes) => Some(bytes.to_vec()),
-                DataInput::Virtual(_) => Some(vec![0u8; len as usize]),
-            }
-        } else {
-            None
+        let block_bytes = |b: u64| {
+            let start = (b * block_size as u64) as usize;
+            start..start + block_len(b) as usize
         };
+
+        // Per-SPE LS buffers (2 each, used in place for input and output).
         let mut ls_buffers: Vec<Vec<LsBuffer>> = Vec::with_capacity(n_spes);
         for store in &mut self.stores {
             store.reset();
@@ -319,12 +324,13 @@ impl CellMachine {
             match ev {
                 Ev::FetchDone { spe, block, buf } => {
                     spes[spe].inflight_mfc -= 1;
-                    // Materialized: the bytes land in the local store now.
-                    if let Some(out) = &output {
-                        let start = (block * block_size as u64) as usize;
-                        let blen = block_len(block) as usize;
-                        let slice = out[start..start + blen].to_vec();
-                        self.stores[spe].write(ls_buffers[spe][buf], 0, &slice);
+                    // Functional: the bytes land in the local store now.
+                    if let Some(src) = src {
+                        let src = &src[block_bytes(block)];
+                        self.stores[spe]
+                            .slice_mut(ls_buffers[spe][buf], 0, src.len())
+                            .expect("a materialized machine's stores hold bytes")
+                            .copy_from_slice(src);
                     }
                     spes[spe].ready.push_back((block, buf));
                     maybe_start_compute(
@@ -334,14 +340,14 @@ impl CellMachine {
                 Ev::ComputeDone { spe, block, buf } => {
                     spes[spe].computing = false;
                     let blen = block_len(block) as usize;
-                    // Functional execution in the local store.
-                    if output.is_some() {
-                        let abs = base_offset + block * block_size as u64;
-                        if let Some(slice) =
-                            self.stores[spe].slice_mut(ls_buffers[spe][buf], 0, blen)
-                        {
-                            kernel.exec(abs, slice);
-                        }
+                    // Functional: execute in the local store, then copy the
+                    // result out into the output image (the DMA put below).
+                    if let Some(out) = &mut output {
+                        let data = self.stores[spe]
+                            .slice_mut(ls_buffers[spe][buf], 0, blen)
+                            .expect("a materialized machine's stores hold bytes");
+                        kernel.exec(base_offset + block * block_size as u64, data);
+                        out[block_bytes(block)].copy_from_slice(data);
                     }
                     // DMA-put the result.
                     let done = bus.transfer(now, blen as u64);
@@ -349,13 +355,6 @@ impl CellMachine {
                     dma_requests += (blen as u64).div_ceil(self.cfg.dma_max_transfer as u64);
                     spes[spe].inflight_mfc += 1;
                     peak_mfc = peak_mfc.max(spes[spe].inflight_mfc);
-                    // Copy out of the LS into the output image.
-                    if let Some(out) = &mut output {
-                        let start = (block * block_size as u64) as usize;
-                        if let Some(data) = self.stores[spe].read(ls_buffers[spe][buf], 0, blen) {
-                            out[start..start + blen].copy_from_slice(data);
-                        }
-                    }
                     push(&mut queue, done, Ev::PutDone { spe, buf });
                     maybe_start_compute(
                         &self.cfg, &mut spes, spe, now, kernel, &mut queue, &mut push, block_len,
@@ -381,7 +380,8 @@ impl CellMachine {
                 }
             }
         }
-        debug_assert_eq!(
+        // A stalled pipeline would hand back a partly zero `output`.
+        assert_eq!(
             puts_done, n_blocks,
             "pipeline stalled: not all blocks completed"
         );
@@ -530,6 +530,30 @@ mod tests {
         assert_eq!(report.blocks, 300_000u64.div_ceil(4096));
         assert_eq!(report.bytes_in, 300_000);
         assert_eq!(report.bytes_out, 300_000);
+    }
+
+    #[test]
+    fn functional_output_is_the_kernels_not_the_input() {
+        // Plaintext coming back from an encrypting run is the silent
+        // failure: the output must be exactly what the kernel made of it.
+        let mut m = machine(true);
+        let mut input = vec![0u8; 70_000]; // 4 KB blocks + a tail
+        fill_deterministic(21, 0, &mut input);
+        let run = |m: &mut CellMachine, kernel: &dyn DataKernel| {
+            m.run_data(DataInput::Real(&input), kernel, 4096)
+                .unwrap()
+                .output
+                .expect("functional run")
+        };
+        assert_eq!(run(&mut m, &IdentityKernel::new(1.0)), input);
+        let aes = AesCtrSpeKernel::new(Arc::new(Aes128::new(&[2u8; 16])), 1);
+        let out = run(&mut m, &aes);
+        for (i, (o, p)) in out.chunks(4096).zip(input.chunks(4096)).enumerate() {
+            assert_ne!(o, p, "block {i} came back as plaintext");
+        }
+        // No real bytes in, none out: virtual input is timing-only.
+        let r = m.run_data(DataInput::Virtual(8192), &aes, 4096).unwrap();
+        assert!(r.output.is_none());
     }
 
     #[test]

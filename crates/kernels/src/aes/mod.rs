@@ -9,7 +9,7 @@
 //!   interpreted/JIT "Java" kernel;
 //! * [`ttable`] — 32-bit T-table cipher, the tuned uniprocessor kernel;
 //! * [`lanes`] — four blocks in flight across lanes, structured like the
-//!   SPU SIMD kernel (and written so the autovectorizer can keep it wide).
+//!   SPU SIMD kernel.
 //!
 //! All three are verified against FIPS-197 / NIST SP 800-38A vectors and
 //! against each other by property tests.
@@ -105,6 +105,10 @@ impl AesImpl {
 }
 
 /// Encrypts one 16-byte block in place with the chosen implementation.
+///
+/// This is the one-block API the FIPS vectors use. `Lanes4` has no
+/// one-block form: it pads the block into a zeroed quad and discards
+/// three lanes, a quarter of its rate. Bulk callers use [`modes`].
 pub fn encrypt_block(key: &Aes128, imp: AesImpl, block: &mut [u8; 16]) {
     match imp {
         AesImpl::Scalar => scalar::encrypt_block(key, block),

@@ -37,36 +37,32 @@ pub fn ecb_decrypt(key: &Aes128, data: &mut [u8]) {
 /// workers encrypt disjoint ranges of one logical stream — this is how
 /// split-level parallelism stays byte-compatible with a serial encryption.
 pub fn ctr_xor(key: &Aes128, imp: AesImpl, nonce: u64, initial_block: u64, data: &mut [u8]) {
-    let mut block_idx = initial_block;
-    let mut chunks = data.chunks_exact_mut(16);
-    for chunk in &mut chunks {
-        let ks = keystream_block(key, imp, nonce, block_idx);
-        for (d, k) in chunk.iter_mut().zip(ks.iter()) {
-            *d ^= k;
+    match imp {
+        AesImpl::Scalar => {
+            // The serial reference stream: one byte-form counter block at a
+            // time, which is the scalar cipher's native state.
+            let mut block_idx = initial_block;
+            for chunk in data.chunks_mut(16) {
+                let mut ks = [0u8; 16];
+                ks[..8].copy_from_slice(&nonce.to_be_bytes());
+                ks[8..].copy_from_slice(&block_idx.to_be_bytes());
+                scalar::encrypt_block(key, &mut ks);
+                for (d, k) in chunk.iter_mut().zip(ks) {
+                    *d ^= k;
+                }
+                block_idx = block_idx.wrapping_add(1);
+            }
         }
-        block_idx = block_idx.wrapping_add(1);
+        AesImpl::TTable => ttable::ctr_xor(key, nonce, initial_block, data),
+        AesImpl::Lanes4 => lanes::ctr_xor(key, nonce, initial_block, data),
     }
-    let tail = chunks.into_remainder();
-    if !tail.is_empty() {
-        let ks = keystream_block(key, imp, nonce, block_idx);
-        for (d, k) in tail.iter_mut().zip(ks.iter()) {
-            *d ^= k;
-        }
-    }
-}
-
-#[inline]
-fn keystream_block(key: &Aes128, imp: AesImpl, nonce: u64, block_idx: u64) -> [u8; 16] {
-    let mut block = [0u8; 16];
-    block[..8].copy_from_slice(&nonce.to_be_bytes());
-    block[8..].copy_from_slice(&block_idx.to_be_bytes());
-    super::encrypt_block(key, imp, &mut block);
-    block
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fill_deterministic;
+    use accelmr_des::Xoshiro256;
 
     fn key() -> Aes128 {
         Aes128::new(b"modes-test-key!!")
@@ -134,6 +130,63 @@ mod tests {
         ctr_xor(&k, AesImpl::Lanes4, 7, 0, a);
         ctr_xor(&k, AesImpl::Lanes4, 7, 4, b); // 64 bytes = 4 blocks
         assert_eq!(serial, split);
+    }
+
+    /// The serial stream, one counter block at a time through the
+    /// one-block API: independent of every bulk path under test.
+    fn ctr_reference(k: &Aes128, nonce: u64, initial_block: u64, data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(16).enumerate() {
+            let mut ks = [0u8; 16];
+            ks[..8].copy_from_slice(&nonce.to_be_bytes());
+            ks[8..].copy_from_slice(&initial_block.wrapping_add(i as u64).to_be_bytes());
+            crate::aes::encrypt_block(k, AesImpl::Scalar, &mut ks);
+            for (d, k) in chunk.iter_mut().zip(ks) {
+                *d ^= k;
+            }
+        }
+    }
+
+    #[test]
+    fn ctr_counter_arithmetic_matches_serial_stream() {
+        // A word-form counter goes wrong where a carry leaves the low word
+        // or the 64-bit counter wraps, so both happen inside one quad here.
+        let k = key();
+        let mut rng = Xoshiro256::seed_from_u64(0xC7E);
+        let nonce = rng.next_u64();
+        let initials = [0, 1, 0xFFFF_FFFE, 0xFFFF_FFFF_FFFF_FFFE, rng.next_u64()];
+        let mut plain = [0u8; 200];
+        fill_deterministic(13, 0, &mut plain);
+        for initial in initials {
+            for len in 0..=plain.len() {
+                let mut expect = plain[..len].to_vec();
+                ctr_reference(&k, nonce, initial, &mut expect);
+                for imp in AesImpl::ALL {
+                    let mut got = plain[..len].to_vec();
+                    ctr_xor(&k, imp, nonce, initial, &mut got);
+                    assert_eq!(got, expect, "{} len={len} initial={initial:#x}", imp.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ctr_split_at_every_block_boundary_matches_one_call() {
+        let k = key();
+        let mut plain = vec![0u8; 4096];
+        fill_deterministic(17, 0, &mut plain);
+        // 256 blocks from here carry out of the low word and wrap at 2^64.
+        let initial = 0xFFFF_FFFF_FFFF_FF80u64;
+        let mut whole = plain.clone();
+        ctr_reference(&k, 9, initial, &mut whole);
+        for imp in AesImpl::ALL {
+            for split in (0..=plain.len()).step_by(16) {
+                let mut buf = plain.clone();
+                let (a, b) = buf.split_at_mut(split);
+                ctr_xor(&k, imp, 9, initial, a);
+                ctr_xor(&k, imp, 9, initial.wrapping_add(split as u64 / 16), b);
+                assert_eq!(buf, whole, "{} split={split}", imp.name());
+            }
+        }
     }
 
     #[test]

@@ -46,29 +46,53 @@ fn final_word(s: &[u32; 4], c: usize, rk: u32) -> u32 {
         ^ rk
 }
 
-/// Encrypts one block in place.
-pub fn encrypt_block(key: &Aes128, block: &mut [u8; 16]) {
-    let rk = &key.rk_words;
-    let mut s = load_state(block);
+/// All ten rounds on a state held as four big-endian words.
+#[inline(always)]
+fn encrypt_words(rk: &[u32; 44], mut s: [u32; 4]) -> [u32; 4] {
     for c in 0..4 {
         s[c] ^= rk[c];
     }
     for r in 1..10 {
-        let t = [
+        s = [
             round_word(&s, 0, rk[4 * r]),
             round_word(&s, 1, rk[4 * r + 1]),
             round_word(&s, 2, rk[4 * r + 2]),
             round_word(&s, 3, rk[4 * r + 3]),
         ];
-        s = t;
     }
-    let out = [
+    [
         final_word(&s, 0, rk[40]),
         final_word(&s, 1, rk[41]),
         final_word(&s, 2, rk[42]),
         final_word(&s, 3, rk[43]),
-    ];
-    store_state(out, block);
+    ]
+}
+
+/// Encrypts one block in place.
+pub fn encrypt_block(key: &Aes128, block: &mut [u8; 16]) {
+    store_state(encrypt_words(&key.rk_words, load_state(block)), block);
+}
+
+/// XORs one keystream block, in word form, into at most 16 bytes of data.
+#[inline(always)]
+pub(super) fn xor_keystream(data: &mut [u8], ks: [u32; 4]) {
+    for (d, k) in data.chunks_mut(4).zip(ks) {
+        for (d, k) in d.iter_mut().zip(k.to_be_bytes()) {
+            *d ^= k;
+        }
+    }
+}
+
+/// CTR transform of `data` (any length) starting at counter `block_idx`.
+/// The counter block `nonce || block_idx` is built as state words, so no
+/// block is serialized to bytes on the way into or out of the cipher.
+pub(super) fn ctr_xor(key: &Aes128, nonce: u64, mut block_idx: u64, data: &mut [u8]) {
+    let (n_hi, n_lo) = ((nonce >> 32) as u32, nonce as u32);
+    for chunk in data.chunks_mut(16) {
+        let ctr = [n_hi, n_lo, (block_idx >> 32) as u32, block_idx as u32];
+        xor_keystream(chunk, encrypt_words(&key.rk_words, ctr));
+        block_idx = block_idx.wrapping_add(1);
+    }
 }
 
 /// Encrypts a whole buffer of 16-byte blocks in place.
