@@ -1,7 +1,7 @@
 //! # accelmr-audit — the determinism auditor
 //!
 //! Every reproducibility guarantee this workspace makes — golden trace
-//! fingerprints, Reference-vs-Incremental engine equivalence,
+//! fingerprints, fabric-vs-oracle completion-time equivalence,
 //! digest-exact churn reruns — rests on the DES being bit-for-bit
 //! deterministic. The invariants that make it so used to live in
 //! comments and reviewer vigilance; this crate machine-checks them as a
@@ -15,7 +15,6 @@
 //! | `os-random` | no `thread_rng`/`RandomState`/`rand::` — in-tree seeded `Xoshiro256` only |
 //! | `std-hashmap` | sim crates construct maps via the fixed-seed `des::fxmap` aliases |
 //! | `map-order` | hash-map iteration in event-scheduling crates is sorted or reasoned order-insensitive |
-//! | `trace-pin` | golden fingerprint tables name the engine (`FluidEngine::Reference`) they pin |
 //!
 //! Violations are suppressed with `// audit:allow(<rule>): <reason>` on
 //! the offending line or the line above. The reason is mandatory, and

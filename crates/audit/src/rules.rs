@@ -14,14 +14,8 @@
 
 use crate::lexer::{lex, Lexed, Tok};
 
-/// The five determinism rules (see `docs/ARCHITECTURE.md`).
-pub const RULES: [&str; 5] = [
-    "wall-clock",
-    "os-random",
-    "std-hashmap",
-    "map-order",
-    "trace-pin",
-];
+/// The four determinism rules (see `docs/ARCHITECTURE.md`).
+pub const RULES: [&str; 4] = ["wall-clock", "os-random", "std-hashmap", "map-order"];
 
 /// One diagnostic, formatted as `rule file:line message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +121,6 @@ pub fn check_file(rel: &str, src: &str) -> Vec<Finding> {
     if applies_map_order(&area) {
         rule_map_order(rel, &lexed, &mut raw);
     }
-    rule_trace_pin(rel, &lexed, &mut raw);
 
     // Suppression: an allow for the same rule bound to the finding's line.
     for f in raw {
@@ -647,38 +640,6 @@ fn rule_map_order(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
-fn rule_trace_pin(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    let has_fingerprint = toks
-        .iter()
-        .any(|t| matches!(&t.tok, Tok::Ident(s) if s == "fingerprint"));
-    if !has_fingerprint {
-        return;
-    }
-    let names_engine = (0..toks.len()).any(|i| {
-        ident_at(lexed, i) == Some("FluidEngine")
-            && pathsep_at(lexed, i + 1)
-            && ident_at(lexed, i + 2) == Some("Reference")
-    });
-    for (i, t) in toks.iter().enumerate() {
-        let binds_golden = ident_at(lexed, i) == Some("golden")
-            && (punct_at(lexed, i + 1, '=')
-                || (i > 0 && ident_at(lexed, i - 1) == Some("let"))
-                || (i > 0 && ident_at(lexed, i - 1) == Some("mut")));
-        if binds_golden && !names_engine {
-            out.push(Finding {
-                rule: "trace-pin".into(),
-                file: rel.into(),
-                line: t.line,
-                msg: "golden fingerprint table does not name the fabric engine it pins; \
-                      golden event streams are only stable against `FluidEngine::Reference` \
-                      (the incremental engine reorders within an instant)"
-                    .into(),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,21 +756,6 @@ mod tests {
     fn allow_with_unknown_rule_is_malformed() {
         let src = "// audit:allow(map-ordering): typo in the rule name\nfn f() {}";
         assert_eq!(rules_of(&check_file(SIM, src)), ["malformed-allow"]);
-    }
-
-    #[test]
-    fn trace_pin_requires_reference_engine() {
-        let bad = "fn t() { let golden = [(\"a\", 0x1u64)];\n\
-                   let fp = sim.trace().fingerprint(); check(golden, fp); }";
-        assert_eq!(
-            rules_of(&check_file("tests/goldens.rs", bad)),
-            ["trace-pin"]
-        );
-
-        let good = "fn t() { let golden = [(\"a\", 0x1u64)];\n\
-                    let got = run(FluidEngine::Reference);\n\
-                    let fp = sim.trace().fingerprint(); check(golden, fp, got); }";
-        assert!(check_file("tests/goldens.rs", good).is_empty());
     }
 
     #[test]

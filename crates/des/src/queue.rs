@@ -265,8 +265,8 @@ impl CalendarQueue {
 }
 
 /// The original `BinaryHeap` event store, retained as the reference oracle
-/// for queue-equivalence property tests (same role as the PR 3
-/// `FluidEngine::Reference` for the incremental fluid solver).
+/// for queue-equivalence property tests (same role as `net`'s test-only
+/// `ReferenceFabric` for the fluid engine).
 #[cfg(test)]
 pub(crate) struct BinaryHeapQueue {
     heap: std::collections::BinaryHeap<HeapEntry>,

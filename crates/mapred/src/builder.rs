@@ -1,8 +1,8 @@
 //! Fluent builders for cluster deployment and job description.
 //!
-//! [`ClusterBuilder`] replaces the seven-positional-argument
-//! `deploy_cluster` call with named setters over sane defaults, and
-//! [`JobBuilder`] replaces hand-rolled [`JobSpec`] struct literals:
+//! [`ClusterBuilder`] deploys a cluster through named setters over sane
+//! defaults, and [`JobBuilder`] replaces hand-rolled [`JobSpec`] struct
+//! literals:
 //!
 //! ```
 //! use accelmr_mapred::{ClusterBuilder, JobBuilder, SumReducer};
@@ -20,16 +20,17 @@
 //! assert!(result.succeeded);
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use accelmr_des::Sim;
 use accelmr_dfs::DfsConfig;
-use accelmr_net::NetConfig;
+use accelmr_net::{Fabric, NetConfig, NetHandle, NodeId};
 
-use crate::cluster::{deploy_cluster_impl, MrCluster, PreloadSpec};
+use crate::cluster::{deploy_mr, MrCluster, PreloadSpec};
 use crate::config::{MrConfig, SchedulerPolicy};
 use crate::job::{JobInput, JobSpec, OutputSink, ReduceSpec};
 use crate::kernel::{NodeEnvFactory, NullEnvFactory, ReduceKernel, TaskKernel};
-use crate::session::JobRequest;
+use crate::session::{ElasticCtx, JobRequest};
 
 /// Fluent deployment of a simulated cluster: fabric + DFS + MapReduce
 /// runtime over `workers` nodes, with named setters and defaults matching
@@ -135,16 +136,52 @@ impl ClusterBuilder {
     /// ([`Session::add_node_at`](crate::Session::add_node_at) /
     /// [`Session::remove_node_at`](crate::Session::remove_node_at)).
     pub fn deploy(self) -> MrCluster {
-        deploy_cluster_impl(
-            self.seed,
-            self.workers,
-            self.net,
-            self.dfs,
-            self.mr,
-            self.env.as_ref(),
-            Some(self.env.clone()),
+        // A workerless cluster can never complete a job: the JobTracker
+        // would wait forever for TaskTrackers that don't exist.
+        assert!(self.workers > 0, "cluster needs at least one worker node");
+        // Reject configs that would hang or mis-detect dead trackers (zero
+        // slots, zero heartbeat, dead-timeout within one heartbeat). Call
+        // `MrConfig::validate` directly for the typed error.
+        if let Err(e) = self.mr.validate() {
+            panic!("invalid MrConfig: {e}");
+        }
+        let mut sim = Sim::new(self.seed);
+        let workers: Vec<NodeId> = (1..=self.workers as u32).map(NodeId).collect();
+        let fabric = sim.spawn(Box::new(Fabric::new(self.net, self.workers + 1)));
+        let net = NetHandle { fabric };
+        let dfs = accelmr_dfs::deploy_dfs(
+            &mut sim,
+            net,
+            &self.dfs,
+            NodeId::HEAD,
+            &workers,
             self.materialized,
-        )
+        );
+        let mr = deploy_mr(
+            &mut sim,
+            net,
+            &dfs,
+            &self.mr,
+            NodeId::HEAD,
+            &workers,
+            self.env.as_ref(),
+        );
+        let elastic = ElasticCtx {
+            dfs_cfg: self.dfs,
+            mr_cfg: self.mr,
+            materialized: self.materialized,
+            env: self.env,
+            // Worker ids are 1..=workers; the next join gets the next id.
+            next_node: Arc::new(Mutex::new(self.workers as u32 + 1)),
+        };
+        MrCluster {
+            sim,
+            net,
+            dfs,
+            mr,
+            workers,
+            elastic,
+        }
     }
 }
 

@@ -1,22 +1,17 @@
-//! Cluster assembly and synchronous job-driving helpers.
-//!
-//! The preferred deployment surface is [`ClusterBuilder`](crate::ClusterBuilder)
-//! and the preferred driving surface is [`Session`]; the
-//! positional [`deploy_cluster`] / blocking [`run_job`] helpers remain as
-//! deprecated wrappers over them.
-
-use std::sync::{Arc, Mutex};
+//! Cluster assembly: the deployed-runtime handles that
+//! [`ClusterBuilder::deploy`](crate::ClusterBuilder::deploy) returns. Jobs
+//! are driven through [`Session`](crate::Session).
 
 use accelmr_des::prelude::*;
 use accelmr_dfs::DfsHandle;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
 
 use crate::config::MrConfig;
-use crate::job::{JobResult, JobSpec};
+use crate::job::JobSpec;
 use crate::jobtracker::{JobTracker, RegisterTaskTracker};
 use crate::kernel::NodeEnvFactory;
 use crate::msgs::SubmitJob;
-use crate::session::{ElasticCtx, JobRequest, Session};
+use crate::session::ElasticCtx;
 use crate::tasktracker::TaskTracker;
 
 /// Handle to a deployed MapReduce runtime.
@@ -116,24 +111,6 @@ pub struct PreloadSpec {
     pub seed: u64,
 }
 
-/// Preloads `preloads`, submits `spec` from the head node, runs the
-/// simulation to completion, and returns the job result.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Session`: `let mut s = cluster.session(); s.submit(job); s.run()`"
-)]
-pub fn run_job(
-    sim: &mut Sim,
-    mr: &MrHandle,
-    dfs: &DfsHandle,
-    preloads: Vec<PreloadSpec>,
-    spec: JobSpec,
-) -> JobResult {
-    let mut session = Session::new(sim, mr.clone(), dfs.clone());
-    session.submit(JobRequest { spec, preloads });
-    session.run()
-}
-
 /// Everything a deployed simulation needs in one bundle.
 pub struct MrCluster {
     /// The simulation world.
@@ -148,99 +125,6 @@ pub struct MrCluster {
     /// consult `mr.tasktrackers` / `dfs.datanodes` for the live set).
     pub workers: Vec<NodeId>,
     /// Elasticity context retained for mid-session joins: the configs and
-    /// environment factory new nodes are built from. `None` on the
-    /// deprecated positional deployment path, where `Session::add_node_at`
-    /// is unavailable.
-    pub(crate) elastic: Option<ElasticCtx>,
-}
-
-/// One-call positional deployment: fabric + DFS + MapReduce over
-/// `n_workers` nodes.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ClusterBuilder` (named setters with defaults) instead"
-)]
-pub fn deploy_cluster(
-    seed: u64,
-    n_workers: usize,
-    net_cfg: accelmr_net::NetConfig,
-    dfs_cfg: accelmr_dfs::DfsConfig,
-    mr_cfg: MrConfig,
-    env_factory: &dyn NodeEnvFactory,
-    materialized: bool,
-) -> MrCluster {
-    deploy_cluster_impl(
-        seed,
-        n_workers,
-        net_cfg,
-        dfs_cfg,
-        mr_cfg,
-        env_factory,
-        None,
-        materialized,
-    )
-}
-
-/// Deployment shared by [`ClusterBuilder`](crate::ClusterBuilder) and the
-/// deprecated [`deploy_cluster`]: both paths spawn the same actors in the
-/// same order, so they are event-for-event identical. `retained_env` is
-/// the same factory as `env_factory`, kept (builder path only) so joined
-/// nodes can build their environments mid-session.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deploy_cluster_impl(
-    seed: u64,
-    n_workers: usize,
-    net_cfg: accelmr_net::NetConfig,
-    dfs_cfg: accelmr_dfs::DfsConfig,
-    mr_cfg: MrConfig,
-    env_factory: &dyn NodeEnvFactory,
-    retained_env: Option<Arc<dyn NodeEnvFactory>>,
-    materialized: bool,
-) -> MrCluster {
-    // A workerless cluster can never complete a job: the JobTracker would
-    // wait forever for TaskTrackers that don't exist.
-    assert!(n_workers > 0, "cluster needs at least one worker node");
-    // Reject configs that would hang or mis-detect dead trackers (zero
-    // slots, zero heartbeat, dead-timeout within one heartbeat). Call
-    // `MrConfig::validate` directly for the typed error.
-    if let Err(e) = mr_cfg.validate() {
-        panic!("invalid MrConfig: {e}");
-    }
-    let mut sim = Sim::new(seed);
-    let workers: Vec<NodeId> = (1..=n_workers as u32).map(NodeId).collect();
-    let fabric = sim.spawn(Box::new(accelmr_net::Fabric::new(net_cfg, n_workers + 1)));
-    let net = NetHandle { fabric };
-    let dfs = accelmr_dfs::deploy_dfs(
-        &mut sim,
-        net,
-        &dfs_cfg,
-        NodeId::HEAD,
-        &workers,
-        materialized,
-    );
-    let mr = deploy_mr(
-        &mut sim,
-        net,
-        &dfs,
-        &mr_cfg,
-        NodeId::HEAD,
-        &workers,
-        env_factory,
-    );
-    let elastic = retained_env.map(|env| ElasticCtx {
-        dfs_cfg,
-        mr_cfg,
-        materialized,
-        env,
-        // Worker ids are 1..=n_workers; the next join gets the next id.
-        next_node: Arc::new(Mutex::new(n_workers as u32 + 1)),
-    });
-    MrCluster {
-        sim,
-        net,
-        dfs,
-        mr,
-        workers,
-        elastic,
-    }
+    /// environment factory new nodes are built from.
+    pub(crate) elastic: ElasticCtx,
 }

@@ -24,8 +24,6 @@
 //! The user-facing surface is [`ClusterBuilder`] (fluent deployment),
 //! [`JobBuilder`] (fluent job description), and [`Session`] (N concurrent
 //! jobs with staggered arrivals, driven to completion deterministically).
-//! The positional `deploy_cluster` / blocking `run_job` helpers are
-//! deprecated wrappers over the same machinery.
 //!
 //! ## Invariants callers rely on
 //!
@@ -42,11 +40,11 @@
 //!   and a reducer's whole fetch wave out in one simulated instant; the
 //!   fabric coalesces each wave into one rate solve. Keep new I/O call
 //!   sites burst-shaped.
-//! * **Trace pinning.** Golden event-stream fingerprints (scheduler
-//!   port equivalence, determinism suites) run on
-//!   `FluidEngine::Reference`, which is event-for-event stable; the
-//!   default incremental engine may legitimately reorder events within an
-//!   instant while producing identical timings.
+//! * **Trace pinning.** The golden tables in `tests.rs` pin nine
+//!   scenarios' whole-run event-stream fingerprints *and* their makespans
+//!   to the nanosecond. A fabric change that reorders events within an
+//!   instant moves a fingerprint and must leave every makespan alone;
+//!   re-record the fingerprint then, never the makespan.
 
 pub mod builder;
 pub mod cluster;
@@ -60,8 +58,6 @@ pub mod session;
 pub mod tasktracker;
 
 pub use builder::{ClusterBuilder, JobBuilder};
-#[allow(deprecated)]
-pub use cluster::{deploy_cluster, run_job};
 pub use cluster::{deploy_mr, MrCluster, MrHandle, PreloadSpec};
 pub use config::{
     AdaptiveTuning, JobId, MrConfig, MrConfigError, PreemptionTuning, SchedulerPolicy, TaskId,

@@ -676,9 +676,8 @@ fn reclaim_respects_budget_and_victim_rules() {
 /// A zero-budget preemption config (`max_kills_per_job == 0`, every other
 /// knob maximally aggressive) is event-for-event identical to the default
 /// disabled config on a real two-tenant cluster: the reclaim hook must
-/// not perturb dispatch at all without a kill budget. Reference fluid
-/// engine + whole-run event-trace fingerprints — the same pinning the
-/// golden scheduler traces use.
+/// not perturb dispatch at all without a kill budget. Compared by
+/// whole-run event-trace fingerprint, as the golden scheduler traces are.
 #[test]
 fn zero_budget_preemption_is_trace_identical() {
     use accelmr_des::SimDuration;
@@ -691,10 +690,6 @@ fn zero_budget_preemption_is_trace_identical() {
         let mut c = ClusterBuilder::new()
             .seed(77)
             .workers(4)
-            .net(accelmr_net::NetConfig {
-                fluid: accelmr_net::FluidEngine::Reference,
-                ..accelmr_net::NetConfig::default()
-            })
             .mr(MrConfig {
                 scheduler: SchedulerPolicy::FairShare,
                 preemption,

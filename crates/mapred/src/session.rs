@@ -466,37 +466,15 @@ pub struct Session<'a> {
     mr: MrHandle,
     dfs: DfsHandle,
     pending: Vec<PendingJob>,
-    /// Membership changes queued for the next run (requires `elastic`).
+    /// Membership changes queued for the next run.
     churn: Vec<(SimDuration, ChurnChange)>,
     /// Fault-injection primitives queued for the next run.
     faults: Vec<(SimDuration, FaultAction)>,
-    elastic: Option<ElasticCtx>,
+    /// What joining nodes are built from.
+    elastic: ElasticCtx,
 }
 
 impl<'a> Session<'a> {
-    /// Opens a session over an already-deployed runtime. Sessions opened
-    /// this way drive jobs only; dynamic membership
-    /// ([`add_node_at`](Session::add_node_at) /
-    /// [`remove_node_at`](Session::remove_node_at)) needs the deployment
-    /// context a [`ClusterBuilder`](crate::ClusterBuilder)-deployed
-    /// [`MrCluster::session`] carries.
-    pub fn new(sim: &'a mut Sim, mr: MrHandle, dfs: DfsHandle) -> Self {
-        Session {
-            sim,
-            mr,
-            dfs,
-            pending: Vec::new(),
-            churn: Vec::new(),
-            faults: Vec::new(),
-            elastic: None,
-        }
-    }
-
-    pub(crate) fn with_elastic(mut self, elastic: Option<ElasticCtx>) -> Self {
-        self.elastic = elastic;
-        self
-    }
-
     /// The underlying simulation (e.g. to inject faults before running).
     pub fn sim_mut(&mut self) -> &mut Sim {
         self.sim
@@ -546,16 +524,8 @@ impl<'a> Session<'a> {
     /// TaskTracker spawns, registers, and starts pulling work on its
     /// heartbeats — schedulers observe the join via
     /// [`Scheduler::on_node_join`](crate::sched::Scheduler::on_node_join).
-    ///
-    /// Panics when the cluster was deployed through the deprecated
-    /// positional path, which retains no deployment context to build new
-    /// nodes from.
     pub fn add_node_at(&mut self, at: SimDuration) -> NodeId {
-        let elastic = self
-            .elastic
-            .as_ref()
-            .expect("dynamic membership requires a ClusterBuilder-deployed cluster");
-        let mut next = elastic.next_node.lock().unwrap();
+        let mut next = self.elastic.next_node.lock().unwrap();
         let node = NodeId(*next);
         *next += 1;
         drop(next);
@@ -571,10 +541,6 @@ impl<'a> Session<'a> {
     /// re-replication once heartbeat silence is detected).
     pub fn remove_node_at(&mut self, at: SimDuration, node: NodeId) {
         assert_ne!(node, NodeId::HEAD, "cannot remove the head node");
-        assert!(
-            self.elastic.is_some(),
-            "dynamic membership requires a ClusterBuilder-deployed cluster"
-        );
         self.churn.push((at, ChurnChange::Leave(node)));
     }
 
@@ -596,11 +562,6 @@ impl<'a> Session<'a> {
     /// anchored at the start of that call, exactly like churn. The chaos
     /// driver actor is spawned only when a plan was queued, so fault-free
     /// runs keep their historical actor layout and event traces.
-    ///
-    /// Unlike churn, fault injection needs no deployment context: faults
-    /// mutate already-running actors (NIC bandwidth in the fabric, compute
-    /// throughput and heartbeat emission in TaskTrackers), so plans work on
-    /// any deployment, including the deprecated positional path.
     pub fn faults(&mut self, plan: FaultPlan) {
         self.faults.extend(plan.actions());
     }
@@ -624,12 +585,8 @@ impl<'a> Session<'a> {
             .chain(faults.iter().map(|&(at, _)| at))
             .max();
         if !churn.is_empty() {
-            let elastic = self
-                .elastic
-                .clone()
-                .expect("churn queued without elastic context");
             self.sim.spawn(Box::new(ChurnDriver::new(
-                elastic,
+                self.elastic.clone(),
                 self.mr.clone(),
                 self.dfs.clone(),
                 churn,
@@ -694,12 +651,17 @@ impl<'a> Session<'a> {
 }
 
 impl MrCluster {
-    /// Opens a [`Session`] over this cluster. Clusters deployed through
-    /// [`ClusterBuilder`](crate::ClusterBuilder) get dynamic-membership
-    /// support ([`Session::add_node_at`] / [`Session::remove_node_at`]).
+    /// Opens a [`Session`] over this cluster.
     pub fn session(&mut self) -> Session<'_> {
-        let elastic = self.elastic.clone();
-        Session::new(&mut self.sim, self.mr.clone(), self.dfs.clone()).with_elastic(elastic)
+        Session {
+            sim: &mut self.sim,
+            mr: self.mr.clone(),
+            dfs: self.dfs.clone(),
+            pending: Vec::new(),
+            churn: Vec::new(),
+            faults: Vec::new(),
+            elastic: self.elastic.clone(),
+        }
     }
 }
 

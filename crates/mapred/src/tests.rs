@@ -19,30 +19,11 @@ use crate::session::JobRequest;
 const MB: u64 = 1 << 20;
 
 fn cluster(seed: u64, workers: usize, mr_cfg: MrConfig, materialized: bool) -> MrCluster {
-    cluster_on(
-        accelmr_net::FluidEngine::Incremental,
-        seed,
-        workers,
-        mr_cfg,
-        materialized,
-    )
-}
-
-fn cluster_on(
-    fluid: accelmr_net::FluidEngine,
-    seed: u64,
-    workers: usize,
-    mr_cfg: MrConfig,
-    materialized: bool,
-) -> MrCluster {
     ClusterBuilder::new()
         .seed(seed)
         .workers(workers)
         .dfs(DfsConfig::default())
-        .net(NetConfig {
-            fluid,
-            ..NetConfig::default()
-        })
+        .net(NetConfig::default())
         .mr(mr_cfg)
         .materialized(materialized)
         .deploy()
@@ -389,21 +370,41 @@ fn shuffle_reduce_runs_and_writes() {
     assert!(c.sim.stats().counter("mr.shuffles_started") == 1);
 }
 
-/// Scenarios exercising every pre-refactor scheduling code path (FIFO
-/// pick, locality pick, straggler speculation, liveness re-queue, reduce
-/// dispatch), each returning the full event-trace fingerprint of the run
-/// plus the job makespan. The golden values asserted in
-/// `ported_schedulers_are_trace_equivalent` were recorded from the
-/// pre-refactor `JobTracker` (scheduling inlined as a two-arm `match`);
-/// the extracted `sched::{Fifo, LocalityFirst}` must reproduce them event
-/// for event. `fluid` selects the fabric rate engine: the golden streams
-/// predate the incremental engine, so the fingerprint test runs
-/// [`accelmr_net::FluidEngine::Reference`], while
-/// `fluid_engines_agree_on_seed_scenarios` runs both and compares
-/// makespans.
-pub(crate) fn sched_trace_scenarios(
-    fluid: accelmr_net::FluidEngine,
-) -> Vec<(&'static str, u64, u64, SimDuration)> {
+/// One golden-trace scenario's outcome: name, whole-run event-trace
+/// fingerprint, events recorded, makespan.
+type TraceOutcome = (&'static str, u64, u64, SimDuration);
+
+/// Holds scenario outcomes to a golden table of (name, fingerprint,
+/// events, makespan in nanoseconds). The fingerprint covers every message,
+/// timer and delivery time of the run, so any drift in dispatch,
+/// speculation, split arithmetic, recovery or fabric event order moves it.
+/// The makespan column separates the two ways it can move: a fabric change
+/// that only reorders events *inside* an instant moves the fingerprint and
+/// must leave the makespan alone; a change that moves the makespan moved
+/// simulated time.
+fn assert_golden(got: &[TraceOutcome], golden: &[(&str, u64, u64, u64)]) {
+    assert_eq!(got.len(), golden.len());
+    for (&(name, fp, events, makespan), &(gname, gfp, gevents, gmakespan)) in got.iter().zip(golden)
+    {
+        assert_eq!(name, gname);
+        assert_eq!(
+            makespan.as_nanos(),
+            gmakespan,
+            "scenario '{name}': simulated makespan moved"
+        );
+        assert_eq!(
+            (fp, events),
+            (gfp, gevents),
+            "scenario '{name}' diverged from the golden event stream \
+             (makespan unchanged: events moved, times did not)"
+        );
+    }
+}
+
+/// Scenarios exercising every task-level scheduling code path (FIFO pick,
+/// locality pick, straggler speculation, liveness re-queue, reduce
+/// dispatch), pinned by `ported_schedulers_are_trace_equivalent`.
+fn sched_trace_scenarios() -> Vec<TraceOutcome> {
     let mut out = Vec::new();
 
     // FIFO + speculation: exercises Fifo::pick_task and pick_straggler.
@@ -413,7 +414,7 @@ pub(crate) fn sched_trace_scenarios(
             speculative: true,
             ..MrConfig::default()
         };
-        let mut c = cluster_on(fluid, 21, 4, cfg, false);
+        let mut c = cluster(21, 4, cfg, false);
         c.sim.enable_trace(16);
         let r = run_one(
             &mut c,
@@ -436,7 +437,7 @@ pub(crate) fn sched_trace_scenarios(
             scheduler: SchedulerPolicy::LocalityFirst,
             ..MrConfig::default()
         };
-        let mut c = cluster_on(fluid, 22, 4, cfg, false);
+        let mut c = cluster(22, 4, cfg, false);
         c.sim.enable_trace(16);
         let preload = PreloadSpec {
             path: "/l".into(),
@@ -467,7 +468,7 @@ pub(crate) fn sched_trace_scenarios(
     // LocalityFirst + TaskTracker crash + shuffle: exercises the liveness
     // re-queue path and reduce-task dispatch.
     {
-        let mut c = cluster_on(fluid, 23, 3, MrConfig::default(), false);
+        let mut c = cluster(23, 3, MrConfig::default(), false);
         c.sim.enable_trace(16);
         let victim_tt = c.mr.tasktracker_on(accelmr_net::NodeId(1)).unwrap();
         c.sim.post_after(
@@ -515,14 +516,9 @@ pub(crate) fn sched_trace_scenarios(
 /// Multi-job scenarios exercising the *job-level* dispatch order of the
 /// heartbeat loop: several concurrent jobs (staggered arrivals, different
 /// task policies, speculation, and a churn wave over the elastic paths)
-/// whose event streams pin down which job each free slot went to. The
-/// golden fingerprints in `job_level_dispatch_is_trace_equivalent` were
-/// recorded *before* the dispatch loop was refactored to consult
-/// [`Scheduler::pick_job`]; the default (lowest-job-id) picker must
-/// reproduce them event for event.
-pub(crate) fn job_level_trace_scenarios(
-    fluid: accelmr_net::FluidEngine,
-) -> Vec<(&'static str, u64, u64, SimDuration)> {
+/// whose event streams pin down which job each free slot went to; pinned
+/// by `job_level_dispatch_is_trace_equivalent`.
+fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
     let mut out = Vec::new();
 
     // Three staggered FIFO jobs with speculation: pins the regular-then-
@@ -534,7 +530,7 @@ pub(crate) fn job_level_trace_scenarios(
             speculative: true,
             ..MrConfig::default()
         };
-        let mut c = cluster_on(fluid, 61, 4, cfg, false);
+        let mut c = cluster(61, 4, cfg, false);
         c.sim.enable_trace(16);
         let mut session = c.session();
         session.submit(synthetic_spec(Arc::new(SkewKernel), 600_000, Some(8)));
@@ -571,7 +567,7 @@ pub(crate) fn job_level_trace_scenarios(
             scheduler: SchedulerPolicy::LocalityFirst,
             ..MrConfig::default()
         };
-        let mut c = cluster_on(fluid, 62, 4, cfg, false);
+        let mut c = cluster(62, 4, cfg, false);
         c.sim.enable_trace(16);
         let file_job = |name: &str, path: &str, seed: u64| JobRequest {
             spec: JobBuilder::new(name)
@@ -616,10 +612,6 @@ pub(crate) fn job_level_trace_scenarios(
         let mut c = ClusterBuilder::new()
             .seed(63)
             .workers(4)
-            .net(NetConfig {
-                fluid,
-                ..NetConfig::default()
-            })
             .mr(cfg)
             .env(HalfTurboFactory)
             .deploy();
@@ -659,10 +651,6 @@ pub(crate) fn job_level_trace_scenarios(
         let mut c = ClusterBuilder::new()
             .seed(64)
             .workers(4)
-            .net(NetConfig {
-                fluid,
-                ..NetConfig::default()
-            })
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
@@ -725,9 +713,7 @@ pub(crate) fn job_level_trace_scenarios(
 /// the incremental counters are on the clock: FairShare (weighted shares
 /// from running slots) under a join+leave churn wave, and DeadlineSlack
 /// (slack from running incomplete tasks) across a mid-map node death.
-pub(crate) fn liveness_trace_scenarios(
-    fluid: accelmr_net::FluidEngine,
-) -> Vec<(&'static str, u64, u64, SimDuration)> {
+fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
     let mut out = Vec::new();
 
     // FairShare, two tenants, churn wave with a join and a leave: shares
@@ -742,10 +728,6 @@ pub(crate) fn liveness_trace_scenarios(
         let mut c = ClusterBuilder::new()
             .seed(71)
             .workers(4)
-            .net(NetConfig {
-                fluid,
-                ..NetConfig::default()
-            })
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
@@ -800,10 +782,6 @@ pub(crate) fn liveness_trace_scenarios(
         let mut c = ClusterBuilder::new()
             .seed(72)
             .workers(3)
-            .net(NetConfig {
-                fluid,
-                ..NetConfig::default()
-            })
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
@@ -854,27 +832,18 @@ pub(crate) fn liveness_trace_scenarios(
     out
 }
 
-/// Golden fingerprints for [`liveness_trace_scenarios`], recorded from the
-/// pre-rewrite liveness/slot-accounting code (full-scan `check_liveness`,
-/// per-call `total_slots`, per-dispatch `Vec<TaskView>` materialization).
-/// The expiry-heap + incremental-counter rewrite must reproduce these
-/// event streams bit for bit.
+/// Golden table for [`liveness_trace_scenarios`]: death detection through
+/// the expiry heap and the incremental slot counters must keep producing
+/// these event streams bit for bit.
 #[test]
 fn liveness_rewrite_is_trace_equivalent() {
-    let golden = [
-        ("fair-churn", 0x3d5d2624d131fd37_u64, 305_u64),
-        ("deadline-crash", 0xf1ebcfa67f4c34f8, 317),
-    ];
-    let got = liveness_trace_scenarios(accelmr_net::FluidEngine::Incremental);
-    assert_eq!(got.len(), golden.len());
-    for ((name, fp, events, _), (gname, gfp, gevents)) in got.iter().zip(golden.iter()) {
-        assert_eq!(name, gname);
-        assert_eq!(
-            (fp, events),
-            (gfp, gevents),
-            "scenario '{name}' diverged from the pre-rewrite event stream"
-        );
-    }
+    assert_golden(
+        &liveness_trace_scenarios(),
+        &[
+            ("fair-churn", 0x3d5d2624d131fd37, 305, 18_047_987_214),
+            ("deadline-crash", 0xf1ebcfa67f4c34f8, 317, 33_943_479_037),
+        ],
+    );
 }
 
 /// A node that joins one tick before the liveness sweep fires must not be
@@ -934,87 +903,38 @@ fn joiner_survives_liveness_tick_before_first_heartbeat() {
     assert_eq!(c.sim.stats().counter("mr.tt_resurrections"), 0);
 }
 
-/// Golden multi-job trace fingerprints, recorded from the pre-`pick_job`
-/// dispatch loop (jobs visited in ascending id order, each drained regular-
-/// then-speculative). The refactored loop under the default job picker must
-/// be event-for-event identical — FIFO equivalence is proven, not assumed.
+/// Golden table for [`job_level_trace_scenarios`]: under the default job
+/// picker the two-level dispatch loop visits jobs in ascending id order,
+/// each drained regular-then-speculative — FIFO equivalence is pinned, not
+/// assumed.
 #[test]
 fn job_level_dispatch_is_trace_equivalent() {
-    let golden = [
-        ("fifo-multi", 0x9a1ca458ab8578f6_u64, 363_u64),
-        ("locality-multi", 0xf3bb77ffaf2218f9, 369),
-        ("adaptive-multi", 0x3af9198a1d79f86a, 721),
-        ("churn-multi", 0x536941477aa3c44a, 609),
-    ];
-    let got = job_level_trace_scenarios(accelmr_net::FluidEngine::Reference);
-    assert_eq!(got.len(), golden.len());
-    for ((name, fp, events, _), (gname, gfp, gevents)) in got.iter().zip(golden.iter()) {
-        assert_eq!(name, gname);
-        assert_eq!(
-            (fp, events),
-            (gfp, gevents),
-            "scenario '{name}' diverged from the pre-refactor event stream"
-        );
-    }
+    assert_golden(
+        &job_level_trace_scenarios(),
+        &[
+            ("fifo-multi", 0x9a1ca458ab8578f6, 363, 16_667_679_096),
+            ("locality-multi", 0x3d475247621e61bb, 377, 17_416_353_871),
+            ("adaptive-multi", 0x3af9198a1d79f86a, 721, 45_219_413_246),
+            ("churn-multi", 0x554c41d8e740e1a5, 617, 30_460_001_894),
+        ],
+    );
 }
 
-/// Trace-equivalence proof for the scheduler extraction: these
-/// fingerprints (full event streams: every message, timer and delivery
-/// time of the whole run) were recorded from the pre-refactor JobTracker,
-/// where scheduling was a two-arm `match` inlined at `pick_task`. The
-/// extracted `sched::Fifo` / `sched::LocalityFirst` must reproduce them
-/// bit for bit — any behavioral drift in dispatch, speculation, split
-/// arithmetic or recovery shows up here.
-///
-/// The golden streams were recorded against the original fabric rate
-/// engine, which `FluidEngine::Reference` preserves event-for-event; the
-/// default incremental engine coalesces same-instant flow starts behind a
-/// deferred wakeup, so its event *stream* legitimately differs while its
-/// completion *times* do not (`fluid_engines_agree_on_seed_scenarios`).
-///
-/// `crash-shuffle` was re-recorded once, deliberately, for the dynamic
-/// membership PR: a map output lost to a node death during the *reduce*
-/// phase is now re-executed (with its folded contributions subtracted),
-/// instead of the shuffle silently "fetching" from the crashed machine.
-/// The crash-free scenarios still pin the original pre-refactor streams
-/// bit for bit.
+/// Golden table for [`sched_trace_scenarios`]: `sched::Fifo` and
+/// `sched::LocalityFirst` dispatch, speculate, split and recover exactly
+/// as pinned. In `crash-shuffle` a map output lost to a node death during
+/// the *reduce* phase is re-executed with its folded contributions
+/// subtracted, and reducers fetch from current output locations.
 #[test]
 fn ported_schedulers_are_trace_equivalent() {
-    let golden = [
-        ("fifo+speculative", 0xc55290eb28bae88a_u64, 238u64),
-        ("locality-file", 0xa79d359b4826c89a, 379),
-        ("crash-shuffle", 0x5e25d5594256259f, 614),
-    ];
-    let got = sched_trace_scenarios(accelmr_net::FluidEngine::Reference);
-    assert_eq!(got.len(), golden.len());
-    for ((name, fp, events, _), (gname, gfp, gevents)) in got.iter().zip(golden.iter()) {
-        assert_eq!(name, gname);
-        assert_eq!(
-            (fp, events),
-            (gfp, gevents),
-            "scenario '{name}' diverged from the pre-refactor event stream"
-        );
-    }
-}
-
-/// Fabric-engine equivalence at the MapReduce level: the incremental
-/// fluid engine must reproduce the reference engine's job makespans on
-/// the seed scenarios (map dispatch, speculation, shuffle, crash
-/// recovery) to within a microsecond.
-#[test]
-fn fluid_engines_agree_on_seed_scenarios() {
-    let incremental = sched_trace_scenarios(accelmr_net::FluidEngine::Incremental);
-    let reference = sched_trace_scenarios(accelmr_net::FluidEngine::Reference);
-    assert_eq!(incremental.len(), reference.len());
-    for ((name, _, _, ei), (rname, _, _, er)) in incremental.iter().zip(reference.iter()) {
-        assert_eq!(name, rname);
-        let di = ei.as_secs_f64();
-        let dr = er.as_secs_f64();
-        assert!(
-            (di - dr).abs() < 1e-6,
-            "scenario '{name}': incremental makespan {di}s vs reference {dr}s"
-        );
-    }
+    assert_golden(
+        &sched_trace_scenarios(),
+        &[
+            ("fifo+speculative", 0xc55290eb28bae88a, 238, 19_292_936_422),
+            ("locality-file", 0x36c3e9e9894cf184, 387, 18_587_960_800),
+            ("crash-shuffle", 0xe6d8b887f92de415, 623, 65_230_775_421),
+        ],
+    );
 }
 
 #[test]

@@ -24,30 +24,6 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Which fluid-rate engine the fabric runs.
-///
-/// Both engines compute the same max-min fair allocation and produce flow
-/// completion times equal within float epsilon (asserted by the
-/// engine-equivalence tests and the `net_scale` bench); they differ only
-/// in *how much work* each simulation event costs and, consequently, in
-/// the exact event stream within a simulated instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FluidEngine {
-    /// Production engine: same-instant flow starts are coalesced into one
-    /// re-solve via a deferred wakeup, only the connected component of
-    /// links/flows touched by a change is re-solved (allocation-free
-    /// [`crate::flow::MaxMinSolver`]), and completions pop from a
-    /// finish-time heap instead of an O(flows) scan.
-    #[default]
-    Incremental,
-    /// Pre-optimization engine kept as the oracle: a full
-    /// [`crate::flow::max_min_rates`] solve over *all* active flows on
-    /// every flow start/finish/abort. Event-for-event identical to the
-    /// original fabric — golden-trace tests and the `net_scale` bench
-    /// baseline pin this mode.
-    Reference,
-}
-
 /// Fabric configuration. Defaults model the paper's testbed: Gigabit
 /// Ethernet NICs (125 MB/s full duplex per node) behind a non-blocking
 /// switch, and a loopback device whose raw capacity is high but whose
@@ -63,8 +39,6 @@ pub struct NetConfig {
     pub rpc_latency: SimDuration,
     /// Serialization rate applied to RPC payload bytes.
     pub rpc_bytes_per_sec: f64,
-    /// Fluid-rate engine (see [`FluidEngine`]).
-    pub fluid: FluidEngine,
 }
 
 impl Default for NetConfig {
@@ -74,7 +48,6 @@ impl Default for NetConfig {
             loopback_bytes_per_sec: 1.5e9,
             rpc_latency: SimDuration::from_micros(200),
             rpc_bytes_per_sec: 125.0e6,
-            fluid: FluidEngine::Incremental,
         }
     }
 }

@@ -17,9 +17,8 @@
 //!
 //! ## Rate engine
 //!
-//! The default [`FluidEngine::Incremental`] engine is built so a shuffle
-//! wave of F concurrent flows costs O(component) solver work *once*, not
-//! O(F) full re-solves:
+//! The engine is built so a shuffle wave of F concurrent flows costs
+//! O(component) solver work *once*, not O(F) full re-solves:
 //!
 //! 1. **Same-instant coalescing** — a burst of [`StartFlow`]s at one
 //!    simulated instant arms a single deferred wakeup ([`Ctx::defer`]);
@@ -43,27 +42,27 @@
 //!    the completion heap refer to flows by slot, and each flow records
 //!    its position in every link list it sits on, so unlinking is an
 //!    indexed `swap_remove`: F flows finishing on one rx link at one
-//!    instant cost O(F), not O(F²). Order-sensitive sweeps — abort
-//!    notifications, everything in `Reference` — sort by the flow's
-//!    monotonic id. The component solve and the rate write-back provably
-//!    need no order and run in walk order, unsorted: rates are
+//!    instant cost O(F), not O(F²). The one order-sensitive sweep —
+//!    abort notifications — sorts by the flow's monotonic id. The
+//!    component solve and the rate write-back provably need no order
+//!    and run in walk order, unsorted: rates are
 //!    bit-identical under any `add_flow` / `add_link` order (argued at
 //!    [`MaxMinSolver::solve`], property-tested beside it), and the heap
 //!    keys `(finish, id, gen)` are unique, so pops ignore push order.
 //!
-//! [`FluidEngine::Reference`] preserves the original engine — one global
-//! [`max_min_rates`] solve per flow event — event-for-event; it is the
-//! oracle for the equivalence tests and the `net_scale` bench baseline.
-//! Both engines produce flow completion *times* equal within float
-//! epsilon.
+//! The engine this one replaced — one global [`crate::flow::max_min_rates`]
+//! solve over all flows per flow event — survives as the test-only
+//! `ReferenceFabric` actor (`reference.rs`, compiled under `cfg(test)`
+//! only): the tests below run their scripts on both and require flow
+//! completion *times* equal within float epsilon.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use accelmr_des::prelude::*;
 
-use crate::config::{FluidEngine, NetConfig, NodeId};
-use crate::flow::{max_min_rates, FlowDemand, LinkId, LinkTable, MaxMinSolver, Route};
+use crate::config::{NetConfig, NodeId};
+use crate::flow::{LinkId, LinkTable, MaxMinSolver, Route};
 
 /// Control RPC from `src` to an actor on node `dst`.
 pub struct Unicast {
@@ -182,10 +181,10 @@ pub struct FlowAborted {
 /// the single hottest loop in the 1000-node churn profile.
 #[derive(Clone, Copy)]
 struct FlowHot {
-    /// Monotonic flow id: the sort key of the abort sweep and of
-    /// `Reference`'s sweeps, and the completion-heap tiebreaker. Slab
-    /// *slots* are recycled; ids never are. `u64::MAX` marks a free slot
-    /// (no live flow can carry it — ids count up from zero).
+    /// Monotonic flow id: the sort key of the abort sweep and the
+    /// completion-heap tiebreaker. Slab *slots* are recycled; ids never
+    /// are. `u64::MAX` marks a free slot (no live flow can carry it — ids
+    /// count up from zero).
     id: u64,
     /// Bytes left as of `updated_at` (lazily settled: only touched when
     /// this flow's rate changes, not on every fabric event).
@@ -210,14 +209,12 @@ struct FlowCold {
     notify: ActorId,
     tag: u64,
     total: u64,
-    src: NodeId,
-    dst: NodeId,
     on_done: Option<Box<dyn Msg>>,
 }
 
-/// Completion-timer tag (kept at 0, matching the original fabric).
+/// Completion-timer tag.
 const TAG_COMPLETE: u64 = 0;
-/// Deferred-resolve wakeup tag (incremental engine only).
+/// Deferred-resolve wakeup tag.
 const TAG_RESOLVE: u64 = 1;
 
 const EPS_BYTES: f64 = 1e-3;
@@ -238,8 +235,8 @@ pub struct Fabric {
     /// hot path — the component walk visits every flow of a component per
     /// resolve, and map descents dominated the 1000-node churn profile.
     /// Slots recycle through `free_slots`; the monotonic flow *id* lives
-    /// in [`FlowHot`], and the sweeps whose order reaches the event
-    /// stream (abort notifications, all of `Reference`) sort by it.
+    /// in [`FlowHot`], and the one sweep whose order reaches the event
+    /// stream (abort notifications) sorts by it.
     hot: Vec<FlowHot>,
     cold: Vec<Option<FlowCold>>,
     free_slots: Vec<u32>,
@@ -249,9 +246,6 @@ pub struct Fabric {
     /// instant lets `rearm` skip the cancel + re-arm when the projected
     /// next completion is unchanged.
     timer: Option<(TimerHandle, SimTime)>,
-    /// Reference engine: instant flow progress was last advanced to.
-    last_update: SimTime,
-    // --- incremental engine state ---
     /// Whether a deferred resolve wakeup is already queued for this instant.
     resolve_pending: bool,
     /// Persistent link → active-flow slab slots index, each entry's index
@@ -305,7 +299,6 @@ impl Fabric {
             live_flows: 0,
             next_flow_id: 0,
             timer: None,
-            last_update: SimTime::ZERO,
             resolve_pending: false,
             link_flows: vec![Vec::new(); n_links],
             dirty_links: Vec::new(),
@@ -346,10 +339,10 @@ impl Fabric {
     }
 
     /// Applies [`SetNodeBandwidth`]: re-prices the node's tx/rx links and
-    /// triggers a component re-solve on whichever engine is active, so the
-    /// new capacity binds from this instant on both. A factor equal to the
-    /// current one is a no-op (no spurious solve, no trace perturbation).
-    fn set_node_bandwidth(&mut self, ctx: &mut Ctx<'_>, now: SimTime, node: NodeId, factor: f64) {
+    /// requests a component re-solve, so the new capacity binds from this
+    /// instant. A factor equal to the current one is a no-op (no spurious
+    /// solve, no trace perturbation).
+    fn set_node_bandwidth(&mut self, ctx: &mut Ctx<'_>, node: NodeId, factor: f64) {
         self.ensure_node(node);
         let factor = if factor < PARTITION_FACTOR {
             0.0
@@ -372,24 +365,14 @@ impl Fabric {
         self.links.set_capacity(tx, cap);
         self.links.set_capacity(rx, cap);
         ctx.stats().incr("net.bandwidth_changes");
-        match self.cfg.fluid {
-            FluidEngine::Reference => {
-                // Settle progress at the old rates, then one global
-                // re-solve prices every flow at the new capacity.
-                self.ref_elapse(ctx, now);
-                self.ref_reschedule(ctx);
-            }
-            FluidEngine::Incremental => {
-                // Both links join the dirty set; the deferred resolve
-                // settles and re-prices exactly the touched component.
-                self.mark_dirty(Route::pair(tx, rx));
-                self.request_resolve(ctx);
-            }
-        }
+        // Both links join the dirty set; the deferred resolve settles and
+        // re-prices exactly the touched component.
+        self.mark_dirty(Route::pair(tx, rx));
+        self.request_resolve(ctx);
     }
 
     /// Admits a non-empty [`StartFlow`] at rate 0 into a recycled (or
-    /// fresh) slab slot; the engine prices it at its next solve.
+    /// fresh) slab slot; the next resolve prices it.
     fn insert_flow(&mut self, ctx: &mut Ctx<'_>, now: SimTime, req: StartFlow) -> u32 {
         let h = FlowHot {
             id: self.next_flow_id,
@@ -406,8 +389,6 @@ impl Fabric {
             notify: req.notify,
             tag: req.tag,
             total: req.bytes,
-            src: req.src,
-            dst: req.dst,
             on_done: req.on_done,
         });
         self.next_flow_id += 1;
@@ -439,20 +420,6 @@ impl Fabric {
         (h, c)
     }
 
-    /// Live `(id, slot)` pairs in ascending flow-id order — the
-    /// deterministic sweep order of the original BTreeMap flow table.
-    fn flows_by_id(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self
-            .hot
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.id != u64::MAX)
-            .map(|(s, h)| (h.id, s as u32))
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     fn route(&self, src: NodeId, dst: NodeId) -> Route {
         if src == dst {
             Route::single(self.loopback[src.index()])
@@ -473,133 +440,6 @@ impl Fabric {
             None => ctx.send(notify, FlowDone { tag, bytes }),
         }
     }
-
-    // ------------------------------------------------------------------
-    // Reference engine: the pre-optimization fabric, kept event-for-event
-    // identical as the oracle. One global solve per flow event.
-    // ------------------------------------------------------------------
-
-    /// Advances flow progress to `now`, completing finished flows.
-    fn ref_elapse(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        let dt = (now - self.last_update).as_secs_f64();
-        self.last_update = now;
-        if dt > 0.0 {
-            for h in &mut self.hot {
-                if h.id != u64::MAX {
-                    h.remaining -= h.rate * dt;
-                }
-            }
-        }
-        // Completions in flow-id order (collect-then-sort): deterministic,
-        // matching the old BTreeMap sweep exactly.
-        let mut done: Vec<(u64, u32)> = self
-            .hot
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.id != u64::MAX && h.remaining <= EPS_BYTES)
-            .map(|(s, h)| (h.id, s as u32))
-            .collect();
-        done.sort_unstable();
-        for (_, slot) in done {
-            let (_, c) = self.remove_flow(slot);
-            ctx.stats().add("net.flow_bytes_done", c.total);
-            ctx.stats().incr("net.flows_done");
-            Self::deliver_done(ctx, c.notify, c.tag, c.total, c.on_done);
-        }
-    }
-
-    /// Re-solves rates over *all* flows and re-arms the completion timer.
-    fn ref_reschedule(&mut self, ctx: &mut Ctx<'_>) {
-        let old_timer = self.timer.take();
-        if self.live_flows == 0 {
-            if let Some((t, _)) = old_timer {
-                ctx.cancel_timer(t);
-            }
-            return;
-        }
-        // Solver input order decides float rounding, so both the demand
-        // build and the rate write-back walk ascending flow ids — the
-        // exact order the old BTreeMap sweep produced.
-        let ids = self.flows_by_id();
-        let demands: Vec<FlowDemand> = ids
-            .iter()
-            .map(|&(_, slot)| {
-                let h = &self.hot[slot as usize];
-                FlowDemand {
-                    links: h.route.links().to_vec(),
-                    cap: h.cap,
-                }
-            })
-            .collect();
-        let rates = max_min_rates(&self.links, &demands);
-        ctx.stats().incr("net.solver_calls");
-        let mut next = f64::INFINITY;
-        for (&(_, slot), rate) in ids.iter().zip(rates) {
-            let h = &mut self.hot[slot as usize];
-            h.rate = rate;
-            if rate > 0.0 {
-                next = next.min(h.remaining / rate);
-            }
-        }
-        if next.is_finite() {
-            let delay = SimDuration::from_secs_f64(next).max(SimDuration::from_nanos(1));
-            let at = ctx.now() + delay;
-            // Reschedule in place (dispatch-order-identical to the old
-            // cancel + re-arm, minus the slot churn).
-            let t = match old_timer {
-                Some((t, _)) => ctx.reschedule_at(t, at, TAG_COMPLETE),
-                None => ctx.after_at(at, TAG_COMPLETE),
-            };
-            self.timer = Some((t, at));
-        } else if let Some((t, _)) = old_timer {
-            ctx.cancel_timer(t);
-        }
-    }
-
-    fn ref_handle_msg(&mut self, ctx: &mut Ctx<'_>, now: SimTime, msg: Box<dyn Msg>) {
-        if msg.is::<StartFlow>() {
-            let req = msg.downcast::<StartFlow>().expect("checked");
-            self.ref_elapse(ctx, now);
-            if req.bytes == 0 {
-                Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
-            } else {
-                self.insert_flow(ctx, now, *req);
-            }
-            self.ref_reschedule(ctx);
-        } else if let Some(abort) = msg.peek::<AbortNode>() {
-            let node = abort.node;
-            self.ref_elapse(ctx, now);
-            // The reference engine scans every active flow per crash —
-            // O(F). The counter exists so the incremental engine's
-            // link-indexed abort can be asserted against it.
-            ctx.stats()
-                .add("net.abort_flows_scanned", self.live_flows as u64);
-            let mut dead: Vec<(u64, u32)> = self
-                .hot
-                .iter()
-                .zip(&self.cold)
-                .enumerate()
-                .filter_map(|(s, (h, c))| {
-                    if h.id == u64::MAX {
-                        return None;
-                    }
-                    let c = c.as_ref().expect("flow present");
-                    (c.src == node || c.dst == node).then_some((h.id, s as u32))
-                })
-                .collect();
-            dead.sort_unstable();
-            for (_, slot) in dead {
-                let (_, c) = self.remove_flow(slot);
-                ctx.stats().incr("net.flows_aborted");
-                ctx.send(c.notify, FlowAborted { tag: c.tag });
-            }
-            self.ref_reschedule(ctx);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Incremental engine
-    // ------------------------------------------------------------------
 
     /// Queues one deferred resolve for the current instant (coalescing:
     /// every further change this instant rides the same wakeup).
@@ -676,8 +516,7 @@ impl Fabric {
                 ctx.stats().incr("net.flows_done");
                 Self::deliver_done(ctx, c.notify, c.tag, c.total, c.on_done);
             } else {
-                // Nanosecond rounding left a sliver; try again shortly
-                // (mirrors the reference engine's 1 ns minimum re-arm).
+                // Nanosecond rounding left a sliver; try again shortly.
                 let delay = SimDuration::from_secs_f64(h.remaining / h.rate)
                     .max(SimDuration::from_nanos(1));
                 self.done_heap.push(Reverse((now + delay, id, gen, slot)));
@@ -814,7 +653,7 @@ impl Fabric {
     }
 
     /// Completes what is due, re-prices what got dirty, re-arms the timer.
-    fn incr_advance(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
+    fn advance(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
         self.settle_due(ctx, now);
         self.resolve_dirty(ctx, now);
         self.rearm(ctx);
@@ -847,70 +686,57 @@ impl Fabric {
         assert_eq!(routed, entries);
     }
 
-    fn incr_handle_msg(&mut self, ctx: &mut Ctx<'_>, now: SimTime, msg: Box<dyn Msg>) {
-        if msg.is::<StartFlow>() {
-            let req = msg.downcast::<StartFlow>().expect("checked");
-            if req.bytes == 0 {
-                Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
-                return;
-            }
-            let slot = self.insert_flow(ctx, now, *req);
-            self.attach(slot);
-            self.request_resolve(ctx);
-        } else if let Some(abort) = msg.peek::<AbortNode>() {
-            let node = abort.node;
-            // Flows finishing exactly now still complete (parity with the
-            // reference engine, which elapses before aborting).
-            self.settle_due(ctx, now);
-            // A flow touches `node` iff it is indexed on one of the node's
-            // three links (loopback for src == dst, otherwise tx at the
-            // source and rx at the destination — so each victim appears on
-            // exactly one of them). Consulting the persistent link→flows
-            // index makes a crash O(degree of the node), not O(all flows):
-            // under 1000-node churn a crash must not scan the whole wire.
-            let mut dead: Vec<(u64, u32)> = Vec::new();
-            if node.index() < self.tx.len() {
-                for l in [
-                    self.tx[node.index()],
-                    self.rx[node.index()],
-                    self.loopback[node.index()],
-                ] {
-                    for &slot in &self.link_flows[l.0] {
-                        dead.push((self.hot[slot as usize].id, slot));
-                    }
+    /// Applies [`AbortNode`]: every flow touching `node` ends now, with
+    /// [`FlowAborted`] unless it has effectively landed.
+    fn abort_node(&mut self, ctx: &mut Ctx<'_>, now: SimTime, node: NodeId) {
+        // Flows finishing exactly now complete rather than abort.
+        self.settle_due(ctx, now);
+        // A flow touches `node` iff it is indexed on one of the node's
+        // three links (loopback for src == dst, otherwise tx at the
+        // source and rx at the destination — so each victim appears on
+        // exactly one of them). Consulting the persistent link→flows
+        // index makes a crash O(degree of the node), not O(all flows):
+        // under 1000-node churn a crash must not scan the whole wire.
+        let mut dead: Vec<(u64, u32)> = Vec::new();
+        if node.index() < self.tx.len() {
+            for l in [
+                self.tx[node.index()],
+                self.rx[node.index()],
+                self.loopback[node.index()],
+            ] {
+                for &slot in &self.link_flows[l.0] {
+                    dead.push((self.hot[slot as usize].id, slot));
                 }
             }
-            ctx.stats()
-                .add("net.abort_flows_scanned", dead.len() as u64);
-            // Link lists are insertion/swap_remove ordered; sort so the
-            // abort notifications fire in flow-id order (determinism, and
-            // parity with the reference engine's BTreeMap sweep).
-            dead.sort_unstable();
-            for (_, slot) in dead {
-                let (mut h, c) = self.remove_flow(slot);
-                self.detach(&h, slot);
-                // A flow settled to within EPS of done may still hold a
-                // heap entry a nanosecond out (timer quantization); the
-                // reference engine's elapse-before-abort delivers FlowDone
-                // for it, so match that rather than aborting a transfer
-                // that has effectively landed.
-                let dt = (now - h.updated_at).as_secs_f64();
-                if dt > 0.0 {
-                    h.remaining -= h.rate * dt;
-                }
-                if h.remaining <= EPS_BYTES {
-                    ctx.stats().add("net.flow_bytes_done", c.total);
-                    ctx.stats().incr("net.flows_done");
-                    Self::deliver_done(ctx, c.notify, c.tag, c.total, c.on_done);
-                } else {
-                    ctx.stats().incr("net.flows_aborted");
-                    ctx.send(c.notify, FlowAborted { tag: c.tag });
-                }
-            }
-            #[cfg(debug_assertions)]
-            self.debug_check_link_index();
-            self.request_resolve(ctx);
         }
+        ctx.stats()
+            .add("net.abort_flows_scanned", dead.len() as u64);
+        // Link lists are insertion/swap_remove ordered; sort so the abort
+        // notifications fire in flow-id order (determinism).
+        dead.sort_unstable();
+        for (_, slot) in dead {
+            let (mut h, c) = self.remove_flow(slot);
+            self.detach(&h, slot);
+            // A flow settled to within EPS of done may still hold a heap
+            // entry a nanosecond out (timer quantization): deliver
+            // FlowDone rather than abort a transfer that has effectively
+            // landed (the oracle's elapse-before-abort does the same).
+            let dt = (now - h.updated_at).as_secs_f64();
+            if dt > 0.0 {
+                h.remaining -= h.rate * dt;
+            }
+            if h.remaining <= EPS_BYTES {
+                ctx.stats().add("net.flow_bytes_done", c.total);
+                ctx.stats().incr("net.flows_done");
+                Self::deliver_done(ctx, c.notify, c.tag, c.total, c.on_done);
+            } else {
+                ctx.stats().incr("net.flows_aborted");
+                ctx.send(c.notify, FlowAborted { tag: c.tag });
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.debug_check_link_index();
+        self.request_resolve(ctx);
     }
 }
 
@@ -922,24 +748,16 @@ impl Actor for Fabric {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         let now = ctx.now();
         match ev {
-            Event::Start => {
-                self.last_update = now;
-            }
+            Event::Start => {}
             Event::Timer {
                 tag: TAG_RESOLVE, ..
             } => {
                 self.resolve_pending = false;
-                self.incr_advance(ctx, now);
+                self.advance(ctx, now);
             }
             Event::Timer { .. } => {
                 self.timer = None;
-                match self.cfg.fluid {
-                    FluidEngine::Reference => {
-                        self.ref_elapse(ctx, now);
-                        self.ref_reschedule(ctx);
-                    }
-                    FluidEngine::Incremental => self.incr_advance(ctx, now),
-                }
+                self.advance(ctx, now);
             }
             Event::Msg { msg, .. } => {
                 if msg.is::<Unicast>() {
@@ -949,18 +767,22 @@ impl Actor for Fabric {
                     let delay = self.cfg.rpc_delay(u.bytes);
                     ctx.send_boxed(u.to, u.payload, delay);
                 } else if let Some(grow) = msg.peek::<EnsureNode>() {
-                    // Membership growth is engine-independent: links are
-                    // appended, nothing is re-priced.
+                    // Links are appended, nothing is re-priced.
                     let added = self.ensure_node(grow.node);
                     ctx.stats().add("net.nodes_added", added as u64);
                 } else if let Some(set) = msg.peek::<SetNodeBandwidth>() {
-                    let (node, factor) = (set.node, set.factor);
-                    self.set_node_bandwidth(ctx, now, node, factor);
-                } else {
-                    match self.cfg.fluid {
-                        FluidEngine::Reference => self.ref_handle_msg(ctx, now, msg),
-                        FluidEngine::Incremental => self.incr_handle_msg(ctx, now, msg),
+                    self.set_node_bandwidth(ctx, set.node, set.factor);
+                } else if msg.is::<StartFlow>() {
+                    let req = msg.downcast::<StartFlow>().expect("checked");
+                    if req.bytes == 0 {
+                        Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
+                    } else {
+                        let slot = self.insert_flow(ctx, now, *req);
+                        self.attach(slot);
+                        self.request_resolve(ctx);
                     }
+                } else if let Some(abort) = msg.peek::<AbortNode>() {
+                    self.abort_node(ctx, now, abort.node);
                 }
             }
         }
@@ -1088,17 +910,7 @@ impl NetHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn engines() -> [FluidEngine; 2] {
-        [FluidEngine::Incremental, FluidEngine::Reference]
-    }
-
-    fn cfg_with(engine: FluidEngine) -> NetConfig {
-        NetConfig {
-            fluid: engine,
-            ..NetConfig::default()
-        }
-    }
+    use crate::reference::Engine;
 
     /// Drives a scripted set of flows and records completion times.
     struct Driver {
@@ -1133,15 +945,12 @@ mod tests {
     /// Starts `flows` described as (src, dst, bytes, cap) at t=0 and records
     /// each completion time (tag → seconds). State is read back through
     /// `Sim::actor_mut` — no shared-cell smuggling.
-    fn run_flows_on(
-        engine: FluidEngine,
-        flows: Vec<(u32, u32, u64, Option<f64>)>,
-    ) -> Vec<(u64, f64)> {
+    fn run_flows_on(engine: Engine, flows: Vec<(u32, u32, u64, Option<f64>)>) -> Vec<(u64, f64)> {
         let mut sim = Sim::new(0);
-        let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 8)));
+        let net = engine.spawn(&mut sim, 8);
         let expected = flows.len();
         let driver = sim.spawn(Box::new(Driver {
-            net: NetHandle { fabric },
+            net,
             flows,
             done: Vec::new(),
             expected,
@@ -1150,23 +959,24 @@ mod tests {
         std::mem::take(&mut sim.actor_mut::<Driver>(driver).expect("driver alive").done)
     }
 
-    /// Runs the scenario on both engines, asserts their completion times
-    /// agree to the nanosecond-ish, and returns the incremental result.
+    /// Runs the scenario on the fabric and on the oracle, asserts their
+    /// completion times agree to the nanosecond-ish, and returns the
+    /// fabric's result.
     fn run_flows(flows: Vec<(u32, u32, u64, Option<f64>)>) -> Vec<(u64, f64)> {
-        let incr = run_flows_on(FluidEngine::Incremental, flows.clone());
-        let reference = run_flows_on(FluidEngine::Reference, flows);
-        assert_eq!(incr.len(), reference.len());
-        for (tag, t) in &incr {
+        let fabric = run_flows_on(Engine::Production, flows.clone());
+        let reference = run_flows_on(Engine::Reference, flows);
+        assert_eq!(fabric.len(), reference.len());
+        for (tag, t) in &fabric {
             let (_, rt) = reference
                 .iter()
                 .find(|(rtag, _)| rtag == tag)
                 .expect("tag completed on both engines");
             assert!(
                 (t - rt).abs() < 1e-6,
-                "tag {tag}: incremental={t} reference={rt}"
+                "tag {tag}: fabric={t} reference={rt}"
             );
         }
-        incr
+        fabric
     }
 
     #[test]
@@ -1239,17 +1049,17 @@ mod tests {
 
     #[test]
     fn coalescing_solves_a_burst_once() {
-        // 16 flows started in one handler at t=0: the incremental engine
-        // runs ONE solve for the burst; the reference engine runs one per
-        // start. (Both also solve per completion.)
-        let solver_calls = |engine| {
+        // 16 flows started in one handler at t=0: the fabric runs ONE solve
+        // for the burst; the oracle runs one per start. (Both also solve
+        // per completion.)
+        let solver_calls = |engine: Engine| {
             let mut sim = Sim::new(0);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 8)));
+            let net = engine.spawn(&mut sim, 8);
             let flows = (0..4)
                 .flat_map(|s| (4..8).map(move |d| (s, d, 10_000_000u64, None)))
                 .collect();
             sim.spawn(Box::new(Driver {
-                net: NetHandle { fabric },
+                net,
                 flows,
                 done: Vec::new(),
                 expected: 16,
@@ -1257,18 +1067,21 @@ mod tests {
             sim.run();
             sim.stats().counter("net.solver_calls")
         };
-        let incr = solver_calls(FluidEngine::Incremental);
-        let reference = solver_calls(FluidEngine::Reference);
+        let fabric = solver_calls(Engine::Production);
+        let reference = solver_calls(Engine::Reference);
         // All 16 flows are symmetric and finish at the same instant: one
         // solve for the start burst + one resolve per completion batch.
-        assert!(incr < reference / 2, "incr={incr} reference={reference}");
-        assert!(incr <= 3, "burst not coalesced: {incr} solves");
+        assert!(
+            fabric < reference / 2,
+            "fabric={fabric} reference={reference}"
+        );
+        assert!(fabric <= 3, "burst not coalesced: {fabric} solves");
     }
 
     #[test]
     fn disjoint_components_do_not_reprice_each_other() {
         // A long flow on nodes (1,2) and staggered traffic on (3,4): the
-        // (1,2) flow's rate never changes, so the incremental engine must
+        // (1,2) flow's rate never changes, so the fabric must
         // not touch it — observable via its completion staying exact while
         // solver work stays component-local.
         let done = run_flows(vec![
@@ -1357,13 +1170,10 @@ mod tests {
                 }
             }
         }
-        for engine in engines() {
+        for engine in Engine::BOTH {
             let mut sim = Sim::new(0);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 6)));
-            sim.spawn(Box::new(AbortDriver {
-                net: NetHandle { fabric },
-                aborted: 0,
-            }));
+            let net = engine.spawn(&mut sim, 6);
+            sim.spawn(Box::new(AbortDriver { net, aborted: 0 }));
             sim.run();
             assert_eq!(sim.stats().counter("aborted"), 2, "{engine:?}");
             assert_eq!(sim.stats().counter("survived"), 1, "{engine:?}");
@@ -1372,8 +1182,8 @@ mod tests {
 
     /// Satellite regression: a node crash consults the link→flows index,
     /// not the whole flow table. 256-node shuffle-style burst, one crash:
-    /// the incremental engine scans only the victim's flows while the
-    /// reference engine scans all of them — and both abort the same set.
+    /// the fabric scans only the victim's flows while the oracle scans
+    /// all of them — and both abort the same set.
     #[test]
     fn abort_scan_is_link_indexed() {
         const NODES: u32 = 256;
@@ -1418,11 +1228,11 @@ mod tests {
                 }
             }
         }
-        let run = |engine| {
+        let run = |engine: Engine| {
             let mut sim = Sim::new(11);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), NODES as usize)));
+            let net = engine.spawn(&mut sim, NODES as usize);
             let d = sim.spawn(Box::new(CrashDriver {
-                net: NetHandle { fabric },
+                net,
                 aborted: 0,
                 done: 0,
             }));
@@ -1434,8 +1244,8 @@ mod tests {
                 sim.stats().counter("net.abort_flows_scanned"),
             )
         };
-        let (incr_aborted, incr_done, incr_scanned) = run(FluidEngine::Incremental);
-        let (ref_aborted, ref_done, ref_scanned) = run(FluidEngine::Reference);
+        let (incr_aborted, incr_done, incr_scanned) = run(Engine::Production);
+        let (ref_aborted, ref_done, ref_scanned) = run(Engine::Reference);
         let total = u64::from(NODES * FANIN);
         // Same victims on both engines; everything else completes.
         assert_eq!(incr_aborted, ref_aborted);
@@ -1487,11 +1297,11 @@ mod tests {
                 }
             }
         }
-        for engine in engines() {
+        for engine in Engine::BOTH {
             let mut sim = Sim::new(5);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 2)));
+            let net = engine.spawn(&mut sim, 2);
             let d = sim.spawn(Box::new(GrowDriver {
-                net: NetHandle { fabric },
+                net,
                 done: Vec::new(),
             }));
             sim.run();
@@ -1545,11 +1355,11 @@ mod tests {
                 }
             }
         }
-        for engine in engines() {
+        for engine in Engine::BOTH {
             let mut sim = Sim::new(0);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 6)));
+            let net = engine.spawn(&mut sim, 6);
             let d = sim.spawn(Box::new(PartitionDriver {
-                net: NetHandle { fabric },
+                net,
                 done: Vec::new(),
                 aborted: 0,
             }));
@@ -1599,11 +1409,11 @@ mod tests {
                 }
             }
         }
-        for engine in engines() {
+        for engine in Engine::BOTH {
             let mut sim = Sim::new(0);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 4)));
+            let net = engine.spawn(&mut sim, 4);
             let d = sim.spawn(Box::new(DegradeDriver {
-                net: NetHandle { fabric },
+                net,
                 done: Vec::new(),
             }));
             sim.run();
@@ -1617,10 +1427,10 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let fp = |engine| {
+        let fp = |engine: Engine| {
             let mut sim = Sim::new(3);
             sim.enable_trace(1 << 12);
-            let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 8)));
+            let net = engine.spawn(&mut sim, 8);
             struct D {
                 net: NetHandle,
             }
@@ -1635,13 +1445,11 @@ mod tests {
                     }
                 }
             }
-            sim.spawn(Box::new(D {
-                net: NetHandle { fabric },
-            }));
+            sim.spawn(Box::new(D { net }));
             sim.run();
             sim.trace().fingerprint()
         };
-        for engine in engines() {
+        for engine in Engine::BOTH {
             assert_eq!(fp(engine), fp(engine), "{engine:?}");
         }
     }
@@ -1711,20 +1519,48 @@ mod tests {
             .collect()
     }
 
-    /// Satellite property test at the fabric level: randomized bursts on a
-    /// 12-node fabric; the incremental engine's completion times must match
-    /// the reference engine's within 1e-6 s on every flow.
+    /// Two terasort-style shuffle waves as a `WaveDriver` script: every
+    /// reducer pulls from `min(nodes - 1, 16)` mapper nodes at one instant
+    /// under the runtime's 20 MB/s stream cap, sizes skewed per reducer so
+    /// each wave drains over ~`nodes` distinct instants, the second wave
+    /// landing while the tail of the first is still draining.
+    fn shuffle_waves(nodes: u32) -> Vec<(u64, u32, u32, u64, Option<f64>)> {
+        const BASE: u64 = 8 << 20;
+        let fanin = (nodes - 1).min(16);
+        let mut script = Vec::new();
+        for start_ms in [0, 1_000] {
+            for r in 0..nodes {
+                let bytes = BASE + u64::from(r % 16) * (BASE / 32);
+                for i in 0..fanin {
+                    let s = (r + 1 + i * 3) % nodes;
+                    script.push((start_ms, s, r, bytes, Some(20.0e6)));
+                }
+            }
+        }
+        script
+    }
+
+    /// Property test at the fabric level: randomized bursts on a 12-node
+    /// fabric, then shuffle waves at 16 and 64 nodes; the fabric's
+    /// completion times must match the oracle's within 1e-6 s on every
+    /// flow.
     #[test]
     fn engines_complete_identically_on_random_bursts() {
-        for seed in 0..8u64 {
-            let mut rng = Xoshiro256::seed_from_u64(0xbeef ^ seed);
-            let n_flows = 40 + rng.next_below(40) as usize;
-            let script = random_bursts(&mut rng, n_flows);
-            let run = |engine: FluidEngine| {
-                let mut sim = Sim::new(seed);
-                let fabric = sim.spawn(Box::new(Fabric::new(cfg_with(engine), 12)));
+        let mut scripts: Vec<(usize, Vec<_>)> = (0..8u64)
+            .map(|seed| {
+                let mut rng = Xoshiro256::seed_from_u64(0xbeef ^ seed);
+                let n_flows = 40 + rng.next_below(40) as usize;
+                (12, random_bursts(&mut rng, n_flows))
+            })
+            .collect();
+        scripts.extend([16, 64].map(|n| (n as usize, shuffle_waves(n))));
+        for (case, (nodes, script)) in scripts.into_iter().enumerate() {
+            let n_flows = script.len();
+            let run = |engine: Engine| {
+                let mut sim = Sim::new(case as u64);
+                let net = engine.spawn(&mut sim, nodes);
                 let driver = sim.spawn(Box::new(WaveDriver {
-                    net: NetHandle { fabric },
+                    net,
                     script: script.clone(),
                     issued: 0,
                     done: Vec::new(),
@@ -1733,19 +1569,19 @@ mod tests {
                 sim.run();
                 let mut done =
                     std::mem::take(&mut sim.actor_mut::<WaveDriver>(driver).unwrap().done);
-                assert_eq!(done.len(), n_flows, "{engine:?} seed {seed}: flows lost");
+                assert_eq!(done.len(), n_flows, "{engine:?} case {case}: flows lost");
                 done.sort_unstable();
                 done
             };
-            let incr = run(FluidEngine::Incremental);
-            let reference = run(FluidEngine::Reference);
-            for ((tag_a, t_a), (tag_b, t_b)) in incr.iter().zip(reference.iter()) {
+            let fabric = run(Engine::Production);
+            let reference = run(Engine::Reference);
+            for ((tag_a, t_a), (tag_b, t_b)) in fabric.iter().zip(reference.iter()) {
                 assert_eq!(tag_a, tag_b);
                 let da = *t_a as f64 / 1e9;
                 let db = *t_b as f64 / 1e9;
                 assert!(
                     (da - db).abs() < 1e-6,
-                    "seed {seed} tag {tag_a}: incremental={da}s reference={db}s"
+                    "case {case} tag {tag_a}: fabric={da}s reference={db}s"
                 );
             }
         }
@@ -1846,7 +1682,9 @@ mod tests {
     /// it — bursts, staggered completions, crashes, partitions and heals,
     /// growth, loopback routes, recycled slots — with
     /// `debug_check_link_index` run by the fabric after every advance and
-    /// abort (debug builds), and a drained index at the end.
+    /// abort (debug builds), and a drained index at the end. The oracle
+    /// runs each script too: aborts, partitions, heals and growth under
+    /// random interleaving must leave both with the same outcome.
     #[test]
     fn link_index_survives_random_churn() {
         for seed in 0..6u64 {
@@ -1883,20 +1721,33 @@ mod tests {
             // Heal everything so stalled flows drain.
             script.extend((0..nodes).map(|n| (t_ms + 1, Op::Bandwidth(n, 1.0))));
 
-            let mut sim = Sim::new(seed);
-            let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 6)));
-            let driver = sim.spawn(Box::new(ChurnDriver {
-                net: NetHandle { fabric },
-                script,
-                next: 0,
-                finished: 0,
-            }));
-            sim.run();
-            let finished = sim
-                .actor_ref::<ChurnDriver>(driver)
-                .expect("driver")
-                .finished;
-            assert_eq!(finished, started, "seed {seed}: every flow ends once");
+            let run = |engine: Engine| {
+                let mut sim = Sim::new(seed);
+                let net = engine.spawn(&mut sim, 6);
+                let driver = sim.spawn(Box::new(ChurnDriver {
+                    net,
+                    script: script.clone(),
+                    next: 0,
+                    finished: 0,
+                }));
+                let end = sim.run().end_time;
+                let finished = sim
+                    .actor_ref::<ChurnDriver>(driver)
+                    .expect("driver")
+                    .finished;
+                assert_eq!(
+                    finished, started,
+                    "{engine:?} seed {seed}: every flow ends once"
+                );
+                let outcome = (
+                    sim.stats().counter("net.flows_done"),
+                    sim.stats().counter("net.flows_aborted"),
+                    sim.stats().counter("net.flow_bytes_done"),
+                    end,
+                );
+                (sim, net.fabric, outcome)
+            };
+            let (sim, fabric, outcome) = run(Engine::Production);
             let f = sim.actor_ref::<Fabric>(fabric).expect("fabric");
             #[cfg(debug_assertions)]
             f.debug_check_link_index();
@@ -1908,6 +1759,13 @@ mod tests {
                 "seed {seed}: slots were never recycled ({} slots, {started} flows)",
                 f.hot.len()
             );
+            // The oracle ends the same flows the same way at the same
+            // nanosecond: (done, aborted, bytes done, end time).
+            assert_eq!(run(Engine::Reference).2, outcome, "seed {seed}");
+            if seed == 0 {
+                let end = SimTime::from_nanos(2_451_495_088);
+                assert_eq!(outcome, (291, 43, 608_584_297, end));
+            }
         }
     }
 

@@ -12,8 +12,8 @@
 //!
 //! * [`max_min_rates`] — the **reference** solver: a pure function taking
 //!   the whole flow set, allocating fresh buffers per call. It is the
-//!   oracle the property tests check against and the engine the fabric's
-//!   [`crate::config::FluidEngine::Reference`] mode runs on.
+//!   oracle the property tests check against, and what the fabric's
+//!   test-only reference actor solves with.
 //! * [`MaxMinSolver`] — the **production** solver: identical progressive
 //!   filling over reusable scratch buffers, fed one *connected component*
 //!   of the link/flow sharing graph at a time. The fabric re-solves only

@@ -68,9 +68,6 @@
 //! assert_eq!(results.len(), 3);
 //! assert!(a.result().succeeded && b.result().succeeded && late.result().succeeded);
 //! ```
-//!
-//! The pre-0.1 `deploy_cluster(seed, n, ..7 positional args)` / `run_job`
-//! helpers still compile but are deprecated in favor of the builders.
 
 pub use accelmr_cellbe as cellbe;
 pub use accelmr_cellmr as cellmr;
@@ -91,8 +88,6 @@ pub mod prelude {
         JavaAesKernel, JavaPiKernel, PiMapper,
     };
     pub use accelmr_kernels::{Aes128, AesImpl, Engine};
-    #[allow(deprecated)]
-    pub use accelmr_mapred::{deploy_cluster, run_job};
     pub use accelmr_mapred::{
         ChurnOp, ChurnSchedule, ClusterBuilder, FaultOp, FaultPlan, JobBuilder, JobError,
         JobHandle, JobInput, JobRequest, JobResult, JobSpec, JobSpecError, MrConfig, OutputSink,

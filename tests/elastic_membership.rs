@@ -227,22 +227,3 @@ fn jobless_batch_applies_churn() {
     assert!(cluster.mr.tasktracker_on(n).is_some());
     assert!(cluster.dfs.datanode_on(n).is_some());
 }
-
-/// The deprecated positional deployment path retains no deployment
-/// context, so membership calls are rejected loudly.
-#[test]
-#[should_panic(expected = "dynamic membership requires")]
-fn membership_requires_builder_deployment() {
-    #[allow(deprecated)]
-    let mut c = accelmr::mapred::deploy_cluster(
-        1,
-        2,
-        NetConfig::default(),
-        DfsConfig::default(),
-        MrConfig::default(),
-        &accelmr::mapred::NullEnvFactory,
-        false,
-    );
-    let mut session = c.session();
-    let _ = session.add_node_at(SimDuration::from_secs(1));
-}

@@ -1,7 +1,6 @@
-//! Acceptance tests of the builder/session surface: builder defaults match
-//! the old positional-argument defaults event-for-event, concurrent
-//! sessions are deterministic across reruns, staggered submission orders
-//! arrivals, and the deprecated wrappers still behave.
+//! Acceptance tests of the builder/session surface: concurrent sessions
+//! are deterministic across reruns and staggered submission orders
+//! arrivals.
 
 use accelmr::prelude::*;
 
@@ -9,52 +8,6 @@ fn pi_job(name: &str, units: u64, kernel_seed: u64) -> JobBuilder {
     presets::pi(PiMapper::Cell, kernel_seed, units)
         .name(name)
         .map_tasks(8)
-}
-
-/// `(elapsed, kv, digest, trace fingerprint)` of one Pi job — everything
-/// determinism assertions compare.
-type RunSignature = (SimDuration, Vec<(u64, u64)>, (u64, u64), u64);
-
-#[test]
-fn builder_defaults_equal_old_positional_defaults() {
-    // The builder path and the deprecated positional path must deploy
-    // event-for-event identical clusters: same actors, same schedule, same
-    // job outcome, same trace fingerprint.
-    let via_builder = || -> RunSignature {
-        let mut c = ClusterBuilder::new()
-            .seed(42)
-            .workers(4)
-            .env(CellEnvFactory::default())
-            .deploy();
-        c.sim.enable_trace(1 << 14);
-        let mut session = c.session();
-        session.submit(pi_job("defaults", 50_000_000, 9));
-        let r = session.run();
-        (r.elapsed, r.kv, r.digest, c.sim.trace().fingerprint())
-    };
-    #[allow(deprecated)]
-    let via_positional = || -> RunSignature {
-        let env = CellEnvFactory::default();
-        let mut c = deploy_cluster(
-            42,
-            4,
-            NetConfig::default(),
-            DfsConfig::default(),
-            MrConfig::default(),
-            &env,
-            false,
-        );
-        c.sim.enable_trace(1 << 14);
-        let r = run_job(
-            &mut c.sim,
-            &c.mr,
-            &c.dfs,
-            vec![],
-            pi_job("defaults", 50_000_000, 9).build(),
-        );
-        (r.elapsed, r.kv, r.digest, c.sim.trace().fingerprint())
-    };
-    assert_eq!(via_builder(), via_positional());
 }
 
 fn concurrent_batch(seed: u64) -> (Vec<JobResult>, u64) {
@@ -189,30 +142,4 @@ fn empty_session_returns_no_results() {
     let mut c = ClusterBuilder::new().workers(1).deploy();
     let mut session = c.session();
     assert!(session.run_until_complete().is_empty());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_still_run_jobs() {
-    // Old-style positional deployment and blocking run must keep working
-    // for external callers mid-migration.
-    let env = CellEnvFactory::default();
-    let mut c = deploy_cluster(
-        1,
-        2,
-        NetConfig::default(),
-        DfsConfig::default(),
-        MrConfig::default(),
-        &env,
-        false,
-    );
-    let result = run_job(
-        &mut c.sim,
-        &c.mr,
-        &c.dfs,
-        vec![],
-        pi_job("legacy", 5_000_000, 6).build(),
-    );
-    assert!(result.succeeded);
-    assert_eq!(result.value(1), Some(5_000_000));
 }
