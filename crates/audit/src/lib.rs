@@ -45,7 +45,14 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<(usize, Vec<Finding>)> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = std::fs::read_to_string(path)?;
-        findings.extend(rules::check_file(&rel, &src));
+        // A directory module's files share the structs its `mod.rs` declares.
+        let parent = path.with_file_name("mod.rs");
+        let parent_src = if parent != *path && parent.is_file() {
+            Some(std::fs::read_to_string(&parent)?)
+        } else {
+            None
+        };
+        findings.extend(rules::check_file_in(&rel, &src, parent_src.as_deref()));
     }
     Ok((files.len(), findings))
 }

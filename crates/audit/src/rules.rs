@@ -103,7 +103,16 @@ struct Allow {
 /// Runs every applicable rule over one file. `rel` is the path relative
 /// to the workspace root (used for scoping and diagnostics).
 pub fn check_file(rel: &str, src: &str) -> Vec<Finding> {
+    check_file_in(rel, src, None)
+}
+
+/// [`check_file`] for a file of a directory module, given the source of
+/// the directory's `mod.rs`: an `impl` block split across a module's files
+/// iterates `self.<field>` maps whose struct is declared in the parent, so
+/// the parent's map-typed fields count as this file's too.
+pub(crate) fn check_file_in(rel: &str, src: &str, parent_src: Option<&str>) -> Vec<Finding> {
     let lexed = lex(src);
+    let parent_fields = parent_src.map_or_else(Vec::new, |p| collect_map_idents(&lex(p)).fields);
     let area = area_of(rel);
     let mut findings: Vec<Finding> = Vec::new();
     let mut allows: Vec<Allow> = Vec::new();
@@ -119,7 +128,7 @@ pub fn check_file(rel: &str, src: &str) -> Vec<Finding> {
         rule_std_hashmap(rel, &lexed, &mut raw);
     }
     if applies_map_order(&area) {
-        rule_map_order(rel, &lexed, &mut raw);
+        rule_map_order(rel, &lexed, parent_fields, &mut raw);
     }
 
     // Suppression: an allow for the same rule bound to the finding's line.
@@ -573,8 +582,9 @@ fn push_map_order(rel: &str, line: u32, recv: &str, how: &str, out: &mut Vec<Fin
     });
 }
 
-fn rule_map_order(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let maps = collect_map_idents(lexed);
+fn rule_map_order(rel: &str, lexed: &Lexed, parent_fields: Vec<String>, out: &mut Vec<Finding>) {
+    let mut maps = collect_map_idents(lexed);
+    maps.fields.extend(parent_fields);
     let toks = &lexed.tokens;
     for i in 0..toks.len() {
         // Method form: `<recv>.iter()` / `self.<field>.values_mut()` …
@@ -709,6 +719,15 @@ mod tests {
         let found = check_file(SIM, src);
         assert_eq!(rules_of(&found), ["map-order"]);
         assert_eq!(found[0].line, 3);
+    }
+
+    #[test]
+    fn map_order_sees_parent_module_fields() {
+        let parent = "struct S { tbl: FxHashMap<u32, u32> }";
+        let child = "impl S { fn f(&self) { for x in self.tbl.values() { emit(x); } } }";
+        assert!(check_file(SIM, child).is_empty());
+        let found = check_file_in(SIM, child, Some(parent));
+        assert_eq!(rules_of(&found), ["map-order"]);
     }
 
     #[test]

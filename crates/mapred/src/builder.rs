@@ -99,9 +99,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Cluster-wide scheduling policy (shorthand for setting
-    /// [`MrConfig::scheduler`]; jobs may still override per job via
-    /// [`JobBuilder::scheduler`]).
+    /// The cluster's scheduling policy (shorthand for setting
+    /// [`MrConfig::scheduler`]).
     pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
         self.mr.scheduler = policy;
         self
@@ -202,7 +201,6 @@ pub struct JobBuilder {
     num_map_tasks: Option<usize>,
     output: OutputSink,
     reduce: ReduceSpec,
-    scheduler: Option<SchedulerPolicy>,
     tenant: String,
     weight: f64,
     deadline: Option<accelmr_des::SimTime>,
@@ -219,7 +217,6 @@ impl JobBuilder {
             num_map_tasks: None,
             output: OutputSink::Discard,
             reduce: ReduceSpec::None,
-            scheduler: None,
             tenant: "default".into(),
             weight: 1.0,
             deadline: None,
@@ -350,15 +347,6 @@ impl JobBuilder {
         self
     }
 
-    /// Per-job scheduling policy, overriding the cluster default
-    /// ([`MrConfig::scheduler`]). The job gets a private scheduler
-    /// instance for its lifetime, so an adaptive override learns only
-    /// from this job's own attempts.
-    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = Some(policy);
-        self
-    }
-
     /// The tenant this job bills its slot usage to. Tenants are the unit
     /// of fair sharing: under
     /// [`SchedulerPolicy::FairShare`](crate::SchedulerPolicy)
@@ -422,7 +410,6 @@ impl JobBuilder {
             num_map_tasks: self.num_map_tasks,
             output: self.output,
             reduce: self.reduce,
-            scheduler: self.scheduler,
             tenant: self.tenant,
             weight: self.weight,
             deadline: self.deadline,

@@ -23,8 +23,8 @@ impl std::fmt::Display for TaskId {
 }
 
 /// Task scheduling policy. Each arm names a [`Scheduler`](crate::sched::Scheduler)
-/// implementation the JobTracker instantiates at deploy time (or per job,
-/// via [`JobBuilder::scheduler`](crate::JobBuilder::scheduler)).
+/// implementation; the JobTracker instantiates the configured one at deploy
+/// time.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum SchedulerPolicy {
     /// Prefer tasks whose input blocks live on the requesting node — the
@@ -248,9 +248,6 @@ pub struct MrConfig {
     /// Overlap record reads with map computation (Hadoop's streaming
     /// RecordReader). `false` is the stop-and-wait ablation.
     pub pipelined_reads: bool,
-    /// Dispatch new tasks only on heartbeats (Hadoop 0.19) rather than
-    /// immediately on completion.
-    pub assign_on_heartbeat_only: bool,
     /// Enable speculative re-execution of stragglers.
     pub speculative: bool,
     /// A running task is a straggler candidate once its elapsed time
@@ -389,7 +386,6 @@ impl Default for MrConfig {
             task_cleanup_overhead: SimDuration::from_millis(400),
             record_feed_cap: Some(8.5e6),
             pipelined_reads: true,
-            assign_on_heartbeat_only: true,
             speculative: false,
             speculative_slowdown: 1.5,
             max_attempts: 4,

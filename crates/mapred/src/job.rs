@@ -6,7 +6,7 @@ use accelmr_des::{SimDuration, SimTime};
 use accelmr_dfs::msgs::BlockLoc;
 use accelmr_net::NodeId;
 
-use crate::config::{JobId, SchedulerPolicy, TaskId};
+use crate::config::{JobId, TaskId};
 use crate::kernel::{ReduceKernel, TaskKernel};
 use crate::sched::NodeThroughput;
 
@@ -107,14 +107,6 @@ pub struct JobSpec {
     pub output: OutputSink,
     /// Reduce phase.
     pub reduce: ReduceSpec,
-    /// Per-job scheduling policy. `None` = the cluster default
-    /// ([`MrConfig::scheduler`](crate::MrConfig)); `Some` instantiates a
-    /// fresh scheduler for this job alone (an adaptive override therefore
-    /// learns only from this job's own attempts). Job-*level* decisions
-    /// ([`Scheduler::pick_job`](crate::sched::Scheduler::pick_job)) always
-    /// go to the cluster scheduler — an override only governs decisions
-    /// within its own job.
-    pub scheduler: Option<SchedulerPolicy>,
     /// The tenant this job bills its slot usage to (multi-tenant fairness
     /// accounting; `"default"` when unset).
     pub tenant: String,
@@ -451,7 +443,6 @@ mod tests {
                     cycles_per_byte: 0.0,
                 }),
             },
-            scheduler: None,
             tenant: "default".into(),
             weight: 1.0,
             deadline: None,
@@ -471,7 +462,6 @@ mod tests {
             num_map_tasks: None,
             output: OutputSink::Discard,
             reduce: ReduceSpec::None,
-            scheduler: None,
             tenant: "t".into(),
             weight: 0.0,
             deadline: None,
@@ -503,7 +493,6 @@ mod tests {
             num_map_tasks: None,
             output: OutputSink::Discard,
             reduce: ReduceSpec::None,
-            scheduler: None,
             tenant: "t".into(),
             weight: 1.0,
             deadline: Some(deadline),

@@ -1,0 +1,293 @@
+//! A job from submission to result: split planning and task construction,
+//! phase transitions, shuffle start, finalization.
+
+use accelmr_des::prelude::*;
+use accelmr_des::FxHashMap;
+use accelmr_dfs::msgs::{BlockLoc, FileView, LocationsReply};
+use accelmr_net::NodeId;
+
+use crate::config::{JobId, TaskId};
+use crate::job::{JobInput, JobResult, OutputSink, ReduceSpec, TaskWork};
+use crate::msgs::JobComplete;
+use crate::sched::SplitRequest;
+
+use super::ledger::MapOutput;
+use super::{job_timer_tag, JobTracker, Phase, KIND_FINALIZE, KIND_REDUCE_RPC};
+
+/// Sorted `(node, bytes, pairs)` map-output list plus total pairs — the
+/// shuffle partitioning input, shared by initial reduce-task construction
+/// and the fetch rebuild at (re-)dispatch.
+pub(super) fn shuffle_outputs(
+    map_outputs: &FxHashMap<TaskId, MapOutput>,
+) -> (Vec<(NodeId, u64, u64)>, u64) {
+    let mut outputs: Vec<(NodeId, u64, u64)> = map_outputs
+        .values()
+        .map(|mo| (mo.node, mo.bytes_output, mo.pairs))
+        .collect();
+    outputs.sort_unstable_by_key(|&(n, b, p)| (n, b, p));
+    let total_pairs: u64 = outputs.iter().map(|&(_, _, p)| p).sum();
+    (outputs, total_pairs)
+}
+
+/// Reducer `r`'s fetch list: an even share of every map output.
+pub(super) fn reduce_fetches(
+    outputs: &[(NodeId, u64, u64)],
+    reducers: usize,
+    r: usize,
+) -> Vec<(NodeId, u64)> {
+    outputs
+        .iter()
+        .map(|&(node, bytes, _)| {
+            let share = bytes / reducers as u64 + u64::from((bytes % reducers as u64) > r as u64);
+            (node, share)
+        })
+        .collect()
+}
+
+impl JobTracker {
+    /// The job's init delay elapsed: plan it, or first ask the NameNode
+    /// where its input lives.
+    pub(super) fn init_job(&mut self, ctx: &mut Ctx<'_>, job_id: JobId) {
+        let Some(job) = self.jobs.get_mut(&job_id.0) else {
+            return;
+        };
+        match job.spec.input.clone() {
+            JobInput::File { path, .. } => {
+                job.phase = Phase::WaitingLocations;
+                let (dfs, node) = (self.dfs.clone(), self.node);
+                dfs.get_locations(ctx, node, &path, job_id.0 as u64);
+            }
+            JobInput::Synthetic { total_units } => {
+                self.build_synthetic_tasks(job_id, total_units);
+            }
+        }
+    }
+
+    pub(super) fn handle_locations(&mut self, ctx: &mut Ctx<'_>, reply: LocationsReply) {
+        let job_id = JobId(reply.tag as u32);
+        match reply.view {
+            Some(view) => self.build_file_tasks(job_id, &view),
+            None => {
+                if let Some(job) = self.jobs.get_mut(&job_id.0) {
+                    job.succeeded = false;
+                }
+                self.finalize(ctx, job_id);
+            }
+        }
+    }
+
+    /// Asks the scheduler how to split `total` work items into map tasks.
+    /// (`split = FileSize/NumMappers` under the default uniform plan;
+    /// adaptive policies may oversplit or weight by node speed.)
+    fn plan_splits(&mut self, job_id: JobId, total: u64) -> Option<Vec<u64>> {
+        let job = self.jobs.get(&job_id.0)?;
+        let req = SplitRequest {
+            job: job_id,
+            kernel: job.spec.kernel.name(),
+            total,
+            requested_tasks: job.spec.num_map_tasks,
+            default_tasks: self.total_slots().max(1),
+            live_nodes: &self.live,
+            slots_per_node: self.cfg.map_slots_per_node,
+        };
+        Some(self.scheduler.plan_splits(&req).split(total))
+    }
+
+    /// Builds map tasks for a file job once locations are known.
+    fn build_file_tasks(&mut self, job_id: JobId, view: &FileView) {
+        let record_bytes = self
+            .jobs
+            .get(&job_id.0)
+            .map(|j| j.record_bytes().max(1))
+            .unwrap_or(1);
+        let total_records = view.len.div_ceil(record_bytes);
+        // Balanced division of whole records across tasks (the paper's
+        // split = FileSize/NumMappers with 64 MB records, under the
+        // default plan).
+        let Some(counts) = self.plan_splits(job_id, total_records) else {
+            return;
+        };
+        let Some(job) = self.jobs.get_mut(&job_id.0) else {
+            return;
+        };
+        let mut next_record = 0u64;
+        for records in counts {
+            if records == 0 {
+                continue;
+            }
+            let start = next_record * record_bytes;
+            let end = ((next_record + records) * record_bytes).min(view.len);
+            next_record += records;
+            let blocks: Vec<BlockLoc> = view
+                .blocks
+                .iter()
+                .filter(|b| b.offset < end && b.offset + b.len > start)
+                .cloned()
+                .collect();
+            let mut hints: Vec<NodeId> = Vec::new();
+            for b in &blocks {
+                for &r in &b.replicas {
+                    if !hints.contains(&r) {
+                        hints.push(r);
+                    }
+                }
+            }
+            let work = TaskWork::MapRange {
+                path: view.path.clone(),
+                file_seed: view.seed,
+                start,
+                end,
+                record_bytes,
+                blocks,
+            };
+            job.ledger.push_task(work, hints, false);
+        }
+        job.map_count = job.ledger.tasks().len() as u32;
+        job.phase = Phase::MapRunning;
+    }
+
+    pub(super) fn build_synthetic_tasks(&mut self, job_id: JobId, total_units: u64) {
+        let Some(counts) = self.plan_splits(job_id, total_units) else {
+            return;
+        };
+        let Some(job) = self.jobs.get_mut(&job_id.0) else {
+            return;
+        };
+        for (index, &units) in counts.iter().enumerate() {
+            let work = TaskWork::MapUnits {
+                units,
+                index: index as u64,
+            };
+            job.ledger.push_task(work, Vec::new(), false);
+        }
+        job.map_count = job.ledger.tasks().len() as u32;
+        job.phase = Phase::MapRunning;
+    }
+
+    pub(super) fn check_phase(&mut self, ctx: &mut Ctx<'_>, job_id: JobId) {
+        let Some(job) = self.jobs.get_mut(&job_id.0) else {
+            return;
+        };
+        let maps_done = job.maps_completed == job.map_count;
+        let reduces_done = job.reduce_count > 0 && job.reduces_completed == job.reduce_count;
+        match job.phase {
+            Phase::MapRunning if maps_done => match &job.spec.reduce {
+                ReduceSpec::None => self.finalize(ctx, job_id),
+                ReduceSpec::RpcAggregate { reducer } => {
+                    // Lightweight reducer at the JobTracker.
+                    let pairs = job.totals.kv.len() as u64;
+                    let dur = reducer.reduce_time(16 * pairs, pairs);
+                    job.phase = Phase::ReduceRpc;
+                    ctx.after(dur, job_timer_tag(KIND_REDUCE_RPC, job_id));
+                }
+                ReduceSpec::Shuffle { .. } => self.start_shuffle(ctx, job_id),
+            },
+            // `maps_done` too: a node death during the reduce phase may
+            // have invalidated a completed map (contributions subtracted,
+            // re-execution pending). Finalizing on reduce completion alone
+            // would ship a "succeeded" result missing that map's kv and
+            // digest; the re-executed map's own report re-triggers this
+            // check.
+            Phase::ReduceRunning if reduces_done && maps_done => {
+                self.finalize(ctx, job_id);
+            }
+            _ => {}
+        }
+    }
+
+    fn start_shuffle(&mut self, ctx: &mut Ctx<'_>, job_id: JobId) {
+        let Some(job) = self.jobs.get_mut(&job_id.0) else {
+            return;
+        };
+        let ReduceSpec::Shuffle {
+            reducers,
+            write_output,
+            ..
+        } = job.spec.reduce
+        else {
+            return;
+        };
+        let output_path = match &job.spec.output {
+            OutputSink::Dfs { path, .. } => format!("{path}-reduced"),
+            _ => format!("/{}-reduced", job.spec.name),
+        };
+        // Partition every map output evenly across reducers.
+        let (outputs, total_pairs) = shuffle_outputs(&job.map_outputs);
+        for r in 0..reducers {
+            let work = TaskWork::Reduce {
+                fetches: reduce_fetches(&outputs, reducers, r),
+                pairs: total_pairs / reducers as u64,
+                write_output,
+                output_path: output_path.clone(),
+            };
+            job.ledger.push_task(work, Vec::new(), true);
+        }
+        job.reduce_count = reducers as u32;
+        job.phase = Phase::ReduceRunning;
+        ctx.stats().incr("mr.shuffles_started");
+    }
+
+    pub(super) fn finalize(&mut self, ctx: &mut Ctx<'_>, job_id: JobId) {
+        if let Some(job) = self.jobs.get_mut(&job_id.0) {
+            if job.phase == Phase::Finalizing || job.phase == Phase::Done {
+                return;
+            }
+            job.phase = Phase::Finalizing;
+        }
+        ctx.after(
+            self.cfg.job_finalize_time,
+            job_timer_tag(KIND_FINALIZE, job_id),
+        );
+    }
+
+    pub(super) fn complete(&mut self, ctx: &mut Ctx<'_>, job_id: JobId) {
+        let Some(job) = self.jobs.get_mut(&job_id.0) else {
+            return;
+        };
+        job.phase = Phase::Done;
+        let now = ctx.now();
+        // Flush the slot-seconds integral to the completion instant.
+        job.ledger.settle(now);
+        // Final aggregate for RpcAggregate jobs.
+        let kv = match &job.spec.reduce {
+            ReduceSpec::RpcAggregate { reducer } | ReduceSpec::Shuffle { reducer, .. } => {
+                reducer.aggregate(&job.totals.kv)
+            }
+            ReduceSpec::None => job.totals.kv.clone(),
+        };
+        let result = JobResult {
+            job: job_id,
+            name: job.spec.name.clone(),
+            succeeded: job.succeeded,
+            error: job.error,
+            elapsed: now - job.submitted,
+            tenant: job.spec.tenant.clone(),
+            weight: job.spec.weight,
+            deadline: job.spec.deadline,
+            deadline_met: job.spec.deadline.map(|d| now <= d),
+            slot_seconds: job.ledger.slot_seconds(),
+            share_timeline: job.ledger.share_timeline().to_vec(),
+            preempted_attempts: job.preempted_attempts,
+            wasted_slot_seconds: job.wasted_slot_seconds,
+            map_tasks: job.map_count,
+            reduce_tasks: job.reduce_count,
+            attempts: job.dispatch_log.len() as u32,
+            failed_attempts: job.failed_attempts,
+            speculative_attempts: job.speculative_attempts,
+            bytes_read: job.totals.bytes_read,
+            bytes_output: job.totals.bytes_output,
+            local_reads: job.totals.local_reads,
+            remote_reads: job.totals.remote_reads,
+            kv,
+            digest: (job.totals.digest_acc, job.totals.digest_count),
+            task_times: job.task_times.clone(),
+            scheduler: self.scheduler.name(),
+            dispatch_log: job.dispatch_log.clone(),
+            node_throughput: self.scheduler.throughput_estimates(job.spec.kernel.name()),
+        };
+        let client = job.client;
+        ctx.stats().incr("mr.jobs_completed");
+        let (net, my) = (self.net, self.node);
+        net.unicast(ctx, my, client.1, client.0, 2048, JobComplete { result });
+    }
+}

@@ -154,8 +154,8 @@ impl Scheduler for FairShare {
     ) -> Option<TaskId> {
         // Speculative duplicates are billed to the tenant's running-slot
         // share like any attempt, so only a minimum-share tenant may spend
-        // a slot on one. An empty snapshot (no `pick_job` yet — e.g. this
-        // policy serving as a per-job override) keeps the default open.
+        // a slot on one. An empty snapshot (no `pick_job` yet — a harness
+        // asking for a straggler directly) keeps the default open.
         if !self.min_share_tenants.is_empty()
             && !self.min_share_tenants.iter().any(|t| t == view.tenant)
         {

@@ -427,10 +427,6 @@ pub trait Scheduler: Send {
     /// FIFO job order, proven event-for-event equivalent to the
     /// pre-`pick_job` dispatch loop by the golden multi-job traces
     /// (`job_level_dispatch_is_trace_equivalent`).
-    ///
-    /// Job-level decisions always go to the *cluster* scheduler; a per-job
-    /// override ([`JobSpec::scheduler`](crate::JobSpec::scheduler)) only
-    /// governs decisions within its own job.
     fn pick_job(&mut self, views: &[SchedView<'_>], node: NodeId) -> Option<JobId> {
         let _ = node;
         views.iter().filter(|v| v.eligible).map(|v| v.job).min()
@@ -471,9 +467,7 @@ pub trait Scheduler: Send {
     ///
     /// The default reclaims nothing, so non-preemptive policies are
     /// byte-identical to the pre-hook runtime (pinned by the golden
-    /// traces). Like [`pick_job`](Scheduler::pick_job), reclaim decisions
-    /// always go to the *cluster* scheduler — per-job overrides only
-    /// govern decisions within their own job.
+    /// traces).
     fn reclaim(
         &mut self,
         views: &[SchedView<'_>],

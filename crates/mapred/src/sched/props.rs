@@ -732,3 +732,180 @@ fn zero_budget_preemption_is_trace_identical() {
         "zero-budget preemption perturbed the event stream"
     );
 }
+
+/// The JobTracker's [`SlotLedger`](crate::jobtracker::ledger::SlotLedger)
+/// against an independent model, through seeded random interleavings of
+/// everything that changes a job's running attempts: dispatch, speculative
+/// launch, successful report (killing siblings), stale report, failed
+/// report, preemption kill, and node death (vanished attempts and lost map
+/// outputs). After every step the derived counts, the slot-seconds
+/// integral and the pending queue must agree with the model.
+#[test]
+fn slot_ledger_agrees_with_a_model_under_random_interleavings() {
+    use super::TaskLookup;
+    use crate::job::TaskWork;
+    use crate::jobtracker::ledger::SlotLedger;
+    use accelmr_des::SimDuration;
+
+    const TASKS: usize = 6;
+    const NODES: u64 = 4;
+
+    #[derive(Default, Clone)]
+    struct ModelTask {
+        running: Vec<(u32, NodeId)>,
+        attempts: u32,
+        completed_on: Option<NodeId>,
+    }
+
+    for seed in 0..24 {
+        let mut rng = Xoshiro256::seed_from_u64(0x1ED6E2 ^ seed);
+        let mut now = SimTime::ZERO + SimDuration::from_secs(1);
+        let mut ledger = SlotLedger::new(JobId(seed as u32), now);
+        for index in 0..TASKS as u64 {
+            ledger.push_task(TaskWork::MapUnits { units: 1, index }, Vec::new(), false);
+        }
+        let mut model = vec![ModelTask::default(); TASKS];
+        // Slot-seconds moved outside the timeline by preemption re-billing.
+        let mut charged = 0.0f64;
+        // Attempts killed as speculative losers, whose reports may still
+        // arrive.
+        let mut zombies: Vec<(TaskId, u32, NodeId)> = Vec::new();
+
+        for step in 0..400 {
+            now += SimDuration::from_millis(rng.range_inclusive(0, 900));
+            // A running attempt picked at random, if any: (task, attempt, node).
+            let running: Vec<(usize, u32, NodeId)> = model
+                .iter()
+                .enumerate()
+                .flat_map(|(t, m)| m.running.iter().map(move |&(a, n)| (t, a, n)))
+                .collect();
+            let victim = rng.choose_index(running.len()).map(|i| running[i]);
+            let node = NodeId(rng.range_inclusive(1, NODES) as u32);
+            match rng.next_below(8) {
+                // Dispatch a pending task (twice as likely as the rest).
+                0 | 1 => {
+                    ledger.make_contiguous();
+                    if let Some(idx) = rng.choose_index(ledger.pending().len()) {
+                        let task = ledger.take_pending(idx).expect("index in range");
+                        let attempt = ledger.add_attempt(task, node, now);
+                        let m = &mut model[task.0 as usize];
+                        m.attempts += 1;
+                        assert_eq!(attempt, m.attempts);
+                        m.running.push((attempt, node));
+                    }
+                }
+                // Speculative copy of a running incomplete task.
+                2 => {
+                    if let Some((t, _, _)) = victim {
+                        let attempt = ledger.add_attempt(TaskId(t as u32), node, now);
+                        model[t].attempts += 1;
+                        model[t].running.push((attempt, node));
+                    }
+                }
+                // Successful report: the task completes, siblings die.
+                3 => {
+                    if let Some((t, a, n)) = victim {
+                        let removed = ledger.complete(TaskId(t as u32), n, now);
+                        let removed: Vec<(u32, NodeId)> =
+                            removed.iter().map(|&(a, n, _)| (a, n)).collect();
+                        assert_eq!(removed, model[t].running, "seed {seed} step {step}");
+                        for &(sa, sn) in removed.iter().filter(|&&s| s != (a, n)) {
+                            zombies.push((TaskId(t as u32), sa, sn));
+                        }
+                        model[t].running.clear();
+                        model[t].completed_on = Some(n);
+                    }
+                }
+                // A killed sibling's report arrives after all: nothing to
+                // remove, nothing changes.
+                4 => {
+                    if let Some((task, a, n)) = zombies.pop() {
+                        let removed = ledger.remove_attempts(task, now, |x, y| x == a && y == n);
+                        assert!(removed.is_empty(), "seed {seed} step {step}");
+                    }
+                }
+                // Failed report, or a preemption kill (which also re-bills
+                // the attempt's runtime): the one attempt leaves.
+                5 | 6 => {
+                    if let Some((t, a, n)) = victim {
+                        let removed =
+                            ledger.remove_attempts(TaskId(t as u32), now, |x, y| x == a && y == n);
+                        assert_eq!(removed.len(), 1, "seed {seed} step {step}");
+                        if rng.next_below(2) == 0 {
+                            let elapsed = now.since(removed[0].2).as_secs_f64();
+                            ledger.charge(-elapsed);
+                            charged -= elapsed;
+                        }
+                        model[t].running.retain(|&r| r != (a, n));
+                    }
+                }
+                // Node death: its attempts vanish, its completed outputs
+                // are lost.
+                _ => {
+                    for (t, m) in model.iter_mut().enumerate() {
+                        let task = TaskId(t as u32);
+                        let removed = ledger.remove_attempts(task, now, |_, n| n == node);
+                        let before = m.running.len();
+                        m.running.retain(|&(_, n)| n != node);
+                        assert_eq!(removed.len(), before - m.running.len());
+                        assert_eq!(ledger.task(task).ran_on, m.completed_on);
+                        if m.completed_on == Some(node) {
+                            ledger.uncomplete(task, now);
+                            m.completed_on = None;
+                        }
+                    }
+                }
+            }
+
+            let ctx = format!("seed {seed} step {step}");
+            // The task table itself.
+            for (t, m) in model.iter().enumerate() {
+                let view = ledger.get(t);
+                let running: Vec<(u32, NodeId)> =
+                    view.running.iter().map(|&(a, n, _)| (a, n)).collect();
+                assert_eq!(running, m.running, "{ctx}: running list of task {t}");
+                assert_eq!(view.completed, m.completed_on.is_some(), "{ctx}");
+                assert_eq!(ledger.task(TaskId(t as u32)).attempts, m.attempts, "{ctx}");
+            }
+            // running_now = Σ running; running_tasks = #{incomplete ∧ running}.
+            let running_now: usize = model.iter().map(|m| m.running.len()).sum();
+            assert_eq!(ledger.running_now() as usize, running_now, "{ctx}");
+            let running_tasks = model
+                .iter()
+                .filter(|m| m.completed_on.is_none() && !m.running.is_empty())
+                .count();
+            assert_eq!(ledger.running_tasks() as usize, running_tasks, "{ctx}");
+            // The timeline ends at the current level, and its integral (up
+            // to its last step, where the ledger last integrated) plus the
+            // re-billed seconds is the slot-seconds figure.
+            let timeline = ledger.share_timeline();
+            assert_eq!(
+                timeline.last().map_or(0, |&(_, level)| level as usize),
+                running_now,
+                "{ctx}"
+            );
+            let integral: f64 = timeline
+                .windows(2)
+                .map(|w| w[0].1 as f64 * w[1].0.since(w[0].0).as_secs_f64())
+                .sum();
+            assert!(
+                (ledger.slot_seconds() - (integral + charged)).abs() < 1e-9,
+                "{ctx}: slot_seconds {} vs timeline {} + charged {}",
+                ledger.slot_seconds(),
+                integral,
+                charged
+            );
+            // Pending holds exactly the idle incomplete tasks, each once.
+            ledger.make_contiguous();
+            let mut queued: Vec<u32> = ledger.pending().iter().map(|t| t.0).collect();
+            queued.sort_unstable();
+            let idle: Vec<u32> = (0..TASKS as u32)
+                .filter(|&t| {
+                    let m = &model[t as usize];
+                    m.completed_on.is_none() && m.running.is_empty()
+                })
+                .collect();
+            assert_eq!(queued, idle, "{ctx}: pending queue");
+        }
+    }
+}

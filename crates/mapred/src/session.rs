@@ -667,6 +667,44 @@ impl MrCluster {
 
 const SUBMIT_TIMER_TAG: u64 = 1;
 
+/// The schedule a driver actor works through: actions sorted by offset
+/// (stable, so same-instant actions keep the order they were queued in),
+/// anchored at the driver's `Start` instant and drained front to back,
+/// with one timer armed per pending action.
+struct Timeline<A> {
+    actions: Vec<(SimDuration, A)>,
+    next: usize,
+    start: SimTime,
+}
+
+impl<A: Copy> Timeline<A> {
+    fn new(mut actions: Vec<(SimDuration, A)>) -> Self {
+        actions.sort_by_key(|&(at, _)| at);
+        Timeline {
+            actions,
+            next: 0,
+            start: SimTime::ZERO,
+        }
+    }
+
+    /// Pops the next action if it is due at `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<A> {
+        let &(at, action) = self.actions.get(self.next)?;
+        if self.start + at > now {
+            return None;
+        }
+        self.next += 1;
+        Some(action)
+    }
+
+    /// Arms a timer for the next pending action, if any.
+    fn arm_next(&self, ctx: &mut Ctx<'_>) {
+        if let Some(&(at, _)) = self.actions.get(self.next) {
+            ctx.after_at(self.start + at, 0);
+        }
+    }
+}
+
 /// Applies scheduled membership changes from inside the simulation: at
 /// each event's instant it either assembles and wires a whole new node
 /// (fabric links, DataNode, TaskTracker, registries, NameNode/JobTracker
@@ -677,11 +715,7 @@ struct ChurnDriver {
     elastic: ElasticCtx,
     mr: MrHandle,
     dfs: DfsHandle,
-    /// Events sorted by time (stable: same-instant events keep schedule
-    /// order), drained front to back.
-    events: Vec<(SimDuration, ChurnChange)>,
-    next: usize,
-    start: SimTime,
+    changes: Timeline<ChurnChange>,
 }
 
 impl ChurnDriver {
@@ -689,38 +723,24 @@ impl ChurnDriver {
         elastic: ElasticCtx,
         mr: MrHandle,
         dfs: DfsHandle,
-        mut events: Vec<(SimDuration, ChurnChange)>,
+        changes: Vec<(SimDuration, ChurnChange)>,
     ) -> Self {
-        events.sort_by_key(|&(at, _)| at);
         ChurnDriver {
             elastic,
             mr,
             dfs,
-            events,
-            next: 0,
-            start: SimTime::ZERO,
-        }
-    }
-
-    fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(&(at, _)) = self.events.get(self.next) {
-            ctx.after_at(self.start + at, 0);
+            changes: Timeline::new(changes),
         }
     }
 
     fn run_due(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        while let Some(&(at, change)) = self.events.get(self.next) {
-            if self.start + at > now {
-                break;
-            }
-            self.next += 1;
+        while let Some(change) = self.changes.pop_due(ctx.now()) {
             match change {
                 ChurnChange::Join(node) => self.join(ctx, node),
                 ChurnChange::Leave(node) => self.leave(ctx, node),
             }
         }
-        self.arm_next(ctx);
+        self.changes.arm_next(ctx);
     }
 
     /// Assembles one joining node. Ordering within the instant matters:
@@ -793,7 +813,7 @@ impl Actor for ChurnDriver {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
             Event::Start => {
-                self.start = ctx.now();
+                self.changes.start = ctx.now();
                 self.run_due(ctx);
             }
             Event::Timer { .. } => self.run_due(ctx),
@@ -803,48 +823,30 @@ impl Actor for ChurnDriver {
 }
 
 /// Applies a [`FaultPlan`]'s primitive actions from inside the simulation,
-/// mirroring [`ChurnDriver`]'s timeline mechanics exactly: events sorted
-/// stable by offset, anchored at the driver's `Start` instant, one timer
-/// armed per pending event. NIC-factor actions go through the fabric's
+/// on the same [`Timeline`] mechanics as [`ChurnDriver`] (same-instant
+/// actions keep expansion order, so applies precede their own heals).
+/// NIC-factor actions go through the fabric's
 /// node-bandwidth control; gray and heartbeat-loss actions are routed to
 /// the victim's TaskTracker actor. Actions on nodes that have since left
 /// the cluster are silently dropped — chaos composes with churn.
 struct FaultDriver {
     mr: MrHandle,
-    /// Actions sorted by time (stable: same-instant actions keep expansion
-    /// order, so applies precede their own heals), drained front to back.
-    events: Vec<(SimDuration, FaultAction)>,
-    next: usize,
-    start: SimTime,
+    actions: Timeline<FaultAction>,
 }
 
 impl FaultDriver {
-    fn new(mr: MrHandle, mut events: Vec<(SimDuration, FaultAction)>) -> Self {
-        events.sort_by_key(|&(at, _)| at);
+    fn new(mr: MrHandle, actions: Vec<(SimDuration, FaultAction)>) -> Self {
         FaultDriver {
             mr,
-            events,
-            next: 0,
-            start: SimTime::ZERO,
-        }
-    }
-
-    fn arm_next(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(&(at, _)) = self.events.get(self.next) {
-            ctx.after_at(self.start + at, 0);
+            actions: Timeline::new(actions),
         }
     }
 
     fn run_due(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        while let Some(&(at, action)) = self.events.get(self.next) {
-            if self.start + at > now {
-                break;
-            }
-            self.next += 1;
+        while let Some(action) = self.actions.pop_due(ctx.now()) {
             self.apply(ctx, action);
         }
-        self.arm_next(ctx);
+        self.actions.arm_next(ctx);
     }
 
     fn apply(&mut self, ctx: &mut Ctx<'_>, action: FaultAction) {
@@ -875,7 +877,7 @@ impl Actor for FaultDriver {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
             Event::Start => {
-                self.start = ctx.now();
+                self.actions.start = ctx.now();
                 self.run_due(ctx);
             }
             Event::Timer { .. } => self.run_due(ctx),

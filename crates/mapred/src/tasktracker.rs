@@ -680,9 +680,6 @@ impl TaskTracker {
         });
         ctx.stats()
             .incr(if ok { "mr.tasks_ok" } else { "mr.tasks_failed" });
-        if !self.cfg.assign_on_heartbeat_only {
-            self.send_heartbeat(ctx);
-        }
     }
 
     fn fail_task(&mut self, ctx: &mut Ctx<'_>, slot: usize, gen: u32) {

