@@ -241,13 +241,15 @@ fn run_and_report(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> Samp
         s.replications, s.abort_scanned, s.joined_dispatches
     );
     println!(
-        "  solver: {} calls, {} rounds, {} flow visits   queue: peak {} pending, {} pushes, {} timer rearms",
+        "  solver: {} calls, {} rounds, {} flow visits   queue: peak {} pending, {} pushes, {} timer rearms, {} rungs spawned, cur peak {}",
         s.solver_calls,
         s.solver_rounds,
         s.comp_visits,
         s.queue.peak_depth,
         s.queue.pushes,
-        s.queue.timer_rearms
+        s.queue.timer_rearms,
+        s.queue.rungs_spawned,
+        s.queue.peak_cur_len
     );
     println!(
         "  per-event cost {:.0} ns mean; by actor class:",

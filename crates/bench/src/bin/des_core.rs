@@ -2,8 +2,8 @@
 //!
 //! The macro benches (`net_scale`, `churn_scale`) measure the simulator
 //! with the full fabric/DFS/MapReduce stack on top; this bin isolates the
-//! `accelmr-des` core so queue regressions are attributable. Three
-//! workloads, one per hot path of the calendar-queue overhaul:
+//! `accelmr-des` core so queue regressions are attributable. Four
+//! workloads, one per hot path of the event queue:
 //!
 //! * `timer_wheel` — thousands of staggered periodic timers rearming in
 //!   place (the heartbeat shape: `Payload::Timer` is inline, the rearm
@@ -15,6 +15,13 @@
 //! * `cancel_churn` — timers armed and immediately re-armed before firing
 //!   (the retry/timeout shape: a cancel is one generation bump, and the
 //!   stale queue entry is dropped on pop without a hash lookup).
+//! * `skewed_horizon` — heartbeats at two periods (1 ms and 3 ms) beside
+//!   as many one-shot timers 10^4 periods out (the long-kernel shape: a Pi
+//!   map on the accelerator while the cluster heartbeats). A wheel whose
+//!   bucket width follows the pending *span* puts every heartbeat inside
+//!   one bucket and sorts each rearm into the middle of it; the ladder
+//!   splits that bucket. Asserted as a ratio to `timer_wheel` on the same
+//!   run.
 //!
 //! Writes the `des_core` section of `BENCH_perf.json`
 //! (`BENCH_perf.quick.json` under `--quick`, the CI smoke path).
@@ -25,6 +32,20 @@ use accelmr_des::prelude::*;
 
 const TAG_TICK: u64 = 1;
 const TAG_RETRY: u64 = 2;
+
+/// Heartbeat actors in `skewed_horizon`, `--quick` included: the cost being
+/// guarded is a sorted insert into a run as long as the actor count, which
+/// a few hundred actors do not show.
+const SKEWED_ACTORS: usize = 8_192;
+
+/// Floor on `skewed_horizon` / `timer_wheel` events/s within one run. The
+/// ladder queue measures 0.83-1.05 (full) and 0.76-0.96 (`--quick`); the
+/// single span-wide wheel before it ([`BEFORE`]) 0.04-0.06 and 0.05-0.08.
+const SKEWED_RATIO_BAR: f64 = 0.4;
+
+/// The parent commit's queue under this bin (median of five full runs on
+/// the machine that regenerated the section, events/s).
+const BEFORE: &str = "{ \"commit\": \"5f6cbaf\", \"timer_wheel\": 14967892, \"msg_bursts\": 3019367, \"cancel_churn\": 7356188, \"skewed_horizon\": 679714, \"skewed_over_timer_wheel\": 0.05 }";
 
 /// A heartbeat-shaped actor: one periodic timer, re-armed in place for a
 /// fixed number of firings. Intervals are staggered per actor so firings
@@ -132,6 +153,19 @@ impl Actor for CancelChurn {
     }
 }
 
+/// One far-out deadline, armed at start and never touched again.
+struct OneShot {
+    delay: SimDuration,
+}
+
+impl Actor for OneShot {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        if let Event::Start = ev {
+            ctx.after(self.delay, TAG_RETRY);
+        }
+    }
+}
+
 struct Sample {
     workload: &'static str,
     actors: usize,
@@ -142,6 +176,8 @@ struct Sample {
     peak_depth: u64,
     cancelled_drops: u64,
     timer_rearms: u64,
+    rungs_spawned: u64,
+    peak_cur_len: u64,
 }
 
 fn finish(workload: &'static str, actors: usize, mut sim: Sim, started: Instant) -> Sample {
@@ -158,6 +194,8 @@ fn finish(workload: &'static str, actors: usize, mut sim: Sim, started: Instant)
         peak_depth: q.peak_depth,
         cancelled_drops: q.cancelled_drops,
         timer_rearms: q.timer_rearms,
+        rungs_spawned: q.rungs_spawned,
+        peak_cur_len: q.peak_cur_len,
     }
 }
 
@@ -171,6 +209,22 @@ fn timer_wheel(actors: usize, firings: u64) -> Sample {
         }));
     }
     finish("timer_wheel", actors, sim, Instant::now())
+}
+
+fn skewed_horizon(actors: usize, firings: u64) -> Sample {
+    let mut sim = Sim::new(4);
+    for i in 0..actors as u64 {
+        sim.spawn(Box::new(TimerLoop {
+            // Two heartbeat periods, 1 ms and 3 ms (the DataNode / TaskTracker
+            // pair), so a rearm lands among pending firings, not after them.
+            interval: SimDuration::from_nanos((1 + i % 2 * 2) * 1_000_000 + (i % 97) * 1_013),
+            remaining: firings,
+        }));
+        sim.spawn(Box::new(OneShot {
+            delay: SimDuration::from_secs(10) + SimDuration::from_nanos(i * 7_919),
+        }));
+    }
+    finish("skewed_horizon", 2 * actors, sim, Instant::now())
 }
 
 fn msg_bursts(actors: usize, fanout: u32) -> Sample {
@@ -213,7 +267,7 @@ fn main() {
 
     println!("# des_core — event-engine microbench (calendar queue hot paths)");
     println!(
-        "{:>12} {:>7} {:>9} {:>8} {:>12} {:>10} {:>10} {:>9} {:>8}",
+        "{:>14} {:>7} {:>9} {:>8} {:>12} {:>10} {:>10} {:>9} {:>8} {:>6} {:>8}",
         "workload",
         "actors",
         "events",
@@ -222,16 +276,19 @@ fn main() {
         "pushes",
         "peak",
         "cancelled",
-        "rearms"
+        "rearms",
+        "rungs",
+        "peak_cur"
     );
     let samples = [
         timer_wheel(n, firings),
         msg_bursts(n, fanout),
         cancel_churn(n / 2, ticks),
+        skewed_horizon(SKEWED_ACTORS, firings),
     ];
     for s in &samples {
         println!(
-            "{:>12} {:>7} {:>9} {:>8.3} {:>12.0} {:>10} {:>10} {:>9} {:>8}",
+            "{:>14} {:>7} {:>9} {:>8.3} {:>12.0} {:>10} {:>10} {:>9} {:>8} {:>6} {:>8}",
             s.workload,
             s.actors,
             s.events,
@@ -240,7 +297,9 @@ fn main() {
             s.pushes,
             s.peak_depth,
             s.cancelled_drops,
-            s.timer_rearms
+            s.timer_rearms,
+            s.rungs_spawned,
+            s.peak_cur_len
         );
     }
     // Workload-shape sanity: the rearm path and the cancel path must have
@@ -251,11 +310,23 @@ fn main() {
         "cancel_churn never dropped a stale arming"
     );
 
+    // The far-out one-shots must not slow the heartbeats beside them: a
+    // queue that sorts every rearm into one span-wide bucket fails here.
+    let skewed_ratio = samples[3].events_per_sec / samples[0].events_per_sec;
+    println!(
+        "skewed_horizon / timer_wheel events/s: {skewed_ratio:.2} (bar {SKEWED_RATIO_BAR}), {} rungs spawned",
+        samples[3].rungs_spawned
+    );
+    assert!(
+        skewed_ratio >= SKEWED_RATIO_BAR,
+        "skewed_horizon runs at {skewed_ratio:.2} of timer_wheel (bar {SKEWED_RATIO_BAR})"
+    );
+
     let rows: Vec<String> = samples
         .iter()
         .map(|s| {
             format!(
-                "    {{ \"workload\": \"{}\", \"actors\": {}, \"events\": {}, \"wall_s\": {:.4}, \"events_per_sec\": {:.0}, \"pushes\": {}, \"peak_depth\": {}, \"cancelled_drops\": {}, \"timer_rearms\": {} }}",
+                "    {{ \"workload\": \"{}\", \"actors\": {}, \"events\": {}, \"wall_s\": {:.4}, \"events_per_sec\": {:.0}, \"pushes\": {}, \"peak_depth\": {}, \"cancelled_drops\": {}, \"timer_rearms\": {}, \"rungs_spawned\": {}, \"peak_cur_len\": {} }}",
                 s.workload,
                 s.actors,
                 s.events,
@@ -264,12 +335,14 @@ fn main() {
                 s.pushes,
                 s.peak_depth,
                 s.cancelled_drops,
-                s.timer_rearms
+                s.timer_rearms,
+                s.rungs_spawned,
+                s.peak_cur_len
             )
         })
         .collect();
     let section = format!(
-        "{{\n    \"scenario\": \"engine-only: staggered periodic timers, same-instant message bursts, cancel-heavy retries\",\n    \"quick\": {quick},\n    \"runs\": [\n{}\n    ]\n  }}",
+        "{{\n    \"scenario\": \"engine-only: staggered periodic timers, same-instant message bursts, cancel-heavy retries, heartbeats beside far-out one-shots\",\n    \"quick\": {quick},\n    \"skewed_over_timer_wheel\": {skewed_ratio:.2},\n    \"ratio_bar\": {SKEWED_RATIO_BAR},\n    \"before\": {BEFORE},\n    \"runs\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     );
     let out = if quick {

@@ -13,8 +13,15 @@ pub fn quick_mode() -> bool {
 /// `BENCH_perf.json` trajectory.
 pub fn queue_stats_json(q: &accelmr_des::QueueStats) -> String {
     format!(
-        "{{ \"pushes\": {}, \"peak_depth\": {}, \"cancelled_drops\": {}, \"dead_actor_drops\": {}, \"timer_rearms\": {}, \"timer_slots\": {} }}",
-        q.pushes, q.peak_depth, q.cancelled_drops, q.dead_actor_drops, q.timer_rearms, q.timer_slots
+        "{{ \"pushes\": {}, \"peak_depth\": {}, \"cancelled_drops\": {}, \"dead_actor_drops\": {}, \"timer_rearms\": {}, \"timer_slots\": {}, \"rungs_spawned\": {}, \"peak_cur_len\": {} }}",
+        q.pushes,
+        q.peak_depth,
+        q.cancelled_drops,
+        q.dead_actor_drops,
+        q.timer_rearms,
+        q.timer_slots,
+        q.rungs_spawned,
+        q.peak_cur_len
     )
 }
 

@@ -279,6 +279,7 @@ impl Sim {
             }
             self.dispatch_one();
         }
+        self.core.queue.report(self.core.stats.queue_mut());
         RunSummary {
             end_time: self.core.now,
             events: self.core.events_processed,
@@ -292,6 +293,7 @@ impl Sim {
             return false;
         }
         self.dispatch_one();
+        self.core.queue.report(self.core.stats.queue_mut());
         true
     }
 
@@ -341,7 +343,10 @@ impl Sim {
             },
             Payload::Msg { from, msg } => Event::Msg { from, msg },
         };
-        self.core.trace.record(q.at, q.target, ev.label());
+        // `label()` is a virtual call per message: only pay it when traced.
+        if self.core.trace.is_enabled() {
+            self.core.trace.record(q.at, q.target, ev.label());
+        }
         self.core.events_processed += 1;
 
         // Advance the firing timer's generation *before* the handler runs:

@@ -121,6 +121,12 @@ pub struct QueueStats {
     /// Distinct timer slots ever allocated (live armings never exceed
     /// this; periodic timers hold one slot forever).
     pub timer_slots: u64,
+    /// Crowded buckets the queue split into a finer child rung rather than
+    /// sorting (see `queue.rs`; as of the last `run_until` / `step`).
+    pub rungs_spawned: u64,
+    /// Longest the queue's sorted current run ever was — pushes into it
+    /// are the only ones that cost a search and a shift.
+    pub peak_cur_len: u64,
 }
 
 /// Per-actor-class event cost, collected only when profiling is enabled
@@ -141,10 +147,31 @@ pub struct ActorCost {
     pub nanos: u64,
 }
 
+/// Entries in the counter memo (direct-mapped on the name's address).
+const MEMO: usize = 256;
+
+/// `(address, length, slot)` of the counter name last seen at each index.
+/// A `&'static str` with the same address and length is the same bytes for
+/// the life of the program; the zeroed entry matches none (no `str` lives
+/// at address 0).
+#[derive(Debug)]
+struct CounterMemo([(usize, usize, usize); MEMO]);
+
+impl Default for CounterMemo {
+    fn default() -> Self {
+        CounterMemo([(0, 0, 0); MEMO])
+    }
+}
+
 /// Metric sink owned by the engine and shared with all actors via `Ctx`.
 #[derive(Debug, Default)]
 pub struct Stats {
-    counters: FxHashMap<&'static str, u64>,
+    /// Counters in first-touch order; `counter_slots` finds a name's slot
+    /// by content, `counter_memo` by address without hashing the string
+    /// (call sites pass literals, so a hot counter hits it every time).
+    counters: Vec<(&'static str, u64)>,
+    counter_slots: FxHashMap<&'static str, usize>,
+    counter_memo: CounterMemo,
     gauges: FxHashMap<&'static str, f64>,
     histograms: FxHashMap<&'static str, LogHistogram>,
     queue: QueueStats,
@@ -163,7 +190,19 @@ impl Stats {
     /// Adds `delta` to counter `name` (creating it at zero).
     #[inline]
     pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        let (addr, len) = (name.as_ptr() as usize, name.len());
+        let memo = &mut self.counter_memo.0[addr % MEMO];
+        if (memo.0, memo.1) != (addr, len) {
+            // Another name (or none) holds this entry: resolve by content,
+            // so equal strings at two addresses still share one counter.
+            let next = self.counters.len();
+            let slot = *self.counter_slots.entry(name).or_insert(next);
+            if slot == next {
+                self.counters.push((name, 0));
+            }
+            *memo = (addr, len, slot);
+        }
+        self.counters[memo.2].1 += delta;
     }
 
     /// Increments counter `name` by one.
@@ -174,7 +213,9 @@ impl Stats {
 
     /// Reads counter `name` (0 when absent).
     pub fn counter(&self, name: &'static str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counter_slots
+            .get(name)
+            .map_or(0, |&slot| self.counters[slot].1)
     }
 
     /// Sets gauge `name`.
@@ -207,7 +248,7 @@ impl Stats {
 
     /// Iterates counters in sorted-name order (for stable reports).
     pub fn counters_sorted(&self) -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = self.counters.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut v = self.counters.clone();
         v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
@@ -267,6 +308,8 @@ impl Stats {
     /// at spawn stay valid); the per-class counts are zeroed.
     pub fn reset(&mut self) {
         self.counters.clear();
+        self.counter_slots.clear();
+        self.counter_memo = CounterMemo::default();
         self.gauges.clear();
         self.histograms.clear();
         self.queue = QueueStats::default();
@@ -334,6 +377,62 @@ mod tests {
         assert_eq!(s.counters_sorted(), vec![("a", 2), ("z", 1)]);
         s.reset();
         assert!(s.counters_sorted().is_empty());
+    }
+
+    fn leak(s: String) -> &'static str {
+        Box::leak(s.into_boxed_str())
+    }
+
+    #[test]
+    fn equal_names_at_two_addresses_share_one_counter() {
+        let (a, b) = ("dup.name", leak(String::from("dup.name")));
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        let mut s = Stats::new();
+        for _ in 0..3 {
+            s.add(a, 1);
+            s.add(b, 10);
+        }
+        assert_eq!(s.counter("dup.name"), 33);
+        assert_eq!(s.counters_sorted(), vec![("dup.name", 33)]);
+    }
+
+    #[test]
+    fn reset_forgets_memoised_slots() {
+        let mut s = Stats::new();
+        s.add("x", 1);
+        s.add("y", 2);
+        s.reset();
+        // A stale memo entry would send "y" to slot 1 of an empty table.
+        s.add("y", 5);
+        assert_eq!(s.counters_sorted(), vec![("y", 5)]);
+        assert_eq!(s.counter("x"), 0);
+    }
+
+    #[test]
+    fn memo_collisions_fall_back_to_the_map() {
+        // Slices of one buffer: `near` and `far` sit exactly MEMO bytes
+        // apart (same memo entry, different content); `longer` shares
+        // `near`'s address but not its length.
+        let buf = leak(("abcdefgh".repeat(MEMO / 8)) + "ABCDEFGH");
+        let (near, longer, far) = (&buf[..4], &buf[..5], &buf[MEMO..MEMO + 4]);
+        // And three times more hot names than the memo has entries.
+        let names: Vec<&'static str> = (0..3 * MEMO).map(|i| leak(format!("n{i}"))).collect();
+        let mut s = Stats::new();
+        for round in 1..=4u64 {
+            s.add(near, 1);
+            s.add(far, 100);
+            s.add(longer, 10_000);
+            for (i, name) in names.iter().enumerate() {
+                s.add(name, round * i as u64);
+            }
+        }
+        assert_eq!(s.counter("abcd"), 4);
+        assert_eq!(s.counter("ABCD"), 400);
+        assert_eq!(s.counter("abcde"), 40_000);
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(s.counter(name), 10 * i as u64, "{name}");
+        }
+        assert_eq!(s.counters_sorted().len(), 3 + names.len());
     }
 
     #[test]
