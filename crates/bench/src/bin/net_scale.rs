@@ -13,7 +13,18 @@
 //! solves however many flows it carries; a fabric change that prices
 //! per flow, or moves a completion, fails here. (The per-flow-event global
 //! solver this engine replaced is kept as a test-only oracle in
-//! `accelmr-net`; its last measured figures are the `before` object.)
+//! `accelmr-net`: 12,333 solves and 183x the wall at 256 nodes when last
+//! measured, at 5e8d4b6.)
+//!
+//! The shuffle rows are also the **bypass side** of the fabric's route
+//! classes (flows sharing links and cap are one solver entry): every
+//! (source, destination) pair here is distinct, so every class has exactly
+//! one member, the class index buys nothing and its upkeep is pure cost.
+//! Each row asserts `net.comp_flow_visits / net.comp_class_visits` is
+//! exactly 1 so it stays that side, and the `before` object holds the
+//! parent commit's 1024-node rate measured beside this commit's, so the
+//! cost is on the record. The incast rows are the other side: 1,024 senders,
+//! so 16 and then 32 flows per class, asserted likewise.
 //!
 //! A second scenario, `incast`, guards the per-flow bookkeeping: N and then
 //! 2N equal flows (N = 16,384) into one receiver, all finishing at one
@@ -29,7 +40,7 @@
 use std::time::Instant;
 
 use accelmr_des::prelude::*;
-use accelmr_des::QueueStats;
+use accelmr_des::{QueueStats, Stats};
 use accelmr_net::{Fabric, FlowDone, NetConfig, NetHandle, NodeId};
 
 /// Drives `waves` shuffle waves: each wave starts every fetch at one
@@ -138,6 +149,12 @@ impl Actor for IncastDriver {
     }
 }
 
+/// `net.comp_flow_visits / net.comp_class_visits`: flows re-priced per
+/// solver entry fed, over the whole run.
+fn flows_per_class(stats: &Stats) -> f64 {
+    stats.counter("net.comp_flow_visits") as f64 / stats.counter("net.comp_class_visits") as f64
+}
+
 /// Best-of-`REPS` wall seconds and the (identical every time) simulated
 /// makespan of one incast of `flows` flows.
 fn run_incast(flows: u64) -> (f64, f64) {
@@ -165,9 +182,27 @@ fn run_incast(flows: u64) -> (f64, f64) {
             sim.stats().counter("net.solver_calls") <= 2,
             "incast must price once and finish at one instant"
         );
+        assert_eq!(
+            flows_per_class(sim.stats()),
+            (flows / u64::from(INCAST_SENDERS)) as f64,
+            "incast: every sender's flows are one class"
+        );
     }
     (best, makespan_s)
 }
+
+/// The parent commit (per-flow link lists and solver entries) beside this
+/// one on the machine that regenerated the section: the 1024-node shuffle
+/// row's events/s, best and median of 16 runs each in two alternating
+/// series of 8 (the series read 1.00 and 0.77 by best, 0.95 and 0.86 by
+/// median: the host swings by more than the gap). Route classes cost the
+/// one-member-per-class shuffle about a tenth at this size — cache
+/// footprint, at par at 256 nodes — where they take 40-60% off the runs
+/// that share routes (`churn_scale`).
+const BEFORE: &str = "{ \"commit\": \"24a026b\", \"nodes\": 1024, \"runs_each\": 16, \"events_per_sec_best\": 2384006, \"events_per_sec_median\": 1691674, \"this_commit_events_per_sec_best\": 2118090, \"this_commit_events_per_sec_median\": 1533037, \"best_over_before\": 0.89, \"median_over_before\": 0.91 }";
+/// Likewise for the incast: medians of the same 16 runs each (every run
+/// the best of its 7 repetitions). This commit read 0.00655 / 0.01635 s.
+const INCAST_BEFORE: &str = "{ \"commit\": \"24a026b\", \"wall_n_s\": 0.00725, \"wall_2n_s\": 0.01700, \"wall_ratio_2n_over_n\": 2.34 }";
 
 /// Pinned simulated outcome per size: (nodes, `net.solver_calls`,
 /// makespan in nanoseconds). Three waves in full mode, two under `--quick`.
@@ -189,6 +224,7 @@ struct Sample {
     events: u64,
     events_per_sec: f64,
     solver_calls: u64,
+    class_visits: u64,
     makespan: SimTime,
     queue: QueueStats,
 }
@@ -219,6 +255,11 @@ fn run_scenario(nodes: u32, waves: u32) -> Sample {
         flows,
         u64::from(nodes) * u64::from(fanin) * u64::from(waves)
     );
+    assert_eq!(
+        flows_per_class(sim.stats()),
+        1.0,
+        "{nodes} nodes: the shuffle rows are the one-member-per-class side"
+    );
     Sample {
         nodes,
         flows,
@@ -226,6 +267,7 @@ fn run_scenario(nodes: u32, waves: u32) -> Sample {
         events: summary.events,
         events_per_sec: summary.events as f64 / wall_s.max(1e-9),
         solver_calls: sim.stats().counter("net.solver_calls"),
+        class_visits: sim.stats().counter("net.comp_class_visits"),
         makespan: summary.end_time,
         queue: sim.stats().queue(),
     }
@@ -262,6 +304,8 @@ fn main() {
         samples.push(s);
     }
 
+    println!("every row: 1 flow re-priced per solver entry fed (asserted: the one-member-per-class side)");
+
     // Incast: the linear-unlink bar. Same size under `--quick`: the whole
     // row costs ~0.1 s, and at 2k flows the scan it guards against is
     // still cheap enough to slip under the bar (measured 2.6 on the
@@ -272,7 +316,9 @@ fn main() {
     let (wall_2n, makespan_2n) = run_incast(incast_2n);
     let incast_ratio = wall_2n / wall_n.max(1e-9);
     println!(
-        "\nincast into one receiver: {incast_n} flows {wall_n:.4} s, {incast_2n} flows {wall_2n:.4} s wall -> 2N/N ratio {incast_ratio:.2} (linear 2, bar {INCAST_RATIO_BAR})"
+        "\nincast into one receiver: {incast_n} flows {wall_n:.4} s, {incast_2n} flows {wall_2n:.4} s wall -> 2N/N ratio {incast_ratio:.2} (linear 2, bar {INCAST_RATIO_BAR}); {} and {} flows per class (asserted)",
+        incast_n / u64::from(INCAST_SENDERS),
+        incast_2n / u64::from(INCAST_SENDERS)
     );
     assert!(
         incast_ratio < INCAST_RATIO_BAR,
@@ -283,15 +329,15 @@ fn main() {
         .iter()
         .map(|s| {
             format!(
-                "    {{ \"nodes\": {}, \"flows\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.0}, \"solver_calls\": {}, \"makespan_s\": {:.6}, \"queue\": {} }}",
-                s.nodes, s.flows, s.wall_s, s.events, s.events_per_sec, s.solver_calls, s.makespan.as_secs_f64(), accelmr_bench::queue_stats_json(&s.queue)
+                "    {{ \"nodes\": {}, \"flows\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.0}, \"solver_calls\": {}, \"comp_class_visits\": {}, \"flows_per_class\": 1, \"makespan_s\": {:.6}, \"queue\": {} }}",
+                s.nodes, s.flows, s.wall_s, s.events, s.events_per_sec, s.solver_calls, s.class_visits, s.makespan.as_secs_f64(), accelmr_bench::queue_stats_json(&s.queue)
             )
         })
         .collect();
-    // `before`: the per-flow-event global solver (the fabric's former
-    // `Reference` mode), last measured at 5e8d4b6 on the 256-node row.
     let section = format!(
-        "{{\n    \"scenario\": \"terasort-style shuffle, {waves} waves, fan-in min(nodes-1,16), 20 MB/s stream cap\",\n    \"quick\": {quick},\n    \"before\": {{ \"commit\": \"5e8d4b6\", \"engine\": \"reference\", \"nodes\": 256, \"wall_s\": 1.5853, \"solver_calls\": 12333, \"speedup_at_256_nodes\": 183.26 }},\n    \"incast\": {{ \"flows_n\": {incast_n}, \"wall_n_s\": {wall_n:.5}, \"makespan_n_s\": {makespan_n:.6}, \"flows_2n\": {incast_2n}, \"wall_2n_s\": {wall_2n:.5}, \"makespan_2n_s\": {makespan_2n:.6}, \"wall_ratio_2n_over_n\": {incast_ratio:.2}, \"ratio_bar\": {INCAST_RATIO_BAR:.1}, \"before\": {{ \"commit\": \"06c2e5f\", \"wall_n_s\": 0.0325, \"wall_2n_s\": 0.1141, \"wall_ratio_2n_over_n\": 3.51 }} }},\n    \"runs\": [\n{}\n    ]\n  }}",
+        "{{\n    \"scenario\": \"terasort-style shuffle, {waves} waves, fan-in min(nodes-1,16), 20 MB/s stream cap\",\n    \"quick\": {quick},\n    \"before\": {BEFORE},\n    \"incast\": {{ \"flows_n\": {incast_n}, \"wall_n_s\": {wall_n:.5}, \"makespan_n_s\": {makespan_n:.6}, \"flows_2n\": {incast_2n}, \"wall_2n_s\": {wall_2n:.5}, \"makespan_2n_s\": {makespan_2n:.6}, \"wall_ratio_2n_over_n\": {incast_ratio:.2}, \"ratio_bar\": {INCAST_RATIO_BAR:.1}, \"flows_per_class_n\": {}, \"flows_per_class_2n\": {}, \"before\": {INCAST_BEFORE} }},\n    \"runs\": [\n{}\n    ]\n  }}",
+        incast_n / u64::from(INCAST_SENDERS),
+        incast_2n / u64::from(INCAST_SENDERS),
         rows.join(",\n")
     );
     // Quick runs write next to the baseline, never over it: the committed

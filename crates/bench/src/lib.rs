@@ -45,6 +45,24 @@ pub fn actor_costs_json(costs: &[accelmr_des::ActorCost]) -> String {
     format!("[{}]", rows.join(", "))
 }
 
+/// Renders lap rows ([`accelmr_des::Stats::lap_costs`]: an actor's own
+/// split of its handler time into named phases) as a JSON object, one
+/// key per lap name holding the laps taken and their summed host seconds.
+pub fn lap_costs_json(laps: &[accelmr_des::ActorCost]) -> String {
+    let rows: Vec<String> = laps
+        .iter()
+        .map(|c| {
+            format!(
+                "\"{}\": {{ \"laps\": {}, \"busy_s\": {:.4} }}",
+                c.class,
+                c.events,
+                c.nanos as f64 / 1e9
+            )
+        })
+        .collect();
+    format!("{{ {} }}", rows.join(", "))
+}
+
 /// Prints a figure's table, prefixed with timing of the harness itself.
 pub fn emit(fig: &accelmr_hybrid::experiments::Figure, started: std::time::Instant) {
     print!("{}", fig.to_table());

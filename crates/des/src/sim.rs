@@ -45,6 +45,10 @@ pub(crate) struct SimCore {
     /// measurement is host wall time, read-only for the simulation, and the
     /// flag keeps the branch out of unprofiled dispatch.
     profiling: bool,
+    /// Under profiling: the host instant the running handler's current
+    /// lap began at ([`Ctx::lap`]). Never written, so always `None`, when
+    /// profiling is off.
+    lap_from: Option<std::time::Instant>, // audit:allow(wall-clock): profiling state, written only beside the two clock reads below
 }
 
 impl SimCore {
@@ -80,6 +84,17 @@ impl SimCore {
         let (slot, gen) = self.alloc_timer();
         self.push(at, target, Payload::Timer { slot, gen, tag });
         TimerHandle::pack(slot, gen)
+    }
+
+    /// The profiled half of [`Ctx::lap`], kept out of line so an
+    /// unprofiled call site is a test and a skipped call.
+    #[cold]
+    fn end_lap(&mut self, name: &'static str) {
+        let now = std::time::Instant::now(); // audit:allow(wall-clock): opt-in per-phase cost profiling; read-only for the simulation
+        if let Some(from) = self.lap_from.replace(now) {
+            let nanos = u64::try_from((now - from).as_nanos()).unwrap_or(u64::MAX);
+            self.stats.charge_lap(name, nanos);
+        }
     }
 }
 
@@ -128,6 +143,7 @@ impl Sim {
                 events_processed: 0,
                 event_limit: u64::MAX,
                 profiling: false,
+                lap_from: None,
             },
             actors: Vec::new(),
         }
@@ -362,7 +378,8 @@ impl Sim {
         // write-only into `Stats` and never influences event order or
         // simulated time.
         let handle_started = if self.core.profiling {
-            Some(std::time::Instant::now()) // audit:allow(wall-clock): opt-in per-actor cost profiling; read-only for the simulation
+            self.core.lap_from = Some(std::time::Instant::now()); // audit:allow(wall-clock): opt-in per-actor cost profiling; read-only for the simulation
+            self.core.lap_from
         } else {
             None
         };
@@ -583,6 +600,19 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub fn stats(&mut self) -> &mut Stats {
         &mut self.core.stats
+    }
+
+    /// Ends a phase of the current handler: under
+    /// [`Sim::enable_profiling`], charges the host nanoseconds since the
+    /// handler began — or since its previous lap — to row `name` of
+    /// [`Stats::lap_costs`]. With profiling off it is one predictable
+    /// branch. Like the per-actor cost it refines, the measurement is
+    /// write-only: it cannot reach event order or simulated time.
+    #[inline]
+    pub fn lap(&mut self, name: &'static str) {
+        if self.core.lap_from.is_some() {
+            self.core.end_lap(name);
+        }
     }
 }
 
@@ -1114,6 +1144,50 @@ mod tests {
         sim.spawn(Box::new(Killer { victim: v }));
         sim.run();
         assert_eq!(sim.stats().queue().dead_actor_drops, 1);
+    }
+
+    #[test]
+    fn laps_charge_named_rows_only_under_profiling() {
+        struct Phased;
+        impl Actor for Phased {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                if matches!(ev, Event::Msg { .. }) {
+                    ctx.lap("phase.a");
+                    ctx.lap("phase.b");
+                    ctx.lap("phase.a");
+                }
+            }
+            fn name(&self) -> String {
+                "phased@7".into()
+            }
+        }
+        let run = |profiled: bool| {
+            let mut sim = Sim::new(0);
+            if profiled {
+                sim.enable_profiling();
+            }
+            let a = sim.spawn(Box::new(Phased));
+            sim.post(a, Box::new(Kick));
+            sim.post(a, Box::new(Kick));
+            sim.run();
+            (sim.stats().lap_costs(), sim.stats().actor_costs())
+        };
+        let (laps, actors) = run(false);
+        assert!(laps.is_empty() && actors.is_empty());
+        let (laps, actors) = run(true);
+        // Rows come back in name order; `events` counts laps, and a lap
+        // is not an event: the actor's row still counts Start + 2 messages.
+        let rows: Vec<(&str, u64)> = laps.iter().map(|c| (c.class.as_str(), c.events)).collect();
+        assert_eq!(rows, [("phase.a", 4), ("phase.b", 2)]);
+        assert_eq!((actors[0].class.as_str(), actors[0].events), ("phased", 3));
+        // Laps partition the handler's time from its start to its last
+        // lap, so they cannot add up to more than the handlers took.
+        let lap_nanos: u64 = laps.iter().map(|c| c.nanos).sum();
+        assert!(
+            lap_nanos <= actors[0].nanos,
+            "{lap_nanos} > {}",
+            actors[0].nanos
+        );
     }
 
     #[test]

@@ -179,6 +179,9 @@ pub struct Stats {
     /// ids stay stable across [`reset`](Stats::reset) (which zeroes the
     /// counts but keeps the interning).
     actor_costs: Vec<ActorCost>,
+    /// Rows charged by [`Ctx::lap`](crate::Ctx::lap), in first-charge
+    /// order: `class` is the lap's name, `events` the laps taken.
+    lap_costs: Vec<ActorCost>,
 }
 
 impl Stats {
@@ -304,6 +307,35 @@ impl Stats {
         row.nanos += nanos;
     }
 
+    /// Host time handlers charged to named phases with
+    /// [`Ctx::lap`](crate::Ctx::lap), in name order: one row per lap name
+    /// (`class`), with the number of laps taken (`events`) and their summed
+    /// host nanoseconds. A finer cut of the same measurement as
+    /// [`Stats::actor_costs`] — a lap's time is also inside its actor's
+    /// row — and, like it, empty unless profiling was enabled.
+    pub fn lap_costs(&self) -> Vec<ActorCost> {
+        let mut v = self.lap_costs.clone();
+        v.sort_unstable_by(|a, b| a.class.cmp(&b.class));
+        v
+    }
+
+    /// Engine-internal: charges one lap of `nanos` host time to `name`.
+    /// Linear scan: a profiled run has a handful of lap names.
+    pub(crate) fn charge_lap(&mut self, name: &'static str, nanos: u64) {
+        let row = match self.lap_costs.iter().position(|c| c.class == name) {
+            Some(i) => &mut self.lap_costs[i],
+            None => {
+                self.lap_costs.push(ActorCost {
+                    class: name.to_string(),
+                    ..ActorCost::default()
+                });
+                self.lap_costs.last_mut().expect("just pushed")
+            }
+        };
+        row.events += 1;
+        row.nanos += nanos;
+    }
+
     /// Clears all metrics. Actor-class interning survives (ids handed out
     /// at spawn stay valid); the per-class counts are zeroed.
     pub fn reset(&mut self) {
@@ -317,6 +349,7 @@ impl Stats {
             c.events = 0;
             c.nanos = 0;
         }
+        self.lap_costs.clear();
     }
 }
 
@@ -374,9 +407,12 @@ mod tests {
         let mut s = Stats::new();
         s.add("z", 1);
         s.add("a", 2);
+        s.charge_lap("phase", 40);
         assert_eq!(s.counters_sorted(), vec![("a", 2), ("z", 1)]);
+        assert_eq!(s.lap_costs()[0].nanos, 40);
         s.reset();
         assert!(s.counters_sorted().is_empty());
+        assert!(s.lap_costs().is_empty());
     }
 
     fn leak(s: String) -> &'static str {

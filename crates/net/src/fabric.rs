@@ -24,7 +24,7 @@
 //!    simulated instant arms a single deferred wakeup ([`Ctx::defer`]);
 //!    rates are re-solved once after the burst's inbox drains.
 //! 2. **Component-incremental solving** — the fabric keeps a persistent
-//!    link→flows index and re-solves only the connected component of the
+//!    link→classes index and re-solves only the connected component of the
 //!    link/flow sharing graph reachable from the links a change touched.
 //!    Flows between disjoint node pairs never pay for each other. The
 //!    solve itself runs on the allocation-free
@@ -35,18 +35,31 @@
 //!    armed completion timer is *reused* when the projected next
 //!    completion instant is unchanged, instead of paying a cancel +
 //!    re-insert per event.
-//! 4. **Slab flow storage** — active flows live in a slot-indexed slab
-//!    split into a hot array (remaining bytes, rate, route — what the
-//!    decrement/solve loops touch) and a cold array (notification
-//!    endpoints, payloads), with freed slots recycled. Link indices and
-//!    the completion heap refer to flows by slot, and each flow records
-//!    its position in every link list it sits on, so unlinking is an
-//!    indexed `swap_remove`: F flows finishing on one rx link at one
-//!    instant cost O(F), not O(F²). The one order-sensitive sweep —
-//!    abort notifications — sorts by the flow's monotonic id. The
-//!    component solve and the rate write-back provably need no order
-//!    and run in walk order, unsorted: rates are
-//!    bit-identical under any `add_flow` / `add_link` order (argued at
+//! 4. **Slab flow storage, route classes** — active flows live in a
+//!    slot-indexed slab split into a hot array (remaining bytes, rate —
+//!    what the settle and write-back loops touch) and a cold array
+//!    (notification endpoints, payloads), with freed slots recycled. The
+//!    walk and the solver do not see flows at all: every live flow belongs
+//!    to the **route class** of its `(route, cap)`, found through one map
+//!    keyed by the two link indices and the cap, and a class is what the
+//!    link index lists, what the component walk marks and what the solver
+//!    takes as one entry with a multiplicity. A shuffle is mostly the same
+//!    route at the same cap (every reducer on a node pulls a partition
+//!    from every map on a node: multiplicity 12 on the 1000-node churn
+//!    run), and flows sharing links and cap are indistinguishable to
+//!    progressive filling, so the grouping is exact to the bit (argued at
+//!    [`MaxMinSolver::solve`]). A class of one is the general case, not a
+//!    special path. Each class records its position in every link list it
+//!    sits on and each flow its index in its class's member list, so
+//!    unlinking either is an indexed `swap_remove`: F flows finishing on
+//!    one rx link at one instant cost O(F), not O(F²). Events, settles,
+//!    generations and completions stay per flow: the write-back gives
+//!    every member of a walked class exactly the treatment it got when
+//!    flows were walked one by one. The one order-sensitive sweep — abort
+//!    notifications — sorts by the flow's monotonic id. The component
+//!    solve and the rate write-back provably need no order and run in
+//!    walk order, unsorted: rates are bit-identical under any `add_flow` /
+//!    `add_link` order and any grouping of equal flows (argued at
 //!    [`MaxMinSolver::solve`], property-tested beside it), and the heap
 //!    keys `(finish, id, gen)` are unique, so pops ignore push order.
 //!
@@ -57,9 +70,11 @@
 //! completion *times* equal within float epsilon.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use accelmr_des::prelude::*;
+use accelmr_des::FxHashMap;
 
 use crate::config::{NetConfig, NodeId};
 use crate::flow::{LinkId, LinkTable, MaxMinSolver, Route};
@@ -174,11 +189,9 @@ pub struct FlowAborted {
 }
 
 /// Hot per-flow state, slot-indexed and densely packed: exactly the
-/// fields the component walk, the rate write-back, and the settle loop
-/// touch. Keeping these in one ~88-byte record (no boxed payload) means a
-/// resolve sweep streams through a compact array instead of taking two
-/// cache misses per flow on a fat mixed record — the component walk is
-/// the single hottest loop in the 1000-node churn profile.
+/// fields the rate write-back and the settle loop touch. Route, cap and
+/// walk stamp live once per [`RouteClass`], so a record is 48 bytes and a
+/// write-back sweep streams through a compact array.
 #[derive(Clone, Copy)]
 struct FlowHot {
     /// Monotonic flow id: the sort key of the abort sweep and the
@@ -186,21 +199,67 @@ struct FlowHot {
     /// are. `u64::MAX` marks a free slot (no live flow can carry it — ids
     /// count up from zero).
     id: u64,
-    /// Bytes left as of `updated_at` (lazily settled: only touched when
-    /// this flow's rate changes, not on every fabric event).
+    /// Bytes left as of `updated_at` (settled whenever the flow's
+    /// component is re-priced, not on every fabric event).
     remaining: f64,
     rate: f64,
     updated_at: SimTime,
     /// Bumped on every rate change; completion-heap entries carrying an
     /// older generation are stale and dropped on pop.
     gen: u64,
-    cap: f64,
-    route: Route,
-    /// `pos[k]` is this flow's index in `link_flows[route.links()[k]]`
-    /// (`attach`/`detach` keep it current; loopback leaves `pos[1]` unused).
+    /// The flow's [`RouteClass`] (index into `Fabric::classes`) and its
+    /// index in that class's member list (`join_class` / `leave_class`
+    /// keep both current).
+    class: u32,
+    idx: u32,
+}
+
+/// All live flows sharing one `(route, cap)`: the unit the link index, the
+/// component walk and the solver work in. Members are indistinguishable
+/// to progressive filling, so one solver entry with their count as its
+/// multiplicity prices them all. Half a cache line: what the class index
+/// adds to a flow that shares its route with nobody is this record and a
+/// map entry, and on a shuffle of distinct pairs that footprint is the
+/// index's whole cost.
+#[derive(Clone, Copy)]
+struct RouteClass {
+    /// The route's link indices, also the first two words of this class's
+    /// `class_ids` key: a loopback class repeats its one link, a two-link
+    /// route's links are distinct.
+    links: [u32; 2],
+    /// `pos[k]` is this class's index in `link_classes[links()[k]]`
+    /// (loopback leaves `pos[1]` unused).
     pos: [u32; 2],
+    /// The cap's interned id (index into `Fabric::caps`): the key's third
+    /// word.
+    cap_id: u32,
     /// Component-walk visit stamp (see `resolve_dirty`).
     mark: u32,
+    /// Member flows by slab slot, in no meaningful order: the first
+    /// inline — most classes outside a shuffle have one member, and the
+    /// walk then hands the write-back that flow without a second
+    /// dependent load — and the other `members - 1` in `Fabric::spill`.
+    /// `members == 0` marks a free class slot.
+    first: u32,
+    members: u32,
+}
+
+impl RouteClass {
+    /// The links the class's flows cross: one (loopback) or two.
+    fn links(&self) -> impl Iterator<Item = LinkId> {
+        let n = 1 + usize::from(self.links[0] != self.links[1]);
+        self.links.into_iter().take(n).map(|l| LinkId(l as usize))
+    }
+
+    /// Which of the class's links `l` is: index into `links` / `pos`.
+    fn nth(&self, l: LinkId) -> usize {
+        usize::from(self.links[0] as usize != l.0)
+    }
+
+    /// This class's `class_ids` key.
+    fn key(&self) -> (u32, u32, u32) {
+        (self.links[0], self.links[1], self.cap_id)
+    }
 }
 
 /// Cold per-flow bookkeeping, read only when the flow completes or
@@ -219,6 +278,9 @@ const TAG_RESOLVE: u64 = 1;
 
 const EPS_BYTES: f64 = 1e-3;
 
+/// No flow slot.
+const NONE: u32 = u32::MAX;
+
 /// The interconnect actor.
 pub struct Fabric {
     cfg: NetConfig,
@@ -230,9 +292,9 @@ pub struct Fabric {
     /// see [`SetNodeBandwidth`].
     degrade: Vec<f64>,
     /// Active flows in a slot-indexed hot/cold slab: `hot[s]` holds the
-    /// solver-facing state ([`FlowHot`]; `id == u64::MAX` = free slot),
+    /// per-flow fluid state ([`FlowHot`]; `id == u64::MAX` = free slot),
     /// `cold[s]` the completion bookkeeping. Direct Vec indexing on the
-    /// hot path — the component walk visits every flow of a component per
+    /// hot path — the write-back visits every flow of a component per
     /// resolve, and map descents dominated the 1000-node churn profile.
     /// Slots recycle through `free_slots`; the monotonic flow *id* lives
     /// in [`FlowHot`], and the one sweep whose order reaches the event
@@ -242,17 +304,37 @@ pub struct Fabric {
     free_slots: Vec<u32>,
     live_flows: usize,
     next_flow_id: u64,
+    /// Route classes in a recycled slab (`free_classes`), and the map that
+    /// finds the live class of a `(route, cap)`, keyed by the class's two
+    /// `links` words and its `cap_id`. The map is only ever probed by key,
+    /// never iterated. Its key is three `u32` words hashed one by one,
+    /// never packed into one: the workspace hasher's `finish` is a bare
+    /// multiply, so a packed key's low bits — the destination link, of
+    /// which a shuffle has a few dozen — would alone pick the bucket (see
+    /// `accelmr_des::fxmap`).
+    classes: Vec<RouteClass>,
+    free_classes: Vec<u32>,
+    class_ids: FxHashMap<(u32, u32, u32), u32>,
+    /// `spill[c]` holds class `c`'s members after its first: beside the
+    /// class records, not in them, so a class of one never touches it
+    /// (and an emptied list keeps its allocation for the slot's next
+    /// tenant).
+    spill: Vec<Vec<u32>>,
+    /// Interned caps (`cap_id` = index), compared as bits. A fabric sees a
+    /// handful of distinct caps — the runtime's per-stream ceilings and
+    /// "none" — so interning is a linear scan and ids are never retired.
+    caps: Vec<f64>,
     /// Armed completion timer and the absolute instant it fires at; the
     /// instant lets `rearm` skip the cancel + re-arm when the projected
     /// next completion is unchanged.
     timer: Option<(TimerHandle, SimTime)>,
     /// Whether a deferred resolve wakeup is already queued for this instant.
     resolve_pending: bool,
-    /// Persistent link → active-flow slab slots index, each entry's index
-    /// mirrored in its flow's `pos`. List order (insertion/`swap_remove`)
-    /// reaches nothing observable: solve and write-back are order-free,
-    /// the abort sweep sorts by id.
-    link_flows: Vec<Vec<u32>>,
+    /// Persistent link → live classes index, each entry's index mirrored
+    /// in its class's `pos`. List order (insertion/`swap_remove`) reaches
+    /// nothing observable: solve and write-back are order-free, the abort
+    /// sweep sorts by id.
+    link_classes: Vec<Vec<u32>>,
     /// Links whose flow set changed since the last resolve.
     dirty_links: Vec<LinkId>,
     link_dirty: Vec<bool>,
@@ -260,9 +342,11 @@ pub struct Fabric {
     epoch: u32,
     link_mark: Vec<u32>,
     link_slot: Vec<u32>,
-    /// Scratch: the current component's flows (slab slots, in solver
-    /// `add_flow` order) / link BFS frontier.
-    comp_slots: Vec<u32>,
+    /// Scratch: the current component's classes in solver `add_flow`
+    /// order, each with its member if it has just one ([`NONE`] if more)
+    /// — the write-back then reaches a lone member's flow record without
+    /// going back through its class's — / link BFS frontier.
+    comp_classes: Vec<(u32, u32)>,
     bfs_links: Vec<LinkId>,
     solver: MaxMinSolver,
     /// Min-heap of (projected finish, flow id, generation, slab slot).
@@ -298,15 +382,20 @@ impl Fabric {
             free_slots: Vec::new(),
             live_flows: 0,
             next_flow_id: 0,
+            classes: Vec::new(),
+            free_classes: Vec::new(),
+            class_ids: FxHashMap::default(),
+            spill: Vec::new(),
+            caps: Vec::new(),
             timer: None,
             resolve_pending: false,
-            link_flows: vec![Vec::new(); n_links],
+            link_classes: vec![Vec::new(); n_links],
             dirty_links: Vec::new(),
             link_dirty: vec![false; n_links],
             epoch: 0,
             link_mark: vec![0; n_links],
             link_slot: vec![0; n_links],
-            comp_slots: Vec::new(),
+            comp_classes: Vec::new(),
             bfs_links: Vec::new(),
             solver: MaxMinSolver::new(),
             done_heap: BinaryHeap::new(),
@@ -330,7 +419,7 @@ impl Fabric {
                 .push(self.links.add(self.cfg.loopback_bytes_per_sec));
         }
         let n_links = self.links.len();
-        self.link_flows.resize_with(n_links, Vec::new);
+        self.link_classes.resize_with(n_links, Vec::new);
         self.link_dirty.resize(n_links, false);
         self.link_mark.resize(n_links, 0);
         self.link_slot.resize(n_links, 0);
@@ -367,23 +456,30 @@ impl Fabric {
         ctx.stats().incr("net.bandwidth_changes");
         // Both links join the dirty set; the deferred resolve settles and
         // re-prices exactly the touched component.
-        self.mark_dirty(Route::pair(tx, rx));
+        self.mark_dirty(tx);
+        self.mark_dirty(rx);
         self.request_resolve(ctx);
     }
 
     /// Admits a non-empty [`StartFlow`] at rate 0 into a recycled (or
-    /// fresh) slab slot; the next resolve prices it.
-    fn insert_flow(&mut self, ctx: &mut Ctx<'_>, now: SimTime, req: StartFlow) -> u32 {
+    /// fresh) slab slot and into the class of its route and cap; the next
+    /// resolve prices it.
+    fn insert_flow(&mut self, ctx: &mut Ctx<'_>, now: SimTime, req: StartFlow) {
+        let slot = self
+            .free_slots
+            .pop()
+            .unwrap_or_else(|| u32::try_from(self.hot.len()).expect("flow slot fits u32"));
+        let route = self.route(req.src, req.dst);
+        let cap = req.cap_bytes_per_sec.unwrap_or(f64::INFINITY);
+        let (class, idx) = self.join_class(route, cap, slot);
         let h = FlowHot {
             id: self.next_flow_id,
             remaining: req.bytes as f64,
             rate: 0.0,
             updated_at: now,
             gen: 0,
-            cap: req.cap_bytes_per_sec.unwrap_or(f64::INFINITY),
-            route: self.route(req.src, req.dst),
-            pos: [0; 2],
-            mark: 0,
+            class,
+            idx,
         };
         let c = Some(FlowCold {
             notify: req.notify,
@@ -394,28 +490,27 @@ impl Fabric {
         self.next_flow_id += 1;
         self.live_flows += 1;
         ctx.stats().incr("net.flows_started");
-        match self.free_slots.pop() {
-            Some(s) => {
-                debug_assert_eq!(self.hot[s as usize].id, u64::MAX);
-                self.hot[s as usize] = h;
-                self.cold[s as usize] = c;
-                s
+        match self.hot.get_mut(slot as usize) {
+            Some(vacant) => {
+                debug_assert_eq!(vacant.id, u64::MAX);
+                *vacant = h;
+                self.cold[slot as usize] = c;
             }
             None => {
                 self.hot.push(h);
                 self.cold.push(c);
-                (self.hot.len() - 1) as u32
             }
         }
     }
 
-    /// Frees a slab slot, returning the flow's final hot state and its
-    /// completion bookkeeping.
+    /// Frees a slab slot and the flow's place in its class, returning the
+    /// flow's final hot state and its completion bookkeeping.
     fn remove_flow(&mut self, slot: u32) -> (FlowHot, FlowCold) {
         self.live_flows -= 1;
         self.free_slots.push(slot);
         let h = self.hot[slot as usize];
         self.hot[slot as usize].id = u64::MAX;
+        self.leave_class(&h, slot);
         let c = self.cold[slot as usize].take().expect("flow present");
         (h, c)
     }
@@ -450,42 +545,108 @@ impl Fabric {
         }
     }
 
-    /// Marks a route's links dirty for the next component resolve.
-    fn mark_dirty(&mut self, route: Route) {
+    /// Marks a link dirty for the next component resolve.
+    fn mark_dirty(&mut self, l: LinkId) {
+        if !self.link_dirty[l.0] {
+            self.link_dirty[l.0] = true;
+            self.dirty_links.push(l);
+        }
+    }
+
+    /// Adds the flow in `slot` to the class of `(route, cap)` — created,
+    /// and indexed on the route's links, if no live flow has that route and
+    /// cap — and returns the class and the flow's index among its members.
+    /// The route's links become dirty.
+    fn join_class(&mut self, route: Route, cap: f64, slot: u32) -> (u32, u32) {
         for &l in route.links() {
-            if !self.link_dirty[l.0] {
-                self.link_dirty[l.0] = true;
-                self.dirty_links.push(l);
+            self.mark_dirty(l);
+        }
+        let word = |l: LinkId| u32::try_from(l.0).expect("link index fits u32");
+        let links = route.links();
+        let links = [word(links[0]), word(links[links.len() - 1])];
+        let same = |c: &f64| c.to_bits() == cap.to_bits();
+        let cap_id = self.caps.iter().position(same).unwrap_or_else(|| {
+            self.caps.push(cap);
+            self.caps.len() - 1
+        }) as u32;
+        let born = RouteClass {
+            links,
+            pos: [0; 2],
+            cap_id,
+            mark: 0,
+            first: slot,
+            members: 1,
+        };
+        match self.class_ids.entry(born.key()) {
+            Entry::Occupied(e) => {
+                let c = *e.get();
+                self.spill[c as usize].push(slot);
+                let cl = &mut self.classes[c as usize];
+                cl.members += 1;
+                (c, cl.members - 1)
+            }
+            Entry::Vacant(e) => {
+                let c = *e.insert(self.free_classes.pop().unwrap_or_else(|| {
+                    self.classes.push(born);
+                    self.spill.push(Vec::new());
+                    u32::try_from(self.classes.len() - 1).expect("class slot fits u32")
+                }));
+                let cl = &mut self.classes[c as usize];
+                *cl = born;
+                for (k, l) in born.links().enumerate() {
+                    cl.pos[k] = self.link_classes[l.0].len() as u32;
+                    self.link_classes[l.0].push(c);
+                }
+                (c, 0)
             }
         }
     }
 
-    /// Indexes the flow in `slot` on each link of its route (now dirty),
-    /// recording where it landed.
-    fn attach(&mut self, slot: u32) {
-        let h = &mut self.hot[slot as usize];
-        for (p, &l) in h.pos.iter_mut().zip(h.route.links()) {
-            *p = self.link_flows[l.0].len() as u32;
-            self.link_flows[l.0].push(slot);
-        }
-        self.mark_dirty(self.hot[slot as usize].route);
+    /// Member flows' slab slots.
+    fn members(&self, c: u32) -> impl Iterator<Item = u32> + '_ {
+        let rest = self.spill[c as usize].iter().copied();
+        std::iter::once(self.classes[c as usize].first).chain(rest)
     }
 
-    /// Unindexes a removed flow (`h`, formerly in `slot`) from its links
-    /// (now dirty): one indexed `swap_remove` per link, re-pointing the
-    /// flow that moved into the hole.
-    fn detach(&mut self, h: &FlowHot, slot: u32) {
-        self.mark_dirty(h.route);
-        for (&p, &l) in h.pos.iter().zip(h.route.links()) {
-            let v = &mut self.link_flows[l.0];
-            debug_assert_eq!(v[p as usize], slot, "flow at its recorded position");
-            v.swap_remove(p as usize);
-            if let Some(&moved) = v.get(p as usize) {
-                // A route's links are distinct, so `l` is its first or second.
-                let m = &mut self.hot[moved as usize];
-                m.pos[usize::from(m.route.links()[0] != l)] = p;
+    /// Takes the flow formerly in `slot` (final hot state `h`) off its
+    /// class's member list — an indexed `swap_remove`, re-pointing the
+    /// member that moved into the hole — and, if it was the last member,
+    /// retires the class: off its links' lists (same `swap_remove`), out
+    /// of the map, slot to the free list. The route's links become dirty.
+    fn leave_class(&mut self, h: &FlowHot, slot: u32) {
+        let c = h.class;
+        let cl = &mut self.classes[c as usize];
+        cl.members -= 1;
+        if cl.members == 0 {
+            debug_assert_eq!((cl.first, h.idx), (slot, 0), "sole member");
+            let cl = *cl;
+            for (p, l) in cl.pos.into_iter().zip(cl.links()) {
+                let v = &mut self.link_classes[l.0];
+                debug_assert_eq!(v[p as usize], c, "class at its recorded position");
+                v.swap_remove(p as usize);
+                if let Some(&moved) = v.get(p as usize) {
+                    let m = &mut self.classes[moved as usize];
+                    m.pos[m.nth(l)] = p;
+                }
+            }
+            let mapped = self.class_ids.remove(&cl.key());
+            debug_assert_eq!(mapped, Some(c), "live class is in the map");
+            self.free_classes.push(c);
+        } else {
+            let rest = &mut self.spill[c as usize];
+            let last = rest.pop().expect("members after the first are spilled");
+            if last != slot {
+                let hole = match h.idx {
+                    0 => &mut cl.first,
+                    i => &mut rest[i as usize - 1],
+                };
+                debug_assert_eq!(*hole, slot, "flow at its recorded index");
+                *hole = last;
+                self.hot[last as usize].idx = h.idx;
             }
         }
+        let links = self.classes[c as usize].links();
+        links.for_each(|l| self.mark_dirty(l));
     }
 
     /// Pops every due completion off the heap, settling and completing the
@@ -510,8 +671,7 @@ impl Fabric {
                 h.updated_at = now;
             }
             if h.remaining <= EPS_BYTES {
-                let (h, c) = self.remove_flow(slot);
-                self.detach(&h, slot);
+                let (_, c) = self.remove_flow(slot);
                 ctx.stats().add("net.flow_bytes_done", c.total);
                 ctx.stats().incr("net.flows_done");
                 Self::deliver_done(ctx, c.notify, c.tag, c.total, c.on_done);
@@ -535,19 +695,19 @@ impl Fabric {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: stale marks from exactly 2^32 resolves ago would
-            // alias the fresh epoch, silently excluding flows/links from
+            // alias the fresh epoch, silently excluding classes/links from
             // the walk. Reset every stamp and restart above the 0 that
-            // newly-inserted flows carry.
+            // newly-created classes carry.
             for m in &mut self.link_mark {
                 *m = 0;
             }
-            for h in &mut self.hot {
-                h.mark = 0;
+            for cl in &mut self.classes {
+                cl.mark = 0;
             }
             self.epoch = 1;
         }
         let epoch = self.epoch;
-        self.comp_slots.clear();
+        self.comp_classes.clear();
         self.bfs_links.clear();
         self.solver.begin();
         // Seed the walk with the dirty links.
@@ -559,32 +719,37 @@ impl Fabric {
                 self.bfs_links.push(l);
             }
         }
-        // Grow to the full component: links sharing a flow share a fate.
+        // Grow to the full component: links sharing a class share a fate.
+        let mut flows = 0u64;
         while let Some(l) = self.bfs_links.pop() {
-            for i in 0..self.link_flows[l.0].len() {
-                let slot = self.link_flows[l.0][i];
-                let h = &mut self.hot[slot as usize];
-                debug_assert_ne!(h.id, u64::MAX, "indexed flow present");
-                if h.mark == epoch {
+            for i in 0..self.link_classes[l.0].len() {
+                let c = self.link_classes[l.0][i];
+                let cl = &mut self.classes[c as usize];
+                debug_assert_ne!(cl.members, 0, "indexed class live");
+                if cl.mark == epoch {
                     continue;
                 }
-                h.mark = epoch;
-                let (cap, route) = (h.cap, h.route);
-                let mut slots = [0u32; 2];
-                for (s, &l2) in slots.iter_mut().zip(route.links()) {
+                cl.mark = epoch;
+                let lone = if cl.members == 1 { cl.first } else { NONE };
+                let (mut slots, mut n) = ([0u32; 2], 0);
+                for l2 in cl.links() {
                     if self.link_mark[l2.0] != epoch {
                         self.link_mark[l2.0] = epoch;
                         self.link_slot[l2.0] = self.solver.add_link(self.links.capacity(l2));
                         self.bfs_links.push(l2);
                     }
-                    *s = self.link_slot[l2.0];
+                    slots[n] = self.link_slot[l2.0];
+                    n += 1;
                 }
                 // Walk order, unsorted: the solve is order-independent.
-                self.solver.add_flow(&slots[..route.links().len()], cap);
-                self.comp_slots.push(slot);
+                let cap = self.caps[cl.cap_id as usize];
+                self.solver.add_flow(&slots[..n], cap, cl.members);
+                self.comp_classes.push((c, lone));
+                flows += u64::from(cl.members);
             }
         }
-        if self.comp_slots.is_empty() {
+        ctx.lap("net.fabric.phase.walk");
+        if self.comp_classes.is_empty() {
             // Dirty links with no remaining flows (e.g. last flow on a
             // node pair finished): nothing to solve.
             return;
@@ -592,28 +757,44 @@ impl Fabric {
         let rounds_before = self.solver.rounds();
         let rates = self.solver.solve();
         ctx.stats().incr("net.solver_calls");
+        ctx.stats().add("net.comp_flow_visits", flows);
         ctx.stats()
-            .add("net.comp_flow_visits", self.comp_slots.len() as u64);
-        for (&slot, &new_rate) in self.comp_slots.iter().zip(rates) {
-            let h = &mut self.hot[slot as usize];
-            let dt = (now - h.updated_at).as_secs_f64();
-            if dt > 0.0 {
-                h.remaining -= h.rate * dt;
-            }
-            h.updated_at = now;
-            if new_rate != h.rate {
-                h.rate = new_rate;
-                h.gen += 1;
-                if new_rate > 0.0 {
-                    let delay = SimDuration::from_secs_f64(h.remaining / new_rate)
-                        .max(SimDuration::from_nanos(1));
-                    self.done_heap
-                        .push(Reverse((now + delay, h.id, h.gen, slot)));
+            .add("net.comp_class_visits", self.comp_classes.len() as u64);
+        ctx.lap("net.fabric.phase.solve");
+        // Per member, exactly what a per-flow walk did: settle to `now`
+        // even at an unchanged rate (two partial settles round differently
+        // from one), re-project only on a change.
+        for (&(c, lone), &new_rate) in self.comp_classes.iter().zip(rates) {
+            let mut reprice = |slot: u32| {
+                let h = &mut self.hot[slot as usize];
+                let dt = (now - h.updated_at).as_secs_f64();
+                if dt > 0.0 {
+                    h.remaining -= h.rate * dt;
                 }
+                h.updated_at = now;
+                if new_rate != h.rate {
+                    h.rate = new_rate;
+                    h.gen += 1;
+                    if new_rate > 0.0 {
+                        let delay = SimDuration::from_secs_f64(h.remaining / new_rate)
+                            .max(SimDuration::from_nanos(1));
+                        self.done_heap
+                            .push(Reverse((now + delay, h.id, h.gen, slot)));
+                    }
+                }
+            };
+            if lone != NONE {
+                reprice(lone);
+            } else {
+                let cl = &self.classes[c as usize];
+                reprice(cl.first);
+                let rest = &self.spill[c as usize];
+                rest.iter().for_each(|&slot| reprice(slot));
             }
         }
         ctx.stats()
             .add("net.solver_rounds", self.solver.rounds() - rounds_before);
+        ctx.lap("net.fabric.phase.write_back");
     }
 
     /// Re-arms the completion timer at the earliest valid projected finish,
@@ -655,35 +836,65 @@ impl Fabric {
     /// Completes what is due, re-prices what got dirty, re-arms the timer.
     fn advance(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
         self.settle_due(ctx, now);
+        ctx.lap("net.fabric.phase.settle");
         self.resolve_dirty(ctx, now);
         self.rearm(ctx);
+        ctx.lap("net.fabric.phase.rearm");
         #[cfg(debug_assertions)]
         self.debug_check_link_index();
     }
 
-    /// Link-index invariant: every `link_flows` entry points at a live flow
-    /// recording that position for that link, and entry and slot counts
-    /// match the live flows — so every live flow sits where it says.
+    /// Link-index invariant: every `link_classes` entry points at a live
+    /// class recording that position for that link; every member of a live
+    /// class is a live flow recording that class and index; members add up
+    /// to the live flows; and the map and the free list between them
+    /// account for every class slot — so every live flow is reachable from
+    /// each link it crosses, exactly once.
     #[cfg(debug_assertions)]
     fn debug_check_link_index(&self) {
         let mut entries = 0;
-        for (l, v) in self.link_flows.iter().enumerate() {
-            for (p, &slot) in v.iter().enumerate() {
-                let h = &self.hot[slot as usize];
-                let links = h.route.links();
-                let k = usize::from(links[0].0 != l);
+        for (l, v) in self.link_classes.iter().enumerate() {
+            for (p, &c) in v.iter().enumerate() {
+                let cl = &self.classes[c as usize];
+                let k = cl.nth(LinkId(l));
                 assert!(
-                    h.id != u64::MAX && links.get(k) == Some(&LinkId(l)) && h.pos[k] as usize == p,
-                    "link {l} entry {p} -> slot {slot}: not a live flow recording that position"
+                    cl.members != 0
+                        && cl.links().nth(k) == Some(LinkId(l))
+                        && cl.pos[k] as usize == p,
+                    "link {l} entry {p} -> class {c}: not a live class recording that position"
                 );
             }
             entries += v.len();
         }
-        let live = || self.hot.iter().filter(|h| h.id != u64::MAX);
-        assert_eq!(live().count(), self.live_flows);
-        assert_eq!(self.hot.len() - self.free_slots.len(), self.live_flows);
-        let routed: usize = live().map(|h| h.route.links().len()).sum();
+        let (mut members, mut routed, mut vacant) = (0, 0, 0);
+        for (c, cl) in self.classes.iter().enumerate() {
+            assert_eq!(
+                self.spill[c].len(),
+                cl.members.saturating_sub(1) as usize,
+                "class {c}: spill holds every member but the first"
+            );
+            if cl.members == 0 {
+                vacant += 1;
+                continue;
+            }
+            assert_eq!(self.class_ids.get(&cl.key()), Some(&(c as u32)));
+            for (i, slot) in self.members(c as u32).enumerate() {
+                let h = &self.hot[slot as usize];
+                assert!(
+                    h.id != u64::MAX && (h.class as usize, h.idx as usize) == (c, i),
+                    "class {c} member {i} -> slot {slot}: not a live flow recording that place"
+                );
+            }
+            members += cl.members as usize;
+            routed += cl.links().count();
+        }
         assert_eq!(routed, entries);
+        assert_eq!(vacant, self.free_classes.len());
+        assert_eq!(self.classes.len() - vacant, self.class_ids.len());
+        assert_eq!(members, self.live_flows);
+        let live = self.hot.iter().filter(|h| h.id != u64::MAX).count();
+        assert_eq!(live, self.live_flows);
+        assert_eq!(self.hot.len() - self.free_slots.len(), self.live_flows);
     }
 
     /// Applies [`AbortNode`]: every flow touching `node` ends now, with
@@ -691,12 +902,13 @@ impl Fabric {
     fn abort_node(&mut self, ctx: &mut Ctx<'_>, now: SimTime, node: NodeId) {
         // Flows finishing exactly now complete rather than abort.
         self.settle_due(ctx, now);
-        // A flow touches `node` iff it is indexed on one of the node's
-        // three links (loopback for src == dst, otherwise tx at the
-        // source and rx at the destination — so each victim appears on
-        // exactly one of them). Consulting the persistent link→flows
-        // index makes a crash O(degree of the node), not O(all flows):
-        // under 1000-node churn a crash must not scan the whole wire.
+        // A flow touches `node` iff its class is indexed on one of the
+        // node's three links (loopback for src == dst, otherwise tx at
+        // the source and rx at the destination — so each victim appears
+        // on exactly one of them). Consulting the persistent
+        // link→classes index makes a crash O(degree of the node), not
+        // O(all flows): under 1000-node churn a crash must not scan the
+        // whole wire.
         let mut dead: Vec<(u64, u32)> = Vec::new();
         if node.index() < self.tx.len() {
             for l in [
@@ -704,19 +916,19 @@ impl Fabric {
                 self.rx[node.index()],
                 self.loopback[node.index()],
             ] {
-                for &slot in &self.link_flows[l.0] {
-                    dead.push((self.hot[slot as usize].id, slot));
+                for &c in &self.link_classes[l.0] {
+                    let members = self.members(c);
+                    dead.extend(members.map(|slot| (self.hot[slot as usize].id, slot)));
                 }
             }
         }
         ctx.stats()
             .add("net.abort_flows_scanned", dead.len() as u64);
-        // Link lists are insertion/swap_remove ordered; sort so the abort
-        // notifications fire in flow-id order (determinism).
+        // Link and member lists are insertion/swap_remove ordered; sort so
+        // the abort notifications fire in flow-id order (determinism).
         dead.sort_unstable();
         for (_, slot) in dead {
             let (mut h, c) = self.remove_flow(slot);
-            self.detach(&h, slot);
             // A flow settled to within EPS of done may still hold a heap
             // entry a nanosecond out (timer quantization): deliver
             // FlowDone rather than abort a transfer that has effectively
@@ -777,9 +989,9 @@ impl Actor for Fabric {
                     if req.bytes == 0 {
                         Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
                     } else {
-                        let slot = self.insert_flow(ctx, now, *req);
-                        self.attach(slot);
+                        self.insert_flow(ctx, now, *req);
                         self.request_resolve(ctx);
+                        ctx.lap("net.fabric.phase.start");
                     }
                 } else if let Some(abort) = msg.peek::<AbortNode>() {
                     self.abort_node(ctx, now, abort.node);
@@ -1180,7 +1392,7 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a node crash consults the link→flows index,
+    /// Satellite regression: a node crash consults the link→classes index,
     /// not the whole flow table. 256-node shuffle-style burst, one crash:
     /// the fabric scans only the victim's flows while the oracle scans
     /// all of them — and both abort the same set.
@@ -1425,11 +1637,17 @@ mod tests {
         }
     }
 
+    /// Same seed, same event stream — and profiling (the per-actor clock
+    /// and the fabric's `net.fabric.phase.*` laps) is write-only: it fills
+    /// its rows and moves no event.
     #[test]
     fn deterministic_under_seed() {
-        let fp = |engine: Engine| {
+        let fp = |engine: Engine, profiled: bool| {
             let mut sim = Sim::new(3);
             sim.enable_trace(1 << 12);
+            if profiled {
+                sim.enable_profiling();
+            }
             let net = engine.spawn(&mut sim, 8);
             struct D {
                 net: NetHandle,
@@ -1447,11 +1665,146 @@ mod tests {
             }
             sim.spawn(Box::new(D { net }));
             sim.run();
-            sim.trace().fingerprint()
+            let laps: Vec<(String, u64)> = sim
+                .stats()
+                .lap_costs()
+                .into_iter()
+                .map(|c| (c.class, c.events))
+                .collect();
+            (sim.trace().fingerprint(), laps)
         };
         for engine in Engine::BOTH {
-            assert_eq!(fp(engine), fp(engine), "{engine:?}");
+            let (plain, no_laps) = fp(engine, false);
+            assert_eq!(plain, fp(engine, false).0, "{engine:?}");
+            assert_eq!(
+                plain,
+                fp(engine, true).0,
+                "{engine:?}: profiling moved an event"
+            );
+            assert!(no_laps.is_empty(), "{engine:?}: laps charged unprofiled");
         }
+        // One `start` lap per flow, settle / rearm per advance, walk /
+        // solve / write_back per advance that had something to re-price.
+        let laps = fp(Engine::Production, true).1;
+        let names: Vec<&str> = laps.iter().map(|(n, _)| n.as_str()).collect();
+        let phases = ["rearm", "settle", "solve", "start", "walk", "write_back"];
+        assert_eq!(names, phases.map(|p| format!("net.fabric.phase.{p}")));
+        let count = |phase: &str| laps.iter().find(|(n, _)| n.ends_with(phase)).unwrap().1;
+        assert_eq!(count("start"), 20);
+        assert_eq!(count("settle"), count("rearm"));
+        assert_eq!(count("solve"), count("write_back"));
+        assert!(count("solve") <= count("walk") && count("walk") <= count("settle"));
+    }
+
+    /// The record sizes the layout argument rests on: a flow's hot state
+    /// without route, cap, link positions or walk stamp, and a class in
+    /// half a cache line.
+    #[test]
+    fn hot_records_stay_compact() {
+        assert!(std::mem::size_of::<FlowHot>() <= 56);
+        assert_eq!(std::mem::size_of::<RouteClass>(), 32);
+    }
+
+    /// Directed class-membership case: three flows over one route at one
+    /// cap are one class; the middle member completes first (the last
+    /// member moves into its place), then the source node crashes and the
+    /// two survivors abort in flow-id order. Same outcome on the oracle.
+    #[test]
+    fn class_of_three_loses_its_middle_member_then_its_node_aborts() {
+        #[derive(Default)]
+        struct Outcome {
+            done: Vec<(u64, u64)>,
+            aborted: Vec<(u64, u64)>,
+        }
+        struct D {
+            net: NetHandle,
+            seen: Outcome,
+        }
+        impl Actor for D {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                let now = ctx.now().as_nanos();
+                match ev {
+                    Event::Start => {
+                        for (tag, mb) in [(0, 100), (1, 10), (2, 100)] {
+                            self.net.start_flow(
+                                ctx,
+                                NodeId(1),
+                                NodeId(2),
+                                mb * 1_000_000,
+                                None,
+                                tag,
+                            );
+                        }
+                        ctx.after(SimDuration::from_millis(500), 9);
+                    }
+                    Event::Timer { .. } => self.net.abort_node(ctx, NodeId(1)),
+                    Event::Msg { msg, .. } => {
+                        if let Some(d) = msg.peek::<FlowDone>() {
+                            self.seen.done.push((d.tag, now));
+                        } else if let Some(a) = msg.peek::<FlowAborted>() {
+                            self.seen.aborted.push((a.tag, now));
+                        }
+                    }
+                }
+            }
+        }
+        for engine in Engine::BOTH {
+            let mut sim = Sim::new(0);
+            let net = engine.spawn(&mut sim, 4);
+            let d = sim.spawn(Box::new(D {
+                net,
+                seen: Outcome::default(),
+            }));
+            // Three equal shares of 125 MB/s: the 10 MB flow lands at 0.24 s.
+            sim.run_until(SimTime::from_nanos(300_000_000));
+            if let Some(f) = sim.actor_ref::<Fabric>(net.fabric) {
+                assert_eq!(f.class_ids.len(), 1);
+                // Slots 0, 1, 2 in start order; 2 took 1's place.
+                assert_eq!(f.members(0).collect::<Vec<_>>(), [0, 2]);
+                assert_eq!((f.hot[2].class, f.hot[2].idx), (0, 1));
+                assert_eq!(f.hot[1].id, u64::MAX);
+            }
+            sim.run();
+            let seen = &sim.actor_ref::<D>(d).expect("driver").seen;
+            assert_eq!(seen.done, [(1, 240_000_000)], "{engine:?}");
+            assert_eq!(
+                seen.aborted,
+                [(0, 500_000_000), (2, 500_000_000)],
+                "{engine:?}"
+            );
+            if let Some(f) = sim.actor_ref::<Fabric>(net.fabric) {
+                assert!(f.class_ids.is_empty() && f.live_flows == 0);
+                assert_eq!(f.free_classes, [0]);
+            }
+        }
+    }
+
+    /// The walk's epoch counter wraps after 2^32 resolves; the reset that
+    /// follows must clear class stamps, or a class last visited at epoch 1
+    /// looks already-visited at the new epoch 1 and keeps a stale rate.
+    #[test]
+    fn epoch_wrap_clears_class_marks() {
+        let mut sim = Sim::new(0);
+        let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 4)));
+        let driver = sim.spawn(Box::new(WaveDriver {
+            net: NetHandle { fabric },
+            script: vec![(0, 1, 2, 125_000_000, None), (500, 1, 3, 125_000_000, None)],
+            issued: 0,
+            done: Vec::new(),
+            expected: 2,
+        }));
+        sim.run_until(SimTime::from_nanos(250_000_000));
+        let f = sim.actor_mut::<Fabric>(fabric).expect("fabric");
+        assert_eq!((f.epoch, f.classes[0].mark), (1, 1));
+        f.epoch = u32::MAX;
+        sim.run();
+        let f = sim.actor_ref::<Fabric>(fabric).expect("fabric");
+        assert!(f.epoch < 8, "epoch restarted: {}", f.epoch);
+        // The second flow halves the first's share of node 1's uplink from
+        // 0.5 s: 1.5 s and 2.0 s. With the stale stamp the first flow is
+        // left out of that solve and lands at 1.0 s.
+        let done = &sim.actor_ref::<WaveDriver>(driver).expect("driver").done;
+        assert_eq!(done, &[(0, 1_500_000_000), (1, 2_000_000_000)]);
     }
 
     /// Burst driver for the randomized equivalence test: starts waves of
@@ -1634,7 +1987,7 @@ mod tests {
     /// One scripted action of the link-index churn test.
     #[derive(Clone, Copy)]
     enum Op {
-        Start(u32, u32, u64),
+        Start(u32, u32, u64, Option<f64>),
         Abort(u32),
         Bandwidth(u32, f64),
         Ensure(u32),
@@ -1659,9 +2012,9 @@ mod tests {
                         }
                         self.next += 1;
                         match op {
-                            Op::Start(s, d, bytes) => {
+                            Op::Start(s, d, bytes, cap) => {
                                 self.net
-                                    .start_flow(ctx, NodeId(s), NodeId(d), bytes, None, 0)
+                                    .start_flow(ctx, NodeId(s), NodeId(d), bytes, cap, 0)
                             }
                             Op::Abort(n) => self.net.abort_node(ctx, NodeId(n)),
                             Op::Bandwidth(n, f) => self.net.set_node_bandwidth(ctx, NodeId(n), f),
@@ -1678,13 +2031,16 @@ mod tests {
         }
     }
 
-    /// Drives the O(1) unlink bookkeeping through everything that touches
-    /// it — bursts, staggered completions, crashes, partitions and heals,
-    /// growth, loopback routes, recycled slots — with
+    /// Drives the class and link-index bookkeeping through everything that
+    /// touches it — bursts, staggered completions, crashes, partitions and
+    /// heals, growth, loopback routes, recycled flow and class slots — with
     /// `debug_check_link_index` run by the fabric after every advance and
-    /// abort (debug builds), and a drained index at the end. The oracle
-    /// runs each script too: aborts, partitions, heals and growth under
-    /// random interleaving must leave both with the same outcome.
+    /// abort (debug builds), and a drained index at the end. Endpoints
+    /// mostly come from a pool of four nodes and caps from two values, with
+    /// the capped flows slow enough to overlap, so classes gain and lose
+    /// members mid-life, empty, and are re-created. The oracle runs each
+    /// script too: aborts, partitions, heals and growth under random
+    /// interleaving must leave both with the same outcome.
     #[test]
     fn link_index_survives_random_churn() {
         for seed in 0..6u64 {
@@ -1705,15 +2061,18 @@ mod tests {
                         nodes += 1;
                         Op::Ensure(nodes - 1)
                     }
-                    // One start in six is a loopback (single-link) route.
                     k => {
                         started += 1;
-                        let dst = if k % 6 == 3 {
-                            node
-                        } else {
-                            rng.next_below(u64::from(nodes)) as u32
+                        // One start in six is a loopback (single-link)
+                        // route, one in six leaves the pool at one end.
+                        let src = rng.next_below(4) as u32;
+                        let dst = match k % 6 {
+                            3 => src,
+                            4 => node,
+                            _ => rng.next_below(4) as u32,
                         };
-                        Op::Start(node, dst, 100_000 + rng.next_below(4_000_000))
+                        let cap = (rng.next_below(2) == 0).then_some(2.0e6);
+                        Op::Start(src, dst, 100_000 + rng.next_below(4_000_000), cap)
                     }
                 };
                 script.push((t_ms, op));
@@ -1752,29 +2111,67 @@ mod tests {
             #[cfg(debug_assertions)]
             f.debug_check_link_index();
             assert_eq!(f.live_flows, 0, "seed {seed}");
-            assert!(f.link_flows.iter().all(Vec::is_empty), "seed {seed}");
+            assert!(f.link_classes.iter().all(Vec::is_empty), "seed {seed}");
+            assert!(
+                f.class_ids.is_empty(),
+                "seed {seed}: a class outlived its flows"
+            );
+            assert_eq!(f.free_classes.len(), f.classes.len(), "seed {seed}");
             assert_eq!(f.free_slots.len(), f.hot.len(), "seed {seed}");
             assert!(
                 (f.hot.len() as u64) < started,
                 "seed {seed}: slots were never recycled ({} slots, {started} flows)",
                 f.hot.len()
             );
+            // Classes were shared (1.8-2.2 flows re-priced per solver
+            // entry fed) and their slots recycled (fewer slots than
+            // distinct (route, cap)s started).
+            let visits = |name| sim.stats().counter(name);
+            assert!(
+                2 * visits("net.comp_flow_visits") > 3 * visits("net.comp_class_visits"),
+                "seed {seed}: classes were hardly shared"
+            );
+            let keys: std::collections::BTreeSet<(u32, u32, bool)> = script
+                .iter()
+                .filter_map(|&(_, op)| match op {
+                    Op::Start(s, d, _, cap) => Some((s, d, cap.is_some())),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                f.classes.len() < keys.len(),
+                "seed {seed}: class slots were never recycled ({} slots, {} keys)",
+                f.classes.len(),
+                keys.len()
+            );
             // The oracle ends the same flows the same way at the same
-            // nanosecond: (done, aborted, bytes done, end time).
+            // nanosecond: (done, aborted, bytes done, end time) — and so
+            // did the fabric before it had classes (one solver entry and
+            // one link-list entry per flow), which recorded these.
             assert_eq!(run(Engine::Reference).2, outcome, "seed {seed}");
-            if seed == 0 {
-                let end = SimTime::from_nanos(2_451_495_088);
-                assert_eq!(outcome, (291, 43, 608_584_297, end));
-            }
+            const PER_FLOW_FABRIC: [(u64, u64, u64, u64); 6] = [
+                (158, 175, 296_749_839, 3_986_785_000),
+                (228, 110, 452_153_040, 3_810_679_500),
+                (246, 82, 494_080_202, 4_416_109_000),
+                (239, 94, 486_600_886, 3_909_147_000),
+                (242, 95, 490_425_454, 4_181_430_500),
+                (190, 154, 384_325_697, 3_703_230_500),
+            ];
+            let (done, aborted, bytes, end) = outcome;
+            assert_eq!(
+                (done, aborted, bytes, end.as_nanos()),
+                PER_FLOW_FABRIC[seed as usize],
+                "seed {seed}"
+            );
         }
     }
 
-    /// The invariant check is not vacuous: a position that is off by one
-    /// (what a `detach` that forgot to re-point the moved flow leaves
-    /// behind) trips it.
+    /// The invariant check is not vacuous: a class position that is off by
+    /// one (what a `leave_class` that forgot to re-point the moved class
+    /// leaves behind) trips it.
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "not a live flow recording that position")]
+    #[should_panic(expected = "not a live class recording that position")]
     fn link_index_check_catches_a_stale_position() {
         let mut sim = Sim::new(0);
         let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 4)));
@@ -1787,7 +2184,7 @@ mod tests {
         sim.run_until(SimTime::from_nanos(1_000_000));
         let f = sim.actor_mut::<Fabric>(fabric).expect("fabric");
         f.debug_check_link_index();
-        f.hot[1].pos[0] = 0;
+        f.classes[1].pos[0] = 0;
         f.debug_check_link_index();
     }
 }

@@ -16,10 +16,11 @@
 //!   test-only reference actor solves with.
 //! * [`MaxMinSolver`] — the **production** solver: identical progressive
 //!   filling over reusable scratch buffers, fed one *connected component*
-//!   of the link/flow sharing graph at a time. The fabric re-solves only
-//!   the component touched by a change (flows on disjoint node pairs never
-//!   pay for each other), and a same-instant burst of flow starts is
-//!   coalesced into a single solve (see `net::fabric`).
+//!   of the link/flow sharing graph at a time, with flows that share
+//!   links and cap fed as one entry and a multiplicity. The fabric
+//!   re-solves only the component touched by a change (flows on disjoint
+//!   node pairs never pay for each other), and a same-instant burst of
+//!   flow starts is coalesced into a single solve (see `net::fabric`).
 //!
 //! ## Invariants
 //!
@@ -234,17 +235,21 @@ impl Route {
 /// caller describes one connected component per solve: first the
 /// component's links via [`MaxMinSolver::add_link`] (which returns dense
 /// component-local indices), then its flows via [`MaxMinSolver::add_flow`]
-/// with routes expressed in those local indices.
+/// with routes expressed in those local indices — one call per group of
+/// flows with equal route and cap, or per flow: the rates are the same to
+/// the bit.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
     // Per component-local link.
     caps: Vec<f64>,
     remaining_cap: Vec<f64>,
     unfrozen_on_link: Vec<u32>,
-    // Per flow: route in component-local link indices + intrinsic cap.
+    // Per entry: route in component-local link indices, intrinsic cap, and
+    // how many identical flows the entry stands for.
     flow_links: Vec<[u32; 2]>,
     flow_len: Vec<u8>,
     flow_cap: Vec<f64>,
+    flow_mult: Vec<u32>,
     frozen: Vec<bool>,
     rates: Vec<f64>,
     /// Lifetime count of [`MaxMinSolver::solve`] calls (perf telemetry).
@@ -267,6 +272,7 @@ impl MaxMinSolver {
         self.flow_links.clear();
         self.flow_len.clear();
         self.flow_cap.clear();
+        self.flow_mult.clear();
         self.frozen.clear();
         self.rates.clear();
     }
@@ -280,10 +286,17 @@ impl MaxMinSolver {
         (self.caps.len() - 1) as u32
     }
 
-    /// Adds a flow crossing `links` (1-2 component-local link indices, from
-    /// [`MaxMinSolver::add_link`]) with intrinsic rate ceiling `cap`.
-    pub fn add_flow(&mut self, links: &[u32], cap: f64) {
+    /// Adds `m` identical flows as one entry: each crosses `links` (1-2
+    /// component-local link indices, from [`MaxMinSolver::add_link`]) with
+    /// intrinsic rate ceiling `cap`, and [`MaxMinSolver::solve`] returns the
+    /// one rate they all get. Flows with equal links and cap are
+    /// indistinguishable to progressive filling — same rate after every
+    /// round, same freeze round — so the entry's rate is bitwise what `m`
+    /// separate `add_flow(links, cap, 1)` calls would each have been given
+    /// (see `solve`; `rates_are_bitwise_multiplicity_independent`).
+    pub fn add_flow(&mut self, links: &[u32], cap: f64, m: u32) {
         debug_assert!(matches!(links.len(), 1 | 2), "fabric routes are 1-2 links");
+        debug_assert!(m > 0, "an entry stands for at least one flow");
         let mut pair = [0u32; 2];
         pair[..links.len()].copy_from_slice(links);
         if links.len() == 1 {
@@ -292,6 +305,7 @@ impl MaxMinSolver {
         self.flow_links.push(pair);
         self.flow_len.push(links.len() as u8);
         self.flow_cap.push(cap);
+        self.flow_mult.push(m);
         self.frozen.push(false);
         self.rates.push(0.0);
     }
@@ -307,7 +321,7 @@ impl MaxMinSolver {
     }
 
     /// Runs progressive filling over the staged component; returns one rate
-    /// per flow in [`MaxMinSolver::add_flow`] order. Allocation-free once
+    /// per entry in [`MaxMinSolver::add_flow`] order. Allocation-free once
     /// the buffers have warmed up.
     ///
     /// Each flow's rate is **bitwise independent of `add_flow` and
@@ -319,6 +333,14 @@ impl MaxMinSolver {
     /// test reads only the flow's own rate and its links' end-of-round
     /// residuals. `rates_are_bitwise_order_independent` checks it on random
     /// components.
+    ///
+    /// It is also **bitwise independent of how equal flows are grouped
+    /// into entries**: an entry of multiplicity `m` adds `m` to each of its
+    /// links' unfrozen counts and subtracts the round's `delta` from each
+    /// residual `m` times in sequence — the very subtractions `m` single
+    /// entries perform. It must never subtract `m as f64 * delta`: that is
+    /// one rounding where the per-flow loop makes `m`, and the residual,
+    /// the next round's `delta` and eventually a freeze decision differ.
     pub fn solve(&mut self) -> &[f64] {
         self.solves += 1;
         let n = self.rates.len();
@@ -338,7 +360,7 @@ impl MaxMinSolver {
                 }
                 any_unfrozen = true;
                 for &l in &self.flow_links[f][..self.flow_len[f] as usize] {
-                    self.unfrozen_on_link[l as usize] += 1;
+                    self.unfrozen_on_link[l as usize] += self.flow_mult[f];
                 }
             }
             if !any_unfrozen {
@@ -377,7 +399,13 @@ impl MaxMinSolver {
                 }
                 self.rates[f] += delta;
                 for &l in &self.flow_links[f][..self.flow_len[f] as usize] {
-                    self.remaining_cap[l as usize] -= delta;
+                    // One subtraction per flow the entry stands for (see
+                    // the doc above): not `m as f64 * delta`.
+                    let mut left = self.remaining_cap[l as usize];
+                    for _ in 0..self.flow_mult[f] {
+                        left -= delta;
+                    }
+                    self.remaining_cap[l as usize] = left;
                 }
             }
 
@@ -526,8 +554,8 @@ mod tests {
         s.begin();
         s.add_link(0.0);
         s.add_link(50.0);
-        s.add_flow(&[0], f64::INFINITY);
-        s.add_flow(&[1], f64::INFINITY);
+        s.add_flow(&[0], f64::INFINITY, 1);
+        s.add_flow(&[1], f64::INFINITY, 1);
         let got = s.solve();
         assert_eq!(got[0], 0.0);
         assert!((got[1] - 50.0).abs() < 1e-6);
@@ -560,7 +588,7 @@ mod tests {
         }
         for f in flows {
             let local: Vec<u32> = f.links.iter().map(|l| l.0 as u32).collect();
-            solver.add_flow(&local, f.cap);
+            solver.add_flow(&local, f.cap, 1);
         }
         let got = solver.solve();
         assert_eq!(got.len(), reference.len());
@@ -645,6 +673,33 @@ mod tests {
         assert_eq!(solver.solves(), 200, "one solve per instance");
     }
 
+    /// Capacities of a random component's 1-12 links, one of them
+    /// partitioned (capacity 0) on most instances.
+    fn random_caps(rng: &mut accelmr_des::Xoshiro256) -> Vec<f64> {
+        let n_links = rng.range_inclusive(1, 12) as usize;
+        let mut caps: Vec<f64> = (0..n_links)
+            .map(|_| 1.0e6 * (1.0 + 249.0 * rng.next_f64()))
+            .collect();
+        if rng.next_below(4) != 0 {
+            caps[rng.next_below(n_links as u64) as usize] = 0.0;
+        }
+        caps
+    }
+
+    /// A random 1- or 2-link route over `n_links` links and a cap, finite
+    /// half the time.
+    fn random_demand(rng: &mut accelmr_des::Xoshiro256, n_links: usize) -> (Vec<u32>, f64) {
+        let a = rng.next_below(n_links as u64) as u32;
+        let b = rng.next_below(n_links as u64) as u32;
+        let links = if a == b { vec![a] } else { vec![a, b] };
+        let cap = if rng.next_below(2) == 0 {
+            1.0e5 * (1.0 + 99.0 * rng.next_f64())
+        } else {
+            f64::INFINITY
+        };
+        (links, cap)
+    }
+
     /// What lets the fabric feed a component in walk order instead of
     /// sorting it by flow id first: the same component under any
     /// permutation of `add_link` and `add_flow` order yields each flow the
@@ -655,27 +710,11 @@ mod tests {
         let mut rng = Xoshiro256::seed_from_u64(0x0D0E_50F7);
         let mut solver = MaxMinSolver::new();
         for _ in 0..300 {
-            let n_links = rng.range_inclusive(1, 12) as usize;
-            let mut caps: Vec<f64> = (0..n_links)
-                .map(|_| 1.0e6 * (1.0 + 249.0 * rng.next_f64()))
-                .collect();
-            // A partitioned link on most instances.
-            if rng.next_below(4) != 0 {
-                caps[rng.next_below(n_links as u64) as usize] = 0.0;
-            }
+            let caps = random_caps(&mut rng);
+            let n_links = caps.len();
             let n_flows = rng.range_inclusive(1, 96) as usize;
-            let flows: Vec<(Vec<usize>, f64)> = (0..n_flows)
-                .map(|_| {
-                    let a = rng.next_below(n_links as u64) as usize;
-                    let b = rng.next_below(n_links as u64) as usize;
-                    let links = if a == b { vec![a] } else { vec![a, b] };
-                    let cap = if rng.next_below(2) == 0 {
-                        1.0e5 * (1.0 + 99.0 * rng.next_f64())
-                    } else {
-                        f64::INFINITY
-                    };
-                    (links, cap)
-                })
+            let flows: Vec<(Vec<u32>, f64)> = (0..n_flows)
+                .map(|_| random_demand(&mut rng, n_links))
                 .collect();
             // Solves with links added in `link_order` and flows in
             // `flow_order`; returns rate bits indexed by original flow.
@@ -686,8 +725,8 @@ mod tests {
                     local[l] = solver.add_link(caps[l]);
                 }
                 for &f in flow_order {
-                    let route: Vec<u32> = flows[f].0.iter().map(|&l| local[l]).collect();
-                    solver.add_flow(&route, flows[f].1);
+                    let route: Vec<u32> = flows[f].0.iter().map(|&l| local[l as usize]).collect();
+                    solver.add_flow(&route, flows[f].1, 1);
                 }
                 let rates = solver.solve();
                 let mut bits = vec![0u64; n_flows];
@@ -704,6 +743,68 @@ mod tests {
                 rng.shuffle(&mut flow_order);
                 assert_eq!(solve(&link_order, &flow_order), base);
             }
+        }
+    }
+
+    /// What lets the fabric feed all flows sharing (links, cap) as one
+    /// entry: `add_flow(links, cap, m)` gives the bit-identical rate, in the
+    /// same number of rounds, as `m` calls with multiplicity 1.
+    ///
+    /// The first instance is the one a shortcut fails on. Three flows
+    /// capped at 0.1 and one uncapped share a link of capacity 1.0: round
+    /// one subtracts 0.1 four times, leaving 0.6000000000000001, which
+    /// round two hands to the uncapped flow. Replace the repeated
+    /// subtraction in `solve` by `m as f64 * delta` and the grouped run
+    /// computes 1.0 - 0.30000000000000004 - 0.1 = 0.6 instead, so the
+    /// uncapped flow's rate differs in its last bit and this test fails.
+    #[test]
+    fn rates_are_bitwise_multiplicity_independent() {
+        use accelmr_des::Xoshiro256;
+        let mut solver = MaxMinSolver::new();
+        // (rate bits per entry, rounds) with each entry fed as one
+        // `add_flow(.., m)` or as `m` single flows (all checked equal).
+        let mut solve = |caps: &[f64], entries: &[(Vec<u32>, f64, u32)], grouped: bool| {
+            solver.begin();
+            for &c in caps {
+                solver.add_link(c);
+            }
+            for (links, cap, m) in entries {
+                if grouped {
+                    solver.add_flow(links, *cap, *m);
+                } else {
+                    (0..*m).for_each(|_| solver.add_flow(links, *cap, 1));
+                }
+            }
+            let before = solver.rounds();
+            let rates: Vec<u64> = solver.solve().iter().map(|r| r.to_bits()).collect();
+            let mut bits = Vec::with_capacity(entries.len());
+            let mut at = 0;
+            for (_, _, m) in entries {
+                let n = if grouped { 1 } else { *m as usize };
+                assert!(rates[at..at + n].iter().all(|&r| r == rates[at]));
+                bits.push(rates[at]);
+                at += n;
+            }
+            (bits, solver.rounds() - before)
+        };
+
+        let directed = [(vec![0], 0.1, 3), (vec![0], f64::INFINITY, 1)];
+        let (bits, rounds) = solve(&[1.0], &directed, true);
+        assert_eq!((bits.clone(), rounds), solve(&[1.0], &directed, false));
+        assert_eq!(f64::from_bits(bits[1]), 0.1 + 0.600_000_000_000_000_1);
+        assert_ne!(f64::from_bits(bits[1]), 0.1 + 0.6);
+
+        let mut rng = Xoshiro256::seed_from_u64(0x0C1A_55E5);
+        for _ in 0..300 {
+            let caps = random_caps(&mut rng);
+            let n_entries = rng.range_inclusive(1, 32) as usize;
+            let entries: Vec<(Vec<u32>, f64, u32)> = (0..n_entries)
+                .map(|_| {
+                    let (links, cap) = random_demand(&mut rng, caps.len());
+                    (links, cap, rng.range_inclusive(1, 20) as u32)
+                })
+                .collect();
+            assert_eq!(solve(&caps, &entries, true), solve(&caps, &entries, false));
         }
     }
 

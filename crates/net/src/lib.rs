@@ -27,6 +27,11 @@
 //!   request waves out in one instant — do not stagger or serialize starts
 //!   "to be gentle"; that defeats the coalescing and multiplies solver
 //!   work.
+//! * **Equal flows are priced as one.** Flows sharing links and cap are
+//!   one solver entry with a multiplicity (a *route class*, see
+//!   [`fabric`]), bit-identical to pricing each alone; callers need not
+//!   batch, merge or otherwise arrange their transfers to get it — start
+//!   one flow per logical transfer.
 //! * **Times, not intra-instant order.** A change inside the fabric may
 //!   reorder the events of one simulated instant (and so move a golden
 //!   event-stream fingerprint) but must not move a completion time: the
@@ -36,7 +41,7 @@
 //! * **Dynamic membership.** The node set is no longer fixed at
 //!   construction: [`fabric::EnsureNode`] grows the link tables mid-run
 //!   (never re-pricing existing flows), [`fabric::AbortNode`] tears a
-//!   departing node's flows down by consulting the persistent link→flows
+//!   departing node's flows down by consulting the persistent link→classes
 //!   index (O(node degree), not O(all flows)), and [`NodeRegistry`] gives
 //!   every handle clone a live view of who serves each node.
 
