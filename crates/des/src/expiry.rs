@@ -58,9 +58,10 @@ impl<K: Ord + Copy> ExpiryHeap<K> {
     /// `d`. The strict `<` matches the usual `now - last > window` rule: a
     /// key whose deadline is exactly `now` survives this sweep.
     ///
-    /// The returned keys are in heap (deadline) order and may contain
-    /// duplicates when stale entries coexist; callers that need a
-    /// deterministic processing order should sort and dedup.
+    /// The returned keys are in ascending key order, each once (stale
+    /// entries of a resurrected key can surface together): a
+    /// deterministic processing order that does not depend on when each
+    /// deadline was recorded.
     pub fn expired<F>(&mut self, now: SimTime, mut deadline_of: F) -> Vec<K>
     where
         F: FnMut(K) -> Option<SimTime>,
@@ -80,6 +81,8 @@ impl<K: Ord + Copy> ExpiryHeap<K> {
                 Some(d) => self.heap.push(Reverse((d, key))),
             }
         }
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
@@ -149,6 +152,13 @@ mod tests {
         h.schedule(t(40), 3u32);
         assert!(h.expired(t(20), |_| Some(t(40))).is_empty());
         assert_eq!(h.expired(t(41), |_| Some(t(40))), vec![3]);
+        assert!(h.is_empty());
+        // A superseded entry surfacing beside the fresh one, behind a key
+        // with a later deadline and a smaller id: sorted, each key once.
+        h.schedule(t(50), 3u32);
+        h.schedule(t(52), 3u32);
+        h.schedule(t(55), 1u32);
+        assert_eq!(h.expired(t(60), |_| Some(t(55))), vec![1, 3]);
         assert!(h.is_empty());
     }
 }

@@ -1,5 +1,7 @@
 //! Cluster assembly and the client-side handle.
 
+use std::sync::Arc;
+
 use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
@@ -173,12 +175,13 @@ pub fn deploy_dfs(
         head_node,
         dns.clone(),
     )));
+    let peers = Arc::new(peers);
     for &(_, dn) in &dns {
         sim.post(
             dn,
             Box::new(WireDataNode {
                 namenode,
-                peers: peers.clone(),
+                peers: Arc::clone(&peers),
             }),
         );
     }
@@ -194,7 +197,7 @@ pub fn deploy_dfs(
 #[derive(Debug)]
 struct WireDataNode {
     namenode: ActorId,
-    peers: FxHashMap<NodeId, ActorId>,
+    peers: Arc<FxHashMap<NodeId, ActorId>>,
 }
 
 /// Wrapper that holds a DataNode until its wiring message arrives, then
@@ -221,7 +224,7 @@ impl Actor for PendingDataNode {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         if let Event::Msg { ref msg, .. } = ev {
             if let Some(w) = msg.peek::<WireDataNode>() {
-                self.inner.rewire(w.namenode, w.peers.clone());
+                self.inner.rewire(w.namenode, Arc::clone(&w.peers));
                 self.wired = true;
                 return;
             }
@@ -610,7 +613,7 @@ mod tests {
                     let mut dn = DataNode::new(cfg, net, NodeId(3), NodeId::HEAD, false);
                     let peers: FxHashMap<NodeId, ActorId> =
                         dfs_reg.snapshot().into_iter().collect();
-                    dn.rewire(dfs.namenode, peers);
+                    dn.rewire(dfs.namenode, Arc::new(peers));
                     let dn_id = ctx.spawn(Box::new(dn));
                     for (_, peer) in dfs_reg.snapshot() {
                         ctx.send(

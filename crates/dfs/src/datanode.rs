@@ -1,5 +1,7 @@
 //! The DataNode: block storage and streaming.
 
+use std::sync::Arc;
+
 use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId};
@@ -40,8 +42,10 @@ pub struct DataNode {
     node: NodeId,
     namenode: ActorId,
     head_node: NodeId,
-    /// Peer DataNode actors for pipeline forwarding, indexed by node.
-    peers: FxHashMap<NodeId, ActorId>,
+    /// Peer DataNode actors for pipeline forwarding, indexed by node. One
+    /// map shared by every DataNode wired from it, copied on the first
+    /// [`AddPeer`] that finds it shared.
+    peers: Arc<FxHashMap<NodeId, ActorId>>,
     blocks: FxHashMap<BlockId, BlockMeta>,
     materialized: bool,
 }
@@ -62,14 +66,14 @@ impl DataNode {
             node,
             namenode: ActorId::ENGINE,
             head_node,
-            peers: FxHashMap::default(),
+            peers: Arc::default(),
             blocks: FxHashMap::default(),
             materialized,
         }
     }
 
     /// Installs the NameNode id and peer DataNode registry.
-    pub fn rewire(&mut self, namenode: ActorId, peers: FxHashMap<NodeId, ActorId>) {
+    pub fn rewire(&mut self, namenode: ActorId, peers: Arc<FxHashMap<NodeId, ActorId>>) {
         self.namenode = namenode;
         self.peers = peers;
     }
@@ -123,7 +127,7 @@ impl Actor for DataNode {
                 if let Some(peer) = msg.peek::<AddPeer>() {
                     // A node joined: learn its DataNode so write and
                     // re-replication pipelines can forward through it.
-                    self.peers.insert(peer.node, peer.actor);
+                    Arc::make_mut(&mut self.peers).insert(peer.node, peer.actor);
                 } else if msg.is::<ReplicateBlock>() {
                     let req = msg.downcast::<ReplicateBlock>().expect("checked");
                     let meta = self.blocks.get(&req.block).copied();

@@ -384,17 +384,14 @@ impl Actor for NameNode {
                 let dead = &self.dead;
                 let last = &self.last_heartbeat;
                 let window = self.cfg.dead_after;
-                let mut newly_dead = self.expiry.expired(now, |node| {
+                // Ascending node order, each node once: the order the
+                // former full scan declared deaths in, bit for bit.
+                let newly_dead = self.expiry.expired(now, |node| {
                     if dead.contains(&node) {
                         return None;
                     }
                     last.get(&node).map(|&l| l + window)
                 });
-                // The former scan declared deaths in ascending node order;
-                // sort (and drop resurrection-superseded duplicates) to
-                // keep that order bit for bit.
-                newly_dead.sort_unstable();
-                newly_dead.dedup();
                 for &node in &newly_dead {
                     self.dead.insert(node);
                     ctx.stats().incr("dfs.datanodes_declared_dead");

@@ -203,10 +203,10 @@ impl JobTracker {
     /// sweep drains the expiry heap instead of walking every tracker: only
     /// trackers whose recorded deadline elapsed surface, so an all-quiet
     /// tick costs O(1) regardless of cluster size. The old full scan
-    /// visited ascending node ids; the drained set is sorted (and deduped
-    /// — resurrections can leave superseded entries) so the newly-dead are
-    /// processed in exactly the historical order, keeping traces
-    /// byte-identical.
+    /// visited ascending node ids; the heap hands the drained set back
+    /// sorted (and deduped — resurrections can leave superseded entries) so
+    /// the newly-dead are processed in exactly the historical order,
+    /// keeping traces byte-identical.
     pub(super) fn check_liveness(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.decay_blacklist(now);
@@ -215,15 +215,13 @@ impl JobTracker {
         // Expired ⇔ the authoritative deadline passed: `last + window <
         // now` is the old `now - last > window` rule verbatim, so a
         // tracker whose grace ends exactly at `now` survives this tick.
-        let mut newly_dead = self.expiry.expired(now, |node| {
+        let newly_dead = self.expiry.expired(now, |node| {
             let tt = tts.get(&node)?;
             if tt.dead {
                 return None;
             }
             Some(tt.last_heartbeat + window)
         });
-        newly_dead.sort_unstable();
-        newly_dead.dedup();
         for &node in &newly_dead {
             self.tts
                 .get_mut(&node)

@@ -25,6 +25,16 @@
 //! [`JobBuilder`] (fluent job description), and [`Session`] (N concurrent
 //! jobs with staggered arrivals, driven to completion deterministically).
 //!
+//! ## Modules
+//!
+//! The two actors are directory modules split by responsibility:
+//! [`jobtracker`] (`lifecycle`, `dispatch`, `ledger`, `liveness`) and
+//! [`tasktracker`] (`io`, `map`, `reduce`, `output` — one attempt's state
+//! machine by phase, around one table of outstanding I/O). [`sched`] holds
+//! the pluggable policies, [`session`] the multi-job driver with its churn
+//! and fault plans, [`builder`] / [`cluster`] deployment, [`job`] /
+//! [`msgs`] / [`kernel`] / [`config`] the vocabulary.
+//!
 //! ## Invariants callers rely on
 //!
 //! * **Dynamic membership.** The fixed-worker-set assumption is lifted:
@@ -40,11 +50,13 @@
 //!   and a reducer's whole fetch wave out in one simulated instant; the
 //!   fabric coalesces each wave into one rate solve. Keep new I/O call
 //!   sites burst-shaped.
-//! * **Trace pinning.** The golden tables in `tests.rs` pin nine
+//! * **Trace pinning.** The golden tables in `tests.rs` pin thirteen
 //!   scenarios' whole-run event-stream fingerprints *and* their makespans
-//!   to the nanosecond. A fabric change that reorders events within an
-//!   instant moves a fingerprint and must leave every makespan alone;
-//!   re-record the fingerprint then, never the makespan.
+//!   to the nanosecond (four of them under faults, for the TaskTracker's
+//!   time-out, failover, abort and kill paths). A fabric change that
+//!   reorders events within an instant moves a fingerprint and must leave
+//!   every makespan alone; re-record the fingerprint then, never the
+//!   makespan.
 
 pub mod builder;
 pub mod cluster;

@@ -760,7 +760,7 @@ impl ChurnDriver {
             self.elastic.materialized,
         );
         let peers: FxHashMap<NodeId, ActorId> = self.dfs.datanodes.snapshot().into_iter().collect();
-        dn.rewire(self.dfs.namenode, peers);
+        dn.rewire(self.dfs.namenode, Arc::new(peers));
         let dn_id = ctx.spawn(Box::new(dn));
         for (_, peer) in self.dfs.datanodes.snapshot() {
             ctx.send(peer, AddPeer { node, actor: dn_id });

@@ -1,0 +1,127 @@
+//! The vocabulary the attempt phases share: the entry type of the one
+//! outstanding-I/O table, the typed timer tag, and the two duration rules
+//! (watchdog backoff, gray-failure stretch).
+
+use accelmr_des::SimDuration;
+use accelmr_net::NodeId;
+
+/// One outstanding I/O, keyed in the table by the tag its reply (and its
+/// watchdog, when hardened) will carry. `(slot, gen)` name the attempt it
+/// belongs to; the entry outlives a killed attempt until its reply or
+/// watchdog touches it.
+///
+/// A reducer holds one entry per fetch (thousands), so the size is an
+/// end-to-end memory figure: keep it at 32 bytes.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Io {
+    pub slot: u32,
+    pub gen: u32,
+    pub kind: IoKind,
+}
+
+#[derive(Clone, Copy, Debug)]
+pub(super) enum IoKind {
+    Read(Read),
+    Fetch(Fetch),
+    /// An output block, from `AllocBlock` to `WriteAck`.
+    Write {
+        len: u64,
+    },
+}
+
+/// Segment `seg` of `record`, asked of the `replica_tried`-th replica in
+/// the reader's preference order. The segment's geometry is re-derived
+/// from `(record, seg)` when needed.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Read {
+    pub record: u64,
+    pub seg: u32,
+    pub replica_tried: u32,
+}
+
+/// A shuffle fetch, with what a re-issue needs: the source and size
+/// survive retries, `retries` drives the backoff and the give-up bar.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Fetch {
+    pub from: NodeId,
+    pub bytes: u64,
+    pub retries: u32,
+}
+
+/// The attempt steps that are paced by a timer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Step {
+    /// Task launch (or per-node kernel setup) is over: begin the work.
+    Start = 1,
+    /// A record's (or unit batch's) map computation is over.
+    Compute = 2,
+    /// Teardown is over: report success.
+    Cleanup = 3,
+    /// The reduce merge is over.
+    Merge = 4,
+}
+
+/// A TaskTracker timer, carried through the engine as one `u64`: kind in
+/// the top byte, then either a slot (16 bits) and generation (low 32), or
+/// an I/O tag (the `next_tag` counter, far below 2^56).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Tick {
+    Heartbeat,
+    Step(Step, u32, u32),
+    /// An I/O watchdog: no timer is ever cancelled, so whether it still
+    /// matters is decided by whether its tag is still in the table.
+    Watchdog(u64),
+}
+
+const KIND_WATCHDOG: u64 = 5;
+const IO_TAG_MASK: u64 = (1 << 56) - 1;
+
+impl Tick {
+    #[inline]
+    pub fn pack(self) -> u64 {
+        match self {
+            Tick::Heartbeat => 0,
+            Tick::Step(step, slot, gen) => {
+                debug_assert!(slot <= 0xffff);
+                ((step as u64) << 56) | ((slot as u64) << 40) | gen as u64
+            }
+            Tick::Watchdog(io_tag) => {
+                debug_assert!(io_tag <= IO_TAG_MASK);
+                (KIND_WATCHDOG << 56) | io_tag
+            }
+        }
+    }
+
+    #[inline]
+    pub fn unpack(tag: u64) -> Tick {
+        let step = match tag >> 56 {
+            0 => return Tick::Heartbeat,
+            1 => Step::Start,
+            2 => Step::Compute,
+            3 => Step::Cleanup,
+            4 => Step::Merge,
+            _ => return Tick::Watchdog(tag & IO_TAG_MASK),
+        };
+        Tick::Step(step, ((tag >> 40) & 0xffff) as u32, tag as u32)
+    }
+}
+
+/// `base * factor^n`, the exponential-backoff schedule for I/O watchdogs.
+#[inline]
+pub(super) fn backoff(base: SimDuration, factor: f64, n: u32) -> SimDuration {
+    if n == 0 {
+        return base;
+    }
+    SimDuration::from_nanos((base.as_nanos() as f64 * factor.powi(n as i32)) as u64)
+}
+
+/// Stretches a compute duration by the node's gray-failure factor. The
+/// `factor == 1.0` path must return `d` untouched (no f64 round trip) so
+/// fault-free runs arm bit-identical timers and golden traces hold.
+#[inline]
+pub(super) fn degrade(d: SimDuration, factor: f64) -> SimDuration {
+    if factor >= 1.0 {
+        return d;
+    }
+    SimDuration::from_nanos((d.as_nanos() as f64 / factor) as u64)
+}

@@ -832,6 +832,220 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
     out
 }
 
+/// Scenarios for the TaskTracker's hardened I/O paths, which run hot only
+/// under faults: watchdog time-outs with backed-off re-issue, replica
+/// failover, aborted transfers from a departed node under a DFS-writing
+/// job, and a preemption kill that strands reads in flight. Each asserts
+/// the counter that proves its path ran; pinned by
+/// `hardened_io_paths_are_trace_pinned`.
+fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
+    use crate::config::PreemptionTuning;
+    use crate::session::FaultPlan;
+    use accelmr_net::NodeId;
+
+    let mut out = Vec::new();
+    let hardened = || MrConfig {
+        tt_dead_after: SimDuration::from_secs(12),
+        shuffle_fetch_timeout: Some(SimDuration::from_secs(8)),
+        read_timeout: Some(SimDuration::from_secs(5)),
+        job_stall_timeout: Some(SimDuration::from_secs(30)),
+        ..MrConfig::hardened()
+    };
+    let deploy = |seed: u64, workers: usize, cfg: MrConfig| {
+        let mut c = ClusterBuilder::new()
+            .seed(seed)
+            .workers(workers)
+            .mr(cfg)
+            .dfs(DfsConfig {
+                dead_after: SimDuration::from_secs(12),
+                ..DfsConfig::default()
+            })
+            .deploy();
+        c.sim.enable_trace(16);
+        c
+    };
+    let file_job = |name: &str, path: &str, records: u64, record: u64, per_record_ms: u64| {
+        JobBuilder::new(name)
+            .input_file(path)
+            .record_bytes(record)
+            .kernel(FixedCostKernel {
+                per_record: SimDuration::from_millis(per_record_ms),
+                output_ratio_percent: 100,
+                ..FixedCostKernel::default()
+            })
+            .preload(
+                PreloadSpec::new(path, records * record, 13)
+                    .block_size(record)
+                    .replication(2),
+            )
+    };
+
+    // A partition spanning the whole shuffle: fetches against node 2's map
+    // outputs time out, re-issue under backed-off patience, and get through
+    // once the partition heals.
+    {
+        let mut c = deploy(91, 4, hardened());
+        let mut session = c.session();
+        session.faults(FaultPlan::new().partition_at(
+            SimDuration::from_secs(12),
+            NodeId(2),
+            SimDuration::from_secs(30),
+        ));
+        session.submit(
+            file_job("part-shuffle", "/ps", 24, 2 * MB, 50)
+                .map_tasks(24)
+                .digest_output()
+                .shuffle(
+                    3,
+                    SumReducer {
+                        cycles_per_byte: 2.0,
+                    },
+                    true,
+                ),
+        );
+        let r = session.run();
+        assert!(r.succeeded, "{:?}", r.error);
+        assert!(c.sim.stats().counter("mr.attempt_retries") >= 1);
+        assert_eq!(c.sim.stats().counter("net.partitions_healed"), 1);
+        out.push((
+            "partition-shuffle",
+            c.sim.trace().fingerprint(),
+            c.sim.trace().recorded(),
+            r.elapsed,
+        ));
+    }
+
+    // A partition during the map phase on a replication-2 input: reads
+    // served by node 2 stall, their watchdogs fire, and each segment fails
+    // over to its other replica. FIFO placement keeps most reads remote.
+    {
+        let cfg = MrConfig {
+            scheduler: SchedulerPolicy::Fifo,
+            ..hardened()
+        };
+        let mut c = deploy(92, 4, cfg);
+        let mut session = c.session();
+        session.faults(FaultPlan::new().partition_at(
+            SimDuration::from_secs(11),
+            NodeId(2),
+            SimDuration::from_secs(20),
+        ));
+        session.submit(
+            file_job("part-read", "/pr", 24, 8 * MB, 200)
+                .map_tasks(12)
+                .digest_output(),
+        );
+        let r = session.run();
+        assert!(r.succeeded, "{:?}", r.error);
+        assert!(c.sim.stats().counter("dfs.read_retries") >= 1);
+        out.push((
+            "partition-read",
+            c.sim.trace().fingerprint(),
+            c.sim.trace().recorded(),
+            r.elapsed,
+        ));
+    }
+
+    // Two nodes leave under a DFS-writing shuffle job, one mid-map and one
+    // mid-shuffle: remote reads off the first abort and retry elsewhere,
+    // fetches off the second abort and fail their reducers fast.
+    {
+        let cfg = MrConfig {
+            scheduler: SchedulerPolicy::Fifo,
+            ..hardened()
+        };
+        let mut c = deploy(93, 5, cfg);
+        let mut session = c.session();
+        session.remove_node_at(SimDuration::from_secs(13), NodeId(2));
+        session.remove_node_at(SimDuration::from_secs(38), NodeId(4));
+        session.submit(
+            file_job("crash-write", "/cw", 40, 8 * MB, 500)
+                .map_tasks(10)
+                .digest_output()
+                .shuffle(
+                    3,
+                    SumReducer {
+                        cycles_per_byte: 2.0,
+                    },
+                    true,
+                ),
+        );
+        let r = session.run();
+        assert!(r.succeeded, "{:?}", r.error);
+        assert!(c.sim.stats().counter("mr.read_retries") >= 1);
+        assert!(c.sim.stats().counter("mr.tasks_failed") >= 1);
+        assert!(c.sim.stats().counter("dfs.blocks_allocated") >= 1);
+        out.push((
+            "crash-dfs-write",
+            c.sim.trace().fingerprint(),
+            c.sim.trace().recorded(),
+            r.elapsed,
+        ));
+    }
+
+    // Fair-share preemption of file maps: the batch tenant's attempts
+    // always have a record read (or its read-ahead) in flight when the
+    // kill lands, so late replies must find no attempt to act on.
+    {
+        let cfg = MrConfig {
+            scheduler: SchedulerPolicy::FairShare,
+            preemption: PreemptionTuning {
+                max_kills_per_job: 8,
+                min_attempt_age: SimDuration::from_secs(1),
+                cooldown: SimDuration::from_secs(1),
+                slack_margin: SimDuration::from_secs(30),
+            },
+            ..MrConfig::default()
+        };
+        let mut c = deploy(94, 3, cfg);
+        let mut session = c.session();
+        session.submit(
+            file_job("batch", "/pb", 48, 8 * MB, 100)
+                .map_tasks(6)
+                .tenant("batch"),
+        );
+        session.submit_after(
+            SimDuration::from_secs(6),
+            file_job("nimble", "/pn", 6, 8 * MB, 100)
+                .map_tasks(6)
+                .tenant("interactive"),
+        );
+        let rs = session.run_until_complete();
+        assert!(rs.iter().all(|r| r.succeeded));
+        assert!(c.sim.stats().counter("mr.preemptions") >= 1);
+        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
+        out.push((
+            "preempt-reads",
+            c.sim.trace().fingerprint(),
+            c.sim.trace().recorded(),
+            makespan,
+        ));
+    }
+
+    out
+}
+
+/// Golden table for [`hardened_io_trace_scenarios`], recorded against the
+/// single-file TaskTracker before it became `tasktracker/`: the time-out,
+/// failover, abort and kill paths keep their event streams bit for bit.
+#[test]
+fn hardened_io_paths_are_trace_pinned() {
+    assert_golden(
+        &hardened_io_trace_scenarios(),
+        &[
+            (
+                "partition-shuffle",
+                0xf5eea0646a686829,
+                1091,
+                46_211_680_380,
+            ),
+            ("partition-read", 0x9facedf2819646b4, 661, 36_293_157_977),
+            ("crash-dfs-write", 0xb2331c81f76eddbe, 1244, 47_147_860_197),
+            ("preempt-reads", 0x3774e9f9fe1d6463, 898, 35_559_310_631),
+        ],
+    );
+}
+
 /// Golden table for [`liveness_trace_scenarios`]: death detection through
 /// the expiry heap and the incremental slot counters must keep producing
 /// these event streams bit for bit.
