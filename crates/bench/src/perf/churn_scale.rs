@@ -2,15 +2,15 @@
 //! 1000-node scale.
 //!
 //! The paper's headline deployment property is a "dynamically variable
-//! number of nodes"; this bin drives it three orders of magnitude past the
-//! paper's testbed: a terasort over a 1000-worker cluster with ≥ 10% of
-//! the nodes joining or leaving *mid-job*. Every layer's churn path is on
-//! the clock at once:
+//! number of nodes"; this section drives it three orders of magnitude past
+//! the paper's testbed: a terasort over a 1000-worker cluster with ≥ 10%
+//! of the nodes joining or leaving *mid-job*. Every layer's churn path is
+//! on the clock at once:
 //!
 //! * fabric — links grow for joins, a crash aborts flows via the
 //!   link→classes index (O(node degree), not O(all flows)), and a shuffle's
 //!   many fetches over one route at one cap are priced as one solver entry
-//!   (flows re-priced per entry fed is asserted: [`Scenario::flows_per_class_floor`]);
+//!   (flows re-priced per entry fed is asserted: `Scenario::flows_per_class_floor`);
 //! * DFS — departures are detected by heartbeat silence, replicas are
 //!   pruned, and every under-replicated block is repaired by streaming a
 //!   surviving replica through a pipeline (joins add repair capacity and
@@ -26,19 +26,22 @@
 //!
 //! Each run must finish with a successful job, zero under-replicated
 //! blocks, and work dispatched onto joined nodes — the 1000-worker
-//! scenario in single-digit seconds of wall clock. Writes the
-//! `churn_scale` section of `BENCH_perf.json` (`BENCH_perf.quick.json`
-//! under `--quick`, the CI smoke path) and, in full mode, a
-//! `terasort_10k` section pinning the first 10,000-node run.
+//! scenario in single-digit seconds of wall clock. Returns the
+//! `churn_scale` and `terasort_10k` sections of `BENCH_perf.json`: the
+//! second pins the 10,000-node run, or under `--quick` a 1000-worker
+//! stand-in of the same shape held to an events/s floor.
 
 use std::time::Instant;
 
-use accelmr_des::{ActorCost, QueueStats, SimDuration};
+use accelmr_des::{ActorCost, SimDuration};
 use accelmr_dfs::{DfsConfig, NameNode};
 use accelmr_hybrid::presets;
 use accelmr_mapred::{ChurnSchedule, ClusterBuilder, MrConfig};
 use accelmr_net::NodeId;
 
+use crate::{float, obj, Json};
+
+#[derive(Clone, Copy)]
 struct Scenario {
     workers: usize,
     /// Input blocks (64 MB each, replication 3).
@@ -81,48 +84,14 @@ struct Pinned {
 /// The commit the `before_*` host numbers were measured at.
 const BEFORE_COMMIT: &str = "24a026b";
 
+/// What the caller pins across scenarios.
 struct Sample {
-    workers: usize,
-    joins: usize,
-    leaves: usize,
-    flows: u64,
-    events: u64,
-    wall_s: f64,
     events_per_sec: f64,
-    makespan_s: f64,
-    replications: u64,
-    abort_scanned: u64,
-    joined_dispatches: u64,
-    attempts: u32,
-    solver_calls: u64,
-    comp_visits: u64,
-    class_visits: u64,
-    solver_rounds: u64,
-    queue: QueueStats,
-    /// Chaos-plane robustness counters (zero in fault-free churn runs
-    /// unless hardening knobs are enabled; surfaced so regressions in the
-    /// counter plumbing are visible here too).
-    attempt_retries: u64,
-    read_retries: u64,
-    blacklist_entries: u64,
-    partitions_healed: u64,
     /// Per-actor-class dispatch costs (events + host nanos), collected
     /// with engine profiling on. The 1k→10k per-event cost ratio is
     /// pinned from these, so heartbeat-path O(cluster) regressions fail
     /// the bench instead of silently re-inflating the 10k run.
     actor_costs: Vec<ActorCost>,
-    /// The fabric's own split of its `actor_costs` row
-    /// (`net.fabric.phase.*` laps: settle / walk / solve / write_back /
-    /// rearm per advance, `start` per `StartFlow`).
-    fabric_phases: Vec<ActorCost>,
-}
-
-impl Sample {
-    /// Flows re-priced per solver entry fed (see
-    /// [`Scenario::flows_per_class_floor`]).
-    fn flows_per_class(&self) -> f64 {
-        self.comp_visits as f64 / self.class_visits.max(1) as f64
-    }
 }
 
 /// Mean profiled host-nanoseconds per dispatched event across the given
@@ -141,7 +110,11 @@ fn growth(base: &Sample, big: &Sample, keep: impl Fn(&str) -> bool) -> f64 {
     pick(big) / pick(base)
 }
 
-fn run(sc: &Scenario) -> Sample {
+/// Runs one scenario and returns its sample (so the caller can pin
+/// cross-scenario ratios) and its section of the bench file. `pinned` holds
+/// a full-scale scenario to its simulated outcome and wall-clock bar; `None`
+/// is a scaled-down `--quick` run.
+fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Json) {
     // Elastic-deployment tuning: a 12 s silence window keeps repair and
     // re-execution latency proportionate to churn, and generous attempt
     // budgets absorb fetch aborts from mid-shuffle departures.
@@ -202,7 +175,7 @@ fn run(sc: &Scenario) -> Sample {
         .dispatch_log
         .iter()
         .filter(|&&(_, n)| joined.contains(&n))
-        .count() as u64;
+        .count();
     assert!(
         joined_dispatches > 0,
         "no work was dispatched onto joined nodes"
@@ -221,175 +194,120 @@ fn run(sc: &Scenario) -> Sample {
         "blocks did not re-reach target replication"
     );
 
-    Sample {
-        workers: sc.workers,
-        joins: sc.joins,
-        leaves: n_leaves,
-        flows: stats.counter("net.flows_done"),
-        events: summary.events,
-        wall_s,
-        events_per_sec: summary.events as f64 / wall_s.max(1e-9),
-        makespan_s: result.elapsed.as_secs_f64(),
-        replications: stats.counter("dfs.blocks_replicated"),
-        abort_scanned: stats.counter("net.abort_flows_scanned"),
-        joined_dispatches,
-        attempts: result.attempts,
-        solver_calls: stats.counter("net.solver_calls"),
-        comp_visits: stats.counter("net.comp_flow_visits"),
-        class_visits: stats.counter("net.comp_class_visits"),
-        solver_rounds: stats.counter("net.solver_rounds"),
-        queue: stats.queue(),
-        attempt_retries: stats.counter("mr.attempt_retries"),
-        read_retries: stats.counter("dfs.read_retries"),
-        blacklist_entries: stats.counter("mr.blacklist_entries"),
-        partitions_healed: stats.counter("net.partitions_healed"),
-        actor_costs: stats.actor_costs(),
-        fabric_phases: stats.lap_costs(),
-    }
-}
-
-/// Runs one scenario, prints its report, and rewrites `section` of the
-/// bench JSON. `pinned` holds a full-scale scenario to its simulated
-/// outcome and wall-clock bar; `None` is a scaled-down `--quick` run.
-/// Returns the sample so the caller can pin cross-scenario ratios.
-fn run_and_report(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> Sample {
-    let quick = pinned.is_none();
-    println!(
-        "# {section} — {}-node terasort under join/leave churn",
-        sc.workers
-    );
-    let s = run(sc);
-    let churned = s.joins + s.leaves;
-    let pct = 100.0 * churned as f64 / sc.workers as f64;
-    println!(
-        "{:>6} workers  {:>3} joins  {:>3} leaves ({pct:.1}% churn)",
-        s.workers, s.joins, s.leaves
-    );
-    println!(
-        "  makespan {:>8.1} s sim   wall {:>6.2} s   {} events ({:.0}/s)   flows {}   attempts {}",
-        s.makespan_s, s.wall_s, s.events, s.events_per_sec, s.flows, s.attempts
-    );
-    println!(
-        "  re-replications {}   abort-scan visits {}   dispatches on joined nodes {}",
-        s.replications, s.abort_scanned, s.joined_dispatches
-    );
-    println!(
-        "  solver: {} calls, {} rounds, {} flow visits in {} class visits ({:.1} flows/class, floor {})   queue: peak {} pending, {} pushes, {} timer rearms, {} rungs spawned, cur peak {}",
-        s.solver_calls,
-        s.solver_rounds,
-        s.comp_visits,
-        s.class_visits,
-        s.flows_per_class(),
-        sc.flows_per_class_floor,
-        s.queue.peak_depth,
-        s.queue.pushes,
-        s.queue.timer_rearms,
-        s.queue.rungs_spawned,
-        s.queue.peak_cur_len
-    );
-    println!(
-        "  per-event cost {:.0} ns mean; by actor class:",
-        nanos_per_event(&s.actor_costs)
-    );
-    for c in &s.actor_costs {
-        println!(
-            "    {:>12}  {:>9} events  {:>6.0} ns/event",
-            c.class,
-            c.events,
-            c.nanos as f64 / c.events.max(1) as f64
-        );
-    }
-    for c in &s.fabric_phases {
-        println!(
-            "      {:<27}  {:>9} laps  {:>8.4} s",
-            c.class,
-            c.events,
-            c.nanos as f64 / 1e9
-        );
-    }
+    let events = summary.events;
+    let events_per_sec = events as f64 / wall_s.max(1e-9);
+    let makespan_s = result.elapsed.as_secs_f64();
+    let replications = stats.counter("dfs.blocks_replicated");
+    let solver_calls = stats.counter("net.solver_calls");
+    let solver_rounds = stats.counter("net.solver_rounds");
+    let comp_visits = stats.counter("net.comp_flow_visits");
+    let class_visits = stats.counter("net.comp_class_visits");
+    let flows_per_class = comp_visits as f64 / class_visits.max(1) as f64;
+    let actor_costs = stats.actor_costs();
+    let per_event = |c: &ActorCost| float(c.nanos as f64 / c.events.max(1) as f64, 0);
+    let row = obj! {
+        "workers" => sc.workers,
+        "joins" => sc.joins,
+        "leaves" => n_leaves,
+        "churn_pct" => float(100.0 * (sc.joins + n_leaves) as f64 / sc.workers as f64, 1),
+        "flows" => stats.counter("net.flows_done"),
+        "events" => events,
+        "events_per_sec" => float(events_per_sec, 0),
+        "wall_s" => float(wall_s, 4),
+        "makespan_s" => float(makespan_s, 3),
+        "attempts" => result.attempts,
+        "rereplications" => replications,
+        "abort_flows_scanned" => stats.counter("net.abort_flows_scanned"),
+        "joined_node_dispatches" => joined_dispatches,
+        "solver_calls" => solver_calls,
+        "solver_rounds" => solver_rounds,
+        "comp_flow_visits" => comp_visits,
+        "comp_class_visits" => class_visits,
+        "flows_per_class" => float(flows_per_class, 2),
+        "queue" => super::queue_json(&stats.queue()),
+        // Chaos-plane robustness counters (zero in fault-free churn runs
+        // unless hardening knobs are enabled; surfaced so regressions in
+        // the counter plumbing are visible here too).
+        "robustness" => Json::object(
+            ["mr.attempt_retries", "dfs.read_retries", "mr.blacklist_entries", "net.partitions_healed"]
+                .map(|name| (name, stats.counter(name))),
+        ),
+        "nanos_per_event" => float(nanos_per_event(&actor_costs), 0),
+        "actor_costs" => actor_costs
+            .iter()
+            .map(|c| obj! { "class" => &*c.class, "events" => c.events, "nanos_per_event" => per_event(c) })
+            .collect::<Vec<_>>(),
+        // The fabric's own split of its `actor_costs` row
+        // (`net.fabric.phase.*` laps: settle / walk / solve / write_back /
+        // rearm per advance, `start` per `StartFlow`).
+        "fabric_phases" => Json::object(stats.lap_costs().iter().map(|c| {
+            let busy_s = float(c.nanos as f64 / 1e9, 4);
+            (&c.class, obj! { "laps" => c.events, "busy_s" => busy_s })
+        })),
+    };
+    // Flows re-priced per solver entry fed.
     assert!(
-        s.flows_per_class() >= sc.flows_per_class_floor,
-        "{section}: {:.2} flows re-priced per solver entry, floor {} — same-route fetches are being priced one by one",
-        s.flows_per_class(),
+        flows_per_class >= sc.flows_per_class_floor,
+        "{section}: {flows_per_class:.2} flows re-priced per solver entry, floor {} — same-route fetches are being priced one by one",
         sc.flows_per_class_floor
     );
-    let mut before = String::new();
+    let mut body = obj! {
+        "scenario" => format!(
+            "terasort, 64 MB blocks x{}, replication 3, {} reducers, churn wave {}j+{}l over [{}s, {}s]",
+            sc.blocks,
+            sc.reducers,
+            sc.joins,
+            n_leaves,
+            sc.churn_start_s,
+            sc.churn_start_s + sc.churn_window_s
+        ),
+        "quick" => pinned.is_none(),
+    };
     if let Some(p) = pinned {
         assert_eq!(
-            (s.events, s.attempts, s.replications, s.solver_calls, s.solver_rounds),
+            (events, result.attempts, replications, solver_calls, solver_rounds),
             (p.events, p.attempts, p.rereplications, p.solver_calls, p.solver_rounds),
             "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds) moved"
         );
         assert!(
-            (s.makespan_s - p.makespan_s).abs() < 1e-3,
-            "{section}: makespan moved: {} s, pinned {} s",
-            s.makespan_s,
+            (makespan_s - p.makespan_s).abs() < 1e-3,
+            "{section}: makespan moved: {makespan_s} s, pinned {} s",
             p.makespan_s
         );
         assert!(
-            s.wall_s < p.wall_bar_s,
-            "acceptance bar: {}-node churn terasort under {:.0}s wall, got {:.2}s",
+            wall_s < p.wall_bar_s,
+            "acceptance bar: {}-node churn terasort under {:.0}s wall, got {wall_s:.2}s",
             sc.workers,
-            p.wall_bar_s,
-            s.wall_s
+            p.wall_bar_s
         );
-        println!(
-            "  before ({BEFORE_COMMIT}): wall {:.2} s, net.fabric {:.0} ns/event",
-            p.before_wall_s, p.before_fabric_ns_per_event
-        );
-        before = format!(
-            "\n    \"before\": {{ \"commit\": \"{BEFORE_COMMIT}\", \"wall_s\": {:.4}, \"net_fabric_nanos_per_event\": {:.0} }},",
-            p.before_wall_s, p.before_fabric_ns_per_event
-        );
+        body.extend(obj! { "before" => obj! {
+            "commit" => BEFORE_COMMIT,
+            "wall_s" => float(p.before_wall_s, 4),
+            "net_fabric_nanos_per_event" => float(p.before_fabric_ns_per_event, 0),
+        } });
     }
-
-    let body = format!(
-        "{{\n    \"scenario\": \"terasort, 64 MB blocks x{}, replication 3, {} reducers, churn wave {}j+{}l over [{}s, {}s]\",\n    \"quick\": {quick},{before}\n    \"runs\": [\n      {{ \"workers\": {}, \"joins\": {}, \"leaves\": {}, \"churn_pct\": {pct:.1}, \"flows\": {}, \"events\": {}, \"events_per_sec\": {:.0}, \"wall_s\": {:.4}, \"makespan_s\": {:.3}, \"attempts\": {}, \"rereplications\": {}, \"abort_flows_scanned\": {}, \"joined_node_dispatches\": {}, \"solver_calls\": {}, \"solver_rounds\": {}, \"comp_flow_visits\": {}, \"comp_class_visits\": {}, \"flows_per_class\": {:.2}, \"queue\": {}, \"robustness\": {{ \"mr.attempt_retries\": {}, \"dfs.read_retries\": {}, \"mr.blacklist_entries\": {}, \"net.partitions_healed\": {} }}, \"nanos_per_event\": {:.0}, \"actor_costs\": {}, \"fabric_phases\": {} }}\n    ]\n  }}",
-        sc.blocks,
-        sc.reducers,
-        sc.joins,
-        s.leaves,
-        sc.churn_start_s,
-        sc.churn_start_s + sc.churn_window_s,
-        s.workers,
-        s.joins,
-        s.leaves,
-        s.flows,
-        s.events,
-        s.events_per_sec,
-        s.wall_s,
-        s.makespan_s,
-        s.attempts,
-        s.replications,
-        s.abort_scanned,
-        s.joined_dispatches,
-        s.solver_calls,
-        s.solver_rounds,
-        s.comp_visits,
-        s.class_visits,
-        s.flows_per_class(),
-        accelmr_bench::queue_stats_json(&s.queue),
-        s.attempt_retries,
-        s.read_retries,
-        s.blacklist_entries,
-        s.partitions_healed,
-        nanos_per_event(&s.actor_costs),
-        accelmr_bench::actor_costs_json(&s.actor_costs),
-        accelmr_bench::lap_costs_json(&s.fabric_phases),
-    );
-    let out = if quick {
-        "BENCH_perf.quick.json"
-    } else {
-        "BENCH_perf.json"
+    body.extend(obj! { "runs" => vec![row] });
+    let sample = Sample {
+        events_per_sec,
+        actor_costs,
     };
-    accelmr_bench::update_bench_section(out, section, &body)
-        .unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("\nwrote {out} ({section} section)");
-    s
+    (sample, body)
 }
 
-fn main() {
-    let quick = accelmr_bench::quick_mode();
+/// The 1k run, then the 10k run and the 1k→10k per-event ratio bars; under
+/// `--quick`, a 128-worker run and the 1000-worker stand-in.
+pub fn run(quick: bool) -> Json {
+    let full_1k = Scenario {
+        workers: 1000,
+        blocks: 6 * 1000,
+        reducers: 64,
+        joins: 60,
+        leave_stride: 19,
+        churn_start_s: 12,
+        churn_window_s: 40,
+        // Measured 12.1: 6 maps per node x 2 reducers per reducer node.
+        flows_per_class_floor: 8.0,
+    };
     let sc = if quick {
         Scenario {
             workers: 128,
@@ -400,23 +318,13 @@ fn main() {
             reducers: 16,
             joins: 12,
             leave_stride: 13,
-            churn_start_s: 12,
             churn_window_s: 30,
             // Measured 10.2.
             flows_per_class_floor: 6.5,
+            ..full_1k
         }
     } else {
-        Scenario {
-            workers: 1000,
-            blocks: 6 * 1000,
-            reducers: 64,
-            joins: 60,
-            leave_stride: 19,
-            churn_start_s: 12,
-            churn_window_s: 40,
-            // Measured 12.1: 6 maps per node x 2 reducers per reducer node.
-            flows_per_class_floor: 8.0,
-        }
+        full_1k
     };
 
     let pinned_1k = Pinned {
@@ -433,28 +341,28 @@ fn main() {
         before_wall_s: 2.25,
         before_fabric_ns_per_event: 2280.0,
     };
-    let base = run_and_report(&sc, "churn_scale", (!quick).then_some(&pinned_1k));
+    let (base, base_json) = measure(&sc, "churn_scale", (!quick).then_some(&pinned_1k));
 
     if quick {
         // CI smoke of the 10k scenario's *shape* at a scaled-down worker
         // count: same 3-blocks-per-worker input, reducer count, and ~6%
         // churn profile as the full 10k run, so a heartbeat-path
-        // O(cluster) regression shows up as a collapsed events_per_sec in
-        // the quick JSON (the CI step greps a floor) instead of waiting
-        // for the next full 10k regeneration.
+        // O(cluster) regression shows up as a collapsed events/s here (the
+        // floor below, which CI used to grep out of the quick JSON) instead
+        // of waiting for the next full 10k regeneration.
         let smoke = Scenario {
-            workers: 1000,
             blocks: 3 * 1000,
-            reducers: 64,
-            joins: 60,
-            leave_stride: 19,
-            churn_start_s: 12,
-            churn_window_s: 40,
             // Measured 6.2, as the full 10k run it stands in for.
             flows_per_class_floor: 4.0,
+            ..full_1k
         };
-        run_and_report(&smoke, "terasort_10k", None);
-        return;
+        let (s, smoke_json) = measure(&smoke, "terasort_10k", None);
+        assert!(
+            s.events_per_sec >= 150_000.0,
+            "terasort_10k stand-in runs at {:.0} events/s, floor 150000 — a heartbeat-path O(cluster) term is back",
+            s.events_per_sec
+        );
+        return obj! { "churn_scale" => base_json, "terasort_10k" => smoke_json };
     }
 
     {
@@ -478,17 +386,14 @@ fn main() {
         // the per-flow settles of completions, the write-back that
         // re-prices every member of a walked class whether or not its
         // rate moved, and `StartFlow`. Only the full bench regeneration
-        // pays for this run; CI's --quick path stops above.
+        // pays for this run; the --quick path stops above.
         let sc10k = Scenario {
             workers: 10_000,
             blocks: 3 * 10_000,
-            reducers: 64,
             joins: 600,
-            leave_stride: 19,
-            churn_start_s: 12,
-            churn_window_s: 40,
             // Measured 6.2: 3 maps per node, same reducer placement.
             flows_per_class_floor: 4.0,
+            ..full_1k
         };
         let pinned_10k = Pinned {
             events: 29_708_157,
@@ -506,7 +411,7 @@ fn main() {
             before_wall_s: 45.80,
             before_fabric_ns_per_event: 1991.0,
         };
-        let big = run_and_report(&sc10k, "terasort_10k", Some(&pinned_10k));
+        let (big, mut big_json) = measure(&sc10k, "terasort_10k", Some(&pinned_10k));
 
         // The heartbeat-path scalability pin: per-event host cost must
         // not grow with the cluster the way an O(cluster) scan per
@@ -543,9 +448,6 @@ fn main() {
             class == "dfs.namenode" || class == "mr.jobtracker"
         });
         let fabric = growth(&base, &big, |class| class == "net.fabric");
-        println!(
-            "\nper-event cost ratio 1k -> 10k nodes: {rest:.2}x all but the fabric (bar 3.2x), {control:.2}x control-plane (bar 2.8x), {fabric:.2}x fabric (bar 1.8x)"
-        );
         assert!(
             rest < 3.2,
             "non-fabric per-event cost grew {rest:.2}x from 1k to 10k nodes — an O(cluster) term is back"
@@ -558,5 +460,11 @@ fn main() {
             fabric < 1.8,
             "net.fabric per-event cost grew {fabric:.2}x from 1k to 10k nodes — the fabric picked up a per-node term"
         );
+        big_json.extend(obj! { "per_event_cost_1k_to_10k" => obj! {
+            "all_but_fabric" => float(rest, 2),
+            "control_plane" => float(control, 2),
+            "fabric" => float(fabric, 2),
+        } });
+        obj! { "churn_scale" => base_json, "terasort_10k" => big_json }
     }
 }

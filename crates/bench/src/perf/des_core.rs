@@ -1,7 +1,7 @@
 //! des_core — **wall-clock** microbenchmark of the event engine itself.
 //!
 //! The macro benches (`net_scale`, `churn_scale`) measure the simulator
-//! with the full fabric/DFS/MapReduce stack on top; this bin isolates the
+//! with the full fabric/DFS/MapReduce stack on top; this one isolates the
 //! `accelmr-des` core so queue regressions are attributable. Four
 //! workloads, one per hot path of the event queue:
 //!
@@ -23,12 +23,14 @@
 //!   splits that bucket. Asserted as a ratio to `timer_wheel` on the same
 //!   run.
 //!
-//! Writes the `des_core` section of `BENCH_perf.json`
-//! (`BENCH_perf.quick.json` under `--quick`, the CI smoke path).
+//! Returns the `des_core` section of `BENCH_perf.json`.
 
 use std::time::Instant;
 
 use accelmr_des::prelude::*;
+use accelmr_des::QueueStats;
+
+use crate::{float, obj, Json};
 
 const TAG_TICK: u64 = 1;
 const TAG_RETRY: u64 = 2;
@@ -40,12 +42,18 @@ const SKEWED_ACTORS: usize = 8_192;
 
 /// Floor on `skewed_horizon` / `timer_wheel` events/s within one run. The
 /// ladder queue measures 0.83-1.05 (full) and 0.76-0.96 (`--quick`); the
-/// single span-wide wheel before it ([`BEFORE`]) 0.04-0.06 and 0.05-0.08.
+/// single span-wide wheel before it ([`before`]) 0.04-0.06 and 0.05-0.08.
 const SKEWED_RATIO_BAR: f64 = 0.4;
 
-/// The parent commit's queue under this bin (median of five full runs on
-/// the machine that regenerated the section, events/s).
-const BEFORE: &str = "{ \"commit\": \"5f6cbaf\", \"timer_wheel\": 14967892, \"msg_bursts\": 3019367, \"cancel_churn\": 7356188, \"skewed_horizon\": 679714, \"skewed_over_timer_wheel\": 0.05 }";
+/// The parent commit's queue under this section (median of five full runs
+/// on the machine that regenerated it, events/s).
+fn before() -> Json {
+    obj! {
+        "commit" => "5f6cbaf", "timer_wheel" => 14_967_892u64, "msg_bursts" => 3_019_367u64,
+        "cancel_churn" => 7_356_188u64, "skewed_horizon" => 679_714u64,
+        "skewed_over_timer_wheel" => float(0.05, 2),
+    }
+}
 
 /// A heartbeat-shaped actor: one periodic timer, re-armed in place for a
 /// fixed number of firings. Intervals are staggered per actor so firings
@@ -167,35 +175,28 @@ impl Actor for OneShot {
 }
 
 struct Sample {
-    workload: &'static str,
-    actors: usize,
-    events: u64,
-    wall_s: f64,
     events_per_sec: f64,
-    pushes: u64,
-    peak_depth: u64,
-    cancelled_drops: u64,
-    timer_rearms: u64,
-    rungs_spawned: u64,
-    peak_cur_len: u64,
+    queue: QueueStats,
+    row: Json,
 }
 
 fn finish(workload: &'static str, actors: usize, mut sim: Sim, started: Instant) -> Sample {
-    let summary = sim.run();
+    let events = sim.run().events;
     let wall_s = started.elapsed().as_secs_f64();
-    let q = sim.stats().queue();
+    let events_per_sec = events as f64 / wall_s.max(1e-9);
+    let queue = sim.stats().queue();
+    let mut row = obj! {
+        "workload" => workload,
+        "actors" => actors,
+        "events" => events,
+        "wall_s" => float(wall_s, 4),
+        "events_per_sec" => float(events_per_sec, 0),
+    };
+    row.extend(super::queue_json(&queue));
     Sample {
-        workload,
-        actors,
-        events: summary.events,
-        wall_s,
-        events_per_sec: summary.events as f64 / wall_s.max(1e-9),
-        pushes: q.pushes,
-        peak_depth: q.peak_depth,
-        cancelled_drops: q.cancelled_drops,
-        timer_rearms: q.timer_rearms,
-        rungs_spawned: q.rungs_spawned,
-        peak_cur_len: q.peak_cur_len,
+        events_per_sec,
+        queue,
+        row,
     }
 }
 
@@ -257,100 +258,44 @@ fn cancel_churn(actors: usize, ticks: u64) -> Sample {
     finish("cancel_churn", actors, sim, Instant::now())
 }
 
-fn main() {
-    let quick = accelmr_bench::quick_mode();
+/// Runs the four workloads and holds `skewed_horizon` to its ratio bar.
+pub fn run(quick: bool) -> Json {
     let (n, firings, fanout, ticks) = if quick {
         (512usize, 40u64, 4u32, 40u64)
     } else {
         (8_192usize, 200u64, 8u32, 200u64)
     };
-
-    println!("# des_core — event-engine microbench (calendar queue hot paths)");
-    println!(
-        "{:>14} {:>7} {:>9} {:>8} {:>12} {:>10} {:>10} {:>9} {:>8} {:>6} {:>8}",
-        "workload",
-        "actors",
-        "events",
-        "wall(s)",
-        "events/s",
-        "pushes",
-        "peak",
-        "cancelled",
-        "rearms",
-        "rungs",
-        "peak_cur"
-    );
     let samples = [
         timer_wheel(n, firings),
         msg_bursts(n, fanout),
         cancel_churn(n / 2, ticks),
         skewed_horizon(SKEWED_ACTORS, firings),
     ];
-    for s in &samples {
-        println!(
-            "{:>14} {:>7} {:>9} {:>8.3} {:>12.0} {:>10} {:>10} {:>9} {:>8} {:>6} {:>8}",
-            s.workload,
-            s.actors,
-            s.events,
-            s.wall_s,
-            s.events_per_sec,
-            s.pushes,
-            s.peak_depth,
-            s.cancelled_drops,
-            s.timer_rearms,
-            s.rungs_spawned,
-            s.peak_cur_len
-        );
-    }
     // Workload-shape sanity: the rearm path and the cancel path must have
     // actually been exercised, or the numbers measure nothing.
-    assert!(samples[0].timer_rearms > 0, "timer_wheel never re-armed");
     assert!(
-        samples[2].cancelled_drops > 0,
+        samples[0].queue.timer_rearms > 0,
+        "timer_wheel never re-armed"
+    );
+    assert!(
+        samples[2].queue.cancelled_drops > 0,
         "cancel_churn never dropped a stale arming"
     );
 
     // The far-out one-shots must not slow the heartbeats beside them: a
     // queue that sorts every rearm into one span-wide bucket fails here.
     let skewed_ratio = samples[3].events_per_sec / samples[0].events_per_sec;
-    println!(
-        "skewed_horizon / timer_wheel events/s: {skewed_ratio:.2} (bar {SKEWED_RATIO_BAR}), {} rungs spawned",
-        samples[3].rungs_spawned
-    );
     assert!(
         skewed_ratio >= SKEWED_RATIO_BAR,
         "skewed_horizon runs at {skewed_ratio:.2} of timer_wheel (bar {SKEWED_RATIO_BAR})"
     );
 
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{ \"workload\": \"{}\", \"actors\": {}, \"events\": {}, \"wall_s\": {:.4}, \"events_per_sec\": {:.0}, \"pushes\": {}, \"peak_depth\": {}, \"cancelled_drops\": {}, \"timer_rearms\": {}, \"rungs_spawned\": {}, \"peak_cur_len\": {} }}",
-                s.workload,
-                s.actors,
-                s.events,
-                s.wall_s,
-                s.events_per_sec,
-                s.pushes,
-                s.peak_depth,
-                s.cancelled_drops,
-                s.timer_rearms,
-                s.rungs_spawned,
-                s.peak_cur_len
-            )
-        })
-        .collect();
-    let section = format!(
-        "{{\n    \"scenario\": \"engine-only: staggered periodic timers, same-instant message bursts, cancel-heavy retries, heartbeats beside far-out one-shots\",\n    \"quick\": {quick},\n    \"skewed_over_timer_wheel\": {skewed_ratio:.2},\n    \"ratio_bar\": {SKEWED_RATIO_BAR},\n    \"before\": {BEFORE},\n    \"runs\": [\n{}\n    ]\n  }}",
-        rows.join(",\n")
-    );
-    let out = if quick {
-        "BENCH_perf.quick.json"
-    } else {
-        "BENCH_perf.json"
-    };
-    accelmr_bench::update_bench_section(out, "des_core", &section)
-        .unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("\nwrote {out} (des_core section)");
+    obj! { "des_core" => obj! {
+        "scenario" => "engine-only: staggered periodic timers, same-instant message bursts, cancel-heavy retries, heartbeats beside far-out one-shots",
+        "quick" => quick,
+        "skewed_over_timer_wheel" => float(skewed_ratio, 2),
+        "ratio_bar" => float(SKEWED_RATIO_BAR, 1),
+        "before" => before(),
+        "runs" => samples.map(|s| s.row).to_vec(),
+    } }
 }

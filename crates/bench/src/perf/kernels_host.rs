@@ -2,7 +2,7 @@
 //! functional Cell path that carries them.
 //!
 //! The simulated cost of a kernel comes from `cycles_per_byte` and never
-//! from the host; this bin tracks what a *materialized* run costs to
+//! from the host; this section tracks what a *materialized* run costs to
 //! execute. Rows: ECB and CTR for every [`AesImpl`] over one buffer
 //! (16 MiB; 2 MiB under `--quick`), and [`CellMachine::run_data`] with the
 //! SPU AES kernel over a warmed 2 MiB real record in 4 KB blocks.
@@ -17,8 +17,7 @@
 //!   copies through the local store may not cost more than a quarter of
 //!   the kernel.
 //!
-//! Writes the `kernels_host` section of `BENCH_perf.json`
-//! (`BENCH_perf.quick.json` under `--quick`, the CI smoke path).
+//! Returns the `kernels_host` section of `BENCH_perf.json`.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -28,13 +27,32 @@ use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput};
 use accelmr_kernels::aes::modes::{ctr_xor, ecb_encrypt};
 use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
 
+use crate::{float, obj, Json};
+
 const RECORD: usize = 2 << 20;
 const SPU_BLOCK: usize = 4096;
 const NONCE: u64 = 7;
 const RATIO_BAR: f64 = 0.75;
-/// This bin at the parent commit on the same machine, 16 MiB: `lanes4`
+/// One implementation's row: host MB/s in ECB and in CTR.
+fn aes_row(name: &str, ecb: f64, ctr: f64) -> Json {
+    obj! { "impl" => name, "ecb_mb_per_s" => float(ecb, 1), "ctr_mb_per_s" => float(ctr, 1) }
+}
+
+/// This section at the parent commit on the same machine, 16 MiB: `lanes4`
 /// CTR kept one lane of each quad.
-const BEFORE: &str = "{ \"commit\": \"ce7d876\", \"aes\": [ { \"impl\": \"scalar\", \"ecb_mb_per_s\": 96.3, \"ctr_mb_per_s\": 103.4 }, { \"impl\": \"ttable\", \"ecb_mb_per_s\": 360.7, \"ctr_mb_per_s\": 320.0 }, { \"impl\": \"lanes4\", \"ecb_mb_per_s\": 293.9, \"ctr_mb_per_s\": 72.8 } ], \"run_data_mb_per_s\": 71.1, \"lanes4_over_ttable_ctr\": 0.23, \"run_data_over_lanes4_ctr\": 0.98 }";
+fn before() -> Json {
+    obj! {
+        "commit" => "ce7d876",
+        "aes" => vec![
+            aes_row("scalar", 96.3, 103.4),
+            aes_row("ttable", 360.7, 320.0),
+            aes_row("lanes4", 293.9, 72.8),
+        ],
+        "run_data_mb_per_s" => float(71.1, 1),
+        "lanes4_over_ttable_ctr" => float(0.23, 2),
+        "run_data_over_lanes4_ctr" => float(0.98, 2),
+    }
+}
 
 /// Best of `reps` timings of `f`, as MB/s over `bytes`: disturbance on a
 /// shared host only ever adds time.
@@ -49,21 +67,19 @@ fn mb_per_s(bytes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
     bytes as f64 / 1e6 / best
 }
 
-fn main() {
-    let quick = accelmr_bench::quick_mode();
+/// Times every AES implementation and the functional Cell path, and holds
+/// the two ratios to `RATIO_BAR`.
+pub fn run(quick: bool) -> Json {
     let len = if quick { 2 << 20 } else { 16 << 20 };
     let key = Arc::new(Aes128::new(b"benchmark-key!!!"));
     let mut buf = vec![0u8; len];
     fill_deterministic(1, 0, &mut buf);
 
-    println!("# kernels_host: {} MiB buffer, best of 5", len >> 20);
-    println!("{:<8} {:>12} {:>12}", "impl", "ecb MB/s", "ctr MB/s");
     let rates: Vec<(AesImpl, f64, f64)> = AesImpl::ALL
         .into_iter()
         .map(|imp| {
             let ecb = mb_per_s(len, 5, || ecb_encrypt(&key, imp, black_box(&mut buf)));
             let ctr = mb_per_s(len, 5, || ctr_xor(&key, imp, NONCE, 0, black_box(&mut buf)));
-            println!("{:<8} {ecb:>12.1} {ctr:>12.1}", imp.name());
             (imp, ecb, ctr)
         })
         .collect();
@@ -72,15 +88,6 @@ fn main() {
         *ctr
     };
     let lanes4_ctr = ctr_of(AesImpl::Lanes4);
-    let rows: Vec<String> = rates
-        .iter()
-        .map(|(imp, ecb, ctr)| {
-            format!(
-                "      {{ \"impl\": \"{}\", \"ecb_mb_per_s\": {ecb:.1}, \"ctr_mb_per_s\": {ctr:.1} }}",
-                imp.name()
-            )
-        })
-        .collect();
 
     let kernel = AesCtrSpeKernel::new(key, NONCE);
     let mut machine = CellMachine::new(CellConfig::default(), true).expect("default config");
@@ -92,13 +99,9 @@ fn main() {
             .expect("4 KB blocks are valid");
         black_box(report.output);
     });
-    println!("run_data {run_data:>12.1} MB/s (2 MiB real record, 4 KB blocks, warmed)");
 
     let lanes_over_ttable = lanes4_ctr / ctr_of(AesImpl::TTable);
     let run_data_over_lanes = run_data / lanes4_ctr;
-    println!(
-        "lanes4/ttable CTR {lanes_over_ttable:.2}, run_data/lanes4 CTR {run_data_over_lanes:.2} (bar {RATIO_BAR})"
-    );
     assert!(
         lanes_over_ttable >= RATIO_BAR,
         "lanes4 CTR runs at {lanes_over_ttable:.2} of the T-table rate: are all four lanes filled?"
@@ -108,17 +111,17 @@ fn main() {
         "run_data runs at {run_data_over_lanes:.2} of its kernel's rate: staging or event-loop overhead"
     );
 
-    let section = format!(
-        "{{\n    \"scenario\": \"host MB/s, best of 5: AES-128 ECB and CTR per implementation over {} MiB; CellMachine::run_data (aes128-ctr-spu) over a warmed 2 MiB real record in 4 KB blocks\",\n    \"quick\": {quick},\n    \"aes\": [\n{}\n    ],\n    \"run_data_mb_per_s\": {run_data:.1},\n    \"lanes4_over_ttable_ctr\": {lanes_over_ttable:.2},\n    \"run_data_over_lanes4_ctr\": {run_data_over_lanes:.2},\n    \"ratio_bar\": {RATIO_BAR},\n    \"before\": {BEFORE}\n  }}",
-        len >> 20,
-        rows.join(",\n"),
-    );
-    let out = if quick {
-        "BENCH_perf.quick.json"
-    } else {
-        "BENCH_perf.json"
-    };
-    accelmr_bench::update_bench_section(out, "kernels_host", &section)
-        .unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("\nwrote {out} (kernels_host section)");
+    obj! { "kernels_host" => obj! {
+        "scenario" => format!(
+            "host MB/s, best of 5: AES-128 ECB and CTR per implementation over {} MiB; CellMachine::run_data (aes128-ctr-spu) over a warmed 2 MiB real record in 4 KB blocks",
+            len >> 20
+        ),
+        "quick" => quick,
+        "aes" => rates.iter().map(|&(imp, ecb, ctr)| aes_row(imp.name(), ecb, ctr)).collect::<Vec<_>>(),
+        "run_data_mb_per_s" => float(run_data, 1),
+        "lanes4_over_ttable_ctr" => float(lanes_over_ttable, 2),
+        "run_data_over_lanes4_ctr" => float(run_data_over_lanes, 2),
+        "ratio_bar" => float(RATIO_BAR, 2),
+        "before" => before(),
+    } }
 }

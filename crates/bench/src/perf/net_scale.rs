@@ -8,7 +8,7 @@
 //!
 //! The simulated side of every row is pinned: each size's makespan (to the
 //! nanosecond) and `net.solver_calls` must equal the constants in
-//! [`FULL`] / [`QUICK`]. Same-instant starts coalesce into one solve and
+//! `FULL` / `QUICK`. Same-instant starts coalesce into one solve and
 //! re-solves stay component-local, so a whole wave costs a handful of
 //! solves however many flows it carries; a fabric change that prices
 //! per flow, or moves a completion, fails here. (The per-flow-event global
@@ -34,14 +34,15 @@
 //! asserts the ratio stays under 3: a ratio holds across machines where a
 //! wall bar would not.
 //!
-//! Writes `BENCH_perf.json` (or `BENCH_perf.quick.json` under `--quick`,
-//! which CI smoke-runs).
+//! Returns the `net_scale` section of `BENCH_perf.json`.
 
 use std::time::Instant;
 
 use accelmr_des::prelude::*;
-use accelmr_des::{QueueStats, Stats};
+use accelmr_des::Stats;
 use accelmr_net::{Fabric, FlowDone, NetConfig, NetHandle, NodeId};
+
+use crate::{float, obj, Json};
 
 /// Drives `waves` shuffle waves: each wave starts every fetch at one
 /// instant and the next wave begins when the last flow of the previous
@@ -199,10 +200,24 @@ fn run_incast(flows: u64) -> (f64, f64) {
 /// one-member-per-class shuffle about a tenth at this size — cache
 /// footprint, at par at 256 nodes — where they take 40-60% off the runs
 /// that share routes (`churn_scale`).
-const BEFORE: &str = "{ \"commit\": \"24a026b\", \"nodes\": 1024, \"runs_each\": 16, \"events_per_sec_best\": 2384006, \"events_per_sec_median\": 1691674, \"this_commit_events_per_sec_best\": 2118090, \"this_commit_events_per_sec_median\": 1533037, \"best_over_before\": 0.89, \"median_over_before\": 0.91 }";
+fn before() -> Json {
+    obj! {
+        "commit" => "24a026b", "nodes" => 1024u32, "runs_each" => 16u32,
+        "events_per_sec_best" => 2_384_006u64, "events_per_sec_median" => 1_691_674u64,
+        "this_commit_events_per_sec_best" => 2_118_090u64,
+        "this_commit_events_per_sec_median" => 1_533_037u64,
+        "best_over_before" => float(0.89, 2), "median_over_before" => float(0.91, 2),
+    }
+}
+
 /// Likewise for the incast: medians of the same 16 runs each (every run
 /// the best of its 7 repetitions). This commit read 0.00655 / 0.01635 s.
-const INCAST_BEFORE: &str = "{ \"commit\": \"24a026b\", \"wall_n_s\": 0.00725, \"wall_2n_s\": 0.01700, \"wall_ratio_2n_over_n\": 2.34 }";
+fn incast_before() -> Json {
+    obj! {
+        "commit" => "24a026b", "wall_n_s" => float(0.00725, 5), "wall_2n_s" => float(0.01700, 5),
+        "wall_ratio_2n_over_n" => float(2.34, 2),
+    }
+}
 
 /// Pinned simulated outcome per size: (nodes, `net.solver_calls`,
 /// makespan in nanoseconds). Three waves in full mode, two under `--quick`.
@@ -217,19 +232,9 @@ const FULL: (u32, &[(u32, u64, u64)]) = (
 );
 const QUICK: (u32, &[(u32, u64, u64)]) = (2, &[(16, 32, 2_759_852_032), (64, 32, 3_154_116_608)]);
 
-struct Sample {
-    nodes: u32,
-    flows: u64,
-    wall_s: f64,
-    events: u64,
-    events_per_sec: f64,
-    solver_calls: u64,
-    class_visits: u64,
-    makespan: SimTime,
-    queue: QueueStats,
-}
-
-fn run_scenario(nodes: u32, waves: u32) -> Sample {
+/// One shuffle size, held to its pinned `(solver calls, makespan ns)`;
+/// returns its row.
+fn run_scenario(nodes: u32, waves: u32, pinned: (u64, u64)) -> Json {
     let fanin = nodes.saturating_sub(1).min(16);
     let mut sim = Sim::new(7);
     let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), nodes as usize)));
@@ -260,51 +265,36 @@ fn run_scenario(nodes: u32, waves: u32) -> Sample {
         1.0,
         "{nodes} nodes: the shuffle rows are the one-member-per-class side"
     );
-    Sample {
-        nodes,
-        flows,
-        wall_s,
-        events: summary.events,
-        events_per_sec: summary.events as f64 / wall_s.max(1e-9),
-        solver_calls: sim.stats().counter("net.solver_calls"),
-        class_visits: sim.stats().counter("net.comp_class_visits"),
-        makespan: summary.end_time,
-        queue: sim.stats().queue(),
+    let solver_calls = sim.stats().counter("net.solver_calls");
+    assert_eq!(
+        (solver_calls, summary.end_time.as_nanos()),
+        pinned,
+        "{nodes} nodes: (solver calls, makespan ns) moved off the pinned values"
+    );
+    obj! {
+        "nodes" => nodes,
+        "flows" => flows,
+        "wall_s" => float(wall_s, 4),
+        "events" => summary.events,
+        "events_per_sec" => float(summary.events as f64 / wall_s.max(1e-9), 0),
+        "solver_calls" => solver_calls,
+        "comp_class_visits" => sim.stats().counter("net.comp_class_visits"),
+        // Asserted exactly above.
+        "flows_per_class" => 1u32,
+        "makespan_s" => float(summary.end_time.as_secs_f64(), 6),
+        "queue" => super::queue_json(&sim.stats().queue()),
     }
 }
 
-fn main() {
-    let quick = accelmr_bench::quick_mode();
+/// Runs the shuffle at every pinned size, then the two incasts.
+pub fn run(quick: bool) -> Json {
     let (waves, pinned) = if quick { QUICK } else { FULL };
-
-    println!("# net_scale — terasort-style shuffle waves, wall-clock");
-    println!(
-        "{:>6} {:>8} {:>10} {:>9} {:>13} {:>12} {:>11}",
-        "nodes", "flows", "wall(s)", "events", "events/s", "solver calls", "makespan(s)"
-    );
-
-    let mut samples: Vec<Sample> = Vec::new();
-    for &(n, solver_calls, makespan_ns) in pinned {
-        let s = run_scenario(n, waves);
-        println!(
-            "{:>6} {:>8} {:>10.3} {:>9} {:>13.0} {:>12} {:>11.3}",
-            s.nodes,
-            s.flows,
-            s.wall_s,
-            s.events,
-            s.events_per_sec,
-            s.solver_calls,
-            s.makespan.as_secs_f64()
-        );
-        assert_eq!(
-            (s.solver_calls, s.makespan.as_nanos()),
-            (solver_calls, makespan_ns),
-            "{n} nodes: (solver calls, makespan ns) moved off the pinned values"
-        );
-        samples.push(s);
-    }
-
-    println!("every row: 1 flow re-priced per solver entry fed (asserted: the one-member-per-class side)");
+    let rows: Vec<Json> = pinned
+        .iter()
+        .map(|&(nodes, solver_calls, makespan_ns)| {
+            run_scenario(nodes, waves, (solver_calls, makespan_ns))
+        })
+        .collect();
 
     // Incast: the linear-unlink bar. Same size under `--quick`: the whole
     // row costs ~0.1 s, and at 2k flows the scan it guards against is
@@ -315,40 +305,30 @@ fn main() {
     let (wall_n, makespan_n) = run_incast(incast_n);
     let (wall_2n, makespan_2n) = run_incast(incast_2n);
     let incast_ratio = wall_2n / wall_n.max(1e-9);
-    println!(
-        "\nincast into one receiver: {incast_n} flows {wall_n:.4} s, {incast_2n} flows {wall_2n:.4} s wall -> 2N/N ratio {incast_ratio:.2} (linear 2, bar {INCAST_RATIO_BAR}); {} and {} flows per class (asserted)",
-        incast_n / u64::from(INCAST_SENDERS),
-        incast_2n / u64::from(INCAST_SENDERS)
-    );
     assert!(
         incast_ratio < INCAST_RATIO_BAR,
         "incast wall grew {incast_ratio:.2}x for 2x the flows — a per-flow linear scan is back on the completion path"
     );
 
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{ \"nodes\": {}, \"flows\": {}, \"wall_s\": {:.4}, \"events\": {}, \"events_per_sec\": {:.0}, \"solver_calls\": {}, \"comp_class_visits\": {}, \"flows_per_class\": 1, \"makespan_s\": {:.6}, \"queue\": {} }}",
-                s.nodes, s.flows, s.wall_s, s.events, s.events_per_sec, s.solver_calls, s.class_visits, s.makespan.as_secs_f64(), accelmr_bench::queue_stats_json(&s.queue)
-            )
-        })
-        .collect();
-    let section = format!(
-        "{{\n    \"scenario\": \"terasort-style shuffle, {waves} waves, fan-in min(nodes-1,16), 20 MB/s stream cap\",\n    \"quick\": {quick},\n    \"before\": {BEFORE},\n    \"incast\": {{ \"flows_n\": {incast_n}, \"wall_n_s\": {wall_n:.5}, \"makespan_n_s\": {makespan_n:.6}, \"flows_2n\": {incast_2n}, \"wall_2n_s\": {wall_2n:.5}, \"makespan_2n_s\": {makespan_2n:.6}, \"wall_ratio_2n_over_n\": {incast_ratio:.2}, \"ratio_bar\": {INCAST_RATIO_BAR:.1}, \"flows_per_class_n\": {}, \"flows_per_class_2n\": {}, \"before\": {INCAST_BEFORE} }},\n    \"runs\": [\n{}\n    ]\n  }}",
-        incast_n / u64::from(INCAST_SENDERS),
-        incast_2n / u64::from(INCAST_SENDERS),
-        rows.join(",\n")
-    );
-    // Quick runs write next to the baseline, never over it: the committed
-    // BENCH_perf.json always holds full-scale numbers. Each bench bin owns
-    // one section of the file (churn_scale writes the other).
-    let out = if quick {
-        "BENCH_perf.quick.json"
-    } else {
-        "BENCH_perf.json"
-    };
-    accelmr_bench::update_bench_section(out, "net_scale", &section)
-        .unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("\nwrote {out} (net_scale section)");
+    obj! { "net_scale" => obj! {
+        "scenario" => format!("terasort-style shuffle, {waves} waves, fan-in min(nodes-1,16), 20 MB/s stream cap"),
+        "quick" => quick,
+        "before" => before(),
+        "incast" => obj! {
+            "flows_n" => incast_n,
+            "wall_n_s" => float(wall_n, 5),
+            "makespan_n_s" => float(makespan_n, 6),
+            "flows_2n" => incast_2n,
+            "wall_2n_s" => float(wall_2n, 5),
+            "makespan_2n_s" => float(makespan_2n, 6),
+            "wall_ratio_2n_over_n" => float(incast_ratio, 2),
+            "ratio_bar" => float(INCAST_RATIO_BAR, 1),
+            // 16 and 32: `run_incast` asserts each against the class
+            // counters, which is the check CI used to grep for.
+            "flows_per_class_n" => incast_n / u64::from(INCAST_SENDERS),
+            "flows_per_class_2n" => incast_2n / u64::from(INCAST_SENDERS),
+            "before" => incast_before(),
+        },
+        "runs" => rows,
+    } }
 }

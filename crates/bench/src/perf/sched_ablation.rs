@@ -18,11 +18,10 @@
 //! run with the balanced preemption budget
 //! ([`PreemptionTuning::balanced`]): kill-and-requeue closes the deadline
 //! gap dispatch alone cannot (a full hit-rate is the acceptance bar,
-//! asserted here and grepped by CI from the quick JSON) while the wasted
-//! requeued runtime stays under 10% of the batch's total slot-seconds.
+//! asserted here) while the wasted requeued runtime stays under 10% of the
+//! batch's total slot-seconds.
 //!
-//! Writes the `BENCH_sched.json` baseline next to the working directory;
-//! CI smoke-runs `--quick` to keep the path green.
+//! Returns the whole of `BENCH_sched.json`.
 
 use accelmr_des::{SimDuration, SimTime};
 use accelmr_hybrid::hetero::{AdaptiveAesKernel, AdaptivePiKernel, MixedEnvFactory};
@@ -32,15 +31,9 @@ use accelmr_mapred::{
     SchedulerPolicy, SumReducer,
 };
 
-const RECORD_BYTES: u64 = 64 << 20;
+use crate::{float, obj, Json};
 
-fn policies() -> [(&'static str, SchedulerPolicy); 3] {
-    [
-        ("fifo", SchedulerPolicy::Fifo),
-        ("locality-first", SchedulerPolicy::LocalityFirst),
-        ("adaptive", SchedulerPolicy::adaptive()),
-    ]
-}
+const RECORD_BYTES: u64 = 64 << 20;
 
 fn mixed_cluster(seed: u64, policy: SchedulerPolicy) -> accelmr_mapred::MrCluster {
     ClusterBuilder::new()
@@ -98,81 +91,43 @@ fn run_aes(policy: SchedulerPolicy, bytes: u64, seed: u64) -> (JobResult, JobRes
     (cold, session.run())
 }
 
-struct Row {
-    policy: &'static str,
-    cold_s: f64,
-    warm_s: f64,
-    local_frac: f64,
-    attempts: u32,
-    tp_spread: Option<f64>,
-}
-
-fn row(policy: &'static str, cold: &JobResult, warm: &JobResult) -> Row {
-    let local_frac = warm.local_reads as f64 / (warm.local_reads + warm.remote_reads).max(1) as f64;
-    let tp_spread = (!warm.node_throughput.is_empty()).then(|| {
-        let max = warm
-            .node_throughput
-            .iter()
-            .map(|e| e.throughput)
-            .fold(f64::MIN, f64::max);
-        let min = warm
-            .node_throughput
-            .iter()
-            .map(|e| e.throughput)
-            .fold(f64::MAX, f64::min);
-        max / min
-    });
-    Row {
-        policy,
-        cold_s: cold.elapsed.as_secs_f64(),
-        warm_s: warm.elapsed.as_secs_f64(),
-        local_frac,
-        attempts: cold.attempts,
-        tp_spread,
-    }
-}
-
-fn print_rows(title: &str, rows: &[Row]) {
-    println!("\n# {title}");
-    println!(
-        "{:>16} {:>10} {:>10} {:>8} {:>9} {:>10}",
-        "policy", "cold(s)", "warm(s)", "local%", "attempts", "tp spread"
-    );
-    for r in rows {
-        println!(
-            "{:>16} {:>10.1} {:>10.1} {:>7.0}% {:>9} {:>10}",
-            r.policy,
-            r.cold_s,
-            r.warm_s,
-            r.local_frac * 100.0,
-            r.attempts,
-            r.tp_spread
-                .map(|s| format!("{s:.1}x"))
-                .unwrap_or_else(|| "-".into()),
-        );
-    }
-}
-
-fn json_workload(name: &str, rows: &[Row]) -> String {
-    let mut fields: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    \"{}\": {{ \"cold_s\": {:.3}, \"warm_s\": {:.3} }}",
-                r.policy, r.cold_s, r.warm_s
-            )
-        })
-        .collect();
-    let locality = rows.iter().find(|r| r.policy == "locality-first");
-    let adaptive = rows.iter().find(|r| r.policy == "adaptive");
-    if let (Some(l), Some(a)) = (locality, adaptive) {
-        fields.push(format!(
-            "    \"adaptive_speedup_vs_locality\": {{ \"cold\": {:.3}, \"warm\": {:.3} }}",
-            l.cold_s / a.cold_s,
-            l.warm_s / a.warm_s
-        ));
-    }
-    format!("  \"{}\": {{\n{}\n  }}", name, fields.join(",\n"))
+/// Runs one workload under every task-level policy. Returns its entry (a
+/// row per policy, and what adaptivity bought over locality-first) and the
+/// cold job times of locality-first and adaptive.
+fn workload(run: &dyn Fn(SchedulerPolicy) -> (JobResult, JobResult)) -> (Json, f64, f64) {
+    let policies = [
+        ("fifo", SchedulerPolicy::Fifo),
+        ("locality-first", SchedulerPolicy::LocalityFirst),
+        ("adaptive", SchedulerPolicy::adaptive()),
+    ];
+    let mut times = Vec::new();
+    let mut entry = Json::object(policies.map(|(name, policy)| {
+        let (cold, warm) = run(policy);
+        let (cold_s, warm_s) = (cold.elapsed.as_secs_f64(), warm.elapsed.as_secs_f64());
+        times.push((name, cold_s, warm_s));
+        let reads = (warm.local_reads + warm.remote_reads).max(1);
+        let tp = || warm.node_throughput.iter().map(|e| e.throughput);
+        let row = obj! {
+            "cold_s" => float(cold_s, 3),
+            "warm_s" => float(warm_s, 3),
+            "local_read_frac" => float(warm.local_reads as f64 / reads as f64, 2),
+            "attempts" => cold.attempts,
+            // max / min over the nodes. A policy that learns no per-node
+            // throughput folds nothing: -inf / inf is NaN, written `null`.
+            "throughput_spread" => float(
+                tp().fold(f64::NEG_INFINITY, f64::max) / tp().fold(f64::INFINITY, f64::min),
+                1,
+            ),
+        };
+        (name, row)
+    }));
+    let of = |policy: &str| *times.iter().find(|t| t.0 == policy).expect("in policies");
+    let ((_, l_cold, l_warm), (_, a_cold, a_warm)) = (of("locality-first"), of("adaptive"));
+    entry.extend(obj! { "adaptive_speedup_vs_locality" => obj! {
+        "cold" => float(l_cold / a_cold, 3),
+        "warm" => float(l_warm / a_warm, 3),
+    } });
+    (entry, l_cold, a_cold)
 }
 
 /// Per-policy outcome of the fairness batch.
@@ -182,7 +137,6 @@ struct FairnessRow {
     light_p99_s: f64,
     heavy_makespan_s: f64,
     deadline_hits: usize,
-    deadline_total: usize,
     /// Attempts killed-and-requeued by the policy's reclaim hook.
     preempted: u32,
     /// Runtime discarded by those kills, billed to the beneficiaries.
@@ -198,7 +152,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// The N-tenant mixed batch: tenant "batch" submits two terasorts at t=0;
 /// tenant "interactive" submits `n_light` small pi jobs staggered
-/// `stagger` apart, each with a deadline `deadline_after` past its
+/// 20 s apart, each with a deadline 100 s past its
 /// submission. Same workload under every policy; only job-level dispatch
 /// differs. All rows run with the balanced preemption budget — inert for
 /// FIFO (no reclaim hook), live for the reclaiming policies.
@@ -206,10 +160,7 @@ fn run_fairness(
     policy: SchedulerPolicy,
     name: &'static str,
     heavy_bytes: u64,
-    light_samples: u64,
     n_light: usize,
-    stagger: SimDuration,
-    deadline_after: SimDuration,
 ) -> FairnessRow {
     let mut c = ClusterBuilder::new()
         .seed(17)
@@ -237,17 +188,17 @@ fn run_fairness(
         .collect();
     let light: Vec<_> = (0..n_light)
         .map(|i| {
-            let at = stagger.saturating_mul(i as u64);
+            let at = SimDuration::from_secs(20 * i as u64);
             session.submit_after(
                 at,
                 JobBuilder::new(format!("pi-{i}"))
-                    .synthetic(light_samples)
+                    .synthetic(200_000_000)
                     .kernel(AdaptivePiKernel::new(i as u64))
                     .rpc_aggregate(SumReducer {
                         cycles_per_byte: 1.0,
                     })
                     .tenant("interactive")
-                    .deadline_at(SimTime::ZERO + at + deadline_after),
+                    .deadline_at(SimTime::ZERO + at + SimDuration::from_secs(100)),
             )
         })
         .collect();
@@ -272,63 +223,39 @@ fn run_fairness(
         light_p99_s: percentile(&latencies, 0.99),
         heavy_makespan_s,
         deadline_hits: hits,
-        deadline_total: n_light,
         preempted: results.iter().map(|r| r.preempted_attempts).sum(),
         wasted_slot_s: results.iter().map(|r| r.wasted_slot_seconds).sum(),
         slot_s: results.iter().map(|r| r.slot_seconds).sum(),
     }
 }
 
-fn main() {
-    let quick = accelmr_bench::quick_mode();
+/// The two placement workloads under three task-level policies, then the
+/// fairness batch under three job-level ones.
+pub fn run(quick: bool) -> Json {
     let (samples, bytes) = if quick {
         (200_000_000u64, 1u64 << 30)
     } else {
         (4_000_000_000u64, 8u64 << 30)
     };
 
-    println!("# scheduler ablation — half-accelerated 4-node cluster");
-    println!(
-        "# pi: {samples} samples, aes: {} GiB{}",
-        bytes >> 30,
-        if quick { " (--quick)" } else { "" }
-    );
-
-    let pi_rows: Vec<Row> = policies()
-        .iter()
-        .map(|&(name, policy)| {
-            let (cold, warm) = run_pi(policy, samples, 11);
-            row(name, &cold, &warm)
-        })
-        .collect();
-    print_rows("pi-mixed (CPU-bound: adaptivity pays)", &pi_rows);
-
-    let aes_rows: Vec<Row> = policies()
-        .iter()
-        .map(|&(name, policy)| {
-            let (cold, warm) = run_aes(policy, bytes, 12);
-            row(name, &cold, &warm)
-        })
-        .collect();
-    print_rows(
-        "aes-mixed (feed-bound: adaptive pays a one-job probe cost, then matches)",
-        &aes_rows,
-    );
-
-    // The adaptive policy must never lose the CPU-bound comparison — this
-    // is the acceptance bar the hetero test also enforces.
-    let t = |rows: &[Row], p: &str| rows.iter().find(|r| r.policy == p).unwrap().cold_s;
+    // CPU-bound: adaptivity pays, and must never lose — the acceptance bar
+    // the hetero test also enforces.
+    let (pi_mixed, locality_cold_s, adaptive_cold_s) =
+        workload(&|policy| run_pi(policy, samples, 11));
     assert!(
-        t(&pi_rows, "adaptive") < t(&pi_rows, "locality-first"),
+        adaptive_cold_s < locality_cold_s,
         "adaptive regressed on the CPU-bound mixed cluster"
     );
+    // Feed-bound: adaptive pays a one-job probe cost, then matches.
+    let (aes_mixed, ..) = workload(&|policy| run_aes(policy, bytes, 12));
 
-    // Fairness: the 2-tenant mixed pi/terasort batch under the job-level
-    // policies.
-    let (heavy_bytes, light_samples, n_light, stagger_s, deadline_s) = if quick {
-        (8u64 << 30, 200_000_000u64, 4usize, 20u64, 100u64)
+    // Fairness: the 2-tenant mixed pi/terasort batch (2x terasort for
+    // "batch" against staggered deadlined pi jobs for "interactive") under
+    // the job-level policies.
+    let (heavy_bytes, n_light) = if quick {
+        (8u64 << 30, 4usize)
     } else {
-        (16u64 << 30, 200_000_000u64, 8usize, 20, 100)
+        (16u64 << 30, 8usize)
     };
     let fairness: Vec<FairnessRow> = [
         ("fifo", SchedulerPolicy::Fifo),
@@ -336,42 +263,8 @@ fn main() {
         ("deadline-slack", SchedulerPolicy::DeadlineSlack),
     ]
     .into_iter()
-    .map(|(name, policy)| {
-        run_fairness(
-            policy,
-            name,
-            heavy_bytes,
-            light_samples,
-            n_light,
-            SimDuration::from_secs(stagger_s),
-            SimDuration::from_secs(deadline_s),
-        )
-    })
+    .map(|(name, policy)| run_fairness(policy, name, heavy_bytes, n_light))
     .collect();
-    println!("\n# fairness — 2 tenants: 2x terasort (batch) vs {n_light} staggered pi (interactive, deadlined), balanced preemption");
-    println!(
-        "{:>16} {:>12} {:>12} {:>12} {:>10} {:>9} {:>10}",
-        "policy",
-        "light p50(s)",
-        "light p99(s)",
-        "heavy mk(s)",
-        "deadlines",
-        "preempted",
-        "wasted(s)"
-    );
-    for r in &fairness {
-        println!(
-            "{:>16} {:>12.1} {:>12.1} {:>12.1} {:>7}/{} {:>9} {:>10.1}",
-            r.policy,
-            r.light_p50_s,
-            r.light_p99_s,
-            r.heavy_makespan_s,
-            r.deadline_hits,
-            r.deadline_total,
-            r.preempted,
-            r.wasted_slot_s
-        );
-    }
     let frow = |p: &str| fairness.iter().find(|r| r.policy == p).unwrap();
     // Acceptance bars: fair-share beats FIFO's head-of-line p99 for the
     // light tenant; deadline-slack's reclaim closes the whole deadline gap
@@ -381,11 +274,12 @@ fn main() {
         frow("fair-share").light_p99_s < frow("fifo").light_p99_s,
         "fair-share lost the light-tenant p99 to FIFO"
     );
+    // With this assert `deadline_hits_full` below can only be written as
+    // `true`: the value CI used to grep for is checked where it is made.
     let dl = frow("deadline-slack");
     assert_eq!(
-        dl.deadline_hits, dl.deadline_total,
-        "deadline-slack with preemption missed a deadline ({}/{})",
-        dl.deadline_hits, dl.deadline_total
+        dl.deadline_hits, n_light,
+        "deadline-slack with preemption missed a deadline"
     );
     for r in &fairness {
         assert!(
@@ -396,49 +290,31 @@ fn main() {
             r.slot_s
         );
     }
-    let fairness_json = {
-        let rows: Vec<String> = fairness
-            .iter()
-            .map(|r| {
-                format!(
-                    "    \"{}\": {{ \"light_p50_s\": {:.3}, \"light_p99_s\": {:.3}, \
-                     \"heavy_makespan_s\": {:.3}, \"deadline_hits\": {}, \"deadline_total\": {}, \
-                     \"preempted\": {}, \"wasted_slot_s\": {:.3}, \"total_slot_s\": {:.3} }}",
-                    r.policy,
-                    r.light_p50_s,
-                    r.light_p99_s,
-                    r.heavy_makespan_s,
-                    r.deadline_hits,
-                    r.deadline_total,
-                    r.preempted,
-                    r.wasted_slot_s,
-                    r.slot_s
-                )
-            })
-            .collect();
-        format!(
-            "  \"fairness\": {{\n{},\n    \"fair_share_light_p99_speedup_vs_fifo\": {:.3},\n    \
-             \"deadline_hits_full\": {},\n    \"wasted_work_frac\": {:.4}\n  }}",
-            rows.join(",\n"),
-            frow("fifo").light_p99_s / frow("fair-share").light_p99_s,
-            dl.deadline_hits == dl.deadline_total,
-            dl.wasted_slot_s / dl.slot_s.max(1e-9)
-        )
-    };
+    let mut fairness_json = Json::object(fairness.iter().map(|r| {
+        let row = obj! {
+            "light_p50_s" => float(r.light_p50_s, 3),
+            "light_p99_s" => float(r.light_p99_s, 3),
+            "heavy_makespan_s" => float(r.heavy_makespan_s, 3),
+            "deadline_hits" => r.deadline_hits,
+            "deadline_total" => n_light,
+            "preempted" => r.preempted,
+            "wasted_slot_s" => float(r.wasted_slot_s, 3),
+            "total_slot_s" => float(r.slot_s, 3),
+        };
+        (r.policy, row)
+    }));
+    fairness_json.extend(obj! {
+        "fair_share_light_p99_speedup_vs_fifo" => float(frow("fifo").light_p99_s / frow("fair-share").light_p99_s, 3),
+        "deadline_hits_full" => dl.deadline_hits == n_light,
+        "wasted_work_frac" => float(dl.wasted_slot_s / dl.slot_s.max(1e-9), 4),
+    });
 
-    let json = format!(
-        "{{\n  \"bench\": \"sched_ablation\",\n  \"cluster\": \"4 workers, half Cell-accelerated\",\n  \"quick\": {quick},\n{},\n{},\n{}\n}}\n",
-        json_workload("pi_mixed", &pi_rows),
-        json_workload("aes_mixed", &aes_rows),
-        fairness_json,
-    );
-    // Quick runs write next to the baseline, never over it: the committed
-    // BENCH_sched.json always holds full-scale numbers.
-    let out = if quick {
-        "BENCH_sched.quick.json"
-    } else {
-        "BENCH_sched.json"
-    };
-    std::fs::write(out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("\nwrote {out}");
+    obj! {
+        "bench" => "sched_ablation",
+        "cluster" => "4 workers, half Cell-accelerated",
+        "quick" => quick,
+        "pi_mixed" => pi_mixed,
+        "aes_mixed" => aes_mixed,
+        "fairness" => fairness_json,
+    }
 }

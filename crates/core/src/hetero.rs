@@ -251,7 +251,7 @@ mod tests {
     /// reproduces: the adaptive scheduler's oversplit + learned dispatch
     /// beats placement-blind LocalityFirst end to end on the
     /// half-accelerated CPU-bound cluster. The same comparison lands in
-    /// `BENCH_sched.json` via the `sched_ablation` bench bin.
+    /// `BENCH_sched.json` via `perf`'s `sched_ablation` section.
     #[test]
     fn adaptive_scheduler_beats_locality_on_mixed_cluster() {
         let samples = 4_000_000_000u64;

@@ -54,7 +54,7 @@ pub use expiry::ExpiryHeap;
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
 pub use rng::{splitmix64, Xoshiro256};
 pub use sim::{Ctx, RunSummary, Sim};
-pub use stats::{ActorCost, LogHistogram, QueueStats, Stats};
+pub use stats::{ActorCost, QueueStats, Stats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};
 

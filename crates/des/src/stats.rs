@@ -1,108 +1,13 @@
 //! Lightweight metric collection for simulations.
 //!
-//! Counters accumulate totals (bytes moved, tasks launched); gauges record
-//! last-written values; histograms bucket samples by power of two so a whole
-//! distribution costs 64 words. Everything is keyed by `&'static str` to
-//! keep the hot path allocation-free.
+//! Counters accumulate totals (bytes moved, tasks launched), keyed by
+//! `&'static str` to keep the hot path allocation-free.
 
 use crate::fxmap::FxHashMap;
-use crate::time::SimDuration;
-
-/// Power-of-two bucketed histogram (bucket i counts samples with
-/// `ilog2(sample) == i`; zero samples land in bucket 0).
-#[derive(Clone, Debug)]
-pub struct LogHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        }
-    }
-}
-
-impl LogHistogram {
-    /// Records one sample.
-    #[inline]
-    pub fn record(&mut self, sample: u64) {
-        let idx = if sample == 0 {
-            0
-        } else {
-            63 - sample.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        if self.count == 0 {
-            self.min = sample;
-            self.max = sample;
-        } else {
-            self.min = self.min.min(sample);
-            self.max = self.max.max(sample);
-        }
-        self.count += 1;
-        self.sum += sample as u128;
-    }
-
-    /// Number of recorded samples.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Approximate quantile from bucket boundaries: returns an upper bound of
-    /// the bucket containing the q-quantile. `q` is clamped to [0, 1].
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-            }
-        }
-        self.max
-    }
-}
 
 /// Event-core health counters, maintained inline by the engine (plain
 /// fields, not hash-map counters, so the dispatch hot path stays free of
-/// hashing). Read them via [`Stats::queue`]; benchmark bins surface them in
+/// hashing). Read them via [`Stats::queue`]; the bench sections surface them in
 /// their JSON sections so queue regressions show up in the trajectory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
@@ -135,7 +40,7 @@ pub struct QueueStats {
 /// `"mr.tasktracker@9000"` share one row — so the table stays a handful of
 /// rows at any cluster size. `nanos` is host wall time spent inside
 /// `Actor::handle`; it measures the *simulator's* cost per event (the
-/// control-plane scalability number the bench bins pin), never simulated
+/// control-plane scalability number the bench sections pin), never simulated
 /// time, and never feeds back into the simulation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ActorCost {
@@ -172,8 +77,6 @@ pub struct Stats {
     counters: Vec<(&'static str, u64)>,
     counter_slots: FxHashMap<&'static str, usize>,
     counter_memo: CounterMemo,
-    gauges: FxHashMap<&'static str, f64>,
-    histograms: FxHashMap<&'static str, LogHistogram>,
     queue: QueueStats,
     /// Indexed by the class id interned at spawn; rows are append-only so
     /// ids stay stable across [`reset`](Stats::reset) (which zeroes the
@@ -219,34 +122,6 @@ impl Stats {
         self.counter_slots
             .get(name)
             .map_or(0, |&slot| self.counters[slot].1)
-    }
-
-    /// Sets gauge `name`.
-    #[inline]
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
-    }
-
-    /// Reads gauge `name` (`None` when never set).
-    pub fn gauge(&self, name: &'static str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Records a histogram sample under `name`.
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, sample: u64) {
-        self.histograms.entry(name).or_default().record(sample);
-    }
-
-    /// Records a duration (in nanoseconds) under `name`.
-    #[inline]
-    pub fn observe_duration(&mut self, name: &'static str, d: SimDuration) {
-        self.observe(name, d.as_nanos());
-    }
-
-    /// Reads histogram `name` if any sample was recorded.
-    pub fn histogram(&self, name: &'static str) -> Option<&LogHistogram> {
-        self.histograms.get(name)
     }
 
     /// Iterates counters in sorted-name order (for stable reports).
@@ -342,8 +217,6 @@ impl Stats {
         self.counters.clear();
         self.counter_slots.clear();
         self.counter_memo = CounterMemo::default();
-        self.gauges.clear();
-        self.histograms.clear();
         self.queue = QueueStats::default();
         for c in &mut self.actor_costs {
             c.events = 0;
@@ -366,40 +239,6 @@ mod tests {
         assert_eq!(s.counter("bytes"), 15);
         assert_eq!(s.counter("tasks"), 1);
         assert_eq!(s.counter("missing"), 0);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let mut s = Stats::new();
-        assert_eq!(s.gauge("g"), None);
-        s.set_gauge("g", 1.5);
-        s.set_gauge("g", 2.5);
-        assert_eq!(s.gauge("g"), Some(2.5));
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = LogHistogram::default();
-        for v in [1u64, 2, 3, 4, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 100);
-        assert!((h.mean() - 22.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_zero_and_quantiles() {
-        let mut h = LogHistogram::default();
-        assert_eq!(h.quantile_upper_bound(0.5), 0);
-        h.record(0);
-        for _ in 0..99 {
-            h.record(8);
-        }
-        // Median falls in the bucket holding 8 => upper bound 15.
-        assert_eq!(h.quantile_upper_bound(0.5), 15);
-        assert_eq!(h.quantile_upper_bound(0.0), 1); // first nonempty bucket
     }
 
     #[test]
@@ -469,12 +308,5 @@ mod tests {
             assert_eq!(s.counter(name), 10 * i as u64, "{name}");
         }
         assert_eq!(s.counters_sorted().len(), 3 + names.len());
-    }
-
-    #[test]
-    fn observe_duration_records_nanos() {
-        let mut s = Stats::new();
-        s.observe_duration("lat", SimDuration::from_micros(3));
-        assert_eq!(s.histogram("lat").unwrap().max(), 3_000);
     }
 }

@@ -142,21 +142,6 @@ pub struct DnHeartbeat {
     pub node: NodeId,
 }
 
-/// Asks the NameNode which DataNodes are currently considered live
-/// (testing / introspection).
-#[derive(Debug)]
-pub struct GetLiveNodes {
-    /// Who receives [`LiveNodesReply`].
-    pub reply: ActorId,
-}
-
-/// Reply to [`GetLiveNodes`].
-#[derive(Debug, Clone)]
-pub struct LiveNodesReply {
-    /// Live DataNodes, ascending.
-    pub nodes: Vec<NodeId>,
-}
-
 /// Admits a freshly-spawned DataNode into the cluster (dynamic
 /// membership, control plane — sent directly, not over the fabric). The
 /// NameNode adds the node to the placement rotation, starts tracking its

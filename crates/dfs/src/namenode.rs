@@ -407,10 +407,6 @@ impl Actor for NameNode {
                 if self.repair_pending {
                     self.replication_scan(ctx);
                 }
-                ctx.stats().set_gauge(
-                    "dfs.live_datanodes",
-                    (self.datanodes.len() - self.dead.len()) as f64,
-                );
                 ctx.rearm_after(self.cfg.heartbeat_interval, TIMER_LIVENESS);
             }
             Event::Timer { .. } => {}
@@ -566,15 +562,6 @@ impl Actor for NameNode {
                         }
                         self.repair_pending = true;
                     }
-                } else if let Some(req) = msg.peek::<GetLiveNodes>() {
-                    let mut nodes: Vec<NodeId> = self
-                        .datanodes
-                        .iter()
-                        .map(|&(n, _)| n)
-                        .filter(|&n| self.is_live(n))
-                        .collect();
-                    nodes.sort_unstable();
-                    ctx.send(req.reply, LiveNodesReply { nodes });
                 }
             }
         }

@@ -115,12 +115,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Pre-boxed environment factory (when the concrete type is erased).
-    pub fn env_boxed(mut self, env: Box<dyn NodeEnvFactory>) -> Self {
-        self.env = Arc::from(env);
-        self
-    }
-
     /// Materialized mode: DataNodes store and serve real bytes so kernels
     /// run functionally (end-to-end verification). Default is timing-only.
     pub fn materialized(mut self, materialized: bool) -> Self {

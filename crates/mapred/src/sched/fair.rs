@@ -56,13 +56,19 @@ impl FairShare {
     }
 }
 
-/// Tenant accounting over a `pick_job` view slice: `(tenant, usage,
-/// weight)` with usage summing running slots over *all* views (speculative
-/// attempts included — they occupy slots like any other) and weight the
-/// maximum among the tenant's jobs. A linear scan keyed by name: tenant
-/// counts per decision are small, and determinism matters more than big-O.
-fn tenant_usage<'a>(views: &[SchedView<'a>]) -> Vec<(&'a str, f64, f64)> {
-    let mut tenants: Vec<(&str, f64, f64)> = Vec::new();
+/// One tenant's accounting: `(tenant, usage, weight)`.
+type Tenant<'a> = (&'a str, f64, f64);
+
+/// Tenant accounting over a `pick_job` view slice: usage sums running slots
+/// over *all* views (speculative attempts included — they occupy slots
+/// like any other, and ineligible jobs still occupy slots that count
+/// against their tenant) and weight is the maximum among the tenant's jobs
+/// (tenants normally share one weight — the max makes a mixed-weight tenant
+/// err toward the larger entitlement rather than silently splitting into
+/// two accounting buckets). A linear scan keyed by name: tenant counts per
+/// decision are small, and determinism matters more than big-O.
+fn tenant_usage<'a>(views: &[SchedView<'a>]) -> Vec<Tenant<'a>> {
+    let mut tenants: Vec<Tenant<'a>> = Vec::new();
     for v in views {
         let slots = v.running_slots as f64;
         match tenants.iter_mut().find(|(t, _, _)| *t == v.tenant) {
@@ -76,51 +82,26 @@ fn tenant_usage<'a>(views: &[SchedView<'a>]) -> Vec<(&'a str, f64, f64)> {
     tenants
 }
 
-/// The tenants whose weighted share is minimal across `views` — the ones
-/// entitled to the next slot (and therefore the only ones allowed to spend
-/// it on a speculative duplicate).
-fn min_share_tenants(views: &[SchedView<'_>]) -> Vec<String> {
-    let tenants = tenant_usage(views);
-    let share = |usage: f64, weight: f64| usage / weight.max(f64::MIN_POSITIVE);
-    let Some(min) = tenants
-        .iter()
-        .map(|&(_, u, w)| share(u, w))
-        .min_by(|a, b| a.partial_cmp(b).expect("shares are finite"))
-    else {
-        return Vec::new();
-    };
-    tenants
-        .iter()
-        .filter(|&&(_, u, w)| share(u, w) == min)
-        .map(|&(t, _, _)| t.to_owned())
-        .collect()
+/// A tenant's weighted share: running slots per unit of weight.
+fn share(&(_, usage, weight): &Tenant<'_>) -> f64 {
+    usage / weight.max(f64::MIN_POSITIVE)
 }
 
-/// The weighted max-min pick over `views`, shared by [`FairShare`] and
-/// [`DeadlineSlack`](super::DeadlineSlack)'s deadline-less fallback.
-///
-/// Tenant usage sums running slots over *all* views (ineligible jobs still
-/// occupy slots that count against their tenant); the tenant weight is the
-/// maximum weight among its jobs (tenants normally share one weight — the
-/// max makes a mixed-weight tenant err toward the larger entitlement
-/// rather than silently splitting into two accounting buckets). Among
-/// eligible jobs, the smallest `usage / weight` tenant wins; ties break to
-/// the lowest job id, so equal-share tenants degrade to plain FIFO.
-pub(crate) fn fair_share_pick(views: &[SchedView<'_>]) -> Option<JobId> {
-    let tenants = tenant_usage(views);
-    let share = |tenant: &str| -> f64 {
-        tenants
-            .iter()
-            .find(|(t, _, _)| *t == tenant)
-            .map(|&(_, usage, weight)| usage / weight.max(f64::MIN_POSITIVE))
-            .unwrap_or(0.0)
-    };
+/// `tenant`'s weighted share (0 for a tenant with no job in view).
+fn share_of(tenants: &[Tenant<'_>], tenant: &str) -> f64 {
+    tenants
+        .iter()
+        .find(|(t, _, _)| *t == tenant)
+        .map_or(0.0, share)
+}
+
+/// The weighted max-min pick: among eligible jobs, the one whose tenant
+/// has the smallest share wins; ties break to the lowest job id, so
+/// equal-share tenants degrade to plain FIFO.
+fn min_share_job(tenants: &[Tenant<'_>], views: &[SchedView<'_>]) -> Option<JobId> {
     let mut best: Option<(f64, JobId)> = None;
-    for v in views {
-        if !v.eligible {
-            continue;
-        }
-        let s = share(v.tenant);
+    for v in views.iter().filter(|v| v.eligible) {
+        let s = share_of(tenants, v.tenant);
         let better = match best {
             None => true,
             Some((bs, bj)) => s < bs || (s == bs && v.job < bj),
@@ -132,14 +113,28 @@ pub(crate) fn fair_share_pick(views: &[SchedView<'_>]) -> Option<JobId> {
     best.map(|(_, job)| job)
 }
 
+/// [`FairShare`]'s pick over `views`, for
+/// [`DeadlineSlack`](super::DeadlineSlack)'s deadline-less fallback.
+pub(crate) fn fair_share_pick(views: &[SchedView<'_>]) -> Option<JobId> {
+    min_share_job(&tenant_usage(views), views)
+}
+
 impl Scheduler for FairShare {
     fn name(&self) -> &'static str {
         "fair-share"
     }
 
     fn pick_job(&mut self, views: &[SchedView<'_>], _node: NodeId) -> Option<JobId> {
-        self.min_share_tenants = min_share_tenants(views);
-        fair_share_pick(views)
+        let tenants = tenant_usage(views);
+        // The tenants at the minimum share are the ones entitled to the
+        // next slot. The set rarely changes between two free slots, so it
+        // is re-allocated only when it does.
+        let min = tenants.iter().map(share).fold(f64::INFINITY, f64::min);
+        let poorest = || tenants.iter().filter(|t| share(t) == min).map(|t| t.0);
+        if !poorest().eq(self.min_share_tenants.iter().map(String::as_str)) {
+            self.min_share_tenants = poorest().map(str::to_owned).collect();
+        }
+        min_share_job(&tenants, views)
     }
 
     fn pick_task(&mut self, view: &SchedView<'_>, node: NodeId) -> Option<usize> {
@@ -208,19 +203,12 @@ impl Scheduler for FairShare {
         // Beneficiary: the minimum-share eligible job with pending work
         // whose tenant is at least one whole slot short — the same
         // ordering regular dispatch uses, restricted to deficient tenants.
-        let share = |tenant: &str| -> f64 {
-            tenants
-                .iter()
-                .find(|(t, _, _)| *t == tenant)
-                .map(|&(_, u, w)| u / w.max(f64::MIN_POSITIVE))
-                .unwrap_or(0.0)
-        };
         let mut best: Option<(f64, JobId, &SchedView<'_>)> = None;
         for v in views {
             if !v.eligible || v.pending.is_empty() || deficit(&balance, v.tenant) < 1.0 - EPS {
                 continue;
             }
-            let s = share(v.tenant);
+            let s = share_of(&tenants, v.tenant);
             let better = match best {
                 None => true,
                 Some((bs, bj, _)) => s < bs || (s == bs && v.job < bj),
