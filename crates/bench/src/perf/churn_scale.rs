@@ -125,7 +125,6 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
     };
     let dfs = DfsConfig {
         dead_after: SimDuration::from_secs(12),
-        ..DfsConfig::default()
     };
     let mut cluster = ClusterBuilder::new()
         .seed(2009)

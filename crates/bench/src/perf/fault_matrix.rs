@@ -164,7 +164,6 @@ fn simulate(workers: usize, plan: FaultPlan) -> Outcome {
     };
     let dfs = DfsConfig {
         dead_after: SimDuration::from_secs(12),
-        ..DfsConfig::default()
     };
     let mut cluster = ClusterBuilder::new()
         .seed(2009)

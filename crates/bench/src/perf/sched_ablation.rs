@@ -24,6 +24,7 @@
 //! Returns the whole of `BENCH_sched.json`.
 
 use accelmr_des::{SimDuration, SimTime};
+use accelmr_dfs::BLOCK_SIZE;
 use accelmr_hybrid::hetero::{AdaptiveAesKernel, AdaptivePiKernel, MixedEnvFactory};
 use accelmr_hybrid::presets;
 use accelmr_mapred::{
@@ -32,8 +33,6 @@ use accelmr_mapred::{
 };
 
 use crate::{float, obj, Json};
-
-const RECORD_BYTES: u64 = 64 << 20;
 
 fn mixed_cluster(seed: u64, policy: SchedulerPolicy) -> accelmr_mapred::MrCluster {
     ClusterBuilder::new()
@@ -70,13 +69,13 @@ fn run_aes(policy: SchedulerPolicy, bytes: u64, seed: u64) -> (JobResult, JobRes
     let job = |path: &str, preload: bool| {
         let b = JobBuilder::new("aes-mixed")
             .input_file(path)
-            .record_bytes(RECORD_BYTES)
+            .record_bytes(BLOCK_SIZE)
             .kernel(AdaptiveAesKernel::new())
             .digest_output();
         if preload {
             b.preload(
                 PreloadSpec::new(path, bytes, 7)
-                    .block_size(RECORD_BYTES)
+                    .block_size(BLOCK_SIZE)
                     .replication(1),
             )
         } else {
@@ -98,7 +97,7 @@ fn workload(run: &dyn Fn(SchedulerPolicy) -> (JobResult, JobResult)) -> (Json, f
     let policies = [
         ("fifo", SchedulerPolicy::Fifo),
         ("locality-first", SchedulerPolicy::LocalityFirst),
-        ("adaptive", SchedulerPolicy::adaptive()),
+        ("adaptive", SchedulerPolicy::Adaptive),
     ];
     let mut times = Vec::new();
     let mut entry = Json::object(policies.map(|(name, policy)| {

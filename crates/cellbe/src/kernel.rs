@@ -66,7 +66,7 @@ impl DataKernel for AesCtrSpeKernel {
         debug_assert_eq!(abs_offset % 16, 0, "blocks must be 16-byte aligned");
         ctr_xor(
             &self.key,
-            AesImpl::Lanes4,
+            AesImpl::TTable,
             self.nonce,
             abs_offset / 16,
             data,

@@ -46,11 +46,6 @@ impl LocalStore {
         self.capacity
     }
 
-    /// Bytes still available for allocation.
-    pub fn free_bytes(&self) -> usize {
-        self.capacity - self.cursor
-    }
-
     /// `true` when the store holds real bytes.
     pub fn is_materialized(&self) -> bool {
         self.data.is_some()

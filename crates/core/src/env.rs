@@ -10,10 +10,13 @@ use accelmr_cellbe::{CellConfig, CellMachine};
 use accelmr_cellmr::{CellMrConfig, CellMrRuntime};
 use accelmr_mapred::{NodeEnv, NodeEnvFactory};
 
-/// Node-resident Cell BE state: one machine per map slot (the QS22 carries
-/// two Cell processors and the paper runs two mappers per blade, one per
-/// Cell), plus a MapReduce-for-Cell framework instance for jobs routed
-/// through the second native library.
+/// Cell machines per worker: the QS22 blade carries two Cell processors
+/// and the paper runs two mappers per blade, one per Cell.
+pub const CELLS_PER_BLADE: usize = 2;
+
+/// Node-resident Cell BE state: one machine per Cell of the blade, plus a
+/// MapReduce-for-Cell framework instance for jobs routed through the
+/// second native library. Every machine runs the default [`CellConfig`].
 pub struct CellNodeEnv {
     machines: Vec<CellMachine>,
     framework: CellMrRuntime,
@@ -21,17 +24,14 @@ pub struct CellNodeEnv {
 }
 
 impl CellNodeEnv {
-    /// Builds the environment with `slots` per-mapper Cell machines.
-    pub fn new(
-        cell_cfg: CellConfig,
-        mr_cfg: CellMrConfig,
-        slots: usize,
-        materialized: bool,
-    ) -> Self {
-        let machines = (0..slots.max(1))
-            .map(|_| CellMachine::new(cell_cfg.clone(), materialized).expect("valid config"))
+    /// Builds the environment with [`CELLS_PER_BLADE`] Cell machines.
+    pub fn new(materialized: bool) -> Self {
+        let machines = (0..CELLS_PER_BLADE)
+            .map(|_| CellMachine::new(CellConfig::default(), materialized).expect("valid config"))
             .collect();
-        let framework = CellMrRuntime::new(cell_cfg, mr_cfg, materialized).expect("valid config");
+        let framework =
+            CellMrRuntime::new(CellConfig::default(), CellMrConfig::default(), materialized)
+                .expect("valid config");
         CellNodeEnv {
             machines,
             framework,
@@ -39,10 +39,10 @@ impl CellNodeEnv {
         }
     }
 
-    /// The Cell machine backing map slot `slot`.
+    /// The Cell machine backing map slot `slot` (slots wrap over the
+    /// blade's Cells).
     pub fn machine(&mut self, slot: usize) -> &mut CellMachine {
-        let n = self.machines.len();
-        &mut self.machines[slot % n]
+        &mut self.machines[slot % CELLS_PER_BLADE]
     }
 
     /// The MapReduce-for-Cell framework runtime.
@@ -63,37 +63,15 @@ impl NodeEnv for CellNodeEnv {
 }
 
 /// Factory handing every node a [`CellNodeEnv`].
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CellEnvFactory {
-    /// Cell machine configuration.
-    pub cell_cfg: CellConfig,
-    /// Framework configuration.
-    pub mr_cfg: CellMrConfig,
-    /// Map slots per node (one Cell machine each).
-    pub slots: usize,
     /// Functional simulation?
     pub materialized: bool,
 }
 
-impl Default for CellEnvFactory {
-    fn default() -> Self {
-        CellEnvFactory {
-            cell_cfg: CellConfig::default(),
-            mr_cfg: CellMrConfig::default(),
-            slots: 2,
-            materialized: false,
-        }
-    }
-}
-
 impl NodeEnvFactory for CellEnvFactory {
     fn build(&self, _node_index: usize) -> Box<dyn NodeEnv> {
-        Box::new(CellNodeEnv::new(
-            self.cell_cfg.clone(),
-            self.mr_cfg.clone(),
-            self.slots,
-            self.materialized,
-        ))
+        Box::new(CellNodeEnv::new(self.materialized))
     }
 }
 

@@ -15,6 +15,8 @@ use crate::presets::{self, pi_estimate};
 pub use crate::presets::{AesMapper, PiMapper};
 
 const GB: u64 = 1 << 30;
+/// Fig. 4: input GB per mapper (the paper's proportional data set).
+const GB_PER_MAPPER: u64 = 1;
 
 /// Runs one distributed encryption job and returns its result.
 pub fn run_encrypt_job(
@@ -42,21 +44,15 @@ pub fn run_encrypt_job(
 pub struct DistEncryptParams {
     /// Cluster sizes (paper Fig. 4: 12..60; Fig. 5: 4..64).
     pub nodes: Vec<usize>,
-    /// Fig. 4: input GB per mapper.
-    pub gb_per_mapper: u64,
     /// Fig. 5: fixed total input GB.
     pub total_gb: u64,
-    /// Runtime configuration.
-    pub mr_cfg: MrConfig,
 }
 
 impl Default for DistEncryptParams {
     fn default() -> Self {
         DistEncryptParams {
             nodes: vec![12, 24, 36, 48, 60],
-            gb_per_mapper: 1,
             total_gb: 120,
-            mr_cfg: MrConfig::default(),
         }
     }
 }
@@ -73,11 +69,12 @@ pub fn fig4(params: &DistEncryptParams) -> Figure {
             points: Vec::new(),
         })
         .collect();
+    let cfg = MrConfig::default();
     for &n in &params.nodes {
-        let mappers = n as u64 * params.mr_cfg.map_slots_per_node as u64;
-        let bytes = mappers * params.gb_per_mapper * GB;
+        let mappers = n as u64 * cfg.map_slots_per_node as u64;
+        let bytes = mappers * GB_PER_MAPPER * GB;
         for (i, &mapper) in [AesMapper::Java, AesMapper::Cell].iter().enumerate() {
-            let result = run_encrypt_job(1000 + n as u64, n, bytes, mapper, &params.mr_cfg);
+            let result = run_encrypt_job(1000 + n as u64, n, bytes, mapper, &cfg);
             assert!(result.succeeded, "fig4 job failed at {n} nodes");
             series[i]
                 .points
@@ -107,7 +104,7 @@ pub fn fig5(params: &DistEncryptParams) -> Figure {
     let bytes = params.total_gb * GB;
     for &n in &params.nodes {
         for (i, &mapper) in mappers.iter().enumerate() {
-            let result = run_encrypt_job(2000 + n as u64, n, bytes, mapper, &params.mr_cfg);
+            let result = run_encrypt_job(2000 + n as u64, n, bytes, mapper, &MrConfig::default());
             assert!(result.succeeded, "fig5 job failed at {n} nodes");
             series[i]
                 .points
@@ -158,8 +155,6 @@ pub struct DistPiParams {
     pub fig8_samples: u64,
     /// Fig. 8: the "10x samples" Cell rerun.
     pub fig8_tenx: u64,
-    /// Runtime configuration.
-    pub mr_cfg: MrConfig,
 }
 
 impl Default for DistPiParams {
@@ -170,7 +165,6 @@ impl Default for DistPiParams {
             fig8_nodes: vec![4, 8, 16, 32, 64],
             fig8_samples: 100_000_000_000,
             fig8_tenx: 1_000_000_000_000,
-            mr_cfg: MrConfig::default(),
         }
     }
 }
@@ -193,7 +187,7 @@ pub fn fig7(params: &DistPiParams) -> Figure {
                 params.fig7_nodes,
                 samples,
                 mapper,
-                &params.mr_cfg,
+                &MrConfig::default(),
             );
             assert!(result.succeeded);
             series[i]
@@ -228,28 +222,23 @@ pub fn fig8(params: &DistPiParams) -> Figure {
         label: "Cell BE Mapper (10x samples)".into(),
         points: Vec::new(),
     };
+    let cfg = MrConfig::default();
     for &n in &params.fig8_nodes {
         let (r_java, _) = run_pi_job(
             4000 + n as u64,
             n,
             params.fig8_samples,
             PiMapper::Java,
-            &params.mr_cfg,
+            &cfg,
         );
         let (r_cell, _) = run_pi_job(
             5000 + n as u64,
             n,
             params.fig8_samples,
             PiMapper::Cell,
-            &params.mr_cfg,
+            &cfg,
         );
-        let (r_10x, _) = run_pi_job(
-            6000 + n as u64,
-            n,
-            params.fig8_tenx,
-            PiMapper::Cell,
-            &params.mr_cfg,
-        );
+        let (r_10x, _) = run_pi_job(6000 + n as u64, n, params.fig8_tenx, PiMapper::Cell, &cfg);
         java.points.push((n as f64, r_java.elapsed.as_secs_f64()));
         cell.points.push((n as f64, r_cell.elapsed.as_secs_f64()));
         cell10.points.push((n as f64, r_10x.elapsed.as_secs_f64()));

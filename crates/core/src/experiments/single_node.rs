@@ -8,20 +8,22 @@ use accelmr_kernels::cost::{self, Engine};
 use super::{Figure, Series};
 use crate::kernels::{job_key, JOB_NONCE};
 
+/// SPU work-block size (paper: 4 KB).
+const SPU_BLOCK: usize = 4096;
+/// RNG seed for the functional Pi kernels of Figure 6.
+const FIG6_SEED: u64 = 42;
+
 /// Parameters of the Figure 2 sweep.
 #[derive(Clone, Debug)]
 pub struct Fig2Params {
     /// Working-set sizes in MB (paper: 1..1024, powers of two).
     pub sizes_mb: Vec<u64>,
-    /// SPU work-block size (paper: 4 KB).
-    pub spu_block: usize,
 }
 
 impl Default for Fig2Params {
     fn default() -> Self {
         Fig2Params {
             sizes_mb: (0..=10).map(|i| 1u64 << i).collect(),
-            spu_block: 4096,
         }
     }
 }
@@ -63,7 +65,7 @@ pub fn fig2(params: &Fig2Params) -> Figure {
         let to_mbps = |secs: f64| (bytes as f64 / 1e6) / secs;
 
         let report = machine
-            .run_data(DataInput::Virtual(bytes), &spu_kernel, params.spu_block)
+            .run_data(DataInput::Virtual(bytes), &spu_kernel, SPU_BLOCK)
             .expect("valid run");
         cell.points.push((x, to_mbps(report.elapsed.as_secs_f64())));
 
@@ -98,15 +100,12 @@ pub fn fig2(params: &Fig2Params) -> Figure {
 pub struct Fig6Params {
     /// Total sample counts (paper: 1e3..1e9, decades).
     pub samples: Vec<u64>,
-    /// RNG seed for the functional Pi kernels.
-    pub seed: u64,
 }
 
 impl Default for Fig6Params {
     fn default() -> Self {
         Fig6Params {
             samples: (3..=9).map(|e| 10u64.pow(e)).collect(),
-            seed: 42,
         }
     }
 }
@@ -133,7 +132,7 @@ pub fn fig6(params: &Fig6Params) -> Figure {
         let x = n as f64;
         // Cold machine per measurement.
         let mut machine = CellMachine::new(CellConfig::default(), false).expect("valid config");
-        let spu_kernel = PiSpeKernel::new(params.seed, 0);
+        let spu_kernel = PiSpeKernel::new(FIG6_SEED, 0);
         let report = machine.run_compute(n, &spu_kernel);
         cell.points
             .push((x, n as f64 / report.elapsed.as_secs_f64()));

@@ -16,23 +16,20 @@ use crate::presets;
 
 pub use crate::presets::{MergeReduceKernel, SortMapKernel};
 
+/// Input GB per node (keeps per-node work constant across the sweep).
+const GB_PER_NODE: u64 = 1;
+
 /// Parameters of the Terasort experiment.
 #[derive(Clone, Debug)]
 pub struct TerasortParams {
     /// Cluster sizes swept.
     pub nodes: Vec<usize>,
-    /// Input GB per node (keeps per-node work constant across the sweep).
-    pub gb_per_node: u64,
-    /// Runtime configuration.
-    pub mr_cfg: MrConfig,
 }
 
 impl Default for TerasortParams {
     fn default() -> Self {
         TerasortParams {
             nodes: vec![4, 8, 16],
-            gb_per_node: 1,
-            mr_cfg: MrConfig::default(),
         }
     }
 }
@@ -44,18 +41,16 @@ pub fn terasort_feed_rate(params: &TerasortParams) -> Figure {
         label: "per-node sort rate".into(),
         points: Vec::new(),
     };
+    let slots = MrConfig::default().map_slots_per_node;
     for &n in &params.nodes {
-        let bytes = n as u64 * params.gb_per_node * (1 << 30);
+        let bytes = n as u64 * GB_PER_NODE * (1 << 30);
         let mut c = ClusterBuilder::new()
             .seed(9000 + n as u64)
             .workers(n)
-            .mr(params.mr_cfg.clone())
             .env(CellEnvFactory::default())
             .deploy();
         let mut session = c.session();
-        session.submit(
-            presets::terasort("/tera-in", bytes, n).map_tasks(n * params.mr_cfg.map_slots_per_node),
-        );
+        session.submit(presets::terasort("/tera-in", bytes, n).map_tasks(n * slots));
         let result = session.run();
         assert!(result.succeeded, "terasort failed at {n} nodes");
         let mbps_per_node = bytes as f64 / 1e6 / result.elapsed.as_secs_f64() / n as f64;
@@ -76,11 +71,7 @@ mod tests {
 
     #[test]
     fn per_node_rate_is_single_digit_mbps() {
-        let fig = terasort_feed_rate(&TerasortParams {
-            nodes: vec![4],
-            gb_per_node: 1,
-            mr_cfg: MrConfig::default(),
-        });
+        let fig = terasort_feed_rate(&TerasortParams { nodes: vec![4] });
         let (_, rate) = fig.series[0].points[0];
         // The paper's observation: ~5.5 MB/s/node, far below what the sort
         // kernel could do; accept a generous band around it.

@@ -20,13 +20,12 @@ use crate::env::{CellEnvFactory, CellNodeEnv};
 use crate::kernels::{CellAesKernel, CellPiKernel, JavaAesKernel, JavaPiKernel};
 
 /// Equips the first `accelerated_of.0` of every `accelerated_of.1` nodes
-/// with Cell environments; the rest get plain (scalar-only) environments.
+/// with (timing-only) Cell environments; the rest get plain (scalar-only)
+/// environments.
 #[derive(Clone)]
 pub struct MixedEnvFactory {
     /// `(accelerated, out_of)`: e.g. `(1, 2)` = every other node.
     pub accelerated_of: (usize, usize),
-    /// Factory for the accelerated nodes.
-    pub cell: CellEnvFactory,
 }
 
 impl MixedEnvFactory {
@@ -34,7 +33,6 @@ impl MixedEnvFactory {
     pub fn half() -> Self {
         MixedEnvFactory {
             accelerated_of: (1, 2),
-            cell: CellEnvFactory::default(),
         }
     }
 
@@ -48,7 +46,7 @@ impl MixedEnvFactory {
 impl NodeEnvFactory for MixedEnvFactory {
     fn build(&self, node_index: usize) -> Box<dyn NodeEnv> {
         if self.is_accelerated(node_index) {
-            self.cell.build(node_index)
+            CellEnvFactory::default().build(node_index)
         } else {
             Box::new(accelmr_mapred::NullEnv)
         }
@@ -179,7 +177,6 @@ mod tests {
         assert_eq!(flags, vec![true, false, true, false, true, false]);
         let full = MixedEnvFactory {
             accelerated_of: (1, 1),
-            cell: CellEnvFactory::default(),
         };
         assert!((0..4).all(|i| full.is_accelerated(i)));
     }
@@ -193,7 +190,6 @@ mod tests {
         let all = run_mixed_pi(
             &MixedEnvFactory {
                 accelerated_of: (1, 1),
-                cell: CellEnvFactory::default(),
             },
             samples,
             1,
@@ -202,7 +198,6 @@ mod tests {
         let none = run_mixed_pi(
             &MixedEnvFactory {
                 accelerated_of: (0, 1),
-                cell: CellEnvFactory::default(),
             },
             samples,
             3,
@@ -256,7 +251,7 @@ mod tests {
     fn adaptive_scheduler_beats_locality_on_mixed_cluster() {
         let samples = 4_000_000_000u64;
         let locality = run_mixed_pi_policy(SchedulerPolicy::LocalityFirst, samples, 11);
-        let adaptive = run_mixed_pi_policy(SchedulerPolicy::adaptive(), samples, 11);
+        let adaptive = run_mixed_pi_policy(SchedulerPolicy::Adaptive, samples, 11);
         assert!(locality.succeeded && adaptive.succeeded);
         // Same work performed under both plans.
         let total = |r: &JobResult| r.kv.iter().find(|&&(k, _)| k == 1).unwrap().1;

@@ -391,11 +391,7 @@ mod tests {
     use accelmr_mapred::NodeEnvFactory;
 
     fn materialized_env() -> Box<dyn NodeEnv> {
-        CellEnvFactory {
-            materialized: true,
-            ..CellEnvFactory::default()
-        }
-        .build(0)
+        CellEnvFactory { materialized: true }.build(0)
     }
 
     fn record(len: usize, offset: u64) -> (Vec<u8>, RecordCtx<'static>) {

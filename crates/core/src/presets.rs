@@ -43,6 +43,7 @@
 use std::sync::Arc;
 
 use accelmr_des::SimDuration;
+use accelmr_dfs::BLOCK_SIZE;
 use accelmr_kernels::cost::{self, Engine};
 use accelmr_mapred::{
     JobBuilder, JobResult, NodeEnv, OutputSink, PreloadSpec, RecordCtx, RecordOutcome,
@@ -50,9 +51,6 @@ use accelmr_mapred::{
 };
 
 use crate::kernels::{CellAesKernel, CellPiKernel, EmptyKernel, JavaAesKernel, JavaPiKernel};
-
-/// One DFS block, the paper's record granularity for data jobs (64 MB).
-pub const RECORD_BYTES: u64 = 64 << 20;
 
 /// Which mapper configuration runs an encryption job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -162,12 +160,12 @@ pub fn encrypt_seeded(
 ) -> JobBuilder {
     JobBuilder::new(format!("encrypt-{}", mapper.label()))
         .input_file(input_path)
-        .record_bytes(RECORD_BYTES)
+        .record_bytes(BLOCK_SIZE)
         .kernel_arc(mapper.kernel())
         .output(mapper.output())
         .preload(
             PreloadSpec::new(input_path, total_bytes, content_seed)
-                .block_size(RECORD_BYTES)
+                .block_size(BLOCK_SIZE)
                 .replication(1),
         )
 }
@@ -232,13 +230,13 @@ pub fn terasort_replicated(
 ) -> JobBuilder {
     JobBuilder::new("terasort")
         .input_file(input_path)
-        .record_bytes(RECORD_BYTES)
+        .record_bytes(BLOCK_SIZE)
         .kernel(SortMapKernel)
         .digest_output()
         .shuffle(reducers, MergeReduceKernel, true)
         .preload(
             PreloadSpec::new(input_path, total_bytes, 13)
-                .block_size(RECORD_BYTES)
+                .block_size(BLOCK_SIZE)
                 .replication(replication),
         )
 }
@@ -266,7 +264,7 @@ mod tests {
         assert_eq!(req.preloads.len(), 1);
         assert_eq!(req.preloads[0].path, "/input");
         assert_eq!(req.preloads[0].len, 1 << 30);
-        assert_eq!(req.preloads[0].block_size, Some(RECORD_BYTES));
+        assert_eq!(req.preloads[0].block_size, Some(BLOCK_SIZE));
         match &req.spec.output {
             OutputSink::Dfs { path, .. } => assert_eq!(path, "/out"),
             other => panic!("unexpected output {other:?}"),

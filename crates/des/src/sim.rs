@@ -203,16 +203,6 @@ impl Sim {
         &self.core.stats
     }
 
-    /// Mutable access to collected metrics (harness-side bookkeeping).
-    pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.core.stats
-    }
-
-    /// The engine-level RNG (actors normally use `Ctx::rng`).
-    pub fn rng_mut(&mut self) -> &mut Xoshiro256 {
-        &mut self.core.rng
-    }
-
     /// Name an actor registered under `id`.
     pub fn actor_name(&self, id: ActorId) -> &str {
         &self.actors[id.index()].name

@@ -147,6 +147,7 @@ impl DfsHandle {
 
 /// Spawns a NameNode on `head_node` plus one DataNode per worker node and
 /// wires them together. `materialized` makes DataNodes serve real bytes.
+/// Panics on a `cfg` that [`DfsConfig::validate`] rejects.
 ///
 /// Actor ids form a cycle (DataNodes need the NameNode id, the NameNode
 /// needs the DataNode registry), so DataNodes spawn first behind a
@@ -161,10 +162,13 @@ pub fn deploy_dfs(
     workers: &[NodeId],
     materialized: bool,
 ) -> DfsHandle {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid DfsConfig: {e}");
+    }
     let mut dns: Vec<(NodeId, ActorId)> = Vec::with_capacity(workers.len());
     let mut peers: FxHashMap<NodeId, ActorId> = FxHashMap::default();
     for &w in workers {
-        let dn = DataNode::new(cfg.clone(), net, w, head_node, materialized);
+        let dn = DataNode::new(net, w, head_node, materialized);
         let id = sim.spawn(Box::new(PendingDataNode::new(dn)));
         peers.insert(w, id);
         dns.push((w, id));
@@ -609,8 +613,7 @@ mod tests {
                     // admit it at the NameNode.
                     *state = 1;
                     net.ensure_node(ctx, NodeId(3));
-                    let cfg = DfsConfig::default();
-                    let mut dn = DataNode::new(cfg, net, NodeId(3), NodeId::HEAD, false);
+                    let mut dn = DataNode::new(net, NodeId(3), NodeId::HEAD, false);
                     let peers: FxHashMap<NodeId, ActorId> =
                         dfs_reg.snapshot().into_iter().collect();
                     dn.rewire(dfs.namenode, Arc::new(peers));

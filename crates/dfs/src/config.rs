@@ -12,31 +12,72 @@ impl std::fmt::Display for BlockId {
     }
 }
 
-/// File system parameters. Defaults match the paper's deployment: 64 MB
-/// HDFS blocks, replication level 1 ("one single copy of each block was
-/// present in the cluster"), 3-second DataNode heartbeats.
+/// Default block size, bytes: the paper's 64 MB HDFS blocks. Also the
+/// default record size of a file job (one record per block, Figure 3).
+pub const BLOCK_SIZE: u64 = 64 << 20;
+
+/// DataNode heartbeat period (and the NameNode's liveness sweep period).
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(3);
+
+/// File system parameters. The rest of the paper's deployment is fixed:
+/// [`BLOCK_SIZE`] blocks, replication level 1 ("one single copy of each
+/// block was present in the cluster"), [`HEARTBEAT_INTERVAL`] heartbeats.
 #[derive(Clone, Debug)]
 pub struct DfsConfig {
-    /// Default block size, bytes.
-    pub block_size: u64,
-    /// Default replication factor.
-    pub replication: usize,
-    /// DataNode heartbeat period.
-    pub heartbeat_interval: SimDuration,
     /// A DataNode missing heartbeats for this long is declared dead.
     pub dead_after: SimDuration,
-    /// NameNode metadata operation service time (namespace lock + lookup).
-    pub namenode_op_time: SimDuration,
+}
+
+/// A rejected [`DfsConfig`], detected at deploy time ([`DfsConfig::validate`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DfsConfigError {
+    /// `dead_after <= HEARTBEAT_INTERVAL`: a healthy DataNode would be
+    /// declared dead between two of its own heartbeats, and nothing but a
+    /// re-admission brings a dead DataNode back.
+    DeadTimeoutTooShort {
+        /// The DataNode heartbeat period.
+        heartbeat_interval: SimDuration,
+        /// Configured death timeout.
+        dead_after: SimDuration,
+    },
+}
+
+impl std::fmt::Display for DfsConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DfsConfigError::DeadTimeoutTooShort {
+                heartbeat_interval,
+                dead_after,
+            } => write!(
+                f,
+                "dead_after ({dead_after}) must exceed the DataNode heartbeat \
+                 ({heartbeat_interval}); healthy DataNodes would be declared dead"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DfsConfigError {}
+
+impl DfsConfig {
+    /// Validates deploy-time invariants. Called by
+    /// [`deploy_dfs`](crate::deploy_dfs); call it directly to surface a
+    /// typed error instead of a panic.
+    pub fn validate(&self) -> Result<(), DfsConfigError> {
+        if self.dead_after <= HEARTBEAT_INTERVAL {
+            return Err(DfsConfigError::DeadTimeoutTooShort {
+                heartbeat_interval: HEARTBEAT_INTERVAL,
+                dead_after: self.dead_after,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl Default for DfsConfig {
     fn default() -> Self {
         DfsConfig {
-            block_size: 64 << 20,
-            replication: 1,
-            heartbeat_interval: SimDuration::from_secs(3),
             dead_after: SimDuration::from_secs(30),
-            namenode_op_time: SimDuration::from_micros(300),
         }
     }
 }
@@ -47,10 +88,29 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_deployment() {
-        let c = DfsConfig::default();
-        assert_eq!(c.block_size, 64 << 20);
-        assert_eq!(c.replication, 1);
-        assert_eq!(c.heartbeat_interval, SimDuration::from_secs(3));
+        assert_eq!(DfsConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_dead_timeout_at_or_below_heartbeat() {
+        for secs in [2, 3] {
+            let c = DfsConfig {
+                dead_after: SimDuration::from_secs(secs),
+            };
+            let err = c.validate().unwrap_err();
+            assert_eq!(
+                err,
+                DfsConfigError::DeadTimeoutTooShort {
+                    heartbeat_interval: HEARTBEAT_INTERVAL,
+                    dead_after: SimDuration::from_secs(secs),
+                }
+            );
+            assert!(err.to_string().contains("dead_after"));
+        }
+        let ok = DfsConfig {
+            dead_after: SimDuration::from_secs(4),
+        };
+        assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId};
 
-use crate::config::{BlockId, DfsConfig};
+use crate::config::{BlockId, HEARTBEAT_INTERVAL};
 use crate::msgs::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -37,7 +37,6 @@ struct WriteLanded {
 
 /// One storage server, co-resident with a TaskTracker on every worker node.
 pub struct DataNode {
-    cfg: DfsConfig,
     net: NetHandle,
     node: NodeId,
     namenode: ActorId,
@@ -53,15 +52,8 @@ pub struct DataNode {
 impl DataNode {
     /// Builds a DataNode on `node`. The NameNode id and peer registry are
     /// delivered post-spawn via [`DataNode::rewire`] (see `deploy_dfs`).
-    pub fn new(
-        cfg: DfsConfig,
-        net: NetHandle,
-        node: NodeId,
-        head_node: NodeId,
-        materialized: bool,
-    ) -> Self {
+    pub fn new(net: NetHandle, node: NodeId, head_node: NodeId, materialized: bool) -> Self {
         DataNode {
-            cfg,
             net,
             node,
             namenode: ActorId::ENGINE,
@@ -76,11 +68,6 @@ impl DataNode {
     pub fn rewire(&mut self, namenode: ActorId, peers: Arc<FxHashMap<NodeId, ActorId>>) {
         self.namenode = namenode;
         self.peers = peers;
-    }
-
-    /// Number of blocks stored (tests/introspection).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
     }
 
     fn materialize(&self, meta: BlockMeta, offset_in_block: u64, len: u64) -> Option<Vec<u8>> {
@@ -107,8 +94,8 @@ impl Actor for DataNode {
             Event::Start => {
                 // Stagger first heartbeat deterministically to avoid a
                 // thundering herd at the NameNode.
-                let interval = self.cfg.heartbeat_interval.as_nanos();
-                let jitter = SimDuration::from_nanos(ctx.rng().next_below(interval.max(1)));
+                let jitter =
+                    SimDuration::from_nanos(ctx.rng().next_below(HEARTBEAT_INTERVAL.as_nanos()));
                 ctx.after(jitter, TIMER_HEARTBEAT);
             }
             Event::Timer {
@@ -120,7 +107,7 @@ impl Actor for DataNode {
                 net.unicast(ctx, node, head, nn, 128, hb);
                 // In-place rearm: the heartbeat chain holds one timer slot
                 // for the actor's whole lifetime.
-                ctx.rearm_after(self.cfg.heartbeat_interval, TIMER_HEARTBEAT);
+                ctx.rearm_after(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
             }
             Event::Timer { .. } => {}
             Event::Msg { msg, .. } => {

@@ -42,7 +42,7 @@ pub mod msgs;
 pub mod namenode;
 
 pub use cluster::{deploy_dfs, DfsHandle};
-pub use config::{BlockId, DfsConfig};
+pub use config::{BlockId, DfsConfig, DfsConfigError, BLOCK_SIZE, HEARTBEAT_INTERVAL};
 pub use datanode::{DataNode, Shutdown};
 pub use msgs::*;
 pub use namenode::NameNode;

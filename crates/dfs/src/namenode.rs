@@ -11,8 +11,14 @@ use accelmr_des::prelude::*;
 use accelmr_des::{ExpiryHeap, FxHashMap, FxHashSet};
 use accelmr_net::{NetHandle, NodeId};
 
-use crate::config::{BlockId, DfsConfig};
+use crate::config::{BlockId, DfsConfig, BLOCK_SIZE, HEARTBEAT_INTERVAL};
 use crate::msgs::*;
+
+/// Default replication factor (paper: "one single copy of each block was
+/// present in the cluster").
+const REPLICATION: usize = 1;
+/// Metadata operation service time (namespace lock + lookup).
+const NAMENODE_OP_TIME: SimDuration = SimDuration::from_micros(300);
 
 struct FileMeta {
     len: u64,
@@ -368,7 +374,7 @@ impl Actor for NameNode {
                     self.last_heartbeat.insert(node, now);
                     self.expiry.schedule(now + self.cfg.dead_after, node);
                 }
-                ctx.after(self.cfg.heartbeat_interval, TIMER_LIVENESS);
+                ctx.after(HEARTBEAT_INTERVAL, TIMER_LIVENESS);
             }
             Event::Timer {
                 tag: TIMER_LIVENESS,
@@ -407,14 +413,14 @@ impl Actor for NameNode {
                 if self.repair_pending {
                     self.replication_scan(ctx);
                 }
-                ctx.rearm_after(self.cfg.heartbeat_interval, TIMER_LIVENESS);
+                ctx.rearm_after(HEARTBEAT_INTERVAL, TIMER_LIVENESS);
             }
             Event::Timer { .. } => {}
             Event::Msg { msg, .. } => {
                 if msg.is::<PreloadFile>() {
                     let req = msg.downcast::<PreloadFile>().expect("checked");
-                    let block_size = req.block_size.unwrap_or(self.cfg.block_size);
-                    let replication = req.replication.unwrap_or(self.cfg.replication);
+                    let block_size = req.block_size.unwrap_or(BLOCK_SIZE);
+                    let replication = req.replication.unwrap_or(REPLICATION);
                     let mut blocks = Vec::new();
                     let mut offset = 0u64;
                     while offset < req.len {
@@ -457,7 +463,7 @@ impl Actor for NameNode {
                     );
                     ctx.stats().incr("dfs.files_preloaded");
                     let view = self.view_of(&req.path).expect("just inserted");
-                    ctx.send_after(req.reply, PreloadDone { view }, self.cfg.namenode_op_time);
+                    ctx.send_after(req.reply, PreloadDone { view }, NAMENODE_OP_TIME);
                 } else if let Some(req) = msg.peek::<GetLocations>() {
                     let view = self.view_of(&req.path);
                     ctx.stats().incr("dfs.get_locations");
@@ -467,12 +473,12 @@ impl Actor for NameNode {
                 } else if let Some(req) = msg.peek::<CreateFile>() {
                     let ok = !self.files.contains_key(&req.path);
                     if ok {
-                        let replication = req.replication.unwrap_or(self.cfg.replication);
+                        let replication = req.replication.unwrap_or(REPLICATION);
                         self.files.insert(
                             req.path.clone(),
                             FileMeta {
                                 len: 0,
-                                block_size: self.cfg.block_size,
+                                block_size: BLOCK_SIZE,
                                 seed: 0,
                                 replication,
                                 blocks: Vec::new(),
@@ -491,7 +497,7 @@ impl Actor for NameNode {
                         .files
                         .get(&path)
                         .map(|f| f.replication)
-                        .unwrap_or(self.cfg.replication);
+                        .unwrap_or(REPLICATION);
                     let pipeline = self.place(replication, Some(writer_node));
                     if let Some(meta) = self.files.get_mut(&path) {
                         let offset = meta.len;

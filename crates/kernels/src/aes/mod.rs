@@ -1,20 +1,21 @@
-//! AES-128 block cipher, implemented three ways.
+//! AES-128 block cipher, implemented two ways.
 //!
 //! The paper runs the same encryption kernel on four engines (Cell SPUs with
 //! SIMD, the Cell-MapReduce framework, Java on the Cell PPE, Java on a
-//! Power6). We mirror that with three real implementations that produce
-//! identical bytes but have very different instruction-level structure:
+//! Power6). Simulated time comes from the per-engine cost model
+//! ([`crate::cost`]); the bytes come from two real implementations that
+//! produce identical output:
 //!
-//! * [`scalar`] — byte-oriented textbook cipher, the stand-in for the
-//!   interpreted/JIT "Java" kernel;
-//! * [`ttable`] — 32-bit T-table cipher, the tuned uniprocessor kernel;
-//! * [`lanes`] — four blocks in flight across lanes, structured like the
-//!   SPU SIMD kernel.
+//! * [`scalar`] — byte-oriented textbook cipher: the reference every other
+//!   path is held to, and the stand-in for the interpreted/JIT "Java"
+//!   kernel;
+//! * [`ttable`] — 32-bit T-table cipher, the tuned kernel: it computes the
+//!   bytes of every accelerated path (the SPU kernel, the Cell-MapReduce
+//!   framework) and of the functional Java mappers.
 //!
-//! All three are verified against FIPS-197 / NIST SP 800-38A vectors and
+//! Both are verified against FIPS-197 / NIST SP 800-38A vectors and
 //! against each other by property tests.
 
-pub mod lanes;
 pub mod modes;
 pub mod scalar;
 pub mod tables;
@@ -23,7 +24,7 @@ pub mod ttable;
 use tables::{RCON, SBOX};
 
 /// Expanded AES-128 key: 11 round keys in byte form plus the word form the
-/// T-table and lane implementations consume.
+/// T-table implementation consumes.
 #[derive(Clone)]
 pub struct Aes128 {
     /// Round keys as bytes, rk[16*r..16*r+16] for round r.
@@ -84,41 +85,31 @@ impl Aes128 {
 pub enum AesImpl {
     /// Byte-oriented reference cipher ("Java" stand-in).
     Scalar,
-    /// 32-bit T-table cipher.
+    /// 32-bit T-table cipher (the SPU kernel's bytes).
     TTable,
-    /// Four-lane SIMD-style cipher (SPU stand-in).
-    Lanes4,
 }
 
 impl AesImpl {
     /// All implementations, for equivalence sweeps in tests/benches.
-    pub const ALL: [AesImpl; 3] = [AesImpl::Scalar, AesImpl::TTable, AesImpl::Lanes4];
+    pub const ALL: [AesImpl; 2] = [AesImpl::Scalar, AesImpl::TTable];
 
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
             AesImpl::Scalar => "scalar",
             AesImpl::TTable => "ttable",
-            AesImpl::Lanes4 => "lanes4",
         }
     }
 }
 
 /// Encrypts one 16-byte block in place with the chosen implementation.
 ///
-/// This is the one-block API the FIPS vectors use. `Lanes4` has no
-/// one-block form: it pads the block into a zeroed quad and discards
-/// three lanes, a quarter of its rate. Bulk callers use [`modes`].
+/// This is the one-block API the FIPS vectors use. Bulk callers use
+/// [`modes`].
 pub fn encrypt_block(key: &Aes128, imp: AesImpl, block: &mut [u8; 16]) {
     match imp {
         AesImpl::Scalar => scalar::encrypt_block(key, block),
         AesImpl::TTable => ttable::encrypt_block(key, block),
-        AesImpl::Lanes4 => {
-            let mut quad = [0u8; 64];
-            quad[..16].copy_from_slice(block);
-            lanes::encrypt_blocks4(key, &mut quad);
-            block.copy_from_slice(&quad[..16]);
-        }
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Classic 32-bit software AES: SubBytes, ShiftRows and MixColumns for one
 //! round collapse into four table lookups and three XORs per output word.
-//! This is the shape of every tuned uniprocessor AES of the paper's era and
-//! is what the four-lane SPU-style kernel widens.
+//! This is the shape of every tuned uniprocessor AES of the paper's era;
+//! the SPU kernel computes its bytes with it.
 
 use super::tables::{SBOX, TE0, TE1, TE2, TE3};
 use super::Aes128;
@@ -75,7 +75,7 @@ pub fn encrypt_block(key: &Aes128, block: &mut [u8; 16]) {
 
 /// XORs one keystream block, in word form, into at most 16 bytes of data.
 #[inline(always)]
-pub(super) fn xor_keystream(data: &mut [u8], ks: [u32; 4]) {
+fn xor_keystream(data: &mut [u8], ks: [u32; 4]) {
     for (d, k) in data.chunks_mut(4).zip(ks) {
         for (d, k) in d.iter_mut().zip(k.to_be_bytes()) {
             *d ^= k;

@@ -5,7 +5,7 @@
 //! on the Cell PPE, Java on a Power6). This crate provides:
 //!
 //! * **Real, executable kernels** — a from-scratch AES-128
-//!   ([`aes`]: scalar / T-table / four-lane SIMD-style, verified against
+//!   ([`aes`]: scalar reference / T-table, verified against
 //!   FIPS-197 and NIST SP 800-38A vectors), Monte Carlo Pi ([`pi`]), and a
 //!   GraySort-style sort kernel ([`sort`]). Functional simulation runs these
 //!   for real, so end-to-end tests verify actual ciphertext through the

@@ -39,7 +39,6 @@ use crate::session::{ElasticCtx, JobRequest};
 pub struct ClusterBuilder {
     seed: u64,
     workers: usize,
-    net: NetConfig,
     dfs: DfsConfig,
     mr: MrConfig,
     /// Arc (not Box) so the deployed cluster can retain the factory and
@@ -55,13 +54,13 @@ impl Default for ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// Starts from the defaults: seed 42, 4 workers, default network/DFS/MR
-    /// configs, no per-node accelerator state, timing-only data.
+    /// Starts from the defaults: seed 42, 4 workers, default DFS/MR
+    /// configs, no per-node accelerator state, timing-only data. The
+    /// network is always the paper's (`NetConfig::default()`).
     pub fn new() -> Self {
         ClusterBuilder {
             seed: 42,
             workers: 4,
-            net: NetConfig::default(),
             dfs: DfsConfig::default(),
             mr: MrConfig::default(),
             env: Arc::new(NullEnvFactory),
@@ -78,12 +77,6 @@ impl ClusterBuilder {
     /// Number of worker nodes (the JobTracker's head node is extra).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Network fabric configuration.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.net = net;
         self
     }
 
@@ -134,13 +127,17 @@ impl ClusterBuilder {
         assert!(self.workers > 0, "cluster needs at least one worker node");
         // Reject configs that would hang or mis-detect dead trackers (zero
         // slots, zero heartbeat, dead-timeout within one heartbeat). Call
-        // `MrConfig::validate` directly for the typed error.
+        // `MrConfig::validate` directly for the typed error; `deploy_dfs`
+        // does the same for the `DfsConfig`.
         if let Err(e) = self.mr.validate() {
             panic!("invalid MrConfig: {e}");
         }
         let mut sim = Sim::new(self.seed);
         let workers: Vec<NodeId> = (1..=self.workers as u32).map(NodeId).collect();
-        let fabric = sim.spawn(Box::new(Fabric::new(self.net, self.workers + 1)));
+        let fabric = sim.spawn(Box::new(Fabric::new(
+            NetConfig::default(),
+            self.workers + 1,
+        )));
         let net = NetHandle { fabric };
         let dfs = accelmr_dfs::deploy_dfs(
             &mut sim,
@@ -160,7 +157,6 @@ impl ClusterBuilder {
             self.env.as_ref(),
         );
         let elastic = ElasticCtx {
-            dfs_cfg: self.dfs,
             mr_cfg: self.mr,
             materialized: self.materialized,
             env: self.env,
@@ -283,12 +279,6 @@ impl JobBuilder {
         self
     }
 
-    /// Discard map output (the default; the paper's EmptyMapper shape).
-    pub fn discard_output(mut self) -> Self {
-        self.output = OutputSink::Discard;
-        self
-    }
-
     /// Account and digest map output without writing it back (kernel-level
     /// verification without write traffic).
     pub fn digest_output(mut self) -> Self {
@@ -308,12 +298,6 @@ impl JobBuilder {
     /// An explicit [`ReduceSpec`].
     pub fn reduce(mut self, reduce: ReduceSpec) -> Self {
         self.reduce = reduce;
-        self
-    }
-
-    /// Map-only job (the default).
-    pub fn no_reduce(mut self) -> Self {
-        self.reduce = ReduceSpec::None;
         self
     }
 
@@ -529,6 +513,15 @@ mod tests {
             ..MrConfig::default()
         };
         let _ = ClusterBuilder::new().workers(2).mr(bad).deploy();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid DfsConfig")]
+    fn cluster_builder_rejects_dfs_dead_timeout_within_heartbeat() {
+        let bad = DfsConfig {
+            dead_after: accelmr_des::SimDuration::from_secs(2),
+        };
+        let _ = ClusterBuilder::new().workers(2).dfs(bad).deploy();
     }
 
     #[test]

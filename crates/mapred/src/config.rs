@@ -37,8 +37,9 @@ pub enum SchedulerPolicy {
     /// throughput online (EWMA over completed attempts) and weights
     /// dispatch, split sizing, and speculative-copy placement toward
     /// faster nodes — the remedy for the mixed-cluster straggler effect
-    /// the paper anticipated in §V.
-    Adaptive(AdaptiveTuning),
+    /// the paper anticipated in §V. See
+    /// [`AdaptiveHetero`](crate::sched::AdaptiveHetero).
+    Adaptive,
     /// Multi-tenant weighted fair sharing at the *job* level: every free
     /// slot goes to the tenant with the smallest weighted running-slot
     /// share (weighted max-min, starvation-free by construction), FIFO
@@ -52,45 +53,6 @@ pub enum SchedulerPolicy {
     /// the remaining slots fair-share. See
     /// [`DeadlineSlack`](crate::sched::DeadlineSlack).
     DeadlineSlack,
-}
-
-impl SchedulerPolicy {
-    /// The adaptive policy with default tuning.
-    pub fn adaptive() -> Self {
-        SchedulerPolicy::Adaptive(AdaptiveTuning::default())
-    }
-}
-
-/// Tuning knobs of the [`SchedulerPolicy::Adaptive`] scheduler.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct AdaptiveTuning {
-    /// EWMA smoothing factor for per-node throughput observations
-    /// (`rate ← alpha·obs + (1-alpha)·rate`).
-    pub ewma_alpha: f64,
-    /// Before any throughput is learned, synthetic/file inputs are split
-    /// into `oversplit × total slots` tasks (instead of one per slot), so
-    /// demand-driven dispatch lets fast nodes pull proportionally more
-    /// work — the paper's per-node-slots knob generalized.
-    pub oversplit: f64,
-    /// A node whose learned throughput is below `tail_fraction × best` is
-    /// held back from the queue tail (it would turn the last tasks into
-    /// stragglers); the guard engages once the pending queue fits into the
-    /// fast nodes' slots.
-    pub tail_fraction: f64,
-    /// Minimum max/min learned-throughput ratio before split sizing
-    /// switches from uniform to throughput-weighted.
-    pub spread_threshold: f64,
-}
-
-impl Default for AdaptiveTuning {
-    fn default() -> Self {
-        AdaptiveTuning {
-            ewma_alpha: 0.4,
-            oversplit: 3.0,
-            tail_fraction: 0.5,
-            spread_threshold: 1.5,
-        }
-    }
 }
 
 /// Wasted-work budget for preemptive slot reclamation
@@ -182,10 +144,11 @@ pub enum MrConfigError {
         /// Configured death timeout.
         tt_dead_after: SimDuration,
     },
-    /// A chaos-hardening knob is set to a value that disables the very
-    /// machinery it configures (zero timeout/threshold, or a retry
-    /// backoff below 1.0 that would *shrink* timeouts under pressure).
-    InvalidHardening {
+    /// An optional knob is set to a value that disables the very
+    /// machinery it configures or hangs the run: a zero timeout or
+    /// threshold, or a zero, negative or NaN `record_feed_cap` (every
+    /// record read would be a flow priced at rate 0 that never completes).
+    NotPositive {
         /// The offending knob.
         what: &'static str,
     },
@@ -208,11 +171,8 @@ impl std::fmt::Display for MrConfigError {
                 "tt_dead_after ({tt_dead_after}) must exceed heartbeat_interval \
                  ({heartbeat_interval}); healthy trackers would be declared dead"
             ),
-            MrConfigError::InvalidHardening { what } => {
-                write!(
-                    f,
-                    "hardening knob {what} must be positive (or None to disable)"
-                )
+            MrConfigError::NotPositive { what } => {
+                write!(f, "{what} must be positive (or None to disable)")
             }
         }
     }
@@ -233,14 +193,6 @@ pub struct MrConfig {
     /// A TaskTracker missing heartbeats this long is declared dead and its
     /// tasks re-executed.
     pub tt_dead_after: SimDuration,
-    /// Job initialization (staging, split computation, queue population).
-    pub job_init_time: SimDuration,
-    /// Job finalization (output commit, client notification path).
-    pub job_finalize_time: SimDuration,
-    /// Task launch overhead (task JVM start on the TaskTracker).
-    pub task_start_overhead: SimDuration,
-    /// Task teardown overhead.
-    pub task_cleanup_overhead: SimDuration,
     /// Per-stream ceiling of the DataNode→RecordReader feed path,
     /// bytes/second. The paper measured "several seconds" per 64 MB record
     /// over loopback — about 8.5 MB/s per stream.
@@ -250,13 +202,8 @@ pub struct MrConfig {
     pub pipelined_reads: bool,
     /// Enable speculative re-execution of stragglers.
     pub speculative: bool,
-    /// A running task is a straggler candidate once its elapsed time
-    /// exceeds this multiple of the mean completed-task time.
-    pub speculative_slowdown: f64,
     /// Maximum attempts per task before the job fails.
     pub max_attempts: u32,
-    /// Per-stream ceiling of shuffle fetches, bytes/second.
-    pub shuffle_stream_cap: Option<f64>,
     /// Scheduling policy.
     pub scheduler: SchedulerPolicy,
     /// Preemptive slot-reclamation budget. Disabled by default
@@ -273,32 +220,25 @@ pub struct MrConfig {
     // shuffle hangs it — these knobs are the PR-8 hardening layer.
     /// Shuffle fetch timeout: a reduce-side fetch with no completion
     /// within this window is abandoned and re-issued (the stalled stream
-    /// is left to drain; a late arrival for it is dropped). Grows by
-    /// [`io_retry_backoff`](MrConfig::io_retry_backoff) per retry. Must
-    /// exceed the worst-case *legitimate* fetch time under full shuffle
-    /// congestion, or healthy transfers get duplicated. `None` = fetches
-    /// wait forever (stock behavior).
+    /// is left to drain; a late arrival for it is dropped). Doubles per
+    /// retry (exponential backoff). Must exceed the worst-case
+    /// *legitimate* fetch time under full shuffle congestion, or healthy
+    /// transfers get duplicated. `None` = fetches wait forever (stock
+    /// behavior).
     pub shuffle_fetch_timeout: Option<SimDuration>,
     /// DFS record-read timeout: a segment read not served within this
     /// window fails over to the next replica (same backoff rule). `None`
     /// = reads wait forever (stock behavior).
     pub read_timeout: Option<SimDuration>,
-    /// Timeout multiplier applied per retry of the same fetch/read
-    /// (exponential backoff; >= 1.0).
-    pub io_retry_backoff: f64,
     /// Retries per fetch/read before the attempt is failed (re-queued by
     /// the JobTracker under its `max_attempts` budget).
     pub io_max_retries: u32,
     /// Progressive TaskTracker blacklisting: a node accumulating this
-    /// many failed attempts (decayed over
-    /// [`blacklist_probation`](MrConfig::blacklist_probation)) stops
-    /// receiving work until its score decays below the bar again. `None`
-    /// = never blacklist (stock behavior).
+    /// many failed attempts stops receiving work until its score decays
+    /// below the bar again (the score halves every minute of probation,
+    /// so a gray node that recovers re-enters the dispatch rotation).
+    /// `None` = never blacklist (stock behavior).
     pub blacklist_threshold: Option<u32>,
-    /// Probation half-life of the blacklist failure score: every such
-    /// window, a node's accumulated score halves, so a gray node that
-    /// recovers re-enters the dispatch rotation.
-    pub blacklist_probation: SimDuration,
     /// Job-level liveness watchdog: a job making no forward progress
     /// (no dispatch, no attempt completion) for this long is failed with
     /// a typed [`JobError`](crate::JobError) instead of hanging the
@@ -325,49 +265,36 @@ impl MrConfig {
                 tt_dead_after: self.tt_dead_after,
             });
         }
-        if self.shuffle_fetch_timeout == Some(SimDuration::ZERO) {
-            return Err(MrConfigError::InvalidHardening {
-                what: "shuffle_fetch_timeout",
-            });
+        let zero = Some(SimDuration::ZERO);
+        let not_positive = [
+            (
+                "record_feed_cap",
+                self.record_feed_cap.is_some_and(|c| c.is_nan() || c <= 0.0),
+            ),
+            ("shuffle_fetch_timeout", self.shuffle_fetch_timeout == zero),
+            ("read_timeout", self.read_timeout == zero),
+            ("blacklist_threshold", self.blacklist_threshold == Some(0)),
+            ("job_stall_timeout", self.job_stall_timeout == zero),
+        ];
+        match not_positive.into_iter().find(|&(_, bad)| bad) {
+            Some((what, _)) => Err(MrConfigError::NotPositive { what }),
+            None => Ok(()),
         }
-        if self.read_timeout == Some(SimDuration::ZERO) {
-            return Err(MrConfigError::InvalidHardening {
-                what: "read_timeout",
-            });
-        }
-        if !(self.io_retry_backoff.is_finite() && self.io_retry_backoff >= 1.0) {
-            return Err(MrConfigError::InvalidHardening {
-                what: "io_retry_backoff",
-            });
-        }
-        if self.blacklist_threshold == Some(0) {
-            return Err(MrConfigError::InvalidHardening {
-                what: "blacklist_threshold",
-            });
-        }
-        if self.job_stall_timeout == Some(SimDuration::ZERO) {
-            return Err(MrConfigError::InvalidHardening {
-                what: "job_stall_timeout",
-            });
-        }
-        Ok(())
     }
 
     /// The default config with every chaos-hardening knob engaged at the
     /// values the `fault_matrix` bench runs under: generous I/O timeouts
-    /// (above worst-case congested transfer times) with 2x backoff,
-    /// 3-strike blacklisting with a one-minute probation half-life, and a
-    /// job watchdog well past the death-detection window. Fault-free runs
+    /// (above worst-case congested transfer times), five retries, 3-strike
+    /// blacklisting, and a job watchdog well past the death-detection
+    /// window. Fault-free runs
     /// behave identically *in outcome* but not in event trace (timeout
     /// timers arm and lazily expire), which is why hardening is opt-in.
     pub fn hardened() -> Self {
         MrConfig {
             shuffle_fetch_timeout: Some(SimDuration::from_secs(45)),
             read_timeout: Some(SimDuration::from_secs(30)),
-            io_retry_backoff: 2.0,
             io_max_retries: 5,
             blacklist_threshold: Some(3),
-            blacklist_probation: SimDuration::from_secs(60),
             job_stall_timeout: Some(SimDuration::from_secs(120)),
             ..MrConfig::default()
         }
@@ -380,24 +307,16 @@ impl Default for MrConfig {
             map_slots_per_node: 2,
             heartbeat_interval: SimDuration::from_secs(3),
             tt_dead_after: SimDuration::from_secs(30),
-            job_init_time: SimDuration::from_secs(8),
-            job_finalize_time: SimDuration::from_secs(2),
-            task_start_overhead: SimDuration::from_millis(1_800),
-            task_cleanup_overhead: SimDuration::from_millis(400),
             record_feed_cap: Some(8.5e6),
             pipelined_reads: true,
             speculative: false,
-            speculative_slowdown: 1.5,
             max_attempts: 4,
-            shuffle_stream_cap: Some(20.0e6),
             scheduler: SchedulerPolicy::LocalityFirst,
             preemption: PreemptionTuning::default(),
             shuffle_fetch_timeout: None,
             read_timeout: None,
-            io_retry_backoff: 2.0,
             io_max_retries: 4,
             blacklist_threshold: None,
-            blacklist_probation: SimDuration::from_secs(60),
             job_stall_timeout: None,
         }
     }
@@ -439,28 +358,43 @@ mod tests {
             shuffle_fetch_timeout: Some(SimDuration::ZERO),
             ..MrConfig::default()
         };
-        assert!(matches!(
+        assert_eq!(
             bad.validate(),
-            Err(MrConfigError::InvalidHardening {
+            Err(MrConfigError::NotPositive {
                 what: "shuffle_fetch_timeout"
             })
-        ));
-        let bad = MrConfig {
-            io_retry_backoff: 0.5,
-            ..MrConfig::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(MrConfigError::InvalidHardening { .. })
-        ));
+        );
         let bad = MrConfig {
             blacklist_threshold: Some(0),
             ..MrConfig::default()
         };
-        assert!(matches!(
+        assert_eq!(
             bad.validate(),
-            Err(MrConfigError::InvalidHardening { .. })
-        ));
+            Err(MrConfigError::NotPositive {
+                what: "blacklist_threshold"
+            })
+        );
+        // A zero, negative or NaN feed cap would price every record read
+        // at rate 0 and hang the run; `None` (uncapped) stays valid.
+        for cap in [0.0, -1.0, f64::NAN] {
+            let bad = MrConfig {
+                record_feed_cap: Some(cap),
+                ..MrConfig::default()
+            };
+            let err = bad.validate().unwrap_err();
+            assert_eq!(
+                err,
+                MrConfigError::NotPositive {
+                    what: "record_feed_cap"
+                }
+            );
+            assert!(err.to_string().contains("record_feed_cap must be positive"));
+        }
+        let uncapped = MrConfig {
+            record_feed_cap: None,
+            ..MrConfig::default()
+        };
+        uncapped.validate().unwrap();
     }
 
     #[test]
@@ -534,16 +468,5 @@ mod tests {
             ..MrConfig::default()
         };
         enabled.validate().unwrap();
-    }
-
-    #[test]
-    fn adaptive_policy_defaults() {
-        let SchedulerPolicy::Adaptive(t) = SchedulerPolicy::adaptive() else {
-            panic!("adaptive() must build the Adaptive arm");
-        };
-        assert!(t.ewma_alpha > 0.0 && t.ewma_alpha <= 1.0);
-        assert!(t.oversplit >= 1.0);
-        assert!((0.0..=1.0).contains(&t.tail_fraction));
-        assert!(t.spread_threshold >= 1.0);
     }
 }

@@ -278,8 +278,6 @@ impl JobTracker {
             reduce_merge_time,
         };
         ctx.stats().incr("mr.assignments");
-        self.scheduler
-            .on_task_started(JobId(job_id), task, node, now);
         let (net, my) = (self.net, self.node);
         net.unicast(ctx, my, node, tt_actor, 1024, AssignTask { descriptor });
     }

@@ -12,7 +12,7 @@ use crate::msgs::JobComplete;
 use crate::sched::SplitRequest;
 
 use super::ledger::MapOutput;
-use super::{job_timer_tag, JobTracker, Phase, KIND_FINALIZE, KIND_REDUCE_RPC};
+use super::{job_timer_tag, JobTracker, Phase, JOB_FINALIZE_TIME, KIND_FINALIZE, KIND_REDUCE_RPC};
 
 /// Sorted `(node, bytes, pairs)` map-output list plus total pairs — the
 /// shuffle partitioning input, shared by initial reduce-task construction
@@ -234,10 +234,7 @@ impl JobTracker {
             }
             job.phase = Phase::Finalizing;
         }
-        ctx.after(
-            self.cfg.job_finalize_time,
-            job_timer_tag(KIND_FINALIZE, job_id),
-        );
+        ctx.after(JOB_FINALIZE_TIME, job_timer_tag(KIND_FINALIZE, job_id));
     }
 
     pub(super) fn complete(&mut self, ctx: &mut Ctx<'_>, job_id: JobId) {

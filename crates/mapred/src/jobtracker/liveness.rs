@@ -11,12 +11,17 @@ use crate::job::{JobError, ReduceSpec};
 
 use super::{JobTracker, Phase, RegisterTaskTracker};
 
+/// Probation half-life of the blacklist failure score: every such window,
+/// a node's accumulated score halves, so a gray node that recovers
+/// re-enters the dispatch rotation.
+const BLACKLIST_PROBATION: SimDuration = SimDuration::from_secs(60);
+
 pub(super) struct TtInfo {
     pub(super) actor: ActorId,
     last_heartbeat: SimTime,
     pub(super) dead: bool,
     /// Progressive-blacklist failure score: bumped per failed attempt,
-    /// halved every `MrConfig::blacklist_probation`. The node is
+    /// halved every [`BLACKLIST_PROBATION`]. The node is
     /// blacklisted (skipped by dispatch) while the score is at or above
     /// `MrConfig::blacklist_threshold`.
     fail_score: u32,
@@ -134,7 +139,7 @@ impl JobTracker {
         }
     }
 
-    /// Probation decay: every `MrConfig::blacklist_probation`, halve all
+    /// Probation decay: every [`BLACKLIST_PROBATION`], halve all
     /// failure scores, so a blacklisted node that stops failing drifts
     /// back into service instead of being banned forever. Runs on the
     /// liveness tick; inert with blacklisting unset.
@@ -143,7 +148,7 @@ impl JobTracker {
             return;
         }
         if self.blacklist_decay_at == SimTime::ZERO {
-            self.blacklist_decay_at = now + self.cfg.blacklist_probation;
+            self.blacklist_decay_at = now + BLACKLIST_PROBATION;
             return;
         }
         if now < self.blacklist_decay_at {
@@ -154,14 +159,13 @@ impl JobTracker {
         // walked the whole tracker map once per missed period (quadratic
         // after a long idle gap on a big cluster). A u32 score is zero
         // after 32 halvings, so the shift saturates there.
-        let period = self.cfg.blacklist_probation;
-        let k = now.since(self.blacklist_decay_at).as_nanos() / period.as_nanos().max(1) + 1;
+        let k = now.since(self.blacklist_decay_at).as_nanos() / BLACKLIST_PROBATION.as_nanos() + 1;
         let shift = k.min(32) as u32;
         // audit:allow(map-order): per-node score halving is independent per entry; order is unobservable and no events issue here
         for tt in self.tts.values_mut() {
             tt.fail_score >>= shift;
         }
-        self.blacklist_decay_at += period * k;
+        self.blacklist_decay_at += BLACKLIST_PROBATION * k;
     }
 
     /// A node joined (registration of a previously-unknown TaskTracker):

@@ -10,9 +10,9 @@
 //! Scheduling *decisions* live behind the [`Scheduler`] trait
 //! ([`crate::sched`]), and the tracker has exactly one scheduler, built
 //! from [`MrConfig::scheduler`]: it feeds it observations (heartbeats, task
-//! starts/completions with durations and work sizes, node joins and
-//! deaths) and asks it for split plans, dispatch picks, speculative
-//! placements and preemption victims. Dispatch is *two-level*: every free
+//! completions with durations and work sizes, node joins and deaths) and
+//! asks it for split plans, dispatch picks, speculative placements and
+//! preemption victims. Dispatch is *two-level*: every free
 //! heartbeat slot first asks which job deserves it
 //! ([`Scheduler::pick_job`] — multi-tenant fair-share and deadline
 //! policies decide here), then which of that job's tasks to run
@@ -42,7 +42,7 @@ mod liveness;
 use accelmr_des::prelude::*;
 use accelmr_des::{ExpiryHeap, FxHashMap, FxHashSet};
 use accelmr_dfs::msgs::{LocationsReply, PreloadDone};
-use accelmr_dfs::DfsHandle;
+use accelmr_dfs::{DfsHandle, BLOCK_SIZE};
 use accelmr_net::{NetHandle, NodeId};
 
 use crate::config::{JobId, MrConfig, TaskId};
@@ -52,6 +52,11 @@ use crate::sched::{build_scheduler, SchedView, Scheduler, TaskCompletion};
 
 use ledger::{MapOutput, SlotLedger, Totals};
 use liveness::TtInfo;
+
+/// Job initialization (staging, split computation, queue population).
+pub(crate) const JOB_INIT_TIME: SimDuration = SimDuration::from_secs(8);
+/// Job finalization (output commit, client notification path).
+pub(crate) const JOB_FINALIZE_TIME: SimDuration = SimDuration::from_secs(2);
 
 const TIMER_LIVENESS: u64 = 0;
 const KIND_INIT: u64 = 1;
@@ -146,7 +151,7 @@ impl JobState {
 
     fn record_bytes(&self) -> u64 {
         match &self.spec.input {
-            JobInput::File { record_bytes, .. } => record_bytes.unwrap_or(64 << 20),
+            JobInput::File { record_bytes, .. } => record_bytes.unwrap_or(BLOCK_SIZE),
             JobInput::Synthetic { .. } => 0,
         }
     }
@@ -282,7 +287,7 @@ impl JobTracker {
         self.jobs
             .insert(id.0, JobState::new(id, submit.spec, client, ctx.now()));
         ctx.stats().incr("mr.jobs_submitted");
-        ctx.after(self.cfg.job_init_time, job_timer_tag(KIND_INIT, id));
+        ctx.after(JOB_INIT_TIME, job_timer_tag(KIND_INIT, id));
     }
 
     fn handle_heartbeat(&mut self, ctx: &mut Ctx<'_>, hb: TtHeartbeat) {

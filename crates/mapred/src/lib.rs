@@ -71,9 +71,7 @@ pub mod tasktracker;
 
 pub use builder::{ClusterBuilder, JobBuilder};
 pub use cluster::{deploy_mr, MrCluster, MrHandle, PreloadSpec};
-pub use config::{
-    AdaptiveTuning, JobId, MrConfig, MrConfigError, PreemptionTuning, SchedulerPolicy, TaskId,
-};
+pub use config::{JobId, MrConfig, MrConfigError, PreemptionTuning, SchedulerPolicy, TaskId};
 pub use job::{
     JobError, JobInput, JobResult, JobSpec, JobSpecError, OutputSink, ReduceSpec, TaskDescriptor,
     TaskMetrics, TaskWork,

@@ -9,7 +9,7 @@
 //! completed attempts — and uses the estimates three ways:
 //!
 //! 1. **Split sizing** ([`Scheduler::plan_splits`]): before anything is
-//!    learned, inputs are *oversplit* (`oversplit × slots` tasks) so
+//!    learned, inputs are *oversplit* (`OVERSPLIT × slots` tasks) so
 //!    demand-driven dispatch lets fast nodes pull proportionally more
 //!    work; once the cluster's speed spread is known, splits are sized
 //!    proportionally to slot throughput (the paper's per-node-slots knob
@@ -17,7 +17,7 @@
 //! 2. **Dispatch** ([`Scheduler::pick_task`]): fast nodes take the largest
 //!    pending split, slow nodes the smallest (locality still preferred
 //!    among candidates), and a *tail guard* holds the last tasks back from
-//!    nodes slower than `tail_fraction ×` the best — the final splits are
+//!    nodes slower than `TAIL_FRACTION ×` the best — the final splits are
 //!    exactly the ones that become stragglers.
 //! 3. **Speculation** ([`Scheduler::pick_straggler`]): speculative copies
 //!    are only placed on nodes at least as fast as the one running the
@@ -27,9 +27,29 @@ use accelmr_des::FxHashMap;
 use accelmr_des::SimTime;
 use accelmr_net::NodeId;
 
-use crate::config::{AdaptiveTuning, MrConfig, TaskId};
+use crate::config::TaskId;
 
-use super::{NodeThroughput, SchedView, Scheduler, SplitPlan, SplitRequest, TaskCompletion};
+use super::{
+    default_straggler, NodeThroughput, SchedView, Scheduler, SplitPlan, SplitRequest,
+    TaskCompletion,
+};
+
+/// EWMA smoothing factor for per-node throughput observations
+/// (`rate ← alpha·obs + (1-alpha)·rate`).
+const EWMA_ALPHA: f64 = 0.4;
+/// Before any throughput is learned, synthetic/file inputs are split into
+/// `OVERSPLIT × total slots` tasks (instead of one per slot), so
+/// demand-driven dispatch lets fast nodes pull proportionally more work —
+/// the paper's per-node-slots knob generalized.
+const OVERSPLIT: f64 = 3.0;
+/// A node whose learned throughput is below `TAIL_FRACTION × best` is held
+/// back from the queue tail (it would turn the last tasks into
+/// stragglers); the guard engages once the pending queue fits into the
+/// fast nodes' slots.
+const TAIL_FRACTION: f64 = 0.5;
+/// Minimum max/min learned-throughput ratio before split sizing switches
+/// from uniform to throughput-weighted.
+const SPREAD_THRESHOLD: f64 = 1.5;
 
 #[derive(Clone, Copy, Debug)]
 struct NodeStat {
@@ -38,26 +58,15 @@ struct NodeStat {
 }
 
 /// The heterogeneity-aware scheduler. See the module docs for the
-/// mechanism; construct via [`SchedulerPolicy::adaptive`](crate::SchedulerPolicy::adaptive)
-/// or with explicit [`AdaptiveTuning`].
-#[derive(Debug)]
+/// mechanism; construct via
+/// [`SchedulerPolicy::Adaptive`](crate::SchedulerPolicy::Adaptive).
+#[derive(Debug, Default)]
 pub struct AdaptiveHetero {
-    tuning: AdaptiveTuning,
-    slowdown: f64,
     /// kernel family → node → learned throughput.
     rates: FxHashMap<String, FxHashMap<NodeId, NodeStat>>,
 }
 
 impl AdaptiveHetero {
-    /// Builds the scheduler with `tuning` knobs.
-    pub fn new(tuning: AdaptiveTuning, cfg: &MrConfig) -> Self {
-        AdaptiveHetero {
-            tuning,
-            slowdown: cfg.speculative_slowdown,
-            rates: FxHashMap::default(),
-        }
-    }
-
     fn family(&self, kernel: &str) -> Option<&FxHashMap<NodeId, NodeStat>> {
         self.rates.get(kernel)
     }
@@ -88,7 +97,7 @@ impl AdaptiveHetero {
         if best <= 0.0 {
             return 0;
         }
-        let floor = self.tuning.tail_fraction * best;
+        let floor = TAIL_FRACTION * best;
         self.family(kernel)
             .map(|m| m.values().filter(|s| s.rate >= floor).count())
             .unwrap_or(0)
@@ -113,7 +122,7 @@ impl Scheduler for AdaptiveHetero {
         let spread_worth_it = fully_known && {
             let max = known.iter().copied().fold(f64::MIN, f64::max);
             let min = known.iter().copied().fold(f64::MAX, f64::min);
-            min > 0.0 && max / min >= self.tuning.spread_threshold
+            min > 0.0 && max / min >= SPREAD_THRESHOLD
         };
         let tasks = match req.requested_tasks {
             Some(n) => n.max(1),
@@ -124,7 +133,7 @@ impl Scheduler for AdaptiveHetero {
             None if fully_known => req.default_tasks.max(1),
             // Unlearned: oversplit so demand-driven dispatch can shift
             // work toward whoever turns out to be fast.
-            None => ((self.tuning.oversplit * req.default_tasks as f64).ceil() as usize).max(1),
+            None => ((OVERSPLIT * req.default_tasks as f64).ceil() as usize).max(1),
         };
         if spread_worth_it {
             // Weight task i by the throughput of the slot it round-robins
@@ -158,7 +167,7 @@ impl Scheduler for AdaptiveHetero {
         // would finish last and set the job time.
         if let Some(my) = my_rate {
             let best = self.best_rate(view.kernel);
-            if best > 0.0 && my < self.tuning.tail_fraction * best {
+            if best > 0.0 && my < TAIL_FRACTION * best {
                 let fast = self.fast_slots(view.kernel, view.slots_per_node);
                 if fast > 0 && view.pending.len() <= fast {
                     return None;
@@ -209,41 +218,16 @@ impl Scheduler for AdaptiveHetero {
         node: NodeId,
         now: SimTime,
     ) -> Option<TaskId> {
-        if view.completed_task_times.is_empty() {
-            return None;
-        }
-        let mean_ns: f64 = view
-            .completed_task_times
-            .iter()
-            .map(|d| d.as_nanos() as f64)
-            .sum::<f64>()
-            / view.completed_task_times.len() as f64;
-        let threshold = mean_ns * self.slowdown;
+        // Placement filter: only duplicate onto a node at least as fast as
+        // the current runner (unknown speeds are allowed — the copy
+        // doubles as a probe).
         let my_rate = self.rate_of(view.kernel, node);
-        let mut best: Option<(TaskId, u64)> = None;
-        for i in 0..view.tasks.len() {
-            let ts = view.tasks.get(i);
-            if ts.completed || ts.running.len() != 1 {
-                continue;
+        default_straggler(view, node, now, |runner| {
+            match (my_rate, self.rate_of(view.kernel, runner)) {
+                (Some(my), Some(theirs)) => my >= theirs,
+                _ => true,
             }
-            let (_, run_node, started) = ts.running[0];
-            if run_node == node {
-                continue;
-            }
-            // Placement filter: only duplicate onto a node at least as
-            // fast as the current runner (unknown speeds are allowed — the
-            // copy doubles as a probe).
-            if let (Some(my), Some(theirs)) = (my_rate, self.rate_of(view.kernel, run_node)) {
-                if my < theirs {
-                    continue;
-                }
-            }
-            let elapsed = now.since(started).as_nanos();
-            if (elapsed as f64) > threshold && best.map(|(_, e)| elapsed > e).unwrap_or(true) {
-                best = Some((TaskId(i as u32), elapsed));
-            }
-        }
-        best.map(|(t, _)| t)
+        })
     }
 
     fn on_task_completed(&mut self, completion: &TaskCompletion<'_>) {
@@ -267,8 +251,7 @@ impl Scheduler for AdaptiveHetero {
                 samples: 0,
             });
         if stat.samples > 0 {
-            let a = self.tuning.ewma_alpha;
-            stat.rate = a * obs + (1.0 - a) * stat.rate;
+            stat.rate = EWMA_ALPHA * obs + (1.0 - EWMA_ALPHA) * stat.rate;
         } else {
             stat.rate = obs;
         }
@@ -316,12 +299,12 @@ impl Scheduler for AdaptiveHetero {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{JobId, MrConfig};
+    use crate::config::JobId;
     use crate::sched::{TaskLookup, TaskView};
     use accelmr_des::SimDuration;
 
     fn sched() -> AdaptiveHetero {
-        AdaptiveHetero::new(AdaptiveTuning::default(), &MrConfig::default())
+        AdaptiveHetero::default()
     }
 
     fn complete(s: &mut AdaptiveHetero, node: NodeId, work: u64, secs: f64) {

@@ -48,7 +48,6 @@ struct DurStat {
 /// [`SchedulerPolicy::DeadlineSlack`](crate::SchedulerPolicy::DeadlineSlack).
 #[derive(Debug)]
 pub struct DeadlineSlack {
-    slowdown: f64,
     /// The latest instant observed from the heartbeat feed — `pick_job`
     /// has no clock parameter, so slack is computed against the last
     /// heartbeat (dispatch only ever happens on heartbeats, so this is the
@@ -62,11 +61,9 @@ pub struct DeadlineSlack {
 }
 
 impl DeadlineSlack {
-    /// Builds the policy from the runtime config (straggler threshold,
-    /// preemption budget).
+    /// Builds the policy from the runtime config (preemption budget).
     pub fn new(cfg: &MrConfig) -> Self {
         DeadlineSlack {
-            slowdown: cfg.speculative_slowdown,
             now: SimTime::ZERO,
             durs: FxHashMap::default(),
             budget: PreemptionBudget::new(cfg.preemption),
@@ -140,7 +137,7 @@ impl Scheduler for DeadlineSlack {
         node: NodeId,
         now: SimTime,
     ) -> Option<TaskId> {
-        default_straggler(view, node, now, self.slowdown)
+        default_straggler(view, node, now, |_| true)
     }
 
     /// Reclaims slots for the most urgent deadline job once its slack

@@ -30,7 +30,6 @@ use super::{
 /// [`SchedulerPolicy::FairShare`](crate::SchedulerPolicy::FairShare).
 #[derive(Debug)]
 pub struct FairShare {
-    slowdown: f64,
     /// Tenants at the minimum weighted share, snapshotted by the latest
     /// [`pick_job`](Scheduler::pick_job) call (which the dispatch loop
     /// always makes before any straggler offer on the same slot). Gates
@@ -45,11 +44,9 @@ pub struct FairShare {
 }
 
 impl FairShare {
-    /// Builds the policy from the runtime config (straggler threshold,
-    /// preemption budget).
+    /// Builds the policy from the runtime config (preemption budget).
     pub fn new(cfg: &MrConfig) -> Self {
         FairShare {
-            slowdown: cfg.speculative_slowdown,
             min_share_tenants: Vec::new(),
             budget: PreemptionBudget::new(cfg.preemption),
         }
@@ -156,7 +153,7 @@ impl Scheduler for FairShare {
         {
             return None;
         }
-        default_straggler(view, node, now, self.slowdown)
+        default_straggler(view, node, now, |_| true)
     }
 
     /// Reclaims slots for a tenant running at least one full slot below

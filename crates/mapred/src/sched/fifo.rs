@@ -3,7 +3,7 @@
 use accelmr_des::SimTime;
 use accelmr_net::NodeId;
 
-use crate::config::{MrConfig, TaskId};
+use crate::config::TaskId;
 
 use super::{default_straggler, SchedView, Scheduler};
 
@@ -20,18 +20,7 @@ use super::{default_straggler, SchedView, Scheduler};
 /// invariant `fifo_dispatch_order_is_submission_order_across_requeue`
 /// pins down.
 #[derive(Debug)]
-pub struct Fifo {
-    slowdown: f64,
-}
-
-impl Fifo {
-    /// Builds the policy from the runtime config (straggler threshold).
-    pub fn new(cfg: &MrConfig) -> Self {
-        Fifo {
-            slowdown: cfg.speculative_slowdown,
-        }
-    }
-}
+pub struct Fifo;
 
 impl Scheduler for Fifo {
     fn name(&self) -> &'static str {
@@ -52,6 +41,6 @@ impl Scheduler for Fifo {
         node: NodeId,
         now: SimTime,
     ) -> Option<TaskId> {
-        default_straggler(view, node, now, self.slowdown)
+        default_straggler(view, node, now, |_| true)
     }
 }

@@ -3,7 +3,7 @@
 use accelmr_des::SimTime;
 use accelmr_net::NodeId;
 
-use crate::config::{MrConfig, TaskId};
+use crate::config::TaskId;
 
 use super::{default_straggler, locality_pick, SchedView, Scheduler};
 
@@ -11,18 +11,7 @@ use super::{default_straggler, locality_pick, SchedView, Scheduler};
 /// requesting node ("it tries to minimize the number of remote blocks
 /// accesses"); falls back to the queue front when nothing is local.
 #[derive(Debug)]
-pub struct LocalityFirst {
-    slowdown: f64,
-}
-
-impl LocalityFirst {
-    /// Builds the policy from the runtime config (straggler threshold).
-    pub fn new(cfg: &MrConfig) -> Self {
-        LocalityFirst {
-            slowdown: cfg.speculative_slowdown,
-        }
-    }
-}
+pub struct LocalityFirst;
 
 impl Scheduler for LocalityFirst {
     fn name(&self) -> &'static str {
@@ -39,6 +28,6 @@ impl Scheduler for LocalityFirst {
         node: NodeId,
         now: SimTime,
     ) -> Option<TaskId> {
-        default_straggler(view, node, now, self.slowdown)
+        default_straggler(view, node, now, |_| true)
     }
 }

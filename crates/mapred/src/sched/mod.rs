@@ -3,9 +3,9 @@
 //! Scheduling used to be a two-arm `match` inlined in the JobTracker;
 //! this module extracts it behind the [`Scheduler`] trait so policies are
 //! first-class and extensible. The JobTracker *feeds* the scheduler
-//! observations — heartbeats, task starts, completions (with durations and
-//! work sizes), node deaths — and *asks* it for decisions: split planning
-//! ([`Scheduler::plan_splits`]), dispatch ([`Scheduler::pick_task`]),
+//! observations — heartbeats, completions (with durations and work
+//! sizes), node joins and deaths — and *asks* it for decisions: split
+//! planning ([`Scheduler::plan_splits`]), dispatch ([`Scheduler::pick_task`]),
 //! speculative-copy placement ([`Scheduler::pick_straggler`]) and
 //! preemptive slot reclamation ([`Scheduler::reclaim`]). Policies
 //! never mutate runtime state and never emit simulation events, so swapping
@@ -478,11 +478,6 @@ pub trait Scheduler: Send {
         Vec::new()
     }
 
-    /// A task attempt was dispatched to `node`.
-    fn on_task_started(&mut self, job: JobId, task: TaskId, node: NodeId, now: SimTime) {
-        let _ = (job, task, node, now);
-    }
-
     /// A task completed successfully (first winner only; speculative
     /// losers and zombies are not reported).
     fn on_task_completed(&mut self, completion: &TaskCompletion<'_>) {
@@ -519,9 +514,9 @@ pub trait Scheduler: Send {
 /// Instantiates the [`Scheduler`] for a policy.
 pub fn build_scheduler(policy: SchedulerPolicy, cfg: &MrConfig) -> Box<dyn Scheduler> {
     match policy {
-        SchedulerPolicy::Fifo => Box::new(Fifo::new(cfg)),
-        SchedulerPolicy::LocalityFirst => Box::new(LocalityFirst::new(cfg)),
-        SchedulerPolicy::Adaptive(tuning) => Box::new(AdaptiveHetero::new(tuning, cfg)),
+        SchedulerPolicy::Fifo => Box::new(Fifo),
+        SchedulerPolicy::LocalityFirst => Box::new(LocalityFirst),
+        SchedulerPolicy::Adaptive => Box::new(AdaptiveHetero::default()),
         SchedulerPolicy::FairShare => Box::new(FairShare::new(cfg)),
         SchedulerPolicy::DeadlineSlack => Box::new(DeadlineSlack::new(cfg)),
     }
@@ -552,16 +547,20 @@ pub(crate) fn task_work_size(work: &TaskWork) -> u64 {
     }
 }
 
-/// The historical straggler rule, shared by [`Fifo`] and
-/// [`LocalityFirst`]: a single-attempt running task whose elapsed time
-/// exceeds `slowdown ×` the mean completed-attempt time, not already
-/// running on the requesting node; the worst offender (largest elapsed)
-/// wins.
+/// A running task is a straggler candidate once its elapsed time exceeds
+/// this multiple of the mean completed-task time.
+const SPECULATIVE_SLOWDOWN: f64 = 1.5;
+
+/// The historical straggler rule, shared by every policy: a single-attempt
+/// running task whose elapsed time exceeds [`SPECULATIVE_SLOWDOWN`] × the
+/// mean completed-attempt time, not already running on the requesting node
+/// and on a node `placeable(runner)` accepts; the worst offender (largest
+/// elapsed) wins.
 pub(crate) fn default_straggler(
     view: &SchedView<'_>,
     node: NodeId,
     now: SimTime,
-    slowdown: f64,
+    placeable: impl Fn(NodeId) -> bool,
 ) -> Option<TaskId> {
     if view.completed_task_times.is_empty() {
         return None;
@@ -572,7 +571,7 @@ pub(crate) fn default_straggler(
         .map(|d| d.as_nanos() as f64)
         .sum::<f64>()
         / view.completed_task_times.len() as f64;
-    let threshold = mean_ns * slowdown;
+    let threshold = mean_ns * SPECULATIVE_SLOWDOWN;
     let mut best: Option<(TaskId, u64)> = None;
     for i in 0..view.tasks.len() {
         let ts = view.tasks.get(i);
@@ -580,8 +579,8 @@ pub(crate) fn default_straggler(
             continue;
         }
         let (_, run_node, started) = ts.running[0];
-        if run_node == node {
-            continue; // don't duplicate onto the same machine
+        if run_node == node || !placeable(run_node) {
+            continue;
         }
         let elapsed = now.since(started).as_nanos();
         if (elapsed as f64) > threshold && best.map(|(_, e)| elapsed > e).unwrap_or(true) {

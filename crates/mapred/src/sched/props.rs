@@ -256,7 +256,7 @@ fn all_policies() -> Vec<Box<dyn Scheduler>> {
     [
         SchedulerPolicy::Fifo,
         SchedulerPolicy::LocalityFirst,
-        SchedulerPolicy::adaptive(),
+        SchedulerPolicy::Adaptive,
         SchedulerPolicy::FairShare,
         SchedulerPolicy::DeadlineSlack,
     ]

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
 use accelmr_dfs::msgs::{AddDataNode, AddPeer, PreloadDone, PreloadFile};
-use accelmr_dfs::{DataNode, DfsConfig, DfsHandle};
+use accelmr_dfs::{DataNode, DfsHandle};
 use accelmr_net::NodeId;
 
 use crate::builder::JobBuilder;
@@ -120,12 +120,11 @@ struct PendingJob {
     slot: ResultSlot,
 }
 
-/// Everything a mid-session join needs to build a node: the configs and
-/// environment factory the cluster was deployed with, plus the shared
-/// fresh-node-id counter. Retained by `ClusterBuilder::deploy`.
+/// Everything a mid-session join needs to build a node: the runtime
+/// config and environment factory the cluster was deployed with, plus the
+/// shared fresh-node-id counter. Retained by `ClusterBuilder::deploy`.
 #[derive(Clone)]
 pub(crate) struct ElasticCtx {
-    pub(crate) dfs_cfg: DfsConfig,
     pub(crate) mr_cfg: MrConfig,
     pub(crate) materialized: bool,
     pub(crate) env: Arc<dyn NodeEnvFactory>,
@@ -169,12 +168,6 @@ impl ChurnSchedule {
     /// Adds a join at `at`.
     pub fn join_at(mut self, at: SimDuration) -> Self {
         self.events.push((at, ChurnOp::Join));
-        self
-    }
-
-    /// Adds a departure of `node` at `at`.
-    pub fn leave_at(mut self, at: SimDuration, node: NodeId) -> Self {
-        self.events.push((at, ChurnOp::Leave(node)));
         self
     }
 
@@ -753,7 +746,6 @@ impl ChurnDriver {
 
         // DataNode, wired before spawn (namenode + current peer set).
         let mut dn = DataNode::new(
-            self.elastic.dfs_cfg.clone(),
             self.mr.net,
             node,
             self.dfs.head_node,

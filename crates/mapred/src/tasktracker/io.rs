@@ -106,13 +106,17 @@ impl Tick {
     }
 }
 
-/// `base * factor^n`, the exponential-backoff schedule for I/O watchdogs.
+/// Timeout multiplier applied per retry of the same fetch/read.
+const IO_RETRY_BACKOFF: f64 = 2.0;
+
+/// `base * IO_RETRY_BACKOFF^n`, the exponential-backoff schedule for I/O
+/// watchdogs.
 #[inline]
-pub(super) fn backoff(base: SimDuration, factor: f64, n: u32) -> SimDuration {
+pub(super) fn backoff(base: SimDuration, n: u32) -> SimDuration {
     if n == 0 {
         return base;
     }
-    SimDuration::from_nanos((base.as_nanos() as f64 * factor.powi(n as i32)) as u64)
+    SimDuration::from_nanos((base.as_nanos() as f64 * IO_RETRY_BACKOFF.powi(n as i32)) as u64)
 }
 
 /// Stretches a compute duration by the node's gray-failure factor. The

@@ -108,7 +108,7 @@ impl TaskRun {
         self.issue_record_read(node, ctx);
         // Zero-record splits complete immediately.
         if self.feed.n_records == 0 {
-            self.maybe_finish(node, ctx);
+            self.maybe_finish(ctx);
         }
     }
 
@@ -193,7 +193,7 @@ impl TaskRun {
             if let Some(t) = node.cfg.read_timeout {
                 // Each replica attempt waits longer than the last, so a
                 // congested-but-alive source is not hammered in a tight loop.
-                let t = backoff(t, node.cfg.io_retry_backoff, read.replica_tried);
+                let t = backoff(t, read.replica_tried);
                 ctx.after(t, Tick::Watchdog(tag).pack());
             }
             return;
@@ -297,6 +297,6 @@ impl TaskRun {
             self.issue_record_read(node, ctx);
         }
         self.start_compute(node, ctx);
-        self.maybe_finish(node, ctx);
+        self.maybe_finish(ctx);
     }
 }

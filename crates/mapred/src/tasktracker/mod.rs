@@ -62,6 +62,11 @@ use crate::msgs::{
 
 use io::{Io, IoKind, Step, Tick};
 
+/// Task launch overhead (task JVM start on the TaskTracker).
+pub(crate) const TASK_START_OVERHEAD: SimDuration = SimDuration::from_millis(1_800);
+/// Task teardown overhead.
+pub(crate) const TASK_CLEANUP_OVERHEAD: SimDuration = SimDuration::from_millis(400);
+
 /// What the attempts running on one machine share.
 struct Node {
     cfg: MrConfig,
@@ -156,7 +161,7 @@ impl TaskRun {
     }
 
     /// Arms the cleanup timer once nothing is left to do or to wait for.
-    fn maybe_finish(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
+    fn maybe_finish(&mut self, ctx: &mut Ctx<'_>) {
         if self.stage != Stage::Running {
             return;
         }
@@ -172,7 +177,7 @@ impl TaskRun {
         };
         if done {
             self.stage = Stage::Finished;
-            ctx.after(node.cfg.task_cleanup_overhead, self.tick(Step::Cleanup));
+            ctx.after(TASK_CLEANUP_OVERHEAD, self.tick(Step::Cleanup));
         }
     }
 }
@@ -312,7 +317,7 @@ impl TaskTracker {
             digest: UnorderedDigest::new(),
         };
         ctx.stats().incr("mr.tasks_started");
-        ctx.after(self.node.cfg.task_start_overhead, run.tick(Step::Start));
+        ctx.after(TASK_START_OVERHEAD, run.tick(Step::Start));
         self.slots[slot] = Some(Box::new(run));
     }
 
@@ -387,7 +392,7 @@ impl Actor for TaskTracker {
                     self.with_run(ctx, slot, gen, |run, node, ctx| match step {
                         Step::Start => run.begin_work(node, ctx),
                         Step::Compute => run.compute_done(node, ctx),
-                        Step::Merge => run.merge_done(node, ctx),
+                        Step::Merge => run.merge_done(ctx),
                         Step::Cleanup => run.stage = Stage::Done,
                     })
                 }
@@ -465,7 +470,7 @@ impl Actor for TaskTracker {
                         }
                     });
                 } else if let Some(ack) = msg.peek::<WriteAck>() {
-                    self.with_io(ctx, ack.tag, |run, node, ctx, _| run.write_acked(node, ctx));
+                    self.with_io(ctx, ack.tag, |run, _, ctx, _| run.write_acked(ctx));
                 }
             }
         }

@@ -104,8 +104,8 @@ impl TaskRun {
     }
 
     /// A block's last replica landed.
-    pub(super) fn write_acked(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
+    pub(super) fn write_acked(&mut self, ctx: &mut Ctx<'_>) {
         self.out.outstanding -= 1;
-        self.maybe_finish(node, ctx);
+        self.maybe_finish(ctx);
     }
 }

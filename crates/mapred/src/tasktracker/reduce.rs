@@ -7,6 +7,9 @@ use super::io::{backoff, degrade, Fetch, IoKind, Step, Tick};
 use super::{Node, TaskRun};
 use crate::job::TaskWork;
 
+/// Per-stream ceiling of shuffle fetches, bytes/second.
+const SHUFFLE_STREAM_CAP: f64 = 20.0e6;
+
 /// Shuffle and merge state of a reduce attempt.
 #[derive(Default)]
 pub(super) struct Shuffle {
@@ -21,10 +24,10 @@ impl Node {
     /// with a watchdog whose patience grows with `retries`.
     fn fetch(&mut self, ctx: &mut Ctx<'_>, run: &TaskRun, fetch: Fetch) {
         let tag = self.track(run, IoKind::Fetch(fetch));
-        let (net, me, cap) = (self.net, self.id, self.cfg.shuffle_stream_cap);
+        let (net, me, cap) = (self.net, self.id, Some(SHUFFLE_STREAM_CAP));
         net.start_flow(ctx, fetch.from, me, fetch.bytes, cap, tag);
         if let Some(t) = self.cfg.shuffle_fetch_timeout {
-            let t = backoff(t, self.cfg.io_retry_backoff, fetch.retries);
+            let t = backoff(t, fetch.retries);
             ctx.after(t, Tick::Watchdog(tag).pack());
         }
     }
@@ -104,8 +107,8 @@ impl TaskRun {
     }
 
     /// The merge timer fired.
-    pub(super) fn merge_done(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
+    pub(super) fn merge_done(&mut self, ctx: &mut Ctx<'_>) {
         self.shuffle.merge_done = true;
-        self.maybe_finish(node, ctx);
+        self.maybe_finish(ctx);
     }
 }

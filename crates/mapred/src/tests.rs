@@ -6,15 +6,16 @@ use std::sync::Arc;
 
 use accelmr_des::{SimDuration, SimTime};
 use accelmr_dfs::DfsConfig;
-use accelmr_net::NetConfig;
 
 use crate::builder::{ClusterBuilder, JobBuilder};
 use crate::cluster::{MrCluster, PreloadSpec};
 use crate::config::{MrConfig, SchedulerPolicy};
 use crate::job::{JobResult, JobSpec};
+use crate::jobtracker::{JOB_FINALIZE_TIME, JOB_INIT_TIME};
 use crate::kernel::{FixedCostKernel, NodeEnv, SumReducer, TaskKernel, UnitsOutcome};
 use crate::msgs::CrashTaskTracker;
 use crate::session::JobRequest;
+use crate::tasktracker::{TASK_CLEANUP_OVERHEAD, TASK_START_OVERHEAD};
 
 const MB: u64 = 1 << 20;
 
@@ -22,8 +23,6 @@ fn cluster(seed: u64, workers: usize, mr_cfg: MrConfig, materialized: bool) -> M
     ClusterBuilder::new()
         .seed(seed)
         .workers(workers)
-        .dfs(DfsConfig::default())
-        .net(NetConfig::default())
         .mr(mr_cfg)
         .materialized(materialized)
         .deploy()
@@ -64,7 +63,7 @@ fn synthetic_job_completes_and_aggregates() {
     let total: u64 = result.kv.iter().map(|&(_, v)| v).sum();
     assert_eq!(total, 1_000_000);
     // The job floor: init + heartbeat dispatch + task start + finalize.
-    let floor = MrConfig::default().job_init_time + MrConfig::default().job_finalize_time;
+    let floor = JOB_INIT_TIME + JOB_FINALIZE_TIME;
     assert!(result.elapsed > floor);
     assert!(
         result.elapsed < SimDuration::from_secs(60),
@@ -606,7 +605,7 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
     // job while job order interleaves across heartbeats.
     {
         let cfg = MrConfig {
-            scheduler: SchedulerPolicy::adaptive(),
+            scheduler: SchedulerPolicy::Adaptive,
             ..MrConfig::default()
         };
         let mut c = ClusterBuilder::new()
@@ -654,7 +653,6 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
-                ..DfsConfig::default()
             })
             .deploy();
         c.sim.enable_trace(16);
@@ -731,7 +729,6 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
-                ..DfsConfig::default()
             })
             .deploy();
         c.sim.enable_trace(16);
@@ -785,7 +782,6 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
-                ..DfsConfig::default()
             })
             .deploy();
         c.sim.enable_trace(16);
@@ -858,7 +854,6 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
             .mr(cfg)
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
-                ..DfsConfig::default()
             })
             .deploy();
         c.sim.enable_trace(16);
@@ -1078,11 +1073,9 @@ fn joiner_survives_liveness_tick_before_first_heartbeat() {
     let mut c = ClusterBuilder::new()
         .seed(81)
         .workers(3)
-        .net(NetConfig::default())
         .mr(cfg)
         .dfs(DfsConfig {
             dead_after: SimDuration::from_secs(4),
-            ..DfsConfig::default()
         })
         .deploy();
     let mut session = c.session();
@@ -1443,7 +1436,7 @@ fn run_hetero_units(policy: SchedulerPolicy, seed: u64) -> JobResult {
 #[test]
 fn adaptive_beats_locality_on_heterogeneous_synthetic_cluster() {
     let base = run_hetero_units(SchedulerPolicy::LocalityFirst, 34);
-    let adaptive = run_hetero_units(SchedulerPolicy::adaptive(), 34);
+    let adaptive = run_hetero_units(SchedulerPolicy::Adaptive, 34);
     assert!(base.succeeded && adaptive.succeeded);
     // Work conservation under oversplit/weighted plans.
     let total = |r: &JobResult| r.kv.iter().map(|&(_, v)| v).sum::<u64>();
@@ -1485,7 +1478,7 @@ fn adaptive_beats_locality_on_heterogeneous_synthetic_cluster() {
 #[test]
 fn adaptive_learns_across_jobs_in_a_session() {
     let cfg = MrConfig {
-        scheduler: SchedulerPolicy::adaptive(),
+        scheduler: SchedulerPolicy::Adaptive,
         ..MrConfig::default()
     };
     let mut c = ClusterBuilder::new()
@@ -1524,11 +1517,8 @@ fn heartbeat_pacing_sets_minimum_job_time() {
         ..FixedCostKernel::default()
     });
     let result = run_one(&mut c, vec![], synthetic_spec(kernel, 1, Some(1)));
-    let cfg = MrConfig::default();
-    let hard_floor = cfg.job_init_time
-        + cfg.task_start_overhead
-        + cfg.task_cleanup_overhead
-        + cfg.job_finalize_time;
+    let hard_floor =
+        JOB_INIT_TIME + TASK_START_OVERHEAD + TASK_CLEANUP_OVERHEAD + JOB_FINALIZE_TIME;
     assert!(
         result.elapsed > hard_floor,
         "elapsed {} vs floor {}",

@@ -33,7 +33,6 @@ fn run(plan: FaultPlan) -> (JobResult, Vec<(&'static str, u64)>) {
         })
         .dfs(DfsConfig {
             dead_after: SimDuration::from_secs(12),
-            ..DfsConfig::default()
         })
         .deploy();
     let mut session = cluster.session();

@@ -29,7 +29,6 @@ fn main() {
         })
         .dfs(DfsConfig {
             dead_after: SimDuration::from_secs(12),
-            ..DfsConfig::default()
         })
         .deploy();
 

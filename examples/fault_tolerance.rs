@@ -10,10 +10,7 @@ fn main() {
     let mut cluster = ClusterBuilder::new()
         .seed(7)
         .workers(4)
-        .env(CellEnvFactory {
-            materialized: true,
-            ..CellEnvFactory::default()
-        })
+        .env(CellEnvFactory { materialized: true })
         .materialized(true) // DataNodes serve real bytes
         .deploy();
 

@@ -22,7 +22,6 @@ fn run_mixed_policy(accel: usize, out_of: usize, samples: u64, policy: Scheduler
         .workers(8)
         .env(MixedEnvFactory {
             accelerated_of: (accel, out_of),
-            cell: CellEnvFactory::default(),
         })
         .scheduler(policy)
         .deploy();
@@ -60,7 +59,7 @@ fn main() {
     println!("{:>22} {:>12}", "scheduler", "time (s)");
     for (label, policy) in [
         ("locality-first", SchedulerPolicy::LocalityFirst),
-        ("adaptive-hetero", SchedulerPolicy::adaptive()),
+        ("adaptive-hetero", SchedulerPolicy::Adaptive),
     ] {
         let t = run_mixed_policy(1, 2, 10_000_000_000, policy);
         println!("{label:>22} {t:>12.1}");

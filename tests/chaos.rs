@@ -34,7 +34,6 @@ fn hardened_cluster(seed: u64) -> accelmr::mapred::MrCluster {
         })
         .dfs(DfsConfig {
             dead_after: SimDuration::from_secs(12),
-            ..DfsConfig::default()
         })
         .deploy()
 }
@@ -252,7 +251,6 @@ fn preemption_kill_racing_node_death_is_exactly_once() {
             })
             .dfs(DfsConfig {
                 dead_after: SimDuration::from_secs(12),
-                ..DfsConfig::default()
             })
             .deploy();
         let mut session = cluster.session();

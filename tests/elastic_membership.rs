@@ -31,10 +31,7 @@ fn elastic_cluster(seed: u64) -> accelmr::mapred::MrCluster {
     ClusterBuilder::new()
         .seed(seed)
         .workers(4)
-        .env(CellEnvFactory {
-            materialized: true,
-            ..CellEnvFactory::default()
-        })
+        .env(CellEnvFactory { materialized: true })
         .materialized(true)
         .mr(MrConfig {
             tt_dead_after: SimDuration::from_secs(12),
@@ -42,7 +39,6 @@ fn elastic_cluster(seed: u64) -> accelmr::mapred::MrCluster {
         })
         .dfs(DfsConfig {
             dead_after: SimDuration::from_secs(12),
-            ..DfsConfig::default()
         })
         .deploy()
 }

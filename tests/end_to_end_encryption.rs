@@ -38,10 +38,7 @@ fn materialized_cluster(seed: u64) -> accelmr::mapred::MrCluster {
     ClusterBuilder::new()
         .seed(seed)
         .workers(3)
-        .env(CellEnvFactory {
-            materialized: true,
-            ..CellEnvFactory::default()
-        })
+        .env(CellEnvFactory { materialized: true })
         .materialized(true)
         .deploy()
 }

@@ -209,7 +209,7 @@ fn single_job_digest_identical_across_job_level_policies() {
     assert_eq!(baseline.digest.1, 6);
     for policy in [
         SchedulerPolicy::LocalityFirst,
-        SchedulerPolicy::adaptive(),
+        SchedulerPolicy::Adaptive,
         SchedulerPolicy::FairShare,
         SchedulerPolicy::DeadlineSlack,
     ] {

@@ -53,11 +53,10 @@ fn fig6_shape() {
 }
 
 fn small_encrypt_params() -> DistEncryptParams {
+    // Fig. 4 runs 1 GB per mapper, as the paper.
     DistEncryptParams {
         nodes: vec![2, 4, 8],
-        gb_per_mapper: 1, // 1 GB per mapper, as the paper
         total_gb: 16,
-        mr_cfg: MrConfig::default(),
     }
 }
 
