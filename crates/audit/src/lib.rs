@@ -15,6 +15,7 @@
 //! | `os-random` | no `thread_rng`/`RandomState`/`rand::` — in-tree seeded `Xoshiro256` only |
 //! | `std-hashmap` | sim crates construct maps via the fixed-seed `des::fxmap` aliases |
 //! | `map-order` | hash-map iteration in event-scheduling crates is sorted or reasoned order-insensitive |
+//! | `unsafe` | every `unsafe` block, fn or impl states why it is sound; the workspace has one, the AES-NI dispatch in `kernels/src/aes/hw.rs` |
 //!
 //! Violations are suppressed with `// audit:allow(<rule>): <reason>` on
 //! the offending line or the line above. The reason is mandatory, and

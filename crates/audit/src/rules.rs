@@ -1,4 +1,5 @@
-//! The determinism rules and the allow/suppression engine.
+//! The determinism rules, the `unsafe` rule, and the allow/suppression
+//! engine.
 //!
 //! Every rule reports `rule file:line message` findings. A finding can be
 //! suppressed with a *reasoned* annotation on the offending line (or on a
@@ -14,8 +15,15 @@
 
 use crate::lexer::{lex, Lexed, Tok};
 
-/// The four determinism rules (see `docs/ARCHITECTURE.md`).
-pub const RULES: [&str; 4] = ["wall-clock", "os-random", "std-hashmap", "map-order"];
+/// The four determinism rules and the `unsafe` rule (see
+/// `docs/ARCHITECTURE.md`).
+pub const RULES: [&str; 5] = [
+    "wall-clock",
+    "os-random",
+    "std-hashmap",
+    "map-order",
+    "unsafe",
+];
 
 /// One diagnostic, formatted as `rule file:line message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,6 +132,7 @@ pub(crate) fn check_file_in(rel: &str, src: &str, parent_src: Option<&str>) -> V
         rule_wall_clock(rel, &lexed, &mut raw);
     }
     rule_os_random(rel, &lexed, &mut raw);
+    rule_unsafe(rel, &lexed, &mut raw);
     if applies_std_hashmap(&area) {
         rule_std_hashmap(rel, &lexed, &mut raw);
     }
@@ -335,6 +344,27 @@ fn rule_os_random(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
                     ),
                 });
             }
+        }
+    }
+}
+
+fn rule_unsafe(rel: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
+    for (i, t) in lexed.tokens.iter().enumerate() {
+        if matches!(&t.tok, Tok::Ident(s) if s == "unsafe") {
+            let what = match ident_at(lexed, i + 1) {
+                Some(kw @ ("fn" | "impl" | "trait" | "extern")) => kw,
+                _ if punct_at(lexed, i + 1, '{') => "block",
+                _ => "use",
+            };
+            out.push(Finding {
+                rule: "unsafe".into(),
+                file: rel.into(),
+                line: t.line,
+                msg: format!(
+                    "`unsafe` {what}: every unsafe site carries \
+                     `audit:allow(unsafe): <why this is sound>`"
+                ),
+            });
         }
     }
 }
@@ -679,6 +709,39 @@ mod tests {
         let found = check_file("crates/bench/src/lib2.rs", src);
         assert!(found.iter().all(|f| f.rule == "os-random"));
         assert_eq!(found.len(), 2); // `rand::` and `thread_rng`
+    }
+
+    #[test]
+    fn unsafe_block_fn_and_impl_flagged_everywhere() {
+        let src = "fn f() { unsafe { g() } }\n\
+                   unsafe fn h() {}\n\
+                   unsafe impl Send for S {}\n\
+                   #[allow(unsafe_code)] fn k() {} // unsafe in a comment";
+        for rel in [SIM, "crates/bench/src/x.rs", "tests/t.rs"] {
+            let found = check_file(rel, src);
+            assert_eq!(rules_of(&found), ["unsafe", "unsafe", "unsafe"]);
+            assert_eq!(found.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn annotated_unsafe_passes() {
+        let src = "fn f() {\n\
+                   // audit:allow(unsafe): fixture — g's precondition checked above\n\
+                   unsafe { g() }\n\
+                   }";
+        assert!(check_file(SIM, src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_allow_left_behind_is_unused() {
+        let src = "fn f() {\n\
+                   // audit:allow(unsafe): fixture — g's precondition checked above\n\
+                   g()\n\
+                   }";
+        let found = check_file(SIM, src);
+        assert_eq!(rules_of(&found), ["unused-allow"]);
+        assert_eq!(found[0].line, 2);
     }
 
     #[test]

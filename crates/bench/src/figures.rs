@@ -1,7 +1,6 @@
 //! The runners behind the `figures` binary: the paper's Figures 2 and 4-8
 //! and its terasort feed rate (each a sweep from `hybrid::experiments`,
-//! scaled down under `--quick`), and the ablations of the design choices
-//! DESIGN.md calls out.
+//! scaled down under `--quick`), and ablations of four design choices.
 
 use accelmr_cellbe::{CellConfig, CellMachine, DataInput};
 use accelmr_hybrid::experiments;
@@ -100,8 +99,8 @@ fn terasort(quick: bool) {
     print!("{}", experiments::terasort_feed_rate(&params).to_table());
 }
 
-/// Ablations of the design choices DESIGN.md calls out (the same sweep with
-/// or without `--quick`: it runs in under a second):
+/// Ablations of four design choices (the same sweep with or without
+/// `--quick`: it runs in under a second):
 ///
 /// 1. record feed pipelining on/off, and the feed-cap sweep;
 /// 2. SPU work-block size (the paper's 4 KB choice);

@@ -40,6 +40,8 @@ pub trait ComputeKernel: Send + Sync {
 /// AES-128/CTR on the SPU SIMD engine — the paper's Cell-accelerated
 /// encryption kernel. CTR (rather than ECB) keeps split-level parallelism
 /// byte-identical to a serial pass, which the integration tests verify.
+/// The bytes come from [`AesImpl::Hardware`], the simulated time from the
+/// SPU row of the cost table.
 #[derive(Clone)]
 pub struct AesCtrSpeKernel {
     key: Arc<Aes128>,
@@ -66,7 +68,7 @@ impl DataKernel for AesCtrSpeKernel {
         debug_assert_eq!(abs_offset % 16, 0, "blocks must be 16-byte aligned");
         ctr_xor(
             &self.key,
-            AesImpl::TTable,
+            AesImpl::Hardware,
             self.nonce,
             abs_offset / 16,
             data,

@@ -78,12 +78,12 @@ impl TaskKernel for JavaAesKernel {
         let (output, digest) = match rec.bytes {
             Some(bytes) => {
                 // Functionally identical to the scalar cipher (property
-                // tested); the T-table path keeps debug-build test runs
-                // fast. Timing comes from the cost model either way.
+                // tested); the hardware path keeps functional runs fast.
+                // Timing comes from the cost model either way.
                 let mut out = bytes.to_vec();
                 ctr_xor(
                     &self.key,
-                    AesImpl::TTable,
+                    AesImpl::Hardware,
                     JOB_NONCE,
                     rec.abs_offset / 16,
                     &mut out,

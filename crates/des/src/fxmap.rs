@@ -4,7 +4,8 @@
 //! The simulator keys maps almost exclusively by small integers (actor ids,
 //! block ids, task ids); SipHash's HashDoS resistance buys nothing here and
 //! costs measurably in the event loop, so every internal map uses this
-//! hasher. See the workspace performance notes in DESIGN.md.
+//! hasher (`docs/ARCHITECTURE.md`: the audit pass's `std-hashmap` rule
+//! enforces it, and "The fluid engine" shows the key trap below in use).
 //!
 //! One trap to design keys around: `finish` is the bare state, and the
 //! state is a product, so the hash's low bits are a function of the *low

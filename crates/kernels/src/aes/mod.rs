@@ -1,21 +1,25 @@
-//! AES-128 block cipher, implemented two ways.
+//! AES-128 block cipher, implemented three ways.
 //!
 //! The paper runs the same encryption kernel on four engines (Cell SPUs with
 //! SIMD, the Cell-MapReduce framework, Java on the Cell PPE, Java on a
 //! Power6). Simulated time comes from the per-engine cost model
-//! ([`crate::cost`]); the bytes come from two real implementations that
+//! ([`crate::cost`]); the bytes come from three real implementations that
 //! produce identical output:
 //!
 //! * [`scalar`] — byte-oriented textbook cipher: the reference every other
 //!   path is held to, and the stand-in for the interpreted/JIT "Java"
 //!   kernel;
-//! * [`ttable`] — 32-bit T-table cipher, the tuned kernel: it computes the
-//!   bytes of every accelerated path (the SPU kernel, the Cell-MapReduce
-//!   framework) and of the functional Java mappers.
+//! * [`ttable`] — 32-bit T-table cipher, the tuned software kernel of the
+//!   paper's era: the independent cipher the functional paths' bytes are
+//!   checked against, and the hardware path's fallback;
+//! * [`hw`] — the host's AES round instructions, chosen at run time where
+//!   the CPU has them: it computes the bytes of every functional kernel (the
+//!   SPU kernel under both Cell mappers, and the Java mappers).
 //!
-//! Both are verified against FIPS-197 / NIST SP 800-38A vectors and
+//! All three are verified against FIPS-197 / NIST SP 800-38A vectors and
 //! against each other by property tests.
 
+pub mod hw;
 pub mod modes;
 pub mod scalar;
 pub mod tables;
@@ -85,19 +89,24 @@ impl Aes128 {
 pub enum AesImpl {
     /// Byte-oriented reference cipher ("Java" stand-in).
     Scalar,
-    /// 32-bit T-table cipher (the SPU kernel's bytes).
+    /// 32-bit T-table cipher (the software reference the functional
+    /// paths are checked against).
     TTable,
+    /// The host's AES round instructions (the functional kernels' bytes),
+    /// or the T-table cipher on a CPU without them ([`hw::detected`]).
+    Hardware,
 }
 
 impl AesImpl {
     /// All implementations, for equivalence sweeps in tests/benches.
-    pub const ALL: [AesImpl; 2] = [AesImpl::Scalar, AesImpl::TTable];
+    pub const ALL: [AesImpl; 3] = [AesImpl::Scalar, AesImpl::TTable, AesImpl::Hardware];
 
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
             AesImpl::Scalar => "scalar",
             AesImpl::TTable => "ttable",
+            AesImpl::Hardware => "hardware",
         }
     }
 }
@@ -110,6 +119,7 @@ pub fn encrypt_block(key: &Aes128, imp: AesImpl, block: &mut [u8; 16]) {
     match imp {
         AesImpl::Scalar => scalar::encrypt_block(key, block),
         AesImpl::TTable => ttable::encrypt_block(key, block),
+        AesImpl::Hardware => hw::apply(key, hw::Mode::Ecb, block),
     }
 }
 

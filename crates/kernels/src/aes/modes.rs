@@ -4,7 +4,7 @@
 //! ECB (what a raw per-block kernel does) and CTR (what a deployment would
 //! actually use, and what the examples run) for every implementation.
 
-use super::{scalar, ttable, Aes128, AesImpl};
+use super::{hw, scalar, ttable, Aes128, AesImpl};
 
 /// Encrypts `data` in place in ECB mode. `data.len()` must be a multiple of
 /// 16; the caller (record framing) guarantees block alignment exactly like
@@ -19,6 +19,7 @@ pub fn ecb_encrypt(key: &Aes128, imp: AesImpl, data: &mut [u8]) {
     match imp {
         AesImpl::Scalar => scalar::encrypt_blocks(key, data),
         AesImpl::TTable => ttable::encrypt_blocks(key, data),
+        AesImpl::Hardware => hw::apply(key, hw::Mode::Ecb, data),
     }
 }
 
@@ -53,6 +54,14 @@ pub fn ctr_xor(key: &Aes128, imp: AesImpl, nonce: u64, initial_block: u64, data:
             }
         }
         AesImpl::TTable => ttable::ctr_xor(key, nonce, initial_block, data),
+        AesImpl::Hardware => hw::apply(
+            key,
+            hw::Mode::Ctr {
+                nonce,
+                initial_block,
+            },
+            data,
+        ),
     }
 }
 
@@ -76,7 +85,9 @@ mod tests {
         for (imp, buf) in AesImpl::ALL.iter().zip(bufs.iter_mut()) {
             ecb_encrypt(&k, *imp, buf);
         }
-        assert_eq!(bufs[0], bufs[1]);
+        for (imp, buf) in AesImpl::ALL.iter().zip(&bufs) {
+            assert_eq!(*buf, bufs[0], "{}", imp.name());
+        }
     }
 
     #[test]

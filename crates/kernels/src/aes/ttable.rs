@@ -2,8 +2,9 @@
 //!
 //! Classic 32-bit software AES: SubBytes, ShiftRows and MixColumns for one
 //! round collapse into four table lookups and three XORs per output word.
-//! This is the shape of every tuned uniprocessor AES of the paper's era;
-//! the SPU kernel computes its bytes with it.
+//! This is the shape of every tuned uniprocessor AES of the paper's era.
+//! The functional kernels' bytes are checked against it, and the hardware
+//! path runs it on a CPU without AES instructions.
 
 use super::tables::{SBOX, TE0, TE1, TE2, TE3};
 use super::Aes128;

@@ -2,7 +2,8 @@
 //!
 //! Every timing decision in the workspace that depends on "how fast does
 //! engine E run kernel K" reads this table. The constants are calibrated to
-//! the paper's own figures (see DESIGN.md "Calibration table"):
+//! the paper's own figures (each row's comment names the figure it comes
+//! from):
 //!
 //! * Figure 2: one Cell ≈ 700 MB/s AES, one Power6 core ≈ 45 MB/s, the Cell
 //!   PPE Java kernel ≈ 11 MB/s.
@@ -11,8 +12,8 @@
 //! * Figures 7/8: distributed task JVMs run warmer than the single-shot
 //!   harness of Figure 6 (both PPE SMT threads + settled JIT); the paper's
 //!   absolute rates are not mutually consistent between those experiments,
-//!   so the task-JVM engine is calibrated separately and the deviation is
-//!   recorded in EXPERIMENTS.md.
+//!   so the task-JVM engine is calibrated separately
+//!   ([`Engine::JavaPpeTask`]).
 
 use accelmr_des::SimDuration;
 

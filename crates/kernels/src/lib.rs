@@ -4,9 +4,12 @@
 //! Carlo Pi) on four engines (Cell SPUs, the Cell-MapReduce framework, Java
 //! on the Cell PPE, Java on a Power6). This crate provides:
 //!
-//! * **Real, executable kernels** — a from-scratch AES-128
-//!   ([`aes`]: scalar reference / T-table, verified against
-//!   FIPS-197 and NIST SP 800-38A vectors), Monte Carlo Pi ([`pi`]), and a
+//! * **Real, executable kernels** — AES-128 three ways ([`aes`]: the
+//!   scalar reference, the T-table software cipher the functional bytes
+//!   are checked against, and the host's AES instructions that compute
+//!   them, falling back to the T-table cipher where the CPU has none; all
+//!   verified against FIPS-197 and NIST SP 800-38A vectors), Monte Carlo
+//!   Pi ([`pi`]), and a
 //!   GraySort-style sort kernel ([`sort`]). Functional simulation runs these
 //!   for real, so end-to-end tests verify actual ciphertext through the
 //!   whole simulated stack.

@@ -195,9 +195,12 @@ fn aes_implementations_agree() {
         accelmr::kernels::fill_deterministic(seed, 0, &mut data);
         let mut scalar = data.clone();
         let mut ttable = data.clone();
+        let mut hardware = data.clone();
         ecb_encrypt(&aes, AesImpl::Scalar, &mut scalar);
         ecb_encrypt(&aes, AesImpl::TTable, &mut ttable);
+        ecb_encrypt(&aes, AesImpl::Hardware, &mut hardware);
         assert_eq!(scalar, ttable);
+        assert_eq!(scalar, hardware);
         // And decryption inverts.
         ecb_decrypt(&aes, &mut scalar);
         assert_eq!(scalar, data);
@@ -220,10 +223,15 @@ fn ctr_split_composition() {
         accelmr::kernels::fill_deterministic(1, 0, &mut data);
         let mut serial = data.clone();
         ctr_xor(&aes, AesImpl::TTable, nonce, 0, &mut serial);
+        let mut hardware = data.clone();
+        let (a, b) = hardware.split_at_mut(split);
+        ctr_xor(&aes, AesImpl::Hardware, nonce, 0, a);
+        ctr_xor(&aes, AesImpl::Hardware, nonce, split as u64 / 16, b);
         let (a, b) = data.split_at_mut(split);
         ctr_xor(&aes, AesImpl::TTable, nonce, 0, a);
         ctr_xor(&aes, AesImpl::Scalar, nonce, split as u64 / 16, b);
         assert_eq!(data, serial);
+        assert_eq!(hardware, serial);
     }
 }
 
