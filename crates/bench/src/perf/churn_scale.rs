@@ -92,6 +92,26 @@ struct Sample {
     /// pinned from these, so heartbeat-path O(cluster) regressions fail
     /// the bench instead of silently re-inflating the 10k run.
     actor_costs: Vec<ActorCost>,
+    /// The fabric's settle phase (popping due and stale completions and
+    /// settling the due flows) over the fabric's whole host time, both
+    /// from this one run, so host speed cancels.
+    settle_share: f64,
+}
+
+/// The largest share of the fabric's host time its settle phase may take
+/// on the `terasort_10k` scenario and its `--quick` stand-in. With the
+/// projected completions (~260k pending at 1k nodes) in a binary heap the
+/// stand-in read 0.45; on the ladder queue it reads 0.21, and the 10k run
+/// 0.17. A completion store whose pops walk cache-missing levels again
+/// crosses the bar.
+const SETTLE_SHARE_BAR: f64 = 0.3;
+
+fn assert_settle_share(s: &Sample, section: &str) {
+    assert!(
+        s.settle_share <= SETTLE_SHARE_BAR,
+        "{section}: the fabric's settle phase took {:.2} of its host time, bar {SETTLE_SHARE_BAR} — completion pops are expensive again",
+        s.settle_share
+    );
 }
 
 /// Mean profiled host-nanoseconds per dispatched event across the given
@@ -203,6 +223,15 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
     let class_visits = stats.counter("net.comp_class_visits");
     let flows_per_class = comp_visits as f64 / class_visits.max(1) as f64;
     let actor_costs = stats.actor_costs();
+    let laps = stats.lap_costs();
+    let nanos_of = |costs: &[ActorCost], class: &str| {
+        costs
+            .iter()
+            .find(|c| c.class == class)
+            .map_or(0, |c| c.nanos)
+    };
+    let settle_share = nanos_of(&laps, "net.fabric.phase.settle") as f64
+        / nanos_of(&actor_costs, "net.fabric").max(1) as f64;
     let per_event = |c: &ActorCost| float(c.nanos as f64 / c.events.max(1) as f64, 0);
     let row = obj! {
         "workers" => sc.workers,
@@ -224,6 +253,12 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
         "comp_class_visits" => class_visits,
         "flows_per_class" => float(flows_per_class, 2),
         "queue" => super::queue_json(&stats.queue()),
+        // The fabric's completion queue (a second ladder): rungs spawned
+        // and its longest sorted run.
+        "completion_queue" => obj! {
+            "rungs_spawned" => stats.counter("net.completion_rungs_spawned"),
+            "peak_cur_len" => stats.counter("net.completion_peak_cur_len"),
+        },
         // Chaos-plane robustness counters (zero in fault-free churn runs
         // unless hardening knobs are enabled; surfaced so regressions in
         // the counter plumbing are visible here too).
@@ -239,10 +274,11 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
         // The fabric's own split of its `actor_costs` row
         // (`net.fabric.phase.*` laps: settle / walk / solve / write_back /
         // rearm per advance, `start` per `StartFlow`).
-        "fabric_phases" => Json::object(stats.lap_costs().iter().map(|c| {
+        "fabric_phases" => Json::object(laps.iter().map(|c| {
             let busy_s = float(c.nanos as f64 / 1e9, 4);
             (&c.class, obj! { "laps" => c.events, "busy_s" => busy_s })
         })),
+        "settle_share_of_fabric" => float(settle_share, 3),
     };
     // Flows re-priced per solver entry fed.
     assert!(
@@ -289,6 +325,7 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
     let sample = Sample {
         events_per_sec,
         actor_costs,
+        settle_share,
     };
     (sample, body)
 }
@@ -361,6 +398,7 @@ pub fn run(quick: bool) -> Json {
             "terasort_10k stand-in runs at {:.0} events/s, floor 150000 — a heartbeat-path O(cluster) term is back",
             s.events_per_sec
         );
+        assert_settle_share(&s, "terasort_10k");
         return obj! { "churn_scale" => base_json, "terasort_10k" => smoke_json };
     }
 
@@ -411,6 +449,7 @@ pub fn run(quick: bool) -> Json {
             before_fabric_ns_per_event: 1991.0,
         };
         let (big, mut big_json) = measure(&sc10k, "terasort_10k", Some(&pinned_10k));
+        assert_settle_share(&big, "terasort_10k");
 
         // The heartbeat-path scalability pin: per-event host cost must
         // not grow with the cluster the way an O(cluster) scan per

@@ -18,7 +18,10 @@
 //!   record lost to a stalled transfer, none double-counted through a
 //!   fenced zombie report;
 //! * **bounded inflation** — the makespan stays within a constant factor
-//!   of the fault-free baseline (faults cost time, not correctness).
+//!   of the fault-free baseline (faults cost time, not correctness);
+//! * **bounded host cost** — the fabric's completion queue keeps a short
+//!   sorted run (counted, so it holds under `--quick` too), and a
+//!   full-size cell takes at most a few times the baseline's host time.
 //!
 //! Returns the `fault_matrix` section of `BENCH_perf.json`, including the
 //! robustness counters (`COUNTERS`: retries, blacklisting, healed
@@ -84,6 +87,19 @@ const QUICK: (usize, &[Cell]) = (
     ],
 );
 
+/// Most host time a full-size cell may take, over the fault-free
+/// baseline's from the same run (so host speed cancels). `degrade/hi`, the
+/// costliest cell, reads 3.5–4.5; 6.1–7.7 with the fabric's completions in a
+/// binary heap, ~180 with the ladder's sorted run left to grow. Not held
+/// under `--quick`, whose cells take milliseconds.
+const WALL_OVER_BASELINE_BAR: f64 = 6.0;
+
+/// Longest sorted run the fabric's completion queue may hold, per worker.
+/// Only completions at one instant stay in it (at most ~35 per worker
+/// here); a run that is never split holds every completion near the clock
+/// (566,064 on full-size `degrade/hi`, 10,856 on the quick one).
+const PEAK_CUR_PER_WORKER_BAR: u64 = 64;
+
 /// The robustness counters reported per cell.
 const COUNTERS: [&str; 8] = [
     "mr.attempt_retries",
@@ -106,6 +122,9 @@ struct Outcome {
     events: u64,
     /// One value per name in [`COUNTERS`].
     counters: [u64; 8],
+    /// Longest sorted run the fabric's completion queue held: the count
+    /// that says whether its pushes stayed O(1).
+    completion_peak_cur_len: u64,
 }
 
 /// Victim nodes for a cell: a fixed stride through the worker id space
@@ -195,6 +214,7 @@ fn simulate(workers: usize, plan: FaultPlan) -> Outcome {
         wall_s,
         events,
         counters: COUNTERS.map(|name| stats.counter(name)),
+        completion_peak_cur_len: stats.counter("net.completion_peak_cur_len"),
     }
 }
 
@@ -237,6 +257,18 @@ pub fn run(quick: bool) -> Json {
             inflation < 4.0,
             "{name}: makespan inflated {inflation:.2}x (> 4x baseline)"
         );
+        // Host cost: the completion queue's pushes stay O(1).
+        let peak_bar = PEAK_CUR_PER_WORKER_BAR * workers as u64;
+        assert!(
+            o.completion_peak_cur_len <= peak_bar,
+            "{name}: the fabric's completion queue held a sorted run of {}, bar {peak_bar}",
+            o.completion_peak_cur_len
+        );
+        let wall_ratio = o.wall_s / baseline.wall_s;
+        assert!(
+            quick || wall_ratio <= WALL_OVER_BASELINE_BAR,
+            "{name}: took {wall_ratio:.1}x the baseline's host time, bar {WALL_OVER_BASELINE_BAR}"
+        );
         rows.push(obj! {
             "cell" => name,
             "victims" => victims,
@@ -247,7 +279,9 @@ pub fn run(quick: bool) -> Json {
             "makespan_inflation" => float(inflation, 3),
             "digest_exact" => o.digest == baseline.digest && o.kv_total == baseline.kv_total,
             "wall_s" => float(o.wall_s, 4),
+            "wall_over_baseline" => float(wall_ratio, 2),
             "events" => o.events,
+            "completion_peak_cur_len" => o.completion_peak_cur_len,
             "counters" => Json::object(COUNTERS.iter().zip(o.counters)),
         });
     }
@@ -260,6 +294,8 @@ pub fn run(quick: bool) -> Json {
             workers
         ),
         "quick" => quick,
+        "wall_over_baseline_bar" => float(WALL_OVER_BASELINE_BAR, 1),
+        "peak_cur_per_worker_bar" => PEAK_CUR_PER_WORKER_BAR,
         "baseline" => obj! {
             "makespan_s" => float(baseline.makespan_s, 3),
             "wall_s" => float(baseline.wall_s, 4),

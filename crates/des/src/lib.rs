@@ -3,9 +3,11 @@
 //! The foundation of the accelmr workspace: a single-threaded,
 //! strictly deterministic discrete-event engine with an actor programming
 //! model. Every other substrate (network fabric, HDFS-like file system,
-//! Hadoop-like MapReduce runtime) is built as actors on this engine; the
-//! Cell BE chip simulator reuses the same event queue for its intra-chip
-//! events.
+//! Hadoop-like MapReduce runtime) is built as actors on this engine. The
+//! engine's event queue, the [`Ladder`], is public: the fabric keeps its
+//! projected flow completions on one. (The Cell BE chip simulator's
+//! intra-chip loop holds a few dozen pending events per run and keeps a
+//! plain binary heap, which is faster at that size.)
 //!
 //! ## Model
 //!
@@ -42,7 +44,7 @@
 pub mod actor;
 pub mod expiry;
 pub mod fxmap;
-pub(crate) mod queue;
+mod queue;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -52,6 +54,7 @@ pub mod trace;
 pub use actor::{Actor, ActorId, Event, Msg, MsgExt, TimerHandle};
 pub use expiry::ExpiryHeap;
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
+pub use queue::{Ladder, Timed};
 pub use rng::{splitmix64, Xoshiro256};
 pub use sim::{Ctx, RunSummary, Sim};
 pub use stats::{ActorCost, QueueStats, Stats};

@@ -10,21 +10,39 @@
 //! deferred until a bucket becomes *current*, when its handful of events
 //! is sorted once.
 //!
+//! The queue is generic: [`Ladder`] orders any [`Timed`] item by its
+//! `key()`, a total order whose first component is the item's instant
+//! `at()`. The engine's events key on `(at, seq)` with a globally monotonic
+//! `seq`; the network fabric's projected completions key on `(finish, flow
+//! id, generation)`, which is **not** monotone in push order.
+//!
 //! ## Structure
 //!
-//! Events live in one of four tiers, ordered by proximity to the clock:
+//! Items live in one of four tiers, ordered by proximity to the clock:
 //!
-//! 1. `now_fifo` — events scheduled *at the instant currently dispatching*.
-//!    Sequence numbers are globally monotonic, so a plain FIFO is exact
-//!    `(at, seq)` order for them; same-instant sends cost a `VecDeque`
-//!    push/pop and no comparisons.
+//! 1. `now_fifo` — items pushed *at the instant last popped* (`now`), in
+//!    key order. A push takes this O(1) path only when it is at `now` **and**
+//!    its key is at least the FIFO's back, so the FIFO is sorted by
+//!    construction. For the engine that is every same-instant send (its
+//!    `seq` only grows); for a user whose keys are not monotone, or who
+//!    pops ahead of its own clock and then pushes behind the last popped
+//!    instant (the fabric drops stale completions that way), everything
+//!    else takes the sorted path below.
 //! 2. `cur` — the sorted run of the one bucket being drained. It only ever
-//!    starts from a bucket of at most `SPLIT` events (or of one single
-//!    instant); a push at or before `cur_last` binary-searches into it.
+//!    starts from a bucket of at most `SPLIT` items (or of one single
+//!    instant); a push at or before `cur_last` binary-searches into it by
+//!    key. A wide activated window (rung 0 anchored over a few far-out
+//!    items), or a user who pops ahead of its clock and pushes behind it,
+//!    can send most pushes there; once `cur` holds more than `2 * SPLIT`
+//!    items it is *split* like a crowded bucket: everything after its
+//!    earliest instant `lo` moves to a new deepest rung over `(lo,
+//!    cur_last]` and `cur_last` drops to `lo`. Without that `cur` is a
+//!    sorted array — on the fabric's 0.05x-bandwidth fault cell it grew
+//!    to 566,064 completions and every push shifted it.
 //! 3. `rungs` — a stack of wheels of `N_BUCKETS` equal-width windows each.
 //!    Rung 0 spans the epoch; a bucket that comes due holding more than
-//!    `SPLIT` events at more than one instant is not sorted but spread over
-//!    a child rung that runs from the bucket's earliest event to its end in
+//!    `SPLIT` items at more than one instant is not sorted but spread over
+//!    a child rung that runs from the bucket's earliest item to its end in
 //!    `N_BUCKETS` finer buckets. A push walks the active rungs deepest
 //!    (finest) first and appends, unsorted, to the first one that covers
 //!    it; settling skips empty buckets in a tight loop. One far-out cluster of
@@ -33,25 +51,31 @@
 //!    beside 1 s heartbeats) the single wheel sorted 13.4M of 20M pushes
 //!    into a `cur` of ~1,900 events; the ladder splits that bucket instead.
 //!    An exhausted rung pops back to its parent; rungs are allocated on the
-//!    first split at their depth and reused. Depth is bounded by
-//!    `log_1024` of the top width (7 for the whole `u64` range).
+//!    first anchor or split at their depth and reused, so an empty ladder
+//!    owns no heap memory. Bucket splits alone nest at most `log_1024` of
+//!    the top width deep (7 for the whole `u64` range); `cur` splits can
+//!    stack further, so past `MAX_DEPTH` rungs both kinds fall back to
+//!    sorting into `cur`.
 //! 4. `overflow` — everything beyond rung 0, unsorted. When every rung is
 //!    exhausted the queue *re-anchors*: rung 0's start and width are
-//!    derived from the overflow's time span and the events redistributed
-//!    (each event moves down a tier at most once per rung depth, keeping
+//!    derived from the overflow's time span and the items redistributed
+//!    (each item moves down a tier at most once per rung depth, keeping
 //!    the amortized cost constant).
 //!
 //! ## Determinism
 //!
-//! The only externally observable behaviour is the pop order, and every
-//! tier preserves exact `(at, seq)` order: `now_fifo` by the monotonic-seq
-//! argument, `cur` by sortedness, and rungs/overflow because events only
-//! leave them through `cur`, a whole bucket at a time, and `cur_last` is
-//! always the last instant of the deepest rung's most recently activated
-//! bucket — nothing at or before it is left in any rung. The `#[cfg(test)]`
-//! [`BinaryHeapQueue`] is the retained reference oracle; property tests
-//! drive both queues with identical randomized push/pop streams and assert
-//! identical dispatch order (see the tests at the bottom of this file).
+//! The only externally observable behaviour is the pop order, and it is
+//! exact key order: `now_fifo` and `cur` are each sorted and `pop` takes
+//! the smaller front, and rungs/overflow hold only items after `cur_last`
+//! (never below `now`), leaving them through `cur` a whole bucket at a
+//! time. `cur_last` is the last instant of the deepest rung's most recently
+//! activated bucket, or the `lo` of a `cur` split (whose new rung starts
+//! right after it) — nothing at or before it is left in any rung. The
+//! `#[cfg(test)]` `BinaryHeapQueue` is the retained reference oracle;
+//! property tests drive both queues with identical randomized
+//! push/pop/peek streams — monotone and random tiebreaks, the fabric's
+//! pop-ahead-then-push-behind pattern, a wide window crowding `cur` — and
+//! assert identical key order (see the tests at the bottom of this file).
 
 use std::collections::VecDeque;
 
@@ -60,14 +84,31 @@ use crate::stats::QueueStats;
 use crate::time::SimTime;
 
 /// Buckets per rung. Large enough that a re-anchor or a split spreads
-/// pending events thinly (sorts stay short), small enough that sweeping
-/// empty buckets between sparse events is cheap.
+/// pending items thinly (sorts stay short), small enough that sweeping
+/// empty buckets between sparse items is cheap.
 const N_BUCKETS: usize = 1024;
 
 /// Largest bucket that is sorted into `cur` rather than split into a child
 /// rung (unless all of it shares one instant, which a finer rung could not
 /// separate).
 const SPLIT: usize = 128;
+
+/// Most rungs active at once; a split that would go deeper sorts instead.
+const MAX_DEPTH: usize = 16;
+
+/// An item a [`Ladder`] can order.
+pub trait Timed {
+    /// The pop order: a total order whose first component is [`Timed::at`],
+    /// so that `a.at() < b.at()` implies `a.key() < b.key()`. Items with
+    /// equal keys pop in an unspecified order.
+    type Key: Ord + Copy;
+
+    /// The instant the item is due.
+    fn at(&self) -> SimTime;
+
+    /// The item's position in the pop order.
+    fn key(&self) -> Self::Key;
+}
 
 /// What a queued event will deliver.
 pub(crate) enum Payload {
@@ -91,11 +132,25 @@ pub(crate) struct Queued {
     pub payload: Payload,
 }
 
+impl Timed for Queued {
+    type Key = (SimTime, u64);
+
+    #[inline]
+    fn at(&self) -> SimTime {
+        self.at
+    }
+
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 /// One wheel of the ladder: bucket `i` covers the `width` nanoseconds from
 /// `start + i*width`, cut off after `last`. All bounds are inclusive so a
 /// rung can cover `SimTime::MAX` without an unrepresentable end.
-struct Rung {
-    buckets: Vec<Vec<Queued>>,
+struct Rung<T> {
+    buckets: Vec<Vec<T>>,
     /// Next bucket to activate; everything below it has moved to `cur`.
     cursor: usize,
     start: u64,
@@ -105,7 +160,7 @@ struct Rung {
     last: u64,
 }
 
-impl Rung {
+impl<T> Rung<T> {
     fn new() -> Self {
         Rung {
             buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
@@ -117,48 +172,60 @@ impl Rung {
     }
 }
 
-/// The ladder queue. See the module docs for the tier layout.
-pub(crate) struct CalendarQueue {
-    /// Events at exactly `self.now` (the instant currently dispatching).
-    now_fifo: VecDeque<Queued>,
+/// A ladder queue: pops [`Timed`] items in ascending key order, with O(1)
+/// amortized push and pop on simulation workloads. See the module docs for
+/// the tier layout.
+pub struct Ladder<T: Timed> {
+    /// Items pushed at `self.now` (the instant last popped), in key order.
+    now_fifo: VecDeque<T>,
     /// Sorted run of the activated bucket; consumed from the front.
-    cur: VecDeque<Queued>,
-    /// Last instant of the window `cur` was filled from. Pushes with
-    /// `at <= cur_last` binary-search into `cur`.
+    cur: VecDeque<T>,
+    /// Last instant of the window `cur` was filled from, or the `lo` of a
+    /// later `cur` split. Pushes with `at <= cur_last` binary-search into
+    /// `cur`.
     cur_last: SimTime,
     /// The ladder; `rungs[..depth]` are active, the rest are spare
-    /// allocations from earlier splits.
-    rungs: Vec<Rung>,
+    /// allocations from earlier anchors and splits.
+    rungs: Vec<Rung<T>>,
     /// Active rungs. Zero (including the initial state) routes every
     /// future push to `overflow`; the next settle re-anchors, deriving rung
     /// 0 from the actual workload instead of a guess.
     depth: usize,
-    /// Events beyond rung 0, unsorted.
-    overflow: Vec<Queued>,
-    /// Instant of the most recently popped event.
+    /// Items beyond rung 0, unsorted.
+    overflow: Vec<T>,
+    /// Instant of the most recently popped item — or the `lo` of a later
+    /// `cur` split, if earlier. Everything in `now_fifo` is at it.
     now: SimTime,
-    /// Total pending events across all tiers.
+    /// Total pending items across all tiers.
     len: usize,
-    /// Child rungs spawned / longest `cur` since the last
-    /// [`report`](Self::report).
+    /// Child rungs spawned (for a crowded bucket or a crowded `cur`) /
+    /// longest `cur` since the last [`report`](Self::report).
     rungs_spawned: u64,
     peak_cur_len: usize,
 }
 
-/// Earliest and latest instant in `events` (non-empty), in nanoseconds.
-fn span(events: &[Queued]) -> (u64, u64) {
-    events.iter().fold((u64::MAX, 0), |(min, max), q| {
-        (min.min(q.at.as_nanos()), max.max(q.at.as_nanos()))
+/// Earliest and latest instant in `items` (non-empty), in nanoseconds.
+fn span<T: Timed>(items: &[T]) -> (u64, u64) {
+    items.iter().fold((u64::MAX, 0), |(min, max), q| {
+        let at = q.at().as_nanos();
+        (min.min(at), max.max(at))
     })
 }
 
-impl CalendarQueue {
+impl<T: Timed> Default for Ladder<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Timed> Ladder<T> {
+    /// An empty ladder. Allocates nothing until the first item is pushed.
     pub fn new() -> Self {
-        CalendarQueue {
+        Ladder {
             now_fifo: VecDeque::new(),
             cur: VecDeque::new(),
             cur_last: SimTime::ZERO,
-            rungs: vec![Rung::new()],
+            rungs: Vec::new(),
             depth: 0,
             overflow: Vec::new(),
             now: SimTime::ZERO,
@@ -168,94 +235,104 @@ impl CalendarQueue {
         }
     }
 
+    /// Pending items.
     #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
+    /// `true` when nothing is pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// Moves the ladder's health counters into `qs` and restarts them.
+    /// Moves the ladder's health counters (child rungs spawned, longest
+    /// sorted run) into `qs` and restarts them.
     pub fn report(&mut self, qs: &mut QueueStats) {
         qs.rungs_spawned += std::mem::take(&mut self.rungs_spawned);
         let peak = std::mem::replace(&mut self.peak_cur_len, self.cur.len());
         qs.peak_cur_len = qs.peak_cur_len.max(peak as u64);
     }
 
-    pub fn push(&mut self, q: Queued) {
+    /// Adds `item`. Any instant is accepted, including one before the last
+    /// popped item's: it pops before everything with a larger key.
+    pub fn push(&mut self, item: T) {
         self.len += 1;
-        if q.at == self.now {
-            // Same-instant send while that instant dispatches: seq is
-            // globally monotonic, so FIFO order *is* (at, seq) order.
-            self.now_fifo.push_back(q);
-        } else if q.at <= self.cur_last {
+        let at = item.at();
+        if at == self.now && self.now_fifo.back().is_none_or(|b| b.key() <= item.key()) {
+            // At the last popped instant and not below the FIFO's back: the
+            // FIFO stays sorted. (The engine's same-instant sends always get
+            // here — its seq only grows.)
+            self.now_fifo.push_back(item);
+        } else if at <= self.cur_last {
             // Lands inside the window already promoted to `cur` (this also
             // absorbs a push below the deepest rung's start — a harness
             // posting at a `run_until` deadline short of the next event —
-            // and the theoretical at < now case after a harness moved the
-            // clock backwards: the event sorts to the front and pops next).
-            let idx = self.cur.partition_point(|e| e.at <= q.at);
-            self.cur.insert(idx, q);
+            // a push at `now` keyed below the FIFO's back, and a push
+            // before `now`: it sorts to its place and pops in key order).
+            let key = item.key();
+            let idx = self.cur.partition_point(|e| e.key() <= key);
+            self.cur.insert(idx, item);
+            if self.cur.len() > 2 * SPLIT {
+                self.split_cur();
+            }
             self.peak_cur_len = self.peak_cur_len.max(self.cur.len());
         } else {
             // Beyond `cur_last`, so at or past the cursor of whichever
             // rung covers it; finest first.
-            let at = q.at.as_nanos();
+            let at = at.as_nanos();
             match self.rungs[..self.depth]
                 .iter_mut()
                 .rev()
                 .find(|r| at <= r.last)
             {
-                Some(r) => r.buckets[((at - r.start) / r.width) as usize].push(q),
-                None => self.overflow.push(q),
+                Some(r) => r.buckets[((at - r.start) / r.width) as usize].push(item),
+                None => self.overflow.push(item),
             }
         }
     }
 
-    /// Instant of the next event to pop, or `None` when empty. Advances
-    /// internal cursors (never the pop order).
-    pub fn next_at(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        self.settle();
-        match (self.now_fifo.front(), self.cur.front()) {
-            (Some(nf), Some(c)) => Some(nf.at.min(c.at)),
-            (Some(nf), None) => Some(nf.at),
-            (None, Some(c)) => Some(c.at),
-            (None, None) => unreachable!("settle found no front in a non-empty queue"),
+    /// The item [`pop`](Self::pop) would return next, or `None` when empty.
+    /// Advances internal cursors (never the pop order).
+    pub fn peek(&mut self) -> Option<&T> {
+        if self.settle_front()? {
+            self.cur.front()
+        } else {
+            self.now_fifo.front()
         }
     }
 
-    pub fn pop(&mut self) -> Option<Queued> {
-        if self.len == 0 {
-            return None;
-        }
-        self.settle();
-        // `now_fifo` entries sit at `self.now`; nothing pending is earlier.
-        // A `cur` entry at the same instant was pushed before anything in
-        // the FIFO (monotonic seq), so it wins ties.
-        let from_cur = match (self.now_fifo.front(), self.cur.front()) {
-            (Some(nf), Some(c)) => c.at <= nf.at,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (None, None) => unreachable!("settle found no front in a non-empty queue"),
-        };
-        let q = if from_cur {
+    /// Removes and returns the item with the smallest key.
+    pub fn pop(&mut self) -> Option<T> {
+        let item = if self.settle_front()? {
             self.cur.pop_front()
         } else {
             self.now_fifo.pop_front()
         }
-        .expect("front checked above");
+        .expect("settle_front found this front");
         self.len -= 1;
-        self.now = q.at;
-        Some(q)
+        self.now = item.at();
+        Some(item)
     }
 
-    /// Ensures the next event (if any) is at the front of `now_fifo` or
+    /// Settles, then says which tier's front is the minimum: `cur` (true)
+    /// or `now_fifo`; `None` when empty.
+    #[inline]
+    fn settle_front(&mut self) -> Option<bool> {
+        if self.len == 0 {
+            return None;
+        }
+        self.settle();
+        Some(match (self.now_fifo.front(), self.cur.front()) {
+            (Some(nf), Some(c)) => c.key() <= nf.key(),
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (None, None) => unreachable!("settle found no front in a non-empty queue"),
+        })
+    }
+
+    /// Ensures the next item (if any) is at the front of `now_fifo` or
     /// `cur`: activates the deepest rung's next bucket — sorting it into
     /// `cur`, or splitting it into a child rung — pops exhausted rungs and
     /// re-anchors rung 0 as needed.
@@ -264,18 +341,18 @@ impl CalendarQueue {
         while self.now_fifo.is_empty() && self.cur.is_empty() {
             let Some(rung) = self.rungs[..self.depth].last_mut() else {
                 // Depth 0: start a new epoch at the overflow's earliest
-                // event, twice its span wide, so every overflow event lands
+                // item, twice its span wide, so every overflow item lands
                 // in rung 0 and none further than half-way up.
                 debug_assert!(
                     !self.overflow.is_empty(),
                     "non-empty queue, nothing to anchor"
                 );
-                let mut events = std::mem::take(&mut self.overflow);
-                let (min, max) = span(&events);
+                let mut items = std::mem::take(&mut self.overflow);
+                let (min, max) = span(&items);
                 let width = ((max - min) / (N_BUCKETS as u64 / 2)).max(1);
                 let last = min.saturating_add(width.saturating_mul(N_BUCKETS as u64) - 1);
-                self.descend(min, width, last, &mut events);
-                self.overflow = events;
+                self.descend(min, width, last, &mut items);
+                self.overflow = items;
                 continue;
             };
             // Buckets past `rung.last` are empty too, so running off the
@@ -293,95 +370,127 @@ impl CalendarQueue {
             let last = first.saturating_add(rung.width - 1).min(rung.last);
             self.cur_last = SimTime::from_nanos(last);
             let bucket = &mut rung.buckets[cursor];
-            if bucket.len() > SPLIT {
+            if bucket.len() > SPLIT && self.depth < MAX_DEPTH {
                 let (min, max) = span(bucket);
                 if min != max {
-                    // The child starts at the earliest event (so its first
+                    // The child starts at the earliest item (so its first
                     // bucket is never empty) and ends with this bucket.
-                    let mut events = std::mem::take(bucket);
+                    let mut items = std::mem::take(bucket);
                     let width = (last - min) / N_BUCKETS as u64 + 1;
-                    self.descend(min, width, last, &mut events);
-                    self.rungs[self.depth - 2].buckets[cursor] = events;
+                    self.descend(min, width, last, &mut items);
+                    self.rungs[self.depth - 2].buckets[cursor] = items;
                     self.rungs_spawned += 1;
                     continue;
                 }
             }
-            bucket.sort_unstable_by_key(|q| (q.at, q.seq));
+            bucket.sort_unstable_by_key(|q| q.key());
             // `drain` keeps the bucket's allocation for reuse next epoch —
-            // event nodes are recycled, never freed.
+            // item nodes are recycled, never freed.
             self.cur.extend(bucket.drain(..));
             self.peak_cur_len = self.peak_cur_len.max(self.cur.len());
         }
     }
 
+    /// Moves everything in the crowded `cur` after its earliest instant
+    /// `lo` — and `now_fifo`, if that is after `lo` — to a new deepest rung
+    /// over `(lo, cur_last]`, then lowers `cur_last` to `lo`. Pushes in that
+    /// span append to the rung from now on instead of shifting `cur`. Not
+    /// done when what would move is at most `SPLIT` items (`cur` is mostly
+    /// one instant, which no rung separates) or the ladder is full depth.
+    fn split_cur(&mut self) {
+        let lo = self.cur.front().expect("cur is crowded").at();
+        let keep = self.cur.partition_point(|e| e.at() == lo);
+        if self.cur.len() - keep <= SPLIT || self.depth == MAX_DEPTH {
+            return;
+        }
+        // A FIFO after `lo` moves along and restarts, empty, at `lo`.
+        let fifo_from = if self.now > lo {
+            0
+        } else {
+            self.now_fifo.len()
+        };
+        let fifo = self.now_fifo.drain(fifo_from..);
+        let mut moved: Vec<T> = self.cur.drain(keep..).chain(fifo).collect();
+        let (start, last) = (lo.as_nanos() + 1, self.cur_last.as_nanos());
+        self.descend(
+            start,
+            (last - start) / N_BUCKETS as u64 + 1,
+            last,
+            &mut moved,
+        );
+        self.now = self.now.min(lo);
+        self.cur_last = lo;
+        self.rungs_spawned += 1;
+    }
+
     /// Activates the next rung down over `[start, last]` and spreads
-    /// `events`, all of which lie in that range, across it.
-    fn descend(&mut self, start: u64, width: u64, last: u64, events: &mut Vec<Queued>) {
+    /// `items`, all of which lie in that range, across it.
+    fn descend(&mut self, start: u64, width: u64, last: u64, items: &mut Vec<T>) {
         if self.depth == self.rungs.len() {
             self.rungs.push(Rung::new());
         }
         let rung = &mut self.rungs[self.depth];
         (rung.cursor, rung.start, rung.width, rung.last) = (0, start, width, last);
-        for q in events.drain(..) {
-            rung.buckets[((q.at.as_nanos() - start) / width) as usize].push(q);
+        for q in items.drain(..) {
+            rung.buckets[((q.at().as_nanos() - start) / width) as usize].push(q);
         }
         self.depth += 1;
     }
 }
 
-/// The original `BinaryHeap` event store, retained as the reference oracle
-/// for queue-equivalence property tests (same role as `net`'s test-only
-/// `ReferenceFabric` for the fluid engine).
+/// The original `BinaryHeap` event store, generic over [`Timed`], retained
+/// as the reference oracle for queue-equivalence property tests (same role
+/// as `net`'s test-only `ReferenceFabric` for the fluid engine).
 #[cfg(test)]
-pub(crate) struct BinaryHeapQueue {
-    heap: std::collections::BinaryHeap<HeapEntry>,
+pub(crate) struct BinaryHeapQueue<T: Timed> {
+    heap: std::collections::BinaryHeap<HeapEntry<T>>,
 }
 
 #[cfg(test)]
-struct HeapEntry(Queued);
+struct HeapEntry<T: Timed>(T);
 
 #[cfg(test)]
-impl PartialEq for HeapEntry {
+impl<T: Timed> PartialEq for HeapEntry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+        self.0.key() == other.0.key()
     }
 }
 
 #[cfg(test)]
-impl Eq for HeapEntry {}
+impl<T: Timed> Eq for HeapEntry<T> {}
 
 #[cfg(test)]
-impl PartialOrd for HeapEntry {
+impl<T: Timed> PartialOrd for HeapEntry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 #[cfg(test)]
-impl Ord for HeapEntry {
-    // Reversed so the std max-heap pops the *earliest* event first.
+impl<T: Timed> Ord for HeapEntry<T> {
+    // Reversed so the std max-heap pops the *smallest* key first.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .0
-            .at
-            .cmp(&self.0.at)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
+        other.0.key().cmp(&self.0.key())
     }
 }
 
 #[cfg(test)]
-impl BinaryHeapQueue {
+impl<T: Timed> BinaryHeapQueue<T> {
     pub fn new() -> Self {
         BinaryHeapQueue {
             heap: std::collections::BinaryHeap::new(),
         }
     }
 
-    pub fn push(&mut self, q: Queued) {
+    pub fn push(&mut self, q: T) {
         self.heap.push(HeapEntry(q));
     }
 
-    pub fn pop(&mut self) -> Option<Queued> {
+    pub fn peek(&self) -> Option<&T> {
+        self.heap.peek().map(|e| &e.0)
+    }
+
+    pub fn pop(&mut self) -> Option<T> {
         self.heap.pop().map(|e| e.0)
     }
 
@@ -392,6 +501,8 @@ impl BinaryHeapQueue {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Debug;
+
     use super::*;
     use crate::rng::Xoshiro256;
     use crate::time::SimDuration;
@@ -405,13 +516,24 @@ mod tests {
         }
     }
 
-    /// Drives the calendar queue and the BinaryHeap oracle with an
-    /// identical randomized operation stream and asserts the pop sequences
-    /// match exactly. Pushes happen both "from the future" (while draining,
+    /// Drives the ladder and the BinaryHeap oracle with an identical
+    /// randomized operation stream and asserts the pop sequences match
+    /// key for key. Pushes happen both "from the future" (while draining,
     /// like actor sends) and at the current instant (same-instant FIFO).
-    fn equivalence_run(seed: u64, ops: usize, max_ahead_ns: u64) {
+    /// `make(at, tie)` builds an item; `tie` is a push counter, or with
+    /// `random_tie` a random word, so keys are then not monotone in push
+    /// order. Every few operations a `peek` must agree with the oracle's.
+    fn equivalence_run<T: Timed>(
+        seed: u64,
+        ops: usize,
+        max_ahead_ns: u64,
+        random_tie: bool,
+        make: impl Fn(SimTime, u64) -> T,
+    ) where
+        T::Key: Debug,
+    {
         let mut rng = Xoshiro256::seed_from_u64(seed);
-        let mut cal = CalendarQueue::new();
+        let mut cal = Ladder::new();
         let mut oracle = BinaryHeapQueue::new();
         let mut seq = 0u64;
         let mut now = SimTime::ZERO;
@@ -428,15 +550,20 @@ mod tests {
                     _ => rng.next_u64() % (max_ahead_ns.saturating_mul(50).max(1)),
                 };
                 let at = now + SimDuration::from_nanos(ahead);
-                cal.push(ev(at, seq));
-                oracle.push(ev(at, seq));
+                let tie = if random_tie { rng.next_u64() } else { seq };
+                cal.push(make(at, tie));
+                oracle.push(make(at, tie));
                 seq += 1;
                 pending += 1;
+            } else if roll < 65 {
+                let a = cal.peek().map(|q| q.key());
+                let b = oracle.peek().map(|q| q.key());
+                assert_eq!(a, b, "peek divergence at seed {seed}");
             } else {
-                let a = cal.pop().expect("calendar pop");
+                let a = cal.pop().expect("ladder pop");
                 let b = oracle.pop().expect("oracle pop");
-                assert_eq!((a.at, a.seq), (b.at, b.seq), "divergence at seed {seed}");
-                now = a.at;
+                assert_eq!(a.key(), b.key(), "divergence at seed {seed}");
+                now = a.at();
                 pending -= 1;
             }
         }
@@ -444,17 +571,13 @@ mod tests {
         loop {
             match (cal.pop(), oracle.pop()) {
                 (Some(a), Some(b)) => {
-                    assert_eq!(
-                        (a.at, a.seq),
-                        (b.at, b.seq),
-                        "drain divergence, seed {seed}"
-                    );
+                    assert_eq!(a.key(), b.key(), "drain divergence, seed {seed}");
                 }
                 (None, None) => break,
                 (a, b) => panic!(
-                    "length divergence: calendar={:?} oracle={:?}",
-                    a.map(|q| (q.at, q.seq)),
-                    b.map(|q| (q.at, q.seq))
+                    "length divergence: ladder={:?} oracle={:?}",
+                    a.map(|q| q.key()),
+                    b.map(|q| q.key())
                 ),
             }
         }
@@ -464,7 +587,7 @@ mod tests {
     #[test]
     fn matches_binary_heap_dense_near_future() {
         for seed in 0..8 {
-            equivalence_run(seed, 4_000, 1_000);
+            equivalence_run(seed, 4_000, 1_000, false, ev);
         }
     }
 
@@ -472,7 +595,7 @@ mod tests {
     fn matches_binary_heap_sparse_far_future() {
         for seed in 100..106 {
             // Spans force many re-anchors with wide adaptive widths.
-            equivalence_run(seed, 3_000, 5_000_000_000);
+            equivalence_run(seed, 3_000, 5_000_000_000, false, ev);
         }
     }
 
@@ -480,21 +603,31 @@ mod tests {
     fn matches_binary_heap_same_instant_bursts() {
         for seed in 200..206 {
             // max_ahead 1 ns: almost everything is a same-instant burst.
-            equivalence_run(seed, 4_000, 1);
+            equivalence_run(seed, 4_000, 1, false, ev);
+        }
+    }
+
+    #[test]
+    fn matches_binary_heap_with_random_tiebreaks() {
+        // Same-instant pushes whose keys are not monotone: about half of
+        // them land below the FIFO's back and must take the sorted path.
+        for seed in 300..306 {
+            equivalence_run(seed, 4_000, 1, true, ev);
+            equivalence_run(seed, 4_000, 1_000, true, ev);
         }
     }
 
     /// Both queues fed the same pushes; `pop` asserts they agree.
     struct Pair {
-        cal: CalendarQueue,
-        oracle: BinaryHeapQueue,
+        cal: Ladder<Queued>,
+        oracle: BinaryHeapQueue<Queued>,
         seq: u64,
     }
 
     impl Pair {
         fn new() -> Self {
             Pair {
-                cal: CalendarQueue::new(),
+                cal: Ladder::new(),
                 oracle: BinaryHeapQueue::new(),
                 seq: 0,
             }
@@ -519,7 +652,7 @@ mod tests {
         fn drain(&mut self) {
             while self.pop().is_some() {}
             assert!(self.cal.is_empty() && self.oracle.is_empty());
-            assert!(self.cal.rungs.len() <= 8, "depth is bounded by log_1024");
+            assert!(self.cal.rungs.len() <= MAX_DEPTH);
         }
     }
 
@@ -639,7 +772,8 @@ mod tests {
         assert_eq!(p.pop(), Some((0, 0)));
         // Settling activates bucket 1 and spawns the child at the cluster's
         // first event ...
-        assert_eq!(p.cal.next_at(), Some(SimTime::from_nanos(3_000_000_000)));
+        let next = p.cal.peek().map(|q| q.at);
+        assert_eq!(next, Some(SimTime::from_nanos(3_000_000_000)));
         assert!(p.cal.rungs_spawned >= 1);
         // ... so a harness post after `run_until(2 s)` is inside bucket 1
         // but below every child bucket. It must still pop first.
@@ -648,9 +782,45 @@ mod tests {
         p.drain();
     }
 
+    /// One far item anchors rung 0 two seconds a bucket, and the one near
+    /// item activates bucket 0: every later push inside those two seconds
+    /// lands in `cur`. Pushes ahead, at the last popped instant (the FIFO)
+    /// and behind it, with pops between: `cur` must split rather than grow,
+    /// and a split below the FIFO's instant must take the FIFO along.
+    #[test]
+    fn crowded_cur_splits_instead_of_growing() {
+        let mut rng = Xoshiro256::seed_from_u64(11);
+        let mut p = Pair::new();
+        p.push(5);
+        p.push(1_000_000_000_000);
+        assert_eq!(p.pop(), Some((5, 0)));
+        let mut now = 5;
+        for _ in 0..60 {
+            for _ in 0..100 {
+                p.push(now + 1 + rng.next_u64() % 1_000_000_000);
+            }
+            for _ in 0..30 {
+                now = p.pop().expect("pending").0;
+            }
+            for _ in 0..5 {
+                p.push(now);
+            }
+            for _ in 0..40 {
+                p.push(now - rng.next_u64() % (now - 4));
+            }
+        }
+        assert!(
+            p.cal.peak_cur_len <= 2 * SPLIT,
+            "cur grew to {}",
+            p.cal.peak_cur_len
+        );
+        assert!(p.cal.rungs_spawned >= 2, "{}", p.cal.rungs_spawned);
+        p.drain();
+    }
+
     #[test]
     fn same_instant_pushes_pop_in_seq_order() {
-        let mut q = CalendarQueue::new();
+        let mut q = Ladder::new();
         let t = SimTime::from_nanos(0);
         for seq in 0..100 {
             q.push(ev(t, seq));
@@ -663,20 +833,20 @@ mod tests {
 
     #[test]
     fn next_at_reports_earliest_without_consuming() {
-        let mut q = CalendarQueue::new();
+        let mut q = Ladder::new();
         q.push(ev(SimTime::from_nanos(500), 0));
         q.push(ev(SimTime::from_nanos(20), 1));
-        assert_eq!(q.next_at(), Some(SimTime::from_nanos(20)));
+        assert_eq!(q.peek().map(|e| e.seq), Some(1));
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop().unwrap().seq, 1);
-        assert_eq!(q.next_at(), Some(SimTime::from_nanos(500)));
+        assert_eq!(q.peek().map(|e| e.at), Some(SimTime::from_nanos(500)));
         assert_eq!(q.pop().unwrap().seq, 0);
-        assert_eq!(q.next_at(), None);
+        assert!(q.peek().is_none());
     }
 
     #[test]
     fn interleaved_future_pushes_land_in_active_run() {
-        let mut q = CalendarQueue::new();
+        let mut q = Ladder::new();
         let mut seq = 0u64;
         // Seed a spread of events, pop a few to activate a bucket, then
         // push into the already-activated window.
@@ -690,5 +860,132 @@ mod tests {
         q.push(ev(SimTime::from_nanos(5), seq));
         assert_eq!(q.pop().unwrap().at, SimTime::from_nanos(5));
         assert_eq!(q.pop().unwrap().at, SimTime::from_nanos(10));
+    }
+
+    #[test]
+    fn an_empty_ladder_owns_no_rungs() {
+        let mut q = Ladder::new();
+        assert!(q.rungs.is_empty());
+        q.push(ev(SimTime::from_nanos(7), 0));
+        assert!(q.rungs.is_empty(), "a push alone anchors nothing");
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert_eq!(q.rungs.len(), 1, "the first settle anchors rung 0");
+    }
+
+    /// A projected completion as the network fabric queues it: keyed on
+    /// `(finish, flow id, generation)`, with `id` drawn at random, so keys
+    /// are not monotone in push order.
+    #[derive(Clone, Copy, Debug)]
+    struct Finish {
+        at: SimTime,
+        id: u64,
+        gen: u32,
+    }
+
+    impl Timed for Finish {
+        type Key = (SimTime, u64, u32);
+
+        fn at(&self) -> SimTime {
+            self.at
+        }
+
+        fn key(&self) -> Self::Key {
+            (self.at, self.id, self.gen)
+        }
+    }
+
+    /// Pushes below the FIFO's back at the last popped instant: the FIFO
+    /// fast path would pop `(10, 7)` before `(10, 3)`.
+    #[test]
+    fn same_instant_push_below_the_fifo_back_sorts() {
+        let fin = |at, id| Finish {
+            at: SimTime::from_nanos(at),
+            id,
+            gen: 0,
+        };
+        let mut q = Ladder::new();
+        q.push(fin(10, 5));
+        assert_eq!(q.pop().map(|f| f.id), Some(5));
+        q.push(fin(10, 7));
+        q.push(fin(10, 3));
+        assert_eq!(q.peek().map(|f| f.id), Some(3));
+        q.push(fin(10, 1));
+        q.push(fin(9, 9)); // below the last popped instant
+        let order: Vec<_> =
+            std::iter::from_fn(|| q.pop().map(|f| (f.at.as_nanos(), f.id))).collect();
+        assert_eq!(order, [(9, 9), (10, 1), (10, 3), (10, 7)]);
+    }
+
+    /// The fabric's pattern: at each wakeup `now` it pops everything due,
+    /// and drops stale entries (superseded generations) *wherever* they
+    /// sit — peeking and popping ahead of `now`, so the ladder's clock runs
+    /// ahead of the caller's. Then it re-projects flows from `now`, pushing
+    /// behind, at, and past the last popped instant, and sleeps until the
+    /// first live entry.
+    #[test]
+    fn matches_binary_heap_popping_stale_entries_ahead_of_the_clock() {
+        for seed in 400..408 {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut cal = Ladder::new();
+            let mut oracle = BinaryHeapQueue::new();
+            // Current generation per flow id; an entry is live iff it
+            // carries its flow's current generation.
+            let mut gens = vec![0u32; 64];
+            let mut now = SimTime::ZERO;
+            let mut ahead_pops = 0;
+            for _ in 0..3_000 {
+                // Re-price a few random flows: bump generations (their old
+                // entries go stale) and project fresh finishes from `now`,
+                // a few at exactly `now` or a nanosecond out.
+                for _ in 0..1 + rng.next_u64() % 6 {
+                    let id = rng.next_u64() % gens.len() as u64;
+                    gens[id as usize] = gens[id as usize].wrapping_add(1);
+                    let delay = match rng.next_u64() % 4 {
+                        0 => rng.next_u64() % 2,
+                        1 => rng.next_u64() % 1_000,
+                        _ => rng.next_u64() % 1_000_000,
+                    };
+                    let f = Finish {
+                        at: now + SimDuration::from_nanos(delay),
+                        id,
+                        gen: gens[id as usize],
+                    };
+                    cal.push(f);
+                    oracle.push(f);
+                }
+                // Settle: pop what is due; pop stale entries even ahead of
+                // `now`; stop at the first live entry in the future.
+                loop {
+                    let a = cal.peek().copied();
+                    let b = oracle.peek().copied();
+                    assert_eq!(a.map(|f| f.key()), b.map(|f| f.key()), "seed {seed}");
+                    let Some(f) = a else { break };
+                    let stale = gens[f.id as usize] != f.gen;
+                    if !stale && f.at > now {
+                        break;
+                    }
+                    ahead_pops += usize::from(f.at > now);
+                    let (a, b) = (cal.pop(), oracle.pop());
+                    assert_eq!(a.map(|f| f.key()), b.map(|f| f.key()), "seed {seed}");
+                    if !stale {
+                        // Completed: this flow's next transfer starts now.
+                        gens[f.id as usize] = gens[f.id as usize].wrapping_add(1);
+                    }
+                }
+                // Sleep until the first live entry (or a little, if none).
+                now = match cal.peek() {
+                    Some(f) => f.at.max(now),
+                    None => now + SimDuration::from_nanos(1 + rng.next_u64() % 1_000),
+                };
+            }
+            assert!(
+                ahead_pops > 0,
+                "seed {seed}: no stale entry was popped ahead of the clock"
+            );
+            while let Some(a) = cal.pop() {
+                assert_eq!(Some(a.key()), oracle.pop().map(|f| f.key()));
+            }
+            assert!(oracle.is_empty());
+        }
     }
 }

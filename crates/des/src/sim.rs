@@ -6,7 +6,7 @@
 //! identically — a property the test suite asserts via trace fingerprints.
 
 use crate::actor::{Actor, ActorId, Event, Msg, TimerHandle};
-use crate::queue::{CalendarQueue, Payload, Queued};
+use crate::queue::{Ladder, Payload, Queued};
 use crate::rng::Xoshiro256;
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
@@ -23,7 +23,7 @@ struct Slot {
 pub(crate) struct SimCore {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue,
+    queue: Ladder<Queued>,
     /// Current generation of each timer slot. A queued firing carries the
     /// generation it was armed with; a mismatch at pop time means the
     /// timer was cancelled or rescheduled — the entry is dropped without a
@@ -132,7 +132,7 @@ impl Sim {
             core: SimCore {
                 now: SimTime::ZERO,
                 seq: 0,
-                queue: CalendarQueue::new(),
+                queue: Ladder::new(),
                 timer_gens: Vec::new(),
                 timer_free: Vec::new(),
                 fired_slot: None,
@@ -275,9 +275,9 @@ impl Sim {
     pub fn run_until(&mut self, deadline: SimTime) -> RunSummary {
         self.core.stop_requested = false;
         while !self.core.stop_requested && self.core.events_processed < self.core.event_limit {
-            match self.core.queue.next_at() {
+            match self.core.queue.peek() {
                 None => break,
-                Some(at) if at > deadline => {
+                Some(q) if q.at > deadline => {
                     self.core.now = deadline;
                     break;
                 }

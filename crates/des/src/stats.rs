@@ -96,6 +96,19 @@ impl Stats {
     /// Adds `delta` to counter `name` (creating it at zero).
     #[inline]
     pub fn add(&mut self, name: &'static str, delta: u64) {
+        *self.slot(name) += delta;
+    }
+
+    /// Raises counter `name` to `value` if it is lower: a high-water mark.
+    #[inline]
+    pub fn raise(&mut self, name: &'static str, value: u64) {
+        let c = self.slot(name);
+        *c = (*c).max(value);
+    }
+
+    /// Counter `name`'s value, created at zero on first touch.
+    #[inline]
+    fn slot(&mut self, name: &'static str) -> &mut u64 {
         let (addr, len) = (name.as_ptr() as usize, name.len());
         let memo = &mut self.counter_memo.0[addr % MEMO];
         if (memo.0, memo.1) != (addr, len) {
@@ -108,7 +121,7 @@ impl Stats {
             }
             *memo = (addr, len, slot);
         }
-        self.counters[memo.2].1 += delta;
+        &mut self.counters[memo.2].1
     }
 
     /// Increments counter `name` by one.
@@ -236,8 +249,11 @@ mod tests {
         s.add("bytes", 10);
         s.add("bytes", 5);
         s.incr("tasks");
+        s.raise("peak", 7);
+        s.raise("peak", 3);
         assert_eq!(s.counter("bytes"), 15);
         assert_eq!(s.counter("tasks"), 1);
+        assert_eq!(s.counter("peak"), 7);
         assert_eq!(s.counter("missing"), 0);
     }
 

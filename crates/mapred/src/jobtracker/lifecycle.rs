@@ -44,6 +44,53 @@ pub(super) fn reduce_fetches(
         .collect()
 }
 
+/// One `MapRange` task per non-empty entry of `counts` (records per task,
+/// in file order), each with its replica holders as locality hints.
+fn map_range_tasks(
+    view: &FileView,
+    record_bytes: u64,
+    counts: &[u64],
+) -> Vec<(TaskWork, Vec<NodeId>)> {
+    let mut next_record = 0u64;
+    let mut tasks = Vec::new();
+    for &records in counts.iter().filter(|&&n| n > 0) {
+        let start = next_record * record_bytes;
+        let end = ((next_record + records) * record_bytes).min(view.len);
+        next_record += records;
+        let blocks = blocks_overlapping(&view.blocks, start, end).to_vec();
+        let mut hints: Vec<NodeId> = Vec::new();
+        for b in &blocks {
+            for &r in &b.replicas {
+                if !hints.contains(&r) {
+                    hints.push(r);
+                }
+            }
+        }
+        let work = TaskWork::MapRange {
+            path: view.path.clone(),
+            file_seed: view.seed,
+            start,
+            end,
+            record_bytes,
+            blocks,
+        };
+        tasks.push((work, hints));
+    }
+    tasks
+}
+
+/// The blocks overlapping bytes `[start, end)`. `blocks` is in file order
+/// and tiles the file, so they are one run, found by binary search: a
+/// plan of T tasks over B blocks costs O(T log B + B), not O(T x B).
+fn blocks_overlapping(blocks: &[BlockLoc], start: u64, end: u64) -> &[BlockLoc] {
+    let first = blocks.partition_point(|b| b.offset + b.len <= start);
+    let n = blocks[first..]
+        .iter()
+        .take_while(|b| b.offset < end)
+        .count();
+    &blocks[first..first + n]
+}
+
 impl JobTracker {
     /// The job's init delay elapsed: plan it, or first ask the NameNode
     /// where its input lives.
@@ -110,36 +157,7 @@ impl JobTracker {
         let Some(job) = self.jobs.get_mut(&job_id.0) else {
             return;
         };
-        let mut next_record = 0u64;
-        for records in counts {
-            if records == 0 {
-                continue;
-            }
-            let start = next_record * record_bytes;
-            let end = ((next_record + records) * record_bytes).min(view.len);
-            next_record += records;
-            let blocks: Vec<BlockLoc> = view
-                .blocks
-                .iter()
-                .filter(|b| b.offset < end && b.offset + b.len > start)
-                .cloned()
-                .collect();
-            let mut hints: Vec<NodeId> = Vec::new();
-            for b in &blocks {
-                for &r in &b.replicas {
-                    if !hints.contains(&r) {
-                        hints.push(r);
-                    }
-                }
-            }
-            let work = TaskWork::MapRange {
-                path: view.path.clone(),
-                file_seed: view.seed,
-                start,
-                end,
-                record_bytes,
-                blocks,
-            };
+        for (work, hints) in map_range_tasks(view, record_bytes, &counts) {
             job.ledger.push_task(work, hints, false);
         }
         job.map_count = job.ledger.tasks().len() as u32;
@@ -286,5 +304,91 @@ impl JobTracker {
         ctx.stats().incr("mr.jobs_completed");
         let (net, my) = (self.net, self.node);
         net.unicast(ctx, my, client.1, client.0, 2048, JobComplete { result });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use accelmr_dfs::BlockId;
+
+    use super::*;
+
+    /// 10 blocks of 1000 bytes and a 337-byte tail, two or three replicas
+    /// each from a rotation of seven nodes (so hints overlap).
+    fn view() -> FileView {
+        let blocks: Vec<BlockLoc> = (0..11u64)
+            .map(|i| BlockLoc {
+                id: BlockId(100 + i),
+                offset: i * 1000,
+                len: if i == 10 { 337 } else { 1000 },
+                replicas: (0..2 + i % 2)
+                    .map(|k| NodeId(((i + 3 * k) % 7) as u32))
+                    .collect(),
+            })
+            .collect();
+        FileView {
+            path: "/in".into(),
+            len: 10_337,
+            block_size: 1000,
+            seed: 9,
+            blocks,
+        }
+    }
+
+    /// Split planning by binary search picks exactly the blocks, in the
+    /// same order, and so the same hints, as testing every block against
+    /// every task's range.
+    #[test]
+    fn split_blocks_equal_a_full_filter() {
+        let view = view();
+        // 400-byte records: five straddle a block boundary, five end
+        // exactly on one, and the last ends past the file (its range is
+        // clipped to `len`).
+        let record_bytes = 400;
+        let total = view.len.div_ceil(record_bytes);
+        assert_eq!(total, 26);
+        let plans: [&[u64]; 5] = [
+            &[total],
+            &[1; 26],
+            &[5, 0, 5, 5, 0, 0, 5, 6],
+            &[0, 5, 0, 0, 3, 9, 0, 1, 7, 1, 0],
+            &[2, 0, 13, 11, 0],
+        ];
+        for counts in plans {
+            assert_eq!(counts.iter().sum::<u64>(), total);
+            let tasks = map_range_tasks(&view, record_bytes, counts);
+            assert_eq!(tasks.len(), counts.iter().filter(|&&n| n > 0).count());
+            for (work, hints) in &tasks {
+                let TaskWork::MapRange {
+                    start, end, blocks, ..
+                } = work
+                else {
+                    panic!("a file split is a MapRange");
+                };
+                let full: Vec<BlockLoc> = view
+                    .blocks
+                    .iter()
+                    .filter(|b| b.offset < *end && b.offset + b.len > *start)
+                    .cloned()
+                    .collect();
+                assert_eq!(blocks, &full, "blocks of [{start}, {end})");
+                let mut expect: Vec<NodeId> = Vec::new();
+                for r in full.iter().flat_map(|b| &b.replicas) {
+                    if !expect.contains(r) {
+                        expect.push(*r);
+                    }
+                }
+                assert_eq!(hints, &expect, "hints of [{start}, {end})");
+            }
+            let last = tasks.last().map(|(w, _)| match w {
+                TaskWork::MapRange { end, blocks, .. } => (*end, blocks.last().map(|b| b.len)),
+                _ => unreachable!(),
+            });
+            assert_eq!(
+                last,
+                Some((view.len, Some(337))),
+                "the short tail block is covered"
+            );
+        }
     }
 }

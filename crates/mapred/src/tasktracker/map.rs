@@ -177,7 +177,7 @@ impl TaskRun {
                 // The replica's DataNode has left the cluster (dynamic
                 // membership removes it from the registry): fall through to
                 // the next replica instead of failing the attempt outright.
-                node.io.remove(&tag);
+                node.io.remove(tag);
                 ctx.stats().incr("mr.read_reroutes");
                 read.replica_tried += 1;
                 continue;

@@ -47,7 +47,6 @@ mod tests;
 use std::collections::VecDeque;
 
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
 use accelmr_dfs::msgs::{BlockAllocated, CreateAck, RangeData, ReadError, WriteAck};
 use accelmr_dfs::DfsHandle;
 use accelmr_kernels::UnorderedDigest;
@@ -60,7 +59,7 @@ use crate::msgs::{
     AssignTask, CrashTaskTracker, InjectGray, KillTask, SetHeartbeatLoss, TaskReport, TtHeartbeat,
 };
 
-use io::{Io, IoKind, Step, Tick};
+use io::{Io, IoKind, IoTable, Step, Tick};
 
 /// Task launch overhead (task JVM start on the TaskTracker).
 pub(crate) const TASK_START_OVERHEAD: SimDuration = SimDuration::from_millis(1_800);
@@ -79,7 +78,7 @@ struct Node {
     gray_factor: f64,
     /// Every outstanding read segment, shuffle fetch and output block, by
     /// the tag its reply carries.
-    io: FxHashMap<u64, Io>,
+    io: IoTable,
     next_tag: u64,
     /// Attempts awaiting a `CreateAck`, in request order (the ack carries
     /// no tag; the NameNode answers creates in order).
@@ -216,7 +215,7 @@ impl TaskTracker {
                 env,
                 kernels_setup: Vec::new(),
                 gray_factor: 1.0,
-                io: FxHashMap::default(),
+                io: IoTable::default(),
                 next_tag: 1,
                 create_waiters: VecDeque::new(),
             },
@@ -262,7 +261,7 @@ impl TaskTracker {
         tag: u64,
         step: impl FnOnce(&mut TaskRun, &mut Node, &mut Ctx<'_>, IoKind),
     ) {
-        let Some(io) = self.node.io.remove(&tag) else {
+        let Some(io) = self.node.io.remove(tag) else {
             return;
         };
         self.with_run(ctx, io.slot, io.gen, |run, node, ctx| {
@@ -402,7 +401,7 @@ impl Actor for TaskTracker {
                     if let Some(Io {
                         kind: IoKind::Read(_),
                         ..
-                    }) = self.node.io.get(&io_tag)
+                    }) = self.node.io.get(io_tag)
                     {
                         ctx.stats().incr("dfs.read_retries");
                     }

@@ -188,6 +188,62 @@ fn reduce_of(fetches: Vec<(NodeId, u64)>) -> TaskWork {
 fn io_entry_stays_compact() {
     // A reducer holds thousands of entries; see `Io`.
     assert!(std::mem::size_of::<Io>() <= 32);
+    assert!(std::mem::size_of::<Option<Io>>() <= 32, "a table slot");
+}
+
+fn write_io(len: u64) -> Io {
+    Io {
+        slot: 0,
+        gen: 1,
+        kind: IoKind::Write { len },
+    }
+}
+
+fn len_of(io: Option<&Io>) -> Option<u64> {
+    match io?.kind {
+        IoKind::Write { len } => Some(len),
+        _ => None,
+    }
+}
+
+#[test]
+fn io_table_finds_an_entry_that_outlives_many_later_tags() {
+    let mut t = IoTable::default();
+    t.insert(1, write_io(1));
+    for tag in 2..10_002 {
+        t.insert(tag, write_io(tag));
+        assert_eq!(len_of(t.remove(tag).as_ref()), Some(tag));
+    }
+    assert_eq!(len_of(t.get(1)), Some(1));
+    assert_eq!(t.values().count(), 1);
+    assert_eq!(len_of(t.remove(1).as_ref()), Some(1));
+    assert!(t.is_empty(), "removing the oldest entry trims the window");
+}
+
+#[test]
+fn io_table_takes_back_a_tag_the_window_was_trimmed_past() {
+    // `with_io` takes tag 5 out (the oldest: the window empties), the step
+    // tracks a new I/O under tag 9, then `retrack`s 5 below the window.
+    let mut t = IoTable::default();
+    t.insert(5, write_io(5));
+    t.insert(6, write_io(6));
+    let io = t.remove(5).expect("outstanding");
+    assert_eq!(len_of(t.remove(6).as_ref()), Some(6));
+    assert!(t.is_empty());
+    t.insert(9, write_io(9));
+    t.insert(5, io);
+    assert_eq!(len_of(t.get(5)), Some(5));
+    assert_eq!(len_of(t.get(9)), Some(9));
+    let order: Vec<_> = t.values().map(|io| len_of(Some(io))).collect();
+    assert_eq!(order, [Some(5), Some(9)]);
+    // Removed, superseded, never minted, or below the window: all miss.
+    assert!(t.remove(5).is_some());
+    for tag in [5, 6, 7, 10, 0, u64::MAX] {
+        assert!(t.get(tag).is_none(), "tag {tag}");
+        assert!(t.remove(tag).is_none(), "tag {tag}");
+    }
+    assert!(t.remove(9).is_some());
+    assert!(t.is_empty(), "drained");
 }
 
 #[test]

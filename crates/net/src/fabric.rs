@@ -29,12 +29,16 @@
 //!    Flows between disjoint node pairs never pay for each other. The
 //!    solve itself runs on the allocation-free
 //!    [`crate::flow::MaxMinSolver`] with inline [`Route`]s.
-//! 3. **Completion heap** — projected finish times live in a min-heap,
-//!    lazily invalidated when a flow's rate changes (a generation counter
-//!    per flow), replacing the O(flows) completion scan per event. The
-//!    armed completion timer is *reused* when the projected next
-//!    completion instant is unchanged, instead of paying a cancel +
-//!    re-insert per event.
+//! 3. **Completion queue** — projected finish times live on the engine's
+//!    ladder queue ([`accelmr_des::Ladder`]), lazily invalidated when a
+//!    flow's rate changes (a generation counter per flow), replacing the
+//!    O(flows) completion scan per event. A binary heap held them until it
+//!    was the fabric's largest cost: ~260k pending on the 1000-node churn
+//!    run, ~18 levels of cache misses per pop; the ladder's push and pop
+//!    are O(1) and its pop order is the heap's, key for key. The armed
+//!    completion timer is *reused* when the projected next completion
+//!    instant is unchanged, instead of paying a cancel + re-insert per
+//!    event.
 //! 4. **Slab flow storage, route classes** — active flows live in a
 //!    slot-indexed slab split into a hot array (remaining bytes, rate —
 //!    what the settle and write-back loops touch) and a cold array
@@ -60,8 +64,9 @@
 //!    solve and the rate write-back provably need no order and run in
 //!    walk order, unsorted: rates are bit-identical under any `add_flow` /
 //!    `add_link` order and any grouping of equal flows (argued at
-//!    [`MaxMinSolver::solve`], property-tested beside it), and the heap
-//!    keys `(finish, id, gen)` are unique, so pops ignore push order.
+//!    [`MaxMinSolver::solve`], property-tested beside it), and the
+//!    completion keys `(finish, id, gen)` are unique, so pops ignore push
+//!    order.
 //!
 //! The engine this one replaced — one global [`crate::flow::max_min_rates`]
 //! solve over all flows per flow event — survives as the test-only
@@ -69,12 +74,10 @@
 //! only): the tests below run their scripts on both and require flow
 //! completion *times* equal within float epsilon.
 
-use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::BinaryHeap;
 
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
+use accelmr_des::{FxHashMap, Ladder, QueueStats, Timed};
 
 use crate::config::{NetConfig, NodeId};
 use crate::flow::{LinkId, LinkTable, MaxMinSolver, Route};
@@ -195,7 +198,7 @@ pub struct FlowAborted {
 #[derive(Clone, Copy)]
 struct FlowHot {
     /// Monotonic flow id: the sort key of the abort sweep and the
-    /// completion-heap tiebreaker. Slab *slots* are recycled; ids never
+    /// completion-queue tiebreaker. Slab *slots* are recycled; ids never
     /// are. `u64::MAX` marks a free slot (no live flow can carry it — ids
     /// count up from zero).
     id: u64,
@@ -204,9 +207,10 @@ struct FlowHot {
     remaining: f64,
     rate: f64,
     updated_at: SimTime,
-    /// Bumped on every rate change; completion-heap entries carrying an
-    /// older generation are stale and dropped on pop.
-    gen: u64,
+    /// Bumped (wrapping) on every rate change; completion entries carrying
+    /// an older generation are stale and dropped on pop. No flow sees 2^32
+    /// rate changes, so a wrapped generation never aliases a live entry.
+    gen: u32,
     /// The flow's [`RouteClass`] (index into `Fabric::classes`) and its
     /// index in that class's member list (`join_class` / `leave_class`
     /// keep both current).
@@ -269,6 +273,34 @@ struct FlowCold {
     tag: u64,
     total: u64,
     on_done: Option<Box<dyn Msg>>,
+}
+
+/// A projected completion: flow `id` (in slab `slot`) finishes at `at`
+/// if its rate is still the one of generation `gen`. Keyed on `(at, id,
+/// gen)`, unique among entries, so the pop order is the key order whatever
+/// the push order. The slot rides along for O(1) access and never decides
+/// order. 24 bytes: ~260k are pending at an average pop on the
+/// 1000-node churn run.
+#[derive(Clone, Copy)]
+struct Done {
+    at: SimTime,
+    id: u64,
+    gen: u32,
+    slot: u32,
+}
+
+impl Timed for Done {
+    type Key = (SimTime, u64, u32);
+
+    #[inline]
+    fn at(&self) -> SimTime {
+        self.at
+    }
+
+    #[inline]
+    fn key(&self) -> Self::Key {
+        (self.at, self.id, self.gen)
+    }
 }
 
 /// Completion-timer tag.
@@ -349,11 +381,15 @@ pub struct Fabric {
     comp_classes: Vec<(u32, u32)>,
     bfs_links: Vec<LinkId>,
     solver: MaxMinSolver,
-    /// Min-heap of (projected finish, flow id, generation, slab slot).
-    /// The slot rides along for O(1) access; it never decides order —
-    /// ids are unique, so comparisons end at the (finish, id, gen) prefix
-    /// exactly as they did before slots existed.
-    done_heap: BinaryHeap<Reverse<(SimTime, u64, u64, u32)>>,
+    /// Projected completions, stale ones included, popped in `(finish,
+    /// flow id, generation)` order. A rate change pushes a fresh entry and
+    /// leaves the old one to be dropped when it surfaces. `settle_due` and
+    /// `rearm` drop stale entries wherever they sit, ahead of the clock
+    /// too, so a later push can land behind the ladder's last popped
+    /// instant — which the ladder accepts (see [`Ladder::push`]). Its
+    /// counters go to `net.completion_rungs_spawned` and
+    /// `net.completion_peak_cur_len` after every advance.
+    completions: Ladder<Done>,
 }
 
 impl Fabric {
@@ -398,7 +434,7 @@ impl Fabric {
             comp_classes: Vec::new(),
             bfs_links: Vec::new(),
             solver: MaxMinSolver::new(),
-            done_heap: BinaryHeap::new(),
+            completions: Ladder::new(),
         }
     }
 
@@ -649,22 +685,22 @@ impl Fabric {
         links.for_each(|l| self.mark_dirty(l));
     }
 
-    /// Pops every due completion off the heap, settling and completing the
+    /// Pops every due completion off the queue, settling and completing the
     /// flows whose projected finish has arrived. Stale entries (older
     /// generation than the flow, or flow already gone) are discarded.
     fn settle_due(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        while let Some(&Reverse((at, id, gen, slot))) = self.done_heap.peek() {
+        while let Some(&Done { at, id, gen, slot }) = self.completions.peek() {
             // Slots recycle, ids don't: an id mismatch means this entry's
             // flow is gone and another now owns the slot.
             let h = &mut self.hot[slot as usize];
             if h.id != id || h.gen != gen {
-                self.done_heap.pop();
+                self.completions.pop();
                 continue;
             }
             if at > now {
                 break;
             }
-            self.done_heap.pop();
+            self.completions.pop();
             let dt = (now - h.updated_at).as_secs_f64();
             if dt > 0.0 {
                 h.remaining -= h.rate * dt;
@@ -679,14 +715,15 @@ impl Fabric {
                 // Nanosecond rounding left a sliver; try again shortly.
                 let delay = SimDuration::from_secs_f64(h.remaining / h.rate)
                     .max(SimDuration::from_nanos(1));
-                self.done_heap.push(Reverse((now + delay, id, gen, slot)));
+                let at = now + delay;
+                self.completions.push(Done { at, id, gen, slot });
             }
         }
     }
 
     /// Re-solves max-min rates over the connected component(s) of the
     /// link/flow sharing graph reachable from the dirty links. Flows
-    /// outside the walked component keep their rates and their heap
+    /// outside the walked component keep their rates and their queued
     /// entries untouched — disjoint traffic is free.
     fn resolve_dirty(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
         if self.dirty_links.is_empty() {
@@ -774,12 +811,12 @@ impl Fabric {
                 h.updated_at = now;
                 if new_rate != h.rate {
                     h.rate = new_rate;
-                    h.gen += 1;
+                    h.gen = h.gen.wrapping_add(1);
                     if new_rate > 0.0 {
                         let delay = SimDuration::from_secs_f64(h.remaining / new_rate)
                             .max(SimDuration::from_nanos(1));
-                        self.done_heap
-                            .push(Reverse((now + delay, h.id, h.gen, slot)));
+                        let (at, id, gen) = (now + delay, h.id, h.gen);
+                        self.completions.push(Done { at, id, gen, slot });
                     }
                 }
             };
@@ -801,14 +838,14 @@ impl Fabric {
     /// *reusing* the armed timer when that instant is unchanged.
     fn rearm(&mut self, ctx: &mut Ctx<'_>) {
         let next = loop {
-            match self.done_heap.peek() {
+            match self.completions.peek() {
                 None => break None,
-                Some(&Reverse((at, id, gen, slot))) => {
+                Some(&Done { at, id, gen, slot }) => {
                     let h = &self.hot[slot as usize];
                     if h.id == id && h.gen == gen {
                         break Some(at);
                     }
-                    self.done_heap.pop();
+                    self.completions.pop();
                 }
             }
         };
@@ -840,6 +877,12 @@ impl Fabric {
         self.resolve_dirty(ctx, now);
         self.rearm(ctx);
         ctx.lap("net.fabric.phase.rearm");
+        let mut qs = QueueStats::default();
+        self.completions.report(&mut qs);
+        ctx.stats()
+            .add("net.completion_rungs_spawned", qs.rungs_spawned);
+        ctx.stats()
+            .raise("net.completion_peak_cur_len", qs.peak_cur_len);
         #[cfg(debug_assertions)]
         self.debug_check_link_index();
     }
@@ -929,7 +972,7 @@ impl Fabric {
         dead.sort_unstable();
         for (_, slot) in dead {
             let (mut h, c) = self.remove_flow(slot);
-            // A flow settled to within EPS of done may still hold a heap
+            // A flow settled to within EPS of done may still hold a completion
             // entry a nanosecond out (timer quantization): deliver
             // FlowDone rather than abort a transfer that has effectively
             // landed (the oracle's elapse-before-abort does the same).
@@ -1697,12 +1740,14 @@ mod tests {
     }
 
     /// The record sizes the layout argument rests on: a flow's hot state
-    /// without route, cap, link positions or walk stamp, and a class in
-    /// half a cache line.
+    /// without route, cap, link positions or walk stamp, a class in half a
+    /// cache line, and a queued completion in 24 bytes (a run holds
+    /// hundreds of thousands).
     #[test]
     fn hot_records_stay_compact() {
         assert!(std::mem::size_of::<FlowHot>() <= 56);
         assert_eq!(std::mem::size_of::<RouteClass>(), 32);
+        assert_eq!(std::mem::size_of::<Done>(), 24);
     }
 
     /// Directed class-membership case: three flows over one route at one
