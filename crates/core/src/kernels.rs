@@ -141,12 +141,12 @@ impl TaskKernel for CellAesKernel {
     fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
         // SPU context creation the first time the library loads on a node.
         let cell = cell_env(env);
-        cell.machine(0).warm_up()
+        cell.machine().warm_up()
     }
 
     fn map_record(&self, env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
         let cell = cell_env(env);
-        let machine = cell.machine(0);
+        let machine = cell.machine();
         let spu_kernel = AesCtrSpeKernel::new(self.key.clone(), JOB_NONCE);
         let bridge_cost = self.bridge.call_cost(rec.len);
         match rec.bytes {
@@ -361,7 +361,7 @@ impl TaskKernel for CellPiKernel {
 
     fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
         let cell = cell_env(env);
-        cell.machine(0).warm_up()
+        cell.machine().warm_up()
     }
 
     fn map_record(&self, _env: &mut dyn NodeEnv, _rec: &RecordCtx<'_>) -> RecordOutcome {
@@ -370,7 +370,7 @@ impl TaskKernel for CellPiKernel {
 
     fn map_units(&self, env: &mut dyn NodeEnv, units: u64, stream: u64) -> UnitsOutcome {
         let cell = cell_env(env);
-        let machine = cell.machine(0);
+        let machine = cell.machine();
         // Per-task stream namespace: each task gets an 8-wide SPE stream
         // block so SPE sub-streams never collide across tasks.
         let spu_kernel = PiSpeKernel::new(self.seed, stream * 8);

@@ -17,7 +17,7 @@ use crate::sim::Ctx;
 pub struct ActorId(pub(crate) u32);
 
 impl ActorId {
-    /// A sentinel id used as the sender of engine-originated events.
+    /// A sentinel id naming no actor (a placeholder until wiring).
     pub const ENGINE: ActorId = ActorId(u32::MAX);
 
     /// The raw index value (useful for compact per-actor tables).
@@ -119,8 +119,6 @@ pub enum Event {
     },
     /// A message from another actor (or the harness) has arrived.
     Msg {
-        /// The sending actor ([`ActorId::ENGINE`] for harness injections).
-        from: ActorId,
         /// The payload.
         msg: Box<dyn Msg>,
     },
@@ -148,7 +146,8 @@ pub trait Actor: Send + Any {
     /// stopping the run) go through [`Ctx`].
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event);
 
-    /// Human-readable name used in traces and panics.
+    /// The actor's name, read once at spawn: the part before the first `@`
+    /// is its profiling class ([`crate::Stats::actor_costs`]).
     fn name(&self) -> String {
         "actor".to_string()
     }
@@ -185,10 +184,7 @@ mod tests {
     fn labels_name_the_payload_type() {
         let boxed: Box<dyn Msg> = Box::new(Pong);
         assert!(boxed.as_ref().label().ends_with("Pong"));
-        let ev = Event::Msg {
-            from: ActorId::ENGINE,
-            msg: boxed,
-        };
+        let ev = Event::Msg { msg: boxed };
         assert!(ev.label().ends_with("Pong"));
         assert_eq!(Event::Start.label(), "Start");
     }

@@ -42,7 +42,6 @@
 //! ```
 
 pub mod actor;
-pub mod expiry;
 pub mod fxmap;
 mod queue;
 pub mod rng;
@@ -52,7 +51,6 @@ pub mod time;
 pub mod trace;
 
 pub use actor::{Actor, ActorId, Event, Msg, MsgExt, TimerHandle};
-pub use expiry::ExpiryHeap;
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
 pub use queue::{Ladder, Timed};
 pub use rng::{splitmix64, Xoshiro256};

@@ -118,10 +118,7 @@ pub(crate) enum Payload {
     /// a stale `gen` means the timer was cancelled or rescheduled).
     Timer { slot: u32, gen: u32, tag: u64 },
     /// A boxed message.
-    Msg {
-        from: ActorId,
-        msg: Box<dyn crate::actor::Msg>,
-    },
+    Msg { msg: Box<dyn crate::actor::Msg> },
 }
 
 /// One pending event. Dispatch order is ascending `(at, seq)`.

@@ -14,7 +14,6 @@ use crate::trace::Trace;
 
 struct Slot {
     actor: Option<Box<dyn Actor>>,
-    name: String,
     /// Actor-class row id in [`Stats`] (interned at spawn from the name up
     /// to the first `@`), charged per event when profiling is enabled.
     class: u32,
@@ -64,6 +63,19 @@ impl SimCore {
         let qs = self.stats.queue_mut();
         qs.pushes += 1;
         qs.peak_depth = qs.peak_depth.max(self.queue.len() as u64);
+    }
+
+    /// Registers `actor` in `actors` under the class its name names and
+    /// queues its [`Event::Start`] at the current instant.
+    fn spawn(&mut self, actors: &mut Vec<Slot>, actor: Box<dyn Actor>) -> ActorId {
+        let id = ActorId(u32::try_from(actors.len()).expect("too many actors"));
+        let class = self.stats.intern_actor_class(actor_class_of(&actor.name()));
+        actors.push(Slot {
+            actor: Some(actor),
+            class,
+        });
+        self.push(self.now, id, Payload::Start);
+        id
     }
 
     /// Grabs a free timer slot (or mints a new one) at its current
@@ -151,22 +163,7 @@ impl Sim {
 
     /// Registers an actor; it receives [`Event::Start`] at the current time.
     pub fn spawn(&mut self, actor: Box<dyn Actor>) -> ActorId {
-        let name = actor.name();
-        self.spawn_named(actor, name)
-    }
-
-    /// Registers an actor under an explicit name.
-    pub fn spawn_named(&mut self, actor: Box<dyn Actor>, name: impl Into<String>) -> ActorId {
-        let id = ActorId(u32::try_from(self.actors.len()).expect("too many actors"));
-        let name = name.into();
-        let class = self.core.stats.intern_actor_class(actor_class_of(&name));
-        self.actors.push(Slot {
-            actor: Some(actor),
-            name,
-            class,
-        });
-        self.core.push(self.core.now, id, Payload::Start);
-        id
+        self.core.spawn(&mut self.actors, actor)
     }
 
     /// Current simulated time.
@@ -174,38 +171,20 @@ impl Sim {
         self.core.now
     }
 
-    /// Injects a message from the harness (sender = [`ActorId::ENGINE`]).
+    /// Injects a message from the harness.
     pub fn post(&mut self, to: ActorId, msg: Box<dyn Msg>) {
-        self.core.push(
-            self.core.now,
-            to,
-            Payload::Msg {
-                from: ActorId::ENGINE,
-                msg,
-            },
-        );
+        self.post_after(to, msg, SimDuration::ZERO);
     }
 
     /// Injects a message that arrives after `delay`.
     pub fn post_after(&mut self, to: ActorId, msg: Box<dyn Msg>, delay: SimDuration) {
-        self.core.push(
-            self.core.now + delay,
-            to,
-            Payload::Msg {
-                from: ActorId::ENGINE,
-                msg,
-            },
-        );
+        self.core
+            .push(self.core.now + delay, to, Payload::Msg { msg });
     }
 
     /// Read access to collected metrics.
     pub fn stats(&self) -> &Stats {
         &self.core.stats
-    }
-
-    /// Name an actor registered under `id`.
-    pub fn actor_name(&self, id: ActorId) -> &str {
-        &self.actors[id.index()].name
     }
 
     /// Borrows the concrete state of the actor registered under `id`.
@@ -224,14 +203,6 @@ impl Sim {
     pub fn actor_mut<T: Actor>(&mut self, id: ActorId) -> Option<&mut T> {
         let actor = self.actors.get_mut(id.index())?.actor.as_deref_mut()?;
         (actor as &mut dyn core::any::Any).downcast_mut::<T>()
-    }
-
-    /// Whether the actor is still alive (not killed).
-    pub fn is_alive(&self, id: ActorId) -> bool {
-        self.actors
-            .get(id.index())
-            .map(|s| s.actor.is_some())
-            .unwrap_or(false)
     }
 
     /// Enables per-actor-class event-cost profiling: every subsequent
@@ -347,7 +318,7 @@ impl Sim {
                 handle: TimerHandle::pack(slot, gen),
                 tag,
             },
-            Payload::Msg { from, msg } => Event::Msg { from, msg },
+            Payload::Msg { msg } => Event::Msg { msg },
         };
         // `label()` is a virtual call per message: only pay it when traced.
         if self.core.trace.is_enabled() {
@@ -434,22 +405,13 @@ impl<'a> Ctx<'a> {
 
     /// Sends `msg` to `to` with an explicit delivery delay.
     pub fn send_after(&mut self, to: ActorId, msg: impl Msg, delay: SimDuration) {
-        let from = self.self_id;
-        self.core.push(
-            self.core.now + delay,
-            to,
-            Payload::Msg {
-                from,
-                msg: Box::new(msg),
-            },
-        );
+        self.send_boxed(to, Box::new(msg), delay);
     }
 
     /// Sends a pre-boxed message (avoids re-boxing when forwarding).
     pub fn send_boxed(&mut self, to: ActorId, msg: Box<dyn Msg>, delay: SimDuration) {
-        let from = self.self_id;
         self.core
-            .push(self.core.now + delay, to, Payload::Msg { from, msg });
+            .push(self.core.now + delay, to, Payload::Msg { msg });
     }
 
     /// Arms a one-shot timer for this actor. The firing event carries `tag`.
@@ -535,22 +497,7 @@ impl<'a> Ctx<'a> {
     /// Spawns a new actor mid-run; it receives [`Event::Start`] at the
     /// current instant.
     pub fn spawn(&mut self, actor: Box<dyn Actor>) -> ActorId {
-        let name = actor.name();
-        self.spawn_named(actor, name)
-    }
-
-    /// Spawns a new actor under an explicit name.
-    pub fn spawn_named(&mut self, actor: Box<dyn Actor>, name: impl Into<String>) -> ActorId {
-        let id = ActorId(u32::try_from(self.actors.len()).expect("too many actors"));
-        let name = name.into();
-        let class = self.core.stats.intern_actor_class(actor_class_of(&name));
-        self.actors.push(Slot {
-            actor: Some(actor),
-            name,
-            class,
-        });
-        self.core.push(self.core.now, id, Payload::Start);
-        id
+        self.core.spawn(self.actors, actor)
     }
 
     /// Permanently removes an actor. Pending events addressed to it are
@@ -561,18 +508,6 @@ impl<'a> Ctx<'a> {
         } else if let Some(slot) = self.actors.get_mut(id.index()) {
             slot.actor = None;
         }
-    }
-
-    /// `true` when the actor is alive (the currently-running actor counts as
-    /// alive unless it has killed itself).
-    pub fn is_alive(&self, id: ActorId) -> bool {
-        if id == self.self_id {
-            return !self.kill_self;
-        }
-        self.actors
-            .get(id.index())
-            .map(|s| s.actor.is_some())
-            .unwrap_or(false)
     }
 
     /// Requests a graceful stop; the engine returns after this handler.
@@ -614,8 +549,9 @@ mod tests {
     #[derive(Debug)]
     struct Kick;
 
+    /// A rally count and the player to return the ball to.
     #[derive(Debug)]
-    struct Ball(u32);
+    struct Ball(u32, ActorId);
 
     /// Bounces a ball back and forth `limit` times, then stops the world.
     struct Player {
@@ -630,17 +566,19 @@ mod tests {
                 Event::Start => {
                     if self.serve {
                         if let Some(peer) = self.peer {
-                            ctx.send_after(peer, Ball(0), SimDuration::from_millis(1));
+                            let me = ctx.self_id();
+                            ctx.send_after(peer, Ball(0, me), SimDuration::from_millis(1));
                         }
                     }
                 }
-                Event::Msg { from, msg } => {
+                Event::Msg { msg } => {
                     if let Ok(ball) = msg.downcast::<Ball>() {
                         ctx.stats().incr("bounces");
                         if ball.0 >= self.limit {
                             ctx.stop();
                         } else {
-                            ctx.send_after(from, Ball(ball.0 + 1), SimDuration::from_millis(1));
+                            let back = Ball(ball.0 + 1, ctx.self_id());
+                            ctx.send_after(ball.1, back, SimDuration::from_millis(1));
                         }
                     }
                 }
@@ -792,7 +730,7 @@ mod tests {
         sim.spawn(Box::new(Killer { victim: v }));
         sim.run();
         assert_eq!(sim.stats().counter("victim_got_msg"), 0);
-        assert!(!sim.is_alive(v));
+        assert!(sim.actor_ref::<Victim>(v).is_none());
     }
 
     #[test]
@@ -803,14 +741,13 @@ mod tests {
                 if matches!(ev, Event::Start) {
                     let me = ctx.self_id();
                     ctx.kill(me);
-                    assert!(!ctx.is_alive(me));
                 }
             }
         }
         let mut sim = Sim::new(0);
         let q = sim.spawn(Box::new(Quitter));
         sim.run();
-        assert!(!sim.is_alive(q));
+        assert!(sim.actor_ref::<Quitter>(q).is_none());
     }
 
     #[test]
@@ -1180,19 +1117,29 @@ mod tests {
         );
     }
 
+    /// An actor's name registers its profiling class: everything before
+    /// the first `@`, so per-node actors share one row.
     #[test]
     fn actor_names_are_registered() {
-        struct N;
+        struct N(&'static str);
         impl Actor for N {
             fn handle(&mut self, _: &mut Ctx<'_>, _: Event) {}
             fn name(&self) -> String {
-                "namenode".into()
+                self.0.into()
             }
         }
         let mut sim = Sim::new(0);
-        let a = sim.spawn(Box::new(N));
-        let b = sim.spawn_named(Box::new(N), "custom");
-        assert_eq!(sim.actor_name(a), "namenode");
-        assert_eq!(sim.actor_name(b), "custom");
+        sim.enable_profiling();
+        for name in ["datanode@1", "namenode", "datanode@2"] {
+            sim.spawn(Box::new(N(name)));
+        }
+        sim.run();
+        let rows: Vec<(String, u64)> = sim
+            .stats()
+            .actor_costs()
+            .into_iter()
+            .map(|c| (c.class, c.events))
+            .collect();
+        assert_eq!(rows, [("datanode".into(), 2), ("namenode".into(), 1)]);
     }
 }

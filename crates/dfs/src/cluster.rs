@@ -7,7 +7,7 @@ use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
 
 use crate::config::{BlockId, DfsConfig};
-use crate::datanode::DataNode;
+use crate::datanode::{DataNode, Shutdown};
 use crate::msgs::*;
 use crate::namenode::NameNode;
 
@@ -24,12 +24,46 @@ pub struct DfsHandle {
     pub datanodes: NodeRegistry,
     /// The network fabric.
     pub net: NetHandle,
+    /// Whether DataNodes serve real bytes. Fixed at deploy; DataNodes
+    /// added later inherit it.
+    materialized: bool,
 }
 
 impl DfsHandle {
     /// DataNode actor serving `node`, if one exists.
     pub fn datanode_on(&self, node: NodeId) -> Option<ActorId> {
         self.datanodes.get(node)
+    }
+
+    /// Joins a DataNode on `node` mid-run and returns its actor. Within
+    /// the instant, in order: the DataNode spawns wired to the NameNode
+    /// and the current peers, every registered peer learns it through
+    /// [`AddPeer`] in registry order, the registry routes to it, and
+    /// [`AddDataNode`] admits it to the NameNode's placement rotation. The
+    /// fabric must already carry `node` ([`NetHandle::ensure_node`]).
+    pub fn add_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) -> ActorId {
+        let registered = self.datanodes.snapshot();
+        let mut dn = DataNode::new(self.net, node, self.head_node, self.materialized);
+        dn.rewire(
+            self.namenode,
+            Arc::new(registered.iter().copied().collect()),
+        );
+        let actor = ctx.spawn(Box::new(dn));
+        for &(_, peer) in &registered {
+            ctx.send(peer, AddPeer { node, actor });
+        }
+        self.datanodes.insert(node, actor);
+        ctx.send(self.namenode, AddDataNode { node, actor });
+        actor
+    }
+
+    /// Crashes the DataNode on `node`: the registry stops routing to it
+    /// and it receives [`Shutdown`]. The NameNode learns of the loss by
+    /// heartbeat silence.
+    pub fn remove_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) {
+        if let Some(dn) = self.datanodes.remove(node) {
+            ctx.send(dn, Shutdown);
+        }
     }
 
     /// Sends a [`GetLocations`] request from `my_node`; the reply arrives
@@ -150,10 +184,10 @@ impl DfsHandle {
 /// Panics on a `cfg` that [`DfsConfig::validate`] rejects.
 ///
 /// Actor ids form a cycle (DataNodes need the NameNode id, the NameNode
-/// needs the DataNode registry), so DataNodes spawn first behind a
-/// internal `PendingDataNode` shim and receive their wiring as the first posted
-/// message — which the engine's FIFO-at-equal-time ordering guarantees
-/// arrives before any protocol traffic or armed timer.
+/// needs the DataNode registry), so DataNodes spawn first and receive
+/// their wiring as the first posted message — which the engine's
+/// FIFO-at-equal-time ordering guarantees arrives before any protocol
+/// traffic or armed timer.
 pub fn deploy_dfs(
     sim: &mut Sim,
     net: NetHandle,
@@ -168,8 +202,7 @@ pub fn deploy_dfs(
     let mut dns: Vec<(NodeId, ActorId)> = Vec::with_capacity(workers.len());
     let mut peers: FxHashMap<NodeId, ActorId> = FxHashMap::default();
     for &w in workers {
-        let dn = DataNode::new(net, w, head_node, materialized);
-        let id = sim.spawn(Box::new(PendingDataNode::new(dn)));
+        let id = sim.spawn(Box::new(DataNode::new(net, w, head_node, materialized)));
         peers.insert(w, id);
         dns.push((w, id));
     }
@@ -194,51 +227,16 @@ pub fn deploy_dfs(
         head_node,
         datanodes: NodeRegistry::new(dns),
         net,
+        materialized,
     }
 }
 
-/// Wiring message delivered once at deployment.
+/// Wiring message delivered once to each DataNode at deployment. Declared
+/// here, beside its sender: its trace label is its type path.
 #[derive(Debug)]
-struct WireDataNode {
-    namenode: ActorId,
-    peers: Arc<FxHashMap<NodeId, ActorId>>,
-}
-
-/// Wrapper that holds a DataNode until its wiring message arrives, then
-/// delegates forever. Keeps `DataNode::new` free of placeholder ids.
-struct PendingDataNode {
-    inner: DataNode,
-    wired: bool,
-}
-
-impl PendingDataNode {
-    fn new(inner: DataNode) -> Self {
-        PendingDataNode {
-            inner,
-            wired: false,
-        }
-    }
-}
-
-impl Actor for PendingDataNode {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        if let Event::Msg { ref msg, .. } = ev {
-            if let Some(w) = msg.peek::<WireDataNode>() {
-                self.inner.rewire(w.namenode, Arc::clone(&w.peers));
-                self.wired = true;
-                return;
-            }
-        }
-        debug_assert!(
-            self.wired || matches!(ev, Event::Start | Event::Timer { .. }),
-            "DataNode received protocol traffic before wiring"
-        );
-        self.inner.handle(ctx, ev);
-    }
+pub(crate) struct WireDataNode {
+    pub(crate) namenode: ActorId,
+    pub(crate) peers: Arc<FxHashMap<NodeId, ActorId>>,
 }
 
 #[cfg(test)]
@@ -264,6 +262,29 @@ mod tests {
         (h, nodes)
     }
 
+    /// Asks the NameNode to preload `path`; the caller receives
+    /// [`PreloadDone`].
+    fn preload(
+        ctx: &mut Ctx<'_>,
+        dfs: &DfsHandle,
+        path: &str,
+        len: u64,
+        block_size: Option<u64>,
+        replication: Option<usize>,
+        seed: u64,
+    ) {
+        let reply = ctx.self_id();
+        let req = PreloadFile {
+            path: path.into(),
+            len,
+            block_size,
+            replication,
+            seed,
+            reply,
+        };
+        ctx.send(dfs.namenode, req);
+    }
+
     /// Test client actor driving a scripted interaction.
     struct Client<F: FnMut(&mut Ctx<'_>, Event, &DfsHandle, &mut u32) + Send + 'static> {
         dfs: DfsHandle,
@@ -287,18 +308,7 @@ mod tests {
             state: 0,
             script: move |ctx, ev, dfs, state| match ev {
                 Event::Start => {
-                    let me = ctx.self_id();
-                    ctx.send(
-                        dfs.namenode,
-                        PreloadFile {
-                            path: "/input".into(),
-                            len: 8 * (64 << 20),
-                            block_size: None,
-                            replication: None,
-                            seed: 7,
-                            reply: me,
-                        },
-                    );
+                    preload(ctx, dfs, "/input", 8 * (64 << 20), None, None, 7);
                 }
                 Event::Msg { msg, .. } => {
                     if let Some(done) = msg.peek::<PreloadDone>() {
@@ -333,18 +343,7 @@ mod tests {
             state: 0,
             script: |ctx, ev, dfs, _state| match ev {
                 Event::Start => {
-                    let me = ctx.self_id();
-                    ctx.send(
-                        dfs.namenode,
-                        PreloadFile {
-                            path: "/data".into(),
-                            len: 1 << 20,
-                            block_size: Some(256 << 10),
-                            replication: None,
-                            seed: 42,
-                            reply: me,
-                        },
-                    );
+                    preload(ctx, dfs, "/data", 1 << 20, Some(256 << 10), None, 42);
                 }
                 Event::Msg { msg, .. } => {
                     if let Some(done) = msg.peek::<PreloadDone>() {
@@ -378,18 +377,7 @@ mod tests {
             state: 0,
             script: |ctx, ev, dfs, _| match ev {
                 Event::Start => {
-                    let me = ctx.self_id();
-                    ctx.send(
-                        dfs.namenode,
-                        PreloadFile {
-                            path: "/big".into(),
-                            len: 64 << 20,
-                            block_size: None,
-                            replication: None,
-                            seed: 0,
-                            reply: me,
-                        },
-                    );
+                    preload(ctx, dfs, "/big", 64 << 20, None, None, 0);
                 }
                 Event::Msg { msg, .. } => {
                     if let Some(done) = msg.peek::<PreloadDone>() {
@@ -517,18 +505,7 @@ mod tests {
             state: 0,
             script: move |ctx, ev, dfs, _state| match ev {
                 Event::Start => {
-                    let me = ctx.self_id();
-                    ctx.send(
-                        dfs.namenode,
-                        PreloadFile {
-                            path: "/r2".into(),
-                            len: 4 * (64 << 20),
-                            block_size: None,
-                            replication: Some(2),
-                            seed: 1,
-                            reply: me,
-                        },
-                    );
+                    preload(ctx, dfs, "/r2", 4 * (64 << 20), None, Some(2), 1);
                 }
                 Event::Msg { msg, .. } => {
                     if msg.peek::<PreloadDone>().is_some() {
@@ -572,25 +549,12 @@ mod tests {
         let (dfs, _) = deploy(&mut sim, 2, false);
         let dn1 = dfs.datanode_on(NodeId(1)).unwrap();
         let namenode = dfs.namenode;
-        let net = dfs.net;
-        let dfs_reg = dfs.datanodes.clone();
         sim.spawn(Box::new(Client {
             dfs,
             state: 0,
             script: move |ctx, ev, dfs, state| match ev {
                 Event::Start => {
-                    let me = ctx.self_id();
-                    ctx.send(
-                        dfs.namenode,
-                        PreloadFile {
-                            path: "/f".into(),
-                            len: 2 * (64 << 20),
-                            block_size: None,
-                            replication: Some(2),
-                            seed: 2,
-                            reply: me,
-                        },
-                    );
+                    preload(ctx, dfs, "/f", 2 * (64 << 20), None, Some(2), 2);
                 }
                 Event::Msg { msg, .. } => {
                     if msg.peek::<PreloadDone>().is_some() {
@@ -609,32 +573,10 @@ mod tests {
                 Event::Timer { tag: 1, .. } => {
                     // Node 1 is dead and every block sits at 1/2 replicas
                     // with no capacity. Join node 3 the way the runtime
-                    // does: grow the fabric, spawn + wire a DataNode,
-                    // admit it at the NameNode.
+                    // does: grow the fabric, then add the DataNode.
                     *state = 1;
-                    net.ensure_node(ctx, NodeId(3));
-                    let mut dn = DataNode::new(net, NodeId(3), NodeId::HEAD, false);
-                    let peers: FxHashMap<NodeId, ActorId> =
-                        dfs_reg.snapshot().into_iter().collect();
-                    dn.rewire(dfs.namenode, Arc::new(peers));
-                    let dn_id = ctx.spawn(Box::new(dn));
-                    for (_, peer) in dfs_reg.snapshot() {
-                        ctx.send(
-                            peer,
-                            AddPeer {
-                                node: NodeId(3),
-                                actor: dn_id,
-                            },
-                        );
-                    }
-                    dfs_reg.insert(NodeId(3), dn_id);
-                    ctx.send(
-                        dfs.namenode,
-                        AddDataNode {
-                            node: NodeId(3),
-                            actor: dn_id,
-                        },
-                    );
+                    dfs.net.ensure_node(ctx, NodeId(3));
+                    dfs.add_datanode(ctx, NodeId(3));
                     ctx.after(SimDuration::from_secs(30), 2);
                 }
                 Event::Timer { .. } => {
@@ -652,6 +594,81 @@ mod tests {
         assert_eq!(nn.live_datanode_count(), 2);
     }
 
+    /// Every DataNode is a plain `DataNode` actor, whether deployed or
+    /// added mid-run.
+    #[test]
+    fn datanodes_resolve_as_datanode_actors() {
+        let mut sim = Sim::new(11);
+        let (dfs, _) = deploy(&mut sim, 2, false);
+        let deployed = dfs.datanode_on(NodeId(1)).unwrap();
+        let registry = dfs.datanodes.clone();
+        sim.spawn(Box::new(Client {
+            dfs,
+            state: 0,
+            script: |ctx, ev, dfs, _| {
+                if let Event::Start = ev {
+                    dfs.net.ensure_node(ctx, NodeId(3));
+                    dfs.add_datanode(ctx, NodeId(3));
+                    ctx.stop();
+                }
+            },
+        }));
+        sim.run();
+        assert!(sim.actor_ref::<DataNode>(deployed).is_some());
+        let added = registry.get(NodeId(3)).expect("registered");
+        assert!(sim.actor_ref::<DataNode>(added).is_some());
+    }
+
+    /// An added DataNode is reachable in both pipeline directions: as a
+    /// downstream hop (its deployed peers learned it) and as the first
+    /// hop forwarding to a deployed peer (it was wired before spawning).
+    #[test]
+    fn added_datanode_carries_two_replica_writes() {
+        let mut sim = Sim::new(12);
+        let (dfs, _) = deploy(&mut sim, 1, false);
+        sim.spawn(Box::new(Client {
+            dfs,
+            state: 0,
+            script: |ctx, ev, dfs, acks| match ev {
+                Event::Start => {
+                    dfs.net.ensure_node(ctx, NodeId(2));
+                    dfs.add_datanode(ctx, NodeId(2));
+                    dfs.create_file(ctx, NodeId(1), "/two", Some(2));
+                }
+                Event::Msg { msg, .. } => {
+                    if msg.peek::<CreateAck>().is_some() {
+                        dfs.alloc_block(ctx, NodeId(1), "/two", 1 << 20, 1);
+                        dfs.alloc_block(ctx, NodeId(2), "/two", 1 << 20, 2);
+                    } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
+                        let writer = NodeId(alloc.tag as u32);
+                        let other = NodeId(3 - alloc.tag as u32);
+                        assert_eq!(alloc.pipeline, vec![writer, other]);
+                        assert!(dfs.write_block(
+                            ctx,
+                            writer,
+                            alloc.block,
+                            1 << 20,
+                            0,
+                            0,
+                            &alloc.pipeline,
+                            alloc.tag,
+                        ));
+                    } else if msg.peek::<WriteAck>().is_some() {
+                        *acks += 1;
+                        if *acks == 2 {
+                            ctx.stats().incr("verified");
+                            ctx.stop();
+                        }
+                    }
+                }
+                _ => {}
+            },
+        }));
+        sim.run();
+        assert_eq!(sim.stats().counter("verified"), 1);
+        assert_eq!(sim.stats().counter("dfs.bytes_written"), 4 << 20);
+    }
+
     #[test]
     fn dead_datanode_excluded_from_locations() {
         let mut sim = Sim::new(6);
@@ -662,18 +679,7 @@ mod tests {
             state: 0,
             script: move |ctx, ev, dfs, state| match ev {
                 Event::Start => {
-                    let me = ctx.self_id();
-                    ctx.send(
-                        dfs.namenode,
-                        PreloadFile {
-                            path: "/f".into(),
-                            len: 2 * (64 << 20),
-                            block_size: None,
-                            replication: None,
-                            seed: 0,
-                            reply: me,
-                        },
-                    );
+                    preload(ctx, dfs, "/f", 2 * (64 << 20), None, None, 0);
                 }
                 Event::Msg { msg, .. } => {
                     if msg.peek::<PreloadDone>().is_some() {

@@ -6,6 +6,7 @@ use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId};
 
+use crate::cluster::WireDataNode;
 use crate::config::{BlockId, HEARTBEAT_INTERVAL};
 use crate::msgs::*;
 
@@ -50,8 +51,9 @@ pub struct DataNode {
 }
 
 impl DataNode {
-    /// Builds a DataNode on `node`. The NameNode id and peer registry are
-    /// delivered post-spawn via [`DataNode::rewire`] (see `deploy_dfs`).
+    /// Builds a DataNode on `node`, not yet wired to the NameNode or its
+    /// peers: `deploy_dfs` wires it by message, `DfsHandle::add_datanode`
+    /// before spawning it.
     pub fn new(net: NetHandle, node: NodeId, head_node: NodeId, materialized: bool) -> Self {
         DataNode {
             net,
@@ -65,7 +67,7 @@ impl DataNode {
     }
 
     /// Installs the NameNode id and peer DataNode registry.
-    pub fn rewire(&mut self, namenode: ActorId, peers: Arc<FxHashMap<NodeId, ActorId>>) {
+    pub(crate) fn rewire(&mut self, namenode: ActorId, peers: Arc<FxHashMap<NodeId, ActorId>>) {
         self.namenode = namenode;
         self.peers = peers;
     }
@@ -285,6 +287,8 @@ impl Actor for DataNode {
                     ctx.stats().incr("dfs.datanodes_shutdown");
                     let me = ctx.self_id();
                     ctx.kill(me);
+                } else if let Some(w) = msg.peek::<WireDataNode>() {
+                    self.rewire(w.namenode, Arc::clone(&w.peers));
                 }
             }
         }

@@ -18,9 +18,10 @@
 //! ## Invariants callers rely on
 //!
 //! * **Dynamic membership.** The DataNode set is no longer fixed at
-//!   deploy: [`msgs::AddDataNode`] admits a joined node into the placement
-//!   rotation mid-run (existing DataNodes learn the peer via
-//!   [`msgs::AddPeer`]), and [`DfsHandle::datanodes`] is a live
+//!   deploy: [`DfsHandle::add_datanode`] joins a node mid-run (its peers
+//!   learn it via [`msgs::AddPeer`], the NameNode admits it to placement
+//!   via [`msgs::AddDataNode`]) and [`DfsHandle::remove_datanode`] crashes
+//!   one. [`DfsHandle::datanodes`] is a live
 //!   [`accelmr_net::NodeRegistry`], not a snapshot — a read routed to a
 //!   departed node fails fast instead of hanging.
 //! * **Replication repair.** When a DataNode dies (heartbeat silence) or

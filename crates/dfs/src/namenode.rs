@@ -8,8 +8,8 @@
 //! a surviving replica through a [`ReplicateBlock`] pipeline.
 
 use accelmr_des::prelude::*;
-use accelmr_des::{ExpiryHeap, FxHashMap, FxHashSet};
-use accelmr_net::{NetHandle, NodeId};
+use accelmr_des::{FxHashMap, FxHashSet};
+use accelmr_net::{Liveness, NetHandle, NodeId};
 
 use crate::config::{BlockId, DfsConfig, BLOCK_SIZE, HEARTBEAT_INTERVAL};
 use crate::msgs::*;
@@ -47,7 +47,6 @@ struct PendingRepl {
 /// The metadata master. Runs on the head node (node 0 in the paper's
 /// deployment, a Power6 JS22 blade).
 pub struct NameNode {
-    cfg: DfsConfig,
     net: NetHandle,
     my_node: NodeId,
     /// Registered DataNodes: `(node, actor)`, ascending by node.
@@ -56,16 +55,9 @@ pub struct NameNode {
     block_map: FxHashMap<BlockId, BlockInfo>,
     next_block: u64,
     placement_cursor: usize,
-    last_heartbeat: FxHashMap<NodeId, SimTime>,
-    /// Nodes declared dead by heartbeat silence. A set: placement probes
-    /// membership per candidate and the liveness path per sweep, which was
-    /// O(dead) with the former `Vec` — 527 leaves per probe at 10k nodes.
-    dead: FxHashSet<NodeId>,
-    /// Liveness deadlines, lazily invalidated: one entry per live node at
-    /// `last_heartbeat + dead_after`, refreshed only when it surfaces in a
-    /// sweep. Makes the periodic tick cost proportional to nodes whose
-    /// deadline elapsed, not to cluster size.
-    expiry: ExpiryHeap<NodeId>,
+    /// DataNode heartbeat silence past `DfsConfig::dead_after`. A dead
+    /// node stays dead until it joins again ([`AddDataNode`]).
+    liveness: Liveness,
     /// In-flight re-replications by tag.
     pending_repl: FxHashMap<u64, PendingRepl>,
     /// Blocks with a re-replication in flight (no duplicate repairs).
@@ -90,7 +82,6 @@ impl NameNode {
         // workers in any order.
         datanodes.sort_unstable_by_key(|&(n, _)| n);
         NameNode {
-            cfg,
             net,
             my_node,
             datanodes,
@@ -98,9 +89,7 @@ impl NameNode {
             block_map: FxHashMap::default(),
             next_block: 0,
             placement_cursor: 0,
-            last_heartbeat: FxHashMap::default(),
-            dead: FxHashSet::default(),
-            expiry: ExpiryHeap::new(),
+            liveness: Liveness::new(cfg.dead_after),
             pending_repl: FxHashMap::default(),
             repl_in_flight: FxHashSet::default(),
             next_repl_tag: 1,
@@ -109,7 +98,7 @@ impl NameNode {
     }
 
     fn is_live(&self, node: NodeId) -> bool {
-        !self.dead.contains(&node)
+        !self.liveness.is_dead(node)
     }
 
     fn datanode_actor(&self, node: NodeId) -> Option<ActorId> {
@@ -222,7 +211,7 @@ impl NameNode {
 
     /// Number of DataNodes currently considered live (introspection).
     pub fn live_datanode_count(&self) -> usize {
-        self.datanodes.len() - self.dead.len()
+        self.liveness.live().len()
     }
 
     /// A node left (declared dead): prune its replicas and cancel repairs
@@ -339,7 +328,7 @@ impl NameNode {
         self.repl_in_flight.remove(&p.block);
         if let Some(info) = self.block_map.get_mut(&p.block) {
             for t in p.targets {
-                if !self.dead.contains(&t) && !info.replicas.contains(&t) {
+                if !self.liveness.is_dead(t) && !info.replicas.contains(&t) {
                     info.replicas.push(t);
                 }
             }
@@ -368,11 +357,8 @@ impl Actor for NameNode {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
             Event::Start => {
-                let now = ctx.now();
-                for i in 0..self.datanodes.len() {
-                    let node = self.datanodes[i].0;
-                    self.last_heartbeat.insert(node, now);
-                    self.expiry.schedule(now + self.cfg.dead_after, node);
+                for &(node, _) in &self.datanodes {
+                    self.liveness.admit(node, ctx.now());
                 }
                 ctx.after(HEARTBEAT_INTERVAL, TIMER_LIVENESS);
             }
@@ -380,29 +366,8 @@ impl Actor for NameNode {
                 tag: TIMER_LIVENESS,
                 ..
             } => {
-                let now = ctx.now();
-                // Expiry-heap sweep: only nodes whose recorded deadline
-                // elapsed are touched; heartbeats refreshed the
-                // authoritative deadline (`last_heartbeat + dead_after`)
-                // without touching the heap, so refreshed entries re-queue
-                // here. Strict `<` preserves the former full scan's
-                // `now - last > dead_after` rule exactly.
-                let dead = &self.dead;
-                let last = &self.last_heartbeat;
-                let window = self.cfg.dead_after;
-                // Ascending node order, each node once: the order the
-                // former full scan declared deaths in, bit for bit.
-                let newly_dead = self.expiry.expired(now, |node| {
-                    if dead.contains(&node) {
-                        return None;
-                    }
-                    last.get(&node).map(|&l| l + window)
-                });
-                for &node in &newly_dead {
-                    self.dead.insert(node);
+                for node in self.liveness.sweep(ctx.now()) {
                     ctx.stats().incr("dfs.datanodes_declared_dead");
-                }
-                for node in newly_dead {
                     self.on_node_lost(node);
                 }
                 // Periodic repair scan (not just on deaths): re-issues
@@ -526,7 +491,7 @@ impl Actor for NameNode {
                         },
                     );
                 } else if let Some(hb) = msg.peek::<DnHeartbeat>() {
-                    self.last_heartbeat.insert(hb.node, ctx.now());
+                    self.liveness.heard(hb.node, ctx.now());
                     ctx.stats().incr("dfs.heartbeats");
                 } else if let Some(add) = msg.peek::<AddDataNode>() {
                     let (node, actor) = (add.node, add.actor);
@@ -535,13 +500,9 @@ impl Actor for NameNode {
                         Err(i) => self.datanodes.insert(i, (node, actor)),
                     }
                     // A join (or re-join under a recycled id) starts with a
-                    // clean bill of health. Seeding `last_heartbeat` here is
-                    // what keeps a joiner alive through a liveness tick that
-                    // fires before its first heartbeat; the fresh expiry
-                    // entry supersedes any stale one left from a prior life.
-                    self.dead.remove(&node);
-                    self.last_heartbeat.insert(node, ctx.now());
-                    self.expiry.schedule(ctx.now() + self.cfg.dead_after, node);
+                    // clean bill of health and a full window before its
+                    // first heartbeat is due.
+                    self.liveness.admit(node, ctx.now());
                     ctx.stats().incr("dfs.datanodes_joined");
                     // The new capacity may unblock repairs that had nowhere
                     // to place a replica.

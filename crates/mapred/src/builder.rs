@@ -20,7 +20,7 @@
 //! assert!(result.succeeded);
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use accelmr_des::Sim;
 use accelmr_dfs::DfsConfig;
@@ -30,7 +30,7 @@ use crate::cluster::{deploy_mr, MrCluster, PreloadSpec};
 use crate::config::{MrConfig, SchedulerPolicy};
 use crate::job::{JobInput, JobSpec, OutputSink, ReduceSpec};
 use crate::kernel::{NodeEnvFactory, NullEnvFactory, ReduceKernel, TaskKernel};
-use crate::session::{ElasticCtx, JobRequest};
+use crate::session::JobRequest;
 
 /// Fluent deployment of a simulated cluster: fabric + DFS + MapReduce
 /// runtime over `workers` nodes, with named setters and defaults matching
@@ -151,25 +151,19 @@ impl ClusterBuilder {
             &mut sim,
             net,
             &dfs,
-            &self.mr,
+            self.mr,
             NodeId::HEAD,
             &workers,
-            self.env.as_ref(),
+            self.env,
         );
-        let elastic = ElasticCtx {
-            mr_cfg: self.mr,
-            materialized: self.materialized,
-            env: self.env,
-            // Worker ids are 1..=workers; the next join gets the next id.
-            next_node: Arc::new(Mutex::new(self.workers as u32 + 1)),
-        };
         MrCluster {
             sim,
             net,
             dfs,
             mr,
             workers,
-            elastic,
+            // Worker ids are 1..=workers; the next join gets the next id.
+            next_node: self.workers as u32 + 1,
         }
     }
 }

@@ -2,6 +2,8 @@
 //! [`ClusterBuilder::deploy`](crate::ClusterBuilder::deploy) returns. Jobs
 //! are driven through [`Session`](crate::Session).
 
+use std::sync::Arc;
+
 use accelmr_des::prelude::*;
 use accelmr_dfs::DfsHandle;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
@@ -10,8 +12,7 @@ use crate::config::MrConfig;
 use crate::job::JobSpec;
 use crate::jobtracker::{JobTracker, RegisterTaskTracker};
 use crate::kernel::NodeEnvFactory;
-use crate::msgs::SubmitJob;
-use crate::session::ElasticCtx;
+use crate::msgs::{CrashTaskTracker, SubmitJob};
 use crate::tasktracker::TaskTracker;
 
 /// Handle to a deployed MapReduce runtime.
@@ -26,6 +27,10 @@ pub struct MrHandle {
     pub tasktrackers: NodeRegistry,
     /// The network fabric.
     pub net: NetHandle,
+    /// What the cluster was deployed with; TaskTrackers added later are
+    /// built from it.
+    cfg: MrConfig,
+    env: Arc<dyn NodeEnvFactory>,
 }
 
 impl MrHandle {
@@ -45,25 +50,50 @@ impl MrHandle {
         self.net
             .unicast(ctx, my_node, self.head_node, self.jobtracker, 4096, submit);
     }
+
+    /// Joins a TaskTracker on `node` mid-run, reading through `dfs`, and
+    /// returns its actor. Within the instant, in order: it spawns with an
+    /// environment from the deployment's factory, the registry routes to
+    /// it, and [`RegisterTaskTracker`] admits it at the JobTracker.
+    pub fn add_tasktracker(&self, ctx: &mut Ctx<'_>, node: NodeId, dfs: &DfsHandle) -> ActorId {
+        // Worker indices are node ids shifted past the head node.
+        let tt = TaskTracker::new(
+            self.cfg.clone(),
+            self.net,
+            dfs.clone(),
+            node,
+            self.head_node,
+            self.jobtracker,
+            self.env.build(node.index() - 1),
+        );
+        let actor = ctx.spawn(Box::new(tt));
+        self.tasktrackers.insert(node, actor);
+        ctx.send(self.jobtracker, RegisterTaskTracker { node, actor });
+        actor
+    }
+
+    /// Crashes the TaskTracker on `node`: the registry stops routing to
+    /// it and it receives [`CrashTaskTracker`]. The JobTracker learns of
+    /// the loss by heartbeat silence.
+    pub fn remove_tasktracker(&self, ctx: &mut Ctx<'_>, node: NodeId) {
+        if let Some(tt) = self.tasktrackers.remove(node) {
+            ctx.send(tt, CrashTaskTracker);
+        }
+    }
 }
 
 /// Spawns the JobTracker (head node) and one TaskTracker per worker, wired
-/// to an existing DFS deployment. `env_factory` builds each node's
-/// accelerator environment (the hybrid crate supplies Cell machines here).
-pub fn deploy_mr(
+/// to an existing DFS deployment. `env` builds each node's accelerator
+/// environment (the hybrid crate supplies Cell machines here).
+pub(crate) fn deploy_mr(
     sim: &mut Sim,
     net: NetHandle,
     dfs: &DfsHandle,
-    cfg: &MrConfig,
+    cfg: MrConfig,
     head_node: NodeId,
     workers: &[NodeId],
-    env_factory: &dyn NodeEnvFactory,
+    env: Arc<dyn NodeEnvFactory>,
 ) -> MrHandle {
-    // Guard the low-level assembly path too, not just ClusterBuilder:
-    // these configs hang jobs or mis-detect dead trackers.
-    if let Err(e) = cfg.validate() {
-        panic!("invalid MrConfig: {e}");
-    }
     let jobtracker = sim.spawn(Box::new(JobTracker::new(
         cfg.clone(),
         net,
@@ -79,7 +109,7 @@ pub fn deploy_mr(
             w,
             head_node,
             jobtracker,
-            env_factory.build(i),
+            env.build(i),
         );
         let id = sim.spawn(Box::new(tt));
         tts.push((w, id));
@@ -93,6 +123,8 @@ pub fn deploy_mr(
         head_node,
         tasktrackers: NodeRegistry::new(tts),
         net,
+        cfg,
+        env,
     }
 }
 
@@ -124,7 +156,7 @@ pub struct MrCluster {
     /// Worker node ids present at deploy (joins are not appended here;
     /// consult `mr.tasktrackers` / `dfs.datanodes` for the live set).
     pub workers: Vec<NodeId>,
-    /// Elasticity context retained for mid-session joins: the configs and
-    /// environment factory new nodes are built from.
-    pub(crate) elastic: ElasticCtx,
+    /// The id the next joining node gets. Kept across sessions over this
+    /// cluster, so ids are never recycled.
+    pub(crate) next_node: u32,
 }

@@ -134,7 +134,7 @@ impl JobTracker {
             total,
             requested_tasks: job.spec.num_map_tasks,
             default_tasks: self.total_slots().max(1),
-            live_nodes: &self.live,
+            live_nodes: self.liveness.live(),
             slots_per_node: self.cfg.map_slots_per_node,
         };
         Some(self.scheduler.plan_splits(&req).split(total))

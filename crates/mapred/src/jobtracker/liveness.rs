@@ -4,7 +4,7 @@
 //! progressive blacklist, and the job stall watchdog.
 
 use accelmr_des::prelude::*;
-use accelmr_net::NodeId;
+use accelmr_net::{NodeId, NodeState};
 
 use crate::config::{JobId, TaskId};
 use crate::job::{JobError, ReduceSpec};
@@ -18,8 +18,6 @@ const BLACKLIST_PROBATION: SimDuration = SimDuration::from_secs(60);
 
 pub(super) struct TtInfo {
     pub(super) actor: ActorId,
-    last_heartbeat: SimTime,
-    pub(super) dead: bool,
     /// Progressive-blacklist failure score: bumped per failed attempt,
     /// halved every [`BLACKLIST_PROBATION`]. The node is
     /// blacklisted (skipped by dispatch) while the score is at or above
@@ -28,40 +26,26 @@ pub(super) struct TtInfo {
 }
 
 impl TtInfo {
-    fn new(actor: ActorId, now: SimTime) -> Self {
+    fn new(actor: ActorId) -> Self {
         TtInfo {
             actor,
-            last_heartbeat: now,
-            dead: false,
             fail_score: 0,
         }
     }
 }
 
 impl JobTracker {
-    /// Installs the TaskTracker actor for `node`. `now` seeds the liveness
-    /// clock: a node registering mid-session must not be declared dead
-    /// before its first heartbeat (at deploy `now` is zero, matching the
-    /// historical behavior exactly).
-    pub(crate) fn register_tt_at(&mut self, node: NodeId, actor: ActorId, now: SimTime) {
-        if let Some(t) = self.tts.get_mut(&node) {
-            t.actor = actor;
+    /// Installs the TaskTracker actor for `node`. A node registering for
+    /// the first time joins with a full silence window from now, so it
+    /// cannot be declared dead before its first heartbeat.
+    pub(super) fn handle_register(&mut self, ctx: &mut Ctx<'_>, reg: RegisterTaskTracker) {
+        if let Some(tt) = self.tts.get_mut(&reg.node) {
+            tt.actor = reg.actor;
             return;
         }
-        self.tts.insert(node, TtInfo::new(actor, now));
-        // Enter liveness tracking with a full silence window from `now` —
-        // a tracker registering one tick before the sweep fires must not
-        // be declared dead before it ever had a chance to heartbeat.
-        self.expiry.schedule(now + self.cfg.tt_dead_after, node);
-        self.note_tt_live(node);
-    }
-
-    pub(super) fn handle_register(&mut self, ctx: &mut Ctx<'_>, reg: RegisterTaskTracker) {
-        let is_new = !self.tts.contains_key(&reg.node);
-        self.register_tt_at(reg.node, reg.actor, ctx.now());
-        if is_new {
-            self.handle_node_join(ctx, reg.node);
-        }
+        self.tts.insert(reg.node, TtInfo::new(reg.actor));
+        self.liveness.admit(reg.node, ctx.now());
+        self.handle_node_join(ctx, reg.node);
     }
 
     /// Moves `node`'s liveness clock to `now`, discovering or resurrecting
@@ -75,44 +59,20 @@ impl JobTracker {
     /// Genuinely crashed trackers never heartbeat again, so this path is
     /// unreachable outside chaos runs.
     pub(super) fn note_heartbeat(&mut self, ctx: &mut Ctx<'_>, node: NodeId, now: SimTime) {
-        let is_new = !self.tts.contains_key(&node);
-        let entry = self
-            .tts
-            .entry(node)
-            .or_insert(TtInfo::new(ActorId::ENGINE, now));
-        entry.last_heartbeat = now;
-        let resurrected = std::mem::replace(&mut entry.dead, false);
-        if is_new || resurrected {
-            // (Re-)entering liveness tracking: one fresh heap entry at the
-            // current deadline; any superseded entry from a previous
-            // incarnation is dropped at pop time. Heartbeats from an
-            // already-live tracker never touch the heap.
-            self.expiry.schedule(now + self.cfg.tt_dead_after, node);
-            self.note_tt_live(node);
-        }
-        if resurrected {
-            ctx.stats().incr("mr.tt_resurrections");
-            self.scheduler.on_node_join(node);
-        }
-        if is_new {
-            // Discovery by heartbeat alone (no registration observed):
-            // still a join for the scheduler.
-            self.handle_node_join(ctx, node);
-        }
-    }
-
-    /// Marks `node` live: inserts into the sorted live list (no-op when
-    /// already present, e.g. a registration racing a first heartbeat).
-    fn note_tt_live(&mut self, node: NodeId) {
-        if let Err(pos) = self.live.binary_search(&node) {
-            self.live.insert(pos, node);
-        }
-    }
-
-    /// Removes `node` from the sorted live list.
-    fn note_tt_dead(&mut self, node: NodeId) {
-        if let Ok(pos) = self.live.binary_search(&node) {
-            self.live.remove(pos);
+        match self.liveness.heard(node, now) {
+            NodeState::Live => {}
+            NodeState::Dead => {
+                self.liveness.admit(node, now);
+                ctx.stats().incr("mr.tt_resurrections");
+                self.scheduler.on_node_join(node);
+            }
+            NodeState::Unknown => {
+                // Discovery by heartbeat alone (no registration observed):
+                // still a join for the scheduler.
+                self.tts.insert(node, TtInfo::new(ActorId::ENGINE));
+                self.liveness.admit(node, now);
+                self.handle_node_join(ctx, node);
+            }
         }
     }
 
@@ -203,37 +163,12 @@ impl JobTracker {
         }
     }
 
-    /// Declares silent TaskTrackers dead and re-queues their work. The
-    /// sweep drains the expiry heap instead of walking every tracker: only
-    /// trackers whose recorded deadline elapsed surface, so an all-quiet
-    /// tick costs O(1) regardless of cluster size. The old full scan
-    /// visited ascending node ids; the heap hands the drained set back
-    /// sorted (and deduped — resurrections can leave superseded entries) so
-    /// the newly-dead are processed in exactly the historical order,
-    /// keeping traces byte-identical.
+    /// Declares TaskTrackers silent past `MrConfig::tt_dead_after` dead
+    /// and re-queues their work.
     pub(super) fn check_liveness(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.decay_blacklist(now);
-        let tts = &self.tts;
-        let window = self.cfg.tt_dead_after;
-        // Expired ⇔ the authoritative deadline passed: `last + window <
-        // now` is the old `now - last > window` rule verbatim, so a
-        // tracker whose grace ends exactly at `now` survives this tick.
-        let newly_dead = self.expiry.expired(now, |node| {
-            let tt = tts.get(&node)?;
-            if tt.dead {
-                return None;
-            }
-            Some(tt.last_heartbeat + window)
-        });
-        for &node in &newly_dead {
-            self.tts
-                .get_mut(&node)
-                .expect("expired keys are tracked")
-                .dead = true;
-            self.note_tt_dead(node);
-        }
-        for node in newly_dead {
+        for node in self.liveness.sweep(now) {
             ctx.stats().incr("mr.tasktrackers_declared_dead");
             self.scheduler.on_node_dead(node);
             let mut job_ids: Vec<u32> = self.jobs.keys().copied().collect();

@@ -40,10 +40,10 @@ mod lifecycle;
 mod liveness;
 
 use accelmr_des::prelude::*;
-use accelmr_des::{ExpiryHeap, FxHashMap, FxHashSet};
+use accelmr_des::{FxHashMap, FxHashSet};
 use accelmr_dfs::msgs::{LocationsReply, PreloadDone};
 use accelmr_dfs::{DfsHandle, BLOCK_SIZE};
-use accelmr_net::{NetHandle, NodeId};
+use accelmr_net::{Liveness, NetHandle, NodeId};
 
 use crate::config::{JobId, MrConfig, TaskId};
 use crate::job::{JobError, JobInput, JobSpec, ReduceSpec, TaskWork};
@@ -243,22 +243,16 @@ pub struct JobTracker {
     fenced: FxHashSet<(u32, u32, u32)>,
     /// Next instant the probation sweep halves every blacklist score.
     blacklist_decay_at: SimTime,
-    /// Lazily-invalidated deadline heap driving the liveness sweep: one
-    /// entry per live TaskTracker, pushed at registration/resurrection
-    /// only (heartbeats just move `TtInfo::last_heartbeat`, the
-    /// authoritative deadline input). Makes the per-tick sweep cost
-    /// proportional to trackers near their deadline instead of O(cluster).
-    expiry: ExpiryHeap<NodeId>,
-    /// Live (registered, not declared dead) workers, ascending —
-    /// maintained at registration, resurrection, and death so
-    /// `total_slots`/`live_nodes` stop re-scanning `tts` per decision.
-    live: Vec<NodeId>,
+    /// TaskTracker heartbeat silence past `MrConfig::tt_dead_after`, and
+    /// the live workers, ascending.
+    liveness: Liveness,
 }
 
 impl JobTracker {
     /// Builds a JobTracker on `node` (normally the head node).
     pub fn new(cfg: MrConfig, net: NetHandle, dfs: DfsHandle, node: NodeId) -> Self {
         let scheduler = build_scheduler(cfg.scheduler, &cfg);
+        let liveness = Liveness::new(cfg.tt_dead_after);
         JobTracker {
             cfg,
             net,
@@ -270,14 +264,13 @@ impl JobTracker {
             scheduler,
             fenced: FxHashSet::default(),
             blacklist_decay_at: SimTime::ZERO,
-            expiry: ExpiryHeap::new(),
-            live: Vec::new(),
+            liveness,
         }
     }
 
-    /// Total live map slots — O(1) off the maintained live list.
+    /// Total live map slots.
     fn total_slots(&self) -> usize {
-        self.live.len() * self.cfg.map_slots_per_node
+        self.liveness.live().len() * self.cfg.map_slots_per_node
     }
 
     fn handle_submit(&mut self, ctx: &mut Ctx<'_>, submit: SubmitJob) {
@@ -298,9 +291,7 @@ impl JobTracker {
         for report in hb.completed {
             self.handle_report(ctx, report);
         }
-        if self.tts.get(&hb.node).is_some_and(|tt| !tt.dead) {
-            self.schedule_on(ctx, hb.node, hb.free_slots);
-        }
+        self.schedule_on(ctx, hb.node, hb.free_slots);
     }
 
     fn handle_report(&mut self, ctx: &mut Ctx<'_>, report: TaskReport) {
@@ -398,9 +389,10 @@ impl JobTracker {
     }
 }
 
-/// Registers the TaskTracker actor for a node — delivered by `deploy_mr`
-/// right after spawning, because heartbeats alone cannot carry `ActorId`s
-/// through the typed fabric.
+/// Registers the TaskTracker actor for a node — delivered right after
+/// spawning it (at deploy, and by [`crate::MrHandle::add_tasktracker`]),
+/// because heartbeats alone cannot carry `ActorId`s through the typed
+/// fabric.
 #[derive(Debug, Clone, Copy)]
 pub struct RegisterTaskTracker {
     /// Worker node.

@@ -70,7 +70,7 @@ pub mod session;
 pub mod tasktracker;
 
 pub use builder::{ClusterBuilder, JobBuilder};
-pub use cluster::{deploy_mr, MrCluster, MrHandle, PreloadSpec};
+pub use cluster::{MrCluster, MrHandle, PreloadSpec};
 pub use config::{JobId, MrConfig, MrConfigError, PreemptionTuning, SchedulerPolicy, TaskId};
 pub use job::{
     JobError, JobInput, JobResult, JobSpec, JobSpecError, OutputSink, ReduceSpec, TaskDescriptor,

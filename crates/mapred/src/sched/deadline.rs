@@ -32,8 +32,8 @@ use crate::config::{JobId, MrConfig, TaskId};
 
 use super::fair::fair_share_pick;
 use super::{
-    default_straggler, locality_pick, reclaim_candidates, PreemptionBudget, ReclaimVictim,
-    SchedView, Scheduler,
+    default_straggler, locality_pick, min_score_view, reclaim_candidates, PreemptionBudget,
+    ReclaimVictim, SchedView, Scheduler,
 };
 
 /// Mean completed-attempt duration for one kernel family, folded online.
@@ -106,22 +106,11 @@ impl Scheduler for DeadlineSlack {
     }
 
     fn pick_job(&mut self, views: &[SchedView<'_>], _node: NodeId) -> Option<JobId> {
-        let mut best: Option<(f64, JobId)> = None;
-        for v in views {
-            if !v.eligible || v.deadline.is_none() {
-                continue;
-            }
-            let s = self.slack_secs(v);
-            let better = match best {
-                None => true,
-                Some((bs, bj)) => s < bs || (s == bs && v.job < bj),
-            };
-            if better {
-                best = Some((s, v.job));
-            }
-        }
-        match best {
-            Some((_, job)) => Some(job),
+        let urgent = min_score_view(views, |v| {
+            (v.eligible && v.deadline.is_some()).then(|| self.slack_secs(v))
+        });
+        match urgent {
+            Some(v) => Some(v.job),
             // No deadline job runnable: the rest share fair.
             None => fair_share_pick(views),
         }
@@ -162,26 +151,15 @@ impl Scheduler for DeadlineSlack {
         let margin = self.budget.tuning.slack_margin.as_secs_f64();
         // Beneficiary: the minimum-slack eligible deadline job with
         // pending work that is projected to run out of margin.
-        let mut best: Option<(f64, JobId, &SchedView<'_>)> = None;
-        for v in views {
+        let Some(bview) = min_score_view(views, |v| {
             if !v.eligible || v.deadline.is_none() || v.pending.is_empty() {
-                continue;
+                return None;
             }
-            let s = self.slack_secs_at(v, now);
-            if s >= margin {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bs, bj, _)) => s < bs || (s == bs && v.job < bj),
-            };
-            if better {
-                best = Some((s, v.job, v));
-            }
-        }
-        let Some((_, beneficiary, bview)) = best else {
+            Some(self.slack_secs_at(v, now)).filter(|&s| s < margin)
+        }) else {
             return Vec::new();
         };
+        let beneficiary = bview.job;
         let need = bview.pending.len().min(1);
         let raidable: Vec<JobId> = views
             .iter()

@@ -21,8 +21,8 @@ use accelmr_net::NodeId;
 use crate::config::{JobId, MrConfig, TaskId};
 
 use super::{
-    default_straggler, locality_pick, reclaim_candidates, PreemptionBudget, ReclaimVictim,
-    SchedView, Scheduler,
+    default_straggler, locality_pick, min_score_view, reclaim_candidates, PreemptionBudget,
+    ReclaimVictim, SchedView, Scheduler,
 };
 
 /// Weighted max-min fair sharing across tenants (job-level), locality
@@ -96,18 +96,7 @@ fn share_of(tenants: &[Tenant<'_>], tenant: &str) -> f64 {
 /// has the smallest share wins; ties break to the lowest job id, so
 /// equal-share tenants degrade to plain FIFO.
 fn min_share_job(tenants: &[Tenant<'_>], views: &[SchedView<'_>]) -> Option<JobId> {
-    let mut best: Option<(f64, JobId)> = None;
-    for v in views.iter().filter(|v| v.eligible) {
-        let s = share_of(tenants, v.tenant);
-        let better = match best {
-            None => true,
-            Some((bs, bj)) => s < bs || (s == bs && v.job < bj),
-        };
-        if better {
-            best = Some((s, v.job));
-        }
-    }
-    best.map(|(_, job)| job)
+    min_score_view(views, |v| v.eligible.then(|| share_of(tenants, v.tenant))).map(|v| v.job)
 }
 
 /// [`FairShare`]'s pick over `views`, for
@@ -200,23 +189,13 @@ impl Scheduler for FairShare {
         // Beneficiary: the minimum-share eligible job with pending work
         // whose tenant is at least one whole slot short — the same
         // ordering regular dispatch uses, restricted to deficient tenants.
-        let mut best: Option<(f64, JobId, &SchedView<'_>)> = None;
-        for v in views {
-            if !v.eligible || v.pending.is_empty() || deficit(&balance, v.tenant) < 1.0 - EPS {
-                continue;
-            }
-            let s = share_of(&tenants, v.tenant);
-            let better = match best {
-                None => true,
-                Some((bs, bj, _)) => s < bs || (s == bs && v.job < bj),
-            };
-            if better {
-                best = Some((s, v.job, v));
-            }
-        }
-        let Some((_, beneficiary, bview)) = best else {
+        let Some(bview) = min_score_view(views, |v| {
+            (v.eligible && !v.pending.is_empty() && deficit(&balance, v.tenant) >= 1.0 - EPS)
+                .then(|| share_of(&tenants, v.tenant))
+        }) else {
             return Vec::new();
         };
+        let beneficiary = bview.job;
         let need = (deficit(&balance, bview.tenant) + EPS)
             .floor()
             .min(bview.pending.len() as f64)

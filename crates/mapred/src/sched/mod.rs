@@ -538,6 +538,25 @@ pub(crate) fn locality_pick(view: &SchedView<'_>, node: NodeId) -> Option<usize>
     )
 }
 
+/// The job-level argmin shared by [`FairShare`] and [`DeadlineSlack`]: the
+/// view with the smallest `score` (`None` rules a view out), ties to the
+/// lowest job id.
+pub(crate) fn min_score_view<'v, 'a>(
+    views: &'v [SchedView<'a>],
+    mut score: impl FnMut(&SchedView<'a>) -> Option<f64>,
+) -> Option<&'v SchedView<'a>> {
+    let mut best: Option<(f64, &'v SchedView<'a>)> = None;
+    for v in views {
+        let Some(s) = score(v) else {
+            continue;
+        };
+        if best.is_none_or(|(bs, bv)| s < bs || (s == bs && v.job < bv.job)) {
+            best = Some((s, v));
+        }
+    }
+    best.map(|(_, v)| v)
+}
+
 /// Work size of a task (bytes for file/reduce tasks, units for synthetic).
 pub(crate) fn task_work_size(work: &TaskWork) -> u64 {
     match work {

@@ -29,19 +29,14 @@
 use std::sync::{Arc, Mutex};
 
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
-use accelmr_dfs::msgs::{AddDataNode, AddPeer, PreloadDone, PreloadFile};
-use accelmr_dfs::{DataNode, DfsHandle};
+use accelmr_dfs::msgs::{PreloadDone, PreloadFile};
+use accelmr_dfs::DfsHandle;
 use accelmr_net::NodeId;
 
 use crate::builder::JobBuilder;
 use crate::cluster::{MrCluster, MrHandle, PreloadSpec};
-use crate::config::MrConfig;
 use crate::job::{JobResult, JobSpec};
-use crate::jobtracker::RegisterTaskTracker;
-use crate::kernel::NodeEnvFactory;
-use crate::msgs::{CrashTaskTracker, InjectGray, JobComplete, SetHeartbeatLoss};
-use crate::tasktracker::TaskTracker;
+use crate::msgs::{InjectGray, JobComplete, SetHeartbeatLoss};
 
 /// A job plus the driver-side work it needs before submission (DFS
 /// preloads). What [`Session::submit`] accepts; [`JobSpec`] and
@@ -118,19 +113,6 @@ struct PendingJob {
     delay: SimDuration,
     request: JobRequest,
     slot: ResultSlot,
-}
-
-/// Everything a mid-session join needs to build a node: the runtime
-/// config and environment factory the cluster was deployed with, plus the
-/// shared fresh-node-id counter. Retained by `ClusterBuilder::deploy`.
-#[derive(Clone)]
-pub(crate) struct ElasticCtx {
-    pub(crate) mr_cfg: MrConfig,
-    pub(crate) materialized: bool,
-    pub(crate) env: Arc<dyn NodeEnvFactory>,
-    /// Next fresh `NodeId` — shared across sessions over one cluster so
-    /// ids are never recycled.
-    pub(crate) next_node: Arc<Mutex<u32>>,
 }
 
 /// One scheduled membership change.
@@ -463,8 +445,8 @@ pub struct Session<'a> {
     churn: Vec<(SimDuration, ChurnChange)>,
     /// Fault-injection primitives queued for the next run.
     faults: Vec<(SimDuration, FaultAction)>,
-    /// What joining nodes are built from.
-    elastic: ElasticCtx,
+    /// The cluster's fresh-node-id counter.
+    next_node: &'a mut u32,
 }
 
 impl<'a> Session<'a> {
@@ -518,10 +500,8 @@ impl<'a> Session<'a> {
     /// heartbeats — schedulers observe the join via
     /// [`Scheduler::on_node_join`](crate::sched::Scheduler::on_node_join).
     pub fn add_node_at(&mut self, at: SimDuration) -> NodeId {
-        let mut next = self.elastic.next_node.lock().unwrap();
-        let node = NodeId(*next);
-        *next += 1;
-        drop(next);
+        let node = NodeId(*self.next_node);
+        *self.next_node += 1;
         self.churn.push((at, ChurnChange::Join(node)));
         node
     }
@@ -579,7 +559,6 @@ impl<'a> Session<'a> {
             .max();
         if !churn.is_empty() {
             self.sim.spawn(Box::new(ChurnDriver::new(
-                self.elastic.clone(),
                 self.mr.clone(),
                 self.dfs.clone(),
                 churn,
@@ -653,7 +632,7 @@ impl MrCluster {
             pending: Vec::new(),
             churn: Vec::new(),
             faults: Vec::new(),
-            elastic: self.elastic.clone(),
+            next_node: &mut self.next_node,
         }
     }
 }
@@ -699,27 +678,19 @@ impl<A: Copy> Timeline<A> {
 }
 
 /// Applies scheduled membership changes from inside the simulation: at
-/// each event's instant it either assembles and wires a whole new node
-/// (fabric links, DataNode, TaskTracker, registries, NameNode/JobTracker
-/// admission) or crashes a departing one. Spawned by
+/// each event's instant it either grows the fabric and adds both daemons
+/// of a new node or crashes a departing one. Spawned by
 /// [`Session::run_until_complete`] only when churn is queued, so static
 /// deployments keep their historical actor layout and event traces.
 struct ChurnDriver {
-    elastic: ElasticCtx,
     mr: MrHandle,
     dfs: DfsHandle,
     changes: Timeline<ChurnChange>,
 }
 
 impl ChurnDriver {
-    fn new(
-        elastic: ElasticCtx,
-        mr: MrHandle,
-        dfs: DfsHandle,
-        changes: Vec<(SimDuration, ChurnChange)>,
-    ) -> Self {
+    fn new(mr: MrHandle, dfs: DfsHandle, changes: Vec<(SimDuration, ChurnChange)>) -> Self {
         ChurnDriver {
-            elastic,
             mr,
             dfs,
             changes: Timeline::new(changes),
@@ -736,48 +707,13 @@ impl ChurnDriver {
         self.changes.arm_next(ctx);
     }
 
-    /// Assembles one joining node. Ordering within the instant matters:
-    /// the fabric grows first (same-instant FIFO guarantees links exist
-    /// before any traffic), then the DataNode spawns fully wired, peers
-    /// learn it, registries expose it, and finally the NameNode and
-    /// JobTracker admit it.
+    /// Assembles one joining node. The fabric grows first (same-instant
+    /// FIFO guarantees links exist before any traffic), then the DataNode
+    /// and the TaskTracker join.
     fn join(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
         self.mr.net.ensure_node(ctx, node);
-
-        // DataNode, wired before spawn (namenode + current peer set).
-        let mut dn = DataNode::new(
-            self.mr.net,
-            node,
-            self.dfs.head_node,
-            self.elastic.materialized,
-        );
-        let peers: FxHashMap<NodeId, ActorId> = self.dfs.datanodes.snapshot().into_iter().collect();
-        dn.rewire(self.dfs.namenode, Arc::new(peers));
-        let dn_id = ctx.spawn(Box::new(dn));
-        for (_, peer) in self.dfs.datanodes.snapshot() {
-            ctx.send(peer, AddPeer { node, actor: dn_id });
-        }
-        self.dfs.datanodes.insert(node, dn_id);
-        ctx.send(self.dfs.namenode, AddDataNode { node, actor: dn_id });
-
-        // TaskTracker with an environment from the deployment's factory
-        // (worker indices are node ids shifted past the head node).
-        let env = self.elastic.env.build(node.index() - 1);
-        let tt = TaskTracker::new(
-            self.elastic.mr_cfg.clone(),
-            self.mr.net,
-            self.dfs.clone(),
-            node,
-            self.mr.head_node,
-            self.mr.jobtracker,
-            env,
-        );
-        let tt_id = ctx.spawn(Box::new(tt));
-        self.mr.tasktrackers.insert(node, tt_id);
-        ctx.send(
-            self.mr.jobtracker,
-            RegisterTaskTracker { node, actor: tt_id },
-        );
+        self.dfs.add_datanode(ctx, node);
+        self.mr.add_tasktracker(ctx, node, &self.dfs);
         ctx.stats().incr("cluster.nodes_joined");
     }
 
@@ -786,12 +722,8 @@ impl ChurnDriver {
     /// in-flight transfers abort. Heartbeat silence then drives task
     /// re-execution and DFS re-replication.
     fn leave(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        if let Some(tt) = self.mr.tasktrackers.remove(node) {
-            ctx.send(tt, CrashTaskTracker);
-        }
-        if let Some(dn) = self.dfs.datanodes.remove(node) {
-            ctx.send(dn, accelmr_dfs::Shutdown);
-        }
+        self.mr.remove_tasktracker(ctx, node);
+        self.dfs.remove_datanode(ctx, node);
         self.mr.net.abort_node(ctx, node);
         ctx.stats().incr("cluster.nodes_left");
     }

@@ -703,9 +703,9 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
     out
 }
 
-/// Liveness-heavy scenarios exercising the paths rewritten by the
-/// heartbeat-scalability PR: death detection (expiry-heap `check_liveness`
-/// instead of the full-tracker scan), incremental slot accounting
+/// Liveness-heavy scenarios exercising the heartbeat-scalability paths:
+/// death detection (`check_liveness` over [`accelmr_net::Liveness`]),
+/// incremental slot accounting
 /// (`total_slots` / per-job running counters feeding `running_slots` and
 /// `running_incomplete`), and blacklist decay. Both policies that *consume*
 /// the incremental counters are on the clock: FairShare (weighted shares
@@ -1042,7 +1042,7 @@ fn hardened_io_paths_are_trace_pinned() {
 }
 
 /// Golden table for [`liveness_trace_scenarios`]: death detection through
-/// the expiry heap and the incremental slot counters must keep producing
+/// the liveness tracker and the incremental slot counters must keep producing
 /// these event streams bit for bit.
 #[test]
 fn liveness_rewrite_is_trace_equivalent() {
@@ -1057,9 +1057,9 @@ fn liveness_rewrite_is_trace_equivalent() {
 
 /// A node that joins one tick before the liveness sweep fires must not be
 /// declared dead before it ever had a chance to heartbeat. Registration
-/// seeds the liveness clock (`last_heartbeat = now`) and the expiry-heap
-/// entry for both trackers; losing either seed would let the sweep see a
-/// full silence window and kill the joiner on arrival. The windows here
+/// admits the node to both trackers' liveness with its clock at `now`;
+/// losing that would let the sweep see a full silence window and kill the
+/// joiner on arrival. The windows here
 /// are tight — sweeps every 3 s, death after 4 s of silence, the join
 /// 0.1 s before a sweep — and the first real heartbeat is jittered up to
 /// a full interval after spawn, so the 9 s sweep runs while the joiner is

@@ -42,12 +42,15 @@
 //!   construction: [`fabric::EnsureNode`] grows the link tables mid-run
 //!   (never re-pricing existing flows), [`fabric::AbortNode`] tears a
 //!   departing node's flows down by consulting the persistent link→classes
-//!   index (O(node degree), not O(all flows)), and [`NodeRegistry`] gives
-//!   every handle clone a live view of who serves each node.
+//!   index (O(node degree), not O(all flows)), [`NodeRegistry`] gives
+//!   every handle clone a live view of who serves each node, and
+//!   [`Liveness`] is the one heartbeat-silence tracker behind the NameNode
+//!   and the JobTracker.
 
 pub mod config;
 pub mod fabric;
 pub mod flow;
+pub mod liveness;
 #[cfg(test)]
 mod reference;
 pub mod registry;
@@ -58,4 +61,5 @@ pub use fabric::{
     Unicast, PARTITION_FACTOR,
 };
 pub use flow::{max_min_rates, FlowDemand, LinkId, LinkTable, MaxMinSolver, Route};
+pub use liveness::{Liveness, NodeState};
 pub use registry::NodeRegistry;
