@@ -26,7 +26,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput};
+use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput, SPU_BLOCK};
 use accelmr_kernels::aes::hw;
 use accelmr_kernels::aes::modes::{ctr_xor, ecb_encrypt};
 use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
@@ -34,7 +34,6 @@ use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
 use crate::{float, obj, Json};
 
 const RECORD: usize = 2 << 20;
-const SPU_BLOCK: usize = 4096;
 const NONCE: u64 = 7;
 /// Bar on `hardware CTR / ttable CTR` where the CPU has AES instructions.
 const HARDWARE_BAR: f64 = 4.0;

@@ -8,6 +8,10 @@
 
 use accelmr_des::SimDuration;
 
+/// SPU work-block size, bytes (paper: 4 KB): the block the direct offload
+/// library stripes over the SPEs and the framework's record.
+pub const SPU_BLOCK: usize = 4096;
+
 /// Static description of one Cell BE processor.
 #[derive(Clone, Debug)]
 pub struct CellConfig {
@@ -144,12 +148,6 @@ impl CellConfig {
     pub fn cycles(&self, cycles: f64) -> SimDuration {
         SimDuration::from_secs_f64(cycles / self.clock_hz)
     }
-
-    /// Pure wire time of moving `bytes` over the memory interface.
-    #[inline]
-    pub fn bus_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.bus_bytes_per_sec)
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +190,7 @@ mod tests {
     #[test]
     fn block_size_check() {
         let c = CellConfig::default();
-        c.check_block_size(4096).unwrap();
+        c.check_block_size(SPU_BLOCK).unwrap();
         // 4 * 48K = 192K <= 192K usable: fits exactly.
         c.check_block_size(48 * 1024).unwrap();
         assert!(matches!(
@@ -210,7 +208,6 @@ mod tests {
     fn time_conversions() {
         let c = CellConfig::default();
         assert_eq!(c.cycles(3.2e9).as_nanos(), 1_000_000_000);
-        assert_eq!(c.bus_time(25_600_000_000).as_nanos(), 1_000_000_000);
     }
 
     #[test]

@@ -39,20 +39,10 @@ pub fn data_run_body(
     SimDuration::from_secs_f64(steady + fill + drain + dispatch)
 }
 
-/// Estimated duration of a compute-parallel session body: the slowest SPE's
-/// share of `units`.
-pub fn compute_run_body(cfg: &CellConfig, units: u64, cycles_per_unit: f64) -> SimDuration {
-    if units == 0 {
-        return SimDuration::ZERO;
-    }
-    let per_spe = units.div_ceil(cfg.n_spes as u64);
-    cfg.cycles(cycles_per_unit * per_spe as f64) + cfg.dispatch_overhead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ComputeKernel, DataKernel, IdentityKernel, PiSpeKernel};
+    use crate::kernel::{DataKernel, IdentityKernel};
     use crate::machine::{CellMachine, DataInput};
 
     struct FixedCost(f64);
@@ -108,25 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn compute_estimate_matches_machine_exactly_modulo_rounding() {
-        let cfg = CellConfig::default();
-        let mut m = CellMachine::new(cfg.clone(), false).unwrap();
-        m.warm_up();
-        let kernel = PiSpeKernel::new(0, 0);
-        let units = 1_000_000u64;
-        let r = m.run_compute(units, &kernel);
-        let body = r.elapsed - r.startup;
-        let est = compute_run_body(&cfg, units, kernel.cycles_per_unit());
-        assert!(
-            relative_error(est.as_secs_f64(), body.as_secs_f64()) < 0.001,
-            "est={est} detailed={body}"
-        );
-    }
-
-    #[test]
     fn zero_work_estimates_are_zero() {
         let cfg = CellConfig::default();
         assert_eq!(data_run_body(&cfg, 0, 36.6, 4096), SimDuration::ZERO);
-        assert_eq!(compute_run_body(&cfg, 0, 256.0), SimDuration::ZERO);
     }
 }

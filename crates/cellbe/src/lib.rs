@@ -21,7 +21,7 @@ pub mod kernel;
 pub mod localstore;
 pub mod machine;
 
-pub use config::{CellConfig, CellConfigError};
+pub use config::{CellConfig, CellConfigError, SPU_BLOCK};
 pub use kernel::{AesCtrSpeKernel, ComputeKernel, DataKernel, IdentityKernel, PiSpeKernel};
 pub use localstore::{LocalStore, LsBuffer};
 pub use machine::{CellMachine, DataInput, OffloadReport};

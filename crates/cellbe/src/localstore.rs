@@ -46,11 +46,6 @@ impl LocalStore {
         self.capacity
     }
 
-    /// `true` when the store holds real bytes.
-    pub fn is_materialized(&self) -> bool {
-        self.data.is_some()
-    }
-
     /// Allocates `len` bytes aligned to `align`.
     pub fn alloc(&mut self, len: usize, align: usize) -> Result<LsBuffer, CellConfigError> {
         debug_assert!(align.is_power_of_two());
@@ -141,7 +136,6 @@ mod tests {
     fn virtual_mode_tracks_map_only() {
         let mut ls = LocalStore::new(512, 0, false);
         let buf = ls.alloc(64, 16).unwrap();
-        assert!(!ls.is_materialized());
         ls.write(buf, 0, b"ignored");
         assert!(ls.read(buf, 0, 7).is_none());
         assert!(ls.slice_mut(buf, 0, 7).is_none());

@@ -1,5 +1,6 @@
 //! Configuration of the MapReduce-for-Cell framework.
 
+use accelmr_cellbe::SPU_BLOCK;
 use accelmr_des::SimDuration;
 
 /// Framework parameters. Defaults model the runtime of de Kruijf &
@@ -9,33 +10,22 @@ use accelmr_des::SimDuration;
 #[derive(Clone, Debug)]
 pub struct CellMrConfig {
     /// Framework record granularity, bytes (the unit handed to one SPU map
-    /// invocation). The paper uses 4 KB blocks.
+    /// invocation); a valid SPU block size of the machine's
+    /// [`CellConfig`](accelmr_cellbe::CellConfig).
     pub record_size: usize,
-    /// PPE bandwidth for the staging copy into framework buffers, B/s.
+    /// PPE bandwidth for the staging copy into framework buffers, B/s;
+    /// positive and finite.
     pub staging_bytes_per_sec: f64,
     /// PPE-side bookkeeping per record (queue entry, state update).
     pub per_record_overhead: SimDuration,
-    /// SPU cycles per emitted key/value pair in the partition phase.
-    pub partition_cycles_per_pair: f64,
-    /// SPU cycles per comparison in the per-partition sort phase.
-    pub sort_cycles_per_compare: f64,
-    /// SPU cycles per pair in the reduce phase (framework overhead, added
-    /// to the user reduce function's own cost).
-    pub reduce_cycles_per_pair: f64,
-    /// PPE cycles per pair in the final merge of per-SPE outputs.
-    pub merge_cycles_per_pair: f64,
 }
 
 impl Default for CellMrConfig {
     fn default() -> Self {
         CellMrConfig {
-            record_size: 4 * 1024,
+            record_size: SPU_BLOCK,
             staging_bytes_per_sec: 1.6e9,
             per_record_overhead: SimDuration::from_micros(2),
-            partition_cycles_per_pair: 20.0,
-            sort_cycles_per_compare: 24.0,
-            reduce_cycles_per_pair: 30.0,
-            merge_cycles_per_pair: 16.0,
         }
     }
 }

@@ -7,13 +7,14 @@
 //! explicitly and is what separates the "MapReduce Cell" curve from the
 //! direct "Cell BE" curve in the paper's Figure 2.
 //!
-//! Two job shapes:
-//! * [`CellMrRuntime::run_map`] — map-only byte transforms (AES encryption);
-//! * [`CellMrRuntime::run_mapreduce`] — full key/value map → partition →
-//!   sort → reduce → merge pipeline with per-phase timing.
+//! The paper runs the framework map-only, and so does this crate:
+//! [`CellMrRuntime::run_map`] stages a byte range, transforms it record by
+//! record on the SPEs (AES encryption), and reports the staging, map and
+//! start-up phases. It serves Figure 2's "MapReduce Cell" curve and the
+//! distributed framework mapper (`accelmr-hybrid`'s `CellMrAesKernel`).
 
 pub mod config;
 pub mod runtime;
 
 pub use config::CellMrConfig;
-pub use runtime::{CellMapFn, CellMrReport, CellMrRuntime, CellReduceFn};
+pub use runtime::{CellMrReport, CellMrRuntime};

@@ -1,17 +1,13 @@
 //! The MapReduce-for-Cell runtime.
 //!
 //! Mirrors the framework the paper links against for the single-node
-//! "MapReduce Cell" configuration of Figure 2: the PPE first copies input
-//! into framework-managed buffers (the overhead the paper measures), then
-//! records flow through map → partition → sort → reduce → merge with the
-//! map/partition/sort/reduce phases on the SPEs and the final merge on the
-//! PPE. Two entry points exist:
-//!
-//! * [`CellMrRuntime::run_map`] — map-only jobs over raw bytes (the AES
-//!   encryption workload); output bytes are produced for real in
-//!   materialized mode.
-//! * [`CellMrRuntime::run_mapreduce`] — full key/value jobs; pairs are
-//!   computed for real, timing comes from the same calibrated constants.
+//! "MapReduce Cell" configuration of Figure 2. The paper runs it map-only:
+//! the PPE first copies input into framework-managed buffers (the overhead
+//! the paper measures), then hands records to the SPEs. One entry point,
+//! [`CellMrRuntime::run_map`] (and [`CellMrRuntime::run_map_at`] for a
+//! record of a larger stream), serves both Figure 2's curve and the
+//! framework mapper; output bytes are produced for real in materialized
+//! mode.
 
 use accelmr_cellbe::machine::{CellMachine, DataInput, OffloadReport};
 use accelmr_cellbe::{CellConfig, CellConfigError, DataKernel};
@@ -19,45 +15,17 @@ use accelmr_des::SimDuration;
 
 use crate::config::CellMrConfig;
 
-/// User map function for key/value jobs.
-pub trait CellMapFn: Send + Sync {
-    /// SPU cycles per input byte of the map function itself.
-    fn cycles_per_byte(&self) -> f64;
-    /// Maps one record (at absolute `offset`) to zero or more pairs.
-    fn map(&self, offset: u64, record: &[u8], emit: &mut dyn FnMut(u64, u64));
-}
-
-/// User reduce function for key/value jobs.
-pub trait CellReduceFn: Send + Sync {
-    /// SPU cycles per reduced value (user function body).
-    fn cycles_per_value(&self) -> f64;
-    /// Folds all values of one key into a single value.
-    fn reduce(&self, key: u64, values: &[u64]) -> u64;
-}
-
 /// Phase-by-phase timing of one framework job.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CellMrReport {
     /// PPE staging copy into framework buffers.
     pub staging: SimDuration,
     /// SPU map phase (includes DMA, from the machine model).
     pub map: SimDuration,
-    /// SPU partition phase.
-    pub partition: SimDuration,
-    /// SPU per-partition sort phase.
-    pub sort: SimDuration,
-    /// SPU reduce phase.
-    pub reduce: SimDuration,
-    /// PPE merge of per-partition outputs.
-    pub merge: SimDuration,
     /// Offload start-up (context + session).
     pub startup: SimDuration,
     /// End-to-end job time.
     pub total: SimDuration,
-    /// Pairs emitted by map.
-    pub map_pairs: u64,
-    /// Pairs after reduce.
-    pub reduced_pairs: u64,
     /// Records processed.
     pub records: u64,
 }
@@ -80,26 +48,27 @@ pub struct CellMrRuntime {
 }
 
 impl CellMrRuntime {
-    /// Builds a runtime over a Cell machine model.
+    /// Builds a runtime over a Cell machine model. Fails on an invalid
+    /// `cell`, a `record_size` that is not a valid SPU block of it, or a
+    /// staging bandwidth that is not positive and finite.
     pub fn new(
         cell: CellConfig,
         cfg: CellMrConfig,
         materialized: bool,
     ) -> Result<Self, CellConfigError> {
-        Ok(CellMrRuntime {
-            machine: CellMachine::new(cell, materialized)?,
-            cfg,
-        })
+        let machine = CellMachine::new(cell, materialized)?;
+        machine.config().check_block_size(cfg.record_size)?;
+        if !(cfg.staging_bytes_per_sec > 0.0 && cfg.staging_bytes_per_sec.is_finite()) {
+            return Err(CellConfigError::Degenerate(
+                "staging_bytes_per_sec not positive and finite",
+            ));
+        }
+        Ok(CellMrRuntime { machine, cfg })
     }
 
     /// Direct access to the underlying machine (warm-up, inspection).
     pub fn machine_mut(&mut self) -> &mut CellMachine {
         &mut self.machine
-    }
-
-    /// Framework configuration.
-    pub fn config(&self) -> &CellMrConfig {
-        &self.cfg
     }
 
     /// Map-only job over raw bytes (the encryption workload). Semantics
@@ -142,131 +111,15 @@ impl CellMrRuntime {
             startup: machine_report.startup,
             total,
             records,
-            ..CellMrReport::default()
         };
         Ok((machine_report, report))
-    }
-
-    /// Full map/partition/sort/reduce/merge job over key/value pairs.
-    /// Returns the reduced pairs sorted by key plus the phase report.
-    pub fn run_mapreduce(
-        &mut self,
-        input: &[u8],
-        map_fn: &dyn CellMapFn,
-        reduce_fn: &dyn CellReduceFn,
-    ) -> Result<(Vec<(u64, u64)>, CellMrReport), CellConfigError> {
-        let n_spes = self.machine.config().n_spes;
-        let record_size = self.cfg.record_size;
-        let bytes = input.len() as u64;
-        let records = bytes.div_ceil(record_size as u64);
-
-        let staging = self.cfg.staging_time(bytes);
-
-        // ---- Map phase: real pair production + machine timing. ----
-        struct CostOnly(f64);
-        impl DataKernel for CostOnly {
-            fn name(&self) -> &'static str {
-                "cellmr-map"
-            }
-            fn cycles_per_byte(&self) -> f64 {
-                self.0
-            }
-            fn exec(&self, _: u64, _: &mut [u8]) {}
-        }
-        let timing_kernel = CostOnly(map_fn.cycles_per_byte());
-        let machine_report =
-            self.machine
-                .run_data(DataInput::Virtual(bytes), &timing_kernel, record_size)?;
-        let machine_body = machine_report.elapsed - machine_report.startup;
-        let map_time = machine_body.max(self.cfg.bookkeeping_time(records));
-
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        let mut offset = 0usize;
-        while offset < input.len() {
-            let end = (offset + record_size).min(input.len());
-            map_fn.map(offset as u64, &input[offset..end], &mut |k, v| {
-                pairs.push((k, v))
-            });
-            offset = end;
-        }
-        let map_pairs = pairs.len() as u64;
-
-        // ---- Partition phase: hash pairs to SPE-owned partitions. ----
-        let cell = self.machine.config();
-        let partition_time =
-            cell.cycles(self.cfg.partition_cycles_per_pair * map_pairs as f64) / n_spes as u64;
-        let mut partitions: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_spes];
-        for (k, v) in pairs {
-            let mut s = k;
-            let slot = (accelmr_des::splitmix64(&mut s) % n_spes as u64) as usize;
-            partitions[slot].push((k, v));
-        }
-
-        // ---- Sort phase: each SPE sorts its partition; slowest binds. ----
-        let mut sort_time = SimDuration::ZERO;
-        for p in &mut partitions {
-            let n = p.len() as f64;
-            let compares = if n > 1.0 { n * n.log2() } else { 0.0 };
-            sort_time = sort_time.max(cell.cycles(self.cfg.sort_cycles_per_compare * compares));
-            p.sort_unstable_by_key(|&(k, _)| k);
-        }
-
-        // ---- Reduce phase: group equal keys within each partition. ----
-        let mut reduce_time = SimDuration::ZERO;
-        let mut reduced: Vec<Vec<(u64, u64)>> = Vec::with_capacity(n_spes);
-        for p in &partitions {
-            let cycles =
-                (self.cfg.reduce_cycles_per_pair + reduce_fn.cycles_per_value()) * p.len() as f64;
-            reduce_time = reduce_time.max(cell.cycles(cycles));
-            let mut out = Vec::new();
-            let mut i = 0;
-            while i < p.len() {
-                let key = p[i].0;
-                let mut j = i;
-                while j < p.len() && p[j].0 == key {
-                    j += 1;
-                }
-                let values: Vec<u64> = p[i..j].iter().map(|&(_, v)| v).collect();
-                out.push((key, reduce_fn.reduce(key, &values)));
-                i = j;
-            }
-            reduced.push(out);
-        }
-
-        // ---- Merge phase: PPE k-way merge of sorted partition outputs. ----
-        let reduced_pairs: u64 = reduced.iter().map(|r| r.len() as u64).sum();
-        let merge_time = cell.cycles(self.cfg.merge_cycles_per_pair * reduced_pairs as f64);
-        let mut output: Vec<(u64, u64)> = reduced.into_iter().flatten().collect();
-        output.sort_unstable_by_key(|&(k, _)| k);
-
-        let total = machine_report.startup
-            + staging
-            + map_time
-            + partition_time
-            + sort_time
-            + reduce_time
-            + merge_time;
-        let report = CellMrReport {
-            staging,
-            map: map_time,
-            partition: partition_time,
-            sort: sort_time,
-            reduce: reduce_time,
-            merge: merge_time,
-            startup: machine_report.startup,
-            total,
-            map_pairs,
-            reduced_pairs,
-            records,
-        };
-        Ok((output, report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelmr_cellbe::AesCtrSpeKernel;
+    use accelmr_cellbe::{AesCtrSpeKernel, SPU_BLOCK};
     use accelmr_kernels::aes::modes::ctr_xor;
     use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
     use std::sync::Arc;
@@ -294,7 +147,7 @@ mod tests {
         // The framework total includes the staging copy the paper calls out,
         // so it must exceed the raw machine run.
         assert!(fw_report.total > machine_report.elapsed);
-        assert_eq!(fw_report.records, (256 * 1024) / 4096);
+        assert_eq!(fw_report.records, (256 * 1024 / SPU_BLOCK) as u64);
     }
 
     #[test]
@@ -311,79 +164,32 @@ mod tests {
         assert!((400.0..560.0).contains(&mbps), "framework rate {mbps} MB/s");
     }
 
-    struct CountWords;
-    impl CellMapFn for CountWords {
-        fn cycles_per_byte(&self) -> f64 {
-            4.0
-        }
-        fn map(&self, _offset: u64, record: &[u8], emit: &mut dyn FnMut(u64, u64)) {
-            // "Word" = byte value bucketed mod 17: a deterministic,
-            // skew-free stand-in for tokenization.
-            for &b in record {
-                emit((b % 17) as u64, 1);
-            }
-        }
-    }
-
-    struct SumReduce;
-    impl CellReduceFn for SumReduce {
-        fn cycles_per_value(&self) -> f64 {
-            2.0
-        }
-        fn reduce(&self, _key: u64, values: &[u64]) -> u64 {
-            values.iter().sum()
-        }
-    }
-
     #[test]
-    fn mapreduce_produces_exact_counts() {
-        let mut input = vec![0u8; 64 * 1024];
-        fill_deterministic(7, 0, &mut input);
-
-        let mut fw = runtime(false);
-        let (output, report) = fw.run_mapreduce(&input, &CountWords, &SumReduce).unwrap();
-
-        // Reference counts.
-        let mut expect = std::collections::BTreeMap::new();
-        for &b in &input {
-            *expect.entry((b % 17) as u64).or_insert(0u64) += 1;
+    fn new_validates_the_framework_config() {
+        let build = |cfg: CellMrConfig| CellMrRuntime::new(CellConfig::default(), cfg, false);
+        assert!(build(CellMrConfig::default()).is_ok());
+        assert!(matches!(
+            build(CellMrConfig {
+                record_size: 0,
+                ..CellMrConfig::default()
+            }),
+            Err(CellConfigError::Degenerate(_))
+        ));
+        assert!(matches!(
+            build(CellMrConfig {
+                record_size: SPU_BLOCK + 4,
+                ..CellMrConfig::default()
+            }),
+            Err(CellConfigError::Misaligned(_))
+        ));
+        for staging in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                build(CellMrConfig {
+                    staging_bytes_per_sec: staging,
+                    ..CellMrConfig::default()
+                }),
+                Err(CellConfigError::Degenerate(_))
+            ));
         }
-        let got: std::collections::BTreeMap<u64, u64> = output.iter().copied().collect();
-        assert_eq!(got, expect);
-
-        // Sorted by key, totals consistent.
-        assert!(output.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(report.map_pairs, 64 * 1024);
-        assert_eq!(report.reduced_pairs, output.len() as u64);
-        let total: u64 = output.iter().map(|&(_, v)| v).sum();
-        assert_eq!(total, 64 * 1024);
-    }
-
-    #[test]
-    fn mapreduce_report_phases_are_populated() {
-        let mut input = vec![0u8; 32 * 1024];
-        fill_deterministic(8, 0, &mut input);
-        let mut fw = runtime(false);
-        let (_, report) = fw.run_mapreduce(&input, &CountWords, &SumReduce).unwrap();
-        for (name, phase) in [
-            ("staging", report.staging),
-            ("map", report.map),
-            ("partition", report.partition),
-            ("sort", report.sort),
-            ("reduce", report.reduce),
-            ("merge", report.merge),
-        ] {
-            assert!(phase > SimDuration::ZERO, "phase {name} is zero");
-        }
-        assert!(report.total >= report.staging + report.map);
-    }
-
-    #[test]
-    fn empty_input_mapreduce() {
-        let mut fw = runtime(false);
-        let (output, report) = fw.run_mapreduce(&[], &CountWords, &SumReduce).unwrap();
-        assert!(output.is_empty());
-        assert_eq!(report.map_pairs, 0);
-        assert_eq!(report.records, 0);
     }
 }

@@ -1,15 +1,13 @@
 //! Single-node raw-performance experiments (no Hadoop involved):
 //! Figure 2 (encryption bandwidth) and Figure 6 (Pi sampling rate).
 
-use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput, PiSpeKernel};
+use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput, PiSpeKernel, SPU_BLOCK};
 use accelmr_cellmr::{CellMrConfig, CellMrRuntime};
 use accelmr_kernels::cost::{self, Engine};
 
 use super::{Figure, Series};
 use crate::kernels::{job_key, JOB_NONCE};
 
-/// SPU work-block size (paper: 4 KB).
-const SPU_BLOCK: usize = 4096;
 /// RNG seed for the functional Pi kernels of Figure 6.
 const FIG6_SEED: u64 = 42;
 

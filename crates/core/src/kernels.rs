@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, PiSpeKernel};
+use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, PiSpeKernel, SPU_BLOCK};
 use accelmr_kernels::aes::modes::ctr_xor;
 use accelmr_kernels::cost::{self, Engine};
 use accelmr_kernels::{checksum, Aes128, AesImpl};
@@ -44,21 +44,16 @@ fn cell_env(env: &mut dyn NodeEnv) -> &mut CellNodeEnv {
 // ---------------------------------------------------------------- Java AES
 
 /// The pure-Java encryption mapper: scalar AES on the PPE inside the task
-/// JVM. No node setup, no bridge.
+/// JVM ([`Engine::JavaPpeTask`]). No node setup, no bridge.
 #[derive(Clone)]
 pub struct JavaAesKernel {
     key: Arc<Aes128>,
-    /// Execution engine (defaults to the task-JVM PPE model).
-    pub engine: Engine,
 }
 
 impl JavaAesKernel {
     /// Builds the kernel with the default job key.
     pub fn new() -> Self {
-        JavaAesKernel {
-            key: job_key(),
-            engine: Engine::JavaPpeTask,
-        }
+        JavaAesKernel { key: job_key() }
     }
 }
 
@@ -74,7 +69,7 @@ impl TaskKernel for JavaAesKernel {
     }
 
     fn map_record(&self, _env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
-        let compute = cost::aes_time(self.engine, rec.len);
+        let compute = cost::aes_time(Engine::JavaPpeTask, rec.len);
         let (output, digest) = match rec.bytes {
             Some(bytes) => {
                 // Functionally identical to the scalar cipher (property
@@ -106,23 +101,20 @@ impl TaskKernel for JavaAesKernel {
 // ---------------------------------------------------------------- Cell AES
 
 /// The Cell-accelerated encryption mapper: the Hadoop `map()` calls through
-/// the JNI bridge into the direct SPE offload library (4 KB blocks striped
-/// over 8 SPUs, double-buffered DMA).
+/// the JNI bridge into the direct SPE offload library ([`SPU_BLOCK`] blocks
+/// striped over 8 SPUs, double-buffered DMA).
 #[derive(Clone)]
 pub struct CellAesKernel {
     key: Arc<Aes128>,
     bridge: JniBridge,
-    /// SPU work-block size (paper: 4 KB).
-    pub block_size: usize,
 }
 
 impl CellAesKernel {
-    /// Builds the kernel with the default job key and 4 KB SPU blocks.
+    /// Builds the kernel with the default job key.
     pub fn new() -> Self {
         CellAesKernel {
             key: job_key(),
             bridge: JniBridge::default(),
-            block_size: 4096,
         }
     }
 }
@@ -157,7 +149,7 @@ impl TaskKernel for CellAesKernel {
                     .run_data_at(
                         DataInput::Real(bytes),
                         &spu_kernel,
-                        self.block_size,
+                        SPU_BLOCK,
                         rec.abs_offset,
                     )
                     .expect("valid block size");
@@ -184,7 +176,7 @@ impl TaskKernel for CellAesKernel {
                     &cfg,
                     rec.len,
                     cost::cost(Engine::SpeSimd).aes_cycles_per_byte,
-                    self.block_size,
+                    SPU_BLOCK,
                 );
                 RecordOutcome {
                     compute: bridge_cost + session + body,
@@ -296,22 +288,18 @@ impl TaskKernel for EmptyKernel {
 
 // ---------------------------------------------------------------- Java Pi
 
-/// The Hadoop-sample PiEstimator mapper, scalar on the PPE task JVM.
+/// The Hadoop-sample PiEstimator mapper, scalar on the PPE task JVM
+/// ([`Engine::JavaPpeTask`]).
 #[derive(Clone, Copy, Debug)]
 pub struct JavaPiKernel {
     /// RNG seed namespace for the job.
     pub seed: u64,
-    /// Execution engine.
-    pub engine: Engine,
 }
 
 impl JavaPiKernel {
     /// Builds the kernel.
     pub fn new(seed: u64) -> Self {
-        JavaPiKernel {
-            seed,
-            engine: Engine::JavaPpeTask,
-        }
+        JavaPiKernel { seed }
     }
 }
 
@@ -327,7 +315,7 @@ impl TaskKernel for JavaPiKernel {
     fn map_units(&self, _env: &mut dyn NodeEnv, units: u64, stream: u64) -> UnitsOutcome {
         let inside = accelmr_kernels::pi::count_inside_auto(self.seed, stream, units);
         UnitsOutcome {
-            compute: cost::pi_time(self.engine, units),
+            compute: cost::pi_time(Engine::JavaPpeTask, units),
             kv: vec![(0, inside), (1, units)],
         }
     }

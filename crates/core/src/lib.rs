@@ -8,8 +8,9 @@
 //! Layers glued together here:
 //!
 //! * [`mod@env`] — per-node accelerator state ([`CellNodeEnv`]): Cell machines
-//!   whose SPU contexts stay warm across map tasks, plus a
-//!   MapReduce-for-Cell framework instance;
+//!   whose SPU contexts stay warm across map tasks, plus the
+//!   MapReduce-for-Cell framework instance [`CellMrAesKernel`] runs its
+//!   map-only records through;
 //! * [`bridge`] — the JNI call-cost model;
 //! * [`kernels`] — one map kernel per paper configuration (Java scalar /
 //!   direct Cell / Cell framework / Empty, for both AES and Pi workloads);

@@ -101,14 +101,6 @@ impl Xoshiro256 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Exponentially distributed sample with the given mean (used for
-    /// jittering heartbeats and failure injection times).
-    #[inline]
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.next_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Fisher-Yates shuffle of a slice, deterministic given the RNG state.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         let n = slice.len();
@@ -219,21 +211,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean={mean}");
-    }
-
-    #[test]
-    fn exponential_mean_close() {
-        let mut r = Xoshiro256::seed_from_u64(17);
-        let n = 50_000;
-        let mean_target = 3.0;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let x = r.next_exp(mean_target);
-            assert!(x >= 0.0);
-            sum += x;
-        }
-        let mean = sum / n as f64;
-        assert!((mean - mean_target).abs() < 0.1, "mean={mean}");
     }
 
     #[test]

@@ -31,26 +31,6 @@ pub enum Engine {
     JavaPower6,
 }
 
-impl Engine {
-    /// All engines, for sweep-style tests and benches.
-    pub const ALL: [Engine; 4] = [
-        Engine::SpeSimd,
-        Engine::JavaPpe,
-        Engine::JavaPpeTask,
-        Engine::JavaPower6,
-    ];
-
-    /// Display name matching the paper's figure legends.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::SpeSimd => "Cell BE (SPU)",
-            Engine::JavaPpe => "PPC (Java)",
-            Engine::JavaPpeTask => "PPC task JVM",
-            Engine::JavaPower6 => "Power 6 (Java)",
-        }
-    }
-}
-
 /// Per-engine unit costs. All rates are *per execution context* (one SPU,
 /// one JVM thread-set); chip-level aggregation is the caller's job.
 #[derive(Clone, Copy, Debug)]
@@ -63,8 +43,6 @@ pub struct EngineCost {
     pub pi_cycles_per_sample: f64,
     /// Sort kernel cost, cycles per record byte (radix pass amortized).
     pub sort_cycles_per_byte: f64,
-    /// Plain memcpy bandwidth on this engine's general-purpose core, B/s.
-    pub memcpy_bytes_per_sec: f64,
 }
 
 const SPE_SIMD: EngineCost = EngineCost {
@@ -72,7 +50,6 @@ const SPE_SIMD: EngineCost = EngineCost {
     aes_cycles_per_byte: 36.6,   // 8 SPEs => ~700 MB/s per Cell (Fig. 2)
     pi_cycles_per_sample: 256.0, // 8 SPEs => ~1e8 samples/s per Cell
     sort_cycles_per_byte: 8.0,
-    memcpy_bytes_per_sec: 8.0e9, // LS-resident copies ride the EIB
 };
 
 const JAVA_PPE: EngineCost = EngineCost {
@@ -80,7 +57,6 @@ const JAVA_PPE: EngineCost = EngineCost {
     aes_cycles_per_byte: 290.0,     // ~11 MB/s (Fig. 2 "PPC")
     pi_cycles_per_sample: 16_000.0, // ~2e5 samples/s (Fig. 6 "PPC")
     sort_cycles_per_byte: 60.0,
-    memcpy_bytes_per_sec: 1.6e9,
 };
 
 const JAVA_PPE_TASK: EngineCost = EngineCost {
@@ -88,7 +64,6 @@ const JAVA_PPE_TASK: EngineCost = EngineCost {
     aes_cycles_per_byte: 160.0,    // ~20 MB/s with both SMT threads
     pi_cycles_per_sample: 3_200.0, // ~1e6 samples/s (Figs. 7/8 Java mapper)
     sort_cycles_per_byte: 40.0,
-    memcpy_bytes_per_sec: 1.6e9,
 };
 
 const JAVA_POWER6: EngineCost = EngineCost {
@@ -96,7 +71,6 @@ const JAVA_POWER6: EngineCost = EngineCost {
     aes_cycles_per_byte: 89.0,     // ~45 MB/s (Fig. 2 "Power 6")
     pi_cycles_per_sample: 4_000.0, // ~1e6 samples/s (Fig. 6 "Power 6")
     sort_cycles_per_byte: 30.0,
-    memcpy_bytes_per_sec: 4.0e9,
 };
 
 /// Looks up the cost table for an engine.
@@ -140,11 +114,6 @@ pub fn aes_bandwidth(engine: Engine) -> f64 {
 pub fn pi_rate(engine: Engine) -> f64 {
     let c = cost(engine);
     c.clock_hz / c.pi_cycles_per_sample
-}
-
-/// Time to memcpy `bytes` on the engine's general-purpose core.
-pub fn memcpy_time(engine: Engine, bytes: u64) -> SimDuration {
-    SimDuration::from_secs_f64(bytes as f64 / cost(engine).memcpy_bytes_per_sec)
 }
 
 #[cfg(test)]
@@ -198,11 +167,5 @@ mod tests {
     fn task_jvm_is_faster_than_single_shot_harness() {
         assert!(pi_rate(Engine::JavaPpeTask) > pi_rate(Engine::JavaPpe));
         assert!(aes_bandwidth(Engine::JavaPpeTask) > aes_bandwidth(Engine::JavaPpe));
-    }
-
-    #[test]
-    fn memcpy_time_sane() {
-        let t = memcpy_time(Engine::JavaPpe, 1_600_000_000);
-        assert!((t.as_secs_f64() - 1.0).abs() < 1e-9);
     }
 }

@@ -28,5 +28,4 @@ pub mod sort;
 pub use aes::{Aes128, AesImpl};
 pub use cost::Engine;
 pub use data::{checksum, fill_deterministic, UnorderedDigest};
-pub use pi::PiPartial;
 pub use sort::SortRecord;

@@ -3,9 +3,12 @@
 //! Each sample draws `(x, y)` uniform in the unit square and tests
 //! `x² + y² ≤ 1`; π ≈ 4 · inside / total, with standard error
 //! `sqrt(π(4−π)/N)` ≈ 1.64/√N — the O(1/√N) accuracy the paper quotes.
-//! Two real implementations mirror the two engines: a straightforward scalar
-//! loop (the Hadoop `PiEstimator` port) and a four-lane batch loop shaped
-//! like the SPU kernel.
+//! Every Pi kernel draws through [`count_inside_auto`]: the Java mapper once
+//! per task and the SPU kernel once per SPE, each on its own `(seed,
+//! stream)`, and the job's reducer sums the `(inside, total)` pairs. Below
+//! [`AUTO_EXACT_LIMIT`] it samples with a four-lane batch loop shaped like
+//! the SPU kernel; the straightforward scalar loop (the Hadoop
+//! `PiEstimator` port) draws the same numbers and is the tests' reference.
 
 use accelmr_des::Xoshiro256;
 
@@ -42,50 +45,6 @@ pub fn count_inside_lanes(rng: &mut Xoshiro256, samples: u64) -> u64 {
         inside += hits;
     }
     inside + count_inside_scalar(rng, samples % 4)
-}
-
-/// Folds a partial count into the classic MapReduce `(inside, total)` pair.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PiPartial {
-    /// Samples that landed inside the quarter circle.
-    pub inside: u64,
-    /// Samples drawn.
-    pub total: u64,
-}
-
-impl PiPartial {
-    /// Runs `samples` draws on a forked RNG stream; `stream` decorrelates
-    /// parallel workers while keeping every run reproducible.
-    pub fn compute(seed: u64, stream: u64, samples: u64, lanes: bool) -> PiPartial {
-        let mut rng = Xoshiro256::seed_from_u64(seed).fork(stream);
-        let inside = if lanes {
-            count_inside_lanes(&mut rng, samples)
-        } else {
-            count_inside_scalar(&mut rng, samples)
-        };
-        PiPartial {
-            inside,
-            total: samples,
-        }
-    }
-
-    /// Combines two partials (the reduce step).
-    #[inline]
-    pub fn merge(self, other: PiPartial) -> PiPartial {
-        PiPartial {
-            inside: self.inside + other.inside,
-            total: self.total + other.total,
-        }
-    }
-
-    /// The π estimate, or `None` when no samples were drawn.
-    pub fn estimate(self) -> Option<f64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(4.0 * self.inside as f64 / self.total as f64)
-        }
-    }
 }
 
 /// Largest sample count [`count_inside_auto`] draws one-by-one; above this
@@ -130,12 +89,21 @@ pub fn standard_error(n: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::PI;
+
+    /// The RNG stream `count_inside_auto` draws `(seed, stream)` from.
+    fn rng(seed: u64, stream: u64) -> Xoshiro256 {
+        Xoshiro256::seed_from_u64(seed).fork(stream)
+    }
+
+    fn estimate(inside: u64, samples: u64) -> f64 {
+        4.0 * inside as f64 / samples as f64
+    }
 
     #[test]
     fn estimates_converge_within_five_sigma() {
         for &(n, seed) in &[(10_000u64, 1u64), (100_000, 2), (1_000_000, 3)] {
-            let p = PiPartial::compute(seed, 0, n, false);
-            let err = (p.estimate().unwrap() - std::f64::consts::PI).abs();
+            let err = (estimate(count_inside_scalar(&mut rng(seed, 0), n), n) - PI).abs();
             assert!(
                 err < 5.0 * standard_error(n),
                 "n={n} err={err} bound={}",
@@ -147,53 +115,59 @@ mod tests {
     #[test]
     fn lanes_and_scalar_are_statistically_identical() {
         // Same RNG stream, same draw order per coordinate pair, so counts
-        // match exactly for multiples of 4...
-        let a = PiPartial::compute(9, 0, 40_000, false);
-        let b = PiPartial::compute(9, 0, 40_000, true);
-        assert_eq!(a, b);
-        // ...and for ragged tails.
-        let c = PiPartial::compute(9, 0, 40_003, false);
-        let d = PiPartial::compute(9, 0, 40_003, true);
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let a = PiPartial {
-            inside: 3,
-            total: 4,
-        };
-        let b = PiPartial {
-            inside: 1,
-            total: 2,
-        };
-        assert_eq!(
-            a.merge(b),
-            PiPartial {
-                inside: 4,
-                total: 6
-            }
-        );
+        // match exactly for multiples of 4 and for ragged tails.
+        for n in [40_000, 40_001, 40_002, 40_003] {
+            assert_eq!(
+                count_inside_scalar(&mut rng(9, 0), n),
+                count_inside_lanes(&mut rng(9, 0), n),
+                "n={n}"
+            );
+        }
     }
 
     #[test]
     fn parallel_split_matches_single_worker_statistics() {
         // 4 workers × 25k samples vs 1 worker × 100k: different streams, so
         // counts differ, but both estimates stay inside the error envelope.
-        let whole = PiPartial::compute(5, 0, 100_000, false);
-        let split = (0..4)
-            .map(|w| PiPartial::compute(5, w + 1, 25_000, false))
-            .fold(PiPartial::default(), PiPartial::merge);
-        assert_eq!(split.total, 100_000);
-        for p in [whole, split] {
-            let err = (p.estimate().unwrap() - std::f64::consts::PI).abs();
+        let whole = count_inside_scalar(&mut rng(5, 0), 100_000);
+        let split: u64 = (0..4)
+            .map(|w| count_inside_scalar(&mut rng(5, w + 1), 25_000))
+            .sum();
+        for inside in [whole, split] {
+            let err = (estimate(inside, 100_000) - PI).abs();
             assert!(err < 5.0 * standard_error(100_000));
+        }
+    }
+
+    /// What `JavaPiKernel` and `CellPiKernel` rely on: every task (or SPE)
+    /// draws its share through `count_inside_auto` on its own stream and the
+    /// reducer sums the counts. The merged estimate stays within 5σ of the
+    /// total whether the shares are sampled, approximated, or both.
+    #[test]
+    fn per_task_streams_merged_through_auto_stay_within_five_sigma() {
+        let below = AUTO_EXACT_LIMIT / 64;
+        let above = AUTO_EXACT_LIMIT * 16;
+        for shares in [
+            vec![below; 8],
+            vec![above; 8],
+            vec![below, above, below, above],
+        ] {
+            let inside: u64 = (0u64..)
+                .zip(&shares)
+                .map(|(stream, &n)| count_inside_auto(17, stream, n))
+                .sum();
+            let total: u64 = shares.iter().sum();
+            let err = (estimate(inside, total) - PI).abs();
+            assert!(
+                err < 5.0 * standard_error(total),
+                "shares={shares:?} err={err}"
+            );
         }
     }
 
     #[test]
     fn auto_count_exact_below_limit() {
-        let direct = PiPartial::compute(3, 5, 1000, true).inside;
+        let direct = count_inside_lanes(&mut rng(3, 5), 1000);
         assert_eq!(count_inside_auto(3, 5, 1000), direct);
     }
 
@@ -206,8 +180,7 @@ mod tests {
         let b = count_inside_auto(1, 1, n);
         assert_ne!(a, b);
         for inside in [a, b] {
-            let est = 4.0 * inside as f64 / n as f64;
-            assert!((est - std::f64::consts::PI).abs() < 5.0 * standard_error(n));
+            assert!((estimate(inside, n) - PI).abs() < 5.0 * standard_error(n));
         }
         // Deterministic.
         assert_eq!(a, count_inside_auto(1, 0, n));
@@ -215,7 +188,7 @@ mod tests {
 
     #[test]
     fn zero_samples_has_no_estimate() {
-        assert_eq!(PiPartial::default().estimate(), None);
+        assert_eq!(count_inside_auto(1, 0, 0), 0);
         assert!(standard_error(0).is_infinite());
     }
 

@@ -1,11 +1,12 @@
 //! Sorting kernel for the Terasort-style experiment.
 //!
 //! The paper's §IV-A closes with an observation on the Terabyte Sort
-//! benchmark (per-node sorting rate ~5.5 MB/s dominated by data feed). To
-//! reproduce that experiment we need a real sort workload: 100-byte records
-//! with 10-byte keys (the classic GraySort format), a range partitioner for
-//! the shuffle, an LSD radix sort for the in-node kernel, and a k-way merge
-//! for the reduce side.
+//! benchmark (per-node sorting rate ~5.5 MB/s dominated by data feed). The
+//! Terasort preset times its map-side sort and reduce-side merge from
+//! [`cost::sort_time`](crate::cost::sort_time); this module is the real
+//! in-node kernel that rate stands for: 100-byte records with 10-byte keys
+//! (the classic GraySort format), a deterministic generator, and an LSD
+//! radix sort.
 
 /// A GraySort-style record: 10 key bytes + 90 payload bytes, compressed here
 /// to the key prefix (as `u64` + 2 spare bytes) and a payload seed, which is
@@ -48,14 +49,6 @@ pub fn generate_records(seed: u64, start: u64, n: usize) -> Vec<SortRecord> {
         });
     }
     out
-}
-
-/// Maps a key to one of `partitions` contiguous key ranges (the shuffle
-/// partitioner). Uniform keys land uniformly.
-#[inline]
-pub fn range_partition(key_hi: u64, partitions: usize) -> usize {
-    debug_assert!(partitions > 0);
-    ((key_hi as u128 * partitions as u128) >> 64) as usize
 }
 
 /// LSD radix sort on the 8 high key bytes (8 passes × 8 bits), stable, then
@@ -111,73 +104,15 @@ pub fn radix_sort(records: &mut Vec<SortRecord>) {
     }
 }
 
-/// Merges pre-sorted runs into one sorted output (the reduce-side merge).
-pub fn merge_sorted_runs(mut runs: Vec<Vec<SortRecord>>) -> Vec<SortRecord> {
-    // Binary-heap k-way merge keyed by (key, run index) for stability.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq, Eq)]
-    struct Head {
-        key_hi: u64,
-        key_lo: u16,
-        run: usize,
-    }
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.key_hi
-                .cmp(&other.key_hi)
-                .then(self.key_lo.cmp(&other.key_lo))
-                .then(self.run.cmp(&other.run))
-        }
-    }
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut cursors = vec![0usize; runs.len()];
-    let mut heap = BinaryHeap::new();
-    for (i, run) in runs.iter().enumerate() {
-        if let Some(r) = run.first() {
-            heap.push(Reverse(Head {
-                key_hi: r.key_hi,
-                key_lo: r.key_lo,
-                run: i,
-            }));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse(h)) = heap.pop() {
-        let run = h.run;
-        out.push(runs[run][cursors[run]]);
-        cursors[run] += 1;
-        if cursors[run] < runs[run].len() {
-            let r = &runs[run][cursors[run]];
-            heap.push(Reverse(Head {
-                key_hi: r.key_hi,
-                key_lo: r.key_lo,
-                run,
-            }));
-        }
-    }
-    // Runs are consumed; drop their storage eagerly.
-    runs.clear();
-    out
-}
-
-/// `true` when `records` is sorted by key.
-pub fn is_sorted(records: &[SortRecord]) -> bool {
-    records
-        .windows(2)
-        .all(|w| w[0].key_cmp(&w[1]) != std::cmp::Ordering::Greater)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn is_sorted(records: &[SortRecord]) -> bool {
+        records
+            .windows(2)
+            .all(|w| w[0].key_cmp(&w[1]) != std::cmp::Ordering::Greater)
+    }
 
     #[test]
     fn radix_sort_sorts_and_preserves_multiset() {
@@ -239,50 +174,5 @@ mod tests {
         let tail = generate_records(3, 40, 60);
         assert_eq!(&all[..40], &head[..]);
         assert_eq!(&all[40..], &tail[..]);
-    }
-
-    #[test]
-    fn range_partition_is_monotone_and_bounded() {
-        let parts = 7;
-        let mut last = 0;
-        for k in (0..100).map(|i| i * (u64::MAX / 100)) {
-            let p = range_partition(k, parts);
-            assert!(p < parts);
-            assert!(p >= last);
-            last = p;
-        }
-        assert_eq!(range_partition(0, parts), 0);
-        assert_eq!(range_partition(u64::MAX, parts), parts - 1);
-    }
-
-    #[test]
-    fn range_partition_roughly_uniform() {
-        let parts = 4;
-        let mut counts = vec![0usize; parts];
-        for r in generate_records(11, 0, 8_000) {
-            counts[range_partition(r.key_hi, parts)] += 1;
-        }
-        for &c in &counts {
-            assert!((1_600..=2_400).contains(&c), "skewed: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn merge_produces_global_order() {
-        let mut runs = Vec::new();
-        for s in 0..5u64 {
-            let mut run = generate_records(s + 20, 0, 500);
-            radix_sort(&mut run);
-            runs.push(run);
-        }
-        let merged = merge_sorted_runs(runs);
-        assert_eq!(merged.len(), 2_500);
-        assert!(is_sorted(&merged));
-    }
-
-    #[test]
-    fn merge_of_empty_runs() {
-        assert!(merge_sorted_runs(vec![]).is_empty());
-        assert!(merge_sorted_runs(vec![vec![], vec![]]).is_empty());
     }
 }

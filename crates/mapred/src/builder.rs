@@ -522,6 +522,6 @@ mod tests {
     fn cluster_builder_deploys_workers() {
         let c = ClusterBuilder::new().workers(3).seed(9).deploy();
         assert_eq!(c.workers.len(), 3);
-        assert_eq!(c.mr.tasktrackers.len(), 3);
+        assert_eq!(c.mr.tasktrackers.snapshot().len(), 3);
     }
 }

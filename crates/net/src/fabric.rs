@@ -1146,20 +1146,6 @@ impl NetHandle {
     pub fn set_node_bandwidth(self, ctx: &mut Ctx<'_>, node: NodeId, factor: f64) {
         ctx.send(self.fabric, SetNodeBandwidth { node, factor });
     }
-
-    /// Partitions `node` off the data plane: every flow it touches stalls
-    /// (no abort) until [`NetHandle::heal_node`]. Control RPCs
-    /// ([`Unicast`]) are unaffected — a partition here is the data-plane
-    /// half of a gray failure.
-    pub fn partition_node(self, ctx: &mut Ctx<'_>, node: NodeId) {
-        self.set_node_bandwidth(ctx, node, 0.0);
-    }
-
-    /// Restores `node`'s links to full capacity; stalled flows resume from
-    /// their remaining bytes.
-    pub fn heal_node(self, ctx: &mut Ctx<'_>, node: NodeId) {
-        self.set_node_bandwidth(ctx, node, 1.0);
-    }
 }
 
 #[cfg(test)]
@@ -1595,10 +1581,10 @@ mod tests {
                         ctx.after(SimDuration::from_millis(500), 1);
                     }
                     Event::Timer { tag: 1, .. } => {
-                        self.net.partition_node(ctx, NodeId(2));
+                        self.net.set_node_bandwidth(ctx, NodeId(2), 0.0);
                         ctx.after(SimDuration::from_secs(2), 2);
                     }
-                    Event::Timer { tag: 2, .. } => self.net.heal_node(ctx, NodeId(2)),
+                    Event::Timer { tag: 2, .. } => self.net.set_node_bandwidth(ctx, NodeId(2), 1.0),
                     Event::Msg { msg, .. } => {
                         if let Some(done) = msg.peek::<FlowDone>() {
                             self.done.push((done.tag, ctx.now().as_secs_f64()));

@@ -56,29 +56,9 @@ impl NodeRegistry {
             .map(|i| v.remove(i).1)
     }
 
-    /// Whether `node` is registered.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.get(node).is_some()
-    }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-
-    /// `true` when no nodes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Current entries, ascending by node id.
     pub fn snapshot(&self) -> Vec<(NodeId, ActorId)> {
         self.inner.lock().unwrap().clone()
-    }
-
-    /// Currently registered node ids, ascending.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.inner.lock().unwrap().iter().map(|&(n, _)| n).collect()
     }
 }
 
@@ -98,17 +78,22 @@ mod tests {
         let ids: Vec<ActorId> = (0..4).map(|_| sim.spawn(Box::new(Noop))).collect();
         let r = NodeRegistry::new(vec![(NodeId(3), ids[3]), (NodeId(1), ids[1])]);
         let clone = r.clone();
-        assert_eq!(r.nodes(), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(r.snapshot(), vec![(NodeId(1), ids[1]), (NodeId(3), ids[3])]);
         clone.insert(NodeId(2), ids[2]);
         assert_eq!(r.get(NodeId(2)), Some(ids[2]));
-        assert_eq!(r.nodes(), vec![NodeId(1), NodeId(2), NodeId(3)]);
+        assert_eq!(
+            r.snapshot(),
+            vec![
+                (NodeId(1), ids[1]),
+                (NodeId(2), ids[2]),
+                (NodeId(3), ids[3])
+            ]
+        );
         assert_eq!(r.remove(NodeId(1)), Some(ids[1]));
         assert_eq!(clone.get(NodeId(1)), None);
-        assert!(clone.contains(NodeId(3)));
-        assert_eq!(r.len(), 2);
+        assert_eq!(clone.get(NodeId(3)), Some(ids[3]));
         // Replacement keeps one entry per node.
         r.insert(NodeId(2), ids[0]);
-        assert_eq!(r.get(NodeId(2)), Some(ids[0]));
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.snapshot(), vec![(NodeId(2), ids[0]), (NodeId(3), ids[3])]);
     }
 }
