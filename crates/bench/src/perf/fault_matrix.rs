@@ -32,7 +32,7 @@ use std::time::Instant;
 use accelmr_des::SimDuration;
 use accelmr_dfs::DfsConfig;
 use accelmr_hybrid::presets;
-use accelmr_mapred::{ClusterBuilder, FaultPlan, MrConfig};
+use accelmr_mapred::{ClusterBuilder, FaultOp, FaultPlan, MrConfig};
 use accelmr_net::NodeId;
 
 use crate::{float, obj, Json};
@@ -156,14 +156,23 @@ fn plan_for(workers: usize, &(_, class, n_victims, window_s): &Cell) -> FaultPla
     let mut plan = FaultPlan::new();
     for (i, &node) in victims(workers, n_victims).iter().enumerate() {
         let at = start + SimDuration::from_secs(3 * i as u64);
-        plan = match class {
-            Class::Partition => plan.partition_at(at, node, window),
-            Class::Degrade => plan.degrade_at(at, node, 0.05, window),
-            Class::Gray => plan.gray_at(at, node, 0.2, window),
-            Class::HeartbeatLoss => plan.heartbeat_loss_at(at, node, window),
-            Class::Stall => plan.stall_at(at, node, window),
+        let op = match class {
+            Class::Partition => FaultOp::Partition { node, window },
+            Class::Degrade => FaultOp::Degrade {
+                node,
+                factor: 0.05,
+                window,
+            },
+            Class::Gray => FaultOp::Gray {
+                node,
+                factor: 0.2,
+                window,
+            },
+            Class::HeartbeatLoss => FaultOp::HeartbeatLoss { node, window },
+            Class::Stall => FaultOp::Stall { node, window },
             Class::Storm => unreachable!(),
         };
+        plan = plan.op_at(at, op);
     }
     plan
 }

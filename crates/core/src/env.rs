@@ -49,11 +49,7 @@ impl CellNodeEnv {
     }
 }
 
-impl NodeEnv for CellNodeEnv {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
+impl NodeEnv for CellNodeEnv {}
 
 /// Factory handing every node a [`CellNodeEnv`].
 #[derive(Clone, Default)]
@@ -75,8 +71,7 @@ mod tests {
     #[test]
     fn env_downcasts_and_keeps_its_machine_warm() {
         let mut env = CellEnvFactory::default().build(0);
-        let cell = env
-            .as_any_mut()
+        let cell = (&mut *env as &mut dyn std::any::Any)
             .downcast_mut::<CellNodeEnv>()
             .expect("downcast");
         assert!(!cell.machine().is_warm());

@@ -14,6 +14,8 @@
 //! *slowest class of nodes sets the CPU-bound job time*, so partial
 //! accelerator coverage buys far less than its proportional share.
 
+use std::any::Any;
+
 use accelmr_mapred::{NodeEnv, NodeEnvFactory, RecordCtx, RecordOutcome, TaskKernel, UnitsOutcome};
 
 use crate::env::{CellEnvFactory, CellNodeEnv};
@@ -54,7 +56,7 @@ impl NodeEnvFactory for MixedEnvFactory {
 }
 
 fn has_accelerator(env: &mut dyn NodeEnv) -> bool {
-    env.as_any_mut().downcast_mut::<CellNodeEnv>().is_some()
+    (env as &mut dyn Any).is::<CellNodeEnv>()
 }
 
 /// Encryption kernel that offloads on accelerated nodes and runs the

@@ -14,6 +14,7 @@
 //! sampling); in virtual mode the same calibrated constants produce timing
 //! only, and a property test pins the two paths to identical durations.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, PiSpeKernel, SPU_BLOCK};
@@ -36,7 +37,7 @@ pub fn job_key() -> Arc<Aes128> {
 pub const JOB_NONCE: u64 = 0xACCE1;
 
 fn cell_env(env: &mut dyn NodeEnv) -> &mut CellNodeEnv {
-    env.as_any_mut()
+    (env as &mut dyn Any)
         .downcast_mut::<CellNodeEnv>()
         .expect("accelerated kernels need a CellNodeEnv (use CellEnvFactory)")
 }

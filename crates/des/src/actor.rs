@@ -51,56 +51,41 @@ pub struct TimerHandle(pub(crate) u64);
 ///
 /// Blanket-implemented for every `'static + Debug + Send` type, so protocol
 /// crates simply define plain structs/enums and send them; receivers
-/// downcast with [`MsgExt::downcast`] / [`MsgExt::peek`].
+/// downcast with `downcast`, `peek` and `is` on `dyn Msg`.
 pub trait Msg: Any + fmt::Debug + Send {
-    /// Upcast to `Any` for downcasting by reference.
-    fn as_any(&self) -> &dyn Any;
-    /// Upcast to boxed `Any` for downcasting by value.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
     /// Short label used in traces (the type name by default).
     fn label(&self) -> &'static str;
 }
 
 impl<T: Any + fmt::Debug + Send> Msg for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
-
     fn label(&self) -> &'static str {
         core::any::type_name::<T>()
     }
 }
 
-/// Downcast helpers on boxed messages.
-pub trait MsgExt {
+// Each method upcasts the payload itself (`self` is the `dyn Msg`, not
+// its box), so the `dyn Any` it asks has the payload's type.
+impl dyn Msg {
     /// Attempts to take the payload as a concrete `T`, returning the box
     /// unchanged on type mismatch so the caller can try another type.
-    fn downcast<T: Any>(self) -> Result<Box<T>, Box<dyn Msg>>;
-    /// Borrowing probe for the payload type.
-    fn peek<T: Any>(&self) -> Option<&T>;
-    /// `true` when the payload is a `T`.
-    fn is<T: Any>(&self) -> bool;
-}
-
-impl MsgExt for Box<dyn Msg> {
-    fn downcast<T: Any>(self) -> Result<Box<T>, Box<dyn Msg>> {
-        if self.as_ref().as_any().is::<T>() {
-            Ok(self.into_any().downcast::<T>().expect("checked by is::<T>"))
+    pub fn downcast<T: Any>(self: Box<Self>) -> Result<Box<T>, Box<dyn Msg>> {
+        if self.is::<T>() {
+            Ok((self as Box<dyn Any>)
+                .downcast::<T>()
+                .expect("checked by is::<T>"))
         } else {
             Err(self)
         }
     }
 
-    fn peek<T: Any>(&self) -> Option<&T> {
-        self.as_ref().as_any().downcast_ref::<T>()
+    /// Borrowing probe for the payload type.
+    pub fn peek<T: Any>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref::<T>()
     }
 
-    fn is<T: Any>(&self) -> bool {
-        self.as_ref().as_any().is::<T>()
+    /// `true` when the payload is a `T`.
+    pub fn is<T: Any>(&self) -> bool {
+        (self as &dyn Any).is::<T>()
     }
 }
 

@@ -50,7 +50,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use actor::{Actor, ActorId, Event, Msg, MsgExt, TimerHandle};
+pub use actor::{Actor, ActorId, Event, Msg, TimerHandle};
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
 pub use queue::{Ladder, Timed};
 pub use rng::{splitmix64, Xoshiro256};
@@ -61,7 +61,7 @@ pub use trace::{Trace, TraceEntry};
 
 /// Everything most actor implementations need.
 pub mod prelude {
-    pub use crate::actor::{Actor, ActorId, Event, Msg, MsgExt, TimerHandle};
+    pub use crate::actor::{Actor, ActorId, Event, Msg, TimerHandle};
     pub use crate::rng::Xoshiro256;
     pub use crate::sim::{Ctx, RunSummary, Sim};
     pub use crate::time::{SimDuration, SimTime};

@@ -544,7 +544,6 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::MsgExt;
 
     #[derive(Debug)]
     struct Kick;

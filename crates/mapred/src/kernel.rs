@@ -13,21 +13,15 @@ use std::any::Any;
 use accelmr_des::SimDuration;
 
 /// Node-resident execution environment (accelerator state). One per
-/// TaskTracker, shared by every task that runs on the node.
-pub trait NodeEnv: Send {
-    /// Downcast hook for kernels.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
+/// TaskTracker, shared by every task that runs on the node. Kernels
+/// upcast `&mut dyn NodeEnv` to `&mut dyn Any` and downcast from there.
+pub trait NodeEnv: Any + Send {}
 
 /// A [`NodeEnv`] for kernels with no node state (pure scalar kernels).
 #[derive(Debug, Default)]
 pub struct NullEnv;
 
-impl NodeEnv for NullEnv {
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+impl NodeEnv for NullEnv {}
 
 /// Builds the per-node environment at TaskTracker construction.
 pub trait NodeEnvFactory: Send + Sync {
@@ -208,7 +202,7 @@ mod tests {
     #[test]
     fn null_env_downcasts() {
         let mut env: Box<dyn NodeEnv> = NullEnvFactory.build(0);
-        assert!(env.as_any_mut().downcast_mut::<NullEnv>().is_some());
+        assert!((&mut *env as &mut dyn Any).is::<NullEnv>());
     }
 
     #[test]

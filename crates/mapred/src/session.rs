@@ -6,6 +6,11 @@
 //! interleaving. Concurrent jobs share the cluster's slots exactly as they
 //! would under Hadoop's FIFO scheduler.
 //!
+//! Membership changes ([`Session::add_node_at`], [`ChurnSchedule`]) and
+//! fault injection ([`FaultPlan`]) queue onto one timeline of primitive
+//! actions, applied mid-run by one schedule driver actor that is spawned
+//! only when something is scheduled.
+//!
 //! ```
 //! use accelmr_mapred::{ClusterBuilder, JobBuilder, FixedCostKernel, SumReducer};
 //! use accelmr_des::SimDuration;
@@ -115,11 +120,21 @@ struct PendingJob {
     slot: ResultSlot,
 }
 
-/// One scheduled membership change.
+/// One scheduled state change: a membership change queued through
+/// [`Session::add_node_at`] / [`Session::remove_node_at`], or one of the
+/// primitives a [`FaultOp`] expands into (one at fault start, one at heal).
 #[derive(Clone, Copy, Debug)]
-enum ChurnChange {
+enum Action {
+    /// A fresh node joins under this id.
     Join(NodeId),
+    /// The node leaves with crash semantics.
     Leave(NodeId),
+    /// Set the node's NIC bandwidth factor (`0.0` = partition, `1.0` = heal).
+    NicFactor(NodeId, f64),
+    /// Set the node's compute-throughput factor (`1.0` = heal).
+    Gray(NodeId, f64),
+    /// Set heartbeat suppression on or off.
+    HbLoss(NodeId, bool),
 }
 
 /// A membership operation inside a [`ChurnSchedule`].
@@ -218,7 +233,8 @@ pub enum FaultOp {
     Degrade {
         /// The degraded node.
         node: NodeId,
-        /// Bandwidth multiplier in `(0, 1)`.
+        /// Bandwidth multiplier in `(0, 1]`; [`FaultPlan::op_at`] panics
+        /// on any other value.
         factor: f64,
         /// Time until full bandwidth returns.
         window: SimDuration,
@@ -229,7 +245,8 @@ pub enum FaultOp {
     Gray {
         /// The gray node.
         node: NodeId,
-        /// Compute-throughput multiplier in `(0, 1)`.
+        /// Compute-throughput multiplier in `(0, 1]`; [`FaultPlan::op_at`]
+        /// panics on any other value.
         factor: f64,
         /// Time until nominal speed returns.
         window: SimDuration,
@@ -257,26 +274,54 @@ pub enum FaultOp {
     },
 }
 
-/// The primitive state changes a [`FaultOp`] expands into (one at fault
-/// start, one at heal).
-#[derive(Clone, Copy, Debug)]
-enum FaultAction {
-    /// Set the node's NIC bandwidth factor (`0.0` = partition, `1.0` = heal).
-    NicFactor(NodeId, f64),
-    /// Set the node's compute-throughput factor (`1.0` = heal).
-    Gray(NodeId, f64),
-    /// Set heartbeat suppression on or off.
-    HbLoss(NodeId, bool),
-}
-
 /// Compute-slowdown factor for [`FaultOp::Stall`].
 const STALL_GRAY_FACTOR: f64 = 1.0 / 16.0;
 
+impl FaultOp {
+    /// Appends the op's primitive apply and heal actions to `out`, applies
+    /// first.
+    fn push_actions(self, at: SimDuration, out: &mut Vec<(SimDuration, Action)>) {
+        match self {
+            FaultOp::Partition { node, window } => {
+                out.push((at, Action::NicFactor(node, 0.0)));
+                out.push((at + window, Action::NicFactor(node, 1.0)));
+            }
+            FaultOp::Degrade {
+                node,
+                factor,
+                window,
+            } => {
+                out.push((at, Action::NicFactor(node, factor)));
+                out.push((at + window, Action::NicFactor(node, 1.0)));
+            }
+            FaultOp::Gray {
+                node,
+                factor,
+                window,
+            } => {
+                out.push((at, Action::Gray(node, factor)));
+                out.push((at + window, Action::Gray(node, 1.0)));
+            }
+            FaultOp::HeartbeatLoss { node, window } => {
+                out.push((at, Action::HbLoss(node, true)));
+                out.push((at + window, Action::HbLoss(node, false)));
+            }
+            FaultOp::Stall { node, window } => {
+                out.push((at, Action::Gray(node, STALL_GRAY_FACTOR)));
+                out.push((at, Action::HbLoss(node, true)));
+                out.push((at + window, Action::Gray(node, 1.0)));
+                out.push((at + window, Action::HbLoss(node, false)));
+            }
+        }
+    }
+}
+
 /// A declarative fault-injection plan: fault classes at simulated offsets,
-/// applied with [`Session::faults`]. Sibling to [`ChurnSchedule`] — same
-/// driver-actor pattern, same offset anchoring (relative to the start of
-/// the next [`Session::run_until_complete`] call) — but every fault heals
-/// after its window instead of removing the node.
+/// applied with [`Session::faults`]. Offsets are anchored like
+/// [`ChurnSchedule`]'s (relative to the start of the next
+/// [`Session::run_until_complete`] call) and both land on the session's
+/// one timeline, but every fault heals after its window instead of
+/// removing the node.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     events: Vec<(SimDuration, FaultOp)>,
@@ -288,57 +333,19 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Adds a fault op at `at`.
+    /// Adds a fault op at `at`. Panics when a [`FaultOp::Degrade`] or
+    /// [`FaultOp::Gray`] factor is not in `(0, 1]`, NaN included: a zero
+    /// or negative factor would turn the fault into a partition or a
+    /// freeze, and a NaN one would never inject it.
     pub fn op_at(mut self, at: SimDuration, op: FaultOp) -> Self {
+        if let FaultOp::Degrade { factor, .. } | FaultOp::Gray { factor, .. } = op {
+            assert!(
+                factor > 0.0 && factor <= 1.0,
+                "invalid fault op {op:?}: factor must be in (0, 1]"
+            );
+        }
         self.events.push((at, op));
         self
-    }
-
-    /// Adds a network partition of `node` over `[at, at + window]`.
-    pub fn partition_at(self, at: SimDuration, node: NodeId, window: SimDuration) -> Self {
-        self.op_at(at, FaultOp::Partition { node, window })
-    }
-
-    /// Adds a gray failure (compute at `factor` of nominal) on `node`
-    /// over `[at, at + window]`.
-    pub fn gray_at(self, at: SimDuration, node: NodeId, factor: f64, window: SimDuration) -> Self {
-        self.op_at(
-            at,
-            FaultOp::Gray {
-                node,
-                factor,
-                window,
-            },
-        )
-    }
-
-    /// Adds a NIC-bandwidth degradation (to `factor` of nominal) on `node`
-    /// over `[at, at + window]`.
-    pub fn degrade_at(
-        self,
-        at: SimDuration,
-        node: NodeId,
-        factor: f64,
-        window: SimDuration,
-    ) -> Self {
-        self.op_at(
-            at,
-            FaultOp::Degrade {
-                node,
-                factor,
-                window,
-            },
-        )
-    }
-
-    /// Adds a heartbeat-loss window on `node` over `[at, at + window]`.
-    pub fn heartbeat_loss_at(self, at: SimDuration, node: NodeId, window: SimDuration) -> Self {
-        self.op_at(at, FaultOp::HeartbeatLoss { node, window })
-    }
-
-    /// Adds a transient stall of `node` over `[at, at + window]`.
-    pub fn stall_at(self, at: SimDuration, node: NodeId, window: SimDuration) -> Self {
-        self.op_at(at, FaultOp::Stall { node, window })
     }
 
     /// A seeded fault storm: `count` faults drawn with the in-tree RNG —
@@ -375,7 +382,7 @@ impl FaultPlan {
                 3 => FaultOp::HeartbeatLoss { node, window },
                 _ => FaultOp::Stall { node, window },
             };
-            plan.events.push((at, op));
+            plan = plan.op_at(at, op);
         }
         plan
     }
@@ -383,49 +390,6 @@ impl FaultPlan {
     /// The scheduled ops, in insertion order.
     pub fn events(&self) -> &[(SimDuration, FaultOp)] {
         &self.events
-    }
-
-    /// Expands every op into its primitive apply/heal actions, sorted by
-    /// time (stable: same-instant actions keep plan order, applies before
-    /// their own heals even at window zero).
-    fn actions(&self) -> Vec<(SimDuration, FaultAction)> {
-        let mut out: Vec<(SimDuration, FaultAction)> = Vec::new();
-        for &(at, op) in &self.events {
-            match op {
-                FaultOp::Partition { node, window } => {
-                    out.push((at, FaultAction::NicFactor(node, 0.0)));
-                    out.push((at + window, FaultAction::NicFactor(node, 1.0)));
-                }
-                FaultOp::Degrade {
-                    node,
-                    factor,
-                    window,
-                } => {
-                    out.push((at, FaultAction::NicFactor(node, factor)));
-                    out.push((at + window, FaultAction::NicFactor(node, 1.0)));
-                }
-                FaultOp::Gray {
-                    node,
-                    factor,
-                    window,
-                } => {
-                    out.push((at, FaultAction::Gray(node, factor)));
-                    out.push((at + window, FaultAction::Gray(node, 1.0)));
-                }
-                FaultOp::HeartbeatLoss { node, window } => {
-                    out.push((at, FaultAction::HbLoss(node, true)));
-                    out.push((at + window, FaultAction::HbLoss(node, false)));
-                }
-                FaultOp::Stall { node, window } => {
-                    out.push((at, FaultAction::Gray(node, STALL_GRAY_FACTOR)));
-                    out.push((at, FaultAction::HbLoss(node, true)));
-                    out.push((at + window, FaultAction::Gray(node, 1.0)));
-                    out.push((at + window, FaultAction::HbLoss(node, false)));
-                }
-            }
-        }
-        out.sort_by_key(|&(at, _)| at);
-        out
     }
 }
 
@@ -441,10 +405,9 @@ pub struct Session<'a> {
     mr: MrHandle,
     dfs: DfsHandle,
     pending: Vec<PendingJob>,
-    /// Membership changes queued for the next run.
-    churn: Vec<(SimDuration, ChurnChange)>,
-    /// Fault-injection primitives queued for the next run.
-    faults: Vec<(SimDuration, FaultAction)>,
+    /// Membership changes and fault actions queued for the next run, in
+    /// the order they were queued.
+    schedule: Vec<(SimDuration, Action)>,
     /// The cluster's fresh-node-id counter.
     next_node: &'a mut u32,
 }
@@ -502,7 +465,7 @@ impl<'a> Session<'a> {
     pub fn add_node_at(&mut self, at: SimDuration) -> NodeId {
         let node = NodeId(*self.next_node);
         *self.next_node += 1;
-        self.churn.push((at, ChurnChange::Join(node)));
+        self.schedule.push((at, Action::Join(node)));
         node
     }
 
@@ -514,7 +477,7 @@ impl<'a> Session<'a> {
     /// re-replication once heartbeat silence is detected).
     pub fn remove_node_at(&mut self, at: SimDuration, node: NodeId) {
         assert_ne!(node, NodeId::HEAD, "cannot remove the head node");
-        self.churn.push((at, ChurnChange::Leave(node)));
+        self.schedule.push((at, Action::Leave(node)));
     }
 
     /// Applies a whole [`ChurnSchedule`], returning the ids assigned to
@@ -532,48 +495,42 @@ impl<'a> Session<'a> {
 
     /// Queues a whole [`FaultPlan`] for the next
     /// [`run_until_complete`](Session::run_until_complete) call. Offsets are
-    /// anchored at the start of that call, exactly like churn. The chaos
-    /// driver actor is spawned only when a plan was queued, so fault-free
-    /// runs keep their historical actor layout and event traces.
+    /// anchored at the start of that call, exactly like churn. An empty
+    /// plan queues nothing, so a run that schedules nothing else spawns no
+    /// schedule driver and keeps its historical actor layout and event
+    /// trace.
     pub fn faults(&mut self, plan: FaultPlan) {
-        self.faults.extend(plan.actions());
+        for &(at, op) in plan.events() {
+            op.push_actions(at, &mut self.schedule);
+        }
     }
 
     /// Runs the simulation until every queued job has completed, and
     /// returns their results in submission order. Queued membership
     /// changes ([`add_node_at`](Session::add_node_at) /
-    /// [`remove_node_at`](Session::remove_node_at)) are applied while the
-    /// batch runs; changes scheduled past the last job completion carry
-    /// over into the next batch. With no jobs queued, an empty vector is
-    /// returned — after driving the simulation just far enough to apply
-    /// any queued membership changes. Panics if the simulation drains without
-    /// completing every job (a runtime bug, not a job failure — failed jobs
-    /// complete with `succeeded == false`).
+    /// [`remove_node_at`](Session::remove_node_at)) and fault actions are
+    /// applied while the batch runs; those scheduled past the last job
+    /// completion carry over into the next batch. With no jobs queued, an
+    /// empty vector is returned — after driving the simulation just far
+    /// enough to apply every queued action. Panics if the simulation drains
+    /// without completing every job (a runtime bug, not a job failure —
+    /// failed jobs complete with `succeeded == false`).
     pub fn run_until_complete(&mut self) -> Vec<JobResult> {
-        let churn = std::mem::take(&mut self.churn);
-        let faults = std::mem::take(&mut self.faults);
-        let last_churn_at = churn
-            .iter()
-            .map(|&(at, _)| at)
-            .chain(faults.iter().map(|&(at, _)| at))
-            .max();
-        if !churn.is_empty() {
-            self.sim.spawn(Box::new(ChurnDriver::new(
-                self.mr.clone(),
-                self.dfs.clone(),
-                churn,
-            )));
-        }
-        if !faults.is_empty() {
-            self.sim
-                .spawn(Box::new(FaultDriver::new(self.mr.clone(), faults)));
+        let schedule = std::mem::take(&mut self.schedule);
+        let last_action_at = schedule.iter().map(|&(at, _)| at).max();
+        if !schedule.is_empty() {
+            self.sim.spawn(Box::new(ScheduleDriver {
+                mr: self.mr.clone(),
+                dfs: self.dfs.clone(),
+                timeline: Timeline::new(schedule),
+            }));
         }
         if self.pending.is_empty() {
-            // A job-less batch still applies queued membership changes and
-            // fault actions: drive the simulation just past the last
-            // scheduled one (it would otherwise be silently deferred — and
-            // re-anchored — to the next batch's start).
-            if let Some(at) = last_churn_at {
+            // A job-less batch still applies its queued actions: drive the
+            // simulation just past the last one (it would otherwise be
+            // silently deferred — and re-anchored — to the next batch's
+            // start).
+            if let Some(at) = last_action_at {
                 let deadline = self.sim.now() + at;
                 self.sim.run_until(deadline);
             }
@@ -630,8 +587,7 @@ impl MrCluster {
             mr: self.mr.clone(),
             dfs: self.dfs.clone(),
             pending: Vec::new(),
-            churn: Vec::new(),
-            faults: Vec::new(),
+            schedule: Vec::new(),
             next_node: &mut self.next_node,
         }
     }
@@ -639,18 +595,19 @@ impl MrCluster {
 
 const SUBMIT_TIMER_TAG: u64 = 1;
 
-/// The schedule a driver actor works through: actions sorted by offset
-/// (stable, so same-instant actions keep the order they were queued in),
-/// anchored at the driver's `Start` instant and drained front to back,
-/// with one timer armed per pending action.
-struct Timeline<A> {
-    actions: Vec<(SimDuration, A)>,
+/// The schedule the driver works through: actions sorted by offset
+/// (stable, so same-instant actions keep the order they were queued in and
+/// a fault's applies precede its own heals even at window zero), anchored
+/// at the driver's `Start` instant and drained front to back, with one
+/// timer armed for the next action once the due ones are out.
+struct Timeline {
+    actions: Vec<(SimDuration, Action)>,
     next: usize,
     start: SimTime,
 }
 
-impl<A: Copy> Timeline<A> {
-    fn new(mut actions: Vec<(SimDuration, A)>) -> Self {
+impl Timeline {
+    fn new(mut actions: Vec<(SimDuration, Action)>) -> Self {
         actions.sort_by_key(|&(at, _)| at);
         Timeline {
             actions,
@@ -659,153 +616,88 @@ impl<A: Copy> Timeline<A> {
         }
     }
 
-    /// Pops the next action if it is due at `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<A> {
+    /// Pops the next action if it is due now; otherwise arms a timer for
+    /// its instant.
+    fn pop_due(&mut self, ctx: &mut Ctx<'_>) -> Option<Action> {
         let &(at, action) = self.actions.get(self.next)?;
-        if self.start + at > now {
+        if self.start + at > ctx.now() {
+            ctx.after_at(self.start + at, 0);
             return None;
         }
         self.next += 1;
         Some(action)
     }
-
-    /// Arms a timer for the next pending action, if any.
-    fn arm_next(&self, ctx: &mut Ctx<'_>) {
-        if let Some(&(at, _)) = self.actions.get(self.next) {
-            ctx.after_at(self.start + at, 0);
-        }
-    }
 }
 
-/// Applies scheduled membership changes from inside the simulation: at
-/// each event's instant it either grows the fabric and adds both daemons
-/// of a new node or crashes a departing one. Spawned by
-/// [`Session::run_until_complete`] only when churn is queued, so static
-/// deployments keep their historical actor layout and event traces.
-struct ChurnDriver {
+/// Applies the session's [`Timeline`] from inside the simulation. Spawned
+/// by [`Session::run_until_complete`] only when something is scheduled, so
+/// static, fault-free deployments keep their historical actor layout and
+/// event traces. NIC factors go through the fabric's node-bandwidth
+/// control; gray and heartbeat-loss actions are routed to the victim's
+/// TaskTracker and silently dropped once the node has left the cluster —
+/// chaos composes with churn.
+struct ScheduleDriver {
     mr: MrHandle,
     dfs: DfsHandle,
-    changes: Timeline<ChurnChange>,
+    timeline: Timeline,
 }
 
-impl ChurnDriver {
-    fn new(mr: MrHandle, dfs: DfsHandle, changes: Vec<(SimDuration, ChurnChange)>) -> Self {
-        ChurnDriver {
-            mr,
-            dfs,
-            changes: Timeline::new(changes),
-        }
-    }
-
-    fn run_due(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(change) = self.changes.pop_due(ctx.now()) {
-            match change {
-                ChurnChange::Join(node) => self.join(ctx, node),
-                ChurnChange::Leave(node) => self.leave(ctx, node),
+impl ScheduleDriver {
+    fn apply(&mut self, ctx: &mut Ctx<'_>, action: Action) {
+        let counter = match action {
+            Action::Join(node) => {
+                // The fabric grows first (same-instant FIFO guarantees links
+                // exist before any traffic), then the DataNode and the
+                // TaskTracker join.
+                self.mr.net.ensure_node(ctx, node);
+                self.dfs.add_datanode(ctx, node);
+                self.mr.add_tasktracker(ctx, node, &self.dfs);
+                "cluster.nodes_joined"
             }
-        }
-        self.changes.arm_next(ctx);
-    }
-
-    /// Assembles one joining node. The fabric grows first (same-instant
-    /// FIFO guarantees links exist before any traffic), then the DataNode
-    /// and the TaskTracker join.
-    fn join(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        self.mr.net.ensure_node(ctx, node);
-        self.dfs.add_datanode(ctx, node);
-        self.mr.add_tasktracker(ctx, node, &self.dfs);
-        ctx.stats().incr("cluster.nodes_joined");
-    }
-
-    /// Crashes one departing node: both daemons die, the registries stop
-    /// routing to it (reads fail fast onto other replicas), and its
-    /// in-flight transfers abort. Heartbeat silence then drives task
-    /// re-execution and DFS re-replication.
-    fn leave(&mut self, ctx: &mut Ctx<'_>, node: NodeId) {
-        self.mr.remove_tasktracker(ctx, node);
-        self.dfs.remove_datanode(ctx, node);
-        self.mr.net.abort_node(ctx, node);
-        ctx.stats().incr("cluster.nodes_left");
-    }
-}
-
-impl Actor for ChurnDriver {
-    fn name(&self) -> String {
-        "mr.session.churn".into()
-    }
-
-    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        match ev {
-            Event::Start => {
-                self.changes.start = ctx.now();
-                self.run_due(ctx);
+            Action::Leave(node) => {
+                // Both daemons die, the registries stop routing to the node
+                // (reads fail fast onto other replicas), and its in-flight
+                // transfers abort. Heartbeat silence then drives task
+                // re-execution and DFS re-replication.
+                self.mr.remove_tasktracker(ctx, node);
+                self.dfs.remove_datanode(ctx, node);
+                self.mr.net.abort_node(ctx, node);
+                "cluster.nodes_left"
             }
-            Event::Timer { .. } => self.run_due(ctx),
-            _ => {}
-        }
-    }
-}
-
-/// Applies a [`FaultPlan`]'s primitive actions from inside the simulation,
-/// on the same [`Timeline`] mechanics as [`ChurnDriver`] (same-instant
-/// actions keep expansion order, so applies precede their own heals).
-/// NIC-factor actions go through the fabric's
-/// node-bandwidth control; gray and heartbeat-loss actions are routed to
-/// the victim's TaskTracker actor. Actions on nodes that have since left
-/// the cluster are silently dropped — chaos composes with churn.
-struct FaultDriver {
-    mr: MrHandle,
-    actions: Timeline<FaultAction>,
-}
-
-impl FaultDriver {
-    fn new(mr: MrHandle, actions: Vec<(SimDuration, FaultAction)>) -> Self {
-        FaultDriver {
-            mr,
-            actions: Timeline::new(actions),
-        }
-    }
-
-    fn run_due(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(action) = self.actions.pop_due(ctx.now()) {
-            self.apply(ctx, action);
-        }
-        self.actions.arm_next(ctx);
-    }
-
-    fn apply(&mut self, ctx: &mut Ctx<'_>, action: FaultAction) {
-        ctx.stats().incr("chaos.actions_applied");
-        match action {
-            FaultAction::NicFactor(node, factor) => {
+            Action::NicFactor(node, factor) => {
                 self.mr.net.set_node_bandwidth(ctx, node, factor);
+                "chaos.actions_applied"
             }
-            FaultAction::Gray(node, factor) => {
+            Action::Gray(node, factor) => {
                 if let Some(tt) = self.mr.tasktrackers.get(node) {
                     ctx.send(tt, InjectGray { factor });
                 }
+                "chaos.actions_applied"
             }
-            FaultAction::HbLoss(node, suppress) => {
+            Action::HbLoss(node, suppress) => {
                 if let Some(tt) = self.mr.tasktrackers.get(node) {
                     ctx.send(tt, SetHeartbeatLoss { suppress });
                 }
+                "chaos.actions_applied"
             }
-        }
+        };
+        ctx.stats().incr(counter);
     }
 }
 
-impl Actor for FaultDriver {
+impl Actor for ScheduleDriver {
     fn name(&self) -> String {
-        "mr.session.chaos".into()
+        "mr.session.schedule".into()
     }
 
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
-            Event::Start => {
-                self.actions.start = ctx.now();
-                self.run_due(ctx);
-            }
-            Event::Timer { .. } => self.run_due(ctx),
-            _ => {}
+            Event::Start => self.timeline.start = ctx.now(),
+            Event::Timer { .. } => {}
+            Event::Msg { .. } => return,
+        }
+        while let Some(action) = self.timeline.pop_due(ctx) {
+            self.apply(ctx, action);
         }
     }
 }

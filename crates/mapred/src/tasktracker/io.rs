@@ -57,12 +57,6 @@ impl IoTable {
         Some(io)
     }
 
-    /// The entry of `tag`, if it is outstanding.
-    pub fn get(&self, tag: u64) -> Option<&Io> {
-        let i = usize::try_from(tag.checked_sub(self.base)?).ok()?;
-        self.slots.get(i)?.as_ref()
-    }
-
     /// `true` when no I/O is outstanding.
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {

@@ -396,17 +396,11 @@ impl Actor for TaskTracker {
                     })
                 }
                 Tick::Watchdog(io_tag) => {
-                    // A read watchdog that finds its read outstanding counts
-                    // as a DFS retry even if the attempt has since gone.
-                    if let Some(Io {
-                        kind: IoKind::Read(_),
-                        ..
-                    }) = self.node.io.get(io_tag)
-                    {
-                        ctx.stats().incr("dfs.read_retries");
-                    }
                     self.with_io(ctx, io_tag, |run, node, ctx, kind| match kind {
-                        IoKind::Read(read) => run.retry_read(node, ctx, read),
+                        IoKind::Read(read) => {
+                            ctx.stats().incr("dfs.read_retries");
+                            run.retry_read(node, ctx, read)
+                        }
                         IoKind::Fetch(fetch) => run.fetch_timed_out(node, ctx, fetch),
                         IoKind::Write { .. } => unreachable!("writes arm no watchdog"),
                     });

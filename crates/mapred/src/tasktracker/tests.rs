@@ -214,7 +214,6 @@ fn io_table_finds_an_entry_that_outlives_many_later_tags() {
         t.insert(tag, write_io(tag));
         assert_eq!(len_of(t.remove(tag).as_ref()), Some(tag));
     }
-    assert_eq!(len_of(t.get(1)), Some(1));
     assert_eq!(t.values().count(), 1);
     assert_eq!(len_of(t.remove(1).as_ref()), Some(1));
     assert!(t.is_empty(), "removing the oldest entry trims the window");
@@ -232,17 +231,14 @@ fn io_table_takes_back_a_tag_the_window_was_trimmed_past() {
     assert!(t.is_empty());
     t.insert(9, write_io(9));
     t.insert(5, io);
-    assert_eq!(len_of(t.get(5)), Some(5));
-    assert_eq!(len_of(t.get(9)), Some(9));
     let order: Vec<_> = t.values().map(|io| len_of(Some(io))).collect();
     assert_eq!(order, [Some(5), Some(9)]);
     // Removed, superseded, never minted, or below the window: all miss.
-    assert!(t.remove(5).is_some());
+    assert_eq!(len_of(t.remove(5).as_ref()), Some(5));
     for tag in [5, 6, 7, 10, 0, u64::MAX] {
-        assert!(t.get(tag).is_none(), "tag {tag}");
         assert!(t.remove(tag).is_none(), "tag {tag}");
     }
-    assert!(t.remove(9).is_some());
+    assert_eq!(len_of(t.remove(9).as_ref()), Some(9));
     assert!(t.is_empty(), "drained");
 }
 
@@ -409,4 +405,36 @@ fn io_table_agrees_with_live_attempts_under_random_interleavings() {
         ok > 50 && failed > 5 && watchdogs > 5,
         "{ok} ok, {failed} failed, {watchdogs} watchdogs"
     );
+}
+
+/// A read watchdog that fires after its attempt was killed finds no
+/// attempt to fail over for, so it counts no DFS read retry.
+#[test]
+fn watchdog_of_a_killed_attempts_read_counts_no_retry() {
+    // Far shorter than any segment read: the watchdog fires first.
+    let timeout = SimDuration::from_micros(1);
+    let cfg = MrConfig {
+        read_timeout: Some(timeout),
+        ..MrConfig::hardened()
+    };
+    let mut w = world(9, cfg);
+    let work = TaskWork::MapRange {
+        path: "/in".into(),
+        file_seed: 5,
+        start: 0,
+        end: MB,
+        record_bytes: MB,
+        blocks: w.view.blocks.clone(),
+    };
+    w.assign(1, work, OutputSink::Digest);
+    // A digest-output map's first table entry is its segment read.
+    w.step_until("segment read issued", |tt| !tt.node.io.is_empty());
+    w.kill(1);
+    let past_watchdog = w.sim.now() + timeout;
+    while w.sim.now() <= past_watchdog {
+        assert!(w.sim.step());
+    }
+    assert!(w.tracker().node.io.is_empty(), "the watchdog ran");
+    assert_eq!(w.sim.stats().counter("dfs.read_retries"), 0);
+    assert_eq!(w.sim.stats().counter("mr.read_retries"), 0);
 }

@@ -836,7 +836,7 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
 /// `hardened_io_paths_are_trace_pinned`.
 fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
     use crate::config::PreemptionTuning;
-    use crate::session::FaultPlan;
+    use crate::session::{FaultOp, FaultPlan};
     use accelmr_net::NodeId;
 
     let mut out = Vec::new();
@@ -881,10 +881,12 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
     {
         let mut c = deploy(91, 4, hardened());
         let mut session = c.session();
-        session.faults(FaultPlan::new().partition_at(
+        session.faults(FaultPlan::new().op_at(
             SimDuration::from_secs(12),
-            NodeId(2),
-            SimDuration::from_secs(30),
+            FaultOp::Partition {
+                node: NodeId(2),
+                window: SimDuration::from_secs(30),
+            },
         ));
         session.submit(
             file_job("part-shuffle", "/ps", 24, 2 * MB, 50)
@@ -920,10 +922,12 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
         };
         let mut c = deploy(92, 4, cfg);
         let mut session = c.session();
-        session.faults(FaultPlan::new().partition_at(
+        session.faults(FaultPlan::new().op_at(
             SimDuration::from_secs(11),
-            NodeId(2),
-            SimDuration::from_secs(20),
+            FaultOp::Partition {
+                node: NodeId(2),
+                window: SimDuration::from_secs(20),
+            },
         ));
         session.submit(
             file_job("part-read", "/pr", 24, 8 * MB, 200)
@@ -1355,11 +1359,7 @@ fn job_results_report_policy_and_dispatch_accounting() {
 #[derive(Debug, Default)]
 struct TurboEnv;
 
-impl NodeEnv for TurboEnv {
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
+impl NodeEnv for TurboEnv {}
 
 /// Every other node gets a [`TurboEnv`] (node indices 0, 2, …).
 #[derive(Clone, Copy)]
@@ -1394,7 +1394,7 @@ impl TaskKernel for HeteroKernel {
     }
 
     fn map_units(&self, env: &mut dyn NodeEnv, units: u64, stream: u64) -> UnitsOutcome {
-        let per_unit_ns = if env.as_any_mut().downcast_mut::<TurboEnv>().is_some() {
+        let per_unit_ns = if (env as &mut dyn std::any::Any).is::<TurboEnv>() {
             40
         } else {
             400

@@ -62,11 +62,30 @@ fn main() {
     let sec = SimDuration::from_secs;
     let plan = FaultPlan::new()
         // NIC down for 30 s mid-map: flows stall (not abort), then resume.
-        .partition_at(sec(12), NodeId(2), sec(30))
+        .op_at(
+            sec(12),
+            FaultOp::Partition {
+                node: NodeId(2),
+                window: sec(30),
+            },
+        )
         // Quarter-speed compute for 40 s; heartbeats keep flowing.
-        .gray_at(sec(15), NodeId(5), 0.25, sec(40))
+        .op_at(
+            sec(15),
+            FaultOp::Gray {
+                node: NodeId(5),
+                factor: 0.25,
+                window: sec(40),
+            },
+        )
         // No heartbeats for 25 s: long enough to trip death detection.
-        .heartbeat_loss_at(sec(20), NodeId(9), sec(25));
+        .op_at(
+            sec(20),
+            FaultOp::HeartbeatLoss {
+                node: NodeId(9),
+                window: sec(25),
+            },
+        );
 
     let (baseline, _) = run(FaultPlan::new());
     let (faulted, counters) = run(plan);

@@ -9,8 +9,13 @@
 //! * kv/digest accounting stays exactly-once under healed partitions and
 //!   heartbeat loss (zombie reports are fenced, not double-folded);
 //! * the same seed with the same plan reproduces byte-identical results;
-//! * an *empty* plan is free: no driver spawns, and the event trace is
-//!   byte-identical to a run that never touched the chaos API.
+//! * churn and faults compose: both queue onto the session's one timeline
+//!   and apply in the same run;
+//! * an *empty* plan or churn schedule is free: no schedule driver spawns,
+//!   and the event trace is byte-identical to a run that never touched
+//!   either API;
+//! * [`FaultPlan::op_at`] rejects a degrade or gray factor outside
+//!   `(0, 1]`.
 
 use accelmr::mapred::FixedCostKernel;
 use accelmr::prelude::*;
@@ -85,10 +90,12 @@ fn healed_partition_is_exactly_once_and_deterministic() {
     // retry path (8 s fetch timeout ≪ window) until the heal lets one
     // through.
     let plan = || {
-        FaultPlan::new().partition_at(
+        FaultPlan::new().op_at(
             SimDuration::from_secs(12),
-            NodeId(2),
-            SimDuration::from_secs(30),
+            FaultOp::Partition {
+                node: NodeId(2),
+                window: SimDuration::from_secs(30),
+            },
         )
     };
     let (first, healed, retries) = run_sorted(SEED, plan());
@@ -129,10 +136,12 @@ fn heartbeat_loss_fences_zombie_reports_exactly_once() {
     assert!(baseline.succeeded);
     assert_eq!((f0, r0, s0), (0, 0, 0), "fault-free run saw chaos effects");
 
-    let plan = FaultPlan::new().heartbeat_loss_at(
+    let plan = FaultPlan::new().op_at(
         SimDuration::from_secs(12),
-        NodeId(2),
-        SimDuration::from_secs(25),
+        FaultOp::HeartbeatLoss {
+            node: NodeId(2),
+            window: SimDuration::from_secs(25),
+        },
     );
     let (faulted, fenced, resurrections, suppressed) = run(plan);
     assert!(faulted.succeeded, "faulted run failed: {:?}", faulted.error);
@@ -164,11 +173,13 @@ fn gray_failure_completes_exact_but_slower() {
     assert!(baseline.succeeded);
     assert_eq!(g0, 0);
 
-    let plan = FaultPlan::new().gray_at(
+    let plan = FaultPlan::new().op_at(
         SimDuration::from_secs(10),
-        NodeId(1),
-        0.25,
-        SimDuration::from_secs(30),
+        FaultOp::Gray {
+            node: NodeId(1),
+            factor: 0.25,
+            window: SimDuration::from_secs(30),
+        },
     );
     let (faulted, gray) = run(plan);
     assert!(faulted.succeeded, "faulted run failed: {:?}", faulted.error);
@@ -204,10 +215,11 @@ fn watchdog_terminates_unservable_job_with_typed_error() {
     assert_eq!(cluster.sim.stats().counter("mr.jobs_stalled"), 1);
 }
 
-/// An empty `FaultPlan` queued through the chaos API is completely free:
-/// no driver actor spawns, and the event-trace fingerprint is
-/// byte-identical to a run that never touched the API. This is the no-op
-/// half of the determinism contract — chaos is strictly opt-in.
+/// An empty `FaultPlan` and an empty `ChurnSchedule` queued through the
+/// session are completely free: no schedule driver spawns, and the
+/// event-trace fingerprint is byte-identical to a run that never touched
+/// either API. This is the no-op half of the determinism contract — chaos
+/// and churn are strictly opt-in.
 #[test]
 fn empty_fault_plan_leaves_traces_byte_identical() {
     let run = |with_api: bool| {
@@ -216,6 +228,7 @@ fn empty_fault_plan_leaves_traces_byte_identical() {
         let mut session = cluster.session();
         if with_api {
             session.faults(FaultPlan::new());
+            assert!(session.churn(ChurnSchedule::new()).is_empty());
         }
         session.submit(compute_job(6, 5));
         let result = session.run();
@@ -225,6 +238,77 @@ fn empty_fault_plan_leaves_traces_byte_identical() {
     let (d_api, f_api) = run(true);
     assert_eq!(d_plain, d_api, "empty plan changed the digest");
     assert_eq!(f_plain, f_api, "empty plan changed the event trace");
+}
+
+/// Churn and faults compose on one session: a join and a leave from a
+/// `ChurnSchedule` and a partition and a gray fault from a `FaultPlan`
+/// all apply during the same job, and the same seed replays the same
+/// event trace.
+#[test]
+fn churn_and_faults_compose_in_one_session() {
+    let sec = SimDuration::from_secs;
+    let run = || {
+        let mut cluster = hardened_cluster(SEED + 6);
+        cluster.sim.enable_trace(1 << 14);
+        let mut session = cluster.session();
+        // Node 5 joins at t=5 s and node 4 leaves at t=10 s.
+        let joined = session.churn(ChurnSchedule::wave(1, &[NodeId(4)], sec(5), sec(5)));
+        assert_eq!(joined, [NodeId(5)]);
+        // Node 2 computes at quarter speed from t=6 s and is partitioned
+        // from t=8 s, both for 10 s.
+        let (node, window) = (NodeId(2), sec(10));
+        let gray = FaultOp::Gray {
+            node,
+            factor: 0.25,
+            window,
+        };
+        let plan = FaultPlan::new().op_at(sec(8), FaultOp::Partition { node, window });
+        session.faults(plan.op_at(sec(6), gray));
+        session.submit(compute_job(16, 20));
+        let result = session.run();
+        assert!(result.succeeded, "composed run failed: {:?}", result.error);
+        let stats = |n| cluster.sim.stats().counter(n);
+        let applied = [
+            stats("cluster.nodes_joined"),
+            stats("cluster.nodes_left"),
+            stats("chaos.actions_applied"),
+            stats("net.partitions_healed"),
+        ];
+        (result.kv, applied, cluster.sim.trace().fingerprint())
+    };
+    let first = run();
+    // Each fault is one apply and one heal.
+    assert_eq!(first.1, [1, 1, 4, 1], "joined, left, fault actions, heals");
+    assert_eq!(first, run(), "same-seed kv or trace diverged");
+}
+
+/// A NaN gray factor would clamp to a near-freeze in the TaskTracker: a
+/// silent hang, not a gray failure.
+#[test]
+#[should_panic(expected = "invalid fault op")]
+fn nan_gray_factor_is_rejected() {
+    FaultPlan::new().op_at(
+        SimDuration::ZERO,
+        FaultOp::Gray {
+            node: NodeId(1),
+            factor: f64::NAN,
+            window: SimDuration::from_secs(1),
+        },
+    );
+}
+
+/// A negative degrade factor would silently become a full partition.
+#[test]
+#[should_panic(expected = "invalid fault op")]
+fn negative_degrade_factor_is_rejected() {
+    FaultPlan::new().op_at(
+        SimDuration::ZERO,
+        FaultOp::Degrade {
+            node: NodeId(1),
+            factor: -0.5,
+            window: SimDuration::from_secs(1),
+        },
+    );
 }
 
 /// Preemption kills racing chaos-plane node death: fair-share reclaims
@@ -294,10 +378,12 @@ fn preemption_kill_racing_node_death_is_exactly_once() {
         cooldown: SimDuration::from_secs(1),
         slack_margin: SimDuration::from_secs(30),
     };
-    let plan = FaultPlan::new().heartbeat_loss_at(
+    let plan = FaultPlan::new().op_at(
         SimDuration::from_secs(17),
-        NodeId(2),
-        SimDuration::from_secs(25),
+        FaultOp::HeartbeatLoss {
+            node: NodeId(2),
+            window: SimDuration::from_secs(25),
+        },
     );
     let ((greedy_chaos, nimble_chaos), kills, fenced, resurrections) = run(tuning, plan);
     assert!(kills >= 1, "no preemption fired before the death window");
