@@ -2,14 +2,17 @@
 //! [des_core|net_scale|kernels_host|churn_scale|fault_matrix|
 //! sched_ablation|all]...`; no name means all of them.
 //!
-//! Every section prints its report. A run of all of them also writes
-//! `BENCH_perf.json` and `BENCH_sched.json` (`.quick.json` under `--quick`,
-//! so a smoke run never overwrites the committed full-scale numbers) in the
-//! current directory, whole; a run restricted to named sections writes
+//! Before any section runs, the host's pace is measured once
+//! ([`calibration`]); host-speed bars
+//! are stated in that unit. Every section prints its report. A run of all
+//! of them also writes `BENCH_perf.json` and `BENCH_sched.json`
+//! (`.quick.json` under `--quick`, so a smoke run never overwrites the
+//! committed full-scale numbers) in the current directory, whole, each
+//! opening with the calibration; a run restricted to named sections writes
 //! nothing.
 
-use accelmr_bench::perf::SECTIONS;
-use accelmr_bench::Json;
+use accelmr_bench::perf::{calibration, SECTIONS};
+use accelmr_bench::{float, obj, Json};
 
 fn main() {
     let names: Vec<&str> = SECTIONS.iter().map(|s| s.0).collect();
@@ -17,6 +20,12 @@ fn main() {
     // None named, or every one.
     let everything = args.picked.iter().all(|&picked| picked == args.picked[0]);
 
+    eprintln!("# calibration ...");
+    let calibration = obj! { "calibration" => obj! {
+        "workload" => "des_core timer_wheel, 8192 actors x 200 firings, median of 3 runs",
+        "events_per_sec" => float(calibration(), 0),
+    } };
+    print!("{}", calibration.text());
     let mut files: Vec<(&str, Json)> = Vec::new();
     for (&(name, file, run), _) in SECTIONS
         .iter()
@@ -32,7 +41,9 @@ fn main() {
         }
     }
     if everything {
-        for (stem, tree) in files {
+        for (stem, entries) in files {
+            let mut tree = calibration.clone();
+            tree.extend(entries);
             let path = format!("{stem}{}.json", if args.quick { ".quick" } else { "" });
             std::fs::write(&path, tree.pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
             eprintln!("wrote {path}");

@@ -25,11 +25,12 @@
 //! node — the same approximation every heartbeat-based system lives with.
 //!
 //! Each run must finish with a successful job, zero under-replicated
-//! blocks, and work dispatched onto joined nodes — the 1000-worker
-//! scenario in single-digit seconds of wall clock. Returns the
-//! `churn_scale` and `terasort_10k` sections of `BENCH_perf.json`: the
-//! second pins the 10,000-node run, or under `--quick` a 1000-worker
-//! stand-in of the same shape held to an events/s floor.
+//! blocks, and work dispatched onto joined nodes, with its simulated
+//! outcome pinned exactly (at full scale and under `--quick`). Host speed
+//! is held to floors on events/s over the process's calibration.
+//! Returns the `churn_scale` and `terasort_10k` sections of
+//! `BENCH_perf.json`: the second pins the 10,000-node run, or under
+//! `--quick` a 1000-worker stand-in of the same shape.
 
 use std::time::Instant;
 
@@ -63,12 +64,9 @@ struct Scenario {
     flows_per_class_floor: f64,
 }
 
-/// What a full-scale scenario is held to. The simulated outcome is a
-/// contract: a host-side optimisation must leave every one of these
-/// exactly where the parent commit had it (asserted). The host numbers
-/// are the parent commit's ([`BEFORE_COMMIT`]), measured on the machine
-/// that regenerated the section just before this run — the "before" row
-/// beside its "after".
+/// What a scenario is held to. The simulated outcome is a contract: a
+/// host-side optimisation must leave every one of these exactly where the
+/// parent commit had it (asserted).
 struct Pinned {
     events: u64,
     makespan_s: f64,
@@ -76,17 +74,49 @@ struct Pinned {
     rereplications: u64,
     solver_calls: u64,
     solver_rounds: u64,
-    wall_bar_s: f64,
-    before_wall_s: f64,
-    before_fabric_ns_per_event: f64,
+    /// The scenario's host-speed bar, if it has one.
+    floor: Option<Floor>,
 }
 
-/// The commit the `before_*` host numbers were measured at.
-const BEFORE_COMMIT: &str = "24a026b";
+/// The calibration ([`super::calibration`]) on the host that restated the
+/// raw events/s bars below as [`Floor`]s: the median of 42 `perf`
+/// processes on a 2-core VM, which read 7.77M-12.04M events/s.
+const RESTATED_AT_CALIBRATION: f64 = 8_757_762.0;
+
+/// A host-speed bar in calibrated units: a floor on `events_per_sec /
+/// calibration`. It is a raw events/s bar divided by
+/// [`RESTATED_AT_CALIBRATION`], so on the host that restated it, it fails
+/// exactly the runs the raw bar failed; on a host k times as fast, the
+/// events/s it asks for is k times as high.
+#[derive(Clone, Copy)]
+struct Floor(f64);
+
+impl Floor {
+    /// The raw bar "at least `events_per_sec`", restated.
+    const fn restating(events_per_sec: f64) -> Floor {
+        Floor(events_per_sec / RESTATED_AT_CALIBRATION)
+    }
+
+    /// Whether a run at `events_per_sec` falls under the floor on a host
+    /// whose calibration reads `calibration`.
+    fn fails(self, events_per_sec: f64, calibration: f64) -> bool {
+        events_per_sec / calibration < self.0
+    }
+}
+
+/// The parent commit's host numbers for a full-scale scenario, measured on
+/// the machine that regenerated the section just before this run: the
+/// "before" row beside its "after".
+fn before(wall_s: f64, fabric_ns_per_event: f64) -> Json {
+    obj! { "before" => obj! {
+        "commit" => "24a026b",
+        "wall_s" => float(wall_s, 4),
+        "net_fabric_nanos_per_event" => float(fabric_ns_per_event, 0),
+    } }
+}
 
 /// What the caller pins across scenarios.
 struct Sample {
-    events_per_sec: f64,
     /// Per-actor-class dispatch costs (events + host nanos), collected
     /// with engine profiling on. The 1k→10k per-event cost ratio is
     /// pinned from these, so heartbeat-path O(cluster) regressions fail
@@ -130,11 +160,9 @@ fn growth(base: &Sample, big: &Sample, keep: impl Fn(&str) -> bool) -> f64 {
     pick(big) / pick(base)
 }
 
-/// Runs one scenario and returns its sample (so the caller can pin
-/// cross-scenario ratios) and its section of the bench file. `pinned` holds
-/// a full-scale scenario to its simulated outcome and wall-clock bar; `None`
-/// is a scaled-down `--quick` run.
-fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Json) {
+/// Runs one scenario, holds it to `pinned`, and returns its sample (so the
+/// caller can pin cross-scenario ratios) and its section of the bench file.
+fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sample, Json) {
     // Elastic-deployment tuning: a 12 s silence window keeps repair and
     // re-execution latency proportionate to churn, and generous attempt
     // budgets absorb fetch aborts from mid-shuffle departures.
@@ -215,6 +243,7 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
 
     let events = summary.events;
     let events_per_sec = events as f64 / wall_s.max(1e-9);
+    let calibration = super::calibration();
     let makespan_s = result.elapsed.as_secs_f64();
     let replications = stats.counter("dfs.blocks_replicated");
     let solver_calls = stats.counter("net.solver_calls");
@@ -241,6 +270,7 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
         "flows" => stats.counter("net.flows_done"),
         "events" => events,
         "events_per_sec" => float(events_per_sec, 0),
+        "events_per_sec_over_calibration" => float(events_per_sec / calibration, 4),
         "wall_s" => float(wall_s, 4),
         "makespan_s" => float(makespan_s, 3),
         "attempts" => result.attempts,
@@ -296,34 +326,29 @@ fn measure(sc: &Scenario, section: &str, pinned: Option<&Pinned>) -> (Sample, Js
             sc.churn_start_s,
             sc.churn_start_s + sc.churn_window_s
         ),
-        "quick" => pinned.is_none(),
+        "quick" => quick,
     };
-    if let Some(p) = pinned {
-        assert_eq!(
-            (events, result.attempts, replications, solver_calls, solver_rounds),
-            (p.events, p.attempts, p.rereplications, p.solver_calls, p.solver_rounds),
-            "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds) moved"
-        );
+    assert_eq!(
+        (events, result.attempts, replications, solver_calls, solver_rounds),
+        (pinned.events, pinned.attempts, pinned.rereplications, pinned.solver_calls, pinned.solver_rounds),
+        "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds) moved"
+    );
+    assert!(
+        (makespan_s - pinned.makespan_s).abs() < 1e-3,
+        "{section}: makespan moved: {makespan_s} s, pinned {} s",
+        pinned.makespan_s
+    );
+    if let Some(floor) = pinned.floor {
         assert!(
-            (makespan_s - p.makespan_s).abs() < 1e-3,
-            "{section}: makespan moved: {makespan_s} s, pinned {} s",
-            p.makespan_s
+            !floor.fails(events_per_sec, calibration),
+            "{section}: {events_per_sec:.0} events/s is {:.4} of the calibration ({calibration:.0} events/s), floor {:.4}",
+            events_per_sec / calibration,
+            floor.0
         );
-        assert!(
-            wall_s < p.wall_bar_s,
-            "acceptance bar: {}-node churn terasort under {:.0}s wall, got {wall_s:.2}s",
-            sc.workers,
-            p.wall_bar_s
-        );
-        body.extend(obj! { "before" => obj! {
-            "commit" => BEFORE_COMMIT,
-            "wall_s" => float(p.before_wall_s, 4),
-            "net_fabric_nanos_per_event" => float(p.before_fabric_ns_per_event, 0),
-        } });
+        body.extend(obj! { "floor_over_calibration" => float(floor.0, 4) });
     }
     body.extend(obj! { "runs" => vec![row] });
     let sample = Sample {
-        events_per_sec,
         actor_costs,
         settle_share,
     };
@@ -344,8 +369,8 @@ pub fn run(quick: bool) -> Json {
         // Measured 12.1: 6 maps per node x 2 reducers per reducer node.
         flows_per_class_floor: 8.0,
     };
-    let sc = if quick {
-        Scenario {
+    let (sc, pinned) = if quick {
+        let sc = Scenario {
             workers: 128,
             // ~3 map dispatch waves (one record per task, 2 slots per
             // node): the pending queue outlives the churn window, so
@@ -358,46 +383,55 @@ pub fn run(quick: bool) -> Json {
             // Measured 10.2.
             flows_per_class_floor: 6.5,
             ..full_1k
-        }
+        };
+        let pinned = Pinned {
+            events: 122_307,
+            makespan_s: 140.447,
+            attempts: 822,
+            rereplications: 180,
+            solver_calls: 484,
+            solver_rounds: 1079,
+            floor: None,
+        };
+        (sc, pinned)
     } else {
-        full_1k
+        let pinned = Pinned {
+            events: 1_729_614,
+            makespan_s: 221.219,
+            attempts: 6296,
+            rereplications: 971,
+            solver_calls: 3475,
+            solver_rounds: 7653,
+            // The raw bar was a 10 s wall for these events.
+            floor: Some(Floor::restating(1_729_614.0 / 10.0)),
+        };
+        (full_1k, pinned)
     };
-
-    let pinned_1k = Pinned {
-        events: 1_729_614,
-        makespan_s: 221.219,
-        attempts: 6296,
-        rereplications: 971,
-        solver_calls: 3475,
-        solver_rounds: 7653,
-        wall_bar_s: 10.0,
-        // Median of four parent runs (2.14-2.28 s, fabric 2147-2371
-        // ns/event), alternated with this commit's (1.31-1.36 s, 947-1008)
-        // on the same machine.
-        before_wall_s: 2.25,
-        before_fabric_ns_per_event: 2280.0,
-    };
-    let (base, base_json) = measure(&sc, "churn_scale", (!quick).then_some(&pinned_1k));
+    let (base, mut base_json) = measure(&sc, "churn_scale", &pinned, quick);
 
     if quick {
         // CI smoke of the 10k scenario's *shape* at a scaled-down worker
         // count: same 3-blocks-per-worker input, reducer count, and ~6%
         // churn profile as the full 10k run, so a heartbeat-path
-        // O(cluster) regression shows up as a collapsed events/s here (the
-        // floor below, which CI used to grep out of the quick JSON) instead
-        // of waiting for the next full 10k regeneration.
+        // O(cluster) regression shows up as a collapsed events/s here
+        // instead of waiting for the next full 10k regeneration.
         let smoke = Scenario {
             blocks: 3 * 1000,
             // Measured 6.2, as the full 10k run it stands in for.
             flows_per_class_floor: 4.0,
             ..full_1k
         };
-        let (s, smoke_json) = measure(&smoke, "terasort_10k", None);
-        assert!(
-            s.events_per_sec >= 150_000.0,
-            "terasort_10k stand-in runs at {:.0} events/s, floor 150000 — a heartbeat-path O(cluster) term is back",
-            s.events_per_sec
-        );
+        let pinned = Pinned {
+            events: 1_162_893,
+            makespan_s: 152.171,
+            attempts: 3218,
+            rereplications: 490,
+            solver_calls: 1760,
+            solver_rounds: 3733,
+            // The raw bar was 150,000 events/s.
+            floor: Some(Floor::restating(150_000.0)),
+        };
+        let (s, smoke_json) = measure(&smoke, "terasort_10k", &pinned, quick);
         assert_settle_share(&s, "terasort_10k");
         return obj! { "churn_scale" => base_json, "terasort_10k" => smoke_json };
     }
@@ -408,22 +442,12 @@ pub fn run(quick: bool) -> Json {
         // as reducers x maps, so the reducer count is held at 64 and the
         // input at 3 blocks/worker (1.5 map waves — late joiners still
         // find a non-empty queue) to keep the fetch fan-out from
-        // quadratically swamping the 10x node-count point. The first pin
-        // (pre-rewrite) landed at ~30M events in ~100s wall; the
-        // expiry-heap liveness sweeps and incremental slot accounting
-        // brought it to ~47s (~640k events/s) with identical makespan,
-        // attempts, and re-replication counts; O(1) flow unlink and
-        // sort-free component solves then halved the fabric's per-event
-        // cost (2830 -> ~1400 ns; 39 s -> ~29 s on one machine), again
-        // with every simulated number identical; pricing flows that share
-        // a route and a cap as one solver entry then took the component
-        // walk and the solve out of the profile (fabric -40% per event
-        // here, where a class holds 6 flows; -58% at 1k, where it holds
-        // 12), same contract. The `fabric_phases` rows say what remains:
-        // the per-flow settles of completions, the write-back that
-        // re-prices every member of a walked class whether or not its
-        // rate moved, and `StartFlow`. Only the full bench regeneration
-        // pays for this run; the --quick path stops above.
+        // quadratically swamping the 10x node-count point. The
+        // `fabric_phases` rows say where the host time goes: the per-flow
+        // settles of completions, the write-back that re-prices every
+        // member of a walked class whether or not its rate moved, and
+        // `StartFlow`. Only the full bench regeneration pays for this run;
+        // the --quick path stops above.
         let sc10k = Scenario {
             workers: 10_000,
             blocks: 3 * 10_000,
@@ -439,16 +463,10 @@ pub fn run(quick: bool) -> Json {
             rereplications: 4873,
             solver_calls: 16_540,
             solver_rounds: 33_416,
-            // The 1.6x headroom the 75 s bar had over its 46.7 s run, over
-            // the median of this commit's three (27.5 / 29.3 / 30.0 s).
-            // (Set on a machine about 1.7x faster than the one that
-            // last regenerated the section: parent 44.4-46.7 s, this commit
-            // 34.4-40.9 s there.)
-            wall_bar_s: 47.0,
-            before_wall_s: 45.80,
-            before_fabric_ns_per_event: 1991.0,
+            // The raw bar was a 47 s wall for these events.
+            floor: Some(Floor::restating(29_708_157.0 / 47.0)),
         };
-        let (big, mut big_json) = measure(&sc10k, "terasort_10k", Some(&pinned_10k));
+        let (big, mut big_json) = measure(&sc10k, "terasort_10k", &pinned_10k, quick);
         assert_settle_share(&big, "terasort_10k");
 
         // The heartbeat-path scalability pin: per-event host cost must
@@ -503,6 +521,64 @@ pub fn run(quick: bool) -> Json {
             "control_plane" => float(control, 2),
             "fabric" => float(fabric, 2),
         } });
+        // Median of four parent runs (1k: 2.14-2.28 s, fabric 2147-2371
+        // ns/event), alternated with this commit's (1.31-1.36 s, 947-1008)
+        // on the same machine.
+        base_json.extend(before(2.25, 2280.0));
+        big_json.extend(before(45.80, 1991.0));
         obj! { "churn_scale" => base_json, "terasort_10k" => big_json }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample(costs: &[(&str, u64, u64)]) -> Sample {
+        let cost = |&(class, events, nanos): &(&str, u64, u64)| ActorCost {
+            class: class.to_string(),
+            events,
+            nanos,
+        };
+        let actor_costs = costs.iter().map(cost).collect();
+        Sample {
+            actor_costs,
+            settle_share: 0.0,
+        }
+    }
+
+    #[test]
+    fn nanos_per_event_weights_classes_by_their_events() {
+        // 1 event at 1000 ns and 9 at 100 ns: 190 ns per event, not the
+        // classes' mean of 550.
+        let s = sample(&[("a", 1, 1_000), ("b", 9, 900)]);
+        assert_eq!(nanos_per_event(&s.actor_costs), 190.0);
+        assert_eq!(nanos_per_event(&[]), 0.0);
+    }
+
+    #[test]
+    fn growth_reads_only_the_classes_it_keeps() {
+        let base = sample(&[("net.fabric", 10, 1_000), ("dfs.namenode", 10, 100)]);
+        let big = sample(&[("net.fabric", 10, 50_000), ("dfs.namenode", 20, 400)]);
+        assert_eq!(growth(&base, &big, |c| c != "net.fabric"), 2.0);
+        assert_eq!(growth(&base, &big, |c| c == "net.fabric"), 50.0);
+    }
+
+    #[test]
+    fn a_floor_fails_exactly_the_runs_its_raw_bar_fails() {
+        // The three raw bars: 10 s and 47 s walls on pinned event counts,
+        // and the --quick stand-in's 150,000 events/s.
+        for raw in [1_729_614.0 / 10.0, 29_708_157.0 / 47.0, 150_000.0] {
+            let floor = Floor::restating(raw);
+            for scale in [0.2, 0.9, 0.999, 1.001, 1.1, 5.0] {
+                let rate = raw * scale;
+                // On the host that restated the bar...
+                assert_eq!(floor.fails(rate, RESTATED_AT_CALIBRATION), rate < raw);
+                // ...and on one three times as fast, which must run three
+                // times as many events per second.
+                let fast = 3.0 * RESTATED_AT_CALIBRATION;
+                assert_eq!(floor.fails(rate, fast), rate < 3.0 * raw);
+            }
+        }
     }
 }

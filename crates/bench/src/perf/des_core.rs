@@ -2,19 +2,15 @@
 //!
 //! The macro benches (`net_scale`, `churn_scale`) measure the simulator
 //! with the full fabric/DFS/MapReduce stack on top; this one isolates the
-//! `accelmr-des` core so queue regressions are attributable. Four
-//! workloads, one per hot path of the event queue:
+//! `accelmr-des` core so queue regressions are attributable. Two
+//! workloads, both timer-driven (the benchmark package's
+//! `des.probe.msg_events_per_sec` and `des.probe.cancel_events_per_sec`
+//! time the same-instant message and cancel-heavy shapes on every run):
 //!
 //! * `timer_wheel` — thousands of staggered periodic timers rearming in
 //!   place (the heartbeat shape: `Payload::Timer` is inline, the rearm
 //!   path reuses the arming's slot, and the wheel absorbs the spread of
 //!   deadlines).
-//! * `msg_bursts` — actors fanning boxed messages out in same-instant
-//!   bursts with short random hops (the shuffle shape: the `now_fifo`
-//!   tier must make same-instant delivery comparison-free).
-//! * `cancel_churn` — timers armed and immediately re-armed before firing
-//!   (the retry/timeout shape: a cancel is one generation bump, and the
-//!   stale queue entry is dropped on pop without a hash lookup).
 //! * `skewed_horizon` — heartbeats at two periods (1 ms and 3 ms) beside
 //!   as many one-shot timers 10^4 periods out (the long-kernel shape: a Pi
 //!   map on the accelerator while the cluster heartbeats). A wheel whose
@@ -22,6 +18,10 @@
 //!   one bucket and sorts each rearm into the middle of it; the ladder
 //!   splits that bucket. Asserted as a ratio to `timer_wheel` on the same
 //!   run.
+//!
+//! `timer_wheel` at full size is also the `perf` binary's calibration
+//! (read through [`super::calibration`]): the unit every
+//! host-speed bar is stated in.
 //!
 //! Returns the `des_core` section of `BENCH_perf.json`.
 
@@ -33,12 +33,13 @@ use accelmr_des::QueueStats;
 use crate::{float, obj, Json};
 
 const TAG_TICK: u64 = 1;
-const TAG_RETRY: u64 = 2;
+const TAG_ONE_SHOT: u64 = 2;
 
-/// Heartbeat actors in `skewed_horizon`, `--quick` included: the cost being
-/// guarded is a sorted insert into a run as long as the actor count, which
-/// a few hundred actors do not show.
-const SKEWED_ACTORS: usize = 8_192;
+/// Actors and firings of a full-size run. The calibration is full-size
+/// under `--quick` too, and `skewed_horizon` keeps the full actor count:
+/// the cost it guards is a sorted insert into a run as long as the actor
+/// count, which a few hundred actors do not show.
+const FULL: (usize, u64) = (8_192, 200);
 
 /// Floor on `skewed_horizon` / `timer_wheel` events/s within one run. The
 /// ladder queue measures 0.83-1.05 (full) and 0.76-0.96 (`--quick`); the
@@ -49,8 +50,7 @@ const SKEWED_RATIO_BAR: f64 = 0.4;
 /// on the machine that regenerated it, events/s).
 fn before() -> Json {
     obj! {
-        "commit" => "5f6cbaf", "timer_wheel" => 14_967_892u64, "msg_bursts" => 3_019_367u64,
-        "cancel_churn" => 7_356_188u64, "skewed_horizon" => 679_714u64,
+        "commit" => "5f6cbaf", "timer_wheel" => 14_967_892u64, "skewed_horizon" => 679_714u64,
         "skewed_over_timer_wheel" => float(0.05, 2),
     }
 }
@@ -80,87 +80,6 @@ impl Actor for TimerLoop {
     }
 }
 
-/// A token forwarded around the ring; `hops` counts down to extinction.
-#[derive(Debug, Clone, Copy)]
-struct Token {
-    hops: u32,
-}
-
-/// A shuffle-shaped actor: each received token is forwarded to a pseudo-
-/// random peer, usually at the *same instant* (exercising the FIFO tier),
-/// sometimes a short hop ahead (exercising near-future bucket pushes).
-struct BurstNode {
-    peers: Vec<ActorId>,
-    fanout: u32,
-}
-
-impl Actor for BurstNode {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        match ev {
-            Event::Start => {
-                for _ in 0..self.fanout {
-                    let to = self.peers[(ctx.rng().next_u64() as usize) % self.peers.len()];
-                    ctx.send(to, Token { hops: 40 });
-                }
-            }
-            Event::Msg { msg, .. } => {
-                if let Some(tok) = msg.peek::<Token>() {
-                    if tok.hops == 0 {
-                        return;
-                    }
-                    let next = Token { hops: tok.hops - 1 };
-                    let to = self.peers[(ctx.rng().next_u64() as usize) % self.peers.len()];
-                    // 3 of 4 hops stay at the current instant; the rest
-                    // jump a few microseconds out.
-                    match ctx.rng().next_u64() % 4 {
-                        0 => {
-                            let ahead = SimDuration::from_nanos(1 + ctx.rng().next_u64() % 4_000);
-                            ctx.send_after(to, next, ahead);
-                        }
-                        _ => ctx.send(to, next),
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A timeout-shaped actor: every tick pushes a long "retry" deadline
-/// further out. The reschedule bumps the slot's generation, so the
-/// previously queued arming goes stale and the pop path must drop it —
-/// one cancelled entry per tick, no hash lookups.
-struct CancelChurn {
-    interval: SimDuration,
-    remaining: u64,
-    retry: Option<TimerHandle>,
-}
-
-impl Actor for CancelChurn {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
-        match ev {
-            Event::Start => {
-                ctx.after(self.interval, TAG_TICK);
-            }
-            Event::Timer { tag: TAG_TICK, .. } => {
-                self.remaining -= 1;
-                let deadline = ctx.now() + self.interval * 8;
-                self.retry = Some(match self.retry {
-                    Some(h) => ctx.reschedule_at(h, deadline, TAG_RETRY),
-                    None => ctx.after_at(deadline, TAG_RETRY),
-                });
-                if self.remaining > 0 {
-                    ctx.rearm_after(self.interval, TAG_TICK);
-                }
-            }
-            Event::Timer { tag: TAG_RETRY, .. } => {
-                self.retry = None;
-            }
-            _ => {}
-        }
-    }
-}
-
 /// One far-out deadline, armed at start and never touched again.
 struct OneShot {
     delay: SimDuration,
@@ -169,7 +88,7 @@ struct OneShot {
 impl Actor for OneShot {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         if let Event::Start = ev {
-            ctx.after(self.delay, TAG_RETRY);
+            ctx.after(self.delay, TAG_ONE_SHOT);
         }
     }
 }
@@ -180,7 +99,8 @@ struct Sample {
     row: Json,
 }
 
-fn finish(workload: &'static str, actors: usize, mut sim: Sim, started: Instant) -> Sample {
+fn finish(workload: &'static str, actors: usize, mut sim: Sim) -> Sample {
+    let started = Instant::now();
     let events = sim.run().events;
     let wall_s = started.elapsed().as_secs_f64();
     let events_per_sec = events as f64 / wall_s.max(1e-9);
@@ -209,7 +129,7 @@ fn timer_wheel(actors: usize, firings: u64) -> Sample {
             remaining: firings,
         }));
     }
-    finish("timer_wheel", actors, sim, Instant::now())
+    finish("timer_wheel", actors, sim)
 }
 
 fn skewed_horizon(actors: usize, firings: u64) -> Sample {
@@ -225,73 +145,38 @@ fn skewed_horizon(actors: usize, firings: u64) -> Sample {
             delay: SimDuration::from_secs(10) + SimDuration::from_nanos(i * 7_919),
         }));
     }
-    finish("skewed_horizon", 2 * actors, sim, Instant::now())
+    finish("skewed_horizon", 2 * actors, sim)
 }
 
-fn msg_bursts(actors: usize, fanout: u32) -> Sample {
-    let mut sim = Sim::new(2);
-    let ids: Vec<ActorId> = (0..actors)
-        .map(|_| {
-            sim.spawn(Box::new(BurstNode {
-                peers: Vec::new(),
-                fanout,
-            }))
-        })
-        .collect();
-    // Peer tables are installed before `run`, so every `Start` burst sees
-    // the full ring.
-    for &id in &ids {
-        sim.actor_mut::<BurstNode>(id).expect("spawned").peers = ids.clone();
-    }
-    finish("msg_bursts", actors, sim, Instant::now())
+/// The median events/s of three full-size `timer_wheel` runs: the host's
+/// pace on the engine's cheapest event ([`super::calibration`]).
+pub(super) fn calibrate() -> f64 {
+    let mut rates = [(); 3].map(|_| timer_wheel(FULL.0, FULL.1).events_per_sec);
+    rates.sort_by(f64::total_cmp);
+    rates[1]
 }
 
-fn cancel_churn(actors: usize, ticks: u64) -> Sample {
-    let mut sim = Sim::new(3);
-    for i in 0..actors {
-        sim.spawn(Box::new(CancelChurn {
-            interval: SimDuration::from_nanos(500_000 + (i as u64 % 61) * 997),
-            remaining: ticks,
-            retry: None,
-        }));
-    }
-    finish("cancel_churn", actors, sim, Instant::now())
-}
-
-/// Runs the four workloads and holds `skewed_horizon` to its ratio bar.
+/// Runs the two workloads and holds `skewed_horizon` to its ratio bar.
 pub fn run(quick: bool) -> Json {
-    let (n, firings, fanout, ticks) = if quick {
-        (512usize, 40u64, 4u32, 40u64)
-    } else {
-        (8_192usize, 200u64, 8u32, 200u64)
-    };
-    let samples = [
-        timer_wheel(n, firings),
-        msg_bursts(n, fanout),
-        cancel_churn(n / 2, ticks),
-        skewed_horizon(SKEWED_ACTORS, firings),
-    ];
-    // Workload-shape sanity: the rearm path and the cancel path must have
-    // actually been exercised, or the numbers measure nothing.
+    let (n, firings) = if quick { (512, 40) } else { FULL };
+    let samples = [timer_wheel(n, firings), skewed_horizon(FULL.0, firings)];
+    // Workload-shape sanity: the rearm path must have actually been
+    // exercised, or the numbers measure nothing.
     assert!(
         samples[0].queue.timer_rearms > 0,
         "timer_wheel never re-armed"
     );
-    assert!(
-        samples[2].queue.cancelled_drops > 0,
-        "cancel_churn never dropped a stale arming"
-    );
 
     // The far-out one-shots must not slow the heartbeats beside them: a
     // queue that sorts every rearm into one span-wide bucket fails here.
-    let skewed_ratio = samples[3].events_per_sec / samples[0].events_per_sec;
+    let skewed_ratio = samples[1].events_per_sec / samples[0].events_per_sec;
     assert!(
         skewed_ratio >= SKEWED_RATIO_BAR,
         "skewed_horizon runs at {skewed_ratio:.2} of timer_wheel (bar {SKEWED_RATIO_BAR})"
     );
 
     obj! { "des_core" => obj! {
-        "scenario" => "engine-only: staggered periodic timers, same-instant message bursts, cancel-heavy retries, heartbeats beside far-out one-shots",
+        "scenario" => "engine-only: staggered periodic timers, heartbeats beside far-out one-shots",
         "quick" => quick,
         "skewed_over_timer_wheel" => float(skewed_ratio, 2),
         "ratio_bar" => float(SKEWED_RATIO_BAR, 1),

@@ -57,7 +57,7 @@ pub use rng::{splitmix64, Xoshiro256};
 pub use sim::{Ctx, RunSummary, Sim};
 pub use stats::{ActorCost, QueueStats, Stats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};
+pub use trace::{Divergence, Trace, TraceEntry};
 
 /// Everything most actor implementations need.
 pub mod prelude {

@@ -59,11 +59,13 @@ impl DfsHandle {
 
     /// Crashes the DataNode on `node`: the registry stops routing to it
     /// and it receives [`Shutdown`]. The NameNode learns of the loss by
-    /// heartbeat silence.
-    pub fn remove_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) {
-        if let Some(dn) = self.datanodes.remove(node) {
+    /// heartbeat silence. Returns whether `node` had a DataNode to crash.
+    pub fn remove_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) -> bool {
+        let dn = self.datanodes.remove(node);
+        if let Some(dn) = dn {
             ctx.send(dn, Shutdown);
         }
+        dn.is_some()
     }
 
     /// Sends a [`GetLocations`] request from `my_node`; the reply arrives

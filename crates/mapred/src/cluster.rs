@@ -74,11 +74,14 @@ impl MrHandle {
 
     /// Crashes the TaskTracker on `node`: the registry stops routing to
     /// it and it receives [`CrashTaskTracker`]. The JobTracker learns of
-    /// the loss by heartbeat silence.
-    pub fn remove_tasktracker(&self, ctx: &mut Ctx<'_>, node: NodeId) {
-        if let Some(tt) = self.tasktrackers.remove(node) {
+    /// the loss by heartbeat silence. Returns whether `node` had a
+    /// TaskTracker to crash.
+    pub fn remove_tasktracker(&self, ctx: &mut Ctx<'_>, node: NodeId) -> bool {
+        let tt = self.tasktrackers.remove(node);
+        if let Some(tt) = tt {
             ctx.send(tt, CrashTaskTracker);
         }
+        tt.is_some()
     }
 }
 

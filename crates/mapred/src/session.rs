@@ -644,6 +644,8 @@ struct ScheduleDriver {
 
 impl ScheduleDriver {
     fn apply(&mut self, ctx: &mut Ctx<'_>, action: Action) {
+        // Only what took effect is counted: a leave of a node with no
+        // daemons, or a gray or heartbeat-loss fault on one, changes nothing.
         let counter = match action {
             Action::Join(node) => {
                 // The fabric grows first (same-instant FIFO guarantees links
@@ -652,36 +654,34 @@ impl ScheduleDriver {
                 self.mr.net.ensure_node(ctx, node);
                 self.dfs.add_datanode(ctx, node);
                 self.mr.add_tasktracker(ctx, node, &self.dfs);
-                "cluster.nodes_joined"
+                Some("cluster.nodes_joined")
             }
             Action::Leave(node) => {
                 // Both daemons die, the registries stop routing to the node
                 // (reads fail fast onto other replicas), and its in-flight
                 // transfers abort. Heartbeat silence then drives task
                 // re-execution and DFS re-replication.
-                self.mr.remove_tasktracker(ctx, node);
-                self.dfs.remove_datanode(ctx, node);
+                let tt = self.mr.remove_tasktracker(ctx, node);
+                let dn = self.dfs.remove_datanode(ctx, node);
                 self.mr.net.abort_node(ctx, node);
-                "cluster.nodes_left"
+                (tt || dn).then_some("cluster.nodes_left")
             }
             Action::NicFactor(node, factor) => {
                 self.mr.net.set_node_bandwidth(ctx, node, factor);
-                "chaos.actions_applied"
+                Some("chaos.actions_applied")
             }
-            Action::Gray(node, factor) => {
-                if let Some(tt) = self.mr.tasktrackers.get(node) {
-                    ctx.send(tt, InjectGray { factor });
-                }
+            Action::Gray(node, factor) => self.mr.tasktrackers.get(node).map(|tt| {
+                ctx.send(tt, InjectGray { factor });
                 "chaos.actions_applied"
-            }
-            Action::HbLoss(node, suppress) => {
-                if let Some(tt) = self.mr.tasktrackers.get(node) {
-                    ctx.send(tt, SetHeartbeatLoss { suppress });
-                }
+            }),
+            Action::HbLoss(node, suppress) => self.mr.tasktrackers.get(node).map(|tt| {
+                ctx.send(tt, SetHeartbeatLoss { suppress });
                 "chaos.actions_applied"
-            }
+            }),
         };
-        ctx.stats().incr(counter);
+        if let Some(counter) = counter {
+            ctx.stats().incr(counter);
+        }
     }
 }
 

@@ -282,6 +282,33 @@ fn churn_and_faults_compose_in_one_session() {
     assert_eq!(first, run(), "same-seed kv or trace diverged");
 }
 
+/// Only actions that take effect are counted: a second leave of one node,
+/// a leave of a node the cluster never had, and a gray fault on a departed
+/// node change nothing, so neither `cluster.nodes_left` nor
+/// `chaos.actions_applied` counts them.
+#[test]
+fn schedule_counts_only_actions_that_take_effect() {
+    let sec = SimDuration::from_secs;
+    let mut cluster = hardened_cluster(SEED + 7);
+    let mut session = cluster.session();
+    session.remove_node_at(sec(1), NodeId(2));
+    session.remove_node_at(sec(2), NodeId(2));
+    session.remove_node_at(sec(3), NodeId(99));
+    let gray = FaultOp::Gray {
+        node: NodeId(2),
+        factor: 0.5,
+        window: sec(1),
+    };
+    session.faults(FaultPlan::new().op_at(sec(4), gray));
+    assert!(session.run_until_complete().is_empty());
+    let stats = |n| cluster.sim.stats().counter(n);
+    assert_eq!(
+        [stats("cluster.nodes_left"), stats("chaos.actions_applied")],
+        [1, 0],
+        "left, fault actions"
+    );
+}
+
 /// A NaN gray factor would clamp to a near-freeze in the TaskTracker: a
 /// silent hang, not a gray failure.
 #[test]

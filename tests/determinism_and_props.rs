@@ -16,13 +16,13 @@
 //! fixed set of random cases, so failures reproduce exactly.
 
 use accelmr::cellbe::{estimate, CellConfig, CellMachine, DataInput, IdentityKernel};
-use accelmr::des::Xoshiro256;
+use accelmr::des::{Trace, Xoshiro256};
 use accelmr::kernels::aes::modes::{ctr_xor, ecb_decrypt, ecb_encrypt};
 use accelmr::mapred::SchedulerPolicy;
 use accelmr::net::{max_min_rates, FlowDemand, LinkId, LinkTable};
 use accelmr::prelude::*;
 
-fn run_cluster_pi(seed: u64) -> (JobResult, u64) {
+fn run_cluster_pi(seed: u64) -> (JobResult, Trace) {
     let mut c = ClusterBuilder::new()
         .seed(seed)
         .workers(3)
@@ -36,26 +36,30 @@ fn run_cluster_pi(seed: u64) -> (JobResult, u64) {
             .map_tasks(6),
     );
     let r = session.run();
-    let fp = c.sim.trace().fingerprint();
-    (r, fp)
+    (r, c.sim.trace().clone())
 }
 
 #[test]
 fn whole_cluster_runs_are_deterministic() {
-    let (r1, f1) = run_cluster_pi(5);
-    let (r2, f2) = run_cluster_pi(5);
+    let (r1, t1) = run_cluster_pi(5);
+    let (r2, t2) = run_cluster_pi(5);
     assert_eq!(r1.elapsed, r2.elapsed);
     assert_eq!(r1.kv, r2.kv);
-    assert_eq!(f1, f2);
+    assert_eq!(
+        t1.fingerprint(),
+        t2.fingerprint(),
+        "event streams diverged: {:?}",
+        t1.first_divergence(&t2)
+    );
 }
 
 #[test]
 fn different_seeds_change_schedule_not_results() {
     // Heartbeat jitter differs, so traces differ — but the Pi result (pure
     // function of the job seed) and task structure are identical.
-    let (r1, f1) = run_cluster_pi(5);
-    let (r2, f2) = run_cluster_pi(6);
-    assert_ne!(f1, f2);
+    let (r1, t1) = run_cluster_pi(5);
+    let (r2, t2) = run_cluster_pi(6);
+    assert_ne!(t1.fingerprint(), t2.fingerprint());
     assert_eq!(r1.kv, r2.kv);
     assert_eq!(r1.map_tasks, r2.map_tasks);
 }
@@ -78,7 +82,7 @@ struct SessionObservation {
     left: u64,
 }
 
-fn churn_fair_share_session(seed: u64) -> SessionObservation {
+fn churn_fair_share_session(seed: u64) -> (SessionObservation, Trace) {
     let mut cluster = ClusterBuilder::new()
         .seed(seed)
         .workers(4)
@@ -128,7 +132,7 @@ fn churn_fair_share_session(seed: u64) -> SessionObservation {
 
     let results = session.run_until_complete();
     assert!(results.iter().all(|r| r.succeeded), "{results:?}");
-    SessionObservation {
+    let observation = SessionObservation {
         fingerprint: cluster.sim.trace().fingerprint(),
         events: cluster.sim.trace().recorded(),
         jobs: results
@@ -145,7 +149,8 @@ fn churn_fair_share_session(seed: u64) -> SessionObservation {
             .collect(),
         joined: cluster.sim.stats().counter("cluster.nodes_joined"),
         left: cluster.sim.stats().counter("cluster.nodes_left"),
-    }
+    };
+    (observation, cluster.sim.trace().clone())
 }
 
 /// Two runs of the identical churn + fair-share session in one process:
@@ -155,13 +160,15 @@ fn churn_fair_share_session(seed: u64) -> SessionObservation {
 /// the event path shows up here as a fingerprint mismatch.
 #[test]
 fn churn_fair_share_session_is_bit_reproducible() {
-    let first = churn_fair_share_session(97);
-    let second = churn_fair_share_session(97);
+    let (first, first_trace) = churn_fair_share_session(97);
+    let (second, second_trace) = churn_fair_share_session(97);
     // The wave actually happened (both runs, asserted via first).
     assert_eq!((first.joined, first.left), (2, 1));
     assert_eq!(
-        first.fingerprint, second.fingerprint,
-        "event streams diverged: {first:?} vs {second:?}"
+        first.fingerprint,
+        second.fingerprint,
+        "event streams diverged: {:?}",
+        first_trace.first_divergence(&second_trace)
     );
     assert_eq!(first, second, "job observations diverged");
 }
@@ -170,8 +177,8 @@ fn churn_fair_share_session_is_bit_reproducible() {
 /// fingerprint is a real function of the seed, not a constant.
 #[test]
 fn different_seed_changes_the_event_stream() {
-    let a = churn_fair_share_session(97);
-    let b = churn_fair_share_session(98);
+    let (a, _) = churn_fair_share_session(97);
+    let (b, _) = churn_fair_share_session(98);
     assert_ne!(a.fingerprint, b.fingerprint);
 }
 
