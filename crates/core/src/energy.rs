@@ -71,14 +71,8 @@ impl EnergyReport {
     }
 }
 
-/// Computes the energy of a completed job.
-///
-/// Kernel busy time comes from the runtime's per-task compute accounting
-/// (`TaskMetrics::compute`, summed into `task_times`-adjacent aggregates);
-/// here we integrate the per-task `compute` totals reported per attempt:
-/// the `JobResult` exposes them as the sum over successful attempts via
-/// `bytes_read`-independent metrics, so we take the kernel-busy integral
-/// directly from the result's task metrics sum.
+/// Computes the energy of a completed job from its result and the
+/// kernel-busy time `kernel_busy` the caller measured for it.
 pub fn job_energy(
     model: &EnergyModel,
     result: &JobResult,

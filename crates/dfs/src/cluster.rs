@@ -7,7 +7,7 @@ use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
 
 use crate::config::{BlockId, DfsConfig};
-use crate::datanode::{DataNode, Shutdown};
+use crate::datanode::{send_next_hop, DataNode, Shutdown};
 use crate::msgs::*;
 use crate::namenode::NameNode;
 
@@ -112,19 +112,21 @@ impl DfsHandle {
         true
     }
 
-    /// Creates an empty file; the caller receives [`CreateAck`].
+    /// Creates an empty file; the caller receives [`CreateAck`] with `tag`.
     pub fn create_file(
         &self,
         ctx: &mut Ctx<'_>,
         my_node: NodeId,
         path: &str,
         replication: Option<usize>,
+        tag: u64,
     ) {
         let req = CreateFile {
             path: path.to_string(),
             replication,
             reply: ctx.self_id(),
             reply_node: my_node,
+            tag,
         };
         self.net
             .unicast(ctx, my_node, self.head_node, self.namenode, 256, req);
@@ -146,38 +148,28 @@ impl DfsHandle {
     }
 
     /// Streams an allocated block into its pipeline; the caller receives
-    /// [`WriteAck`] with `tag` when the last replica lands.
-    #[allow(clippy::too_many_arguments)]
+    /// [`WriteAck`] with `tag` when the last replica lands. Returns
+    /// `false`, sending nothing, when the pipeline is empty or its first
+    /// node has no DataNode in the registry.
     pub fn write_block(
         &self,
         ctx: &mut Ctx<'_>,
         my_node: NodeId,
         block: BlockId,
-        len: u64,
-        seed: u64,
-        base_offset: u64,
+        content: BlockContent,
         pipeline: &[NodeId],
         tag: u64,
     ) -> bool {
-        let Some((&first, rest)) = pipeline.split_first() else {
-            return false;
-        };
-        let Some(dn) = self.datanode_on(first) else {
-            return false;
-        };
-        let req = WriteBlock {
+        let ack = (ctx.self_id(), my_node, tag);
+        send_next_hop(
+            ctx,
+            (self.net, my_node, 256),
+            |n| self.datanode_on(n),
             block,
-            len,
-            seed,
-            base_offset,
-            from_node: my_node,
-            rest: rest.to_vec(),
-            ack_to: ctx.self_id(),
-            ack_node: my_node,
-            tag,
-        };
-        self.net.unicast(ctx, my_node, first, dn, 256, req);
-        true
+            content,
+            pipeline,
+            ack,
+        )
     }
 }
 
@@ -201,28 +193,18 @@ pub fn deploy_dfs(
     if let Err(e) = cfg.validate() {
         panic!("invalid DfsConfig: {e}");
     }
-    let mut dns: Vec<(NodeId, ActorId)> = Vec::with_capacity(workers.len());
-    let mut peers: FxHashMap<NodeId, ActorId> = FxHashMap::default();
-    for &w in workers {
-        let id = sim.spawn(Box::new(DataNode::new(net, w, head_node, materialized)));
-        peers.insert(w, id);
-        dns.push((w, id));
-    }
+    let mut spawn_dn = |w| sim.spawn(Box::new(DataNode::new(net, w, head_node, materialized)));
+    let dns: Vec<(NodeId, ActorId)> = workers.iter().map(|&w| (w, spawn_dn(w))).collect();
     let namenode = sim.spawn(Box::new(NameNode::new(
         cfg.clone(),
         net,
         head_node,
         dns.clone(),
     )));
-    let peers = Arc::new(peers);
+    let peers: Arc<FxHashMap<NodeId, ActorId>> = Arc::new(dns.iter().copied().collect());
     for &(_, dn) in &dns {
-        sim.post(
-            dn,
-            Box::new(WireDataNode {
-                namenode,
-                peers: Arc::clone(&peers),
-            }),
-        );
+        let peers = Arc::clone(&peers);
+        sim.post(dn, Box::new(WireDataNode { namenode, peers }));
     }
     DfsHandle {
         namenode,
@@ -246,22 +228,14 @@ mod tests {
     use super::*;
     use accelmr_net::{Fabric, NetConfig};
 
-    fn deploy(sim: &mut Sim, workers: u32, materialized: bool) -> (DfsHandle, Vec<NodeId>) {
+    fn deploy(sim: &mut Sim, workers: u32, materialized: bool) -> DfsHandle {
         let nodes: Vec<NodeId> = (1..=workers).map(NodeId).collect();
-        let fabric = sim.spawn(Box::new(Fabric::new(
-            NetConfig::default(),
-            workers as usize + 1,
-        )));
-        let net = NetHandle { fabric };
-        let h = deploy_dfs(
-            sim,
-            net,
-            &DfsConfig::default(),
-            NodeId::HEAD,
-            &nodes,
-            materialized,
-        );
-        (h, nodes)
+        let fabric = Fabric::new(NetConfig::default(), workers as usize + 1);
+        let net = NetHandle {
+            fabric: sim.spawn(Box::new(fabric)),
+        };
+        let cfg = DfsConfig::default();
+        deploy_dfs(sim, net, &cfg, NodeId::HEAD, &nodes, materialized)
     }
 
     /// Asks the NameNode to preload `path`; the caller receives
@@ -300,198 +274,180 @@ mod tests {
         }
     }
 
-    #[test]
-    fn preload_places_balanced_replicas() {
-        let mut sim = Sim::new(1);
-        let (dfs, _) = deploy(&mut sim, 4, false);
-        let dfs2 = dfs.clone();
+    /// Runs `script` as a client to the end of the simulation, and checks
+    /// that it reached its verdict exactly once ([`verified`]).
+    fn run_client(
+        sim: &mut Sim,
+        dfs: DfsHandle,
+        script: impl FnMut(&mut Ctx<'_>, Event, &DfsHandle, &mut u32) + Send + 'static,
+    ) {
         sim.spawn(Box::new(Client {
             dfs,
             state: 0,
-            script: move |ctx, ev, dfs, state| match ev {
-                Event::Start => {
-                    preload(ctx, dfs, "/input", 8 * (64 << 20), None, None, 7);
-                }
-                Event::Msg { msg, .. } => {
-                    if let Some(done) = msg.peek::<PreloadDone>() {
-                        assert_eq!(done.view.blocks.len(), 8);
-                        assert_eq!(done.view.len, 8 * (64 << 20));
-                        // Round-robin over 4 nodes: each holds 2 blocks.
-                        let mut counts = std::collections::BTreeMap::new();
-                        for b in &done.view.blocks {
-                            assert_eq!(b.replicas.len(), 1);
-                            *counts.entry(b.replicas[0]).or_insert(0u32) += 1;
-                        }
-                        assert!(counts.values().all(|&c| c == 2), "{counts:?}");
-                        *state = 1;
-                        ctx.stats().incr("verified");
-                        ctx.stop();
-                    }
-                }
-                _ => {}
-            },
+            script,
         }));
-        let _ = dfs2;
         sim.run();
         assert_eq!(sim.stats().counter("verified"), 1);
+    }
+
+    /// The script's checks passed: count it and end the run.
+    fn verified(ctx: &mut Ctx<'_>) {
+        ctx.stats().incr("verified");
+        ctx.stop();
+    }
+
+    #[test]
+    fn preload_places_balanced_replicas() {
+        let mut sim = Sim::new(1);
+        let dfs = deploy(&mut sim, 4, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, _| match ev {
+            Event::Start => {
+                preload(ctx, dfs, "/input", 8 * (64 << 20), None, None, 7);
+            }
+            Event::Msg { msg, .. } => {
+                if let Some(done) = msg.peek::<PreloadDone>() {
+                    assert_eq!(done.view.blocks.len(), 8);
+                    assert_eq!(done.view.len, 8 * (64 << 20));
+                    // Round-robin over 4 nodes: each holds 2 blocks.
+                    let mut counts = std::collections::BTreeMap::new();
+                    for b in &done.view.blocks {
+                        assert_eq!(b.replicas.len(), 1);
+                        *counts.entry(b.replicas[0]).or_insert(0u32) += 1;
+                    }
+                    assert!(counts.values().all(|&c| c == 2), "{counts:?}");
+                    verified(ctx);
+                }
+            }
+            _ => {}
+        });
     }
 
     #[test]
     fn read_returns_canonical_bytes() {
         let mut sim = Sim::new(2);
-        let (dfs, _) = deploy(&mut sim, 2, true);
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: |ctx, ev, dfs, _state| match ev {
-                Event::Start => {
-                    preload(ctx, dfs, "/data", 1 << 20, Some(256 << 10), None, 42);
+        let dfs = deploy(&mut sim, 2, true);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, _state| match ev {
+            Event::Start => {
+                preload(ctx, dfs, "/data", 1 << 20, Some(256 << 10), None, 42);
+            }
+            Event::Msg { msg, .. } => {
+                if let Some(done) = msg.peek::<PreloadDone>() {
+                    // Read 1000 bytes at offset 100 of block 1.
+                    let b = &done.view.blocks[1];
+                    dfs.read_range(ctx, NodeId(1), b.replicas[0], b.id, 100, 1000, None, 77);
+                } else if let Some(data) = msg.peek::<RangeData>() {
+                    assert_eq!(data.tag, 77);
+                    assert_eq!(data.len, 1000);
+                    let got = data.bytes.as_ref().expect("materialized");
+                    let mut expect = vec![0u8; 1000];
+                    accelmr_kernels::fill_deterministic(42, (256 << 10) + 100, &mut expect);
+                    assert_eq!(got, &expect);
+                    verified(ctx);
                 }
-                Event::Msg { msg, .. } => {
-                    if let Some(done) = msg.peek::<PreloadDone>() {
-                        // Read 1000 bytes at offset 100 of block 1.
-                        let b = &done.view.blocks[1];
-                        dfs.read_range(ctx, NodeId(1), b.replicas[0], b.id, 100, 1000, None, 77);
-                    } else if let Some(data) = msg.peek::<RangeData>() {
-                        assert_eq!(data.tag, 77);
-                        assert_eq!(data.len, 1000);
-                        let got = data.bytes.as_ref().expect("materialized");
-                        let mut expect = vec![0u8; 1000];
-                        accelmr_kernels::fill_deterministic(42, (256 << 10) + 100, &mut expect);
-                        assert_eq!(got, &expect);
-                        ctx.stats().incr("verified");
-                        ctx.stop();
-                    }
-                }
-                _ => {}
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            _ => {}
+        });
     }
 
     #[test]
     fn capped_read_takes_protocol_limited_time() {
         let mut sim = Sim::new(3);
-        let (dfs, _) = deploy(&mut sim, 1, false);
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: |ctx, ev, dfs, _| match ev {
-                Event::Start => {
-                    preload(ctx, dfs, "/big", 64 << 20, None, None, 0);
+        let dfs = deploy(&mut sim, 1, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, _| match ev {
+            Event::Start => {
+                preload(ctx, dfs, "/big", 64 << 20, None, None, 0);
+            }
+            Event::Msg { msg, .. } => {
+                if let Some(done) = msg.peek::<PreloadDone>() {
+                    let b = &done.view.blocks[0];
+                    // Local (loopback) read of a full 64 MB block capped
+                    // at 8.5 MB/s: the paper's "several seconds per
+                    // record" observation.
+                    dfs.read_range(
+                        ctx,
+                        NodeId(1),
+                        b.replicas[0],
+                        b.id,
+                        0,
+                        b.len,
+                        Some(8.5e6),
+                        1,
+                    );
+                } else if msg.peek::<RangeData>().is_some() {
+                    let secs = ctx.now().as_secs_f64();
+                    let expect = (64 << 20) as f64 / 8.5e6;
+                    assert!((secs - expect).abs() < 0.1, "took {secs}, expect ~{expect}");
+                    verified(ctx);
                 }
-                Event::Msg { msg, .. } => {
-                    if let Some(done) = msg.peek::<PreloadDone>() {
-                        let b = &done.view.blocks[0];
-                        // Local (loopback) read of a full 64 MB block capped
-                        // at 8.5 MB/s: the paper's "several seconds per
-                        // record" observation.
-                        dfs.read_range(
-                            ctx,
-                            NodeId(1),
-                            b.replicas[0],
-                            b.id,
-                            0,
-                            b.len,
-                            Some(8.5e6),
-                            1,
-                        );
-                    } else if msg.peek::<RangeData>().is_some() {
-                        let secs = ctx.now().as_secs_f64();
-                        let expect = (64 << 20) as f64 / 8.5e6;
-                        assert!((secs - expect).abs() < 0.1, "took {secs}, expect ~{expect}");
-                        ctx.stats().incr("verified");
-                        ctx.stop();
-                    }
-                }
-                _ => {}
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            _ => {}
+        });
     }
 
     #[test]
     fn write_pipeline_replicates_and_acks() {
         let mut sim = Sim::new(4);
-        let (dfs, _) = deploy(&mut sim, 3, false);
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: |ctx, ev, dfs, state| match ev {
-                Event::Start => {
-                    dfs.create_file(ctx, NodeId(2), "/out", Some(2));
+        let dfs = deploy(&mut sim, 3, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, state| match ev {
+            Event::Start => {
+                dfs.create_file(ctx, NodeId(2), "/out", Some(2), 4);
+            }
+            Event::Msg { msg, .. } => {
+                if let Some(ack) = msg.peek::<CreateAck>() {
+                    assert_eq!(ack.tag, 4);
+                    assert!(ack.ok);
+                    dfs.alloc_block(ctx, NodeId(2), "/out", 32 << 20, 5);
+                } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
+                    assert_eq!(alloc.tag, 5);
+                    assert_eq!(alloc.pipeline.len(), 2);
+                    // Writer-local first replica preferred.
+                    assert_eq!(alloc.pipeline[0], NodeId(2));
+                    let content = BlockContent {
+                        len: 32 << 20,
+                        seed: 9,
+                        base_offset: 0,
+                    };
+                    let block = alloc.block;
+                    assert!(dfs.write_block(ctx, NodeId(2), block, content, &alloc.pipeline, 5));
+                    *state = 1;
+                } else if let Some(ack) = msg.peek::<WriteAck>() {
+                    assert_eq!(ack.tag, 5);
+                    assert_eq!(*state, 1);
+                    // Re-locate: both replicas visible.
+                    dfs.get_locations(ctx, NodeId(2), "/out", 6);
+                    *state = 2;
+                } else if let Some(loc) = msg.peek::<LocationsReply>() {
+                    let view = loc.view.as_ref().expect("file exists");
+                    assert_eq!(view.blocks.len(), 1);
+                    assert_eq!(view.blocks[0].replicas.len(), 2);
+                    verified(ctx);
                 }
-                Event::Msg { msg, .. } => {
-                    if let Some(ack) = msg.peek::<CreateAck>() {
-                        assert!(ack.ok);
-                        dfs.alloc_block(ctx, NodeId(2), "/out", 32 << 20, 5);
-                    } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
-                        assert_eq!(alloc.tag, 5);
-                        assert_eq!(alloc.pipeline.len(), 2);
-                        // Writer-local first replica preferred.
-                        assert_eq!(alloc.pipeline[0], NodeId(2));
-                        assert!(dfs.write_block(
-                            ctx,
-                            NodeId(2),
-                            alloc.block,
-                            32 << 20,
-                            9,
-                            0,
-                            &alloc.pipeline,
-                            5,
-                        ));
-                        *state = 1;
-                    } else if let Some(ack) = msg.peek::<WriteAck>() {
-                        assert_eq!(ack.tag, 5);
-                        assert_eq!(*state, 1);
-                        // Re-locate: both replicas visible.
-                        dfs.get_locations(ctx, NodeId(2), "/out", 6);
-                        *state = 2;
-                    } else if let Some(loc) = msg.peek::<LocationsReply>() {
-                        let view = loc.view.as_ref().expect("file exists");
-                        assert_eq!(view.blocks.len(), 1);
-                        assert_eq!(view.blocks[0].replicas.len(), 2);
-                        ctx.stats().incr("verified");
-                        ctx.stop();
-                    }
-                }
-                _ => {}
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            _ => {}
+        });
     }
 
     #[test]
     fn missing_file_and_missing_block() {
         let mut sim = Sim::new(5);
-        let (dfs, _) = deploy(&mut sim, 1, false);
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: |ctx, ev, dfs, state| match ev {
-                Event::Start => {
-                    dfs.get_locations(ctx, NodeId(1), "/nope", 1);
+        let dfs = deploy(&mut sim, 1, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, state| match ev {
+            Event::Start => {
+                dfs.get_locations(ctx, NodeId(1), "/nope", 1);
+            }
+            Event::Msg { msg, .. } => {
+                if let Some(rep) = msg.peek::<LocationsReply>() {
+                    assert!(rep.view.is_none());
+                    *state = 1;
+                    dfs.read_range(ctx, NodeId(1), NodeId(1), BlockId(999), 0, 10, None, 2);
+                } else if let Some(err) = msg.peek::<ReadError>() {
+                    assert_eq!(err.tag, 2);
+                    assert_eq!(*state, 1);
+                    verified(ctx);
                 }
-                Event::Msg { msg, .. } => {
-                    if let Some(rep) = msg.peek::<LocationsReply>() {
-                        assert!(rep.view.is_none());
-                        *state = 1;
-                        dfs.read_range(ctx, NodeId(1), NodeId(1), BlockId(999), 0, 10, None, 2);
-                    } else if let Some(err) = msg.peek::<ReadError>() {
-                        assert_eq!(err.tag, 2);
-                        assert_eq!(*state, 1);
-                        ctx.stats().incr("verified");
-                        ctx.stop();
-                    }
-                }
-                _ => {}
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            _ => {}
+        });
     }
 
     /// Killing a replica holder must repair every affected block back to
@@ -499,39 +455,32 @@ mod tests {
     #[test]
     fn dead_datanode_triggers_rereplication_to_target() {
         let mut sim = Sim::new(9);
-        let (dfs, _) = deploy(&mut sim, 3, false);
+        let dfs = deploy(&mut sim, 3, false);
         let dn1 = dfs.datanode_on(NodeId(1)).unwrap();
         let namenode = dfs.namenode;
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: move |ctx, ev, dfs, _state| match ev {
-                Event::Start => {
-                    preload(ctx, dfs, "/r2", 4 * (64 << 20), None, Some(2), 1);
-                }
-                Event::Msg { msg, .. } => {
-                    if msg.peek::<PreloadDone>().is_some() {
-                        ctx.send(dn1, crate::datanode::Shutdown);
-                        // Past dead_after (30 s) + time for the repair
-                        // pipelines to stream.
-                        ctx.after(SimDuration::from_secs(60), 1);
-                    } else if let Some(rep) = msg.peek::<LocationsReply>() {
-                        let view = rep.view.as_ref().unwrap();
-                        for b in &view.blocks {
-                            assert_eq!(b.replicas.len(), 2, "block {} under target", b.id);
-                            assert!(!b.replicas.contains(&NodeId(1)));
-                        }
-                        ctx.stats().incr("verified");
-                        ctx.stop();
+        run_client(&mut sim, dfs, move |ctx, ev, dfs, _state| match ev {
+            Event::Start => {
+                preload(ctx, dfs, "/r2", 4 * (64 << 20), None, Some(2), 1);
+            }
+            Event::Msg { msg, .. } => {
+                if msg.peek::<PreloadDone>().is_some() {
+                    ctx.send(dn1, crate::datanode::Shutdown);
+                    // Past dead_after (30 s) + time for the repair
+                    // pipelines to stream.
+                    ctx.after(SimDuration::from_secs(60), 1);
+                } else if let Some(rep) = msg.peek::<LocationsReply>() {
+                    let view = rep.view.as_ref().unwrap();
+                    for b in &view.blocks {
+                        assert_eq!(b.replicas.len(), 2, "block {} under target", b.id);
+                        assert!(!b.replicas.contains(&NodeId(1)));
                     }
+                    verified(ctx);
                 }
-                Event::Timer { .. } => {
-                    dfs.get_locations(ctx, NodeId(2), "/r2", 3);
-                }
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            Event::Timer { .. } => {
+                dfs.get_locations(ctx, NodeId(2), "/r2", 3);
+            }
+        });
         assert!(sim.stats().counter("dfs.replications_started") >= 1);
         assert!(sim.stats().counter("dfs.blocks_replicated") >= 1);
         let nn = sim
@@ -548,46 +497,39 @@ mod tests {
         let mut sim = Sim::new(10);
         // Two nodes, replication 2: after one dies there is no third node
         // to repair onto — until one joins.
-        let (dfs, _) = deploy(&mut sim, 2, false);
+        let dfs = deploy(&mut sim, 2, false);
         let dn1 = dfs.datanode_on(NodeId(1)).unwrap();
         let namenode = dfs.namenode;
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: move |ctx, ev, dfs, state| match ev {
-                Event::Start => {
-                    preload(ctx, dfs, "/f", 2 * (64 << 20), None, Some(2), 2);
-                }
-                Event::Msg { msg, .. } => {
-                    if msg.peek::<PreloadDone>().is_some() {
-                        ctx.send(dn1, crate::datanode::Shutdown);
-                        ctx.after(SimDuration::from_secs(45), 1);
-                    } else if let Some(rep) = msg.peek::<LocationsReply>() {
-                        let view = rep.view.as_ref().unwrap();
-                        for b in &view.blocks {
-                            assert_eq!(b.replicas.len(), 2);
-                            assert!(b.replicas.contains(&NodeId(3)), "join not used: {b:?}");
-                        }
-                        ctx.stats().incr("verified");
-                        ctx.stop();
+        run_client(&mut sim, dfs, move |ctx, ev, dfs, state| match ev {
+            Event::Start => {
+                preload(ctx, dfs, "/f", 2 * (64 << 20), None, Some(2), 2);
+            }
+            Event::Msg { msg, .. } => {
+                if msg.peek::<PreloadDone>().is_some() {
+                    ctx.send(dn1, crate::datanode::Shutdown);
+                    ctx.after(SimDuration::from_secs(45), 1);
+                } else if let Some(rep) = msg.peek::<LocationsReply>() {
+                    let view = rep.view.as_ref().unwrap();
+                    for b in &view.blocks {
+                        assert_eq!(b.replicas.len(), 2);
+                        assert!(b.replicas.contains(&NodeId(3)), "join not used: {b:?}");
                     }
+                    verified(ctx);
                 }
-                Event::Timer { tag: 1, .. } => {
-                    // Node 1 is dead and every block sits at 1/2 replicas
-                    // with no capacity. Join node 3 the way the runtime
-                    // does: grow the fabric, then add the DataNode.
-                    *state = 1;
-                    dfs.net.ensure_node(ctx, NodeId(3));
-                    dfs.add_datanode(ctx, NodeId(3));
-                    ctx.after(SimDuration::from_secs(30), 2);
-                }
-                Event::Timer { .. } => {
-                    dfs.get_locations(ctx, NodeId(2), "/f", 7);
-                }
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            Event::Timer { tag: 1, .. } => {
+                // Node 1 is dead and every block sits at 1/2 replicas
+                // with no capacity. Join node 3 the way the runtime
+                // does: grow the fabric, then add the DataNode.
+                *state = 1;
+                dfs.net.ensure_node(ctx, NodeId(3));
+                dfs.add_datanode(ctx, NodeId(3));
+                ctx.after(SimDuration::from_secs(30), 2);
+            }
+            Event::Timer { .. } => {
+                dfs.get_locations(ctx, NodeId(2), "/f", 7);
+            }
+        });
         assert_eq!(sim.stats().counter("dfs.datanodes_joined"), 1);
         let nn = sim
             .actor_ref::<crate::namenode::NameNode>(namenode)
@@ -601,21 +543,16 @@ mod tests {
     #[test]
     fn datanodes_resolve_as_datanode_actors() {
         let mut sim = Sim::new(11);
-        let (dfs, _) = deploy(&mut sim, 2, false);
+        let dfs = deploy(&mut sim, 2, false);
         let deployed = dfs.datanode_on(NodeId(1)).unwrap();
         let registry = dfs.datanodes.clone();
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: |ctx, ev, dfs, _| {
-                if let Event::Start = ev {
-                    dfs.net.ensure_node(ctx, NodeId(3));
-                    dfs.add_datanode(ctx, NodeId(3));
-                    ctx.stop();
-                }
-            },
-        }));
-        sim.run();
+        run_client(&mut sim, dfs, |ctx, ev, dfs, _| {
+            if let Event::Start = ev {
+                dfs.net.ensure_node(ctx, NodeId(3));
+                dfs.add_datanode(ctx, NodeId(3));
+                verified(ctx);
+            }
+        });
         assert!(sim.actor_ref::<DataNode>(deployed).is_some());
         let added = registry.get(NodeId(3)).expect("registered");
         assert!(sim.actor_ref::<DataNode>(added).is_some());
@@ -627,84 +564,152 @@ mod tests {
     #[test]
     fn added_datanode_carries_two_replica_writes() {
         let mut sim = Sim::new(12);
-        let (dfs, _) = deploy(&mut sim, 1, false);
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: |ctx, ev, dfs, acks| match ev {
-                Event::Start => {
-                    dfs.net.ensure_node(ctx, NodeId(2));
-                    dfs.add_datanode(ctx, NodeId(2));
-                    dfs.create_file(ctx, NodeId(1), "/two", Some(2));
-                }
-                Event::Msg { msg, .. } => {
-                    if msg.peek::<CreateAck>().is_some() {
-                        dfs.alloc_block(ctx, NodeId(1), "/two", 1 << 20, 1);
-                        dfs.alloc_block(ctx, NodeId(2), "/two", 1 << 20, 2);
-                    } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
-                        let writer = NodeId(alloc.tag as u32);
-                        let other = NodeId(3 - alloc.tag as u32);
-                        assert_eq!(alloc.pipeline, vec![writer, other]);
-                        assert!(dfs.write_block(
-                            ctx,
-                            writer,
-                            alloc.block,
-                            1 << 20,
-                            0,
-                            0,
-                            &alloc.pipeline,
-                            alloc.tag,
-                        ));
-                    } else if msg.peek::<WriteAck>().is_some() {
-                        *acks += 1;
-                        if *acks == 2 {
-                            ctx.stats().incr("verified");
-                            ctx.stop();
-                        }
+        let dfs = deploy(&mut sim, 1, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, acks| match ev {
+            Event::Start => {
+                dfs.net.ensure_node(ctx, NodeId(2));
+                dfs.add_datanode(ctx, NodeId(2));
+                dfs.create_file(ctx, NodeId(1), "/two", Some(2), 0);
+            }
+            Event::Msg { msg, .. } => {
+                if msg.peek::<CreateAck>().is_some() {
+                    dfs.alloc_block(ctx, NodeId(1), "/two", 1 << 20, 1);
+                    dfs.alloc_block(ctx, NodeId(2), "/two", 1 << 20, 2);
+                } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
+                    let writer = NodeId(alloc.tag as u32);
+                    let other = NodeId(3 - alloc.tag as u32);
+                    assert_eq!(alloc.pipeline, vec![writer, other]);
+                    let content = BlockContent {
+                        len: 1 << 20,
+                        seed: 0,
+                        base_offset: 0,
+                    };
+                    let (block, tag) = (alloc.block, alloc.tag);
+                    assert!(dfs.write_block(ctx, writer, block, content, &alloc.pipeline, tag));
+                } else if msg.peek::<WriteAck>().is_some() {
+                    *acks += 1;
+                    if *acks == 2 {
+                        verified(ctx);
                     }
                 }
-                _ => {}
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            _ => {}
+        });
         assert_eq!(sim.stats().counter("dfs.bytes_written"), 4 << 20);
+    }
+
+    /// Node 2 leaves, then node 3 joins: node 3's DataNode was wired from
+    /// a registry snapshot without node 2, so its peer map lacks it.
+    fn join_after_leave(ctx: &mut Ctx<'_>, dfs: &DfsHandle) -> ActorId {
+        assert!(dfs.remove_datanode(ctx, NodeId(2)));
+        dfs.net.ensure_node(ctx, NodeId(3));
+        dfs.add_datanode(ctx, NodeId(3))
+    }
+
+    const MB_CONTENT: BlockContent = BlockContent {
+        len: 1 << 20,
+        seed: 0,
+        base_offset: 0,
+    };
+
+    /// A repair whose first hop is missing from the source's peer map is
+    /// answered with `ReplicationFailed`, naming the block.
+    #[test]
+    fn replicate_to_a_peer_the_source_never_learned_is_rejected() {
+        let mut sim = Sim::new(13);
+        let dfs = deploy(&mut sim, 2, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, _| match ev {
+            Event::Start => {
+                let dn3 = join_after_leave(ctx, dfs);
+                let block = BlockId(7);
+                let content = MB_CONTENT;
+                ctx.send(dn3, AddBlockMeta { block, content });
+                let replicate = ReplicateBlock {
+                    block,
+                    pipeline: vec![NodeId(2)],
+                    ack_to: ctx.self_id(),
+                    ack_node: NodeId(1),
+                    tag: 9,
+                };
+                ctx.send(dn3, replicate);
+                // DataNodes heartbeat forever: bound the wait.
+                ctx.after(SimDuration::from_secs(10), 1);
+            }
+            Event::Msg { msg, .. } => {
+                if let Some(failed) = msg.peek::<ReplicationFailed>() {
+                    assert_eq!((failed.block, failed.tag), (BlockId(7), 9));
+                    verified(ctx);
+                }
+            }
+            Event::Timer { .. } => ctx.stop(),
+        });
+        assert_eq!(sim.stats().counter("dfs.replication_rejects"), 1);
+        assert_eq!(sim.stats().counter("dfs.replications_forwarded"), 0);
+    }
+
+    /// A write whose next hop is missing from the landing DataNode's peer
+    /// map lands there and goes no further: nothing is sent to the next
+    /// hop and the writer never gets a `WriteAck`.
+    #[test]
+    fn write_forward_to_a_peer_the_datanode_never_learned_stalls() {
+        let mut sim = Sim::new(14);
+        let dfs = deploy(&mut sim, 2, false);
+        run_client(&mut sim, dfs, |ctx, ev, dfs, drops| match ev {
+            Event::Start => {
+                join_after_leave(ctx, dfs);
+                // Past node 2's last heartbeat timer, the one event its
+                // dead actor drops unprompted.
+                ctx.after(SimDuration::from_secs(5), 1);
+            }
+            Event::Timer { tag: 1, .. } => {
+                *drops = ctx.stats().queue().dead_actor_drops as u32;
+                let pipeline = [NodeId(3), NodeId(2)];
+                assert!(dfs.write_block(ctx, NodeId(1), BlockId(7), MB_CONTENT, &pipeline, 5));
+                ctx.after(SimDuration::from_secs(30), 2);
+            }
+            Event::Timer { .. } => {
+                assert_eq!(ctx.stats().counter("dfs.bytes_written"), 1 << 20);
+                // A forward to node 2 would be one more drop.
+                let drops_now = ctx.stats().queue().dead_actor_drops;
+                assert_eq!(drops_now, u64::from(*drops), "a forward reached node 2");
+                verified(ctx);
+            }
+            Event::Msg { msg, .. } => {
+                assert!(
+                    msg.peek::<WriteAck>().is_none(),
+                    "a stalled write was acked"
+                );
+            }
+        });
     }
 
     #[test]
     fn dead_datanode_excluded_from_locations() {
         let mut sim = Sim::new(6);
-        let (dfs, _nodes) = deploy(&mut sim, 2, false);
+        let dfs = deploy(&mut sim, 2, false);
         let dn1 = dfs.datanode_on(NodeId(1)).unwrap();
-        sim.spawn(Box::new(Client {
-            dfs,
-            state: 0,
-            script: move |ctx, ev, dfs, state| match ev {
-                Event::Start => {
-                    preload(ctx, dfs, "/f", 2 * (64 << 20), None, None, 0);
-                }
-                Event::Msg { msg, .. } => {
-                    if msg.peek::<PreloadDone>().is_some() {
-                        // Kill DataNode on node 1, then wait past dead_after.
-                        ctx.send(dn1, crate::datanode::Shutdown);
-                        ctx.after(SimDuration::from_secs(40), 1);
-                    } else if let Some(rep) = msg.peek::<LocationsReply>() {
-                        let view = rep.view.as_ref().unwrap();
-                        for b in &view.blocks {
-                            assert!(!b.replicas.contains(&NodeId(1)));
-                        }
-                        ctx.stats().incr("verified");
-                        ctx.stop();
+        run_client(&mut sim, dfs, move |ctx, ev, dfs, state| match ev {
+            Event::Start => {
+                preload(ctx, dfs, "/f", 2 * (64 << 20), None, None, 0);
+            }
+            Event::Msg { msg, .. } => {
+                if msg.peek::<PreloadDone>().is_some() {
+                    // Kill DataNode on node 1, then wait past dead_after.
+                    ctx.send(dn1, crate::datanode::Shutdown);
+                    ctx.after(SimDuration::from_secs(40), 1);
+                } else if let Some(rep) = msg.peek::<LocationsReply>() {
+                    let view = rep.view.as_ref().unwrap();
+                    for b in &view.blocks {
+                        assert!(!b.replicas.contains(&NodeId(1)));
                     }
+                    verified(ctx);
                 }
-                Event::Timer { .. } => {
-                    *state += 1;
-                    dfs.get_locations(ctx, NodeId(2), "/f", 3);
-                }
-            },
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("verified"), 1);
+            }
+            Event::Timer { .. } => {
+                *state += 1;
+                dfs.get_locations(ctx, NodeId(2), "/f", 3);
+            }
+        });
         assert_eq!(sim.stats().counter("dfs.datanodes_declared_dead"), 1);
     }
 }

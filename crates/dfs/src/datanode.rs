@@ -10,30 +10,57 @@ use crate::cluster::WireDataNode;
 use crate::config::{BlockId, HEARTBEAT_INTERVAL};
 use crate::msgs::*;
 
-#[derive(Clone, Copy, Debug)]
-struct BlockMeta {
-    seed: u64,
-    base_offset: u64,
-    len: u64,
-}
-
 /// Asks a DataNode to shut down cleanly-but-abruptly (crash injection):
 /// it stops heartbeating, drops its blocks, and kills its actor. In-flight
 /// flows must be aborted separately via [`accelmr_net::AbortNode`].
 #[derive(Debug, Clone, Copy)]
 pub struct Shutdown;
 
-/// Internal completion note for an inbound pipeline write.
+/// Internal completion note: the inbound [`WriteBlock`] it wraps has
+/// streamed in.
 #[derive(Debug)]
-struct WriteLanded {
+struct WriteLanded(WriteBlock);
+
+/// Sends the next hop of a pipeline write: a [`WriteBlock`] of `block`,
+/// unicast over `net` from `from_node` in an RPC of `rpc_bytes` to the
+/// head of `pipeline`, whose DataNode `resolve` finds. The write carries
+/// the rest of the pipeline and `(ack_to, ack_node, tag)`, the address of
+/// the final [`WriteAck`]. Returns `false`, sending nothing, when the
+/// pipeline is empty or its head does not resolve.
+///
+/// The one place a `WriteBlock` is built. Its callers differ only in what
+/// they pass: a client's first hop ([`DfsHandle::write_block`]) resolves
+/// through the live registry in a 256-byte RPC; a repair source's first
+/// hop and every DataNode-to-DataNode forward resolve through the
+/// DataNode's peer map in 128 bytes.
+///
+/// [`DfsHandle::write_block`]: crate::DfsHandle::write_block
+pub(crate) fn send_next_hop(
+    ctx: &mut Ctx<'_>,
+    (net, from_node, rpc_bytes): (NetHandle, NodeId, u64),
+    resolve: impl FnOnce(NodeId) -> Option<ActorId>,
     block: BlockId,
-    len: u64,
-    seed: u64,
-    base_offset: u64,
-    rest: Vec<NodeId>,
-    ack_to: ActorId,
-    ack_node: NodeId,
-    tag: u64,
+    content: BlockContent,
+    pipeline: &[NodeId],
+    (ack_to, ack_node, tag): (ActorId, NodeId, u64),
+) -> bool {
+    let Some((&next, rest)) = pipeline.split_first() else {
+        return false;
+    };
+    let Some(next_actor) = resolve(next) else {
+        return false;
+    };
+    let write = WriteBlock {
+        block,
+        content,
+        from_node,
+        rest: rest.to_vec(),
+        ack_to,
+        ack_node,
+        tag,
+    };
+    net.unicast(ctx, from_node, next, next_actor, rpc_bytes, write);
+    true
 }
 
 /// One storage server, co-resident with a TaskTracker on every worker node.
@@ -46,7 +73,7 @@ pub struct DataNode {
     /// map shared by every DataNode wired from it, copied on the first
     /// [`AddPeer`] that finds it shared.
     peers: Arc<FxHashMap<NodeId, ActorId>>,
-    blocks: FxHashMap<BlockId, BlockMeta>,
+    blocks: FxHashMap<BlockId, BlockContent>,
     materialized: bool,
 }
 
@@ -72,14 +99,19 @@ impl DataNode {
         self.peers = peers;
     }
 
-    fn materialize(&self, meta: BlockMeta, offset_in_block: u64, len: u64) -> Option<Vec<u8>> {
+    fn materialize(
+        &self,
+        content: BlockContent,
+        offset_in_block: u64,
+        len: u64,
+    ) -> Option<Vec<u8>> {
         if !self.materialized {
             return None;
         }
         let mut buf = vec![0u8; len as usize];
         accelmr_kernels::fill_deterministic(
-            meta.seed,
-            meta.base_offset + offset_in_block,
+            content.seed,
+            content.base_offset + offset_in_block,
             &mut buf,
         );
         Some(buf)
@@ -117,61 +149,35 @@ impl Actor for DataNode {
                     // A node joined: learn its DataNode so write and
                     // re-replication pipelines can forward through it.
                     Arc::make_mut(&mut self.peers).insert(peer.node, peer.actor);
-                } else if msg.is::<ReplicateBlock>() {
-                    let req = msg.downcast::<ReplicateBlock>().expect("checked");
-                    let meta = self.blocks.get(&req.block).copied();
-                    let first = req
-                        .pipeline
-                        .split_first()
-                        .and_then(|(&f, rest)| self.peers.get(&f).map(|&a| (f, a, rest.to_vec())));
-                    let (net, node) = (self.net, self.node);
-                    match (meta, first) {
-                        (Some(meta), Some((first_node, first_actor, rest))) => {
-                            ctx.stats().incr("dfs.replications_forwarded");
-                            net.unicast(
-                                ctx,
-                                node,
-                                first_node,
-                                first_actor,
-                                128,
-                                WriteBlock {
-                                    block: req.block,
-                                    len: meta.len,
-                                    seed: meta.seed,
-                                    base_offset: meta.base_offset,
-                                    from_node: node,
-                                    rest,
-                                    ack_to: req.ack_to,
-                                    ack_node: req.ack_node,
-                                    tag: req.tag,
-                                },
-                            );
-                        }
-                        _ => {
-                            // Unknown block or unreachable first hop: tell
-                            // the NameNode so it can repair elsewhere.
-                            ctx.stats().incr("dfs.replication_rejects");
-                            net.unicast(
-                                ctx,
-                                node,
-                                req.ack_node,
-                                req.ack_to,
-                                64,
-                                ReplicationFailed { tag: req.tag },
-                            );
-                        }
+                } else if let Some(req) = msg.peek::<ReplicateBlock>() {
+                    let (net, node, peers) = (self.net, self.node, &self.peers);
+                    let sent = self.blocks.get(&req.block).is_some_and(|&content| {
+                        send_next_hop(
+                            ctx,
+                            (net, node, 128),
+                            |n| peers.get(&n).copied(),
+                            req.block,
+                            content,
+                            &req.pipeline,
+                            (req.ack_to, req.ack_node, req.tag),
+                        )
+                    });
+                    if sent {
+                        ctx.stats().incr("dfs.replications_forwarded");
+                    } else {
+                        // Unknown block or unreachable first hop: tell the
+                        // NameNode so it can repair elsewhere.
+                        ctx.stats().incr("dfs.replication_rejects");
+                        let failed = ReplicationFailed {
+                            block: req.block,
+                            tag: req.tag,
+                        };
+                        net.unicast(ctx, node, req.ack_node, req.ack_to, 64, failed);
                     }
                 } else if let Some(add) = msg.peek::<AddBlockMeta>() {
-                    self.blocks.insert(
-                        add.block,
-                        BlockMeta {
-                            seed: add.seed,
-                            base_offset: add.base_offset,
-                            len: add.len,
-                        },
-                    );
+                    self.blocks.insert(add.block, add.content);
                 } else if let Some(req) = msg.peek::<ReadRange>() {
-                    let Some(&meta) = self.blocks.get(&req.block) else {
+                    let Some(&content) = self.blocks.get(&req.block) else {
                         let (net, node) = (self.net, self.node);
                         net.unicast(
                             ctx,
@@ -185,10 +191,10 @@ impl Actor for DataNode {
                         return;
                     };
                     debug_assert!(
-                        req.offset_in_block + req.len <= meta.len,
+                        req.offset_in_block + req.len <= content.len,
                         "read past block end"
                     );
-                    let bytes = self.materialize(meta, req.offset_in_block, req.len);
+                    let bytes = self.materialize(content, req.offset_in_block, req.len);
                     ctx.stats().add("dfs.bytes_served", req.len);
                     ctx.stats().incr("dfs.reads");
                     let payload = RangeData {
@@ -212,75 +218,35 @@ impl Actor for DataNode {
                         payload,
                     );
                 } else if msg.is::<WriteBlock>() {
-                    let req = msg.downcast::<WriteBlock>().expect("checked");
                     // Stream the bytes in from the previous pipeline stage,
                     // then commit and forward.
-                    let landed = WriteLanded {
-                        block: req.block,
-                        len: req.len,
-                        seed: req.seed,
-                        base_offset: req.base_offset,
-                        rest: req.rest,
-                        ack_to: req.ack_to,
-                        ack_node: req.ack_node,
-                        tag: req.tag,
-                    };
+                    let req = *msg.downcast::<WriteBlock>().expect("checked");
+                    let (from, len, tag) = (req.from_node, req.content.len, req.tag);
                     let me = ctx.self_id();
                     let (net, node) = (self.net, self.node);
-                    net.start_flow_with(
-                        ctx,
-                        req.from_node,
-                        node,
-                        req.len,
-                        None,
-                        me,
-                        req.tag,
-                        landed,
-                    );
+                    net.start_flow_with(ctx, from, node, len, None, me, tag, WriteLanded(req));
                 } else if msg.is::<WriteLanded>() {
-                    let w = msg.downcast::<WriteLanded>().expect("checked");
-                    self.blocks.insert(
-                        w.block,
-                        BlockMeta {
-                            seed: w.seed,
-                            base_offset: w.base_offset,
-                            len: w.len,
-                        },
-                    );
-                    ctx.stats().add("dfs.bytes_written", w.len);
-                    let (net, node) = (self.net, self.node);
-                    if let Some((&next, rest)) = w.rest.split_first() {
-                        if let Some(&next_actor) = self.peers.get(&next) {
-                            net.unicast(
-                                ctx,
-                                node,
-                                next,
-                                next_actor,
-                                128,
-                                WriteBlock {
-                                    block: w.block,
-                                    len: w.len,
-                                    seed: w.seed,
-                                    base_offset: w.base_offset,
-                                    from_node: node,
-                                    rest: rest.to_vec(),
-                                    ack_to: w.ack_to,
-                                    ack_node: w.ack_node,
-                                    tag: w.tag,
-                                },
-                            );
-                        }
+                    let WriteLanded(w) = *msg.downcast::<WriteLanded>().expect("checked");
+                    self.blocks.insert(w.block, w.content);
+                    ctx.stats().add("dfs.bytes_written", w.content.len);
+                    let (net, node, peers) = (self.net, self.node, &self.peers);
+                    if w.rest.is_empty() {
+                        let ack = WriteAck {
+                            tag: w.tag,
+                            block: w.block,
+                        };
+                        net.unicast(ctx, node, w.ack_node, w.ack_to, 64, ack);
                     } else {
-                        net.unicast(
+                        // A next hop missing from the peer map is sent
+                        // nothing: the write stalls, never acknowledged.
+                        send_next_hop(
                             ctx,
-                            node,
-                            w.ack_node,
-                            w.ack_to,
-                            64,
-                            WriteAck {
-                                tag: w.tag,
-                                block: w.block,
-                            },
+                            (net, node, 128),
+                            |n| peers.get(&n).copied(),
+                            w.block,
+                            w.content,
+                            &w.rest,
+                            (w.ack_to, w.ack_node, w.tag),
                         );
                     }
                 } else if msg.is::<Shutdown>() {

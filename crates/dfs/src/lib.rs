@@ -31,6 +31,12 @@
 //!   replication as long as one live replica survives. Replication-1
 //!   files (the paper's configuration) have nothing to repair from — data
 //!   on a dead node is simply gone, as in the paper's deployment.
+//! * **One write path.** Every pipeline hop (a client's first hop via
+//!   [`DfsHandle::write_block`], a repair's, each forward) is a
+//!   [`msgs::WriteBlock`] built by one routine; callers differ only in
+//!   how they resolve the hop (the live registry for a client, the
+//!   DataNode's peer map otherwise), the RPC size and what a miss does.
+//!   [`msgs::BlockContent`] is the one record a DataNode stores per block.
 //! * **Burst-friendly reads.** A reader fans all segment requests of a
 //!   record out in one simulated instant; the resulting DataNode flows
 //!   start together and are priced by a single fabric re-solve. Keep new

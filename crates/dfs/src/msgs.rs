@@ -1,5 +1,11 @@
 //! DFS wire protocol: requests and replies exchanged between clients,
 //! the NameNode, and DataNodes (always via the network fabric).
+//!
+//! A block's stored state is one record, [`BlockContent`]: the same value
+//! travels in [`AddBlockMeta`] (preload) and [`WriteBlock`] (pipeline write
+//! or repair) and is what a DataNode keeps per block. Every reply to a
+//! client RPC (locations, create, allocate, read, write) carries the tag
+//! of its request.
 
 use accelmr_des::ActorId;
 use accelmr_net::NodeId;
@@ -96,11 +102,15 @@ pub struct CreateFile {
     pub reply: ActorId,
     /// Node the reply RPC travels to.
     pub reply_node: NodeId,
+    /// Correlation tag echoed in the reply.
+    pub tag: u64,
 }
 
 /// Reply to [`CreateFile`].
 #[derive(Debug, Clone, Copy)]
 pub struct CreateAck {
+    /// Correlation tag.
+    pub tag: u64,
     /// `false` if the path already existed.
     pub ok: bool,
 }
@@ -187,8 +197,23 @@ pub struct ReplicateBlock {
 /// block is unknown locally, or the first hop is unreachable).
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicationFailed {
+    /// The block from the [`ReplicateBlock`].
+    pub block: BlockId,
     /// Correlation tag from the [`ReplicateBlock`].
     pub tag: u64,
+}
+
+/// What a DataNode stores for one block: enough to materialize any byte
+/// of it. Installed by [`AddBlockMeta`] (preload) or by a landed
+/// [`WriteBlock`] (pipeline write or repair).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockContent {
+    /// Block length.
+    pub len: u64,
+    /// Content seed of the owning file.
+    pub seed: u64,
+    /// Absolute offset of the block in its file's content stream.
+    pub base_offset: u64,
 }
 
 /// Installs block metadata on a DataNode (preload control plane).
@@ -196,12 +221,8 @@ pub struct ReplicationFailed {
 pub struct AddBlockMeta {
     /// Block id.
     pub block: BlockId,
-    /// Content seed of the owning file.
-    pub seed: u64,
-    /// Absolute offset of the block in the file's content stream.
-    pub base_offset: u64,
-    /// Block length.
-    pub len: u64,
+    /// The block's content.
+    pub content: BlockContent,
 }
 
 // ---------------- DataNode requests ----------------
@@ -244,17 +265,15 @@ pub struct ReadError {
     pub tag: u64,
 }
 
-/// Streams one block from a writer into the replication pipeline.
+/// Streams one block from a writer (or a repair source) into the next
+/// DataNode of its replication pipeline. Every hop, from a client or
+/// between DataNodes, is built by one routine (`datanode::send_next_hop`).
 #[derive(Debug)]
 pub struct WriteBlock {
-    /// Block id (from [`BlockAllocated`]).
+    /// Block id (from [`BlockAllocated`] or [`ReplicateBlock`]).
     pub block: BlockId,
-    /// Bytes being written.
-    pub len: u64,
-    /// Content seed and base offset for later materialization.
-    pub seed: u64,
-    /// Absolute offset of this block in its file's content stream.
-    pub base_offset: u64,
+    /// The block's content; `content.len` bytes stream in.
+    pub content: BlockContent,
     /// Node the bytes come from (writer or upstream DataNode).
     pub from_node: NodeId,
     /// Remaining pipeline after this DataNode.

@@ -8,7 +8,7 @@
 //! a surviving replica through a [`ReplicateBlock`] pipeline.
 
 use accelmr_des::prelude::*;
-use accelmr_des::{FxHashMap, FxHashSet};
+use accelmr_des::FxHashMap;
 use accelmr_net::{Liveness, NetHandle, NodeId};
 
 use crate::config::{BlockId, DfsConfig, BLOCK_SIZE, HEARTBEAT_INTERVAL};
@@ -37,9 +37,18 @@ struct BlockInfo {
     target: usize,
 }
 
-/// An in-flight re-replication: `source` streaming `block` to `targets`.
-struct PendingRepl {
-    block: BlockId,
+impl BlockInfo {
+    /// Below target, with a surviving replica to copy from.
+    fn repairable(&self) -> bool {
+        self.replicas.len() < self.target && !self.replicas.is_empty()
+    }
+}
+
+/// An in-flight re-replication of one block: `source` streaming it to
+/// `targets`. Only the [`WriteAck`] or [`ReplicationFailed`] carrying
+/// `tag` settles it; one from a cancelled earlier repair is stale.
+struct Repair {
+    tag: u64,
     source: NodeId,
     targets: Vec<NodeId>,
 }
@@ -58,10 +67,8 @@ pub struct NameNode {
     /// DataNode heartbeat silence past `DfsConfig::dead_after`. A dead
     /// node stays dead until it joins again ([`AddDataNode`]).
     liveness: Liveness,
-    /// In-flight re-replications by tag.
-    pending_repl: FxHashMap<u64, PendingRepl>,
-    /// Blocks with a re-replication in flight (no duplicate repairs).
-    repl_in_flight: FxHashSet<BlockId>,
+    /// In-flight re-replications, at most one per block.
+    repairs: FxHashMap<BlockId, Repair>,
     next_repl_tag: u64,
     /// Repairs may be needed (a loss, failure, or capacity change since
     /// the last scan left blocks under target). Lets the periodic
@@ -90,8 +97,7 @@ impl NameNode {
             next_block: 0,
             placement_cursor: 0,
             liveness: Liveness::new(cfg.dead_after),
-            pending_repl: FxHashMap::default(),
-            repl_in_flight: FxHashSet::default(),
+            repairs: FxHashMap::default(),
             next_repl_tag: 1,
             repair_pending: false,
         }
@@ -112,7 +118,7 @@ impl NameNode {
     /// Chooses `replication` distinct live nodes outside `exclude`,
     /// preferring `prefer` first (HDFS writes the first replica locally
     /// when possible), then round-robin for balance.
-    fn place_excluding(
+    fn place(
         &mut self,
         replication: usize,
         prefer: Option<NodeId>,
@@ -138,10 +144,6 @@ impl NameNode {
             }
         }
         chosen
-    }
-
-    fn place(&mut self, replication: usize, prefer: Option<NodeId>) -> Vec<NodeId> {
-        self.place_excluding(replication, prefer, &[])
     }
 
     fn view_of(&self, path: &str) -> Option<FileView> {
@@ -175,10 +177,42 @@ impl NameNode {
         })
     }
 
-    fn alloc_id(&mut self) -> BlockId {
+    /// Enters `path` as an empty file, replacing any file already there.
+    fn register_file(&mut self, path: &str, block_size: u64, seed: u64, replication: usize) {
+        let meta = FileMeta {
+            len: 0,
+            block_size,
+            seed,
+            replication,
+            blocks: Vec::new(),
+        };
+        self.files.insert(path.to_string(), meta);
+    }
+
+    /// Allocates a block of `len` bytes, appends it to `path` (when that
+    /// file exists) and places it at the file's replication, preferring
+    /// `prefer` for the first replica. Returns the block and its replica
+    /// nodes, in pipeline order.
+    fn register_block(
+        &mut self,
+        path: &str,
+        len: u64,
+        prefer: Option<NodeId>,
+    ) -> (BlockId, Vec<NodeId>) {
         let id = BlockId(self.next_block);
         self.next_block += 1;
-        id
+        let replication = self.files.get(path).map_or(REPLICATION, |f| f.replication);
+        let replicas = self.place(replication, prefer, &[]);
+        if let Some(meta) = self.files.get_mut(path) {
+            meta.blocks.push((id, meta.len, len));
+            meta.len += len;
+        }
+        let info = BlockInfo {
+            replicas: replicas.clone(),
+            target: replication,
+        };
+        self.block_map.insert(id, info);
+        (id, replicas)
     }
 
     // ---------------- replication repair ----------------
@@ -195,18 +229,8 @@ impl NameNode {
     /// Live replica count per block of `path`, in file order
     /// (introspection; `None` when the path does not exist).
     pub fn replica_counts(&self, path: &str) -> Option<Vec<usize>> {
-        let meta = self.files.get(path)?;
-        Some(
-            meta.blocks
-                .iter()
-                .map(|(id, _, _)| {
-                    self.block_map
-                        .get(id)
-                        .map(|info| info.replicas.iter().filter(|&&n| self.is_live(n)).count())
-                        .unwrap_or(0)
-                })
-                .collect(),
-        )
+        let view = self.view_of(path)?;
+        Some(view.blocks.iter().map(|b| b.replicas.len()).collect())
     }
 
     /// Number of DataNodes currently considered live (introspection).
@@ -222,16 +246,16 @@ impl NameNode {
         for info in self.block_map.values_mut() {
             info.replicas.retain(|&n| n != node);
         }
-        let mut cancelled: Vec<u64> = self
-            .pending_repl
-            .iter()
-            .filter(|(_, p)| p.source == node || p.targets.contains(&node))
-            .map(|(&tag, _)| tag)
-            .collect();
-        cancelled.sort_unstable();
-        for tag in cancelled {
-            let p = self.pending_repl.remove(&tag).expect("pending present");
-            self.repl_in_flight.remove(&p.block);
+        self.repairs
+            .retain(|_, r| r.source != node && !r.targets.contains(&node));
+    }
+
+    /// Takes out the repair of `block` if `tag` names it; `None` for a
+    /// reply to a repair already cancelled or settled.
+    fn take_repair(&mut self, block: BlockId, tag: u64) -> Option<Repair> {
+        match self.repairs.get(&block) {
+            Some(r) if r.tag == tag => self.repairs.remove(&block),
+            _ => None,
         }
     }
 
@@ -245,44 +269,33 @@ impl NameNode {
         let mut under: Vec<BlockId> = self
             .block_map
             .iter()
-            .filter(|(id, info)| {
-                info.replicas.len() < info.target
-                    && !info.replicas.is_empty()
-                    && !self.repl_in_flight.contains(id)
-            })
+            .filter(|(id, info)| info.repairable() && !self.repairs.contains_key(id))
             .map(|(&id, _)| id)
             .collect();
         // FxHashMap iteration order is seed-stable but insertion-history
         // dependent; sort so repair order is obviously deterministic.
         under.sort_unstable();
-        let mut unstarted = 0usize;
+        let mut unstarted = false;
         for block in under {
-            if !self.start_replication(ctx, block) {
-                unstarted += 1;
-            }
+            unstarted |= !self.start_replication(ctx, block);
         }
-        self.repair_pending = unstarted > 0;
+        self.repair_pending = unstarted;
     }
 
     /// Returns whether a repair pipeline was actually issued.
     fn start_replication(&mut self, ctx: &mut Ctx<'_>, block: BlockId) -> bool {
-        let (needed, source, exclude) = {
-            let Some(info) = self.block_map.get(&block) else {
-                return true; // gone: nothing left to retry
-            };
-            let Some(&source) = info.replicas.first() else {
-                return true; // no surviving replica: unrepairable
-            };
-            (
-                info.target - info.replicas.len(),
-                source,
-                info.replicas.clone(),
-            )
+        let Some(info) = self.block_map.get(&block) else {
+            return true; // gone: nothing left to retry
         };
+        let Some(&source) = info.replicas.first() else {
+            return true; // no surviving replica: unrepairable
+        };
+        let needed = info.target - info.replicas.len();
+        let exclude = info.replicas.clone();
         let Some(src_actor) = self.datanode_actor(source) else {
             return false;
         };
-        let targets = self.place_excluding(needed, None, &exclude);
+        let targets = self.place(needed, None, &exclude);
         if targets.is_empty() {
             // No live node can host another replica yet; the next join or
             // periodic tick retries.
@@ -290,44 +303,34 @@ impl NameNode {
         }
         let tag = self.next_repl_tag;
         self.next_repl_tag += 1;
-        self.repl_in_flight.insert(block);
-        self.pending_repl.insert(
+        let repair = Repair {
             tag,
-            PendingRepl {
-                block,
-                source,
-                targets: targets.clone(),
-            },
-        );
-        ctx.stats().incr("dfs.replications_started");
-        let me = ctx.self_id();
-        let (net, my) = (self.net, self.my_node);
-        net.unicast(
-            ctx,
-            my,
             source,
-            src_actor,
-            128,
-            ReplicateBlock {
-                block,
-                pipeline: targets,
-                ack_to: me,
-                ack_node: my,
-                tag,
-            },
-        );
+            targets: targets.clone(),
+        };
+        let displaced = self.repairs.insert(block, repair);
+        debug_assert!(displaced.is_none(), "two repairs of {block}");
+        ctx.stats().incr("dfs.replications_started");
+        let (net, my) = (self.net, self.my_node);
+        let req = ReplicateBlock {
+            block,
+            pipeline: targets,
+            ack_to: ctx.self_id(),
+            ack_node: my,
+            tag,
+        };
+        net.unicast(ctx, my, source, src_actor, 128, req);
         true
     }
 
     /// A re-replication pipeline finished: commit the new replicas (those
     /// still live) and re-check the block.
-    fn replication_done(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        let Some(p) = self.pending_repl.remove(&tag) else {
+    fn replication_done(&mut self, ctx: &mut Ctx<'_>, block: BlockId, tag: u64) {
+        let Some(repair) = self.take_repair(block, tag) else {
             return; // cancelled (participant died) — a fresh repair owns the block
         };
-        self.repl_in_flight.remove(&p.block);
-        if let Some(info) = self.block_map.get_mut(&p.block) {
-            for t in p.targets {
+        if let Some(info) = self.block_map.get_mut(&block) {
+            for t in repair.targets {
                 if !self.liveness.is_dead(t) && !info.replicas.contains(&t) {
                     info.replicas.push(t);
                 }
@@ -340,10 +343,9 @@ impl NameNode {
         // the periodic scan through its own loss/failure events.
         let still_under = self
             .block_map
-            .get(&p.block)
-            .map(|info| info.replicas.len() < info.target && !info.replicas.is_empty())
-            .unwrap_or(false);
-        if still_under && !self.start_replication(ctx, p.block) {
+            .get(&block)
+            .is_some_and(BlockInfo::repairable);
+        if still_under && !self.start_replication(ctx, block) {
             self.repair_pending = true;
         }
     }
@@ -382,50 +384,28 @@ impl Actor for NameNode {
             }
             Event::Timer { .. } => {}
             Event::Msg { msg, .. } => {
-                if msg.is::<PreloadFile>() {
-                    let req = msg.downcast::<PreloadFile>().expect("checked");
+                if let Some(req) = msg.peek::<PreloadFile>() {
                     let block_size = req.block_size.unwrap_or(BLOCK_SIZE);
+                    assert!(block_size > 0, "preload of {}: block size 0", req.path);
                     let replication = req.replication.unwrap_or(REPLICATION);
-                    let mut blocks = Vec::new();
-                    let mut offset = 0u64;
-                    while offset < req.len {
-                        let len = (req.len - offset).min(block_size);
-                        let id = self.alloc_id();
-                        let nodes = self.place(replication, None);
-                        // Install metadata on every replica holder.
-                        for &node in &nodes {
+                    self.register_file(&req.path, block_size, req.seed, replication);
+                    let mut base_offset = 0u64;
+                    while base_offset < req.len {
+                        let len = (req.len - base_offset).min(block_size);
+                        let (block, replicas) = self.register_block(&req.path, len, None);
+                        // Install the content on every replica holder.
+                        let content = BlockContent {
+                            len,
+                            seed: req.seed,
+                            base_offset,
+                        };
+                        for node in replicas {
                             if let Some(dn) = self.datanode_actor(node) {
-                                ctx.send(
-                                    dn,
-                                    AddBlockMeta {
-                                        block: id,
-                                        seed: req.seed,
-                                        base_offset: offset,
-                                        len,
-                                    },
-                                );
+                                ctx.send(dn, AddBlockMeta { block, content });
                             }
                         }
-                        self.block_map.insert(
-                            id,
-                            BlockInfo {
-                                replicas: nodes,
-                                target: replication,
-                            },
-                        );
-                        blocks.push((id, offset, len));
-                        offset += len;
+                        base_offset += len;
                     }
-                    self.files.insert(
-                        req.path.clone(),
-                        FileMeta {
-                            len: req.len,
-                            block_size,
-                            seed: req.seed,
-                            replication,
-                            blocks,
-                        },
-                    );
                     ctx.stats().incr("dfs.files_preloaded");
                     let view = self.view_of(&req.path).expect("just inserted");
                     ctx.send_after(req.reply, PreloadDone { view }, NAMENODE_OP_TIME);
@@ -439,57 +419,23 @@ impl Actor for NameNode {
                     let ok = !self.files.contains_key(&req.path);
                     if ok {
                         let replication = req.replication.unwrap_or(REPLICATION);
-                        self.files.insert(
-                            req.path.clone(),
-                            FileMeta {
-                                len: 0,
-                                block_size: BLOCK_SIZE,
-                                seed: 0,
-                                replication,
-                                blocks: Vec::new(),
-                            },
-                        );
+                        self.register_file(&req.path, BLOCK_SIZE, 0, replication);
                         ctx.stats().incr("dfs.files_created");
                     }
+                    let ack = CreateAck { tag: req.tag, ok };
                     let (net, my) = (self.net, self.my_node);
-                    net.unicast(ctx, my, req.reply_node, req.reply, 64, CreateAck { ok });
+                    net.unicast(ctx, my, req.reply_node, req.reply, 64, ack);
                 } else if let Some(req) = msg.peek::<AllocBlock>() {
-                    let path = req.path.clone();
-                    let (len, writer_node, reply, reply_node, tag) =
-                        (req.len, req.writer_node, req.reply, req.reply_node, req.tag);
-                    let id = self.alloc_id();
-                    let replication = self
-                        .files
-                        .get(&path)
-                        .map(|f| f.replication)
-                        .unwrap_or(REPLICATION);
-                    let pipeline = self.place(replication, Some(writer_node));
-                    if let Some(meta) = self.files.get_mut(&path) {
-                        let offset = meta.len;
-                        meta.blocks.push((id, offset, len));
-                        meta.len += len;
-                    }
-                    self.block_map.insert(
-                        id,
-                        BlockInfo {
-                            replicas: pipeline.clone(),
-                            target: replication,
-                        },
-                    );
+                    let (block, pipeline) =
+                        self.register_block(&req.path, req.len, Some(req.writer_node));
                     ctx.stats().incr("dfs.blocks_allocated");
+                    let reply = BlockAllocated {
+                        tag: req.tag,
+                        block,
+                        pipeline,
+                    };
                     let (net, my) = (self.net, self.my_node);
-                    net.unicast(
-                        ctx,
-                        my,
-                        reply_node,
-                        reply,
-                        128,
-                        BlockAllocated {
-                            tag,
-                            block: id,
-                            pipeline,
-                        },
-                    );
+                    net.unicast(ctx, my, req.reply_node, req.reply, 128, reply);
                 } else if let Some(hb) = msg.peek::<DnHeartbeat>() {
                     self.liveness.heard(hb.node, ctx.now());
                     ctx.stats().incr("dfs.heartbeats");
@@ -509,12 +455,11 @@ impl Actor for NameNode {
                     self.replication_scan(ctx);
                 } else if let Some(ack) = msg.peek::<WriteAck>() {
                     // Final hop of a re-replication pipeline.
-                    let tag = ack.tag;
-                    self.replication_done(ctx, tag);
+                    let (block, tag) = (ack.block, ack.tag);
+                    self.replication_done(ctx, block, tag);
                 } else if let Some(fail) = msg.peek::<ReplicationFailed>() {
-                    let tag = fail.tag;
-                    if let Some(p) = self.pending_repl.remove(&tag) {
-                        self.repl_in_flight.remove(&p.block);
+                    let block = fail.block;
+                    if let Some(repair) = self.take_repair(block, fail.tag) {
                         ctx.stats().incr("dfs.replications_failed");
                         // The source may hold only allocation-time
                         // metadata (its client write still in flight):
@@ -522,8 +467,10 @@ impl Actor for NameNode {
                         // streams from a different replica, and let the
                         // liveness tick's periodic scan re-issue rather
                         // than retrying in a tight RPC loop.
-                        if let Some(info) = self.block_map.get_mut(&p.block) {
-                            if info.replicas.first() == Some(&p.source) && info.replicas.len() > 1 {
+                        if let Some(info) = self.block_map.get_mut(&block) {
+                            if info.replicas.first() == Some(&repair.source)
+                                && info.replicas.len() > 1
+                            {
                                 info.replicas.rotate_left(1);
                             }
                         }

@@ -386,16 +386,18 @@ impl JobBuilder {
             weight: self.weight,
             deadline: self.deadline,
         };
-        // Build-time validation catches what needs no submission instant
-        // (non-positive weights, a deadline at t=0); `Session::submit`
-        // re-validates deadlines against the real submission time.
-        if let Err(e) = spec.validate(accelmr_des::SimTime::ZERO) {
-            panic!("JobBuilder '{}': invalid JobSpec: {e}", spec.name);
-        }
-        JobRequest {
+        let request = JobRequest {
             spec,
             preloads: self.preloads,
+        };
+        // Build-time validation catches what needs no submission instant
+        // (non-positive weights, a deadline at t=0, zero preload block
+        // sizes or replication); `Session::submit` re-validates deadlines
+        // against the real submission time.
+        if let Err(e) = request.validate(accelmr_des::SimTime::ZERO) {
+            panic!("JobBuilder '{}': invalid JobSpec: {e}", request.spec.name);
         }
+        request
     }
 }
 
@@ -516,6 +518,39 @@ mod tests {
             dead_after: accelmr_des::SimDuration::from_secs(2),
         };
         let _ = ClusterBuilder::new().workers(2).dfs(bad).deploy();
+    }
+
+    /// Runs `job` alone on a two-worker cluster.
+    fn run_alone(job: impl Into<JobRequest>) {
+        let mut cluster = ClusterBuilder::new().workers(2).deploy();
+        let mut session = cluster.session();
+        session.submit(job);
+        session.run_until_complete();
+    }
+
+    fn file_job() -> JobBuilder {
+        JobBuilder::new("x")
+            .input_file("/f")
+            .kernel(FixedCostKernel::default())
+    }
+
+    /// Unchecked, a zero block size hung the NameNode's preload loop.
+    #[test]
+    #[should_panic(expected = "preload /f: block size must be positive")]
+    fn preload_with_zero_block_size_is_rejected() {
+        run_alone(file_job().preload(PreloadSpec::new("/f", 4 << 20, 1).block_size(0)));
+    }
+
+    /// Submitted past the builder, a replication-0 preload is rejected by
+    /// the session before it installs blocks with no replica.
+    #[test]
+    #[should_panic(expected = "preload /f: replication must be positive")]
+    fn preload_with_zero_replication_is_rejected() {
+        let preloads = vec![PreloadSpec::new("/f", 4 << 20, 1).replication(0)];
+        run_alone(JobRequest {
+            spec: file_job().build(),
+            preloads,
+        });
     }
 
     #[test]

@@ -120,10 +120,11 @@ pub struct JobSpec {
     pub deadline: Option<SimTime>,
 }
 
-/// A rejected [`JobSpec`], detected at build/submit time
-/// ([`JobSpec::validate`]). Same deploy-time-typed-error style as
+/// A rejected [`JobSpec`] or preload, detected at build/submit time
+/// ([`JobSpec::validate`], [`JobRequest::validate`](crate::JobRequest::validate)).
+/// Same deploy-time-typed-error style as
 /// [`MrConfigError`](crate::MrConfigError).
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum JobSpecError {
     /// `weight` is zero, negative, or not finite: the job's tenant would be
     /// entitled to no share under weighted fair scheduling and could
@@ -140,6 +141,17 @@ pub enum JobSpecError {
         /// The instant the job would be submitted.
         submit: SimTime,
     },
+    /// A preload's block size is zero: the NameNode's block loop would
+    /// never advance, allocating blocks forever.
+    ZeroPreloadBlockSize {
+        /// The preload's path.
+        path: String,
+    },
+    /// A preload's replication is zero: its blocks would have no replica.
+    ZeroPreloadReplication {
+        /// The preload's path.
+        path: String,
+    },
 }
 
 impl std::fmt::Display for JobSpecError {
@@ -153,6 +165,12 @@ impl std::fmt::Display for JobSpecError {
                 "deadline_at ({deadline}) must lie after the submission \
                  instant ({submit}); the job would be born overdue"
             ),
+            JobSpecError::ZeroPreloadBlockSize { path } => {
+                write!(f, "preload {path}: block size must be positive, got 0")
+            }
+            JobSpecError::ZeroPreloadReplication { path } => {
+                write!(f, "preload {path}: replication must be positive, got 0")
+            }
         }
     }
 }
@@ -278,16 +296,10 @@ pub struct TaskMetrics {
     pub bytes_read: u64,
     /// Bytes of map output produced.
     pub bytes_output: u64,
-    /// Records processed.
-    pub records: u64,
     /// Records read from a replica on the task's own node.
     pub local_reads: u64,
     /// Records read over the network.
     pub remote_reads: u64,
-    /// Time spent waiting on record feed (not overlapped with compute).
-    pub feed_stall: SimDuration,
-    /// Time spent computing.
-    pub compute: SimDuration,
 }
 
 /// Why a job terminated without success. Typed so chaos harnesses (and

@@ -40,7 +40,7 @@ use accelmr_net::NodeId;
 
 use crate::builder::JobBuilder;
 use crate::cluster::{MrCluster, MrHandle, PreloadSpec};
-use crate::job::{JobResult, JobSpec};
+use crate::job::{JobResult, JobSpec, JobSpecError};
 use crate::msgs::{InjectGray, JobComplete, SetHeartbeatLoss};
 
 /// A job plus the driver-side work it needs before submission (DFS
@@ -52,6 +52,26 @@ pub struct JobRequest {
     pub spec: JobSpec,
     /// Files preloaded into the DFS before the job is submitted.
     pub preloads: Vec<PreloadSpec>,
+}
+
+impl JobRequest {
+    /// [`JobSpec::validate`], then every preload: a block size or
+    /// replication of zero is rejected. Called by
+    /// [`Session::submit_after`] and, with `submit_at = 0`, by
+    /// [`JobBuilder::request`].
+    pub fn validate(&self, submit_at: SimTime) -> Result<(), JobSpecError> {
+        self.spec.validate(submit_at)?;
+        for p in &self.preloads {
+            let path = || p.path.clone();
+            if p.block_size == Some(0) {
+                return Err(JobSpecError::ZeroPreloadBlockSize { path: path() });
+            }
+            if p.replication == Some(0) {
+                return Err(JobSpecError::ZeroPreloadReplication { path: path() });
+            }
+        }
+        Ok(())
+    }
 }
 
 impl From<JobSpec> for JobRequest {
@@ -427,9 +447,10 @@ impl<'a> Session<'a> {
     /// the start of the next [`run_until_complete`](Session::run_until_complete)
     /// call (preloads run after the delay, immediately before submission).
     ///
-    /// Panics on an invalid spec ([`JobSpec::validate`]): a non-positive
-    /// fair-share weight, or a deadline at or before the submission
-    /// instant (`now + delay`).
+    /// Panics on an invalid request ([`JobRequest::validate`]): a
+    /// non-positive fair-share weight, a deadline at or before the
+    /// submission instant (`now + delay`), or a preload with a zero block
+    /// size or replication.
     pub fn submit_after(
         &mut self,
         delay: SimDuration,
@@ -437,7 +458,7 @@ impl<'a> Session<'a> {
     ) -> JobHandle {
         let request = request.into();
         let submit_at = self.sim.now() + delay;
-        if let Err(e) = request.spec.validate(submit_at) {
+        if let Err(e) = request.validate(submit_at) {
             panic!("invalid JobSpec '{}': {e}", request.spec.name);
         }
         let slot: ResultSlot = Arc::new(Mutex::new(None));

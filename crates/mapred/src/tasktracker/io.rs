@@ -7,8 +7,9 @@ use std::collections::VecDeque;
 use accelmr_des::SimDuration;
 use accelmr_net::NodeId;
 
-/// The outstanding-I/O table: every read segment, shuffle fetch and output
-/// block of this node, found by the tag its reply carries.
+/// The outstanding-I/O table: every read segment, shuffle fetch, part-file
+/// create and output block of this node, found by the tag its reply
+/// carries.
 ///
 /// Tags come from one per-TaskTracker counter, so the table is a window of
 /// slots indexed by `tag - base`, where `base` is the oldest outstanding
@@ -88,6 +89,8 @@ pub(super) struct Io {
 pub(super) enum IoKind {
     Read(Read),
     Fetch(Fetch),
+    /// The part file's create, from `CreateFile` to `CreateAck`.
+    Create,
     /// An output block, from `AllocBlock` to `WriteAck`.
     Write {
         len: u64,

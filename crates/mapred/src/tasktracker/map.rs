@@ -24,7 +24,6 @@ pub(super) struct Feed {
     ready: Option<(u64, Option<Vec<u8>>)>,
     pub computing: bool,
     pub records_done: u64,
-    waiting_since: Option<SimTime>,
 }
 
 impl Feed {
@@ -104,7 +103,6 @@ fn nth_replica(replicas: &[NodeId], me: NodeId, k: usize) -> Option<NodeId> {
 impl TaskRun {
     /// Starts the feed of a `MapRange` attempt.
     pub(super) fn start_reading(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
-        self.feed.waiting_since = Some(ctx.now());
         self.issue_record_read(node, ctx);
         // Zero-record splits complete immediately.
         if self.feed.n_records == 0 {
@@ -117,7 +115,6 @@ impl TaskRun {
         let outcome = self.desc.kernel.map_units(node.env.as_mut(), units, index);
         self.kv.extend(outcome.kv);
         let compute = degrade(outcome.compute, node.gray_factor);
-        self.metrics.compute += compute;
         self.feed.computing = true;
         ctx.after(compute, self.tick(Step::Compute));
     }
@@ -248,9 +245,6 @@ impl TaskRun {
         let Some((record, bytes)) = self.feed.ready.take() else {
             return;
         };
-        if let Some(since) = self.feed.waiting_since.take() {
-            self.metrics.feed_stall += ctx.now() - since;
-        }
         let (rs, rl) = record_bounds(&self.desc.work, record);
         let file_seed = match &self.desc.work {
             TaskWork::MapRange { file_seed, .. } => *file_seed,
@@ -264,12 +258,8 @@ impl TaskRun {
         };
         let outcome = self.desc.kernel.map_record(node.env.as_mut(), &rec_ctx);
         self.feed.computing = true;
-        // A gray node computes slower; metrics record the observed
-        // (degraded) time so elapsed and compute stay consistent.
         let compute = degrade(outcome.compute, node.gray_factor);
-        self.metrics.compute += compute;
         self.metrics.bytes_read += rl;
-        self.metrics.records += 1;
         if outcome.digest != 0 {
             self.digest.add(outcome.digest);
         }
@@ -290,9 +280,6 @@ impl TaskRun {
     pub(super) fn compute_done(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
         self.feed.computing = false;
         self.feed.records_done += 1;
-        if self.feed.ready.is_none() && self.feed.records_done < self.feed.n_records {
-            self.feed.waiting_since = Some(ctx.now());
-        }
         if !node.cfg.pipelined_reads {
             self.issue_record_read(node, ctx);
         }

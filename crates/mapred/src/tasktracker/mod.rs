@@ -44,8 +44,6 @@ mod reduce;
 #[cfg(test)]
 mod tests;
 
-use std::collections::VecDeque;
-
 use accelmr_des::prelude::*;
 use accelmr_dfs::msgs::{BlockAllocated, CreateAck, RangeData, ReadError, WriteAck};
 use accelmr_dfs::DfsHandle;
@@ -76,13 +74,10 @@ struct Node {
     kernels_setup: Vec<&'static str>,
     /// Gray-failure throughput multiplier; `1.0` = healthy.
     gray_factor: f64,
-    /// Every outstanding read segment, shuffle fetch and output block, by
-    /// the tag its reply carries.
+    /// Every outstanding read segment, shuffle fetch, part-file create and
+    /// output block, by the tag its reply carries.
     io: IoTable,
     next_tag: u64,
-    /// Attempts awaiting a `CreateAck`, in request order (the ack carries
-    /// no tag; the NameNode answers creates in order).
-    create_waiters: VecDeque<(u32, u32)>,
 }
 
 impl Node {
@@ -217,7 +212,6 @@ impl TaskTracker {
                 gray_factor: 1.0,
                 io: IoTable::default(),
                 next_tag: 1,
-                create_waiters: VecDeque::new(),
             },
             head_node,
             jobtracker,
@@ -326,8 +320,8 @@ impl TaskTracker {
         let Some(run) = self.slots[slot].take() else {
             return;
         };
-        // A successful attempt has landed every fetch, segment and block it
-        // asked for, so an entry still naming it is a leaked tag.
+        // A successful attempt has landed every fetch, segment, create and
+        // block it asked for, so an entry still naming it is a leaked tag.
         debug_assert!(
             !ok || self.io_entries(&run).next().is_none(),
             "attempt finished ok with I/O outstanding"
@@ -402,7 +396,7 @@ impl Actor for TaskTracker {
                             run.retry_read(node, ctx, read)
                         }
                         IoKind::Fetch(fetch) => run.fetch_timed_out(node, ctx, fetch),
-                        IoKind::Write { .. } => unreachable!("writes arm no watchdog"),
+                        IoKind::Create | IoKind::Write { .. } => unreachable!("no watchdog"),
                     });
                 }
             },
@@ -448,14 +442,15 @@ impl Actor for TaskTracker {
                         // taking its map output with it: re-fetching is
                         // futile, fail fast so the maps get re-executed.
                         IoKind::Fetch(_) => run.fail(),
-                        IoKind::Write { .. } => unreachable!("write flows notify the DataNode"),
+                        // A create is an RPC; write flows notify the DataNode.
+                        IoKind::Create | IoKind::Write { .. } => unreachable!("not a flow"),
                     });
                 } else if let Some(done) = msg.peek::<FlowDone>() {
                     self.with_io(ctx, done.tag, |run, node, ctx, _| run.fetch_done(node, ctx));
-                } else if msg.is::<CreateAck>() {
-                    if let Some((slot, gen)) = self.node.create_waiters.pop_front() {
-                        self.with_run(ctx, slot, gen, |run, node, ctx| run.create_acked(node, ctx));
-                    }
+                } else if let Some(ack) = msg.peek::<CreateAck>() {
+                    self.with_io(ctx, ack.tag, |run, node, ctx, _| {
+                        run.create_acked(node, ctx)
+                    });
                 } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
                     self.with_io(ctx, alloc.tag, |run, node, ctx, kind| {
                         if let IoKind::Write { len } = kind {

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use accelmr_des::prelude::*;
-use accelmr_dfs::msgs::BlockAllocated;
+use accelmr_dfs::msgs::{BlockAllocated, BlockContent};
 
 use super::io::IoKind;
 use super::{Node, TaskRun};
@@ -14,8 +14,8 @@ use crate::job::OutputSink;
 /// Output-write state of an attempt whose sink is the DFS.
 #[derive(Default)]
 pub(super) struct Output {
-    create_requested: bool,
-    created: bool,
+    pub create_requested: bool,
+    pub created: bool,
     /// Chunk lengths waiting for the create ack.
     pub queue: VecDeque<u64>,
     /// Blocks allocated (or being allocated) and not yet acknowledged.
@@ -40,37 +40,32 @@ impl TaskRun {
     }
 
     /// Moves queued output along: requests the part file on the first
-    /// output, then allocates blocks if the file is there.
+    /// output, and allocates a block per queued chunk once it exists.
     pub(super) fn flush_output(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
-        if !self.out.create_requested && !self.out.queue.is_empty() {
-            let Some((path, replication)) = self.part_file() else {
-                return;
-            };
-            self.out.create_requested = true;
-            node.dfs.create_file(ctx, node.id, &path, replication);
-            node.create_waiters.push_back((self.slot, self.gen));
-        }
-        self.drain_output(node, ctx);
-    }
-
-    /// The NameNode acknowledged this attempt's create.
-    pub(super) fn create_acked(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
-        self.out.created = true;
-        self.drain_output(node, ctx);
-    }
-
-    fn drain_output(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
-        if !self.out.created || self.out.queue.is_empty() {
+        let awaiting_create = self.out.create_requested && !self.out.created;
+        if self.out.queue.is_empty() || awaiting_create {
             return;
         }
-        let Some((path, _)) = self.part_file() else {
+        let Some((path, replication)) = self.part_file() else {
             return;
         };
+        if !self.out.create_requested {
+            self.out.create_requested = true;
+            let tag = node.track(self, IoKind::Create);
+            node.dfs.create_file(ctx, node.id, &path, replication, tag);
+            return;
+        }
         while let Some(len) = self.out.queue.pop_front() {
             self.out.outstanding += 1;
             let tag = node.track(self, IoKind::Write { len });
             node.dfs.alloc_block(ctx, node.id, &path, len, tag);
         }
+    }
+
+    /// The NameNode acknowledged this attempt's create.
+    pub(super) fn create_acked(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
+        self.out.created = true;
+        self.flush_output(node, ctx);
     }
 
     /// A block of `len` bytes was allocated: stream it into its pipeline.
@@ -82,17 +77,19 @@ impl TaskRun {
         len: u64,
         alloc: &BlockAllocated,
     ) {
-        let base_offset = self.out.next_offset;
-        self.out.next_offset += len;
         // Output content is not synthetic-derived; seed 0. The
         // verification path uses map-side digests instead.
+        let content = BlockContent {
+            len,
+            seed: 0,
+            base_offset: self.out.next_offset,
+        };
+        self.out.next_offset += len;
         let ok = node.dfs.write_block(
             ctx,
             node.id,
             alloc.block,
-            len,
-            0,
-            base_offset,
+            content,
             &alloc.pipeline,
             alloc.tag,
         );

@@ -95,7 +95,6 @@ impl TaskRun {
             nominal.unwrap_or(SimDuration::from_millis(1)),
             node.gray_factor,
         );
-        self.metrics.compute += merge_time;
         // Unlike a map, a reduce accounts output only when it writes it.
         let out_bytes = self.metrics.bytes_read;
         if self.writes_dfs() && out_bytes > 0 {

@@ -164,6 +164,11 @@ impl World {
                 count(|k| matches!(k, IoKind::Write { .. })),
                 "writes outstanding"
             );
+            assert_eq!(
+                (run.out.create_requested && !run.out.created) as usize,
+                count(|k| matches!(k, IoKind::Create)),
+                "create outstanding"
+            );
         }
     }
 }
@@ -258,10 +263,10 @@ fn ticks_round_trip_through_their_packed_form() {
     }
 }
 
-/// `CreateAck` carries no tag. An attempt killed inside its create RPC's
-/// round trip, whose slot is re-assigned before the ack lands, must not
-/// have that ack credited to the new tenant: the newcomer waits for the
-/// ack of its own create before it allocates blocks.
+/// An attempt killed inside its create RPC's round trip, whose slot is
+/// re-assigned before the ack lands: the ack names the killed attempt's
+/// tag, so it is dropped, and the newcomer waits for the ack of its own
+/// create before it allocates blocks.
 #[test]
 fn create_ack_of_a_killed_attempt_is_not_handed_to_its_successor() {
     let cfg = MrConfig {
@@ -269,28 +274,31 @@ fn create_ack_of_a_killed_attempt_is_not_handed_to_its_successor() {
         ..MrConfig::default()
     };
     let mut w = world(7, cfg);
+    let creating = |tt: &TaskTracker| {
+        tt.node
+            .io
+            .values()
+            .any(|io| matches!(io.kind, IoKind::Create))
+    };
     let fetch = vec![(NodeId(2), 4 * MB)];
     w.assign(1, reduce_of(fetch.clone()), dfs_sink());
-    w.step_until("first create request", |tt| {
-        !tt.node.create_waiters.is_empty()
-    });
+    w.step_until("first create request", creating);
     let first_gen = w.tracker().slots[0].as_ref().expect("first attempt").gen;
 
     // Kill and re-assign while the create is on the wire.
     w.kill(1);
     w.assign(2, reduce_of(fetch), dfs_sink());
-    w.step_until("first ack", |tt| tt.node.create_waiters.is_empty());
+    w.step_until("first ack", |tt| !creating(tt));
     let second = w.tracker().slots[0].as_ref().expect("second attempt");
     assert_ne!(second.gen, first_gen);
     assert_eq!(second.desc.task, TaskId(2));
+    assert!(!second.out.created, "the killed attempt's ack was credited");
     assert_eq!(w.sim.stats().counter("dfs.files_created"), 1);
 
     // The successor asks for its own file, and allocates no block before
     // that ack is in.
-    w.step_until("second create request", |tt| {
-        !tt.node.create_waiters.is_empty()
-    });
-    while !w.tracker().node.create_waiters.is_empty() {
+    w.step_until("second create request", creating);
+    while creating(w.tracker()) {
         let second = w.tracker().slots[0].as_ref().expect("second attempt");
         assert_eq!(second.out.outstanding, 0, "allocated before its own ack");
         assert!(w.sim.step());
