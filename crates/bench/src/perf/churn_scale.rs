@@ -74,6 +74,11 @@ struct Pinned {
     rereplications: u64,
     solver_calls: u64,
     solver_rounds: u64,
+    /// `net.solver_entry_visits`: entries the solver's rounds examined.
+    /// The solve touches only unfrozen entries; one that walks every entry
+    /// every round again reads 2.1-2.3x this (36,527 and 5,089,771 against
+    /// the `--quick` pins).
+    solver_entry_visits: u64,
     /// The scenario's host-speed bar, if it has one.
     floor: Option<Floor>,
 }
@@ -105,13 +110,16 @@ impl Floor {
 }
 
 /// The parent commit's host numbers for a full-scale scenario, measured on
-/// the machine that regenerated the section just before this run: the
-/// "before" row beside its "after".
-fn before(wall_s: f64, fabric_ns_per_event: f64) -> Json {
+/// the machine that regenerated the section, alternated with this commit's
+/// runs: the "before" row beside its "after" (the run's `wall_s`, the
+/// `net.fabric` row of `actor_costs` and `net.fabric.phase.solve` of
+/// `fabric_phases`).
+fn before(wall_s: f64, fabric_ns_per_event: f64, solve_busy_s: f64) -> Json {
     obj! { "before" => obj! {
-        "commit" => "24a026b",
+        "commit" => "a80bb2e",
         "wall_s" => float(wall_s, 4),
         "net_fabric_nanos_per_event" => float(fabric_ns_per_event, 0),
+        "solve_busy_s" => float(solve_busy_s, 4),
     } }
 }
 
@@ -248,6 +256,7 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
     let replications = stats.counter("dfs.blocks_replicated");
     let solver_calls = stats.counter("net.solver_calls");
     let solver_rounds = stats.counter("net.solver_rounds");
+    let solver_entry_visits = stats.counter("net.solver_entry_visits");
     let comp_visits = stats.counter("net.comp_flow_visits");
     let class_visits = stats.counter("net.comp_class_visits");
     let flows_per_class = comp_visits as f64 / class_visits.max(1) as f64;
@@ -279,6 +288,7 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
         "joined_node_dispatches" => joined_dispatches,
         "solver_calls" => solver_calls,
         "solver_rounds" => solver_rounds,
+        "solver_entry_visits" => solver_entry_visits,
         "comp_flow_visits" => comp_visits,
         "comp_class_visits" => class_visits,
         "flows_per_class" => float(flows_per_class, 2),
@@ -329,9 +339,16 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
         "quick" => quick,
     };
     assert_eq!(
-        (events, result.attempts, replications, solver_calls, solver_rounds),
-        (pinned.events, pinned.attempts, pinned.rereplications, pinned.solver_calls, pinned.solver_rounds),
-        "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds) moved"
+        (events, result.attempts, replications, solver_calls, solver_rounds, solver_entry_visits),
+        (
+            pinned.events,
+            pinned.attempts,
+            pinned.rereplications,
+            pinned.solver_calls,
+            pinned.solver_rounds,
+            pinned.solver_entry_visits
+        ),
+        "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds, solver entry visits) moved"
     );
     assert!(
         (makespan_s - pinned.makespan_s).abs() < 1e-3,
@@ -391,6 +408,7 @@ pub fn run(quick: bool) -> Json {
             rereplications: 180,
             solver_calls: 484,
             solver_rounds: 1079,
+            solver_entry_visits: 16_180,
             floor: None,
         };
         (sc, pinned)
@@ -402,6 +420,7 @@ pub fn run(quick: bool) -> Json {
             rereplications: 971,
             solver_calls: 3475,
             solver_rounds: 7653,
+            solver_entry_visits: 1_793_192,
             // The raw bar was a 10 s wall for these events.
             floor: Some(Floor::restating(1_729_614.0 / 10.0)),
         };
@@ -428,6 +447,7 @@ pub fn run(quick: bool) -> Json {
             rereplications: 490,
             solver_calls: 1760,
             solver_rounds: 3733,
+            solver_entry_visits: 2_412_348,
             // The raw bar was 150,000 events/s.
             floor: Some(Floor::restating(150_000.0)),
         };
@@ -463,6 +483,7 @@ pub fn run(quick: bool) -> Json {
             rereplications: 4873,
             solver_calls: 16_540,
             solver_rounds: 33_416,
+            solver_entry_visits: 24_793_779,
             // The raw bar was a 47 s wall for these events.
             floor: Some(Floor::restating(29_708_157.0 / 47.0)),
         };
@@ -521,11 +542,13 @@ pub fn run(quick: bool) -> Json {
             "control_plane" => float(control, 2),
             "fabric" => float(fabric, 2),
         } });
-        // Median of four parent runs (1k: 2.14-2.28 s, fabric 2147-2371
-        // ns/event), alternated with this commit's (1.31-1.36 s, 947-1008)
-        // on the same machine.
-        base_json.extend(before(2.25, 2280.0));
-        big_json.extend(before(45.80, 1991.0));
+        // Median of three parent runs, alternated with this commit's on
+        // the same 2-core VM. 1k: 1.20-1.55 s, fabric 903-1186 ns/event,
+        // solve 0.062-0.074 s (this commit 1.10-1.26 s, 811-952,
+        // 0.050-0.054). 10k: 27.0-31.4 s, 734-809 ns/event, solve
+        // 0.82-0.94 s (26.2-28.9 s, 646-724, 0.45-0.51).
+        base_json.extend(before(1.4343, 1067.0, 0.0697));
+        big_json.extend(before(27.4966, 738.0, 0.8819));
         obj! { "churn_scale" => base_json, "terasort_10k" => big_json }
     }
 }

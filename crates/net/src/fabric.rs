@@ -791,7 +791,7 @@ impl Fabric {
             // node pair finished): nothing to solve.
             return;
         }
-        let rounds_before = self.solver.rounds();
+        let (rounds_before, visits_before) = (self.solver.rounds(), self.solver.entry_visits());
         let rates = self.solver.solve();
         ctx.stats().incr("net.solver_calls");
         ctx.stats().add("net.comp_flow_visits", flows);
@@ -831,6 +831,10 @@ impl Fabric {
         }
         ctx.stats()
             .add("net.solver_rounds", self.solver.rounds() - rounds_before);
+        ctx.stats().add(
+            "net.solver_entry_visits",
+            self.solver.entry_visits() - visits_before,
+        );
         ctx.lap("net.fabric.phase.write_back");
     }
 

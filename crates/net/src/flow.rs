@@ -30,8 +30,9 @@
 //! be raised by lowering that of a flow with an equal or smaller rate.
 //! Because a connected component of the sharing graph cannot influence
 //! rates outside itself, solving components independently yields the same
-//! allocation as one global solve; `solver_matches_reference_on_random_
-//! topologies` asserts agreement within 1e-9 on randomized instances.
+//! allocation as one global solve. Both run the same progressive filling
+//! to the same roundings, so `solver_matches_reference_on_random_topologies`
+//! asserts bitwise agreement on randomized instances.
 
 /// Index of a link inside a [`LinkTable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -89,7 +90,7 @@ impl LinkTable {
 /// One flow's demand description for the solver.
 #[derive(Clone, Debug)]
 pub struct FlowDemand {
-    /// Links the flow traverses (1-3 in this fabric).
+    /// Links the flow traverses (1-2 in this fabric).
     pub links: Vec<LinkId>,
     /// Intrinsic rate ceiling, bytes/second (`f64::INFINITY` when unlimited).
     pub cap: f64,
@@ -164,7 +165,6 @@ pub fn max_min_rates(links: &LinkTable, flows: &[FlowDemand]) -> Vec<f64> {
         }
 
         // Freeze: flows at their cap, and flows crossing a saturated link.
-        const EPS: f64 = 1e-6;
         let mut frozen_any = false;
         for (f, demand) in flows.iter().enumerate() {
             if frozen[f] {
@@ -229,34 +229,54 @@ impl Route {
 /// Progressive-filling max-min solver with reusable scratch state.
 ///
 /// Semantically identical to [`max_min_rates`] but built for the hot path:
-/// all working buffers (per-link residual capacity, per-link unfrozen
-/// counts, per-flow freeze flags, output rates) are retained across calls,
-/// so a steady-state re-solve performs **zero heap allocations**. The
-/// caller describes one connected component per solve: first the
-/// component's links via [`MaxMinSolver::add_link`] (which returns dense
-/// component-local indices), then its flows via [`MaxMinSolver::add_flow`]
-/// with routes expressed in those local indices — one call per group of
-/// flows with equal route and cap, or per flow: the rates are the same to
-/// the bit.
+/// all working buffers (per-link residual capacity, unfrozen counts and
+/// saturation, the entry records, the active lists, output rates) are
+/// retained across calls, so a steady-state re-solve performs **zero heap
+/// allocations**. The caller describes one connected component per solve:
+/// first the component's links via [`MaxMinSolver::add_link`] (which
+/// returns dense component-local indices), then its flows via
+/// [`MaxMinSolver::add_flow`] with routes expressed in those local indices
+/// — one call per group of flows with equal route and cap, or per flow:
+/// the rates are the same to the bit.
 #[derive(Debug, Default)]
 pub struct MaxMinSolver {
-    // Per component-local link.
+    // Per component-local link: capacity (staged), then the running
+    // solve's residual, unfrozen flow count and end-of-round saturation.
     caps: Vec<f64>,
     remaining_cap: Vec<f64>,
     unfrozen_on_link: Vec<u32>,
-    // Per entry: route in component-local link indices, intrinsic cap, and
-    // how many identical flows the entry stands for.
-    flow_links: Vec<[u32; 2]>,
-    flow_len: Vec<u8>,
-    flow_cap: Vec<f64>,
-    flow_mult: Vec<u32>,
-    frozen: Vec<bool>,
+    saturated: Vec<bool>,
+    /// The staged entries, in [`MaxMinSolver::add_flow`] order.
+    entries: Vec<Entry>,
+    /// One rate per entry, written when the entry freezes.
     rates: Vec<f64>,
+    /// Unfrozen entries, compacted as they freeze.
+    active: Vec<u32>,
+    /// Links still crossed by an unfrozen flow, compacted likewise.
+    active_links: Vec<u32>,
     /// Lifetime count of [`MaxMinSolver::solve`] calls (perf telemetry).
     solves: u64,
     /// Lifetime count of progressive-filling rounds (perf telemetry).
     rounds: u64,
+    /// Lifetime count of entries examined by those rounds (perf telemetry).
+    entry_visits: u64,
 }
+
+/// One solver entry: `mult` identical flows, each crossing `links[..len]`
+/// (component-local indices) under the intrinsic ceiling `cap`. A
+/// single-link entry holds its link in both slots, so "either link is
+/// saturated" reads both slots without looking at `len`.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    links: [u32; 2],
+    len: u8,
+    cap: f64,
+    mult: u32,
+}
+
+/// Freeze tolerance of both solvers: a flow within `EPS` of its cap, or a
+/// link within `EPS` x its capacity (at least 1) of saturation, is done.
+const EPS: f64 = 1e-6;
 
 impl MaxMinSolver {
     /// Fresh solver; buffers grow on first use and are then reused.
@@ -267,22 +287,13 @@ impl MaxMinSolver {
     /// Starts describing a new component, retaining buffer capacity.
     pub fn begin(&mut self) {
         self.caps.clear();
-        self.remaining_cap.clear();
-        self.unfrozen_on_link.clear();
-        self.flow_links.clear();
-        self.flow_len.clear();
-        self.flow_cap.clear();
-        self.flow_mult.clear();
-        self.frozen.clear();
-        self.rates.clear();
+        self.entries.clear();
     }
 
     /// Adds a link with capacity `bytes_per_sec`; returns its
     /// component-local index.
     pub fn add_link(&mut self, bytes_per_sec: f64) -> u32 {
         self.caps.push(bytes_per_sec);
-        self.remaining_cap.push(bytes_per_sec);
-        self.unfrozen_on_link.push(0);
         (self.caps.len() - 1) as u32
     }
 
@@ -297,17 +308,12 @@ impl MaxMinSolver {
     pub fn add_flow(&mut self, links: &[u32], cap: f64, m: u32) {
         debug_assert!(matches!(links.len(), 1 | 2), "fabric routes are 1-2 links");
         debug_assert!(m > 0, "an entry stands for at least one flow");
-        let mut pair = [0u32; 2];
-        pair[..links.len()].copy_from_slice(links);
-        if links.len() == 1 {
-            pair[1] = pair[0];
-        }
-        self.flow_links.push(pair);
-        self.flow_len.push(links.len() as u8);
-        self.flow_cap.push(cap);
-        self.flow_mult.push(m);
-        self.frozen.push(false);
-        self.rates.push(0.0);
+        self.entries.push(Entry {
+            links: [links[0], links[links.len() - 1]],
+            len: links.len() as u8,
+            cap,
+            mult: m,
+        });
     }
 
     /// Number of solves performed over the solver's lifetime.
@@ -320,121 +326,143 @@ impl MaxMinSolver {
         self.rounds
     }
 
+    /// Number of entries examined by those rounds: each round counts the
+    /// entries still unfrozen when it starts.
+    pub fn entry_visits(&self) -> u64 {
+        self.entry_visits
+    }
+
     /// Runs progressive filling over the staged component; returns one rate
     /// per entry in [`MaxMinSolver::add_flow`] order. Allocation-free once
     /// the buffers have warmed up.
     ///
+    /// A round touches only what is still unfrozen: the active entries and
+    /// the links they cross. Every unfrozen entry holds the same rate to
+    /// the bit — each started at `0.0` and added the same `delta` every
+    /// round — so the solve keeps that one water `level` and writes an
+    /// entry's rate once, when it freezes. The cap term of `delta`,
+    /// `min(cap - rate)` over unfrozen entries, is taken as
+    /// `min_cap - level`: rounded subtraction is monotone in its first
+    /// operand, so the two are equal to the bit. Each link's unfrozen
+    /// count is computed once and decremented as its entries freeze.
+    ///
     /// Each flow's rate is **bitwise independent of `add_flow` and
     /// `add_link` order**, so callers need not sort their input: a round's
     /// `delta` is a `min` over non-NaN values (order-free), every unfrozen
-    /// flow adds that same `delta` to its own rate, a link's residual takes
-    /// one subtraction of that same `delta` per unfrozen flow crossing it
-    /// (the same sequence of values whoever performs them), and the freeze
-    /// test reads only the flow's own rate and its links' end-of-round
-    /// residuals. `rates_are_bitwise_order_independent` checks it on random
-    /// components.
+    /// flow is at the same level, a link's residual takes one subtraction
+    /// of that same `delta` per unfrozen flow crossing it (the same
+    /// sequence of values whoever performs them), and the freeze test
+    /// reads only the level, the flow's cap and its links' end-of-round
+    /// residuals. `rates_are_bitwise_order_independent` checks it on
+    /// random components.
     ///
     /// It is also **bitwise independent of how equal flows are grouped
     /// into entries**: an entry of multiplicity `m` adds `m` to each of its
-    /// links' unfrozen counts and subtracts the round's `delta` from each
-    /// residual `m` times in sequence — the very subtractions `m` single
-    /// entries perform. It must never subtract `m as f64 * delta`: that is
-    /// one rounding where the per-flow loop makes `m`, and the residual,
-    /// the next round's `delta` and eventually a freeze decision differ.
+    /// links' unfrozen counts, and a link's residual takes `count`
+    /// sequential subtractions of the round's `delta` — the very
+    /// subtractions `m` single entries cause. It must never subtract
+    /// `count as f64 * delta`: that is one rounding where the per-flow
+    /// definition makes `count`, and the residual, the next round's
+    /// `delta` and eventually a freeze decision differ.
     pub fn solve(&mut self) -> &[f64] {
         self.solves += 1;
-        let n = self.rates.len();
-        if n == 0 {
+        let n_links = self.caps.len();
+        self.rates.clear();
+        self.rates.resize(self.entries.len(), 0.0);
+        if self.entries.is_empty() {
             return &self.rates;
         }
+        self.remaining_cap.clone_from(&self.caps);
+        self.unfrozen_on_link.clear();
+        self.unfrozen_on_link.resize(n_links, 0);
+        self.saturated.clear();
+        self.saturated.resize(n_links, false);
+        self.active.clear();
+        let mut min_cap = f64::INFINITY;
+        for (e, entry) in self.entries.iter().enumerate() {
+            self.active.push(e as u32);
+            min_cap = min_cap.min(entry.cap);
+            let [a, b] = entry.links;
+            self.unfrozen_on_link[a as usize] += entry.mult;
+            if entry.len == 2 {
+                self.unfrozen_on_link[b as usize] += entry.mult;
+            }
+        }
+        self.active_links.clear();
+        let counts = &self.unfrozen_on_link;
+        self.active_links
+            .extend((0..n_links as u32).filter(|&l| counts[l as usize] > 0));
+
+        let mut level = 0.0f64;
         loop {
             self.rounds += 1;
-            // Count unfrozen flows per link.
-            for c in self.unfrozen_on_link.iter_mut() {
-                *c = 0;
-            }
-            let mut any_unfrozen = false;
-            for f in 0..n {
-                if self.frozen[f] {
-                    continue;
-                }
-                any_unfrozen = true;
-                for &l in &self.flow_links[f][..self.flow_len[f] as usize] {
-                    self.unfrozen_on_link[l as usize] += self.flow_mult[f];
-                }
-            }
-            if !any_unfrozen {
+            if self.active.is_empty() {
                 break;
             }
+            self.entry_visits += self.active.len() as u64;
 
             // Uniform increment every unfrozen flow can take.
-            let mut delta = f64::INFINITY;
-            for (l, &cnt) in self.unfrozen_on_link.iter().enumerate() {
-                if cnt > 0 {
-                    delta = delta.min(self.remaining_cap[l] / cnt as f64);
-                }
-            }
-            for f in 0..n {
-                if !self.frozen[f] {
-                    delta = delta.min(self.flow_cap[f] - self.rates[f]);
-                }
+            let mut delta = min_cap - level;
+            for &l in &self.active_links {
+                let l = l as usize;
+                delta = delta.min(self.remaining_cap[l] / self.unfrozen_on_link[l] as f64);
             }
             // Fabric flows always cross >= 1 finite-capacity link, so delta
             // is finite; guard anyway to mirror the reference solver.
             if !delta.is_finite() {
-                for f in 0..n {
-                    if !self.frozen[f] {
-                        self.rates[f] = f64::MAX / 4.0;
-                        self.frozen[f] = true;
-                    }
+                for &e in &self.active {
+                    self.rates[e as usize] = f64::MAX / 4.0;
                 }
                 break;
             }
             let delta = delta.max(0.0);
+            level += delta;
 
-            // Apply the increment.
-            for f in 0..n {
-                if self.frozen[f] {
-                    continue;
+            // Apply the increment: one subtraction per unfrozen flow on
+            // the link (see the doc above), then the link's saturation.
+            for &l in &self.active_links {
+                let l = l as usize;
+                let mut left = self.remaining_cap[l];
+                for _ in 0..self.unfrozen_on_link[l] {
+                    left -= delta;
                 }
-                self.rates[f] += delta;
-                for &l in &self.flow_links[f][..self.flow_len[f] as usize] {
-                    // One subtraction per flow the entry stands for (see
-                    // the doc above): not `m as f64 * delta`.
-                    let mut left = self.remaining_cap[l as usize];
-                    for _ in 0..self.flow_mult[f] {
-                        left -= delta;
-                    }
-                    self.remaining_cap[l as usize] = left;
-                }
+                self.remaining_cap[l] = left;
+                self.saturated[l] = left <= EPS * self.caps[l].max(1.0);
             }
 
-            // Freeze: flows at their cap, and flows crossing a saturated
-            // link. Same epsilon as the reference solver.
-            const EPS: f64 = 1e-6;
-            let mut frozen_any = false;
-            for f in 0..n {
-                if self.frozen[f] {
-                    continue;
-                }
-                let at_cap = self.rates[f] >= self.flow_cap[f] - EPS;
-                let on_saturated =
-                    self.flow_links[f][..self.flow_len[f] as usize]
-                        .iter()
-                        .any(|&l| {
-                            self.remaining_cap[l as usize] <= EPS * self.caps[l as usize].max(1.0)
-                        });
+            // Freeze: entries at their cap, and entries crossing a
+            // saturated link; the rest stay active in order.
+            let mut next_min_cap = f64::INFINITY;
+            let mut kept = 0;
+            for i in 0..self.active.len() {
+                let e = self.active[i];
+                let entry = self.entries[e as usize];
+                let [a, b] = entry.links;
+                let at_cap = level >= entry.cap - EPS;
+                let on_saturated = self.saturated[a as usize] || self.saturated[b as usize];
                 if at_cap || on_saturated {
-                    self.frozen[f] = true;
-                    frozen_any = true;
+                    self.rates[e as usize] = level;
+                    self.unfrozen_on_link[a as usize] -= entry.mult;
+                    if entry.len == 2 {
+                        self.unfrozen_on_link[b as usize] -= entry.mult;
+                    }
+                } else {
+                    next_min_cap = next_min_cap.min(entry.cap);
+                    self.active[kept] = e;
+                    kept += 1;
                 }
             }
-            if !frozen_any {
+            if kept == self.active.len() {
                 // Numerical guard: freeze everything to guarantee progress.
-                for f in self.frozen.iter_mut() {
-                    *f = true;
+                for &e in &self.active {
+                    self.rates[e as usize] = level;
                 }
+                kept = 0;
             }
+            self.active.truncate(kept);
+            min_cap = next_min_cap;
+            let counts = &self.unfrozen_on_link;
+            self.active_links.retain(|&l| counts[l as usize] > 0);
         }
         &self.rates
     }
@@ -594,8 +622,9 @@ mod tests {
         assert_eq!(got.len(), reference.len());
         let mut used = vec![0.0f64; caps.len()];
         for (i, (g, r)) in got.iter().zip(reference.iter()).enumerate() {
-            assert!(
-                (g - r).abs() <= 1e-9 * r.abs().max(1.0),
+            assert_eq!(
+                g.to_bits(),
+                r.to_bits(),
                 "flow {i}: solver={g} reference={r}"
             );
             assert!(*g >= 0.0 && *g <= flows[i].cap + 1e-6);
@@ -805,6 +834,102 @@ mod tests {
                 })
                 .collect();
             assert_eq!(solve(&caps, &entries, true), solve(&caps, &entries, false));
+        }
+    }
+
+    /// The fabric's hard case: one link (a reducer's rx link, the incast
+    /// row) carries 10,000+ flows in a handful of entries, beside finite
+    /// caps and a partitioned (capacity 0) link. Grouped entries, the same
+    /// flows one by one, and the reference solver give bit-identical
+    /// rates; grouped and per-flow solves take the same rounds.
+    #[test]
+    fn hot_link_with_ten_thousand_flows_is_bitwise_everywhere() {
+        use accelmr_des::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(0x1AC_A57);
+        let mut solver = MaxMinSolver::new();
+        for _ in 0..12 {
+            // Link 0 is the hot rx link, link 1 is partitioned, the rest
+            // are tx links.
+            let n_links = rng.range_inclusive(4, 10) as usize;
+            let mut caps: Vec<f64> = (0..n_links)
+                .map(|_| 1.0e7 * (1.0 + 24.0 * rng.next_f64()))
+                .collect();
+            caps[1] = 0.0;
+            // (links, cap, multiplicity): a handful of fat entries into the
+            // hot link, then a few small ones anywhere, some partitioned.
+            let mut entries: Vec<(Vec<u32>, f64, u32)> = Vec::new();
+            let mut on_hot = 0;
+            while on_hot < 10_000 {
+                let m = rng.range_inclusive(1_500, 4_000) as u32;
+                let tx = rng.range_inclusive(1, n_links as u64 - 1) as u32;
+                let links = if rng.next_below(4) == 0 {
+                    vec![0]
+                } else {
+                    vec![tx, 0]
+                };
+                // Per-flow fair shares on the hot link are ~1e3-1e4 B/s.
+                let cap = if rng.next_below(2) == 0 {
+                    500.0 * (1.0 + 19.0 * rng.next_f64())
+                } else {
+                    f64::INFINITY
+                };
+                entries.push((links, cap, m));
+                on_hot += m;
+            }
+            for _ in 0..rng.range_inclusive(1, 6) {
+                let (links, cap) = random_demand(&mut rng, n_links);
+                entries.push((links, cap, rng.range_inclusive(1, 8) as u32));
+            }
+
+            let mut solve = |grouped: bool| {
+                solver.begin();
+                for &c in &caps {
+                    solver.add_link(c);
+                }
+                for (links, cap, m) in &entries {
+                    let copies = if grouped { 1 } else { *m };
+                    let m = if grouped { *m } else { 1 };
+                    (0..copies).for_each(|_| solver.add_flow(links, *cap, m));
+                }
+                let before = solver.rounds();
+                let bits: Vec<u64> = solver.solve().iter().map(|r| r.to_bits()).collect();
+                (bits, solver.rounds() - before)
+            };
+            let (grouped, grouped_rounds) = solve(true);
+            let (per_flow, per_flow_rounds) = solve(false);
+            assert_eq!(grouped_rounds, per_flow_rounds);
+            let expanded: Vec<u64> = entries
+                .iter()
+                .zip(&grouped)
+                .flat_map(|((_, _, m), &b)| std::iter::repeat_n(b, *m as usize))
+                .collect();
+            assert_eq!(per_flow, expanded);
+
+            let demands: Vec<FlowDemand> = entries
+                .iter()
+                .flat_map(|(links, cap, m)| {
+                    let d = FlowDemand {
+                        links: links.iter().map(|&l| LinkId(l as usize)).collect(),
+                        cap: *cap,
+                    };
+                    std::iter::repeat_n(d, *m as usize)
+                })
+                .collect();
+            // `LinkTable::add` takes positive capacities; a partition is
+            // a re-price to zero.
+            let mut links = table(&caps.iter().map(|&c| c.max(1.0)).collect::<Vec<_>>());
+            links.set_capacity(LinkId(1), 0.0);
+            let reference: Vec<u64> = max_min_rates(&links, &demands)
+                .iter()
+                .map(|r| r.to_bits())
+                .collect();
+            assert_eq!(reference, expanded);
+            // The partitioned link's flows stall at exactly zero.
+            for ((links, _, _), &b) in entries.iter().zip(&grouped) {
+                if links.contains(&1) {
+                    assert_eq!(f64::from_bits(b), 0.0);
+                }
+            }
         }
     }
 
