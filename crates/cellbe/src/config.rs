@@ -122,12 +122,23 @@ impl CellConfig {
     }
 
     /// Local-store bytes usable for data buffers.
+    ///
+    /// # Panics
+    /// If the code/stack reservation exceeds the local store, which
+    /// [`Self::validate`] rejects.
     pub fn usable_ls_bytes(&self) -> usize {
-        self.local_store_bytes - self.code_stack_bytes
+        self.local_store_bytes
+            .checked_sub(self.code_stack_bytes)
+            .expect("code/stack reservation exceeds capacity")
     }
 
-    /// Checks a double-buffered scheme (2 in + 2 out buffers of
-    /// `block_size`, each padded to alignment) fits the local store.
+    /// Checks that `block_size` is a valid SPU block: non-zero, a multiple
+    /// of [`Self::alignment`], and small enough that four buffers of it fit
+    /// the usable local store. This is the one statement of the
+    /// local-store budget. The four are the direct library's 2 in + 2 out
+    /// double buffers, and the accepted sizes follow them; the simulated
+    /// pipeline transforms each block in place, so it only ever fills two
+    /// of the four.
     pub fn check_block_size(&self, block_size: usize) -> Result<(), CellConfigError> {
         if block_size == 0 {
             return Err(CellConfigError::Degenerate("block_size = 0"));
@@ -202,6 +213,11 @@ mod tests {
             Err(CellConfigError::Misaligned(_))
         ));
         assert!(c.check_block_size(0).is_err());
+        // Exactly the aligned sizes of which four fit are accepted.
+        for block in 1..=64 * 1024 {
+            let fits = block % c.alignment == 0 && 4 * block <= c.usable_ls_bytes();
+            assert_eq!(c.check_block_size(block).is_ok(), fits, "{block}");
+        }
     }
 
     #[test]

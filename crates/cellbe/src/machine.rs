@@ -1,26 +1,29 @@
 //! The Cell BE machine: an event-driven model of SPU offload execution.
 //!
 //! One [`CellMachine`] is one Cell processor. Its `run_data` method executes
-//! the paper's "direct" native library: the PPE splits an input buffer into
-//! aligned blocks (4 KB in the paper), stripes them across SPEs, and each
-//! SPE runs a double-buffered pipeline — DMA-get block *i+1* and DMA-put
+//! the paper's "direct" native library. The PPE splits an input buffer into
+//! aligned blocks (4 KB in the paper) and stripes them over the SPEs; each
+//! block is then staged (PPE dispatch), transferred (MFC DMA-get into one of
+//! the SPE's two local-store buffers), computed in place, and transferred
+//! back (DMA-put). Each SPE double-buffers: it fetches block *i+1* and puts
 //! block *i−1* while computing block *i*. DMA requests contend for the
-//! shared memory interface, which a single-server fluid queue models; MFC
-//! queue depth and local-store capacity are enforced, not assumed.
+//! shared memory interface, which a single-server fluid queue models, and
+//! the MFC queue depth is enforced per SPE. The local-store budget is
+//! [`CellConfig::check_block_size`], checked once before a run.
 //!
 //! In **materialized** mode the kernel really executes on bytes that
-//! traveled through the simulated local store; in **virtual** mode only
+//! traveled through the local-store buffers; in **virtual** mode only
 //! timing is computed. Both modes take the identical event path, so timing
 //! can never diverge between them (a unit test pins this).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use accelmr_des::{SimDuration, SimTime};
 
 use crate::config::{CellConfig, CellConfigError};
 use crate::kernel::{ComputeKernel, DataKernel};
-use crate::localstore::{LocalStore, LsBuffer};
 
 /// Input to a data-parallel offload run.
 pub enum DataInput<'a> {
@@ -75,6 +78,24 @@ pub struct OffloadReport {
 }
 
 impl OffloadReport {
+    /// A session that has paid `startup` on `n_spes` SPEs and done nothing
+    /// else yet. Every report starts here; the runs add what they do.
+    fn started(startup: SimDuration, n_spes: usize) -> Self {
+        OffloadReport {
+            elapsed: startup,
+            startup,
+            blocks: 0,
+            bytes_in: 0,
+            bytes_out: 0,
+            dma_requests: 0,
+            peak_mfc_queue: 0,
+            spe_busy: vec![SimDuration::ZERO; n_spes],
+            bus_busy: SimDuration::ZERO,
+            output: None,
+            unit_results: Vec::new(),
+        }
+    }
+
     /// Effective throughput in bytes/second over input bytes.
     pub fn throughput_bps(&self) -> f64 {
         if self.elapsed == SimDuration::ZERO {
@@ -93,59 +114,16 @@ impl OffloadReport {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[allow(clippy::enum_variant_names)]
-enum Ev {
-    FetchDone { spe: usize, block: u64, buf: usize },
-    ComputeDone { spe: usize, block: u64, buf: usize },
-    PutDone { spe: usize, buf: usize },
-}
-
-struct SpeRun {
-    /// Blocks assigned to this SPE (stripe), next index to fetch.
-    assigned: Vec<u64>,
-    next_fetch: usize,
-    /// Fetched blocks awaiting compute.
-    ready: VecDeque<(u64, usize)>,
-    computing: bool,
-    free_buffers: Vec<usize>,
-    inflight_mfc: usize,
-    busy: SimDuration,
-}
-
-/// Shared memory-interface arbiter: a deterministic single-server queue.
-struct Bus {
-    free_at: SimTime,
-    busy: SimDuration,
-    bytes_per_sec: f64,
-    latency: SimDuration,
-}
-
-impl Bus {
-    /// Serves `bytes` starting no earlier than `now`; returns the completion
-    /// instant (including the fixed request latency, which does not occupy
-    /// the bus).
-    fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let start = if now > self.free_at {
-            now
-        } else {
-            self.free_at
-        };
-        let occupancy = SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec);
-        self.free_at = start + occupancy;
-        self.busy += occupancy;
-        self.free_at + self.latency
-    }
-}
-
 /// One simulated Cell processor. Contexts stay warm across sessions, so the
 /// first offload pays [`CellConfig::context_create`] and later ones only
 /// [`CellConfig::session_start`] — exactly the effect behind the small-N
 /// shape of the paper's Figure 6.
 pub struct CellMachine {
     cfg: CellConfig,
-    stores: Vec<LocalStore>,
-    materialized: bool,
+    /// Each SPE's two local-store data buffers, each as long as the
+    /// largest block [`CellConfig::check_block_size`] accepts. Only a
+    /// materialized machine has them.
+    local_stores: Vec<[Vec<u8>; 2]>,
     warm: bool,
 }
 
@@ -153,13 +131,11 @@ impl CellMachine {
     /// Builds a machine. `materialized` selects functional simulation.
     pub fn new(cfg: CellConfig, materialized: bool) -> Result<Self, CellConfigError> {
         cfg.validate()?;
-        let stores = (0..cfg.n_spes)
-            .map(|_| LocalStore::new(cfg.local_store_bytes, cfg.code_stack_bytes, materialized))
-            .collect();
+        let spes = if materialized { cfg.n_spes } else { 0 };
+        let buffer = || vec![0u8; cfg.usable_ls_bytes() / 4];
         Ok(CellMachine {
+            local_stores: (0..spes).map(|_| [buffer(), buffer()]).collect(),
             cfg,
-            stores,
-            materialized,
             warm: false,
         })
     }
@@ -167,11 +143,6 @@ impl CellMachine {
     /// The machine's configuration.
     pub fn config(&self) -> &CellConfig {
         &self.cfg
-    }
-
-    /// `true` once SPU contexts exist (after any run or [`Self::warm_up`]).
-    pub fn is_warm(&self) -> bool {
-        self.warm
     }
 
     /// Pays the context-creation cost up front (the single-node bandwidth
@@ -185,14 +156,12 @@ impl CellMachine {
         }
     }
 
-    fn take_startup(&mut self) -> SimDuration {
-        let cold = if self.warm {
-            SimDuration::ZERO
-        } else {
-            self.warm = true;
-            self.cfg.context_create
-        };
-        cold + self.cfg.session_start
+    /// Starts one offload session and returns its start-up cost: context
+    /// creation if the machine is cold, plus the session start. Every run
+    /// pays this; a caller that models a session's body in closed form
+    /// calls it directly.
+    pub fn start_session(&mut self) -> SimDuration {
+        self.warm_up() + self.cfg.session_start
     }
 
     /// Runs a data-parallel kernel over `input` in `block_size`-byte blocks.
@@ -216,290 +185,239 @@ impl CellMachine {
         base_offset: u64,
     ) -> Result<OffloadReport, CellConfigError> {
         self.cfg.check_block_size(block_size)?;
+        let startup = self.start_session();
         let len = input.len();
-        let startup = self.take_startup();
         // Functional or timing-only is decided here, once: a functional run
-        // needs real bytes and stores that hold them. Both then take the
+        // needs real bytes and local stores to hold them. Both then take the
         // identical event path.
-        let src = match input {
-            DataInput::Real(src) if self.materialized => Some(src),
+        let bytes = match input {
+            DataInput::Real(src) if !self.local_stores.is_empty() => Some(Bytes {
+                src,
+                out: vec![0u8; src.len()],
+                local_stores: &mut self.local_stores,
+                base_offset,
+            }),
             _ => None,
         };
-        let mut output = src.map(|src| vec![0u8; src.len()]);
-        if len == 0 {
-            return Ok(OffloadReport {
-                elapsed: startup,
-                startup,
-                blocks: 0,
-                bytes_in: 0,
-                bytes_out: 0,
-                dma_requests: 0,
-                peak_mfc_queue: 0,
-                spe_busy: vec![SimDuration::ZERO; self.cfg.n_spes],
-                bus_busy: SimDuration::ZERO,
-                output,
-                unit_results: Vec::new(),
-            });
-        }
-
-        let n_spes = self.cfg.n_spes;
-        let n_blocks = len.div_ceil(block_size as u64);
-        let block_len = |b: u64| -> u64 {
-            let start = b * block_size as u64;
-            (len - start).min(block_size as u64)
+        let block_size = block_size as u64;
+        let run = Pipeline {
+            cfg: &self.cfg,
+            kernel,
+            len,
+            block_size,
+            n_blocks: len.div_ceil(block_size),
+            // Stripe assignment: block i -> SPE i % n_spes (the paper's
+            // round-robin "sent to the SPUs" distribution).
+            spes: (0..self.cfg.n_spes as u64)
+                .map(|spe| SpeRun {
+                    next_block: spe,
+                    ready: VecDeque::new(),
+                    computing: false,
+                    free_buffers: vec![0, 1],
+                    inflight_mfc: 0,
+                })
+                .collect(),
+            bus_free_at: SimTime::ZERO + startup,
+            queue: BinaryHeap::new(),
+            seq: 0,
+            report: OffloadReport::started(startup, self.cfg.n_spes),
+            bytes,
         };
-        let block_bytes = |b: u64| {
-            let start = (b * block_size as u64) as usize;
-            start..start + block_len(b) as usize
-        };
-
-        // Per-SPE LS buffers (2 each, used in place for input and output).
-        let mut ls_buffers: Vec<Vec<LsBuffer>> = Vec::with_capacity(n_spes);
-        for store in &mut self.stores {
-            store.reset();
-            let bufs = (0..2)
-                .map(|_| store.alloc(block_size, self.cfg.alignment))
-                .collect::<Result<Vec<_>, _>>()?;
-            ls_buffers.push(bufs);
-        }
-
-        // Stripe assignment: block i -> SPE i % n_spes (the paper's
-        // round-robin "sent to the SPUs" distribution).
-        let mut spes: Vec<SpeRun> = (0..n_spes)
-            .map(|s| SpeRun {
-                assigned: (0..n_blocks)
-                    .filter(|b| (b % n_spes as u64) == s as u64)
-                    .collect(),
-                next_fetch: 0,
-                ready: VecDeque::new(),
-                computing: false,
-                free_buffers: vec![0, 1],
-                inflight_mfc: 0,
-                busy: SimDuration::ZERO,
-            })
-            .collect();
-
-        let mut bus = Bus {
-            free_at: SimTime::ZERO + startup,
-            busy: SimDuration::ZERO,
-            bytes_per_sec: self.cfg.bus_bytes_per_sec,
-            latency: self.cfg.dma_latency,
-        };
-
-        let mut queue: BinaryHeap<Reverse<(SimTime, u64, Ev)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut push = |q: &mut BinaryHeap<Reverse<(SimTime, u64, Ev)>>, at: SimTime, ev: Ev| {
-            seq += 1;
-            q.push(Reverse((at, seq, ev)));
-        };
-
-        let mut dma_requests = 0u64;
-        let mut peak_mfc = 0usize;
-        let mut bytes_in = 0u64;
-        let mut bytes_out = 0u64;
-        let mut puts_done = 0u64;
-        let t0 = SimTime::ZERO + startup;
-        let mut last_event = t0;
-
-        // Issue initial fetches.
-        for s in 0..n_spes {
-            issue_fetches(
-                &self.cfg,
-                &mut spes,
-                s,
-                t0,
-                &mut bus,
-                &mut queue,
-                &mut push,
-                &mut dma_requests,
-                &mut peak_mfc,
-                &mut bytes_in,
-                block_len,
-            );
-        }
-
-        // Event loop.
-        while let Some(Reverse((now, _, ev))) = queue.pop() {
-            last_event = now;
-            match ev {
-                Ev::FetchDone { spe, block, buf } => {
-                    spes[spe].inflight_mfc -= 1;
-                    // Functional: the bytes land in the local store now.
-                    if let Some(src) = src {
-                        let src = &src[block_bytes(block)];
-                        self.stores[spe]
-                            .slice_mut(ls_buffers[spe][buf], 0, src.len())
-                            .expect("a materialized machine's stores hold bytes")
-                            .copy_from_slice(src);
-                    }
-                    spes[spe].ready.push_back((block, buf));
-                    maybe_start_compute(
-                        &self.cfg, &mut spes, spe, now, kernel, &mut queue, &mut push, block_len,
-                    );
-                }
-                Ev::ComputeDone { spe, block, buf } => {
-                    spes[spe].computing = false;
-                    let blen = block_len(block) as usize;
-                    // Functional: execute in the local store, then copy the
-                    // result out into the output image (the DMA put below).
-                    if let Some(out) = &mut output {
-                        let data = self.stores[spe]
-                            .slice_mut(ls_buffers[spe][buf], 0, blen)
-                            .expect("a materialized machine's stores hold bytes");
-                        kernel.exec(base_offset + block * block_size as u64, data);
-                        out[block_bytes(block)].copy_from_slice(data);
-                    }
-                    // DMA-put the result.
-                    let done = bus.transfer(now, blen as u64);
-                    bytes_out += blen as u64;
-                    dma_requests += (blen as u64).div_ceil(self.cfg.dma_max_transfer as u64);
-                    spes[spe].inflight_mfc += 1;
-                    peak_mfc = peak_mfc.max(spes[spe].inflight_mfc);
-                    push(&mut queue, done, Ev::PutDone { spe, buf });
-                    maybe_start_compute(
-                        &self.cfg, &mut spes, spe, now, kernel, &mut queue, &mut push, block_len,
-                    );
-                }
-                Ev::PutDone { spe, buf } => {
-                    spes[spe].inflight_mfc -= 1;
-                    spes[spe].free_buffers.push(buf);
-                    puts_done += 1;
-                    issue_fetches(
-                        &self.cfg,
-                        &mut spes,
-                        spe,
-                        now,
-                        &mut bus,
-                        &mut queue,
-                        &mut push,
-                        &mut dma_requests,
-                        &mut peak_mfc,
-                        &mut bytes_in,
-                        block_len,
-                    );
-                }
-            }
-        }
-        // A stalled pipeline would hand back a partly zero `output`.
-        assert_eq!(
-            puts_done, n_blocks,
-            "pipeline stalled: not all blocks completed"
-        );
-
-        Ok(OffloadReport {
-            elapsed: last_event - SimTime::ZERO,
-            startup,
-            blocks: n_blocks,
-            bytes_in,
-            bytes_out,
-            dma_requests,
-            peak_mfc_queue: peak_mfc,
-            spe_busy: spes.into_iter().map(|s| s.busy).collect(),
-            bus_busy: bus.busy,
-            output,
-            unit_results: Vec::new(),
-        })
+        Ok(run.run(SimTime::ZERO + startup))
     }
 
     /// Runs a compute-parallel kernel: `units` split evenly across SPEs.
     pub fn run_compute(&mut self, units: u64, kernel: &dyn ComputeKernel) -> OffloadReport {
-        let startup = self.take_startup();
+        let startup = self.start_session();
+        let mut report = OffloadReport::started(startup, self.cfg.n_spes);
         let n = self.cfg.n_spes as u64;
-        let base = units / n;
-        let rem = units % n;
-        let mut spe_busy = Vec::with_capacity(self.cfg.n_spes);
-        let mut unit_results = Vec::with_capacity(self.cfg.n_spes);
         let mut max_busy = SimDuration::ZERO;
-        for s in 0..self.cfg.n_spes {
-            let my_units = base + u64::from((s as u64) < rem);
-            let busy = if my_units == 0 {
-                SimDuration::ZERO
-            } else {
-                self.cfg.dispatch_overhead
-                    + self.cfg.cycles(kernel.cycles_per_unit() * my_units as f64)
-            };
-            max_busy = max_busy.max(busy);
-            spe_busy.push(busy);
-            unit_results.push(if my_units == 0 {
-                0
-            } else {
-                kernel.exec(s, my_units)
-            });
+        for (s, busy) in report.spe_busy.iter_mut().enumerate() {
+            let my_units = units / n + u64::from((s as u64) < units % n);
+            let mut inside = 0;
+            if my_units > 0 {
+                *busy = self.cfg.dispatch_overhead
+                    + self.cfg.cycles(kernel.cycles_per_unit() * my_units as f64);
+                inside = kernel.exec(s, my_units);
+            }
+            max_busy = max_busy.max(*busy);
+            report.unit_results.push(inside);
         }
-        OffloadReport {
-            elapsed: startup + max_busy,
-            startup,
-            blocks: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            dma_requests: 0,
-            peak_mfc_queue: 0,
-            spe_busy,
-            bus_busy: SimDuration::ZERO,
-            output: None,
-            unit_results,
-        }
+        report.elapsed = startup + max_busy;
+        report
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn issue_fetches(
-    cfg: &CellConfig,
-    spes: &mut [SpeRun],
-    spe: usize,
-    now: SimTime,
-    bus: &mut Bus,
-    queue: &mut BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
-    push: &mut impl FnMut(&mut BinaryHeap<Reverse<(SimTime, u64, Ev)>>, SimTime, Ev),
-    dma_requests: &mut u64,
-    peak_mfc: &mut usize,
-    bytes_in: &mut u64,
-    block_len: impl Fn(u64) -> u64,
-) {
-    loop {
-        let s = &mut spes[spe];
-        if s.next_fetch >= s.assigned.len()
-            || s.free_buffers.is_empty()
-            || s.inflight_mfc >= cfg.mfc_queue_depth
-        {
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(clippy::enum_variant_names)]
+enum Ev {
+    FetchDone { spe: usize, block: u64, buf: usize },
+    ComputeDone { spe: usize, block: u64, buf: usize },
+    PutDone { spe: usize, buf: usize },
+}
+
+/// One SPE's side of the pipeline.
+struct SpeRun {
+    /// Next block of this SPE's stripe (`spe + k·n_spes`) to fetch.
+    next_block: u64,
+    /// Fetched blocks awaiting compute, with the buffer each landed in.
+    ready: VecDeque<(u64, usize)>,
+    computing: bool,
+    free_buffers: Vec<usize>,
+    inflight_mfc: usize,
+}
+
+/// The bytes of a functional run: the input image, the output image, and
+/// the SPEs' local-store buffers every block crosses on its way.
+struct Bytes<'a> {
+    src: &'a [u8],
+    out: Vec<u8>,
+    local_stores: &'a mut [[Vec<u8>; 2]],
+    base_offset: u64,
+}
+
+/// The state of one `run_data` session: the SPE table, the memory
+/// interface, the completion queue and the report its counters
+/// accumulate in.
+struct Pipeline<'a> {
+    cfg: &'a CellConfig,
+    kernel: &'a dyn DataKernel,
+    len: u64,
+    block_size: u64,
+    n_blocks: u64,
+    spes: Vec<SpeRun>,
+    /// When the shared memory interface next falls idle.
+    bus_free_at: SimTime,
+    /// Pending completions; `(at, seq)` decides the pop order, so the
+    /// order of pushes is part of the model.
+    queue: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
+    seq: u64,
+    /// `blocks` counts completed puts; `elapsed` is the last event's time.
+    report: OffloadReport,
+    bytes: Option<Bytes<'a>>,
+}
+
+impl Pipeline<'_> {
+    /// Issues every SPE's first fetches at `t0`, then handles completions
+    /// until none are pending, and returns the session's report.
+    fn run(mut self, t0: SimTime) -> OffloadReport {
+        for spe in 0..self.spes.len() {
+            self.fetch(spe, t0);
+        }
+        while let Some(Reverse((now, _, ev))) = self.queue.pop() {
+            self.report.elapsed = now - SimTime::ZERO;
+            self.handle(now, ev);
+        }
+        // A stalled pipeline would hand back a partly zero `output`.
+        assert_eq!(
+            self.report.blocks, self.n_blocks,
+            "pipeline stalled: not all blocks completed"
+        );
+        self.report.output = self.bytes.map(|b| b.out);
+        self.report
+    }
+
+    /// Handles one completion at `now`.
+    fn handle(&mut self, now: SimTime, ev: Ev) {
+        match ev {
+            Ev::FetchDone { spe, block, buf } => {
+                self.spes[spe].inflight_mfc -= 1;
+                // Functional: the bytes land in the local store now.
+                let range = self.block_range(block);
+                if let Some(b) = &mut self.bytes {
+                    b.local_stores[spe][buf][..range.len()].copy_from_slice(&b.src[range]);
+                }
+                self.spes[spe].ready.push_back((block, buf));
+                self.compute(spe, now);
+            }
+            Ev::ComputeDone { spe, block, buf } => {
+                self.spes[spe].computing = false;
+                // Functional: execute in the local store, then copy the
+                // result out into the output image (the DMA put below).
+                let range = self.block_range(block);
+                let len = range.len() as u64;
+                if let Some(b) = &mut self.bytes {
+                    let data = &mut b.local_stores[spe][buf][..range.len()];
+                    self.kernel.exec(b.base_offset + range.start as u64, data);
+                    b.out[range].copy_from_slice(data);
+                }
+                let done = self.dma(spe, now, len);
+                self.report.bytes_out += len;
+                self.push(done, Ev::PutDone { spe, buf });
+                self.compute(spe, now);
+            }
+            Ev::PutDone { spe, buf } => {
+                let s = &mut self.spes[spe];
+                s.inflight_mfc -= 1;
+                s.free_buffers.push(buf);
+                self.report.blocks += 1;
+                self.fetch(spe, now);
+            }
+        }
+    }
+
+    /// Byte range of block `b` in the input (the last block may be short).
+    fn block_range(&self, b: u64) -> Range<usize> {
+        let start = b * self.block_size;
+        start as usize..(start + self.block_size).min(self.len) as usize
+    }
+
+    fn push(&mut self, at: SimTime, ev: Ev) {
+        self.seq += 1;
+        self.queue.push(Reverse((at, self.seq, ev)));
+    }
+
+    /// Queues one DMA of `len` bytes on `spe`'s MFC at `at`, as ≤16 KB
+    /// commands. The shared memory interface serves transfers one at a
+    /// time in arrival order; the fixed request latency does not occupy
+    /// it. Returns the completion instant.
+    fn dma(&mut self, spe: usize, at: SimTime, len: u64) -> SimTime {
+        let s = &mut self.spes[spe];
+        s.inflight_mfc += 1;
+        self.report.peak_mfc_queue = self.report.peak_mfc_queue.max(s.inflight_mfc);
+        self.report.dma_requests += len.div_ceil(self.cfg.dma_max_transfer as u64);
+        let occupancy = SimDuration::from_secs_f64(len as f64 / self.cfg.bus_bytes_per_sec);
+        self.bus_free_at = at.max(self.bus_free_at) + occupancy;
+        self.report.bus_busy += occupancy;
+        self.bus_free_at + self.cfg.dma_latency
+    }
+
+    /// Fetches `spe`'s next stripe blocks while it has a free buffer and
+    /// MFC queue room.
+    fn fetch(&mut self, spe: usize, now: SimTime) {
+        loop {
+            let s = &mut self.spes[spe];
+            if s.next_block >= self.n_blocks
+                || s.free_buffers.is_empty()
+                || s.inflight_mfc >= self.cfg.mfc_queue_depth
+            {
+                return;
+            }
+            let block = s.next_block;
+            s.next_block += self.cfg.n_spes as u64;
+            let buf = s.free_buffers.pop().expect("checked non-empty");
+            let len = self.block_range(block).len() as u64;
+            self.report.bytes_in += len;
+            let done = self.dma(spe, now + self.cfg.dispatch_overhead, len);
+            self.push(done, Ev::FetchDone { spe, block, buf });
+        }
+    }
+
+    /// Starts computing `spe`'s oldest fetched block if the SPU is idle.
+    fn compute(&mut self, spe: usize, now: SimTime) {
+        let s = &mut self.spes[spe];
+        if s.computing {
             return;
         }
-        let block = s.assigned[s.next_fetch];
-        s.next_fetch += 1;
-        let buf = s.free_buffers.pop().expect("checked non-empty");
-        let blen = block_len(block);
-        s.inflight_mfc += 1;
-        *peak_mfc = (*peak_mfc).max(s.inflight_mfc);
-        *bytes_in += blen;
-        *dma_requests += blen.div_ceil(cfg.dma_max_transfer as u64);
-        let done = bus.transfer(now + cfg.dispatch_overhead, blen);
-        push(queue, done, Ev::FetchDone { spe, block, buf });
+        let Some((block, buf)) = s.ready.pop_front() else {
+            return;
+        };
+        s.computing = true;
+        let len = self.block_range(block).len();
+        let dur = self.cfg.cycles(self.kernel.cycles_per_byte() * len as f64);
+        self.report.spe_busy[spe] += dur;
+        self.push(now + dur, Ev::ComputeDone { spe, block, buf });
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn maybe_start_compute(
-    cfg: &CellConfig,
-    spes: &mut [SpeRun],
-    spe: usize,
-    now: SimTime,
-    kernel: &dyn DataKernel,
-    queue: &mut BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
-    push: &mut impl FnMut(&mut BinaryHeap<Reverse<(SimTime, u64, Ev)>>, SimTime, Ev),
-    block_len: impl Fn(u64) -> u64,
-) {
-    let s = &mut spes[spe];
-    if s.computing {
-        return;
-    }
-    let Some((block, buf)) = s.ready.pop_front() else {
-        return;
-    };
-    s.computing = true;
-    let cycles = kernel.cycles_per_byte() * block_len(block) as f64;
-    let dur = cfg.cycles(cycles);
-    s.busy += dur;
-    push(queue, now + dur, Ev::ComputeDone { spe, block, buf });
 }
 
 #[cfg(test)]
@@ -591,7 +509,53 @@ mod tests {
         let mut m = machine(false);
         assert_eq!(m.warm_up(), CellConfig::default().context_create);
         assert_eq!(m.warm_up(), SimDuration::ZERO);
-        assert!(m.is_warm());
+    }
+
+    #[test]
+    fn start_session_pays_context_only_when_cold() {
+        let cfg = CellConfig::default();
+        let mut m = machine(false);
+        assert_eq!(m.start_session(), cfg.context_create + cfg.session_start);
+        assert_eq!(m.start_session(), cfg.session_start);
+        // Warming up first leaves only the session start to pay.
+        let mut m = machine(false);
+        m.warm_up();
+        assert_eq!(m.start_session(), cfg.session_start);
+    }
+
+    #[test]
+    fn virtual_machine_holds_no_local_store_bytes() {
+        let mut input = vec![0u8; 20_000];
+        fill_deterministic(4, 0, &mut input);
+        let kernel = IdentityKernel::new(1.0);
+        let mut m = machine(false);
+        let r = m.run_data(DataInput::Real(&input), &kernel, 4096).unwrap();
+        assert!(r.output.is_none());
+        assert!(m.local_stores.iter().flatten().all(Vec::is_empty));
+        // A materialized machine's two buffers per SPE hold the largest
+        // block the local-store budget accepts.
+        let m = machine(true);
+        let largest = 48 * 1024;
+        CellConfig::default().check_block_size(largest).unwrap();
+        assert_eq!(m.local_stores.len(), 8);
+        assert!(m.local_stores.iter().flatten().all(|b| b.len() == largest));
+    }
+
+    #[test]
+    fn local_store_buffers_carry_every_run_whatever_its_block_size() {
+        // One machine, shrinking and growing blocks: each run's bytes cross
+        // the same two buffers per SPE.
+        let key = Arc::new(Aes128::new(b"local-store-test"));
+        let kernel = AesCtrSpeKernel::new(key.clone(), 8);
+        let mut input = vec![0u8; 200_003];
+        fill_deterministic(12, 0, &mut input);
+        let mut expect = input.clone();
+        ctr_xor(&key, AesImpl::Scalar, 8, 0, &mut expect);
+        let mut m = machine(true);
+        for block in [48 * 1024, 16, 4096, 32 * 1024] {
+            let r = m.run_data(DataInput::Real(&input), &kernel, block).unwrap();
+            assert_eq!(r.output.as_deref(), Some(expect.as_slice()), "{block}");
+        }
     }
 
     #[test]

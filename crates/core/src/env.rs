@@ -10,11 +10,6 @@ use accelmr_cellbe::{CellConfig, CellMachine};
 use accelmr_cellmr::{CellMrConfig, CellMrRuntime};
 use accelmr_mapred::{NodeEnv, NodeEnvFactory};
 
-/// Cell processors per worker blade: the QS22 carries two and the paper
-/// runs two mappers per blade, one per Cell. Both map slots share one
-/// [`CellMachine`] model's warm state (every pinned number assumes this).
-pub const CELLS_PER_BLADE: usize = 2;
-
 /// Node-resident Cell BE state: the Cell machine every accelerated kernel
 /// runs on, plus a MapReduce-for-Cell framework instance for jobs routed
 /// through the second native library. Both run the default [`CellConfig`].
@@ -62,11 +57,17 @@ impl NodeEnvFactory for CellEnvFactory {
     fn build(&self, _node_index: usize) -> Box<dyn NodeEnv> {
         Box::new(CellNodeEnv::new(self.materialized))
     }
+
+    fn materialized(&self) -> bool {
+        self.materialized
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::CellAesKernel;
+    use accelmr_mapred::{ClusterBuilder, JobBuilder, PreloadSpec};
 
     #[test]
     fn env_downcasts_and_keeps_its_machine_warm() {
@@ -74,8 +75,29 @@ mod tests {
         let cell = (&mut *env as &mut dyn std::any::Any)
             .downcast_mut::<CellNodeEnv>()
             .expect("downcast");
-        assert!(!cell.machine().is_warm());
-        cell.machine().warm_up();
-        assert!(cell.machine().is_warm());
+        let context = CellConfig::default().context_create;
+        assert_eq!(cell.machine().warm_up(), context);
+        assert_eq!(cell.machine().warm_up(), accelmr_des::SimDuration::ZERO);
+    }
+
+    /// A materialized cluster hands real bytes to a timing-only Cell
+    /// machine, which has no ciphertext to give back: deploy refuses it
+    /// instead of letting the job die mid-run.
+    #[test]
+    #[should_panic(expected = "materialized(true) needs a materialized env factory")]
+    fn materialized_cluster_rejects_timing_only_cell_envs() {
+        let mut c = ClusterBuilder::new()
+            .workers(4)
+            .materialized(true)
+            .env(CellEnvFactory::default())
+            .deploy();
+        let mut session = c.session();
+        session.submit(
+            JobBuilder::new("enc")
+                .input_file("/in")
+                .kernel(CellAesKernel::new())
+                .preload(PreloadSpec::new("/in", 8 << 20, 7)),
+        );
+        session.run();
     }
 }

@@ -6,16 +6,17 @@
 //!
 //! This module provides exactly that: a [`MixedEnvFactory`] that equips
 //! only a fraction of the workers with Cell accelerators, and an
-//! [`AdaptiveAesKernel`] / [`AdaptivePiKernel`] that probe the node
-//! environment at run time — offloading where an accelerator exists and
-//! falling back to the scalar engine elsewhere (what the JNI library's
-//! capability probe would do). The accompanying tests demonstrate the
-//! phenomenon the paper anticipated: with placement-blind scheduling, the
-//! *slowest class of nodes sets the CPU-bound job time*, so partial
-//! accelerator coverage buys far less than its proportional share.
+//! [`AdaptiveKernel`] ([`AdaptiveAesKernel`], [`AdaptivePiKernel`]) that
+//! probes the node environment at run time — offloading where an
+//! accelerator exists and falling back to the scalar engine elsewhere. The
+//! accompanying tests demonstrate the phenomenon the paper anticipated:
+//! with placement-blind scheduling, the *slowest class of nodes sets the
+//! CPU-bound job time*, so partial accelerator coverage buys far less than
+//! its proportional share.
 
 use std::any::Any;
 
+use accelmr_des::SimDuration;
 use accelmr_mapred::{NodeEnv, NodeEnvFactory, RecordCtx, RecordOutcome, TaskKernel, UnitsOutcome};
 
 use crate::env::{CellEnvFactory, CellNodeEnv};
@@ -53,23 +54,36 @@ impl NodeEnvFactory for MixedEnvFactory {
             Box::new(accelmr_mapred::NullEnv)
         }
     }
+
+    fn materialized(&self) -> bool {
+        false
+    }
 }
 
-fn has_accelerator(env: &mut dyn NodeEnv) -> bool {
-    (env as &mut dyn Any).is::<CellNodeEnv>()
+/// A mapper that offloads on accelerated nodes and runs the Java engine
+/// elsewhere: every call probes the node environment for a Cell and hands
+/// the work to `cell` or `java` (what the JNI library's capability probe
+/// would do). The name is the adaptive kernel's own, so throughput
+/// learning and per-node setup see one kernel across both node classes.
+#[derive(Clone, Copy, Debug)]
+pub struct AdaptiveKernel<C, J> {
+    name: &'static str,
+    cell: C,
+    java: J,
 }
 
-/// Encryption kernel that offloads on accelerated nodes and runs the
-/// scalar engine elsewhere.
-pub struct AdaptiveAesKernel {
-    cell: CellAesKernel,
-    java: JavaAesKernel,
-}
+/// Encryption that offloads on accelerated nodes and runs the scalar
+/// engine elsewhere.
+pub type AdaptiveAesKernel = AdaptiveKernel<CellAesKernel, JavaAesKernel>;
+
+/// Pi that offloads on accelerated nodes and samples on the PPE elsewhere.
+pub type AdaptivePiKernel = AdaptiveKernel<CellPiKernel, JavaPiKernel>;
 
 impl AdaptiveAesKernel {
     /// Builds the adaptive kernel with the default job key.
     pub fn new() -> Self {
-        AdaptiveAesKernel {
+        AdaptiveKernel {
+            name: "aes-adaptive",
             cell: CellAesKernel::new(),
             java: JavaAesKernel::new(),
         }
@@ -82,76 +96,52 @@ impl Default for AdaptiveAesKernel {
     }
 }
 
-impl TaskKernel for AdaptiveAesKernel {
-    fn name(&self) -> &'static str {
-        "aes-adaptive"
-    }
-
-    fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
-        if has_accelerator(env) {
-            self.cell.node_setup(env)
-        } else {
-            accelmr_des::SimDuration::ZERO
-        }
-    }
-
-    fn map_record(&self, env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
-        if has_accelerator(env) {
-            self.cell.map_record(env, rec)
-        } else {
-            self.java.map_record(env, rec)
-        }
-    }
-}
-
-/// Pi kernel that offloads on accelerated nodes and samples on the PPE
-/// elsewhere.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptivePiKernel {
-    cell: CellPiKernel,
-    java: JavaPiKernel,
-}
-
 impl AdaptivePiKernel {
     /// Builds the adaptive kernel for a seed.
     pub fn new(seed: u64) -> Self {
-        AdaptivePiKernel {
+        AdaptiveKernel {
+            name: "pi-adaptive",
             cell: CellPiKernel::new(seed),
             java: JavaPiKernel::new(seed),
         }
     }
 }
 
-impl TaskKernel for AdaptivePiKernel {
-    fn name(&self) -> &'static str {
-        "pi-adaptive"
-    }
-
-    fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
-        if has_accelerator(env) {
-            self.cell.node_setup(env)
+impl<C: TaskKernel, J: TaskKernel> AdaptiveKernel<C, J> {
+    /// The kernel that runs on the node owning `env`.
+    fn pick(&self, env: &mut dyn NodeEnv) -> &dyn TaskKernel {
+        if (env as &mut dyn Any).is::<CellNodeEnv>() {
+            &self.cell
         } else {
-            accelmr_des::SimDuration::ZERO
+            &self.java
         }
     }
+}
 
-    fn map_record(&self, _env: &mut dyn NodeEnv, _rec: &RecordCtx<'_>) -> RecordOutcome {
-        RecordOutcome::default()
+impl<C: TaskKernel, J: TaskKernel> TaskKernel for AdaptiveKernel<C, J> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn node_setup(&self, env: &mut dyn NodeEnv) -> SimDuration {
+        self.pick(env).node_setup(env)
+    }
+
+    fn map_record(&self, env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
+        self.pick(env).map_record(env, rec)
     }
 
     fn map_units(&self, env: &mut dyn NodeEnv, units: u64, stream: u64) -> UnitsOutcome {
-        if has_accelerator(env) {
-            self.cell.map_units(env, units, stream)
-        } else {
-            self.java.map_units(env, units, stream)
-        }
+        self.pick(env).map_units(env, units, stream)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accelmr_mapred::{ClusterBuilder, JobBuilder, JobResult, SchedulerPolicy, SumReducer};
+    use accelmr_mapred::{
+        ClusterBuilder, JobBuilder, JobResult, PreloadSpec, SchedulerPolicy, SumReducer,
+    };
 
     fn run_mixed_pi(factory: &MixedEnvFactory, samples: u64, seed: u64) -> JobResult {
         let mut c = ClusterBuilder::new()
@@ -170,6 +160,56 @@ mod tests {
                 }),
         );
         session.run()
+    }
+
+    /// The adaptive kernels keep their own names (they key throughput
+    /// learning and per-node setup) and, per node, do exactly what the
+    /// engine they pick does.
+    #[test]
+    fn adaptive_kernels_run_the_engine_they_pick() {
+        assert_eq!(AdaptiveAesKernel::new().name(), "aes-adaptive");
+        assert_eq!(AdaptivePiKernel::new(3).name(), "pi-adaptive");
+        let factory = MixedEnvFactory::half();
+        let rec = RecordCtx {
+            abs_offset: 0,
+            len: 1 << 20,
+            bytes: None,
+            file_seed: 1,
+        };
+        for node in 0..2 {
+            let accelerated = factory.is_accelerated(node);
+            let mut env = factory.build(node);
+            let mut twin = factory.build(node);
+            let (env, twin) = (env.as_mut(), twin.as_mut());
+            let aes = AdaptiveAesKernel::new();
+            let pi = AdaptivePiKernel::new(3);
+            let (setup, aes_time, pi_out) = (
+                aes.node_setup(env),
+                aes.map_record(env, &rec).compute,
+                pi.map_units(env, 1000, 2),
+            );
+            let (twin_setup, twin_aes, twin_pi) = if accelerated {
+                (
+                    CellAesKernel::new().node_setup(twin),
+                    CellAesKernel::new().map_record(twin, &rec).compute,
+                    CellPiKernel::new(3).map_units(twin, 1000, 2),
+                )
+            } else {
+                (
+                    JavaAesKernel::new().node_setup(twin),
+                    JavaAesKernel::new().map_record(twin, &rec).compute,
+                    JavaPiKernel::new(3).map_units(twin, 1000, 2),
+                )
+            };
+            assert_eq!(setup, twin_setup, "node {node}");
+            assert_eq!(aes_time, twin_aes, "node {node}");
+            assert_eq!(
+                (pi_out.compute, pi_out.kv),
+                (twin_pi.compute, twin_pi.kv),
+                "node {node}"
+            );
+            assert_eq!(setup > SimDuration::ZERO, accelerated, "node {node}");
+        }
     }
 
     #[test]
@@ -274,6 +314,27 @@ mod tests {
         let max = tp.iter().map(|e| e.throughput).fold(f64::MIN, f64::max);
         let min = tp.iter().map(|e| e.throughput).fold(f64::MAX, f64::min);
         assert!(max / min > 2.0, "learned spread {max:.0}/{min:.0}");
+    }
+
+    /// Half of these nodes have no accelerator state at all, and the other
+    /// half a timing-only Cell: a materialized cluster over them is refused
+    /// at deploy.
+    #[test]
+    #[should_panic(expected = "materialized(true) needs a materialized env factory")]
+    fn materialized_cluster_rejects_mixed_envs() {
+        let mut c = ClusterBuilder::new()
+            .workers(4)
+            .materialized(true)
+            .env(MixedEnvFactory::half())
+            .deploy();
+        let mut session = c.session();
+        session.submit(
+            JobBuilder::new("enc")
+                .input_file("/in")
+                .kernel(AdaptiveAesKernel::new())
+                .preload(PreloadSpec::new("/in", 8 << 20, 7)),
+        );
+        session.run();
     }
 
     /// Results stay correct regardless of which engine sampled.

@@ -17,7 +17,8 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, PiSpeKernel, SPU_BLOCK};
+use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, DataKernel, PiSpeKernel, SPU_BLOCK};
+use accelmr_des::SimDuration;
 use accelmr_kernels::aes::modes::ctr_xor;
 use accelmr_kernels::cost::{self, Engine};
 use accelmr_kernels::{checksum, Aes128, AesImpl};
@@ -40,6 +41,19 @@ fn cell_env(env: &mut dyn NodeEnv) -> &mut CellNodeEnv {
     (env as &mut dyn Any)
         .downcast_mut::<CellNodeEnv>()
         .expect("accelerated kernels need a CellNodeEnv (use CellEnvFactory)")
+}
+
+/// What an encryption mapper returns for `rec`: `compute` of simulated
+/// time, and the ciphertext with its digest when the record was
+/// materialized.
+fn encrypted(rec: &RecordCtx<'_>, compute: SimDuration, output: Option<Vec<u8>>) -> RecordOutcome {
+    RecordOutcome {
+        compute,
+        output_bytes: rec.len,
+        digest: output.as_deref().map_or(0, checksum),
+        output,
+        kv: Vec::new(),
+    }
 }
 
 // ---------------------------------------------------------------- Java AES
@@ -70,32 +84,21 @@ impl TaskKernel for JavaAesKernel {
     }
 
     fn map_record(&self, _env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
-        let compute = cost::aes_time(Engine::JavaPpeTask, rec.len);
-        let (output, digest) = match rec.bytes {
-            Some(bytes) => {
-                // Functionally identical to the scalar cipher (property
-                // tested); the hardware path keeps functional runs fast.
-                // Timing comes from the cost model either way.
-                let mut out = bytes.to_vec();
-                ctr_xor(
-                    &self.key,
-                    AesImpl::Hardware,
-                    JOB_NONCE,
-                    rec.abs_offset / 16,
-                    &mut out,
-                );
-                let d = checksum(&out);
-                (Some(out), d)
-            }
-            None => (None, 0),
-        };
-        RecordOutcome {
-            compute,
-            output_bytes: rec.len,
-            output,
-            digest,
-            kv: Vec::new(),
-        }
+        // Functionally identical to the scalar cipher (property tested);
+        // the hardware path keeps functional runs fast. Timing comes from
+        // the cost model either way.
+        let output = rec.bytes.map(|bytes| {
+            let mut out = bytes.to_vec();
+            ctr_xor(
+                &self.key,
+                AesImpl::Hardware,
+                JOB_NONCE,
+                rec.abs_offset / 16,
+                &mut out,
+            );
+            out
+        });
+        encrypted(rec, cost::aes_time(Engine::JavaPpeTask, rec.len), output)
     }
 }
 
@@ -106,7 +109,7 @@ impl TaskKernel for JavaAesKernel {
 /// striped over 8 SPUs, double-buffered DMA).
 #[derive(Clone)]
 pub struct CellAesKernel {
-    key: Arc<Aes128>,
+    spu: AesCtrSpeKernel,
     bridge: JniBridge,
 }
 
@@ -114,7 +117,7 @@ impl CellAesKernel {
     /// Builds the kernel with the default job key.
     pub fn new() -> Self {
         CellAesKernel {
-            key: job_key(),
+            spu: AesCtrSpeKernel::new(job_key(), JOB_NONCE),
             bridge: JniBridge::default(),
         }
     }
@@ -131,61 +134,35 @@ impl TaskKernel for CellAesKernel {
         "aes-cell"
     }
 
-    fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
+    fn node_setup(&self, env: &mut dyn NodeEnv) -> SimDuration {
         // SPU context creation the first time the library loads on a node.
-        let cell = cell_env(env);
-        cell.machine().warm_up()
+        cell_env(env).machine().warm_up()
     }
 
     fn map_record(&self, env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
-        let cell = cell_env(env);
-        let machine = cell.machine();
-        let spu_kernel = AesCtrSpeKernel::new(self.key.clone(), JOB_NONCE);
+        let machine = cell_env(env).machine();
         let bridge_cost = self.bridge.call_cost(rec.len);
         match rec.bytes {
             Some(bytes) => {
                 // Functional: the record truly rides through the local
                 // stores and comes back encrypted.
                 let report = machine
-                    .run_data_at(
-                        DataInput::Real(bytes),
-                        &spu_kernel,
-                        SPU_BLOCK,
-                        rec.abs_offset,
-                    )
+                    .run_data_at(DataInput::Real(bytes), &self.spu, SPU_BLOCK, rec.abs_offset)
                     .expect("valid block size");
                 let out = report.output.expect("materialized run yields output");
-                let digest = checksum(&out);
-                RecordOutcome {
-                    compute: bridge_cost + report.elapsed,
-                    output_bytes: rec.len,
-                    output: Some(out),
-                    digest,
-                    kv: Vec::new(),
-                }
+                encrypted(rec, bridge_cost + report.elapsed, Some(out))
             }
             None => {
                 // Virtual: closed-form estimator over the same constants
                 // (property-tested against the event model).
-                let cfg = machine.config().clone();
-                let session = if machine.is_warm() {
-                    cfg.session_start
-                } else {
-                    machine.warm_up() + cfg.session_start
-                };
+                let session = machine.start_session();
                 let body = estimate::data_run_body(
-                    &cfg,
+                    machine.config(),
                     rec.len,
-                    cost::cost(Engine::SpeSimd).aes_cycles_per_byte,
+                    self.spu.cycles_per_byte(),
                     SPU_BLOCK,
                 );
-                RecordOutcome {
-                    compute: bridge_cost + session + body,
-                    output_bytes: rec.len,
-                    output: None,
-                    digest: 0,
-                    kv: Vec::new(),
-                }
+                encrypted(rec, bridge_cost + session + body, None)
             }
         }
     }
@@ -197,7 +174,7 @@ impl TaskKernel for CellAesKernel {
 /// native library): adds the PPE staging copy and per-record bookkeeping.
 #[derive(Clone)]
 pub struct CellMrAesKernel {
-    key: Arc<Aes128>,
+    spu: AesCtrSpeKernel,
     bridge: JniBridge,
 }
 
@@ -205,7 +182,7 @@ impl CellMrAesKernel {
     /// Builds the kernel with the default job key.
     pub fn new() -> Self {
         CellMrAesKernel {
-            key: job_key(),
+            spu: AesCtrSpeKernel::new(job_key(), JOB_NONCE),
             bridge: JniBridge::default(),
         }
     }
@@ -222,44 +199,27 @@ impl TaskKernel for CellMrAesKernel {
         "aes-cellmr"
     }
 
-    fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
-        let cell = cell_env(env);
-        cell.framework().machine_mut().warm_up()
+    fn node_setup(&self, env: &mut dyn NodeEnv) -> SimDuration {
+        cell_env(env).framework().machine_mut().warm_up()
     }
 
     fn map_record(&self, env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
-        let cell = cell_env(env);
-        let fw = cell.framework();
-        let spu_kernel = AesCtrSpeKernel::new(self.key.clone(), JOB_NONCE);
-        let bridge_cost = self.bridge.call_cost(rec.len);
-        match rec.bytes {
-            Some(bytes) => {
-                let (machine_report, fw_report) = fw
-                    .run_map_at(DataInput::Real(bytes), &spu_kernel, rec.abs_offset)
-                    .expect("valid framework run");
-                let out = machine_report.output.expect("materialized");
-                let digest = checksum(&out);
-                RecordOutcome {
-                    compute: bridge_cost + fw_report.total,
-                    output_bytes: rec.len,
-                    output: Some(out),
-                    digest,
-                    kv: Vec::new(),
-                }
-            }
-            None => {
-                let (_, fw_report) = fw
-                    .run_map_at(DataInput::Virtual(rec.len), &spu_kernel, rec.abs_offset)
-                    .expect("valid framework run");
-                RecordOutcome {
-                    compute: bridge_cost + fw_report.total,
-                    output_bytes: rec.len,
-                    output: None,
-                    digest: 0,
-                    kv: Vec::new(),
-                }
-            }
-        }
+        let input = match rec.bytes {
+            Some(bytes) => DataInput::Real(bytes),
+            None => DataInput::Virtual(rec.len),
+        };
+        let (machine_report, fw_report) = cell_env(env)
+            .framework()
+            .run_map_at(input, &self.spu, rec.abs_offset)
+            .expect("valid framework run");
+        let output = rec
+            .bytes
+            .map(|_| machine_report.output.expect("materialized"));
+        encrypted(
+            rec,
+            self.bridge.call_cost(rec.len) + fw_report.total,
+            output,
+        )
     }
 }
 
@@ -278,7 +238,7 @@ impl TaskKernel for EmptyKernel {
     fn map_record(&self, _env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
         RecordOutcome {
             // A record-boundary bookkeeping sliver, nothing more.
-            compute: accelmr_des::SimDuration::from_micros(200),
+            compute: SimDuration::from_micros(200),
             output_bytes: 0,
             output: None,
             digest: rec.bytes.map(checksum).unwrap_or(0),
@@ -348,9 +308,8 @@ impl TaskKernel for CellPiKernel {
         "pi-cell"
     }
 
-    fn node_setup(&self, env: &mut dyn NodeEnv) -> accelmr_des::SimDuration {
-        let cell = cell_env(env);
-        cell.machine().warm_up()
+    fn node_setup(&self, env: &mut dyn NodeEnv) -> SimDuration {
+        cell_env(env).machine().warm_up()
     }
 
     fn map_record(&self, _env: &mut dyn NodeEnv, _rec: &RecordCtx<'_>) -> RecordOutcome {
@@ -358,12 +317,10 @@ impl TaskKernel for CellPiKernel {
     }
 
     fn map_units(&self, env: &mut dyn NodeEnv, units: u64, stream: u64) -> UnitsOutcome {
-        let cell = cell_env(env);
-        let machine = cell.machine();
         // Per-task stream namespace: each task gets an 8-wide SPE stream
         // block so SPE sub-streams never collide across tasks.
         let spu_kernel = PiSpeKernel::new(self.seed, stream * 8);
-        let report = machine.run_compute(units, &spu_kernel);
+        let report = cell_env(env).machine().run_compute(units, &spu_kernel);
         let inside: u64 = report.unit_results.iter().sum();
         UnitsOutcome {
             compute: self.bridge.call_cost(64) + report.elapsed,

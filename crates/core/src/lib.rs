@@ -36,7 +36,7 @@ pub mod presets;
 pub use bridge::JniBridge;
 pub use energy::{job_energy, EnergyModel, EnergyReport, EngineClass};
 pub use env::{CellEnvFactory, CellNodeEnv};
-pub use hetero::{AdaptiveAesKernel, AdaptivePiKernel, MixedEnvFactory};
+pub use hetero::{AdaptiveAesKernel, AdaptiveKernel, AdaptivePiKernel, MixedEnvFactory};
 pub use kernels::{
     job_key, CellAesKernel, CellMrAesKernel, CellPiKernel, EmptyKernel, JavaAesKernel,
     JavaPiKernel, JOB_NONCE,

@@ -132,6 +132,13 @@ impl ClusterBuilder {
         if let Err(e) = self.mr.validate() {
             panic!("invalid MrConfig: {e}");
         }
+        // A timing-only accelerator handed real record bytes has no output
+        // to return, and the job would die mid-run.
+        assert!(
+            !self.materialized || self.env.materialized(),
+            "materialized(true) needs a materialized env factory (e.g. \
+             CellEnvFactory {{ materialized: true }}); this env factory is timing-only"
+        );
         let mut sim = Sim::new(self.seed);
         let workers: Vec<NodeId> = (1..=self.workers as u32).map(NodeId).collect();
         let fabric = sim.spawn(Box::new(Fabric::new(
@@ -242,12 +249,6 @@ impl JobBuilder {
         self
     }
 
-    /// An explicit [`JobInput`].
-    pub fn input(mut self, input: JobInput) -> Self {
-        self.input = Some(input);
-        self
-    }
-
     /// The map kernel.
     pub fn kernel(mut self, kernel: impl TaskKernel + 'static) -> Self {
         self.kernel = Some(Arc::new(kernel));
@@ -286,12 +287,6 @@ impl JobBuilder {
             path: path.into(),
             replication,
         };
-        self
-    }
-
-    /// An explicit [`ReduceSpec`].
-    pub fn reduce(mut self, reduce: ReduceSpec) -> Self {
-        self.reduce = reduce;
         self
     }
 

@@ -307,7 +307,7 @@ pub struct TaskMetrics {
 /// "the job-level watchdog declared it unservable" — the latter replaces
 /// the historical failure mode of hanging the session forever when, e.g.,
 /// every replica of an input block is gone.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
     /// A task failed `attempts` times, reaching
     /// [`MrConfig::max_attempts`](crate::MrConfig::max_attempts).
@@ -324,6 +324,11 @@ pub enum JobError {
         /// Time since the job last dispatched or completed an attempt.
         idle_for: SimDuration,
     },
+    /// The job's input file does not exist in the DFS.
+    InputMissing {
+        /// The DFS path the job asked for.
+        path: String,
+    },
 }
 
 impl std::fmt::Display for JobError {
@@ -335,6 +340,7 @@ impl std::fmt::Display for JobError {
             JobError::Stalled { idle_for } => {
                 write!(f, "no progress for {idle_for}; job is unservable")
             }
+            JobError::InputMissing { path } => write!(f, "input file {path} does not exist"),
         }
     }
 }
@@ -350,9 +356,7 @@ pub struct JobResult {
     pub name: String,
     /// `true` when every task eventually succeeded.
     pub succeeded: bool,
-    /// Why the job failed, when `succeeded` is false and the cause was
-    /// task-level (`None` for successful jobs; also `None` on legacy
-    /// failure paths that predate typed errors, e.g. missing input files).
+    /// Why the job failed: `Some` exactly when `succeeded` is false.
     pub error: Option<JobError>,
     /// Submission-to-completion wall time.
     pub elapsed: SimDuration,

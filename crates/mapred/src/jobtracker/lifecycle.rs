@@ -7,7 +7,7 @@ use accelmr_dfs::msgs::{BlockLoc, FileView, LocationsReply};
 use accelmr_net::NodeId;
 
 use crate::config::{JobId, TaskId};
-use crate::job::{JobInput, JobResult, OutputSink, ReduceSpec, TaskWork};
+use crate::job::{JobError, JobInput, JobResult, OutputSink, ReduceSpec, TaskWork};
 use crate::msgs::JobComplete;
 use crate::sched::SplitRequest;
 
@@ -116,7 +116,13 @@ impl JobTracker {
             Some(view) => self.build_file_tasks(job_id, &view),
             None => {
                 if let Some(job) = self.jobs.get_mut(&job_id.0) {
-                    job.succeeded = false;
+                    let path = match &job.spec.input {
+                        JobInput::File { path, .. } => path.clone(),
+                        JobInput::Synthetic { .. } => {
+                            unreachable!("only file jobs ask for block locations")
+                        }
+                    };
+                    job.error = Some(JobError::InputMissing { path });
                 }
                 self.finalize(ctx, job_id);
             }
@@ -273,8 +279,8 @@ impl JobTracker {
         let result = JobResult {
             job: job_id,
             name: job.spec.name.clone(),
-            succeeded: job.succeeded,
-            error: job.error,
+            succeeded: job.error.is_none(),
+            error: job.error.clone(),
             elapsed: now - job.submitted,
             tenant: job.spec.tenant.clone(),
             weight: job.spec.weight,

@@ -239,7 +239,6 @@ impl JobTracker {
         stalled.sort_unstable();
         for id in stalled {
             if let Some(job) = self.jobs.get_mut(&id) {
-                job.succeeded = false;
                 job.error = Some(JobError::Stalled {
                     idle_for: now.since(job.last_progress),
                 });

@@ -107,8 +107,8 @@ struct JobState {
     /// Completed map outputs (and their folded contributions) for the
     /// shuffle.
     map_outputs: FxHashMap<TaskId, MapOutput>,
-    succeeded: bool,
-    /// Typed cause of failure, for [`JobResult::error`](crate::JobResult::error).
+    /// Typed cause of failure, for [`JobResult::error`](crate::JobResult::error);
+    /// the job succeeded exactly when this stays `None`.
     error: Option<JobError>,
     /// Last instant the job dispatched or completed an attempt (or was
     /// submitted): the watchdog input. Maintained unconditionally; only
@@ -141,7 +141,6 @@ impl JobState {
             task_times: Vec::new(),
             dispatch_log: Vec::new(),
             map_outputs: FxHashMap::default(),
-            succeeded: true,
             error: None,
             last_progress: now,
             preempted_attempts: 0,
@@ -325,7 +324,6 @@ impl JobTracker {
             ctx.stats().incr("mr.attempt_failures");
             let attempts = job.ledger.task(report.task).attempts;
             if !already_completed && attempts >= self.cfg.max_attempts {
-                job.succeeded = false;
                 job.error = Some(JobError::TaskFailed {
                     task: report.task,
                     attempts,

@@ -27,6 +27,15 @@ impl NodeEnv for NullEnv {}
 pub trait NodeEnvFactory: Send + Sync {
     /// Creates the environment for one node.
     fn build(&self, node_index: usize) -> Box<dyn NodeEnv>;
+
+    /// `true` when the environments can hand back the real bytes a
+    /// materialized job gives them. A cluster deployed with
+    /// [`ClusterBuilder::materialized`](crate::ClusterBuilder::materialized)
+    /// requires it. Environments without accelerator state have nothing
+    /// timing-only about them, hence the default.
+    fn materialized(&self) -> bool {
+        true
+    }
 }
 
 /// Factory producing [`NullEnv`]s.

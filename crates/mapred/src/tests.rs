@@ -10,7 +10,7 @@ use accelmr_dfs::DfsConfig;
 use crate::builder::{ClusterBuilder, JobBuilder};
 use crate::cluster::{MrCluster, PreloadSpec};
 use crate::config::{MrConfig, SchedulerPolicy};
-use crate::job::{JobResult, JobSpec};
+use crate::job::{JobError, JobResult, JobSpec};
 use crate::jobtracker::{JOB_FINALIZE_TIME, JOB_INIT_TIME};
 use crate::kernel::{FixedCostKernel, NodeEnv, SumReducer, TaskKernel, UnitsOutcome};
 use crate::msgs::CrashTaskTracker;
@@ -1184,6 +1184,12 @@ fn missing_input_fails_gracefully() {
         .build();
     let result = run_one(&mut c, vec![], spec);
     assert!(!result.succeeded);
+    assert_eq!(
+        result.error,
+        Some(JobError::InputMissing {
+            path: "/does-not-exist".into()
+        })
+    );
     assert_eq!(result.map_tasks, 0);
 }
 
