@@ -1,6 +1,10 @@
 //! figures — regenerates the paper's series: `figures [--quick]
 //! <fig2|fig4|fig5|fig6|fig7|fig8|terasort|ablations|all>...`. Tables go
 //! to stdout, harness timing to stderr.
+#![expect(
+    clippy::disallowed_types,
+    reason = "times each figure's regeneration for stderr; no simulation reads the clock"
+)]
 
 use accelmr_bench::figures::FIGURES;
 

@@ -5,6 +5,10 @@
 //! A section reports through one [`Json`] tree, so a metric is named once:
 //! the tree is what gets printed ([`Json::text`]) and what gets written
 //! ([`Json::pretty`]).
+#![expect(
+    clippy::disallowed_types,
+    reason = "the harness measures the simulator's wall speed: host-clock reads are its job, and none feeds a simulation"
+)]
 
 pub mod figures;
 pub mod perf;

@@ -249,7 +249,10 @@ impl CellMachine {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[allow(clippy::enum_variant_names)]
+#[expect(
+    clippy::enum_variant_names,
+    reason = "each variant names the pipeline stage that is done"
+)]
 enum Ev {
     FetchDone { spe: usize, block: u64, buf: usize },
     ComputeDone { spe: usize, block: u64, buf: usize },

@@ -4,8 +4,11 @@
 //! The simulator keys maps almost exclusively by small integers (actor ids,
 //! block ids, task ids); SipHash's HashDoS resistance buys nothing here and
 //! costs measurably in the event loop, so every internal map uses this
-//! hasher (`docs/ARCHITECTURE.md`: the audit pass's `std-hashmap` rule
-//! enforces it, and "The fluid engine" shows the key trap below in use).
+//! hasher (`docs/ARCHITECTURE.md`: the root `clippy.toml` disallows the
+//! std-seeded map types elsewhere, and "The fluid engine" shows the key
+//! trap below in use). A map's walk order is still its bucket order, a
+//! function of insertion history; [`sorted_keys_where`] is the one sorted
+//! walk, and `clippy.toml` disallows the unsorted ones.
 //!
 //! One trap to design keys around: `finish` is the bare state, and the
 //! state is a product, so the hash's low bits are a function of the *low
@@ -18,8 +21,6 @@
 //! the low bits through the rotate (its own low bits moved up by five,
 //! its well-mixed top five moved to the bottom).
 
-// audit:allow(std-hashmap): alias definition site — the std types are rebound here to the fixed-seed hasher
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -84,9 +85,37 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "alias definition site: the std map is rebound here to the fixed-seed hasher"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "alias definition site: the std set is rebound here to the fixed-seed hasher"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
+
+/// The keys of `map` whose entries satisfy `keep`, in ascending order: the
+/// one way simulation code walks a map whose visit order could reach the
+/// event stream.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sort erases bucket order: keys are unique, so the sorted list is a function of the map's contents alone"
+)]
+pub fn sorted_keys_where<K: Ord + Copy, V>(
+    map: &FxHashMap<K, V>,
+    mut keep: impl FnMut(&K, &V) -> bool,
+) -> Vec<K> {
+    let mut keys: Vec<K> = map
+        .iter()
+        .filter(|(k, v)| keep(k, v))
+        .map(|(&k, _)| k)
+        .collect();
+    keys.sort_unstable();
+    keys
+}
 
 #[cfg(test)]
 mod tests {

@@ -51,7 +51,7 @@ pub mod time;
 pub mod trace;
 
 pub use actor::{Actor, ActorId, Event, Msg, TimerHandle};
-pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
+pub use fxmap::{sorted_keys_where, FxHashMap, FxHashSet, FxHasher};
 pub use queue::{Ladder, Timed};
 pub use rng::{splitmix64, Xoshiro256};
 pub use sim::{Ctx, RunSummary, Sim};

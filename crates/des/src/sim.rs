@@ -47,7 +47,11 @@ pub(crate) struct SimCore {
     /// Under profiling: the host instant the running handler's current
     /// lap began at ([`Ctx::lap`]). Never written, so always `None`, when
     /// profiling is off.
-    lap_from: Option<std::time::Instant>, // audit:allow(wall-clock): profiling state, written only beside the two clock reads below
+    #[expect(
+        clippy::disallowed_types,
+        reason = "profiling state, written only beside the two clock reads below"
+    )]
+    lap_from: Option<std::time::Instant>,
 }
 
 impl SimCore {
@@ -102,7 +106,11 @@ impl SimCore {
     /// unprofiled call site is a test and a skipped call.
     #[cold]
     fn end_lap(&mut self, name: &'static str) {
-        let now = std::time::Instant::now(); // audit:allow(wall-clock): opt-in per-phase cost profiling; read-only for the simulation
+        #[expect(
+            clippy::disallowed_types,
+            reason = "opt-in per-phase cost profiling; read-only for the simulation"
+        )]
+        let now = std::time::Instant::now();
         if let Some(from) = self.lap_from.replace(now) {
             let nanos = u64::try_from((now - from).as_nanos()).unwrap_or(u64::MAX);
             self.stats.charge_lap(name, nanos);
@@ -339,7 +347,12 @@ impl Sim {
         // write-only into `Stats` and never influences event order or
         // simulated time.
         let handle_started = if self.core.profiling {
-            self.core.lap_from = Some(std::time::Instant::now()); // audit:allow(wall-clock): opt-in per-actor cost profiling; read-only for the simulation
+            #[expect(
+                clippy::disallowed_types,
+                reason = "opt-in per-actor cost profiling; read-only for the simulation"
+            )]
+            let started = std::time::Instant::now();
+            self.core.lap_from = Some(started);
             self.core.lap_from
         } else {
             None

@@ -84,7 +84,10 @@ impl DfsHandle {
     /// Reads `[offset_in_block, offset_in_block + len)` of `block` from the
     /// DataNode on `dn_node`; the calling actor receives [`RangeData`] (or
     /// [`ReadError`] / [`accelmr_net::FlowAborted`]) with `tag`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the ReadRange request plus the flow's cap and tag"
+    )]
     pub fn read_range(
         &self,
         ctx: &mut Ctx<'_>,

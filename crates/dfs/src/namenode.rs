@@ -8,7 +8,7 @@
 //! a surviving replica through a [`ReplicateBlock`] pipeline.
 
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
+use accelmr_des::{sorted_keys_where, FxHashMap};
 use accelmr_net::{Liveness, NetHandle, NodeId};
 
 use crate::config::{BlockId, DfsConfig, BLOCK_SIZE, HEARTBEAT_INTERVAL};
@@ -219,6 +219,7 @@ impl NameNode {
 
     /// Number of blocks currently below their replication target
     /// (introspection for tests, benches, and examples).
+    #[expect(clippy::disallowed_methods, reason = "a count is order-free")]
     pub fn under_replicated_blocks(&self) -> usize {
         self.block_map
             .values()
@@ -242,10 +243,18 @@ impl NameNode {
     /// it participated in, so the scan re-issues them off live nodes.
     fn on_node_lost(&mut self, node: NodeId) {
         self.repair_pending = true;
-        // audit:allow(map-order): per-block replica prune is an independent mutation per entry; no events issue here
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "each entry's replica prune is independent of the others; no events issue here"
+        )]
         for info in self.block_map.values_mut() {
             info.replicas.retain(|&n| n != node);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each repair's keep-or-drop is independent of the others; no events issue here"
+        )]
         self.repairs
             .retain(|_, r| r.source != node && !r.targets.contains(&node));
     }
@@ -266,15 +275,9 @@ impl NameNode {
     /// so the periodic tick keeps retrying it — and skips the scan
     /// entirely once everything startable is in flight or at target.
     fn replication_scan(&mut self, ctx: &mut Ctx<'_>) {
-        let mut under: Vec<BlockId> = self
-            .block_map
-            .iter()
-            .filter(|(id, info)| info.repairable() && !self.repairs.contains_key(id))
-            .map(|(&id, _)| id)
-            .collect();
-        // FxHashMap iteration order is seed-stable but insertion-history
-        // dependent; sort so repair order is obviously deterministic.
-        under.sort_unstable();
+        let under = sorted_keys_where(&self.block_map, |id, info| {
+            info.repairable() && !self.repairs.contains_key(id)
+        });
         let mut unstarted = false;
         for block in under {
             unstarted |= !self.start_replication(ctx, block);

@@ -43,12 +43,14 @@ pub fn detected() -> bool {
 pub(super) fn apply(key: &Aes128, mode: Mode, data: &mut [u8]) {
     #[cfg(target_arch = "x86_64")]
     if detected() {
-        #[allow(unsafe_code)]
+        #[expect(
+            unsafe_code,
+            reason = "the workspace's one unsafe call, entering AES-NI code after run-time detection of the feature it is compiled for"
+        )]
         // SAFETY: `ni::apply` and everything it calls are compiled for the
         // `aes` target feature alone (it implies the SSE2 they also use),
         // and `detected()` has just confirmed it on this CPU. No intrinsic
         // in `ni` takes a pointer.
-        // audit:allow(unsafe): the workspace's one unsafe call, entering AES-NI code after run-time detection of the feature it is compiled for
         unsafe {
             ni::apply(key, mode, data)
         };

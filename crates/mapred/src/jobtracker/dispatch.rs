@@ -6,6 +6,7 @@
 //! cannot disagree about what is runnable.
 
 use accelmr_des::prelude::*;
+use accelmr_des::sorted_keys_where;
 use accelmr_net::NodeId;
 
 use crate::config::{JobId, TaskId};
@@ -95,13 +96,9 @@ impl JobTracker {
     ) -> Option<R> {
         let cluster_slots = self.total_slots();
         let slots_per_node = self.cfg.map_slots_per_node;
-        let mut ids: Vec<u32> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| matches!(j.phase, Phase::MapRunning | Phase::ReduceRunning))
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
+        let ids = sorted_keys_where(&self.jobs, |_, j| {
+            matches!(j.phase, Phase::MapRunning | Phase::ReduceRunning)
+        });
         // Make every pending queue contiguous first (needs `&mut`); the
         // immutable view pass below can then slice it.
         for id in &ids {

@@ -17,6 +17,10 @@ use super::{job_timer_tag, JobTracker, Phase, JOB_FINALIZE_TIME, KIND_FINALIZE, 
 /// Sorted `(node, bytes, pairs)` map-output list plus total pairs — the
 /// shuffle partitioning input, shared by initial reduce-task construction
 /// and the fetch rebuild at (re-)dispatch.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sorted below by the whole tuple, so equal elements are indistinguishable"
+)]
 pub(super) fn shuffle_outputs(
     map_outputs: &FxHashMap<TaskId, MapOutput>,
 ) -> (Vec<(NodeId, u64, u64)>, u64) {

@@ -4,6 +4,7 @@
 //! progressive blacklist, and the job stall watchdog.
 
 use accelmr_des::prelude::*;
+use accelmr_des::sorted_keys_where;
 use accelmr_net::{NodeId, NodeState};
 
 use crate::config::{JobId, TaskId};
@@ -121,7 +122,11 @@ impl JobTracker {
         // after 32 halvings, so the shift saturates there.
         let k = now.since(self.blacklist_decay_at).as_nanos() / BLACKLIST_PROBATION.as_nanos() + 1;
         let shift = k.min(32) as u32;
-        // audit:allow(map-order): per-node score halving is independent per entry; order is unobservable and no events issue here
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "each node's score halving is independent of the others; no events issue here"
+        )]
         for tt in self.tts.values_mut() {
             tt.fail_score >>= shift;
         }
@@ -143,13 +148,9 @@ impl JobTracker {
     /// Jobs with attempts in flight are left alone: their pending queue is
     /// simply drained onto the new node by heartbeat dispatch.
     fn replan_unassigned(&mut self, ctx: &mut Ctx<'_>) {
-        let mut job_ids: Vec<u32> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.phase == Phase::MapRunning && j.dispatch_log.is_empty())
-            .map(|(&id, _)| id)
-            .collect();
-        job_ids.sort_unstable();
+        let job_ids = sorted_keys_where(&self.jobs, |_, j| {
+            j.phase == Phase::MapRunning && j.dispatch_log.is_empty()
+        });
         for job_id in job_ids {
             if let Some(job) = self.jobs.get_mut(&job_id) {
                 job.ledger.clear();
@@ -171,9 +172,7 @@ impl JobTracker {
         for node in self.liveness.sweep(now) {
             ctx.stats().incr("mr.tasktrackers_declared_dead");
             self.scheduler.on_node_dead(node);
-            let mut job_ids: Vec<u32> = self.jobs.keys().copied().collect();
-            job_ids.sort_unstable();
-            for job_id in job_ids {
+            for job_id in sorted_keys_where(&self.jobs, |_, _| true) {
                 self.recover_from_death(job_id, node, now);
             }
         }
@@ -229,14 +228,11 @@ impl JobTracker {
         let Some(timeout) = self.cfg.job_stall_timeout else {
             return;
         };
-        let mut stalled: Vec<u32> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| !matches!(j.phase, Phase::Done | Phase::Finalizing))
-            .filter(|(_, j)| j.ledger.running_now() == 0 && now.since(j.last_progress) > timeout)
-            .map(|(&id, _)| id)
-            .collect();
-        stalled.sort_unstable();
+        let stalled = sorted_keys_where(&self.jobs, |_, j| {
+            !matches!(j.phase, Phase::Done | Phase::Finalizing)
+                && j.ledger.running_now() == 0
+                && now.since(j.last_progress) > timeout
+        });
         for id in stalled {
             if let Some(job) = self.jobs.get_mut(&id) {
                 job.error = Some(JobError::Stalled {

@@ -77,12 +77,20 @@ impl AdaptiveHetero {
             .map(|s| s.rate)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "max is order-free over the finite rates the EWMA produces"
+    )]
     fn best_rate(&self, kernel: &str) -> f64 {
         self.family(kernel)
             .map(|m| m.values().map(|s| s.rate).fold(0.0, f64::max))
             .unwrap_or(0.0)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "NOT order-free: f64 addition is not associative, so the sum's low bits depend on bucket order, i.e. on insertion history; it is reproducible run to run only because the hasher's seed is fixed"
+    )]
     fn mean_rate(&self, kernel: &str) -> Option<f64> {
         let m = self.family(kernel)?;
         if m.is_empty() {
@@ -92,6 +100,7 @@ impl AdaptiveHetero {
     }
 
     /// Slots on nodes fast enough to take the queue tail.
+    #[expect(clippy::disallowed_methods, reason = "a count is order-free")]
     fn fast_slots(&self, kernel: &str, slots_per_node: usize) -> usize {
         let best = self.best_rate(kernel);
         if best <= 0.0 {
@@ -102,6 +111,18 @@ impl AdaptiveHetero {
             .map(|m| m.values().filter(|s| s.rate >= floor).count())
             .unwrap_or(0)
             * slots_per_node
+    }
+
+    /// Drops `node`'s estimates from every kernel family.
+    fn forget(&mut self, node: NodeId) {
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "each family's removal is independent of the others; visit order cannot be observed"
+        )]
+        for family in self.rates.values_mut() {
+            family.remove(&node);
+        }
     }
 }
 
@@ -261,10 +282,7 @@ impl Scheduler for AdaptiveHetero {
     fn on_node_dead(&mut self, node: NodeId) {
         // Forget the dead node's estimates: best/mean/fast-slot
         // computations must only ever see nodes that can still take work.
-        // audit:allow(map-order): independent removal from each per-kernel EWMA table; visit order cannot be observed
-        for family in self.rates.values_mut() {
-            family.remove(&node);
-        }
+        self.forget(node);
     }
 
     fn on_node_join(&mut self, node: NodeId) {
@@ -272,12 +290,13 @@ impl Scheduler for AdaptiveHetero {
         // work as a probe (see `pick_task`), and split planning keeps it
         // out of weighted sizing until it has estimates. Stale rates from
         // a previous incarnation of the same id must not steer dispatch.
-        // audit:allow(map-order): independent removal from each per-kernel EWMA table; visit order cannot be observed
-        for family in self.rates.values_mut() {
-            family.remove(&node);
-        }
+        self.forget(node);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted by node below, and node keys are unique"
+    )]
     fn throughput_estimates(&self, kernel: &str) -> Vec<NodeThroughput> {
         let mut out: Vec<NodeThroughput> = self
             .family(kernel)

@@ -1080,7 +1080,6 @@ impl NetHandle {
 
     /// Starts a bulk flow; the *calling* actor receives [`FlowDone`] /
     /// [`FlowAborted`] tagged with `tag`.
-    #[allow(clippy::too_many_arguments)]
     pub fn start_flow(
         self,
         ctx: &mut Ctx<'_>,
@@ -1107,7 +1106,10 @@ impl NetHandle {
 
     /// Starts a bulk flow that delivers `payload` to `notify` on
     /// completion (aborts still deliver [`FlowAborted`] with `tag`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors the StartFlow message field for field"
+    )]
     pub fn start_flow_with(
         self,
         ctx: &mut Ctx<'_>,

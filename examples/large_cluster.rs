@@ -12,16 +12,17 @@
 //!
 //!     cargo run --release --example large_cluster
 
-// audit:allow(wall-clock): this example reports real elapsed wall time; nothing from the host clock feeds the simulation
-use std::time::Instant;
-
 use accelmr::prelude::*;
 
 fn main() {
     const WORKERS: usize = 128;
     const DATA: u64 = 16 << 30; // 16 GiB across the cluster
 
-    let started = Instant::now(); // audit:allow(wall-clock): measures real wall speed of the run, printed only
+    #[expect(
+        clippy::disallowed_types,
+        reason = "measures the run's real wall time, printed only; nothing from the host clock feeds the simulation"
+    )]
+    let started = std::time::Instant::now();
     let mut cluster = ClusterBuilder::new()
         .seed(2009)
         .workers(WORKERS)

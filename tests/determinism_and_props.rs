@@ -3,9 +3,9 @@
 //! Determinism: the same seed reproduces a run bit for bit and a different
 //! seed changes the schedule — on a small Pi job, and on the hardest paths
 //! in the tree at once (the churn + fair-share session below). This is the
-//! dynamic half of the determinism story: the static audit
-//! (`accelmr-audit`) keeps wall-clock, OS randomness, SipHash-seeded maps
-//! and unordered map walks out of the event path; two in-process runs
+//! dynamic half of the determinism story: the static lints (`clippy.toml`
+//! and `[workspace.lints]`) keep wall-clock, OS randomness, SipHash-seeded
+//! maps and unordered map walks out of the event path; two in-process runs
 //! share nothing but the code, so any hash-order, allocation-order or
 //! ambient-state leak into event scheduling diverges the fingerprint here.
 //!
@@ -156,7 +156,7 @@ fn churn_fair_share_session(seed: u64) -> (SessionObservation, Trace) {
 /// Two runs of the identical churn + fair-share session in one process:
 /// fingerprints and digests must be byte-identical. This pins the
 /// FxHasher fixed seed and map-iteration stability behind the static
-/// audit rules — a `RandomState` map or unsorted map walk anywhere in
+/// lints — a `RandomState` map or unsorted map walk anywhere in
 /// the event path shows up here as a fingerprint mismatch.
 #[test]
 fn churn_fair_share_session_is_bit_reproducible() {
