@@ -20,6 +20,19 @@
 //!   cipher, and the ratio reads ~0.45. The bar fails once that overhead
 //!   grows about 2.5x.
 //!
+//! Two more rows time the record digest. `checksum_mb_per_s` is FNV-1a
+//! over the same buffer; `functional_job` runs a materialized 4-worker
+//! [`CellAesKernel`] job with `digest_output()` over 32 MiB of 2 MiB
+//! records and states its wall time in units of the serial digest of its
+//! bytes. The TaskTracker digests on a worker thread while the event
+//! thread feeds and encrypts the next record, so the job costs little
+//! more than its digest (1.25-1.38 on 2 cores); with the digest back on
+//! the event thread it costs the digest plus everything else (2.00-2.09).
+//! Where the host has a second core, `wall / digest <= 1.75` is asserted.
+//! The job keeps its size under `--quick`: at 8 MiB the unoverlapped
+//! first and last records read 1.42-1.57, too close to the serial 1.96 for
+//! a bar.
+//!
 //! Returns the `kernels_host` section of `BENCH_perf.json`.
 
 use std::hint::black_box;
@@ -27,9 +40,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use accelmr_cellbe::{AesCtrSpeKernel, CellConfig, CellMachine, DataInput, SPU_BLOCK};
+use accelmr_hybrid::{CellAesKernel, CellEnvFactory};
 use accelmr_kernels::aes::hw;
 use accelmr_kernels::aes::modes::{ctr_xor, ecb_encrypt};
-use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
+use accelmr_kernels::{checksum, fill_deterministic, Aes128, AesImpl};
+use accelmr_mapred::{ClusterBuilder, JobBuilder, PreloadSpec};
 
 use crate::{float, obj, Json};
 
@@ -39,25 +54,29 @@ const NONCE: u64 = 7;
 const HARDWARE_BAR: f64 = 4.0;
 /// Bar on `run_data / hardware CTR`.
 const RUN_DATA_BAR: f64 = 0.25;
+/// Bar on the functional job's wall time over the serial digest of its
+/// bytes, where the host has a second core.
+const FUNCTIONAL_BAR: f64 = 1.75;
+/// Bytes of the functional job.
+const JOB_BYTES: u64 = 32 << 20;
 
 /// One implementation's row: host MB/s in ECB and in CTR.
 fn aes_row(name: &str, ecb: f64, ctr: f64) -> Json {
     obj! { "impl" => name, "ecb_mb_per_s" => float(ecb, 1), "ctr_mb_per_s" => float(ctr, 1) }
 }
 
-/// This section at PR 13's parent commit, 16 MiB: `lanes4`, the SPU
-/// kernel's cipher then, kept one lane of each quad in CTR.
+/// The digest rows at the parent of the commit that took the record
+/// digest off the event thread (full size, 2 vCPUs; the median of three
+/// runs): the functional job paid every record's FNV-1a serially.
 fn before() -> Json {
     obj! {
-        "commit" => "ce7d876",
-        "aes" => vec![
-            aes_row("scalar", 96.3, 103.4),
-            aes_row("ttable", 360.7, 320.0),
-            aes_row("lanes4", 293.9, 72.8),
-        ],
-        "run_data_mb_per_s" => float(71.1, 1),
-        "lanes4_over_ttable_ctr" => float(0.23, 2),
-        "run_data_over_lanes4_ctr" => float(0.98, 2),
+        "commit" => "bd859c3",
+        "checksum_mb_per_s" => float(690.1, 1),
+        "functional_job" => obj! {
+            "mib" => JOB_BYTES >> 20,
+            "wall_s" => float(0.0984, 4),
+            "wall_over_digest" => float(2.02, 2),
+        },
     }
 }
 
@@ -74,8 +93,48 @@ fn mb_per_s(bytes: usize, reps: usize, mut f: impl FnMut()) -> f64 {
     bytes as f64 / 1e6 / best
 }
 
-/// Times every AES implementation and the functional Cell path, and holds
-/// the ratios to `HARDWARE_BAR` and `RUN_DATA_BAR`.
+/// Wall seconds, best of 3, of a materialized 4-worker `CellAesKernel`
+/// job over [`JOB_BYTES`] of 2 MiB records, digested and not written back.
+fn functional_job() -> f64 {
+    (0..3)
+        .map(|_| {
+            let mut cluster = ClusterBuilder::new()
+                .seed(2009)
+                .workers(4)
+                .env(CellEnvFactory { materialized: true })
+                .materialized(true)
+                .deploy();
+            let mut session = cluster.session();
+            session.submit(
+                JobBuilder::new("functional")
+                    .input_file("/plain")
+                    .record_bytes(RECORD as u64)
+                    .kernel(CellAesKernel::new())
+                    .map_tasks(8)
+                    .digest_output()
+                    .preload(PreloadSpec::new("/plain", JOB_BYTES, 1).block_size(4 << 20)),
+            );
+            let t = Instant::now();
+            let result = session.run();
+            let wall = t.elapsed().as_secs_f64();
+            assert!(
+                result.succeeded,
+                "functional job failed: {:?}",
+                result.error
+            );
+            assert_eq!(
+                result.digest.1,
+                JOB_BYTES / RECORD as u64,
+                "records digested"
+            );
+            wall
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Times every AES implementation, the record digest and the functional
+/// Cell path, and holds the ratios to `HARDWARE_BAR`, `RUN_DATA_BAR` and
+/// `FUNCTIONAL_BAR`.
 pub fn run(quick: bool) -> Json {
     let len = if quick { 2 << 20 } else { 16 << 20 };
     let key = Arc::new(Aes128::new(b"benchmark-key!!!"));
@@ -121,6 +180,19 @@ pub fn run(quick: bool) -> Json {
         "run_data runs at {run_data_over_hardware:.2} of its kernel's rate: staging or event-loop overhead"
     );
 
+    let checksum_rate = mb_per_s(len, 5, || {
+        black_box(checksum(black_box(&buf)));
+    });
+    let job_wall = functional_job();
+    let job_over_digest = job_wall / (JOB_BYTES as f64 / 1e6 / checksum_rate);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 2 {
+        assert!(
+            job_over_digest <= FUNCTIONAL_BAR,
+            "the functional job takes {job_over_digest:.2}x the serial digest of its bytes: the digest is back on the event thread"
+        );
+    }
+
     obj! { "kernels_host" => obj! {
         "scenario" => format!(
             "host MB/s, best of 5: AES-128 ECB and CTR per implementation over {} MiB; CellMachine::run_data (aes128-ctr-spu) over a warmed 2 MiB real record in 4 KB blocks",
@@ -134,6 +206,14 @@ pub fn run(quick: bool) -> Json {
         "run_data_mb_per_s" => float(run_data, 1),
         "run_data_over_hardware_ctr" => float(run_data_over_hardware, 2),
         "run_data_bar" => float(RUN_DATA_BAR, 2),
+        "checksum_mb_per_s" => float(checksum_rate, 1),
+        "functional_job" => obj! {
+            "mib" => JOB_BYTES >> 20,
+            "wall_s" => float(job_wall, 4),
+            "wall_over_digest" => float(job_over_digest, 2),
+            "bar" => float(FUNCTIONAL_BAR, 2),
+            "host_cores" => cores,
+        },
         "before" => before(),
     } }
 }

@@ -21,7 +21,7 @@ use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, DataKernel, PiSpeKern
 use accelmr_des::SimDuration;
 use accelmr_kernels::aes::modes::ctr_xor;
 use accelmr_kernels::cost::{self, Engine};
-use accelmr_kernels::{checksum, Aes128, AesImpl};
+use accelmr_kernels::{Aes128, AesImpl};
 use accelmr_mapred::{NodeEnv, RecordCtx, RecordOutcome, TaskKernel, UnitsOutcome};
 
 use crate::bridge::JniBridge;
@@ -44,13 +44,11 @@ fn cell_env(env: &mut dyn NodeEnv) -> &mut CellNodeEnv {
 }
 
 /// What an encryption mapper returns for `rec`: `compute` of simulated
-/// time, and the ciphertext with its digest when the record was
-/// materialized.
+/// time, and the ciphertext when the record was materialized.
 fn encrypted(rec: &RecordCtx<'_>, compute: SimDuration, output: Option<Vec<u8>>) -> RecordOutcome {
     RecordOutcome {
         compute,
         output_bytes: rec.len,
-        digest: output.as_deref().map_or(0, checksum),
         output,
         kv: Vec::new(),
     }
@@ -235,13 +233,12 @@ impl TaskKernel for EmptyKernel {
         "empty"
     }
 
-    fn map_record(&self, _env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
+    fn map_record(&self, _env: &mut dyn NodeEnv, _rec: &RecordCtx<'_>) -> RecordOutcome {
         RecordOutcome {
             // A record-boundary bookkeeping sliver, nothing more.
             compute: SimDuration::from_micros(200),
             output_bytes: 0,
             output: None,
-            digest: rec.bytes.map(checksum).unwrap_or(0),
             kv: Vec::new(),
         }
     }
@@ -376,8 +373,6 @@ mod tests {
         assert_eq!(java.output.as_deref(), Some(reference.as_slice()));
         assert_eq!(cell.output.as_deref(), Some(reference.as_slice()));
         assert_eq!(cellmr.output.as_deref(), Some(reference.as_slice()));
-        assert_eq!(java.digest, cell.digest);
-        assert_eq!(cell.digest, cellmr.digest);
     }
 
     #[test]

@@ -185,7 +185,6 @@ impl TaskKernel for SortMapKernel {
             compute: cost::sort_time(Engine::JavaPpeTask, rec.len),
             output_bytes: rec.len,
             output: None,
-            digest: rec.bytes.map(accelmr_kernels::checksum).unwrap_or(0),
             kv: vec![(0, rec.len)],
         }
     }

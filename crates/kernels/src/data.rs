@@ -50,6 +50,13 @@ fn word_at(seed: u64, word_idx: u64) -> u64 {
 }
 
 /// FNV-1a 64-bit checksum of a byte slice.
+///
+/// Latency-bound at ~4 cycles/byte: each byte is one xor and one multiply
+/// on the running hash, so nothing vectorizes or reorders it. Its value is
+/// pinned by every record digest (the tests' serial references and the
+/// benchmark's `expected.json` `outputs`), so do not "optimise" it into a
+/// different function; the TaskTracker takes its cost off the event thread
+/// instead.
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

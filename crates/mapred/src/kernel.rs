@@ -68,10 +68,9 @@ pub struct RecordOutcome {
     pub compute: SimDuration,
     /// Bytes of output produced (drives output-write traffic).
     pub output_bytes: u64,
-    /// Materialized output (functional runs; verified end to end).
+    /// Materialized output (functional runs; verified end to end). The
+    /// TaskTracker digests it, or the record's input if this is `None`.
     pub output: Option<Vec<u8>>,
-    /// Checksum of the record's output (0 when not computed).
-    pub digest: u64,
     /// Key/value pairs emitted toward the reduce phase.
     pub kv: Vec<(u64, u64)>,
 }
@@ -150,9 +149,9 @@ impl ReduceKernel for SumReducer {
     }
 }
 
-/// Test kernel: charges a fixed duration per record/unit batch and digests
-/// record content when materialized. Lets the runtime be tested without
-/// the hybrid layer.
+/// Test kernel: charges a fixed duration per record/unit batch and returns
+/// no output image, so a materialized record's input is what gets
+/// digested. Lets the runtime be tested without the hybrid layer.
 #[derive(Debug, Clone, Copy)]
 pub struct FixedCostKernel {
     /// Time per record.
@@ -191,7 +190,6 @@ impl TaskKernel for FixedCostKernel {
             compute: self.per_record,
             output_bytes,
             output: None,
-            digest: rec.bytes.map(accelmr_kernels::checksum).unwrap_or(0),
             kv: vec![(rec.abs_offset / rec.len.max(1), 1)],
         }
     }
@@ -215,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn fixed_kernel_charges_time_and_digests() {
+    fn fixed_kernel_charges_time_and_keys_by_record() {
         let k = FixedCostKernel::default();
         let mut env = NullEnv;
         let data = vec![7u8; 64];
@@ -229,7 +227,7 @@ mod tests {
             },
         );
         assert_eq!(out.compute, SimDuration::from_millis(10));
-        assert_eq!(out.digest, accelmr_kernels::checksum(&data));
+        assert!(out.output.is_none());
         assert_eq!(out.kv, vec![(2, 1)]);
 
         let units = k.map_units(&mut env, 1000, 5);

@@ -1,7 +1,7 @@
 //! The map side of an attempt: the RecordReader feed (segment reads with
-//! replica failover, one record of read-ahead) and the kernel calls it
-//! overlaps with — the pipeline whose feed ceiling hides the accelerator
-//! in the paper's Figures 4 and 5.
+//! replica failover, read-ahead) and the kernel calls it overlaps with —
+//! the pipeline whose feed ceiling hides the accelerator in the paper's
+//! Figures 4 and 5.
 
 use accelmr_des::prelude::*;
 use accelmr_dfs::msgs::BlockLoc;
@@ -22,6 +22,11 @@ pub(super) struct Feed {
     pub inflight: Option<(u64, usize, Option<Vec<u8>>)>,
     /// The record read ahead of the kernel: `(record, bytes)`.
     ready: Option<(u64, Option<Vec<u8>>)>,
+    /// A record that landed while `ready` still waited. With pipelined
+    /// reads the next read goes out as soon as a record lands, so a kernel
+    /// slower than the feed finds two; no read is issued while this is
+    /// full.
+    parked: Option<(u64, Option<Vec<u8>>)>,
     pub computing: bool,
     pub records_done: u64,
 }
@@ -119,10 +124,13 @@ impl TaskRun {
         ctx.after(compute, self.tick(Step::Compute));
     }
 
-    /// Issues all segment reads of the next record, if there is one and
-    /// none is in flight.
+    /// Issues all segment reads of the next record, if there is one, none
+    /// is in flight and fewer than two wait for the kernel.
     fn issue_record_read(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
-        if self.feed.next_record >= self.feed.n_records || self.feed.inflight.is_some() {
+        if self.feed.next_record >= self.feed.n_records
+            || self.feed.inflight.is_some()
+            || self.feed.parked.is_some()
+        {
             return;
         }
         let rec = self.feed.next_record;
@@ -231,7 +239,12 @@ impl TaskRun {
             return;
         }
         let (rec, _, bytes) = self.feed.inflight.take().expect("inflight present");
-        self.feed.ready = Some((rec, bytes));
+        let landed = Some((rec, bytes));
+        if self.feed.ready.is_none() {
+            self.feed.ready = landed;
+        } else {
+            self.feed.parked = landed;
+        }
         if !self.feed.computing {
             self.start_compute(node, ctx);
         }
@@ -245,6 +258,7 @@ impl TaskRun {
         let Some((record, bytes)) = self.feed.ready.take() else {
             return;
         };
+        self.feed.ready = self.feed.parked.take();
         let (rs, rl) = record_bounds(&self.desc.work, record);
         let file_seed = match &self.desc.work {
             TaskWork::MapRange { file_seed, .. } => *file_seed,
@@ -260,8 +274,10 @@ impl TaskRun {
         self.feed.computing = true;
         let compute = degrade(outcome.compute, node.gray_factor);
         self.metrics.bytes_read += rl;
-        if outcome.digest != 0 {
-            self.digest.add(outcome.digest);
+        // Every materialized record is digested: its output image if the
+        // kernel made one, else its input.
+        if let Some(image) = outcome.output.or(bytes) {
+            self.digest.add(image);
         }
         self.kv.extend(outcome.kv);
         // A map accounts its kernel's output whatever the sink; only a DFS
@@ -280,10 +296,10 @@ impl TaskRun {
     pub(super) fn compute_done(&mut self, node: &mut Node, ctx: &mut Ctx<'_>) {
         self.feed.computing = false;
         self.feed.records_done += 1;
-        if !node.cfg.pipelined_reads {
-            self.issue_record_read(node, ctx);
-        }
         self.start_compute(node, ctx);
+        // Unpipelined, the next read starts here; pipelined, only one held
+        // back by a full read-ahead does.
+        self.issue_record_read(node, ctx);
         self.maybe_finish(ctx);
     }
 }

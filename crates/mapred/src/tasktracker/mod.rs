@@ -22,7 +22,9 @@
 //!   gray-failure stretch;
 //! * `map` — segment reads, replica failover, read-ahead, kernel calls;
 //! * `reduce` — fetch burst, fetch re-issue, merge;
-//! * `output` — DFS part-file create, block allocation, write drain.
+//! * `output` — DFS part-file create, block allocation, write drain;
+//! * `digest` — the record digest, computed on one worker thread and
+//!   joined when the attempt reports.
 //!
 //! Correctness around asynchrony relies on per-slot *generations*: every
 //! attempt occupying a slot gets a fresh generation, and every timer and
@@ -37,6 +39,7 @@
 //! first touch. A step that cannot go on marks its attempt failed; the
 //! resolver reports it when the step returns.
 
+mod digest;
 mod io;
 mod map;
 mod output;
@@ -47,7 +50,6 @@ mod tests;
 use accelmr_des::prelude::*;
 use accelmr_dfs::msgs::{BlockAllocated, CreateAck, RangeData, ReadError, WriteAck};
 use accelmr_dfs::DfsHandle;
-use accelmr_kernels::UnorderedDigest;
 use accelmr_net::{FlowAborted, FlowDone, NetHandle, NodeId};
 
 use crate::config::{JobId, MrConfig, TaskId};
@@ -121,7 +123,7 @@ struct TaskRun {
     out: output::Output,
     metrics: TaskMetrics,
     kv: Vec<(u64, u64)>,
-    digest: UnorderedDigest,
+    digest: digest::Digests,
 }
 
 impl TaskRun {
@@ -307,7 +309,7 @@ impl TaskTracker {
             out: output::Output::default(),
             metrics: TaskMetrics::default(),
             kv: Vec::new(),
-            digest: UnorderedDigest::new(),
+            digest: digest::Digests::default(),
         };
         ctx.stats().incr("mr.tasks_started");
         ctx.after(TASK_START_OVERHEAD, run.tick(Step::Start));
@@ -315,7 +317,8 @@ impl TaskTracker {
     }
 
     /// Empties `slot` and queues its attempt's report for the next
-    /// heartbeat.
+    /// heartbeat, once the digest worker has answered for every record the
+    /// attempt materialized.
     fn finish_task(&mut self, ctx: &mut Ctx<'_>, slot: usize, ok: bool) {
         let Some(run) = self.slots[slot].take() else {
             return;
@@ -358,6 +361,7 @@ impl TaskTracker {
             })
         });
         if let Some(slot) = victim {
+            // Drops the attempt's pending digests unread.
             *slot = None;
         }
     }

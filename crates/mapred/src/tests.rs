@@ -191,6 +191,47 @@ fn pipelined_reads_overlap_compute() {
     assert!(with.elapsed + SimDuration::from_secs(15) < without.elapsed);
 }
 
+/// A kernel slower than the feed: with pipelined reads two records land
+/// ahead of it, and each is computed exactly once. Were the second to
+/// overwrite the first, the attempt would wait forever for the lost one.
+#[test]
+fn a_kernel_slower_than_the_feed_computes_every_record() {
+    let mr_cfg = MrConfig {
+        map_slots_per_node: 1,
+        ..MrConfig::default()
+    };
+    let mut c = cluster(3, 1, mr_cfg, false);
+    // A stalled attempt heartbeats forever: make it drain instead.
+    c.sim.set_event_limit(100_000);
+    let preload = PreloadSpec {
+        path: "/slow".into(),
+        len: 8 * MB,
+        block_size: Some(MB),
+        replication: None,
+        seed: 5,
+    };
+    let spec = JobBuilder::new("slow-kernel")
+        .input_file("/slow")
+        .record_bytes(MB)
+        .kernel(FixedCostKernel {
+            per_record: SimDuration::from_secs(5),
+            ..FixedCostKernel::default()
+        })
+        .map_tasks(1)
+        .build();
+    let result = run_one(&mut c, vec![preload], spec);
+    assert!(result.succeeded);
+    let mut records: Vec<u64> = result.kv.iter().map(|&(k, _)| k).collect();
+    records.sort_unstable();
+    assert_eq!(records, (0..8).collect::<Vec<_>>());
+    // Compute-bound: eight 5 s records back to back.
+    assert!(
+        result.elapsed > SimDuration::from_secs(40),
+        "{}",
+        result.elapsed
+    );
+}
+
 #[test]
 fn locality_scheduler_beats_fifo() {
     let run = |policy: SchedulerPolicy| -> JobResult {

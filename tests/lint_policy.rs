@@ -5,9 +5,10 @@
 //! `#[expect(.., reason = "..")]` that fails the build once it excuses
 //! nothing. What no lint states is *how many* excuses there are: the
 //! workspace has exactly one `unsafe` call, the AES-NI dispatch in
-//! `kernels/src/aes/hw.rs`; and clippy's `allow_attributes` sees outer
-//! allow attributes only, not inner ones. These tests walk every source
-//! file the workspace lints apply to and pin both.
+//! `kernels/src/aes/hw.rs`; exactly one host thread, the TaskTracker's
+//! record-digest worker; and clippy's `allow_attributes` sees outer allow
+//! attributes only, not inner ones. These tests walk every source file the
+//! workspace lints apply to and pin all three.
 //!
 //! Needles are assembled with `concat!` so this file does not match them.
 
@@ -64,6 +65,30 @@ fn exactly_one_unsafe_expectation_and_it_is_the_aes_ni_call() {
     );
     let sites = files_containing(&sources, concat!("expect(", "unsafe_code"));
     assert_eq!(sites, ["crates/kernels/src/aes/hw.rs"]);
+}
+
+#[test]
+fn exactly_one_host_thread_and_it_is_the_digest_worker() {
+    const DIGEST: &str = "crates/mapred/src/tasktracker/digest.rs";
+    let sources = workspace_sources();
+    let mut starts = Vec::new();
+    for needle in [
+        concat!("thread::", "spawn"),
+        concat!("thread::", "Builder"),
+        concat!("thread::", "scope"),
+    ] {
+        starts.extend(files_containing(&sources, needle));
+    }
+    assert_eq!(starts, [DIGEST], "thread start sites");
+    let excuses = files_containing(
+        &sources,
+        concat!(
+            "expect(clippy::",
+            "disallowed_methods,reason=\"the",
+            "onehostthread"
+        ),
+    );
+    assert_eq!(excuses, [DIGEST], "host-thread expectations");
 }
 
 #[test]
