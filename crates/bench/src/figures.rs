@@ -1,103 +1,110 @@
-//! The runners behind the `figures` binary: the paper's Figures 2 and 4-8
-//! and its terasort feed rate (each a sweep from `hybrid::experiments`,
-//! scaled down under `--quick`), and ablations of four design choices.
+//! The table behind the `figures` binary: the paper's Figures 2 and 4-8
+//! and its terasort feed rate (each one `hybrid::experiments` call over the
+//! paper's sweep, or over a scaled-down one under `--quick`), and ablations
+//! of four design choices.
+//!
+//! `figures all --quick` prints `figures.quick.txt` (next to this crate's
+//! manifest) byte for byte; a change that moves a point re-records it.
 
 use accelmr_cellbe::{CellConfig, CellMachine, DataInput};
-use accelmr_hybrid::experiments;
 use accelmr_hybrid::experiments::dist::{run_encrypt_job, run_pi_job, AesMapper, PiMapper};
+use accelmr_hybrid::experiments::{fig2, fig4, fig5, fig6, fig7, fig8, terasort_feed_rate};
 use accelmr_hybrid::kernels::{job_key, JOB_NONCE};
 use accelmr_mapred::{MrConfig, SchedulerPolicy};
 
-/// `(name, runner)`: the runner prints its series to stdout, scaled down
-/// when its argument (`--quick`) is set.
+/// `(name, runner)`: the runner prints its series to stdout, over the
+/// paper's sweep, or the scaled-down one when its argument (`--quick`) is
+/// set.
 pub type Figure = (&'static str, fn(bool));
 
 /// Everything `figures all` regenerates, in order.
 pub const FIGURES: [Figure; 8] = [
-    ("fig2", fig2),
-    ("fig4", fig4),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("fig8", fig8),
-    ("terasort", terasort),
+    // Raw node encryption bandwidth vs working-set size (MB).
+    ("fig2", |quick| {
+        let sizes_mb: &[u64] = if quick {
+            &[1, 16, 256]
+        } else {
+            &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
+        };
+        print!("{}", fig2(sizes_mb).to_table());
+    }),
+    // Distributed encryption, proportional data set (1 GB per mapper,
+    // 2 mappers per node), vs nodes.
+    ("fig4", |quick| {
+        let nodes: &[usize] = if quick {
+            &[4, 12]
+        } else {
+            &[12, 24, 36, 48, 60]
+        };
+        print!("{}", fig4(nodes).to_table());
+    }),
+    // Distributed encryption of a fixed data set (GB) vs nodes (Empty /
+    // Java / Cell mappers).
+    ("fig5", |quick| {
+        let (nodes, total_gb): (&[usize], u64) = if quick {
+            (&[4, 16], 24)
+        } else {
+            (&[4, 8, 16, 32, 64], 120)
+        };
+        print!("{}", fig5(nodes, total_gb).to_table());
+    }),
+    // Raw node Pi estimation rate vs samples.
+    ("fig6", |quick| {
+        let samples: &[u64] = if quick {
+            &[1_000, 1_000_000, 1_000_000_000]
+        } else {
+            &[
+                1_000,
+                10_000,
+                100_000,
+                1_000_000,
+                10_000_000,
+                100_000_000,
+                1_000_000_000,
+            ]
+        };
+        print!("{}", fig6(samples).to_table());
+    }),
+    // Distributed Pi estimation on a fixed cluster vs samples.
+    ("fig7", |quick| {
+        let (nodes, samples): (usize, &[u64]) = if quick {
+            (8, &[30_000, 30_000_000, 30_000_000_000])
+        } else {
+            (
+                50,
+                &[
+                    3_000,
+                    30_000,
+                    300_000,
+                    3_000_000,
+                    30_000_000,
+                    300_000_000,
+                    3_000_000_000,
+                    30_000_000_000,
+                    300_000_000_000,
+                    3_000_000_000_000,
+                ],
+            )
+        };
+        print!("{}", fig7(nodes, samples).to_table());
+    }),
+    // Distributed Pi estimation at fixed samples (and 10x) vs nodes.
+    ("fig8", |quick| {
+        let (nodes, samples): (&[usize], u64) = if quick {
+            (&[4, 16], 10_000_000_000)
+        } else {
+            (&[4, 8, 16, 32, 64], 100_000_000_000)
+        };
+        print!("{}", fig8(nodes, samples).to_table());
+    }),
+    // The per-node sort rate vs nodes (paper §IV-A closing observation:
+    // ~5.5 MB/s per node).
+    ("terasort", |quick| {
+        let nodes: &[usize] = if quick { &[4] } else { &[4, 8, 16] };
+        print!("{}", terasort_feed_rate(nodes).to_table());
+    }),
     ("ablations", ablations),
 ];
-
-/// Figure 2: raw node encryption bandwidth vs size.
-fn fig2(quick: bool) {
-    let mut params = experiments::Fig2Params::default();
-    if quick {
-        params.sizes_mb = vec![1, 16, 256];
-    }
-    print!("{}", experiments::fig2(&params).to_table());
-}
-
-/// Figure 4: distributed encryption, proportional data set (1 GB per
-/// mapper, 2 mappers per node).
-fn fig4(quick: bool) {
-    let mut params = experiments::DistEncryptParams::default();
-    if quick {
-        params.nodes = vec![4, 12];
-    }
-    print!("{}", experiments::fig4(&params).to_table());
-}
-
-/// Figure 5: distributed encryption of a fixed 120 GB data set across
-/// 4..64 nodes (Empty / Java / Cell mappers).
-fn fig5(quick: bool) {
-    let mut params = experiments::DistEncryptParams {
-        nodes: vec![4, 8, 16, 32, 64],
-        ..Default::default()
-    };
-    if quick {
-        params.nodes = vec![4, 16];
-        params.total_gb = 24;
-    }
-    print!("{}", experiments::fig5(&params).to_table());
-}
-
-/// Figure 6: raw node Pi estimation performance.
-fn fig6(quick: bool) {
-    let mut params = experiments::Fig6Params::default();
-    if quick {
-        params.samples = vec![1_000, 1_000_000, 1_000_000_000];
-    }
-    print!("{}", experiments::fig6(&params).to_table());
-}
-
-/// Figure 7: distributed Pi estimation on a fixed 50-node cluster, sweeping
-/// the sample count.
-fn fig7(quick: bool) {
-    let mut params = experiments::DistPiParams::default();
-    if quick {
-        params.fig7_nodes = 8;
-        params.fig7_samples = vec![30_000, 30_000_000, 30_000_000_000];
-    }
-    print!("{}", experiments::fig7(&params).to_table());
-}
-
-/// Figure 8: distributed Pi estimation at 1e11 samples across 4..64 nodes
-/// (Java / Cell / Cell with 10x samples).
-fn fig8(quick: bool) {
-    let mut params = experiments::DistPiParams::default();
-    if quick {
-        params.fig8_nodes = vec![4, 16];
-        params.fig8_samples = 10_000_000_000;
-        params.fig8_tenx = 100_000_000_000;
-    }
-    print!("{}", experiments::fig8(&params).to_table());
-}
-
-/// The Terasort-style per-node feed-rate experiment (paper §IV-A closing
-/// observation: ~5.5 MB/s per node).
-fn terasort(quick: bool) {
-    let mut params = experiments::TerasortParams::default();
-    if quick {
-        params.nodes = vec![4];
-    }
-    print!("{}", experiments::terasort_feed_rate(&params).to_table());
-}
 
 /// Ablations of four design choices (the same sweep with or without
 /// `--quick`: it runs in under a second):

@@ -6,10 +6,9 @@
 //! these scales; functional equivalence is covered by the materialized
 //! integration tests.
 
-use accelmr_mapred::{ClusterBuilder, JobResult, MrConfig};
+use accelmr_mapred::{JobResult, MrConfig};
 
-use super::{Figure, Series};
-use crate::env::CellEnvFactory;
+use super::{run_job, Figure};
 use crate::presets::{self, pi_estimate};
 
 pub use crate::presets::{AesMapper, PiMapper};
@@ -18,7 +17,8 @@ const GB: u64 = 1 << 30;
 /// Fig. 4: input GB per mapper (the paper's proportional data set).
 const GB_PER_MAPPER: u64 = 1;
 
-/// Runs one distributed encryption job and returns its result.
+/// Runs one distributed encryption job and returns its result; panics if
+/// the job failed.
 pub fn run_encrypt_job(
     seed: u64,
     nodes: usize,
@@ -26,101 +26,16 @@ pub fn run_encrypt_job(
     mapper: AesMapper,
     mr_cfg: &MrConfig,
 ) -> JobResult {
-    let mut c = ClusterBuilder::new()
-        .seed(seed)
-        .workers(nodes)
-        .mr(mr_cfg.clone())
-        .env(CellEnvFactory::default())
-        .deploy();
-    let job = presets::encrypt(mapper, "/input", total_bytes)
-        .map_tasks(nodes * mr_cfg.map_slots_per_node);
-    let mut session = c.session();
-    session.submit(job);
-    session.run()
+    run_job(
+        seed,
+        nodes,
+        mr_cfg,
+        presets::encrypt(mapper, "/input", total_bytes),
+    )
 }
 
-/// Parameters of the Figure 4 sweep (proportional data set).
-#[derive(Clone, Debug)]
-pub struct DistEncryptParams {
-    /// Cluster sizes (paper Fig. 4: 12..60; Fig. 5: 4..64).
-    pub nodes: Vec<usize>,
-    /// Fig. 5: fixed total input GB.
-    pub total_gb: u64,
-}
-
-impl Default for DistEncryptParams {
-    fn default() -> Self {
-        DistEncryptParams {
-            nodes: vec![12, 24, 36, 48, 60],
-            total_gb: 120,
-        }
-    }
-}
-
-/// Figure 4 — "Distributed encryption performance: proportional data set":
-/// input grows with the cluster (1 GB per mapper, 2 mappers per node);
-/// Java vs Cell mappers. The paper's observation: the two coincide because
-/// the record feed path, not the kernel, is the bottleneck.
-pub fn fig4(params: &DistEncryptParams) -> Figure {
-    let mut series: Vec<Series> = [AesMapper::Java, AesMapper::Cell]
-        .iter()
-        .map(|m| Series {
-            label: m.label().into(),
-            points: Vec::new(),
-        })
-        .collect();
-    let cfg = MrConfig::default();
-    for &n in &params.nodes {
-        let mappers = n as u64 * cfg.map_slots_per_node as u64;
-        let bytes = mappers * GB_PER_MAPPER * GB;
-        for (i, &mapper) in [AesMapper::Java, AesMapper::Cell].iter().enumerate() {
-            let result = run_encrypt_job(1000 + n as u64, n, bytes, mapper, &cfg);
-            assert!(result.succeeded, "fig4 job failed at {n} nodes");
-            series[i]
-                .points
-                .push((n as f64, result.elapsed.as_secs_f64()));
-        }
-    }
-    Figure {
-        id: "fig4",
-        title: "Distributed encryption performance: proportional data set".into(),
-        x_label: "Nodes".into(),
-        y_label: "Time(s)".into(),
-        series,
-    }
-}
-
-/// Figure 5 — "Distributed encryption performance: 120GB data set": fixed
-/// input, growing cluster; Empty vs Java vs Cell mappers, log-log.
-pub fn fig5(params: &DistEncryptParams) -> Figure {
-    let mappers = [AesMapper::Empty, AesMapper::Java, AesMapper::Cell];
-    let mut series: Vec<Series> = mappers
-        .iter()
-        .map(|m| Series {
-            label: m.label().into(),
-            points: Vec::new(),
-        })
-        .collect();
-    let bytes = params.total_gb * GB;
-    for &n in &params.nodes {
-        for (i, &mapper) in mappers.iter().enumerate() {
-            let result = run_encrypt_job(2000 + n as u64, n, bytes, mapper, &MrConfig::default());
-            assert!(result.succeeded, "fig5 job failed at {n} nodes");
-            series[i]
-                .points
-                .push((n as f64, result.elapsed.as_secs_f64()));
-        }
-    }
-    Figure {
-        id: "fig5",
-        title: "Distributed encryption performance: 120GB data set".into(),
-        x_label: "Nodes".into(),
-        y_label: "Time(s)".into(),
-        series,
-    }
-}
-
-/// Runs one distributed Pi job and returns `(result, pi estimate)`.
+/// Runs one distributed Pi job and returns `(result, pi estimate)`; panics
+/// if the job failed.
 pub fn run_pi_job(
     seed: u64,
     nodes: usize,
@@ -128,128 +43,113 @@ pub fn run_pi_job(
     mapper: PiMapper,
     mr_cfg: &MrConfig,
 ) -> (JobResult, f64) {
-    let mut c = ClusterBuilder::new()
-        .seed(seed)
-        .workers(nodes)
-        .mr(mr_cfg.clone())
-        .env(CellEnvFactory::default())
-        .deploy();
-    let job = presets::pi(mapper, seed, samples).map_tasks(nodes * mr_cfg.map_slots_per_node);
-    let mut session = c.session();
-    session.submit(job);
-    let result = session.run();
+    let result = run_job(seed, nodes, mr_cfg, presets::pi(mapper, seed, samples));
     let pi = pi_estimate(&result).unwrap_or(f64::NAN);
     (result, pi)
 }
 
-/// Parameters of the Figure 7/8 sweeps.
-#[derive(Clone, Debug)]
-pub struct DistPiParams {
-    /// Fig. 7: fixed cluster size.
-    pub fig7_nodes: usize,
-    /// Fig. 7: sample counts swept.
-    pub fig7_samples: Vec<u64>,
-    /// Fig. 8: cluster sizes swept.
-    pub fig8_nodes: Vec<usize>,
-    /// Fig. 8: base sample count.
-    pub fig8_samples: u64,
-    /// Fig. 8: the "10x samples" Cell rerun.
-    pub fig8_tenx: u64,
+/// Elapsed seconds of one encryption job on the default configuration.
+fn encrypt_secs(seed: u64, nodes: usize, total_bytes: u64, mapper: AesMapper) -> f64 {
+    run_encrypt_job(seed, nodes, total_bytes, mapper, &MrConfig::default())
+        .elapsed
+        .as_secs_f64()
 }
 
-impl Default for DistPiParams {
-    fn default() -> Self {
-        DistPiParams {
-            fig7_nodes: 50,
-            fig7_samples: (3..=12).map(|e| 3 * 10u64.pow(e)).collect(),
-            fig8_nodes: vec![4, 8, 16, 32, 64],
-            fig8_samples: 100_000_000_000,
-            fig8_tenx: 1_000_000_000_000,
-        }
-    }
+/// Elapsed seconds of one Pi job on the default configuration.
+fn pi_secs(seed: u64, nodes: usize, samples: u64, mapper: PiMapper) -> f64 {
+    run_pi_job(seed, nodes, samples, mapper, &MrConfig::default())
+        .0
+        .elapsed
+        .as_secs_f64()
+}
+
+/// Figure 4 — "Distributed encryption performance: proportional data set":
+/// at each cluster size of `nodes` (paper: 12..60), input grows with the
+/// cluster (1 GB per mapper, 2 mappers per node); Java vs Cell mappers.
+/// The paper's observation: the two coincide because the record feed path,
+/// not the kernel, is the bottleneck.
+pub fn fig4(nodes: &[usize]) -> Figure {
+    let slots = MrConfig::default().map_slots_per_node;
+    Figure::sweep(
+        "fig4",
+        "Distributed encryption performance: proportional data set",
+        "Nodes",
+        "Time(s)",
+        [AesMapper::Java.label(), AesMapper::Cell.label()],
+        nodes.iter().map(|&n| {
+            let bytes = (n * slots) as u64 * GB_PER_MAPPER * GB;
+            let seed = 1000 + n as u64;
+            (
+                n as f64,
+                [AesMapper::Java, AesMapper::Cell].map(|m| encrypt_secs(seed, n, bytes, m)),
+            )
+        }),
+    )
+}
+
+/// Figure 5 — "Distributed encryption performance: 120GB data set": a
+/// fixed `total_gb` of input (paper: 120) over each cluster size of `nodes`
+/// (paper: 4..64); Empty vs Java vs Cell mappers, log-log.
+pub fn fig5(nodes: &[usize], total_gb: u64) -> Figure {
+    let mappers = [AesMapper::Empty, AesMapper::Java, AesMapper::Cell];
+    Figure::sweep(
+        "fig5",
+        "Distributed encryption performance: 120GB data set",
+        "Nodes",
+        "Time(s)",
+        mappers.map(AesMapper::label),
+        nodes.iter().map(|&n| {
+            let secs = mappers.map(|m| encrypt_secs(2000 + n as u64, n, total_gb * GB, m));
+            (n as f64, secs)
+        }),
+    )
 }
 
 /// Figure 7 — "Distributed Pi estimation performance: 50 nodes": job time
-/// vs sample count. Both mappers share the Hadoop floor at small N; the
-/// Java mapper leaves the floor ~2 decades of N before the Cell mapper.
-pub fn fig7(params: &DistPiParams) -> Figure {
-    let mut series: Vec<Series> = [PiMapper::Java, PiMapper::Cell]
-        .iter()
-        .map(|m| Series {
-            label: m.label().into(),
-            points: Vec::new(),
-        })
-        .collect();
-    for &samples in &params.fig7_samples {
-        for (i, &mapper) in [PiMapper::Java, PiMapper::Cell].iter().enumerate() {
-            let (result, _) = run_pi_job(
-                3000 + samples % 997,
-                params.fig7_nodes,
-                samples,
-                mapper,
-                &MrConfig::default(),
-            );
-            assert!(result.succeeded);
-            series[i]
-                .points
-                .push((samples as f64, result.elapsed.as_secs_f64()));
-        }
-    }
-    Figure {
-        id: "fig7",
-        title: format!(
-            "Distributed Pi estimation performance: {} nodes",
-            params.fig7_nodes
-        ),
-        x_label: "Samples".into(),
-        y_label: "Time(s)".into(),
-        series,
-    }
+/// on a fixed cluster of `nodes` (paper: 50) vs each count of `samples`
+/// (paper: 3e3..3e12, decades). Both mappers share the Hadoop floor at
+/// small N; the Java mapper leaves the floor ~2 decades of N before the
+/// Cell mapper.
+pub fn fig7(nodes: usize, samples: &[u64]) -> Figure {
+    Figure::sweep(
+        "fig7",
+        format!("Distributed Pi estimation performance: {nodes} nodes"),
+        "Samples",
+        "Time(s)",
+        [PiMapper::Java.label(), PiMapper::Cell.label()],
+        samples.iter().map(|&s| {
+            let secs =
+                [PiMapper::Java, PiMapper::Cell].map(|m| pi_secs(3000 + s % 997, nodes, s, m));
+            (s as f64, secs)
+        }),
+    )
 }
 
 /// Figure 8 — "Distributed Pi estimation performance: 1e11 samples": job
-/// time vs cluster size for Java, Cell, and Cell with 10× the samples.
-pub fn fig8(params: &DistPiParams) -> Figure {
-    let mut java = Series {
-        label: "Java Mapper".into(),
-        points: Vec::new(),
-    };
-    let mut cell = Series {
-        label: "Cell BE Mapper".into(),
-        points: Vec::new(),
-    };
-    let mut cell10 = Series {
-        label: "Cell BE Mapper (10x samples)".into(),
-        points: Vec::new(),
-    };
-    let cfg = MrConfig::default();
-    for &n in &params.fig8_nodes {
-        let (r_java, _) = run_pi_job(
-            4000 + n as u64,
-            n,
-            params.fig8_samples,
-            PiMapper::Java,
-            &cfg,
-        );
-        let (r_cell, _) = run_pi_job(
-            5000 + n as u64,
-            n,
-            params.fig8_samples,
-            PiMapper::Cell,
-            &cfg,
-        );
-        let (r_10x, _) = run_pi_job(6000 + n as u64, n, params.fig8_tenx, PiMapper::Cell, &cfg);
-        java.points.push((n as f64, r_java.elapsed.as_secs_f64()));
-        cell.points.push((n as f64, r_cell.elapsed.as_secs_f64()));
-        cell10.points.push((n as f64, r_10x.elapsed.as_secs_f64()));
-    }
-    Figure {
-        id: "fig8",
-        title: "Distributed Pi estimation performance: 1e11 samples".into(),
-        x_label: "Nodes".into(),
-        y_label: "Time(s)".into(),
-        series: vec![cell, java, cell10],
-    }
+/// time at `samples` (paper: 1e11) vs each cluster size of `nodes` (paper:
+/// 4..64), for Java, Cell, and Cell with 10× the samples.
+pub fn fig8(nodes: &[usize], samples: u64) -> Figure {
+    Figure::sweep(
+        "fig8",
+        format!(
+            "Distributed Pi estimation performance: {:e} samples",
+            samples as f64
+        ),
+        "Nodes",
+        "Time(s)",
+        [
+            "Cell BE Mapper",
+            "Java Mapper",
+            "Cell BE Mapper (10x samples)",
+        ],
+        nodes.iter().map(|&n| {
+            let n64 = n as u64;
+            let java = pi_secs(4000 + n64, n, samples, PiMapper::Java);
+            let cell = pi_secs(5000 + n64, n, samples, PiMapper::Cell);
+            let cell10 = pi_secs(6000 + n64, n, 10 * samples, PiMapper::Cell);
+            (n as f64, [cell, java, cell10])
+        }),
+    )
 }
 
 #[cfg(test)]

@@ -1,17 +1,44 @@
 //! Experiment runners — one per figure of the paper's evaluation.
 //!
-//! Each runner takes a parameter struct (defaults = the paper's setup,
-//! shrinkable for fast tests), executes the corresponding simulation(s), and
-//! returns a [`Figure`] holding the same series the paper plots. Binaries in
-//! `accelmr-bench` print them as aligned tables.
+//! Each runner takes exactly the values its figure sweeps (the paper's
+//! axis, or a shorter one for fast tests), executes the corresponding
+//! simulation(s), and returns a [`Figure`] holding the same series the
+//! paper plots. The paper's sweeps, and the scaled-down ones `--quick`
+//! runs, are written once, in `accelmr-bench`'s `figures` table, whose
+//! binary prints them as aligned tables.
+
+use accelmr_mapred::{ClusterBuilder, JobBuilder, JobResult, MrConfig};
+
+use crate::env::CellEnvFactory;
 
 pub mod dist;
 pub mod single_node;
 pub mod terasort;
 
-pub use dist::{fig4, fig5, fig7, fig8, DistEncryptParams, DistPiParams};
-pub use single_node::{fig2, fig6, Fig2Params, Fig6Params};
-pub use terasort::{terasort_feed_rate, TerasortParams};
+pub use dist::{fig4, fig5, fig7, fig8};
+pub use single_node::{fig2, fig6};
+pub use terasort::terasort_feed_rate;
+
+/// Deploys a fresh cluster of `nodes` Cell-equipped workers, runs `job` on
+/// one map task per slot, and returns its result. Every distributed figure
+/// point comes through here, so a failed job can never become one.
+fn run_job(seed: u64, nodes: usize, mr_cfg: &MrConfig, job: JobBuilder) -> JobResult {
+    let mut c = ClusterBuilder::new()
+        .seed(seed)
+        .workers(nodes)
+        .mr(mr_cfg.clone())
+        .env(CellEnvFactory::default())
+        .deploy();
+    let mut session = c.session();
+    session.submit(job.map_tasks(nodes * mr_cfg.map_slots_per_node));
+    let result = session.run();
+    assert!(
+        result.succeeded,
+        "{} failed at {nodes} nodes: {:?}",
+        result.name, result.error
+    );
+    result
+}
 
 /// One plotted series: `(x, y)` points under a legend label.
 #[derive(Clone, Debug)]
@@ -38,6 +65,35 @@ pub struct Figure {
 }
 
 impl Figure {
+    /// Builds a figure from its sweep: each row is one x and the y of every
+    /// series at it, in `labels` order. Rows are drawn x-major, so the
+    /// simulations behind them run in sweep order.
+    fn sweep<const N: usize>(
+        id: &'static str,
+        title: impl Into<String>,
+        x_label: &str,
+        y_label: &str,
+        labels: [&str; N],
+        rows: impl IntoIterator<Item = (f64, [f64; N])>,
+    ) -> Figure {
+        let mut series = labels.map(|label| Series {
+            label: label.into(),
+            points: Vec::new(),
+        });
+        for (x, ys) in rows {
+            for (s, y) in series.iter_mut().zip(ys) {
+                s.points.push((x, y));
+            }
+        }
+        Figure {
+            id,
+            title: title.into(),
+            x_label: x_label.into(),
+            y_label: y_label.into(),
+            series: series.into(),
+        }
+    }
+
     /// Renders the figure as an aligned text table (x column + one column
     /// per series), the format the bench binaries print.
     pub fn to_table(&self) -> String {

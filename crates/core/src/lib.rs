@@ -19,14 +19,11 @@
 //!   corresponding series;
 //! * [`presets`] — ready-to-submit `JobBuilder`s for the paper's Pi,
 //!   AES-encrypt, and Terasort workloads;
-//! * [`energy`], [`hetero`] — two of the paper's §V open issues,
-//!   implemented: per-job energy accounting (accelerators save kernel
-//!   energy on feed-bound jobs even when they save no time) and mixed
+//! * [`hetero`] — one of the paper's §V open issues, implemented: mixed
 //!   clusters where only a fraction of nodes carry accelerators (adaptive
 //!   kernels + the straggler effect the paper anticipated).
 
 pub mod bridge;
-pub mod energy;
 pub mod env;
 pub mod experiments;
 pub mod hetero;
@@ -34,7 +31,6 @@ pub mod kernels;
 pub mod presets;
 
 pub use bridge::JniBridge;
-pub use energy::{job_energy, EnergyModel, EnergyReport, EngineClass};
 pub use env::{CellEnvFactory, CellNodeEnv};
 pub use hetero::{AdaptiveAesKernel, AdaptiveKernel, AdaptivePiKernel, MixedEnvFactory};
 pub use kernels::{

@@ -2,13 +2,11 @@
 //! a fraction of nodes carry Cell accelerators; adaptive kernels offload
 //! where possible and fall back to the scalar engine elsewhere. Shows the
 //! straggler effect the paper anticipated for mixed clusters, the
-//! heterogeneity-aware scheduler that fixes it, plus the energy view of a
-//! feed-bound job.
+//! heterogeneity-aware scheduler that fixes it.
 //!
 //!     cargo run --release --example heterogeneous
 
-use accelmr::hybrid::experiments::dist::run_encrypt_job;
-use accelmr::hybrid::{job_energy, AdaptivePiKernel, EnergyModel, EngineClass, MixedEnvFactory};
+use accelmr::hybrid::{AdaptivePiKernel, MixedEnvFactory};
 use accelmr::mapred::SchedulerPolicy;
 use accelmr::prelude::*;
 
@@ -68,31 +66,4 @@ fn main() {
     println!("The adaptive scheduler oversplits while unlearned, learns per-node");
     println!("throughput from completed attempts, and steers work (and the queue");
     println!("tail) toward the Cell nodes. See the `sched_ablation` bench bin.");
-
-    println!();
-    println!("== energy view of a feed-bound encryption job (4 nodes, 8 GB) ==");
-    let model = EnergyModel::default();
-    let java = run_encrypt_job(1, 4, 8 << 30, AesMapper::Java, &MrConfig::default());
-    let cell = run_encrypt_job(2, 4, 8 << 30, AesMapper::Cell, &MrConfig::default());
-    let java_busy = SimDuration::from_secs_f64((8u64 << 30) as f64 / 20.0e6);
-    let cell_busy = SimDuration::from_secs_f64((8u64 << 30) as f64 / 700.0e6);
-    let e_java = job_energy(&model, &java, EngineClass::PpeScalar, 4, java_busy);
-    let e_cell = job_energy(&model, &cell, EngineClass::CellSpe, 4, cell_busy);
-    println!(
-        "{:>6}: {:>7.1} s, kernel {:>9.0} J, total {:>9.0} J",
-        "java",
-        java.elapsed.as_secs_f64(),
-        e_java.kernel_joules,
-        e_java.total_joules
-    );
-    println!(
-        "{:>6}: {:>7.1} s, kernel {:>9.0} J, total {:>9.0} J",
-        "cell",
-        cell.elapsed.as_secs_f64(),
-        e_cell.kernel_joules,
-        e_cell.total_joules
-    );
-    println!();
-    println!("Same job time (feed-bound), >10x less kernel energy — the paper's");
-    println!("§V conjecture about accelerators and data-intensive workloads.");
 }

@@ -3,10 +3,7 @@
 //! coincide). The full-scale sweeps live in the bench harness; these keep
 //! the claims under continuous test.
 
-use accelmr::hybrid::experiments::{
-    dist, fig2, fig4, fig5, fig6, fig7, fig8, DistEncryptParams, DistPiParams, Fig2Params,
-    Fig6Params,
-};
+use accelmr::hybrid::experiments::{dist, fig2, fig4, fig5, fig6, fig7, fig8};
 use accelmr::prelude::*;
 
 fn y(series: &accelmr::hybrid::experiments::Series, x: f64) -> f64 {
@@ -20,7 +17,7 @@ fn y(series: &accelmr::hybrid::experiments::Series, x: f64) -> f64 {
 
 #[test]
 fn fig2_shape() {
-    let fig = fig2(&Fig2Params::default());
+    let fig = fig2(&[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]);
     let cell = fig.series("Cell BE").unwrap();
     let cellmr = fig.series("MapReduce Cell").unwrap();
     let ppc = fig.series("PPC").unwrap();
@@ -37,7 +34,15 @@ fn fig2_shape() {
 
 #[test]
 fn fig6_shape() {
-    let fig = fig6(&Fig6Params::default());
+    let fig = fig6(&[
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+        1_000_000_000,
+    ]);
     let cell = fig.series("Cell BE").unwrap();
     let p6 = fig.series("Power 6").unwrap();
     let ppc = fig.series("PPC").unwrap();
@@ -52,17 +57,10 @@ fn fig6_shape() {
     assert!((0.99..1.01).contains(&flat));
 }
 
-fn small_encrypt_params() -> DistEncryptParams {
-    // Fig. 4 runs 1 GB per mapper, as the paper.
-    DistEncryptParams {
-        nodes: vec![2, 4, 8],
-        total_gb: 16,
-    }
-}
-
 #[test]
 fn fig4_shape_proportional_flat_and_equal() {
-    let fig = fig4(&small_encrypt_params());
+    // Fig. 4 runs 1 GB per mapper, as the paper.
+    let fig = fig4(&[2, 4, 8]);
     let java = fig.series("Java Mapper").unwrap();
     let cell = fig.series("Cell BE Mapper").unwrap();
     for &n in &[2.0, 4.0, 8.0] {
@@ -82,7 +80,7 @@ fn fig4_shape_proportional_flat_and_equal() {
 
 #[test]
 fn fig5_shape_fixed_dataset_scales_and_series_coincide() {
-    let fig = fig5(&small_encrypt_params());
+    let fig = fig5(&[2, 4, 8], 16);
     let java = fig.series("Java Mapper").unwrap();
     let cell = fig.series("Cell BE Mapper").unwrap();
     let empty = fig.series("Empty Mapper").unwrap();
@@ -99,11 +97,7 @@ fn fig5_shape_fixed_dataset_scales_and_series_coincide() {
 
 #[test]
 fn fig7_shape_floor_then_divergence() {
-    let fig = fig7(&DistPiParams {
-        fig7_nodes: 8,
-        fig7_samples: vec![30_000, 3_000_000, 300_000_000, 30_000_000_000],
-        ..DistPiParams::default()
-    });
+    let fig = fig7(8, &[30_000, 3_000_000, 300_000_000, 30_000_000_000]);
     let java = fig.series("Java Mapper").unwrap();
     let cell = fig.series("Cell BE Mapper").unwrap();
     // Small N: both on the runtime floor, within noise of each other.
@@ -118,12 +112,12 @@ fn fig7_shape_floor_then_divergence() {
 
 #[test]
 fn fig8_shape_orders_of_magnitude_and_flattening() {
-    let fig = fig8(&DistPiParams {
-        fig8_nodes: vec![4, 8, 16, 32],
-        fig8_samples: 10_000_000_000, // 1e10, scaled from the paper's 1e11
-        fig8_tenx: 100_000_000_000,
-        ..DistPiParams::default()
-    });
+    // 1e10 samples, scaled from the paper's 1e11; the 10x series runs 1e11.
+    let fig = fig8(&[4, 8, 16, 32], 10_000_000_000);
+    assert_eq!(
+        fig.title,
+        "Distributed Pi estimation performance: 1e10 samples"
+    );
     let java = fig.series("Java Mapper").unwrap();
     let cell = fig.series("Cell BE Mapper").unwrap();
     let cell10 = fig.series("Cell BE Mapper (10x samples)").unwrap();
