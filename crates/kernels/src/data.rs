@@ -146,6 +146,35 @@ mod tests {
     }
 
     #[test]
+    fn fill_golden() {
+        // (seed, offset, len, checksum of the filled bytes), recorded
+        // before the whole-word loop carried `word·G` as a running sum:
+        // any rewrite of the fill must reproduce every byte.
+        let far = u64::MAX / 8 - 3;
+        let golden: [(u64, u64, usize, u64); 10] = [
+            (2009, 0, 2 << 20, 0xa7a5_107f_bf3c_63dd),
+            (2009, 3, 5, 0xe916_7cde_8644_139a),
+            (2009, 3, 37, 0x86ef_a47c_e3f5_83f4),
+            (2009, 3, 4099, 0xe53b_9380_76ff_762a),
+            (7, 100, 5, 0xa8fb_d65b_e25e_136e),
+            (7, 100, 37, 0xdbf2_7dc7_a3c5_92f1),
+            (7, 100, 4099, 0x81d3_f862_6c6a_bd29),
+            (7, 100, 0, 0xcbf2_9ce4_8422_2325),
+            (42, far, 37, 0x3605_5913_19d5_8401),
+            (42, far, 4099, 0xde59_d2fc_e8b7_2dcf),
+        ];
+        for (seed, offset, len, want) in golden {
+            let mut buf = vec![0u8; len];
+            fill_deterministic(seed, offset, &mut buf);
+            assert_eq!(
+                checksum(&buf),
+                want,
+                "seed {seed} offset {offset} len {len}"
+            );
+        }
+    }
+
+    #[test]
     fn checksum_known_value_and_sensitivity() {
         // FNV-1a("a") per the reference implementation.
         assert_eq!(checksum(b"a"), 0xaf63dc4c8601ec8c);
