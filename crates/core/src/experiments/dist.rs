@@ -88,13 +88,14 @@ pub fn fig4(nodes: &[usize]) -> Figure {
 }
 
 /// Figure 5 — "Distributed encryption performance: 120GB data set": a
-/// fixed `total_gb` of input (paper: 120) over each cluster size of `nodes`
-/// (paper: 4..64); Empty vs Java vs Cell mappers, log-log.
+/// fixed `total_gb` of input (paper: 120; the caption names it) over each
+/// cluster size of `nodes` (paper: 4..64); Empty vs Java vs Cell mappers,
+/// log-log.
 pub fn fig5(nodes: &[usize], total_gb: u64) -> Figure {
     let mappers = [AesMapper::Empty, AesMapper::Java, AesMapper::Cell];
     Figure::sweep(
         "fig5",
-        "Distributed encryption performance: 120GB data set",
+        format!("Distributed encryption performance: {total_gb}GB data set"),
         "Nodes",
         "Time(s)",
         mappers.map(AesMapper::label),

@@ -14,56 +14,180 @@ use accelmr_des::splitmix64;
 /// absolute byte `offset`. Byte `i` of a stream is byte `i % 8` of
 /// `splitmix64(seed ⊕ mix(i / 8))`.
 pub fn fill_deterministic(seed: u64, offset: u64, buf: &mut [u8]) {
-    if buf.is_empty() {
-        return;
-    }
-    let mut pos = 0usize;
-    let mut abs = offset;
+    // `mix` is the word index times GOLDEN, carried as a running sum:
+    // `(i+1)·G = i·G + G` holds in wrapping arithmetic, so no word pays a
+    // multiply for it.
+    let mut mix = (offset / 8).wrapping_mul(GOLDEN);
+    let mut buf = buf;
     // Leading partial word.
-    let lead = (abs % 8) as usize;
-    if lead != 0 {
-        let w = word_at(seed, abs / 8);
-        let take = (8 - lead).min(buf.len());
-        buf[..take].copy_from_slice(&w.to_le_bytes()[lead..lead + take]);
-        pos += take;
-        abs += take as u64;
+    let skip = (offset % 8) as usize;
+    if skip != 0 && !buf.is_empty() {
+        let take = (8 - skip).min(buf.len());
+        let (head, rest) = buf.split_at_mut(take);
+        head.copy_from_slice(&word_at(seed, mix)[skip..skip + take]);
+        buf = rest;
+        mix = mix.wrapping_add(GOLDEN);
     }
     // Whole words.
-    while pos + 8 <= buf.len() {
-        let w = word_at(seed, abs / 8);
-        buf[pos..pos + 8].copy_from_slice(&w.to_le_bytes());
-        pos += 8;
-        abs += 8;
+    let mut words = buf.chunks_exact_mut(8);
+    for out in &mut words {
+        out.copy_from_slice(&word_at(seed, mix));
+        mix = mix.wrapping_add(GOLDEN);
     }
     // Trailing partial word.
-    if pos < buf.len() {
-        let w = word_at(seed, abs / 8);
-        let take = buf.len() - pos;
-        buf[pos..].copy_from_slice(&w.to_le_bytes()[..take]);
+    let tail = words.into_remainder();
+    let take = tail.len();
+    if take != 0 {
+        tail.copy_from_slice(&word_at(seed, mix)[..take]);
     }
 }
 
+/// The odd constant that spreads word indices over the seed space.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The bytes of the word whose index times [`GOLDEN`] is `mix`.
 #[inline]
-fn word_at(seed: u64, word_idx: u64) -> u64 {
-    let mut s = seed ^ word_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut s)
+fn word_at(seed: u64, mix: u64) -> [u8; 8] {
+    let mut s = seed ^ mix;
+    splitmix64(&mut s).to_le_bytes()
 }
 
-/// FNV-1a 64-bit checksum of a byte slice.
+/// FNV-1a's offset basis: the checksum of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: the rule every checksum here is made of.
+#[inline(always)]
+fn fnv1a(hash: u64, byte: u8) -> u64 {
+    (hash ^ byte as u64).wrapping_mul(0x100_0000_01b3)
+}
+
+/// Continues the `N` FNV-1a hashes over their own bytes, the `N` chains
+/// interleaved byte by byte over the length they share; what one lane has
+/// beyond it is hashed on its own.
+#[inline(always)]
+fn fnv1a_lanes<const N: usize>(hashes: &mut [u64], bytes: &[&[u8]]) {
+    let hashes: &mut [u64; N] = hashes.try_into().expect("one hash per lane");
+    let common = bytes.iter().map(|b| b.len()).min().unwrap_or(0);
+    let shared: [&[u8]; N] = std::array::from_fn(|l| &bytes[l][..common]);
+    for i in 0..common {
+        for (hash, lane) in hashes.iter_mut().zip(&shared) {
+            *hash = fnv1a(*hash, lane[i]);
+        }
+    }
+    for (hash, rest) in hashes.iter_mut().zip(bytes) {
+        *hash = rest[common..].iter().fold(*hash, |h, &b| fnv1a(h, b));
+    }
+}
+
+/// FNV-1a 64-bit checksum of a byte slice: the one-lane case of
+/// [`ChecksumLanes`].
 ///
 /// Latency-bound at ~4 cycles/byte: each byte is one xor and one multiply
-/// on the running hash, so nothing vectorizes or reorders it. Its value is
-/// pinned by every record digest (the tests' serial references and the
-/// benchmark's `expected.json` `outputs`), so do not "optimise" it into a
-/// different function; the TaskTracker takes its cost off the event thread
-/// instead.
+/// on the running hash, so nothing vectorizes or reorders one chain. Its
+/// value is pinned by every record digest (the tests' serial references
+/// and the benchmark's `expected.json` `outputs`), so do not "optimise" it
+/// into a different function; to checksum many images, run their chains
+/// side by side in [`ChecksumLanes`].
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut hash = [FNV_BASIS];
+    fnv1a_lanes::<1>(&mut hash, &[bytes]);
+    hash[0]
+}
+
+/// Images [`ChecksumLanes`] hashes at once.
+pub const LANES: usize = 4;
+
+/// Bytes each lane advances per [`ChecksumLanes::step`]: images join and
+/// leave only between steps.
+pub const CHUNK: usize = 64 << 10;
+
+/// Up to [`LANES`] byte images checksummed at once.
+///
+/// One FNV-1a chain leaves the multiplier idle while each multiply's
+/// result comes back; the chains of independent images fill it, so four
+/// 2 MiB images take little longer than one. Each image gets exactly
+/// [`checksum`] of its bytes, whichever images shared its steps.
+pub struct ChecksumLanes<T> {
+    lanes: Vec<Lane<T>>,
+}
+
+/// One image in flight: its running hash and how many bytes it covers.
+struct Lane<T> {
+    image: T,
+    hash: u64,
+    hashed: usize,
+}
+
+impl<T: AsRef<[u8]>> ChecksumLanes<T> {
+    /// No image in flight.
+    pub fn new() -> Self {
+        ChecksumLanes {
+            lanes: Vec::with_capacity(LANES),
+        }
     }
-    h
+
+    /// Whether no image is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// Whether every lane holds an image.
+    pub fn is_full(&self) -> bool {
+        self.lanes.len() == LANES
+    }
+
+    /// Starts checksumming `image` at the next step.
+    ///
+    /// # Panics
+    /// If every lane holds an image.
+    pub fn join(&mut self, image: T) {
+        assert!(!self.is_full(), "all {LANES} lanes are busy");
+        self.lanes.push(Lane {
+            image,
+            hash: FNV_BASIS,
+            hashed: 0,
+        });
+    }
+
+    /// Advances every lane by up to [`CHUNK`] bytes, then hands each image
+    /// whose bytes are all hashed to `finished`, with its checksum, and
+    /// frees its lane.
+    pub fn step(&mut self, mut finished: impl FnMut(T, u64)) {
+        let mut hashes = [0u64; LANES];
+        let mut chunks: [&[u8]; LANES] = [&[]; LANES];
+        for (l, lane) in self.lanes.iter().enumerate() {
+            let bytes = &lane.image.as_ref()[lane.hashed..];
+            hashes[l] = lane.hash;
+            chunks[l] = &bytes[..bytes.len().min(CHUNK)];
+        }
+        let lens = chunks.map(<[u8]>::len);
+        let n = self.lanes.len();
+        let (h, c) = (&mut hashes[..n], &chunks[..n]);
+        // One loop per lane count, so each keeps its chains in registers.
+        match n {
+            0 => {}
+            1 => fnv1a_lanes::<1>(h, c),
+            2 => fnv1a_lanes::<2>(h, c),
+            3 => fnv1a_lanes::<3>(h, c),
+            _ => fnv1a_lanes::<LANES>(h, c),
+        }
+        for (lane, (hash, len)) in self.lanes.iter_mut().zip(hashes.into_iter().zip(lens)) {
+            lane.hash = hash;
+            lane.hashed += len;
+        }
+        for lane in self
+            .lanes
+            .extract_if(.., |lane| lane.hashed == lane.image.as_ref().len())
+        {
+            finished(lane.image, lane.hash);
+        }
+    }
+}
+
+impl<T: AsRef<[u8]>> Default for ChecksumLanes<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Order-independent accumulator for distributed verification: per-record
@@ -180,6 +304,55 @@ mod tests {
         assert_eq!(checksum(b"a"), 0xaf63dc4c8601ec8c);
         assert_ne!(checksum(b"ab"), checksum(b"ba"));
         assert_ne!(checksum(b""), checksum(b"\0"));
+    }
+
+    #[test]
+    fn lanes_give_each_image_its_checksum() {
+        struct Image(usize, Vec<u8>);
+        impl AsRef<[u8]> for Image {
+            fn as_ref(&self) -> &[u8] {
+                &self.1
+            }
+        }
+        // Every length twice, longest first; one image joins at each step
+        // while a lane is free. The two long images run beside chains of
+        // every other length, which join at different chunk boundaries.
+        let lens = [(2 << 20) + 3, CHUNK + 1, CHUNK, CHUNK - 1, 7, 1, 0];
+        let images: Vec<Image> = lens
+            .iter()
+            .flat_map(|&len| [len, len])
+            .enumerate()
+            .map(|(i, len)| {
+                let mut bytes = vec![0u8; len];
+                fill_deterministic(i as u64, 3, &mut bytes);
+                Image(i, bytes)
+            })
+            .collect();
+        let want: Vec<u64> = images.iter().map(|image| checksum(&image.1)).collect();
+        let mut waiting = images.into_iter();
+        let mut lanes = ChecksumLanes::new();
+        let (mut in_flight, mut peak) = (0, 0);
+        let mut done = Vec::new();
+        loop {
+            if !lanes.is_full() {
+                if let Some(image) = waiting.next() {
+                    lanes.join(image);
+                    in_flight += 1;
+                }
+            }
+            if lanes.is_empty() {
+                break;
+            }
+            peak = peak.max(in_flight);
+            lanes.step(|Image(i, bytes), sum| {
+                assert_eq!(sum, want[i], "image {i}, {} bytes", bytes.len());
+                done.push(i);
+                in_flight -= 1;
+            });
+        }
+        assert_eq!(peak, LANES);
+        done.sort_unstable();
+        assert_eq!(done, (0..want.len()).collect::<Vec<_>>());
     }
 
     #[test]

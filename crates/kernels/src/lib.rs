@@ -27,5 +27,5 @@ pub mod sort;
 
 pub use aes::{Aes128, AesImpl};
 pub use cost::Engine;
-pub use data::{checksum, fill_deterministic, UnorderedDigest};
+pub use data::{checksum, fill_deterministic, ChecksumLanes, UnorderedDigest, CHUNK, LANES};
 pub use sort::SortRecord;

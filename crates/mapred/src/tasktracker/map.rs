@@ -228,11 +228,16 @@ impl TaskRun {
         debug_assert_eq!(*rec, read.record);
         if let Some(seg_bytes) = bytes {
             let (_, rl) = record_bounds(&self.desc.work, read.record);
-            let at = segments(&self.desc.work, read.record)
-                .nth(read.seg as usize)
-                .map_or(0, |s| s.offset_in_record as usize);
-            let buf = buf.get_or_insert_with(|| vec![0u8; rl as usize]);
-            buf[at..at + seg_bytes.len()].copy_from_slice(&seg_bytes);
+            if seg_bytes.len() as u64 == rl {
+                // The record lies in one block: the segment is its image.
+                *buf = Some(seg_bytes);
+            } else {
+                let at = segments(&self.desc.work, read.record)
+                    .nth(read.seg as usize)
+                    .map_or(0, |s| s.offset_in_record as usize);
+                let buf = buf.get_or_insert_with(|| vec![0u8; rl as usize]);
+                buf[at..at + seg_bytes.len()].copy_from_slice(&seg_bytes);
+            }
         }
         *segs_left -= 1;
         if *segs_left > 0 {

@@ -81,6 +81,10 @@ fn fig4_shape_proportional_flat_and_equal() {
 #[test]
 fn fig5_shape_fixed_dataset_scales_and_series_coincide() {
     let fig = fig5(&[2, 4, 8], 16);
+    assert_eq!(
+        fig.title,
+        "Distributed encryption performance: 16GB data set"
+    );
     let java = fig.series("Java Mapper").unwrap();
     let cell = fig.series("Cell BE Mapper").unwrap();
     let empty = fig.series("Empty Mapper").unwrap();
