@@ -274,10 +274,11 @@ impl JobBuilder {
         self
     }
 
-    /// Account and digest map output without writing it back (kernel-level
-    /// verification without write traffic).
+    /// No DFS write-back ([`OutputSink::Discard`]): kernel-level
+    /// verification without write traffic. Map output is still counted and
+    /// digested, as under every sink.
     pub fn digest_output(mut self) -> Self {
-        self.output = OutputSink::Digest;
+        self.output = OutputSink::Discard;
         self
     }
 
@@ -446,7 +447,7 @@ mod tests {
             .request();
         assert_eq!(req.spec.name, "j");
         assert_eq!(req.spec.num_map_tasks, Some(3));
-        assert_eq!(req.spec.output, OutputSink::Digest);
+        assert_eq!(req.spec.output, OutputSink::Discard);
         assert_eq!(req.preloads.len(), 1);
         assert_eq!(req.preloads[0].block_size, Some(1 << 20));
         assert_eq!(req.preloads[0].replication, Some(2));

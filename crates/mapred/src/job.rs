@@ -32,11 +32,9 @@ pub enum JobInput {
 /// Where map output goes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OutputSink {
-    /// No output (the paper's EmptyMapper).
+    /// No write-back. Materialized output is still counted and digested
+    /// whatever the sink; the paper's EmptyMapper simply produces none.
     Discard,
-    /// Output accounted and digested, but not written back (kernel-level
-    /// verification without write traffic).
-    Digest,
     /// Output written to a DFS file (one per task: `<path>/part-NNNNN`).
     Dfs {
         /// Output directory path.

@@ -43,8 +43,9 @@ impl JobTracker {
         // again within one heartbeat, since dispatch only shrinks queues).
         let mut exhausted: Vec<u32> = Vec::new();
         let mut regular_declined: Vec<u32> = Vec::new();
+        let now = ctx.now();
         while free > 0 {
-            let Some(job_id) = self.pick_job_for(node, &exhausted) else {
+            let Some(job_id) = self.pick_job_for(node, now, &exhausted) else {
                 break;
             };
             if !regular_declined.contains(&job_id) {
@@ -58,7 +59,7 @@ impl JobTracker {
             // Speculative duplicates once the job's queue is dry (or held
             // back).
             if self.cfg.speculative {
-                if let Some(task) = self.pick_straggler(ctx.now(), job_id, node) {
+                if let Some(task) = self.pick_straggler(now, job_id, node) {
                     if let Some(job) = self.jobs.get_mut(&job_id) {
                         job.speculative_attempts += 1;
                     }
@@ -71,12 +72,12 @@ impl JobTracker {
             exhausted.push(job_id);
         }
         // Preemptive slot reclamation: only once the node is out of free
-        // slots may a policy name running attempts to kill and requeue —
-        // the slots free (and re-dispatch) at this node's next heartbeat.
+        // slots may a policy name a running attempt to kill and requeue —
+        // the slot frees (and re-dispatches) at this node's next heartbeat.
         // Inert unless `MrConfig::preemption` enables it, which keeps every
         // historical trace byte-identical (pinned by the goldens).
         if free == 0 && self.cfg.preemption.enabled() {
-            for victim in self.pick_victims(node, ctx.now()) {
+            if let Some(victim) = self.pick_victim(node, now) {
                 self.preempt(ctx, victim, node);
             }
         }
@@ -134,7 +135,7 @@ impl JobTracker {
     /// Asks the scheduler which active job the next free slot on `node`
     /// should serve, and validates the pick against the eligibility the
     /// views advertise. `exhausted` jobs were retired for this heartbeat.
-    fn pick_job_for(&mut self, node: NodeId, exhausted: &[u32]) -> Option<u32> {
+    fn pick_job_for(&mut self, node: NodeId, now: SimTime, exhausted: &[u32]) -> Option<u32> {
         let speculative = self.cfg.speculative;
         self.ask_over_jobs(
             |job, offered| {
@@ -142,7 +143,7 @@ impl JobTracker {
                     && !exhausted.contains(&job.id.0)
             },
             |scheduler, views| {
-                let pick = scheduler.pick_job(views, node)?;
+                let pick = scheduler.pick_job(views, node, now)?;
                 let valid = views.iter().any(|v| v.job == pick && v.eligible);
                 debug_assert!(valid, "scheduler picked ineligible job {pick}");
                 valid.then_some(pick.0)
@@ -150,16 +151,15 @@ impl JobTracker {
         )?
     }
 
-    /// Asks the scheduler to [`reclaim`](Scheduler::reclaim) slots on the
+    /// Asks the scheduler to [`reclaim`](Scheduler::reclaim) a slot on the
     /// saturated `node`. A beneficiary must have pending work (withheld
     /// reduces excluded) — speculation never justifies a kill, so
     /// `pick_job_for`'s speculative arm is deliberately absent here.
-    fn pick_victims(&mut self, node: NodeId, now: SimTime) -> Vec<ReclaimVictim> {
+    fn pick_victim(&mut self, node: NodeId, now: SimTime) -> Option<ReclaimVictim> {
         self.ask_over_jobs(
             |_, offered| offered > 0,
             |scheduler, views| scheduler.reclaim(views, node, now),
-        )
-        .unwrap_or_default()
+        )?
     }
 
     /// Picks the next pending task of `job_id` for `node` by asking the

@@ -139,9 +139,7 @@ impl JobTracker {
     fn plan_splits(&mut self, job_id: JobId, total: u64) -> Option<Vec<u64>> {
         let job = self.jobs.get(&job_id.0)?;
         let req = SplitRequest {
-            job: job_id,
             kernel: job.spec.kernel.name(),
-            total,
             requested_tasks: job.spec.num_map_tasks,
             default_tasks: self.total_slots().max(1),
             live_nodes: self.liveness.live(),

@@ -206,7 +206,6 @@ impl JobState {
             tenant: &self.spec.tenant,
             weight: self.spec.weight,
             deadline: self.spec.deadline,
-            submitted: self.submitted,
             eligible,
             cluster_slots,
             pending,
@@ -286,7 +285,6 @@ impl JobTracker {
         ctx.stats().incr("mr.heartbeats");
         let now = ctx.now();
         self.note_heartbeat(ctx, hb.node, now);
-        self.scheduler.on_heartbeat(hb.node, hb.free_slots, now);
         for report in hb.completed {
             self.handle_report(ctx, report);
         }
@@ -370,8 +368,6 @@ impl JobTracker {
         }
 
         self.scheduler.on_task_completed(&TaskCompletion {
-            job: report.job,
-            task: report.task,
             node: report.node,
             kernel,
             is_reduce,

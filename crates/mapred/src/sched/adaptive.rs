@@ -328,8 +328,6 @@ mod tests {
 
     fn complete(s: &mut AdaptiveHetero, node: NodeId, work: u64, secs: f64) {
         s.on_task_completed(&TaskCompletion {
-            job: JobId(0),
-            task: TaskId(0),
             node,
             kernel: "k",
             is_reduce: false,
@@ -353,8 +351,6 @@ mod tests {
         assert_eq!(s.rate_of("other", NodeId(1)), None);
         // Reduce attempts don't pollute the model.
         s.on_task_completed(&TaskCompletion {
-            job: JobId(0),
-            task: TaskId(9),
             node: NodeId(3),
             kernel: "k",
             is_reduce: true,
@@ -376,7 +372,6 @@ mod tests {
             tenant: "default",
             weight: 1.0,
             deadline: None,
-            submitted: SimTime::ZERO,
             eligible: true,
             cluster_slots: 4,
             pending,
@@ -475,9 +470,7 @@ mod tests {
         let mut s = sched();
         let live = [NodeId(1), NodeId(2)];
         let req = SplitRequest {
-            job: JobId(0),
             kernel: "k",
-            total: 1000,
             requested_tasks: None,
             default_tasks: 4,
             live_nodes: &live,

@@ -28,12 +28,11 @@
 use accelmr_des::{FxHashMap, SimTime};
 use accelmr_net::NodeId;
 
-use crate::config::{JobId, MrConfig, TaskId};
+use crate::config::{JobId, MrConfig};
 
 use super::fair::fair_share_pick;
 use super::{
-    default_straggler, locality_pick, min_score_view, reclaim_candidates, PreemptionBudget,
-    ReclaimVictim, SchedView, Scheduler,
+    min_score_view, PreemptionBudget, ReclaimVictim, SchedView, Scheduler, TaskCompletion,
 };
 
 /// Mean completed-attempt duration for one kernel family, folded online.
@@ -48,11 +47,6 @@ struct DurStat {
 /// [`SchedulerPolicy::DeadlineSlack`](crate::SchedulerPolicy::DeadlineSlack).
 #[derive(Debug)]
 pub struct DeadlineSlack {
-    /// The latest instant observed from the heartbeat feed — `pick_job`
-    /// has no clock parameter, so slack is computed against the last
-    /// heartbeat (dispatch only ever happens on heartbeats, so this is the
-    /// current instant whenever the decision runs).
-    now: SimTime,
     /// kernel family → mean completed map-attempt duration.
     durs: FxHashMap<String, DurStat>,
     /// Wasted-work budget for [`reclaim`](Scheduler::reclaim). Disabled by
@@ -64,7 +58,6 @@ impl DeadlineSlack {
     /// Builds the policy from the runtime config (preemption budget).
     pub fn new(cfg: &MrConfig) -> Self {
         DeadlineSlack {
-            now: SimTime::ZERO,
             durs: FxHashMap::default(),
             budget: PreemptionBudget::new(cfg.preemption),
         }
@@ -80,16 +73,10 @@ impl DeadlineSlack {
             .unwrap_or(0.0)
     }
 
-    /// Slack of a deadline-carrying job, in seconds (negative = projected
-    /// late). Remaining work = pending tasks plus in-flight incomplete
-    /// tasks, executed in waves of `cluster_slots`.
-    fn slack_secs(&self, view: &SchedView<'_>) -> f64 {
-        self.slack_secs_at(view, self.now)
-    }
-
-    /// [`slack_secs`](Self::slack_secs) against an explicit instant —
-    /// [`reclaim`](Scheduler::reclaim) carries its own clock.
-    fn slack_secs_at(&self, view: &SchedView<'_>, now: SimTime) -> f64 {
+    /// Slack of a deadline-carrying job at `now`, in seconds (negative =
+    /// projected late). Remaining work = pending tasks plus in-flight
+    /// incomplete tasks, executed in waves of `cluster_slots`.
+    fn slack_secs(&self, view: &SchedView<'_>, now: SimTime) -> f64 {
         let deadline = view
             .deadline
             .expect("slack is only computed for deadline jobs");
@@ -105,9 +92,9 @@ impl Scheduler for DeadlineSlack {
         "deadline-slack"
     }
 
-    fn pick_job(&mut self, views: &[SchedView<'_>], _node: NodeId) -> Option<JobId> {
+    fn pick_job(&mut self, views: &[SchedView<'_>], _node: NodeId, now: SimTime) -> Option<JobId> {
         let urgent = min_score_view(views, |v| {
-            (v.eligible && v.deadline.is_some()).then(|| self.slack_secs(v))
+            (v.eligible && v.deadline.is_some()).then(|| self.slack_secs(v, now))
         });
         match urgent {
             Some(v) => Some(v.job),
@@ -116,52 +103,30 @@ impl Scheduler for DeadlineSlack {
         }
     }
 
-    fn pick_task(&mut self, view: &SchedView<'_>, node: NodeId) -> Option<usize> {
-        locality_pick(view, node)
-    }
-
-    fn pick_straggler(
-        &mut self,
-        view: &SchedView<'_>,
-        node: NodeId,
-        now: SimTime,
-    ) -> Option<TaskId> {
-        default_straggler(view, node, now, |_| true)
-    }
-
-    /// Reclaims slots for the most urgent deadline job once its slack
+    /// Reclaims a slot for the most urgent deadline job once its slack
     /// falls under [`slack_margin`](crate::PreemptionTuning::slack_margin)
     /// (a kill only frees the slot at the victim node's *next* heartbeat,
-    /// so waiting for slack zero reclaims too late). Victims come from
-    /// deadline-less jobs or deadline jobs with at least twice the margin
-    /// of slack to spare — never from a job that is itself urgent —
-    /// youngest attempt first, under the [`PreemptionTuning`](crate::PreemptionTuning) budget, at most one
-    /// kill per ask (one per node per heartbeat): natural completions
-    /// usually serve the rest of the pending queue, so reclaim paces
-    /// itself instead of pre-purchasing every slot with discarded runtime.
+    /// so waiting for slack zero reclaims too late). The victim comes from
+    /// a deadline-less job or a deadline job with at least twice the margin
+    /// of slack to spare — never from a job that is itself urgent.
     fn reclaim(
         &mut self,
         views: &[SchedView<'_>],
         node: NodeId,
         now: SimTime,
-    ) -> Vec<ReclaimVictim> {
-        if !self.budget.tuning.enabled() {
-            return Vec::new();
-        }
+    ) -> Option<ReclaimVictim> {
         let margin = self.budget.tuning.slack_margin.as_secs_f64();
         // Beneficiary: the minimum-slack eligible deadline job with
         // pending work that is projected to run out of margin.
-        let Some(bview) = min_score_view(views, |v| {
+        let beneficiary = min_score_view(views, |v| {
             if !v.eligible || v.deadline.is_none() || v.pending.is_empty() {
                 return None;
             }
-            Some(self.slack_secs_at(v, now)).filter(|&s| s < margin)
-        }) else {
-            return Vec::new();
-        };
-        let beneficiary = bview.job;
-        let need = bview.pending.len().min(1);
-        let raidable: Vec<JobId> = views
+            Some(self.slack_secs(v, now)).filter(|&s| s < margin)
+        })?
+        .job;
+        // The raidable jobs, each with its kernel's learned mean duration.
+        let raidable: Vec<(JobId, f64)> = views
             .iter()
             .filter(|v| {
                 v.job != beneficiary
@@ -170,46 +135,28 @@ impl Scheduler for DeadlineSlack {
                         None => true,
                         // A deadline job may be raided only with slack to
                         // spare.
-                        Some(_) => self.slack_secs_at(v, now) >= 2.0 * margin,
+                        Some(_) => self.slack_secs(v, now) >= 2.0 * margin,
                     }
             })
-            .map(|v| v.job)
+            .map(|v| (v.job, self.mean_dur_secs(v.kernel)))
             .collect();
-        let mut victims = Vec::new();
-        for (elapsed, mut cand) in
-            reclaim_candidates(views, node, now, self.budget.tuning.min_attempt_age)
-        {
-            if victims.len() >= need {
-                break;
-            }
-            if !raidable.contains(&cand.job) || !self.budget.allows(cand.job, cand.task, now) {
-                continue;
-            }
-            // An attempt that has already run the learned mean duration for
-            // its kernel is expected to finish imminently — it frees the
-            // slot naturally about as fast as a kill-and-requeue round trip
-            // would, while carrying the maximum discarded runtime. Skip it
-            // and let the deadline job take the natural completion instead
-            // (only once a mean is learned; before that every victim is
-            // fair game, matching the cold-start EDF posture above).
-            if let Some(vview) = views.iter().find(|v| v.job == cand.job) {
-                let mean = self.mean_dur_secs(vview.kernel);
-                if mean > 0.0 && elapsed.as_secs_f64() >= mean {
-                    continue;
-                }
-            }
-            self.budget.note_kill(cand.job, cand.task, now);
-            cand.beneficiary = beneficiary;
-            victims.push(cand);
-        }
-        victims
+        self.budget
+            .take_victim(views, node, now, beneficiary, |v, elapsed| {
+                // An attempt that has already run the learned mean duration
+                // for its kernel is expected to finish imminently — it
+                // frees the slot naturally about as fast as a
+                // kill-and-requeue round trip would, while carrying the
+                // maximum discarded runtime. Skip it and let the deadline
+                // job take the natural completion instead (only once a mean
+                // is learned; before that every victim is fair game,
+                // matching the cold-start EDF posture above).
+                raidable.iter().any(|&(job, mean)| {
+                    job == v.job && !(mean > 0.0 && elapsed.as_secs_f64() >= mean)
+                })
+            })
     }
 
-    fn on_heartbeat(&mut self, _node: NodeId, _free_slots: usize, now: SimTime) {
-        self.now = now;
-    }
-
-    fn on_task_completed(&mut self, completion: &super::TaskCompletion<'_>) {
+    fn on_task_completed(&mut self, completion: &TaskCompletion<'_>) {
         // Reduce attempts are fetch-bound and sized differently; the map
         // duration model stays map-only, like adaptive throughput learning.
         if completion.is_reduce {
@@ -218,5 +165,102 @@ impl Scheduler for DeadlineSlack {
         let stat = self.durs.entry(completion.kernel.to_string()).or_default();
         stat.sum_secs += completion.elapsed.as_secs_f64();
         stat.samples += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use accelmr_des::SimDuration;
+
+    use super::*;
+    use crate::config::{PreemptionTuning, TaskId};
+    use crate::sched::{view_counts, TaskLookup, TaskView};
+
+    fn at(secs: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    /// A preempting `DeadlineSlack` that has seen one completed map attempt
+    /// of kernel `k` per entry of `learned` (seconds).
+    fn sched(learned: &[u64]) -> DeadlineSlack {
+        let mut s = DeadlineSlack::new(&MrConfig {
+            preemption: PreemptionTuning::balanced(),
+            ..MrConfig::default()
+        });
+        for &secs in learned {
+            s.on_task_completed(&TaskCompletion {
+                node: NodeId(1),
+                kernel: "k",
+                is_reduce: false,
+                elapsed: SimDuration::from_secs(secs),
+                work: 1,
+            });
+        }
+        s
+    }
+
+    /// A reclaim view, eligible exactly when it has pending work (as the
+    /// JobTracker builds them).
+    fn view<'a>(
+        job: u32,
+        deadline: Option<SimTime>,
+        pending: &'a [TaskId],
+        tasks: &'a dyn TaskLookup,
+    ) -> SchedView<'a> {
+        let (running_slots, running_incomplete) = view_counts(tasks);
+        SchedView {
+            job: JobId(job),
+            kernel: "k",
+            tenant: "default",
+            weight: 1.0,
+            deadline,
+            eligible: !pending.is_empty(),
+            cluster_slots: 2,
+            pending,
+            tasks,
+            running_slots,
+            running_incomplete,
+            completed_task_times: &[],
+            slots_per_node: 2,
+        }
+    }
+
+    /// The victim rule that needs a learned duration: an attempt that has
+    /// already run the kernel's mean duration is passed over, even when it
+    /// is the only candidate; unlearned, the same attempt is named.
+    #[test]
+    fn reclaim_skips_victims_past_the_learned_mean() {
+        let running = [(1, NodeId(1), SimTime::ZERO)];
+        let busy = [TaskView {
+            hints: &[],
+            is_reduce: false,
+            completed: false,
+            running: &running,
+            size: 1,
+        }];
+        let idle = [TaskView {
+            running: &[],
+            ..busy[0]
+        }];
+        let pending = [TaskId(0)];
+        // Job 0 (no deadline) holds the node's one candidate, started at
+        // t=0; job 1 is due at t=60 s with one task waiting, well inside
+        // the 90 s margin either way.
+        let views = [
+            view(0, None, &[], &busy),
+            view(1, Some(at(60)), &pending, &idle),
+        ];
+        let named = Some(ReclaimVictim {
+            job: JobId(0),
+            task: TaskId(0),
+            attempt: 1,
+            beneficiary: JobId(1),
+        });
+        // Learned mean 40 s: the 45 s-old attempt is about to finish.
+        assert_eq!(sched(&[40]).reclaim(&views, NodeId(1), at(45)), None);
+        // Nothing learned: the same attempt is fair game.
+        assert_eq!(sched(&[]).reclaim(&views, NodeId(1), at(45)), named);
+        // Learned, but only 30 s old: still named.
+        assert_eq!(sched(&[40]).reclaim(&views, NodeId(1), at(30)), named);
     }
 }

@@ -21,8 +21,7 @@ use accelmr_net::NodeId;
 use crate::config::{JobId, MrConfig, TaskId};
 
 use super::{
-    default_straggler, locality_pick, min_score_view, reclaim_candidates, PreemptionBudget,
-    ReclaimVictim, SchedView, Scheduler,
+    default_straggler, min_score_view, PreemptionBudget, ReclaimVictim, SchedView, Scheduler,
 };
 
 /// Weighted max-min fair sharing across tenants (job-level), locality
@@ -110,7 +109,7 @@ impl Scheduler for FairShare {
         "fair-share"
     }
 
-    fn pick_job(&mut self, views: &[SchedView<'_>], _node: NodeId) -> Option<JobId> {
+    fn pick_job(&mut self, views: &[SchedView<'_>], _node: NodeId, _now: SimTime) -> Option<JobId> {
         let tenants = tenant_usage(views);
         // The tenants at the minimum share are the ones entitled to the
         // next slot. The set rarely changes between two free slots, so it
@@ -121,10 +120,6 @@ impl Scheduler for FairShare {
             self.min_share_tenants = poorest().map(str::to_owned).collect();
         }
         min_share_job(&tenants, views)
-    }
-
-    fn pick_task(&mut self, view: &SchedView<'_>, node: NodeId) -> Option<usize> {
-        locality_pick(view, node)
     }
 
     fn pick_straggler(
@@ -145,85 +140,44 @@ impl Scheduler for FairShare {
         default_straggler(view, node, now, |_| true)
     }
 
-    /// Reclaims slots for a tenant running at least one full slot below
+    /// Reclaims a slot for a tenant running at least one full slot below
     /// its weighted entitlement (`weight / Σweights × cluster_slots`),
-    /// killing the youngest attempts of tenants holding at least one slot
-    /// *above* theirs. Whole-slot deficits/surpluses keep the policy from
-    /// thrashing around fractional entitlements; the
-    /// [`PreemptionTuning`](crate::PreemptionTuning) budget bounds total
-    /// kills and re-kill cadence; and at
-    /// most **one** kill is granted per ask (one per node per heartbeat) —
-    /// natural completions usually cover the rest of the deficit, so
-    /// reclaim paces itself instead of pre-purchasing every missing slot
-    /// with discarded runtime.
+    /// killing the youngest attempt of a tenant holding at least one slot
+    /// *above* its own. Whole-slot deficits/surpluses keep the policy from
+    /// thrashing around fractional entitlements.
     fn reclaim(
         &mut self,
         views: &[SchedView<'_>],
         node: NodeId,
         now: SimTime,
-    ) -> Vec<ReclaimVictim> {
-        if !self.budget.tuning.enabled() {
-            return Vec::new();
-        }
+    ) -> Option<ReclaimVictim> {
         let tenants = tenant_usage(views);
         let total_weight: f64 = tenants.iter().map(|&(_, _, w)| w).sum();
         let cluster = views.first().map(|v| v.cluster_slots).unwrap_or(0);
         if total_weight <= 0.0 || cluster == 0 {
-            return Vec::new();
+            return None;
         }
-        let entitled = |weight: f64| -> f64 { weight / total_weight * cluster as f64 };
-        // Balance per tenant: usage − entitlement, in slots. EPS absorbs
+        // A tenant's balance: usage − entitlement, in slots. EPS absorbs
         // float noise so an exactly-one-slot imbalance still counts.
         const EPS: f64 = 1e-9;
-        let mut balance: Vec<(&str, f64)> = tenants
-            .iter()
-            .map(|&(t, usage, weight)| (t, usage - entitled(weight)))
-            .collect();
-        let deficit = |balance: &[(&str, f64)], tenant: &str| -> f64 {
-            balance
+        let balance = |tenant: &str| -> f64 {
+            tenants
                 .iter()
-                .find(|(t, _)| *t == tenant)
-                .map(|&(_, b)| -b)
-                .unwrap_or(0.0)
+                .find(|(t, _, _)| *t == tenant)
+                .map_or(0.0, |&(_, usage, weight)| {
+                    usage - weight / total_weight * cluster as f64
+                })
         };
         // Beneficiary: the minimum-share eligible job with pending work
         // whose tenant is at least one whole slot short — the same
         // ordering regular dispatch uses, restricted to deficient tenants.
-        let Some(bview) = min_score_view(views, |v| {
-            (v.eligible && !v.pending.is_empty() && deficit(&balance, v.tenant) >= 1.0 - EPS)
+        let bview = min_score_view(views, |v| {
+            (v.eligible && !v.pending.is_empty() && -balance(v.tenant) >= 1.0 - EPS)
                 .then(|| share_of(&tenants, v.tenant))
-        }) else {
-            return Vec::new();
-        };
-        let beneficiary = bview.job;
-        let need = (deficit(&balance, bview.tenant) + EPS)
-            .floor()
-            .min(bview.pending.len() as f64)
-            .min(1.0) as usize;
-        let mut victims = Vec::new();
-        for (_elapsed, mut cand) in
-            reclaim_candidates(views, node, now, self.budget.tuning.min_attempt_age)
-        {
-            if victims.len() >= need {
-                break;
-            }
-            let Some(vt) = views.iter().find(|v| v.job == cand.job).map(|v| v.tenant) else {
-                continue;
-            };
-            if vt == bview.tenant {
-                continue;
-            }
-            let Some(entry) = balance.iter_mut().find(|(t, _)| *t == vt) else {
-                continue;
-            };
-            if entry.1 < 1.0 - EPS || !self.budget.allows(cand.job, cand.task, now) {
-                continue;
-            }
-            entry.1 -= 1.0;
-            self.budget.note_kill(cand.job, cand.task, now);
-            cand.beneficiary = beneficiary;
-            victims.push(cand);
-        }
-        victims
+        })?;
+        self.budget
+            .take_victim(views, node, now, bview.job, |v, _| {
+                v.tenant != bview.tenant && balance(v.tenant) >= 1.0 - EPS
+            })
     }
 }

@@ -1,11 +1,8 @@
 //! Plain FIFO dispatch (the ablation baseline).
 
-use accelmr_des::SimTime;
 use accelmr_net::NodeId;
 
-use crate::config::TaskId;
-
-use super::{default_straggler, SchedView, Scheduler};
+use super::{SchedView, Scheduler};
 
 /// Dispatches strictly in queue order, ignoring placement.
 ///
@@ -28,19 +25,6 @@ impl Scheduler for Fifo {
     }
 
     fn pick_task(&mut self, view: &SchedView<'_>, _node: NodeId) -> Option<usize> {
-        if view.pending.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
-    }
-
-    fn pick_straggler(
-        &mut self,
-        view: &SchedView<'_>,
-        node: NodeId,
-        now: SimTime,
-    ) -> Option<TaskId> {
-        default_straggler(view, node, now, |_| true)
+        (!view.pending.is_empty()).then_some(0)
     }
 }

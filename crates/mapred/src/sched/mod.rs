@@ -3,11 +3,13 @@
 //! Scheduling used to be a two-arm `match` inlined in the JobTracker;
 //! this module extracts it behind the [`Scheduler`] trait so policies are
 //! first-class and extensible. The JobTracker *feeds* the scheduler
-//! observations — heartbeats, completions (with durations and work
-//! sizes), node joins and deaths — and *asks* it for decisions: split
-//! planning ([`Scheduler::plan_splits`]), dispatch ([`Scheduler::pick_task`]),
-//! speculative-copy placement ([`Scheduler::pick_straggler`]) and
-//! preemptive slot reclamation ([`Scheduler::reclaim`]). Policies
+//! observations — completions (with durations and work sizes), node joins
+//! and deaths — and *asks* it for decisions: job choice
+//! ([`Scheduler::pick_job`]), split planning ([`Scheduler::plan_splits`]),
+//! dispatch ([`Scheduler::pick_task`]), speculative-copy placement
+//! ([`Scheduler::pick_straggler`]) and preemptive slot reclamation
+//! ([`Scheduler::reclaim`]). Every decision has a default — Hadoop's rule
+//! — so a policy implements only what it decides differently. Policies
 //! never mutate runtime state and never emit simulation events, so swapping
 //! a policy cannot perturb anything but the decisions themselves — the
 //! property the trace-equivalence tests pin down for the ported
@@ -17,12 +19,16 @@
 //!
 //! * [`Fifo`] — dispatch in submission order, placement-blind (the
 //!   ablation baseline);
-//! * [`LocalityFirst`] — prefer tasks with an input replica on the
-//!   requesting node (Hadoop's default, as the paper ran it);
+//! * [`LocalityFirst`] — every default: prefer tasks with an input replica
+//!   on the requesting node (Hadoop's default, as the paper ran it);
 //! * [`AdaptiveHetero`] — heterogeneity-aware dispatch for mixed
 //!   accelerated/plain clusters (the paper's §V open issue): per-node,
 //!   per-kernel throughput learned online, demand-weighted splits, and a
-//!   tail guard keeping the last tasks off slow nodes.
+//!   tail guard keeping the last tasks off slow nodes;
+//! * [`FairShare`] — weighted max-min fair sharing of slots across
+//!   tenants (job-level), reclaiming slots for a tenant below its share;
+//! * [`DeadlineSlack`] — earliest-slack-first for deadline jobs,
+//!   fair-share for the rest, reclaiming slots for a job about to miss.
 
 mod adaptive;
 mod deadline;
@@ -120,8 +126,6 @@ pub struct SchedView<'a> {
     pub weight: f64,
     /// The job's completion deadline, if any.
     pub deadline: Option<SimTime>,
-    /// When the job was submitted (job-level FIFO / aging decisions).
-    pub submitted: SimTime,
     /// Whether this job may take another dispatch this heartbeat. In
     /// [`Scheduler::pick_job`] slices, ineligible views are present for
     /// cross-job accounting (tenant running-slot shares) only — policies
@@ -176,13 +180,8 @@ pub(crate) fn view_counts(tasks: &dyn TaskLookup) -> (usize, usize) {
 /// tasks?
 #[derive(Debug)]
 pub struct SplitRequest<'a> {
-    /// The job being planned.
-    pub job: JobId,
     /// The job's map-kernel name.
     pub kernel: &'a str,
-    /// Total work to split: whole records (file inputs) or units
-    /// (synthetic inputs).
-    pub total: u64,
     /// The user's explicit task count, if any (`JobBuilder::map_tasks`).
     pub requested_tasks: Option<usize>,
     /// Default task count: one per live map slot (the paper's
@@ -262,10 +261,6 @@ impl SplitPlan {
 /// scheduler.
 #[derive(Debug)]
 pub struct TaskCompletion<'a> {
-    /// Owning job.
-    pub job: JobId,
-    /// The task.
-    pub task: TaskId,
     /// Node the winning attempt ran on.
     pub node: NodeId,
     /// The job's map-kernel name.
@@ -314,6 +309,8 @@ pub struct ReclaimVictim {
 /// Wasted-work bookkeeping backing [`Scheduler::reclaim`] implementations:
 /// enforces the [`PreemptionTuning`] budget (per-job kill cap, minimum
 /// victim age, per-task re-kill cooldown) across the scheduler's lifetime.
+/// A zero kill cap refuses every kill, so a disabled budget needs no check
+/// of its own (and the JobTracker does not ask then).
 #[derive(Debug)]
 pub(crate) struct PreemptionBudget {
     /// The configured budget knobs.
@@ -333,13 +330,9 @@ impl PreemptionBudget {
         }
     }
 
-    /// Whether the budget permits killing an attempt of `(job, task)` now.
-    /// Age screening is [`reclaim_candidates`]' job; this checks the kill
-    /// cap and the per-task cooldown.
-    pub(crate) fn allows(&self, job: JobId, task: TaskId, now: SimTime) -> bool {
-        if !self.tuning.enabled() {
-            return false;
-        }
+    /// Whether the budget permits killing an attempt of `(job, task)` now:
+    /// the kill cap and the per-task cooldown.
+    fn allows(&self, job: JobId, task: TaskId, now: SimTime) -> bool {
         if self.kills_by_job.get(&job.0).copied().unwrap_or(0) >= self.tuning.max_kills_per_job {
             return false;
         }
@@ -349,86 +342,87 @@ impl PreemptionBudget {
         }
     }
 
-    /// Records a granted kill against the budget.
-    pub(crate) fn note_kill(&mut self, job: JobId, task: TaskId, now: SimTime) {
-        *self.kills_by_job.entry(job.0).or_insert(0) += 1;
-        self.last_kill.insert((job.0, task.0), now);
-    }
-}
-
-/// Preemptible attempts on `node`, youngest-first, each paired with how
-/// long it has been running — the shared victim ordering ([`FairShare`]
-/// and [`DeadlineSlack`] differ only in *which jobs* may be raided, not in
-/// how victims are ranked within them; the elapsed time lets a policy with
-/// a duration model additionally skip nearly-finished victims).
-///
-/// A task qualifies only when it is an incomplete **map** with exactly one
-/// running attempt, that attempt runs on `node`, and it has been running
-/// at least `min_age`. Reduces are never preempted (their fetch state is
-/// not idempotently requeueable the way map attempts are), and killing one
-/// copy of a speculative pair frees a slot without freeing any task to
-/// requeue — the surviving copy still owns the task. Youngest-first
-/// (latest `started` wins, ties to the lowest `(job, task)`) minimizes the
-/// discarded work per reclaimed slot.
-pub(crate) fn reclaim_candidates(
-    views: &[SchedView<'_>],
-    node: NodeId,
-    now: SimTime,
-    min_age: SimDuration,
-) -> Vec<(SimDuration, ReclaimVictim)> {
-    let mut out: Vec<(SimTime, ReclaimVictim)> = Vec::new();
-    for v in views {
-        for i in 0..v.tasks.len() {
-            let t = v.tasks.get(i);
-            if t.is_reduce || t.completed || t.running.len() != 1 {
-                continue;
-            }
-            let (attempt, run_node, started) = t.running[0];
-            if run_node != node || now.since(started) < min_age {
-                continue;
-            }
-            out.push((
-                started,
-                ReclaimVictim {
+    /// The one victim a reclaim ask grants on `node`, for `beneficiary`:
+    /// the youngest preemptible attempt that the budget allows and
+    /// `raidable(view, elapsed)` accepts — `view` being the attempt's job,
+    /// `elapsed` how long it has run — charged to the budget. [`FairShare`]
+    /// and [`DeadlineSlack`] differ only in `raidable` (*which jobs* may be
+    /// raided), not in how victims rank; the elapsed time lets a policy
+    /// with a duration model also skip nearly-finished victims.
+    ///
+    /// A task is preemptible only when it is an incomplete **map** with
+    /// exactly one running attempt, that attempt runs on `node`, and it has
+    /// been running at least `min_attempt_age`. Reduces are never preempted
+    /// (their fetch state is not idempotently requeueable the way map
+    /// attempts are), and killing one copy of a speculative pair frees a
+    /// slot without freeing any task to requeue — the surviving copy still
+    /// owns the task. Youngest-first (latest `started` wins, ties to the
+    /// lowest `(job, task)`) minimizes the discarded work per reclaimed
+    /// slot.
+    pub(crate) fn take_victim(
+        &mut self,
+        views: &[SchedView<'_>],
+        node: NodeId,
+        now: SimTime,
+        beneficiary: JobId,
+        raidable: impl Fn(&SchedView<'_>, SimDuration) -> bool,
+    ) -> Option<ReclaimVictim> {
+        let mut candidates: Vec<(SimTime, &SchedView<'_>, ReclaimVictim)> = Vec::new();
+        for v in views {
+            for i in 0..v.tasks.len() {
+                let t = v.tasks.get(i);
+                if t.is_reduce || t.completed || t.running.len() != 1 {
+                    continue;
+                }
+                let (attempt, run_node, started) = t.running[0];
+                if run_node != node || now.since(started) < self.tuning.min_attempt_age {
+                    continue;
+                }
+                let victim = ReclaimVictim {
                     job: v.job,
                     task: TaskId(i as u32),
                     attempt,
-                    // Placeholder; the policy stamps the real beneficiary.
-                    beneficiary: v.job,
-                },
-            ));
+                    beneficiary,
+                };
+                candidates.push((started, v, victim));
+            }
         }
+        candidates.sort_by(|a, b| {
+            b.0.cmp(&a.0)
+                .then(a.2.job.cmp(&b.2.job))
+                .then(a.2.task.cmp(&b.2.task))
+        });
+        let (_, _, victim) = candidates.into_iter().find(|(started, view, v)| {
+            raidable(view, now.since(*started)) && self.allows(v.job, v.task, now)
+        })?;
+        *self.kills_by_job.entry(victim.job.0).or_insert(0) += 1;
+        self.last_kill.insert((victim.job.0, victim.task.0), now);
+        Some(victim)
     }
-    out.sort_by(|a, b| {
-        b.0.cmp(&a.0)
-            .then(a.1.job.cmp(&b.1.job))
-            .then(a.1.task.cmp(&b.1.task))
-    });
-    out.into_iter()
-        .map(|(started, v)| (now.since(started), v))
-        .collect()
 }
 
 /// A task-scheduling policy. The JobTracker feeds it observations and asks
 /// it for decisions; implementations are pure decision-makers — they hold
-/// whatever learning state they like but never touch runtime state.
+/// whatever learning state they like but never touch runtime state. Every
+/// decision defaults to Hadoop's rule, so a policy states only what it
+/// decides differently.
 pub trait Scheduler: Send {
     /// Policy name (results, traces, benches).
     fn name(&self) -> &'static str;
 
-    /// Picks the job whose task should take the next free slot on `node` —
-    /// the *job-level* half of the two-level (job → task) dispatch
-    /// decision. `views` covers every active job; entries with
-    /// [`SchedView::eligible`] `false` are present for cross-job
-    /// accounting only and must not be returned. `None` leaves the slot
-    /// empty this heartbeat.
+    /// Picks the job whose task should take the next free slot on `node`
+    /// at `now` (a heartbeat instant) — the *job-level* half of the
+    /// two-level (job → task) dispatch decision. `views` covers every
+    /// active job; entries with [`SchedView::eligible`] `false` are present
+    /// for cross-job accounting only and must not be returned. `None`
+    /// leaves the slot empty this heartbeat.
     ///
     /// The default picks the lowest eligible job id — exactly Hadoop's
     /// FIFO job order, proven event-for-event equivalent to the
     /// pre-`pick_job` dispatch loop by the golden multi-job traces
     /// (`job_level_dispatch_is_trace_equivalent`).
-    fn pick_job(&mut self, views: &[SchedView<'_>], node: NodeId) -> Option<JobId> {
-        let _ = node;
+    fn pick_job(&mut self, views: &[SchedView<'_>], node: NodeId, now: SimTime) -> Option<JobId> {
+        let _ = (node, now);
         views.iter().filter(|v| v.eligible).map(|v| v.job).min()
     }
 
@@ -445,25 +439,46 @@ pub trait Scheduler: Send {
     /// on `node`, or `None` to leave the node's slot empty this heartbeat
     /// (admission control: an adaptive policy may hold the queue tail back
     /// from slow nodes).
-    fn pick_task(&mut self, view: &SchedView<'_>, node: NodeId) -> Option<usize>;
+    ///
+    /// The default is Hadoop's locality pick ("it tries to minimize the
+    /// number of remote blocks accesses"): the oldest pending task with an
+    /// input replica on `node`, falling back to the queue front.
+    fn pick_task(&mut self, view: &SchedView<'_>, node: NodeId) -> Option<usize> {
+        if view.pending.is_empty() {
+            return None;
+        }
+        Some(
+            view.pending
+                .iter()
+                .position(|t| view.tasks.get(t.0 as usize).hints.contains(&node))
+                .unwrap_or(0),
+        )
+    }
 
     /// Picks a running task to speculatively duplicate on `node` (the
     /// JobTracker only asks when speculation is enabled and the node has
-    /// free slots after regular dispatch).
+    /// free slots after regular dispatch). The default is the historical
+    /// straggler rule: the worst single-attempt task running past 1.5× the
+    /// mean completed-attempt time, not already on `node`.
     fn pick_straggler(
         &mut self,
         view: &SchedView<'_>,
         node: NodeId,
         now: SimTime,
-    ) -> Option<TaskId>;
+    ) -> Option<TaskId> {
+        default_straggler(view, node, now, |_| true)
+    }
 
-    /// Names running attempts on `node` to kill and requeue so their slots
+    /// Names a running attempt on `node` to kill and requeue so its slot
     /// can be re-dispatched — asked only when preemption is enabled
     /// ([`PreemptionTuning::enabled`]) and `node` reported zero free slots
-    /// after regular dispatch. Victims must be incomplete sole-attempt map
-    /// tasks running on `node` (see [`ReclaimVictim`]); the JobTracker
-    /// kills each, fences the attempt, requeues the task, and bills the
-    /// discarded slot-seconds to the named beneficiary.
+    /// after regular dispatch. The victim must be an incomplete
+    /// sole-attempt map task running on `node` (see [`ReclaimVictim`]);
+    /// the JobTracker kills it, fences the attempt, requeues the task, and
+    /// bills the discarded slot-seconds to the named beneficiary. At most
+    /// one victim per ask (one per node per heartbeat): natural completions
+    /// usually cover the rest, so reclaim paces itself instead of
+    /// pre-purchasing every missing slot with discarded runtime.
     ///
     /// The default reclaims nothing, so non-preemptive policies are
     /// byte-identical to the pre-hook runtime (pinned by the golden
@@ -473,20 +488,15 @@ pub trait Scheduler: Send {
         views: &[SchedView<'_>],
         node: NodeId,
         now: SimTime,
-    ) -> Vec<ReclaimVictim> {
+    ) -> Option<ReclaimVictim> {
         let _ = (views, node, now);
-        Vec::new()
+        None
     }
 
     /// A task completed successfully (first winner only; speculative
     /// losers and zombies are not reported).
     fn on_task_completed(&mut self, completion: &TaskCompletion<'_>) {
         let _ = completion;
-    }
-
-    /// A TaskTracker heartbeat arrived.
-    fn on_heartbeat(&mut self, node: NodeId, free_slots: usize, now: SimTime) {
-        let _ = (node, free_slots, now);
     }
 
     /// A TaskTracker was declared dead (heartbeat silence).
@@ -520,22 +530,6 @@ pub fn build_scheduler(policy: SchedulerPolicy, cfg: &MrConfig) -> Box<dyn Sched
         SchedulerPolicy::FairShare => Box::new(FairShare::new(cfg)),
         SchedulerPolicy::DeadlineSlack => Box::new(DeadlineSlack::new(cfg)),
     }
-}
-
-/// The historical locality-preferring task pick, shared by
-/// [`LocalityFirst`] and the job-level policies ([`FairShare`],
-/// [`DeadlineSlack`]): the oldest pending task with an input replica on
-/// the requesting node, falling back to the queue front.
-pub(crate) fn locality_pick(view: &SchedView<'_>, node: NodeId) -> Option<usize> {
-    if view.pending.is_empty() {
-        return None;
-    }
-    Some(
-        view.pending
-            .iter()
-            .position(|t| view.tasks.get(t.0 as usize).hints.contains(&node))
-            .unwrap_or(0),
-    )
 }
 
 /// The job-level argmin shared by [`FairShare`] and [`DeadlineSlack`]: the

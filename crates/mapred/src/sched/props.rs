@@ -99,7 +99,6 @@ impl MiniCluster {
                     tenant: &self.tenant_names[job.tenant],
                     weight: job.weight,
                     deadline: job.deadline,
-                    submitted: SimTime::ZERO,
                     eligible: !pending.is_empty(),
                     cluster_slots: 8,
                     pending,
@@ -111,7 +110,7 @@ impl MiniCluster {
                 }
             })
             .collect();
-        let pick = sched.pick_job(&views, node);
+        let pick = sched.pick_job(&views, node, SimTime::ZERO);
         let any_eligible = views.iter().any(|v| v.eligible);
         match pick {
             None => {
@@ -147,7 +146,7 @@ impl MiniCluster {
         sched: &mut dyn Scheduler,
         node: NodeId,
         now: SimTime,
-    ) -> Vec<super::ReclaimVictim> {
+    ) -> Option<super::ReclaimVictim> {
         let pendings: Vec<Vec<TaskId>> = (0..self.jobs.len()).map(|j| self.pending(j)).collect();
         let task_views: Vec<Vec<TaskView<'_>>> = self
             .tasks
@@ -178,7 +177,6 @@ impl MiniCluster {
                     tenant: &self.tenant_names[job.tenant],
                     weight: job.weight,
                     deadline: job.deadline,
-                    submitted: SimTime::ZERO,
                     eligible: !pending.is_empty(),
                     cluster_slots: 8,
                     pending,
@@ -459,10 +457,7 @@ fn deadline_slack_orders_by_urgency() {
     // Learned durations + unequal remaining work flip the order: give job
     // 1 a deep backlog so its projected finish overruns t=300s while job
     // 2 (4 tasks, 8 slots, one wave) keeps plenty of slack before t=100s.
-    sched.on_heartbeat(NodeId(1), 2, SimTime::ZERO);
     sched.on_task_completed(&super::TaskCompletion {
-        job: JobId(9),
-        task: TaskId(0),
         node: NodeId(1),
         kernel: "k",
         is_reduce: false,
@@ -604,11 +599,11 @@ fn reclaim_respects_budget_and_victim_rules() {
                 }
                 let node = NodeId(rng.range_inclusive(1, 3) as u32);
                 assert!(
-                    c.reclaim(zero_sched.as_mut(), node, now).is_empty(),
+                    c.reclaim(zero_sched.as_mut(), node, now).is_none(),
                     "case {case}: zero-budget {} reclaimed",
                     zero_sched.name()
                 );
-                for v in c.reclaim(sched.as_mut(), node, now) {
+                if let Some(v) = c.reclaim(sched.as_mut(), node, now) {
                     total_kills += 1;
                     let j = c
                         .jobs

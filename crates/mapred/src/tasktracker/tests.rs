@@ -355,7 +355,7 @@ fn io_table_agrees_with_live_attempts_under_random_interleavings() {
                     let output = if rng.next_below(2) == 0 {
                         dfs_sink()
                     } else {
-                        OutputSink::Digest
+                        OutputSink::Discard
                     };
                     let work = match rng.next_below(3) {
                         0 => TaskWork::MapUnits {
@@ -434,8 +434,8 @@ fn watchdog_of_a_killed_attempts_read_counts_no_retry() {
         record_bytes: MB,
         blocks: w.view.blocks.clone(),
     };
-    w.assign(1, work, OutputSink::Digest);
-    // A digest-output map's first table entry is its segment read.
+    w.assign(1, work, OutputSink::Discard);
+    // A map without write-back: its first table entry is its segment read.
     w.step_until("segment read issued", |tt| !tt.node.io.is_empty());
     w.kill(1);
     let past_watchdog = w.sim.now() + timeout;

@@ -295,7 +295,6 @@ fn speculation_is_charged_to_tenant_share() {
             tenant,
             weight: 1.0,
             deadline: None,
-            submitted: SimTime::ZERO,
             eligible: true,
             cluster_slots: 8,
             pending: &[],
@@ -314,7 +313,7 @@ fn speculation_is_charged_to_tenant_share() {
     let mut sched = FairShare::new(&MrConfig::default());
     // The dispatch loop always snapshots shares via pick_job before any
     // straggler offer; `poor` (share 1) wins over `rich` (share 4).
-    assert_eq!(sched.pick_job(&views, asker), Some(JobId(1)));
+    assert_eq!(sched.pick_job(&views, asker, now), Some(JobId(1)));
     // `rich` is above the minimum share: no speculative copy.
     assert_eq!(sched.pick_straggler(&views[0], asker, now), None);
     // `poor` is at the minimum share: the straggler is granted.
