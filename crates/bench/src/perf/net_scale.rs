@@ -94,20 +94,27 @@ impl Actor for ShuffleDriver {
     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
         match ev {
             Event::Start => self.start_wave(ctx),
-            Event::Msg { msg, .. } if msg.peek::<FlowDone>().is_some() => {
-                self.inflight -= 1;
-                self.completed += 1;
-                if self.inflight == 0 {
-                    if self.wave < self.waves {
-                        self.start_wave(ctx);
-                    } else {
-                        ctx.stop();
+            Event::Timer { .. } => unreachable!("the shuffle driver arms no timer"),
+            Event::Msg { msg } => match Inbox::decode(msg) {
+                Inbox::FlowDone(_done) => {
+                    self.inflight -= 1;
+                    self.completed += 1;
+                    if self.inflight == 0 {
+                        if self.wave < self.waves {
+                            self.start_wave(ctx);
+                        } else {
+                            ctx.stop();
+                        }
                     }
                 }
-            }
-            _ => {}
+            },
         }
     }
+}
+
+accelmr_des::inbox! {
+    /// Both drivers start flows that no node departure aborts.
+    enum Inbox { FlowDone }
 }
 
 /// Sender pool of the incast scenario (the receiver is node 0).
@@ -139,13 +146,15 @@ impl Actor for IncastDriver {
                         .start_flow(ctx, NodeId(s), NodeId(0), 1 << 20, None, i);
                 }
             }
-            Event::Msg { msg, .. } if msg.peek::<FlowDone>().is_some() => {
-                self.completed += 1;
-                if self.completed == self.flows {
-                    ctx.stop();
+            Event::Timer { .. } => unreachable!("the incast driver arms no timer"),
+            Event::Msg { msg } => match Inbox::decode(msg) {
+                Inbox::FlowDone(_done) => {
+                    self.completed += 1;
+                    if self.completed == self.flows {
+                        ctx.stop();
+                    }
                 }
-            }
-            _ => {}
+            },
         }
     }
 }

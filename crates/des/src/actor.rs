@@ -50,8 +50,9 @@ pub struct TimerHandle(pub(crate) u64);
 /// A type-erased message payload.
 ///
 /// Blanket-implemented for every `'static + Debug + Send` type, so protocol
-/// crates simply define plain structs/enums and send them; receivers
-/// downcast with `downcast`, `peek` and `is` on `dyn Msg`.
+/// crates simply define plain structs/enums and send them. A receiver
+/// declares the types it accepts with [`inbox!`](crate::inbox) and decodes
+/// each arriving box once, into its inbox enum.
 pub trait Msg: Any + fmt::Debug + Send {
     /// Short label used in traces (the type name by default).
     fn label(&self) -> &'static str;
@@ -63,13 +64,13 @@ impl<T: Any + fmt::Debug + Send> Msg for T {
     }
 }
 
-// Each method upcasts the payload itself (`self` is the `dyn Msg`, not
-// its box), so the `dyn Any` it asks has the payload's type.
+// Each method upcasts the payload itself (the `dyn Msg`, not its box),
+// so the `dyn Any` it asks has the payload's type.
 impl dyn Msg {
     /// Attempts to take the payload as a concrete `T`, returning the box
     /// unchanged on type mismatch so the caller can try another type.
     pub fn downcast<T: Any>(self: Box<Self>) -> Result<Box<T>, Box<dyn Msg>> {
-        if self.is::<T>() {
+        if (&*self as &dyn Any).is::<T>() {
             Ok((self as Box<dyn Any>)
                 .downcast::<T>()
                 .expect("checked by is::<T>"))
@@ -82,11 +83,64 @@ impl dyn Msg {
     pub fn peek<T: Any>(&self) -> Option<&T> {
         (self as &dyn Any).downcast_ref::<T>()
     }
+}
 
-    /// `true` when the payload is a `T`.
-    pub fn is<T: Any>(&self) -> bool {
-        (self as &dyn Any).is::<T>()
-    }
+/// Declares an actor's inbox: an enum with one `Box<T>` variant per
+/// payload type the actor can receive, named after the type, and
+/// `decode`, which turns an arriving `Box<dyn Msg>` into it.
+///
+/// `decode` tries the types in declaration order (each miss costs one type
+/// check, so list the busiest first) and moves the sent allocation into
+/// the variant: nothing is copied or boxed again. A payload of a type the
+/// inbox does not declare panics with the inbox's name and the payload's
+/// [`Msg::label`]: a message no arm handles is a wiring fault, never
+/// something to drop. A handler is then one `decode` and an exhaustive
+/// `match`, as in the crate-level example. An inbox may be empty, for an
+/// actor that receives no messages at all.
+///
+/// ```text
+/// accelmr_des::inbox! {
+///     enum Inbox { Ping, Shutdown }
+/// }
+/// ```
+#[macro_export]
+macro_rules! inbox {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident {}) => {
+        $(#[$meta])*
+        $vis enum $name {}
+
+        impl $name {
+            /// Panics: the inbox declares no type. It returns `!`, not the
+            /// empty enum, because rustc flags the code after a call that
+            /// returns an uninhabited type as unreachable.
+            $vis fn decode(msg: ::std::boxed::Box<dyn $crate::Msg>) -> ! {
+                panic!("{} cannot receive {}", stringify!($name), msg.as_ref().label())
+            }
+        }
+    };
+    ($(#[$meta:meta])* $vis:vis enum $name:ident { $($ty:ident),+ $(,)? }) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($ty(::std::boxed::Box<$ty>),)*
+        }
+
+        impl $name {
+            /// Takes `msg` as the first declared type it is.
+            ///
+            /// # Panics
+            ///
+            /// On a payload of a type the inbox does not declare.
+            $vis fn decode(msg: ::std::boxed::Box<dyn $crate::Msg>) -> Self {
+                $(
+                    let msg = match msg.downcast::<$ty>() {
+                        Ok(payload) => return $name::$ty(payload),
+                        Err(other) => other,
+                    };
+                )*
+                panic!("{} cannot receive {}", stringify!($name), msg.as_ref().label())
+            }
+        }
+    };
 }
 
 /// An occurrence delivered to an actor.
@@ -148,11 +202,14 @@ mod tests {
     #[derive(Debug)]
     struct Pong;
 
+    /// Declared by no inbox below.
+    #[derive(Debug)]
+    struct Stray;
+
     #[test]
     fn downcast_by_value_and_reference() {
         let boxed: Box<dyn Msg> = Box::new(Ping(7));
-        assert!(boxed.is::<Ping>());
-        assert!(!boxed.is::<Pong>());
+        assert!(boxed.peek::<Pong>().is_none());
         assert_eq!(boxed.peek::<Ping>().unwrap().0, 7);
         let back = boxed.downcast::<Ping>().unwrap();
         assert_eq!(back.0, 7);
@@ -172,6 +229,42 @@ mod tests {
         let ev = Event::Msg { msg: boxed };
         assert!(ev.label().ends_with("Pong"));
         assert_eq!(Event::Start.label(), "Start");
+    }
+
+    crate::inbox! {
+        enum Inbox { Ping, Pong }
+    }
+
+    crate::inbox! {
+        enum Empty {}
+    }
+
+    #[test]
+    fn inbox_decodes_each_type_to_its_variant() {
+        assert!(matches!(Inbox::decode(Box::new(Ping(5))), Inbox::Ping(p) if p.0 == 5));
+        assert!(matches!(Inbox::decode(Box::new(Pong)), Inbox::Pong(_)));
+    }
+
+    #[test]
+    fn inbox_keeps_the_sent_allocation() {
+        let sent = Box::new(Ping(9));
+        let at: *const Ping = &*sent;
+        match Inbox::decode(sent) {
+            Inbox::Ping(p) => assert!(core::ptr::eq(&*p, at)),
+            Inbox::Pong(_pong) => panic!("decoded a Ping as a Pong"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Inbox cannot receive accelmr_des::actor::tests::Stray")]
+    fn inbox_panics_on_an_undeclared_type() {
+        let _ = Inbox::decode(Box::new(Stray));
+    }
+
+    #[test]
+    #[should_panic(expected = "Empty cannot receive accelmr_des::actor::tests::Ping")]
+    fn an_empty_inbox_receives_nothing() {
+        Empty::decode(Box::new(Ping(1)));
     }
 
     #[test]

@@ -20,16 +20,35 @@
 //!
 //! ## Example
 //!
+//! An actor declares what it can receive with [`inbox!`], decodes each
+//! message once and matches every event exhaustively:
+//!
 //! ```
 //! use accelmr_des::prelude::*;
+//!
+//! #[derive(Debug)]
+//! struct Hello(&'static str);
+//!
+//! accelmr_des::inbox! {
+//!     enum Inbox { Hello }
+//! }
 //!
 //! struct Greeter;
 //! impl Actor for Greeter {
 //!     fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
 //!         match ev {
 //!             Event::Start => { ctx.after(SimDuration::from_secs(1), 0); }
-//!             Event::Timer { .. } => { ctx.stats().incr("greeted"); ctx.stop(); }
-//!             _ => {}
+//!             Event::Timer { .. } => {
+//!                 let me = ctx.self_id();
+//!                 ctx.send(me, Hello("world"));
+//!             }
+//!             Event::Msg { msg } => match Inbox::decode(msg) {
+//!                 Inbox::Hello(hello) => {
+//!                     assert_eq!(hello.0, "world");
+//!                     ctx.stats().incr("greeted");
+//!                     ctx.stop();
+//!                 }
+//!             },
 //!         }
 //!     }
 //! }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
-use accelmr_net::{NetHandle, NodeId};
+use accelmr_net::{FlowAborted, NetHandle, NodeId};
 
 use crate::cluster::WireDataNode;
 use crate::config::{BlockId, HEARTBEAT_INTERVAL};
@@ -132,10 +132,7 @@ impl Actor for DataNode {
                     SimDuration::from_nanos(ctx.rng().next_below(HEARTBEAT_INTERVAL.as_nanos()));
                 ctx.after(jitter, TIMER_HEARTBEAT);
             }
-            Event::Timer {
-                tag: TIMER_HEARTBEAT,
-                ..
-            } => {
+            Event::Timer { .. } => {
                 let hb = DnHeartbeat { node: self.node };
                 let (net, node, head, nn) = (self.net, self.node, self.head_node, self.namenode);
                 net.unicast(ctx, node, head, nn, 128, hb);
@@ -143,13 +140,13 @@ impl Actor for DataNode {
                 // for the actor's whole lifetime.
                 ctx.rearm_after(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
             }
-            Event::Timer { .. } => {}
-            Event::Msg { msg, .. } => {
-                if let Some(peer) = msg.peek::<AddPeer>() {
+            Event::Msg { msg } => match Inbox::decode(msg) {
+                Inbox::AddPeer(peer) => {
                     // A node joined: learn its DataNode so write and
                     // re-replication pipelines can forward through it.
                     Arc::make_mut(&mut self.peers).insert(peer.node, peer.actor);
-                } else if let Some(req) = msg.peek::<ReplicateBlock>() {
+                }
+                Inbox::ReplicateBlock(req) => {
                     let (net, node, peers) = (self.net, self.node, &self.peers);
                     let sent = self.blocks.get(&req.block).is_some_and(|&content| {
                         send_next_hop(
@@ -174,9 +171,11 @@ impl Actor for DataNode {
                         };
                         net.unicast(ctx, node, req.ack_node, req.ack_to, 64, failed);
                     }
-                } else if let Some(add) = msg.peek::<AddBlockMeta>() {
+                }
+                Inbox::AddBlockMeta(add) => {
                     self.blocks.insert(add.block, add.content);
-                } else if let Some(req) = msg.peek::<ReadRange>() {
+                }
+                Inbox::ReadRange(req) => {
                     let Some(&content) = self.blocks.get(&req.block) else {
                         let (net, node) = (self.net, self.node);
                         net.unicast(
@@ -217,16 +216,18 @@ impl Actor for DataNode {
                         req.tag,
                         payload,
                     );
-                } else if msg.is::<WriteBlock>() {
+                }
+                Inbox::WriteBlock(req) => {
                     // Stream the bytes in from the previous pipeline stage,
                     // then commit and forward.
-                    let req = *msg.downcast::<WriteBlock>().expect("checked");
+                    let req = *req;
                     let (from, len, tag) = (req.from_node, req.content.len, req.tag);
                     let me = ctx.self_id();
                     let (net, node) = (self.net, self.node);
                     net.start_flow_with(ctx, from, node, len, None, me, tag, WriteLanded(req));
-                } else if msg.is::<WriteLanded>() {
-                    let WriteLanded(w) = *msg.downcast::<WriteLanded>().expect("checked");
+                }
+                Inbox::WriteLanded(landed) => {
+                    let WriteLanded(w) = *landed;
                     self.blocks.insert(w.block, w.content);
                     ctx.stats().add("dfs.bytes_written", w.content.len);
                     let (net, node, peers) = (self.net, self.node, &self.peers);
@@ -249,15 +250,25 @@ impl Actor for DataNode {
                             (w.ack_to, w.ack_node, w.tag),
                         );
                     }
-                } else if msg.is::<Shutdown>() {
+                }
+                Inbox::Shutdown(_shutdown) => {
                     ctx.stats().incr("dfs.datanodes_shutdown");
                     let me = ctx.self_id();
                     ctx.kill(me);
-                } else if let Some(w) = msg.peek::<WireDataNode>() {
-                    self.rewire(w.namenode, Arc::clone(&w.peers));
                 }
-            }
+                Inbox::WireDataNode(w) => self.rewire(w.namenode, w.peers),
+                // The source of an inbound pipeline write left mid-stream:
+                // the block never lands and the write stalls unacknowledged.
+                Inbox::FlowAborted(_aborted) => {}
+            },
         }
+    }
+}
+
+accelmr_des::inbox! {
+    enum Inbox {
+        AddPeer, ReplicateBlock, AddBlockMeta, ReadRange, WriteBlock, WriteLanded, Shutdown,
+        WireDataNode, FlowAborted,
     }
 }
 

@@ -367,10 +367,7 @@ impl Actor for NameNode {
                 }
                 ctx.after(HEARTBEAT_INTERVAL, TIMER_LIVENESS);
             }
-            Event::Timer {
-                tag: TIMER_LIVENESS,
-                ..
-            } => {
+            Event::Timer { .. } => {
                 for node in self.liveness.sweep(ctx.now()) {
                     ctx.stats().incr("dfs.datanodes_declared_dead");
                     self.on_node_lost(node);
@@ -385,9 +382,8 @@ impl Actor for NameNode {
                 }
                 ctx.rearm_after(HEARTBEAT_INTERVAL, TIMER_LIVENESS);
             }
-            Event::Timer { .. } => {}
-            Event::Msg { msg, .. } => {
-                if let Some(req) = msg.peek::<PreloadFile>() {
+            Event::Msg { msg } => match Inbox::decode(msg) {
+                Inbox::PreloadFile(req) => {
                     let block_size = req.block_size.unwrap_or(BLOCK_SIZE);
                     assert!(block_size > 0, "preload of {}: block size 0", req.path);
                     let replication = req.replication.unwrap_or(REPLICATION);
@@ -412,13 +408,15 @@ impl Actor for NameNode {
                     ctx.stats().incr("dfs.files_preloaded");
                     let view = self.view_of(&req.path).expect("just inserted");
                     ctx.send_after(req.reply, PreloadDone { view }, NAMENODE_OP_TIME);
-                } else if let Some(req) = msg.peek::<GetLocations>() {
+                }
+                Inbox::GetLocations(req) => {
                     let view = self.view_of(&req.path);
                     ctx.stats().incr("dfs.get_locations");
                     let reply = LocationsReply { tag: req.tag, view };
                     let (net, my) = (self.net, self.my_node);
                     net.unicast(ctx, my, req.reply_node, req.reply, 256, reply);
-                } else if let Some(req) = msg.peek::<CreateFile>() {
+                }
+                Inbox::CreateFile(req) => {
                     let ok = !self.files.contains_key(&req.path);
                     if ok {
                         let replication = req.replication.unwrap_or(REPLICATION);
@@ -428,7 +426,8 @@ impl Actor for NameNode {
                     let ack = CreateAck { tag: req.tag, ok };
                     let (net, my) = (self.net, self.my_node);
                     net.unicast(ctx, my, req.reply_node, req.reply, 64, ack);
-                } else if let Some(req) = msg.peek::<AllocBlock>() {
+                }
+                Inbox::AllocBlock(req) => {
                     let (block, pipeline) =
                         self.register_block(&req.path, req.len, Some(req.writer_node));
                     ctx.stats().incr("dfs.blocks_allocated");
@@ -439,10 +438,12 @@ impl Actor for NameNode {
                     };
                     let (net, my) = (self.net, self.my_node);
                     net.unicast(ctx, my, req.reply_node, req.reply, 128, reply);
-                } else if let Some(hb) = msg.peek::<DnHeartbeat>() {
+                }
+                Inbox::DnHeartbeat(hb) => {
                     self.liveness.heard(hb.node, ctx.now());
                     ctx.stats().incr("dfs.heartbeats");
-                } else if let Some(add) = msg.peek::<AddDataNode>() {
+                }
+                Inbox::AddDataNode(add) => {
                     let (node, actor) = (add.node, add.actor);
                     match self.datanodes.binary_search_by_key(&node, |&(n, _)| n) {
                         Ok(i) => self.datanodes[i].1 = actor,
@@ -456,11 +457,12 @@ impl Actor for NameNode {
                     // The new capacity may unblock repairs that had nowhere
                     // to place a replica.
                     self.replication_scan(ctx);
-                } else if let Some(ack) = msg.peek::<WriteAck>() {
+                }
+                Inbox::WriteAck(ack) => {
                     // Final hop of a re-replication pipeline.
-                    let (block, tag) = (ack.block, ack.tag);
-                    self.replication_done(ctx, block, tag);
-                } else if let Some(fail) = msg.peek::<ReplicationFailed>() {
+                    self.replication_done(ctx, ack.block, ack.tag);
+                }
+                Inbox::ReplicationFailed(fail) => {
                     let block = fail.block;
                     if let Some(repair) = self.take_repair(block, fail.tag) {
                         ctx.stats().incr("dfs.replications_failed");
@@ -480,8 +482,15 @@ impl Actor for NameNode {
                         self.repair_pending = true;
                     }
                 }
-            }
+            },
         }
+    }
+}
+
+accelmr_des::inbox! {
+    enum Inbox {
+        PreloadFile, GetLocations, CreateFile, AllocBlock, DnHeartbeat, AddDataNode, WriteAck,
+        ReplicationFailed,
     }
 }
 

@@ -41,7 +41,7 @@ mod liveness;
 
 use accelmr_des::prelude::*;
 use accelmr_des::{FxHashMap, FxHashSet};
-use accelmr_dfs::msgs::{LocationsReply, PreloadDone};
+use accelmr_dfs::msgs::LocationsReply;
 use accelmr_dfs::{DfsHandle, BLOCK_SIZE};
 use accelmr_net::{Liveness, NetHandle, NodeId};
 
@@ -424,25 +424,19 @@ impl Actor for JobTracker {
                         self.finalize(ctx, job_id);
                     }
                     KIND_FINALIZE => self.complete(ctx, job_id),
-                    _ => {}
+                    _ => unreachable!("job timer of unknown kind {kind}"),
                 }
             }
-            Event::Msg { msg, .. } => {
-                if msg.is::<SubmitJob>() {
-                    let submit = msg.downcast::<SubmitJob>().expect("checked");
-                    self.handle_submit(ctx, *submit);
-                } else if msg.is::<LocationsReply>() {
-                    let reply = msg.downcast::<LocationsReply>().expect("checked");
-                    self.handle_locations(ctx, *reply);
-                } else if msg.is::<TtHeartbeat>() {
-                    let hb = msg.downcast::<TtHeartbeat>().expect("checked");
-                    self.handle_heartbeat(ctx, *hb);
-                } else if let Some(reg) = msg.peek::<RegisterTaskTracker>() {
-                    self.handle_register(ctx, *reg);
-                } else if msg.is::<PreloadDone>() {
-                    // Ignored: preloads are driven by clients.
-                }
-            }
+            Event::Msg { msg } => match Inbox::decode(msg) {
+                Inbox::SubmitJob(submit) => self.handle_submit(ctx, *submit),
+                Inbox::LocationsReply(reply) => self.handle_locations(ctx, *reply),
+                Inbox::TtHeartbeat(hb) => self.handle_heartbeat(ctx, *hb),
+                Inbox::RegisterTaskTracker(reg) => self.handle_register(ctx, *reg),
+            },
         }
     }
+}
+
+accelmr_des::inbox! {
+    enum Inbox { SubmitJob, LocationsReply, TtHeartbeat, RegisterTaskTracker }
 }

@@ -715,7 +715,7 @@ impl Actor for ScheduleDriver {
         match ev {
             Event::Start => self.timeline.start = ctx.now(),
             Event::Timer { .. } => {}
-            Event::Msg { .. } => return,
+            Event::Msg { msg } => ScheduleInbox::decode(msg),
         }
         while let Some(action) = self.timeline.pop_due(ctx) {
             self.apply(ctx, action);
@@ -781,20 +781,15 @@ impl Actor for JobDriver {
                     ctx.after(self.delay, SUBMIT_TIMER_TAG);
                 }
             }
-            Event::Timer {
-                tag: SUBMIT_TIMER_TAG,
-                ..
-            } => {
-                self.begin(ctx);
-            }
-            Event::Msg { msg, .. } => {
-                if msg.is::<PreloadDone>() {
+            Event::Timer { .. } => self.begin(ctx),
+            Event::Msg { msg } => match JobInbox::decode(msg) {
+                JobInbox::PreloadDone(_done) => {
                     self.preloads_left -= 1;
                     if self.preloads_left == 0 {
                         self.submit(ctx);
                     }
-                } else if msg.is::<JobComplete>() {
-                    let done = msg.downcast::<JobComplete>().expect("checked");
+                }
+                JobInbox::JobComplete(done) => {
                     *self.slot.lock().unwrap() = Some(done.result);
                     let mut left = self.outstanding.lock().unwrap();
                     *left -= 1;
@@ -802,8 +797,16 @@ impl Actor for JobDriver {
                         ctx.stop();
                     }
                 }
-            }
-            _ => {}
+            },
         }
     }
+}
+
+accelmr_des::inbox! {
+    /// The schedule driver runs on its own timers and receives nothing.
+    enum ScheduleInbox {}
+}
+
+accelmr_des::inbox! {
+    enum JobInbox { PreloadDone, JobComplete }
 }

@@ -404,17 +404,15 @@ impl Actor for TaskTracker {
                     });
                 }
             },
-            Event::Msg { msg, .. } => {
-                if msg.is::<AssignTask>() {
-                    let assign = msg.downcast::<AssignTask>().expect("checked");
-                    self.start_task(ctx, assign.descriptor);
-                } else if let Some(kill) = msg.peek::<KillTask>() {
-                    self.kill_attempt(kill.job, kill.task, kill.attempt);
-                } else if msg.is::<CrashTaskTracker>() {
+            Event::Msg { msg } => match Inbox::decode(msg) {
+                Inbox::AssignTask(assign) => self.start_task(ctx, assign.descriptor),
+                Inbox::KillTask(kill) => self.kill_attempt(kill.job, kill.task, kill.attempt),
+                Inbox::CrashTaskTracker(_crash) => {
                     ctx.stats().incr("mr.tasktrackers_crashed");
                     let me = ctx.self_id();
                     ctx.kill(me);
-                } else if let Some(gray) = msg.peek::<InjectGray>() {
+                }
+                Inbox::InjectGray(gray) => {
                     let f = gray.factor;
                     // Clamp to (0, 1]: zero/negative would freeze compute
                     // forever, which is a stall, not a gray failure.
@@ -424,22 +422,23 @@ impl Actor for TaskTracker {
                     } else {
                         "mr.gray_healed"
                     });
-                } else if let Some(loss) = msg.peek::<SetHeartbeatLoss>() {
-                    self.hb_suppressed = loss.suppress;
-                } else if msg.is::<RangeData>() {
-                    let data = msg.downcast::<RangeData>().expect("checked");
+                }
+                Inbox::SetHeartbeatLoss(loss) => self.hb_suppressed = loss.suppress,
+                Inbox::RangeData(data) => {
                     self.with_io(ctx, data.tag, |run, node, ctx, kind| {
                         if let IoKind::Read(read) = kind {
                             run.segment_arrived(node, ctx, read, data.bytes)
                         }
                     });
-                } else if let Some(err) = msg.peek::<ReadError>() {
+                }
+                Inbox::ReadError(err) => {
                     self.with_io(ctx, err.tag, |run, node, ctx, kind| {
                         if let IoKind::Read(read) = kind {
                             run.retry_read(node, ctx, read)
                         }
                     });
-                } else if let Some(ab) = msg.peek::<FlowAborted>() {
+                }
+                Inbox::FlowAborted(ab) => {
                     self.with_io(ctx, ab.tag, |run, node, ctx, kind| match kind {
                         IoKind::Read(read) => run.retry_read(node, ctx, read),
                         // An aborted fetch means the source node crashed,
@@ -449,22 +448,33 @@ impl Actor for TaskTracker {
                         // A create is an RPC; write flows notify the DataNode.
                         IoKind::Create | IoKind::Write { .. } => unreachable!("not a flow"),
                     });
-                } else if let Some(done) = msg.peek::<FlowDone>() {
+                }
+                Inbox::FlowDone(done) => {
                     self.with_io(ctx, done.tag, |run, node, ctx, _| run.fetch_done(node, ctx));
-                } else if let Some(ack) = msg.peek::<CreateAck>() {
+                }
+                Inbox::CreateAck(ack) => {
                     self.with_io(ctx, ack.tag, |run, node, ctx, _| {
                         run.create_acked(node, ctx)
                     });
-                } else if let Some(alloc) = msg.peek::<BlockAllocated>() {
+                }
+                Inbox::BlockAllocated(alloc) => {
                     self.with_io(ctx, alloc.tag, |run, node, ctx, kind| {
                         if let IoKind::Write { len } = kind {
-                            run.block_allocated(node, ctx, len, alloc)
+                            run.block_allocated(node, ctx, len, &alloc)
                         }
                     });
-                } else if let Some(ack) = msg.peek::<WriteAck>() {
+                }
+                Inbox::WriteAck(ack) => {
                     self.with_io(ctx, ack.tag, |run, _, ctx, _| run.write_acked(ctx));
                 }
-            }
+            },
         }
+    }
+}
+
+accelmr_des::inbox! {
+    enum Inbox {
+        AssignTask, KillTask, CrashTaskTracker, InjectGray, SetHeartbeatLoss, RangeData, ReadError,
+        FlowAborted, FlowDone, CreateAck, BlockAllocated, WriteAck,
     }
 }

@@ -1018,21 +1018,22 @@ impl Actor for Fabric {
                 self.timer = None;
                 self.advance(ctx, now);
             }
-            Event::Msg { msg, .. } => {
-                if msg.is::<Unicast>() {
-                    let u = msg.downcast::<Unicast>().expect("checked");
+            Event::Msg { msg } => match FabricInbox::decode(msg) {
+                FabricInbox::Unicast(u) => {
                     ctx.stats().incr("net.rpcs");
                     ctx.stats().add("net.rpc_bytes", u.bytes);
                     let delay = self.cfg.rpc_delay(u.bytes);
                     ctx.send_boxed(u.to, u.payload, delay);
-                } else if let Some(grow) = msg.peek::<EnsureNode>() {
+                }
+                FabricInbox::EnsureNode(grow) => {
                     // Links are appended, nothing is re-priced.
                     let added = self.ensure_node(grow.node);
                     ctx.stats().add("net.nodes_added", added as u64);
-                } else if let Some(set) = msg.peek::<SetNodeBandwidth>() {
+                }
+                FabricInbox::SetNodeBandwidth(set) => {
                     self.set_node_bandwidth(ctx, set.node, set.factor);
-                } else if msg.is::<StartFlow>() {
-                    let req = msg.downcast::<StartFlow>().expect("checked");
+                }
+                FabricInbox::StartFlow(req) => {
                     if req.bytes == 0 {
                         Self::deliver_done(ctx, req.notify, req.tag, 0, req.on_done);
                     } else {
@@ -1040,12 +1041,17 @@ impl Actor for Fabric {
                         self.request_resolve(ctx);
                         ctx.lap("net.fabric.phase.start");
                     }
-                } else if let Some(abort) = msg.peek::<AbortNode>() {
-                    self.abort_node(ctx, now, abort.node);
                 }
-            }
+                FabricInbox::AbortNode(abort) => self.abort_node(ctx, now, abort.node),
+            },
         }
     }
+}
+
+accelmr_des::inbox! {
+    /// What the fabric receives, in the order `decode` tries it; the
+    /// test-only oracle receives the same.
+    pub(crate) enum FabricInbox { Unicast, EnsureNode, SetNodeBandwidth, StartFlow, AbortNode }
 }
 
 /// Cheap copyable handle other actors use to talk to the fabric.

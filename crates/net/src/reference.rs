@@ -1,18 +1,17 @@
 //! Test-only oracle for [`Fabric`]: the original fluid engine as a
 //! standalone actor.
 //!
-//! [`ReferenceFabric`] answers the same messages ([`StartFlow`],
-//! [`AbortNode`], [`EnsureNode`], [`SetNodeBandwidth`], [`Unicast`]) and
-//! bumps the same `net.*` counters as the production fabric, but does the
-//! work the obvious way: a `BTreeMap` flow table swept in flow-id order,
-//! every flow's progress advanced on every event, and one global
-//! [`max_min_rates`] solve over *all* active flows per flow start, finish,
-//! abort or bandwidth change. It shares the link table and the message
-//! types with [`Fabric`] and nothing else — no slab, no link index, no
-//! completion heap, no coalescing — so a bug in any of those cannot hide
-//! in the oracle too. Flow completion *times* agree with [`Fabric`] within
-//! float epsilon; the event stream inside an instant does not (the fabric
-//! defers its resolve, this actor solves per message).
+//! [`ReferenceFabric`] answers the same messages (it decodes the fabric's
+//! [`FabricInbox`]) and bumps the same `net.*` counters as the production
+//! fabric, but does the work the obvious way: a `BTreeMap` flow table
+//! swept in flow-id order, every flow's progress advanced on every event,
+//! and one global [`max_min_rates`] solve over *all* active flows per flow
+//! start, finish, abort or bandwidth change. It shares the link table and
+//! the message types with [`Fabric`] and nothing else — no slab, no link
+//! index, no completion heap, no coalescing — so a bug in any of those
+//! cannot hide in the oracle too. Flow completion *times* agree with
+//! [`Fabric`] within float epsilon; the event stream inside an instant does
+//! not (the fabric defers its resolve, this actor solves per message).
 
 use std::collections::BTreeMap;
 
@@ -20,8 +19,7 @@ use accelmr_des::prelude::*;
 
 use crate::config::{NetConfig, NodeId};
 use crate::fabric::{
-    AbortNode, EnsureNode, Fabric, FlowAborted, FlowDone, NetHandle, SetNodeBandwidth, StartFlow,
-    Unicast, PARTITION_FACTOR,
+    Fabric, FabricInbox, FlowAborted, FlowDone, NetHandle, StartFlow, PARTITION_FACTOR,
 };
 use crate::flow::{max_min_rates, FlowDemand, LinkId, LinkTable};
 
@@ -272,17 +270,18 @@ impl Actor for ReferenceFabric {
                 self.elapse(ctx, now);
                 self.reschedule(ctx);
             }
-            Event::Msg { msg, .. } => {
-                if msg.is::<Unicast>() {
-                    let u = msg.downcast::<Unicast>().expect("checked");
+            Event::Msg { msg } => match FabricInbox::decode(msg) {
+                FabricInbox::Unicast(u) => {
                     ctx.stats().incr("net.rpcs");
                     ctx.stats().add("net.rpc_bytes", u.bytes);
                     let delay = self.cfg.rpc_delay(u.bytes);
                     ctx.send_boxed(u.to, u.payload, delay);
-                } else if let Some(grow) = msg.peek::<EnsureNode>() {
+                }
+                FabricInbox::EnsureNode(grow) => {
                     let added = self.ensure_node(grow.node);
                     ctx.stats().add("net.nodes_added", added as u64);
-                } else if let Some(set) = msg.peek::<SetNodeBandwidth>() {
+                }
+                FabricInbox::SetNodeBandwidth(set) => {
                     if self.set_node_bandwidth(ctx, set.node, set.factor) {
                         // Settle progress at the old rates (flows still
                         // carry them), then price every flow at the new
@@ -290,19 +289,19 @@ impl Actor for ReferenceFabric {
                         self.elapse(ctx, now);
                         self.reschedule(ctx);
                     }
-                } else if msg.is::<StartFlow>() {
-                    let req = msg.downcast::<StartFlow>().expect("checked");
+                }
+                FabricInbox::StartFlow(req) => {
                     self.elapse(ctx, now);
                     self.start_flow(ctx, *req);
                     self.reschedule(ctx);
-                } else if let Some(abort) = msg.peek::<AbortNode>() {
-                    let node = abort.node;
+                }
+                FabricInbox::AbortNode(abort) => {
                     // Flows finishing exactly now complete, not abort.
                     self.elapse(ctx, now);
-                    self.abort_node(ctx, node);
+                    self.abort_node(ctx, abort.node);
                     self.reschedule(ctx);
                 }
-            }
+            },
         }
     }
 }

@@ -8,7 +8,9 @@
 //! `kernels/src/aes/hw.rs`; exactly one host thread, the TaskTracker's
 //! record-digest worker; and clippy's `allow_attributes` sees outer allow
 //! attributes only, not inner ones. These tests walk every source file the
-//! workspace lints apply to and pin all three.
+//! workspace lints apply to and pin all three, and one convention no lint
+//! knows: an actor receives through its `accelmr_des::inbox!`. A last test
+//! keeps the tier-1 test profile's debug assertions on.
 //!
 //! Needles are assembled with `concat!` so this file does not match them.
 
@@ -101,4 +103,104 @@ fn lints_are_excused_only_by_reasoned_expects() {
             "`{needle}` in {sites:?}: use #[expect(.., reason = \"..\")]"
         );
     }
+}
+
+const CFG_TEST: &str = concat!("#[cfg(", "test)]");
+
+/// The module's name when `rest`, the text right after a `#[cfg(test)]`,
+/// declares a test-only module file (`mod name;`).
+fn declared_test_module(rest: &str) -> Option<&str> {
+    let rest = rest.strip_prefix("mod")?;
+    let len = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'))?;
+    (len > 0 && rest[len..].starts_with(';')).then(|| &rest[..len])
+}
+
+/// Files their parent includes as `#[cfg(test)] mod name;`: test-only
+/// modules, such as a crate's reference oracle or a unit-test file.
+fn test_only_modules(sources: &[(String, String)]) -> Vec<String> {
+    let mut out = Vec::new();
+    for (rel, src) in sources {
+        let (dir, stem) = rel.rsplit_once('/').expect("a file under a root");
+        let stem = stem.trim_end_matches(".rs");
+        let dir = match stem {
+            "lib" | "main" | "mod" => dir.to_string(),
+            _ => format!("{dir}/{stem}"),
+        };
+        for name in src.split(CFG_TEST).skip(1).filter_map(declared_test_module) {
+            out.push(format!("{dir}/{name}.rs"));
+            out.push(format!("{dir}/{name}/mod.rs"));
+        }
+    }
+    out
+}
+
+/// `src` up to its own test section: the first `#[cfg(test)]` that does
+/// not just declare a test-only module file (such a declaration often
+/// sits near the top, above the production code).
+fn before_inline_tests(src: &str) -> &str {
+    let end = src
+        .match_indices(CFG_TEST)
+        .map(|(at, _)| at)
+        .find(|&at| declared_test_module(&src[at + CFG_TEST.len()..]).is_none());
+    &src[..end.unwrap_or(src.len())]
+}
+
+/// One message-handling idiom: outside the event core, every actor decodes
+/// an arriving message once, through its `accelmr_des::inbox!`, and
+/// matches the result exhaustively. No file that implements `Actor` probes
+/// a message's type itself outside its test section; test-only modules are
+/// exempt.
+#[test]
+fn one_message_idiom() {
+    let sources = workspace_sources();
+    let exempt = test_only_modules(&sources);
+    assert!(
+        exempt.iter().any(|m| m == "crates/net/src/reference.rs"),
+        "the walk must find the test-only modules"
+    );
+    let mut actors = 0;
+    let mut probes = Vec::new();
+    for (rel, src) in &sources {
+        if rel.starts_with("crates/des/")
+            || exempt.contains(rel)
+            || !src.contains(concat!("implActor", "for"))
+        {
+            continue;
+        }
+        actors += 1;
+        let production = before_inline_tests(src);
+        for needle in [
+            concat!("peek", "::<"),
+            concat!("is", "::<"),
+            concat!("downcast", "::<"),
+        ] {
+            if production.contains(needle) {
+                probes.push(format!("{rel}: {needle}"));
+            }
+        }
+    }
+    assert!(
+        actors >= 7,
+        "the walk must reach the actor files, found {actors}"
+    );
+    assert!(
+        probes.is_empty(),
+        "probe chains in {probes:?}: declare an accelmr_des::inbox! and match its decode"
+    );
+}
+
+/// The root manifest optimises the test profile for a shorter tier-1 loop;
+/// `debug-assertions` is a separate setting, and every `debug_assert!` and
+/// `debug_check_*` invariant (the fabric's link index among them) runs only
+/// while it is on. A profile edit that turned it off fails here.
+#[test]
+#[expect(
+    clippy::assertions_on_constants,
+    reason = "the constant is the profile setting under test"
+)]
+fn the_tier1_test_profile_keeps_debug_assertions() {
+    assert!(
+        cfg!(debug_assertions),
+        "cargo test must build with debug assertions"
+    );
 }
