@@ -120,9 +120,10 @@ impl OffloadReport {
 /// shape of the paper's Figure 6.
 pub struct CellMachine {
     cfg: CellConfig,
-    /// Each SPE's two local-store data buffers, each as long as the
-    /// largest block [`CellConfig::check_block_size`] accepts. Only a
-    /// materialized machine has them.
+    /// Each SPE's two local-store data buffers, each holding the block
+    /// last DMA'd into it, with room for the largest block
+    /// [`CellConfig::check_block_size`] accepts. Only a materialized
+    /// machine has them.
     local_stores: Vec<[Vec<u8>; 2]>,
     warm: bool,
 }
@@ -132,7 +133,7 @@ impl CellMachine {
     pub fn new(cfg: CellConfig, materialized: bool) -> Result<Self, CellConfigError> {
         cfg.validate()?;
         let spes = if materialized { cfg.n_spes } else { 0 };
-        let buffer = || vec![0u8; cfg.usable_ls_bytes() / 4];
+        let buffer = || Vec::with_capacity(cfg.usable_ls_bytes() / 4);
         Ok(CellMachine {
             local_stores: (0..spes).map(|_| [buffer(), buffer()]).collect(),
             cfg,
@@ -193,7 +194,9 @@ impl CellMachine {
         let bytes = match input {
             DataInput::Real(src) if !self.local_stores.is_empty() => Some(Bytes {
                 src,
-                out: vec![0u8; src.len()],
+                // The DMA-puts cover every block (`run` asserts that all
+                // complete), so the pooled image's old bytes never show.
+                out: accelmr_kernels::pool::take(src.len()),
                 local_stores: &mut self.local_stores,
                 base_offset,
             }),
@@ -311,7 +314,7 @@ impl Pipeline<'_> {
             self.report.elapsed = now - SimTime::ZERO;
             self.handle(now, ev);
         }
-        // A stalled pipeline would hand back a partly zero `output`.
+        // A stalled pipeline would hand back `output` with stale bytes.
         assert_eq!(
             self.report.blocks, self.n_blocks,
             "pipeline stalled: not all blocks completed"
@@ -328,7 +331,9 @@ impl Pipeline<'_> {
                 // Functional: the bytes land in the local store now.
                 let range = self.block_range(block);
                 if let Some(b) = &mut self.bytes {
-                    b.local_stores[spe][buf][..range.len()].copy_from_slice(&b.src[range]);
+                    let ls = &mut b.local_stores[spe][buf];
+                    ls.clear();
+                    ls.extend_from_slice(&b.src[range]);
                 }
                 self.spes[spe].ready.push_back((block, buf));
                 self.compute(spe, now);
@@ -340,7 +345,7 @@ impl Pipeline<'_> {
                 let range = self.block_range(block);
                 let len = range.len() as u64;
                 if let Some(b) = &mut self.bytes {
-                    let data = &mut b.local_stores[spe][buf][..range.len()];
+                    let data = &mut b.local_stores[spe][buf];
                     self.kernel.exec(b.base_offset + range.start as u64, data);
                     b.out[range].copy_from_slice(data);
                 }
@@ -535,13 +540,30 @@ mod tests {
         let r = m.run_data(DataInput::Real(&input), &kernel, 4096).unwrap();
         assert!(r.output.is_none());
         assert!(m.local_stores.iter().flatten().all(Vec::is_empty));
-        // A materialized machine's two buffers per SPE hold the largest
-        // block the local-store budget accepts.
-        let m = machine(true);
+        // A materialized machine's two buffers per SPE reserve exactly the
+        // largest block the local-store budget accepts, and a run in such
+        // blocks fills them without growing them.
+        let mut m = machine(true);
         let largest = 48 * 1024;
         CellConfig::default().check_block_size(largest).unwrap();
         assert_eq!(m.local_stores.len(), 8);
+        let buffers = |m: &CellMachine| {
+            m.local_stores
+                .iter()
+                .flatten()
+                .map(Vec::capacity)
+                .collect::<Vec<_>>()
+        };
+        assert!(m.local_stores.iter().flatten().all(Vec::is_empty));
+        assert_eq!(buffers(&m), [largest; 16]);
+        let mut input = vec![0u8; 40 * largest];
+        fill_deterministic(4, 0, &mut input);
+        let r = m
+            .run_data(DataInput::Real(&input), &kernel, largest)
+            .unwrap();
+        assert!(r.output.as_deref() == Some(input.as_slice()));
         assert!(m.local_stores.iter().flatten().all(|b| b.len() == largest));
+        assert_eq!(buffers(&m), [largest; 16]);
     }
 
     #[test]
@@ -558,6 +580,44 @@ mod tests {
         for block in [48 * 1024, 16, 4096, 32 * 1024] {
             let r = m.run_data(DataInput::Real(&input), &kernel, block).unwrap();
             assert_eq!(r.output.as_deref(), Some(expect.as_slice()), "{block}");
+        }
+    }
+
+    #[test]
+    fn outputs_drawn_over_stale_pooled_images_match_the_reference() {
+        // The record lengths, blocks and offsets of the pipeline golden
+        // table plus the 200,003-byte tail above. Before each run the pool
+        // gets stale images shorter than, as long as and longer than the
+        // output; whichever one the run draws, every byte must be
+        // overwritten.
+        let key = Arc::new(Aes128::new(b"stale-pool-test!"));
+        let kernel = AesCtrSpeKernel::new(key.clone(), 3);
+        let shapes: [(usize, usize, u64); 8] = [
+            (300_000, 4096, 0),
+            (2_008, 16, 0),
+            ((1 << 20) + 5_000, 48 * 1024, 0),
+            (70_000, 4096, 256 * 1024),
+            (0, 4096, 0),
+            (2 << 20, 16 * 1024, 0),
+            (40_960, 4096, 0),
+            (200_003, 32 * 1024, 0),
+        ];
+        let mut m = machine(true);
+        for (len, block, base_offset) in shapes {
+            let mut input = vec![0u8; len];
+            fill_deterministic(17, base_offset, &mut input);
+            let mut expect = input.clone();
+            ctr_xor(&key, AesImpl::TTable, 3, base_offset / 16, &mut expect);
+            for stale in [len / 2, len, len + 4_099] {
+                accelmr_kernels::pool::give(vec![0xA5; stale]);
+                let r = m
+                    .run_data_at(DataInput::Real(&input), &kernel, block, base_offset)
+                    .unwrap();
+                assert!(
+                    r.output.as_deref() == Some(expect.as_slice()),
+                    "{len} bytes in {block}-byte blocks over a {stale}-byte stale image"
+                );
+            }
         }
     }
 

@@ -26,7 +26,7 @@ use accelmr_cellbe::{estimate, AesCtrSpeKernel, DataInput, DataKernel, PiSpeKern
 use accelmr_des::SimDuration;
 use accelmr_kernels::aes::modes::ctr_xor;
 use accelmr_kernels::cost::{self, Engine};
-use accelmr_kernels::{Aes128, AesImpl};
+use accelmr_kernels::{pool, Aes128, AesImpl};
 use accelmr_mapred::{NodeEnv, RecordCtx, RecordOutcome, TaskKernel, UnitsOutcome};
 
 use crate::bridge::JniBridge;
@@ -91,7 +91,8 @@ impl TaskKernel for JavaAesKernel {
         // the hardware path keeps functional runs fast. Timing comes from
         // the cost model either way.
         let output = rec.bytes.map(|bytes| {
-            let mut out = bytes.to_vec();
+            let mut out = pool::take(bytes.len());
+            out.copy_from_slice(bytes);
             ctr_xor(
                 &self.key,
                 AesImpl::Hardware,

@@ -108,7 +108,8 @@ impl DataNode {
         if !self.materialized {
             return None;
         }
-        let mut buf = vec![0u8; len as usize];
+        // The fill writes every byte of the pooled image.
+        let mut buf = accelmr_kernels::pool::take(len as usize);
         accelmr_kernels::fill_deterministic(
             content.seed,
             content.base_offset + offset_in_block,

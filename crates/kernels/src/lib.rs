@@ -18,11 +18,14 @@
 //! * **Deterministic synthetic data** ([`data`]) — content as a pure
 //!   function of `(seed, offset)` plus order-independent digests, so any
 //!   component can materialize and verify any byte range independently.
+//! * **The record-image pool** ([`pool`]) — the byte images a functional
+//!   run moves its records in, handed back and reused, never zeroed.
 
 pub mod aes;
 pub mod cost;
 pub mod data;
 pub mod pi;
+pub mod pool;
 pub mod sort;
 
 pub use aes::{Aes128, AesImpl};

@@ -10,14 +10,22 @@
 //! one chain leaves the multiplier idle, four fill it, so four records
 //! cost about what one did. It sees only the bytes it is handed: no
 //! simulation state crosses, and each reply is a pure function of one
-//! image. An attempt folds its replies when it reports (`finish`); a
+//! image. Each hashed image goes back to the record-image pool
+//! ([`accelmr_kernels::pool`]) for the DataNodes and kernels to fill
+//! again. An attempt folds its replies when it reports (`finish`); a
 //! killed attempt just drops them. The fold is a wrapping sum, so the
 //! order in which replies arrive cannot show.
+//!
+//! The hand-off has one slot. The event thread leaves an image there
+//! and goes on, unless the slot is still full; it then waits in `send`
+//! until the worker empties the slot at its next chunk boundary or when
+//! a lane frees. So at most six images are in flight: four in the lanes,
+//! one in the slot and one in `send`.
 
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::OnceLock;
 
-use accelmr_kernels::{ChecksumLanes, UnorderedDigest};
+use accelmr_kernels::{pool, ChecksumLanes, UnorderedDigest};
 
 /// One record image and where its checksum goes.
 struct Job {
@@ -31,9 +39,8 @@ impl AsRef<[u8]> for Job {
     }
 }
 
-/// The worker's inbox, started on the first materialized record. A
-/// rendezvous channel: the event thread hands an image over only when the
-/// worker takes it, between two chunks of its lanes or when it is idle.
+/// The worker's inbox, started on the first materialized record: a
+/// channel with one slot.
 static WORKER: OnceLock<SyncSender<Job>> = OnceLock::new();
 
 /// Starts the worker. It lives as long as the process and is never
@@ -44,7 +51,7 @@ static WORKER: OnceLock<SyncSender<Job>> = OnceLock::new();
     reason = "the one host thread: checksums images it owns, never touches Sim, Ctx or Stats"
 )]
 fn start_worker() -> SyncSender<Job> {
-    let (tx, rx) = sync_channel::<Job>(0);
+    let (tx, rx) = sync_channel::<Job>(1);
     std::thread::Builder::new()
         .name("accelmr-digest".into())
         .spawn(move || digest_images(rx))
@@ -54,7 +61,8 @@ fn start_worker() -> SyncSender<Job> {
 
 /// The worker's loop: waits for an image while no lane is busy, takes
 /// every image already offered into a free lane at each chunk boundary,
-/// and replies to (then drops) each image as soon as its lane is done.
+/// and replies to each image as soon as its lane is done, then hands the
+/// image back to the pool.
 fn digest_images(rx: Receiver<Job>) {
     let mut lanes = ChecksumLanes::new();
     loop {
@@ -66,9 +74,10 @@ fn digest_images(rx: Receiver<Job>) {
             let Ok(job) = rx.try_recv() else { break };
             lanes.join(job);
         }
-        lanes.step(|job, sum| {
+        lanes.step(|Job { image, reply }, sum| {
             // The attempt may have been killed meanwhile.
-            let _ = job.reply.send(sum);
+            let _ = reply.send(sum);
+            pool::give(image);
         });
     }
 }
@@ -78,8 +87,9 @@ fn digest_images(rx: Receiver<Job>) {
 pub(super) struct Digests(Vec<Receiver<u64>>);
 
 impl Digests {
-    /// Hands one record image to the worker, waiting until it takes it:
-    /// at its next chunk boundary, or when a lane frees if all are busy.
+    /// Hands one record image to the worker. Waits only while the slot
+    /// still holds the image before: until the worker's next chunk
+    /// boundary, or until a lane frees if all are busy.
     pub fn add(&mut self, image: Vec<u8>) {
         let (reply, rx) = channel();
         WORKER

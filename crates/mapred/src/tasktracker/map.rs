@@ -6,6 +6,7 @@
 use accelmr_des::prelude::*;
 use accelmr_dfs::msgs::BlockLoc;
 use accelmr_dfs::BlockId;
+use accelmr_kernels::pool;
 use accelmr_net::NodeId;
 
 use super::io::{backoff, degrade, IoKind, Read, Step, Tick};
@@ -235,8 +236,11 @@ impl TaskRun {
                 let at = segments(&self.desc.work, read.record)
                     .nth(read.seg as usize)
                     .map_or(0, |s| s.offset_in_record as usize);
-                let buf = buf.get_or_insert_with(|| vec![0u8; rl as usize]);
+                // The record's segments cover every byte of the pooled
+                // image.
+                let buf = buf.get_or_insert_with(|| pool::take(rl as usize));
                 buf[at..at + seg_bytes.len()].copy_from_slice(&seg_bytes);
+                pool::give(seg_bytes);
             }
         }
         *segs_left -= 1;
@@ -280,8 +284,18 @@ impl TaskRun {
         let compute = degrade(outcome.compute, node.gray_factor);
         self.metrics.bytes_read += rl;
         // Every materialized record is digested: its output image if the
-        // kernel made one, else its input.
-        if let Some(image) = outcome.output.or(bytes) {
+        // kernel made one, else its input. An input the digest does not
+        // take goes back to the pool.
+        let image = match outcome.output {
+            Some(output) => {
+                if let Some(input) = bytes {
+                    pool::give(input);
+                }
+                Some(output)
+            }
+            None => bytes,
+        };
+        if let Some(image) = image {
             self.digest.add(image);
         }
         self.kv.extend(outcome.kv);

@@ -8,9 +8,10 @@
 //! `kernels/src/aes/hw.rs`; exactly one host thread, the TaskTracker's
 //! record-digest worker; and clippy's `allow_attributes` sees outer allow
 //! attributes only, not inner ones. These tests walk every source file the
-//! workspace lints apply to and pin all three, and one convention no lint
-//! knows: an actor receives through its `accelmr_des::inbox!`. A last test
-//! keeps the tier-1 test profile's debug assertions on.
+//! workspace lints apply to and pin all three, and two conventions no lint
+//! knows: an actor receives through its `accelmr_des::inbox!`, and the
+//! functional path allocates no record image of its own. A last test keeps the
+//! tier-1 test profile's debug assertions on.
 //!
 //! Needles are assembled with `concat!` so this file does not match them.
 
@@ -186,6 +187,44 @@ fn one_message_idiom() {
     assert!(
         probes.is_empty(),
         "probe chains in {probes:?}: declare an accelmr_des::inbox! and match its decode"
+    );
+}
+
+/// Every record image on the functional path comes from the record-image
+/// pool (`accelmr_kernels::pool`), which hands out used images unzeroed:
+/// the code that fills one writes every byte. A zero-allocated or copied
+/// image in the production part of a file on that path would pay an
+/// allocation and a zero pass or a copy per record again. The one
+/// `.to_vec()` these files keep copies a write pipeline's node ids, not
+/// bytes.
+#[test]
+fn record_images_on_the_functional_path_are_never_freshly_allocated() {
+    const FUNCTIONAL_PATH: [&str; 4] = [
+        "crates/dfs/src/datanode.rs",
+        "crates/cellbe/src/machine.rs",
+        "crates/mapred/src/tasktracker/map.rs",
+        "crates/core/src/kernels.rs",
+    ];
+    const NEEDLES: [&str; 3] = [concat!("vec![", "0u8"), concat!("vec![", "0;"), ".to_vec()"];
+    // Sources are compared with all whitespace removed.
+    const NOT_AN_IMAGE: &str = "rest:rest.to_vec(),";
+    let sources = workspace_sources();
+    let mut fresh = Vec::new();
+    for file in FUNCTIONAL_PATH {
+        let (_, src) = sources
+            .iter()
+            .find(|(rel, _)| rel == file)
+            .unwrap_or_else(|| panic!("the walk must reach {file}"));
+        let production = before_inline_tests(src).replace(NOT_AN_IMAGE, "");
+        for needle in NEEDLES {
+            if production.contains(needle) {
+                fresh.push(format!("{file}: {needle}"));
+            }
+        }
+    }
+    assert!(
+        fresh.is_empty(),
+        "record images allocated outside accelmr_kernels::pool: {fresh:?}"
     );
 }
 

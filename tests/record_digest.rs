@@ -84,6 +84,43 @@ fn every_kernel_digests_each_materialized_record_once() {
     assert_ne!(plain, cipher);
 }
 
+/// Records that straddle blocks are assembled from segment images, and
+/// every image comes from the record-image pool with whatever bytes it
+/// last held. The job runs twice in one process, so the second run draws
+/// images the first handed back; neither digest may differ from the
+/// serial one.
+#[test]
+fn recycled_images_leave_no_stale_bytes_in_straddling_records() {
+    const MIB: u64 = 1 << 20;
+    // 3 MiB records over 4 MiB blocks: records 1, 2 and 5 span two blocks.
+    const BIG_RECORD: u64 = 3 * MIB;
+    const BIG_RECORDS: u64 = 6;
+    let expected = serial_digest(SEED, BIG_RECORD, BIG_RECORDS, true);
+    for run in ["first", "second"] {
+        let mut cluster = ClusterBuilder::new()
+            .seed(17)
+            .workers(3)
+            .env(CellEnvFactory { materialized: true })
+            .materialized(true)
+            .deploy();
+        let mut session = cluster.session();
+        session.submit(
+            JobBuilder::new("straddle")
+                .input_file("/in")
+                .record_bytes(BIG_RECORD)
+                .kernel(CellAesKernel::new())
+                .map_tasks(3)
+                .digest_output()
+                .preload(
+                    PreloadSpec::new("/in", BIG_RECORDS * BIG_RECORD, SEED).block_size(4 * MIB),
+                ),
+        );
+        let result = session.run();
+        assert!(result.succeeded, "{run} run: {:?}", result.error);
+        assert_eq!(result.digest, expected, "{run} run: digest");
+    }
+}
+
 /// A job on a timing-only cluster materializes nothing and digests nothing.
 #[test]
 fn a_virtual_run_digests_nothing() {
