@@ -141,7 +141,7 @@ fn ablations(_quick: bool) {
     let key = job_key();
     let kernel = accelmr_cellbe::AesCtrSpeKernel::new(key, JOB_NONCE);
     for block_kb in [4usize, 8, 16, 32, 48] {
-        let mut m = CellMachine::new(CellConfig::default(), false).unwrap();
+        let Ok(mut m) = CellMachine::new(CellConfig::default(), false);
         m.warm_up();
         let r = m
             .run_data(DataInput::Virtual(64 << 20), &kernel, block_kb * 1024)

@@ -214,7 +214,7 @@ pub fn run(quick: bool) -> Json {
     }
 
     let kernel = AesCtrSpeKernel::new(key, NONCE);
-    let mut machine = CellMachine::new(CellConfig::default(), true).expect("default config");
+    let Ok(mut machine) = CellMachine::new(CellConfig::default(), true);
     machine.warm_up();
     let record = &buf[..RECORD];
     let run_data = mb_per_s(RECORD, 9, || {

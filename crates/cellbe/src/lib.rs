@@ -12,8 +12,9 @@
 //! Both pay one start-up rule, [`CellMachine::start_session`]. A data run
 //! keeps its whole state — SPE table, bus, completion heap, report — in one
 //! private pipeline value whose methods are the stages: fetch, compute,
-//! put. [`CellConfig::check_block_size`] is the one statement of the
-//! local-store budget. In materialized mode each SPE holds two block-sized
+//! put. [`check_block_size`] is the one statement of the local-store
+//! budget. The hardware is fixed: every rate, size and cost is a constant
+//! in [`config`], and no type carries a setting. In materialized mode each SPE holds two block-sized
 //! buffers and kernels really execute on bytes that traveled through them,
 //! so end-to-end tests can verify real ciphertext; in virtual mode the
 //! identical event path computes timing only. A closed-form [`estimate`]
@@ -25,30 +26,28 @@ pub mod estimate;
 pub mod kernel;
 pub mod machine;
 
-pub use config::{CellConfig, CellConfigError, SPU_BLOCK};
+pub use config::{check_block_size, CellConfig, CellConfigError, SPU_BLOCK};
 pub use kernel::{AesCtrSpeKernel, ComputeKernel, DataKernel, IdentityKernel, PiSpeKernel};
 pub use machine::{CellMachine, DataInput, OffloadReport};
 
-/// The SPE local store as a whole: the budget [`CellConfig::check_block_size`]
-/// states, and the two buffers per SPE a materialized machine moves bytes
-/// through.
+/// The SPE local store as a whole: the budget [`check_block_size`] states,
+/// and the two buffers per SPE a materialized machine moves bytes through.
 #[cfg(test)]
 mod localstore {
     mod tests {
-        use crate::{AesCtrSpeKernel, CellConfig, CellConfigError, CellMachine, DataInput};
-        use crate::{DataKernel, IdentityKernel};
+        use crate::config::{ALIGNMENT, USABLE_LS_BYTES};
+        use crate::{check_block_size, AesCtrSpeKernel, CellConfig, CellConfigError, CellMachine};
+        use crate::{DataInput, DataKernel, IdentityKernel};
         use accelmr_kernels::aes::modes::ctr_xor;
         use accelmr_kernels::{fill_deterministic, Aes128, AesImpl};
         use std::sync::Arc;
 
-        /// A Cell whose SPE local stores hold `capacity` bytes, `reserved`
-        /// of them for code and stack.
-        fn small(capacity: usize, reserved: usize) -> CellConfig {
-            CellConfig {
-                local_store_bytes: capacity,
-                code_stack_bytes: reserved,
-                ..CellConfig::default()
-            }
+        /// The largest block whose four buffers fit the 192 KiB left of a
+        /// 256 KiB local store once 64 KiB is reserved for code and stack.
+        const LARGEST: usize = 48 * 1024;
+
+        fn materialized() -> CellMachine {
+            CellMachine::new(CellConfig::default(), true).unwrap()
         }
 
         fn run(
@@ -63,50 +62,46 @@ mod localstore {
 
         #[test]
         fn alloc_respects_alignment_and_capacity() {
-            // 1024 bytes, 100 reserved: four buffers of at most 231 bytes.
-            let c = small(1024, 100);
-            assert_eq!(c.usable_ls_bytes(), 924);
-            assert_eq!(c.alignment, 16);
-            c.check_block_size(16).unwrap();
-            c.check_block_size(224).unwrap();
+            assert_eq!(USABLE_LS_BYTES, 196_608);
+            assert_eq!(ALIGNMENT, 16);
+            check_block_size(16).unwrap();
+            check_block_size(LARGEST).unwrap();
             assert!(matches!(
-                c.check_block_size(10),
+                check_block_size(LARGEST + 8),
                 Err(CellConfigError::Misaligned(_))
             ));
-            // 4 * 240 = 960 would fit 1024 only by eating the reservation.
-            assert!(matches!(
-                c.check_block_size(240),
+            // Four of the next aligned size would eat into the reservation.
+            assert_eq!(
+                check_block_size(LARGEST + 16),
                 Err(CellConfigError::LocalStoreOverflow {
-                    needed: 960,
-                    available: 924
+                    needed: 196_672,
+                    available: 196_608
                 })
-            ));
-            assert!(c.check_block_size(2048).is_err());
-            // The largest accepted block fits the machine's buffers.
-            let mut input = vec![0u8; 5_000];
+            );
+            // The largest accepted block fits the machine's buffers; the
+            // next is refused.
+            let mut input = vec![0u8; 5 * LARGEST + 1_000];
             fill_deterministic(3, 0, &mut input);
-            let mut m = CellMachine::new(c, true).unwrap();
-            assert_eq!(run(&mut m, &input, &IdentityKernel::new(1.0), 224), input);
+            let mut m = materialized();
+            let identity = IdentityKernel::new(1.0);
+            assert_eq!(run(&mut m, &input, &identity, LARGEST), input);
             assert!(m
-                .run_data(DataInput::Real(&input), &IdentityKernel::new(1.0), 240)
+                .run_data(DataInput::Real(&input), &identity, LARGEST + 16)
                 .is_err());
         }
 
         #[test]
         fn reset_reclaims_space() {
-            // 256 bytes: blocks of 64 fill the store, and every session
-            // finds the whole of it free again.
-            let c = small(256, 0);
-            c.check_block_size(64).unwrap();
-            assert!(c.check_block_size(80).is_err());
+            // Blocks of every size up to the largest, in any order: every
+            // session finds the same two buffers per SPE free again.
             let key = Arc::new(Aes128::new(b"local-store-test"));
             let kernel = AesCtrSpeKernel::new(key.clone(), 2);
-            let mut input = vec![0u8; 3_000];
+            let mut input = vec![0u8; 3 * LARGEST + 3_000];
             fill_deterministic(5, 0, &mut input);
             let mut expect = input.clone();
             ctr_xor(&key, AesImpl::Scalar, 2, 0, &mut expect);
-            let mut m = CellMachine::new(c, true).unwrap();
-            for block in [64, 16, 64, 48, 64] {
+            let mut m = materialized();
+            for block in [LARGEST, 16, LARGEST, 48, 4096, LARGEST] {
                 assert_eq!(run(&mut m, &input, &kernel, block), expect, "{block}");
             }
         }
@@ -114,7 +109,7 @@ mod localstore {
         #[test]
         fn materialized_round_trip() {
             // Bytes written into the buffers come back unchanged...
-            let mut m = CellMachine::new(small(512, 0), true).unwrap();
+            let mut m = materialized();
             let identity = IdentityKernel::new(1.0);
             assert_eq!(run(&mut m, b"hello spu", &identity, 16), b"hello spu");
             // ...and a kernel transforms them in place.
@@ -123,12 +118,6 @@ mod localstore {
             let mut expect = b"hello spu".to_vec();
             ctr_xor(&key, AesImpl::Scalar, 9, 0, &mut expect);
             assert_eq!(run(&mut m, b"hello spu", &kernel, 16), expect);
-        }
-
-        #[test]
-        #[should_panic(expected = "reservation exceeds capacity")]
-        fn reservation_larger_than_capacity_panics() {
-            small(10, 20).usable_ls_bytes();
         }
     }
 }

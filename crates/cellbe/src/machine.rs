@@ -9,7 +9,7 @@
 //! block *i−1* while computing block *i*. DMA requests contend for the
 //! shared memory interface, which a single-server fluid queue models, and
 //! the MFC queue depth is enforced per SPE. The local-store budget is
-//! [`CellConfig::check_block_size`], checked once before a run.
+//! [`check_block_size`], checked once before a run.
 //!
 //! In **materialized** mode the kernel really executes on bytes that
 //! traveled through the local-store buffers; in **virtual** mode only
@@ -18,11 +18,16 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::convert::Infallible;
 use std::ops::Range;
 
 use accelmr_des::{SimDuration, SimTime};
 
-use crate::config::{CellConfig, CellConfigError};
+use crate::config::{
+    check_block_size, cycles, CellConfig, CellConfigError, BUS_BYTES_PER_SEC, CONTEXT_CREATE,
+    DISPATCH_OVERHEAD, DMA_LATENCY, DMA_MAX_TRANSFER, MFC_QUEUE_DEPTH, N_SPES, SESSION_START,
+    USABLE_LS_BYTES,
+};
 use crate::kernel::{ComputeKernel, DataKernel};
 
 /// Input to a data-parallel offload run.
@@ -78,9 +83,9 @@ pub struct OffloadReport {
 }
 
 impl OffloadReport {
-    /// A session that has paid `startup` on `n_spes` SPEs and done nothing
-    /// else yet. Every report starts here; the runs add what they do.
-    fn started(startup: SimDuration, n_spes: usize) -> Self {
+    /// A session that has paid `startup` and done nothing else yet. Every
+    /// report starts here; the runs add what they do.
+    fn started(startup: SimDuration) -> Self {
         OffloadReport {
             elapsed: startup,
             startup,
@@ -89,7 +94,7 @@ impl OffloadReport {
             bytes_out: 0,
             dma_requests: 0,
             peak_mfc_queue: 0,
-            spe_busy: vec![SimDuration::ZERO; n_spes],
+            spe_busy: vec![SimDuration::ZERO; N_SPES],
             bus_busy: SimDuration::ZERO,
             output: None,
             unit_results: Vec::new(),
@@ -115,35 +120,26 @@ impl OffloadReport {
 }
 
 /// One simulated Cell processor. Contexts stay warm across sessions, so the
-/// first offload pays [`CellConfig::context_create`] and later ones only
-/// [`CellConfig::session_start`] — exactly the effect behind the small-N
-/// shape of the paper's Figure 6.
+/// first offload pays [`CONTEXT_CREATE`] and later ones only
+/// [`SESSION_START`] — exactly the effect behind the small-N shape of the
+/// paper's Figure 6.
 pub struct CellMachine {
-    cfg: CellConfig,
     /// Each SPE's two local-store data buffers, each holding the block
     /// last DMA'd into it, with room for the largest block
-    /// [`CellConfig::check_block_size`] accepts. Only a materialized
-    /// machine has them.
+    /// [`check_block_size`] accepts. Only a materialized machine has them.
     local_stores: Vec<[Vec<u8>; 2]>,
     warm: bool,
 }
 
 impl CellMachine {
     /// Builds a machine. `materialized` selects functional simulation.
-    pub fn new(cfg: CellConfig, materialized: bool) -> Result<Self, CellConfigError> {
-        cfg.validate()?;
-        let spes = if materialized { cfg.n_spes } else { 0 };
-        let buffer = || Vec::with_capacity(cfg.usable_ls_bytes() / 4);
+    pub fn new(_: CellConfig, materialized: bool) -> Result<Self, Infallible> {
+        let spes = if materialized { N_SPES } else { 0 };
+        let buffer = || Vec::with_capacity(USABLE_LS_BYTES / 4);
         Ok(CellMachine {
             local_stores: (0..spes).map(|_| [buffer(), buffer()]).collect(),
-            cfg,
             warm: false,
         })
-    }
-
-    /// The machine's configuration.
-    pub fn config(&self) -> &CellConfig {
-        &self.cfg
     }
 
     /// Pays the context-creation cost up front (the single-node bandwidth
@@ -153,7 +149,7 @@ impl CellMachine {
             SimDuration::ZERO
         } else {
             self.warm = true;
-            self.cfg.context_create
+            CONTEXT_CREATE
         }
     }
 
@@ -162,7 +158,7 @@ impl CellMachine {
     /// pays this; a caller that models a session's body in closed form
     /// calls it directly.
     pub fn start_session(&mut self) -> SimDuration {
-        self.warm_up() + self.cfg.session_start
+        self.warm_up() + SESSION_START
     }
 
     /// Runs a data-parallel kernel over `input` in `block_size`-byte blocks.
@@ -185,7 +181,7 @@ impl CellMachine {
         block_size: usize,
         base_offset: u64,
     ) -> Result<OffloadReport, CellConfigError> {
-        self.cfg.check_block_size(block_size)?;
+        check_block_size(block_size)?;
         let startup = self.start_session();
         let len = input.len();
         // Functional or timing-only is decided here, once: a functional run
@@ -204,14 +200,13 @@ impl CellMachine {
         };
         let block_size = block_size as u64;
         let run = Pipeline {
-            cfg: &self.cfg,
             kernel,
             len,
             block_size,
             n_blocks: len.div_ceil(block_size),
-            // Stripe assignment: block i -> SPE i % n_spes (the paper's
+            // Stripe assignment: block i -> SPE i % N_SPES (the paper's
             // round-robin "sent to the SPUs" distribution).
-            spes: (0..self.cfg.n_spes as u64)
+            spes: (0..N_SPES as u64)
                 .map(|spe| SpeRun {
                     next_block: spe,
                     ready: VecDeque::new(),
@@ -223,7 +218,7 @@ impl CellMachine {
             bus_free_at: SimTime::ZERO + startup,
             queue: BinaryHeap::new(),
             seq: 0,
-            report: OffloadReport::started(startup, self.cfg.n_spes),
+            report: OffloadReport::started(startup),
             bytes,
         };
         Ok(run.run(SimTime::ZERO + startup))
@@ -232,15 +227,14 @@ impl CellMachine {
     /// Runs a compute-parallel kernel: `units` split evenly across SPEs.
     pub fn run_compute(&mut self, units: u64, kernel: &dyn ComputeKernel) -> OffloadReport {
         let startup = self.start_session();
-        let mut report = OffloadReport::started(startup, self.cfg.n_spes);
-        let n = self.cfg.n_spes as u64;
+        let mut report = OffloadReport::started(startup);
+        let n = N_SPES as u64;
         let mut max_busy = SimDuration::ZERO;
         for (s, busy) in report.spe_busy.iter_mut().enumerate() {
             let my_units = units / n + u64::from((s as u64) < units % n);
             let mut inside = 0;
             if my_units > 0 {
-                *busy = self.cfg.dispatch_overhead
-                    + self.cfg.cycles(kernel.cycles_per_unit() * my_units as f64);
+                *busy = DISPATCH_OVERHEAD + cycles(kernel.cycles_per_unit() * my_units as f64);
                 inside = kernel.exec(s, my_units);
             }
             max_busy = max_busy.max(*busy);
@@ -264,7 +258,7 @@ enum Ev {
 
 /// One SPE's side of the pipeline.
 struct SpeRun {
-    /// Next block of this SPE's stripe (`spe + k·n_spes`) to fetch.
+    /// Next block of this SPE's stripe (`spe + k·N_SPES`) to fetch.
     next_block: u64,
     /// Fetched blocks awaiting compute, with the buffer each landed in.
     ready: VecDeque<(u64, usize)>,
@@ -286,7 +280,6 @@ struct Bytes<'a> {
 /// interface, the completion queue and the report its counters
 /// accumulate in.
 struct Pipeline<'a> {
-    cfg: &'a CellConfig,
     kernel: &'a dyn DataKernel,
     len: u64,
     block_size: u64,
@@ -383,11 +376,11 @@ impl Pipeline<'_> {
         let s = &mut self.spes[spe];
         s.inflight_mfc += 1;
         self.report.peak_mfc_queue = self.report.peak_mfc_queue.max(s.inflight_mfc);
-        self.report.dma_requests += len.div_ceil(self.cfg.dma_max_transfer as u64);
-        let occupancy = SimDuration::from_secs_f64(len as f64 / self.cfg.bus_bytes_per_sec);
+        self.report.dma_requests += len.div_ceil(DMA_MAX_TRANSFER as u64);
+        let occupancy = SimDuration::from_secs_f64(len as f64 / BUS_BYTES_PER_SEC);
         self.bus_free_at = at.max(self.bus_free_at) + occupancy;
         self.report.bus_busy += occupancy;
-        self.bus_free_at + self.cfg.dma_latency
+        self.bus_free_at + DMA_LATENCY
     }
 
     /// Fetches `spe`'s next stripe blocks while it has a free buffer and
@@ -397,16 +390,16 @@ impl Pipeline<'_> {
             let s = &mut self.spes[spe];
             if s.next_block >= self.n_blocks
                 || s.free_buffers.is_empty()
-                || s.inflight_mfc >= self.cfg.mfc_queue_depth
+                || s.inflight_mfc >= MFC_QUEUE_DEPTH
             {
                 return;
             }
             let block = s.next_block;
-            s.next_block += self.cfg.n_spes as u64;
+            s.next_block += N_SPES as u64;
             let buf = s.free_buffers.pop().expect("checked non-empty");
             let len = self.block_range(block).len() as u64;
             self.report.bytes_in += len;
-            let done = self.dma(spe, now + self.cfg.dispatch_overhead, len);
+            let done = self.dma(spe, now + DISPATCH_OVERHEAD, len);
             self.push(done, Ev::FetchDone { spe, block, buf });
         }
     }
@@ -422,7 +415,7 @@ impl Pipeline<'_> {
         };
         s.computing = true;
         let len = self.block_range(block).len();
-        let dur = self.cfg.cycles(self.kernel.cycles_per_byte() * len as f64);
+        let dur = cycles(self.kernel.cycles_per_byte() * len as f64);
         self.report.spe_busy[spe] += dur;
         self.push(now + dur, Ev::ComputeDone { spe, block, buf });
     }
@@ -506,29 +499,27 @@ mod tests {
         let kernel = IdentityKernel::new(1.0);
         let r1 = m.run_data(DataInput::Virtual(4096), &kernel, 4096).unwrap();
         let r2 = m.run_data(DataInput::Virtual(4096), &kernel, 4096).unwrap();
-        let ctx = CellConfig::default().context_create;
-        assert_eq!(r1.startup, ctx + CellConfig::default().session_start);
-        assert_eq!(r2.startup, CellConfig::default().session_start);
+        assert_eq!(r1.startup, CONTEXT_CREATE + SESSION_START);
+        assert_eq!(r2.startup, SESSION_START);
         assert!(r1.elapsed > r2.elapsed);
     }
 
     #[test]
     fn warm_up_pays_context_once() {
         let mut m = machine(false);
-        assert_eq!(m.warm_up(), CellConfig::default().context_create);
+        assert_eq!(m.warm_up(), CONTEXT_CREATE);
         assert_eq!(m.warm_up(), SimDuration::ZERO);
     }
 
     #[test]
     fn start_session_pays_context_only_when_cold() {
-        let cfg = CellConfig::default();
         let mut m = machine(false);
-        assert_eq!(m.start_session(), cfg.context_create + cfg.session_start);
-        assert_eq!(m.start_session(), cfg.session_start);
+        assert_eq!(m.start_session(), CONTEXT_CREATE + SESSION_START);
+        assert_eq!(m.start_session(), SESSION_START);
         // Warming up first leaves only the session start to pay.
         let mut m = machine(false);
         m.warm_up();
-        assert_eq!(m.start_session(), cfg.session_start);
+        assert_eq!(m.start_session(), SESSION_START);
     }
 
     #[test]
@@ -545,7 +536,7 @@ mod tests {
         // blocks fills them without growing them.
         let mut m = machine(true);
         let largest = 48 * 1024;
-        CellConfig::default().check_block_size(largest).unwrap();
+        check_block_size(largest).unwrap();
         assert_eq!(m.local_stores.len(), 8);
         let buffers = |m: &CellMachine| {
             m.local_stores
@@ -657,7 +648,7 @@ mod tests {
         let r = m
             .run_data(DataInput::Virtual(8 << 20), &kernel, 16 * 1024)
             .unwrap();
-        assert!(r.peak_mfc_queue <= CellConfig::default().mfc_queue_depth);
+        assert!(r.peak_mfc_queue <= MFC_QUEUE_DEPTH);
         assert!(r.peak_mfc_queue >= 1);
     }
 
@@ -683,9 +674,8 @@ mod tests {
         let est = 4.0 * total as f64 / 100_000.0;
         assert!((est - std::f64::consts::PI).abs() < 0.05, "{est}");
         // Elapsed ≈ startup + per-SPE compute of 12500 samples.
-        let expect = CellConfig::default().context_create.as_secs_f64()
-            + CellConfig::default().session_start.as_secs_f64()
-            + 12_500.0 * 256.0 / 3.2e9;
+        let expect =
+            CONTEXT_CREATE.as_secs_f64() + SESSION_START.as_secs_f64() + 12_500.0 * 256.0 / 3.2e9;
         assert!((r.elapsed.as_secs_f64() - expect).abs() / expect < 0.01);
     }
 

@@ -9,11 +9,13 @@
 //! framework mapper; output bytes are produced for real in materialized
 //! mode.
 
+use std::convert::Infallible;
+
 use accelmr_cellbe::machine::{CellMachine, DataInput, OffloadReport};
 use accelmr_cellbe::{CellConfig, CellConfigError, DataKernel};
 use accelmr_des::SimDuration;
 
-use crate::config::CellMrConfig;
+use crate::config::{bookkeeping_time, staging_time, CellMrConfig, RECORD_SIZE};
 
 /// Phase-by-phase timing of one framework job.
 #[derive(Clone, Debug)]
@@ -41,29 +43,16 @@ impl CellMrReport {
     }
 }
 
-/// The framework runtime: owns a [`CellMachine`] and the framework config.
+/// The framework runtime: owns a [`CellMachine`].
 pub struct CellMrRuntime {
     machine: CellMachine,
-    cfg: CellMrConfig,
 }
 
 impl CellMrRuntime {
-    /// Builds a runtime over a Cell machine model. Fails on an invalid
-    /// `cell`, a `record_size` that is not a valid SPU block of it, or a
-    /// staging bandwidth that is not positive and finite.
-    pub fn new(
-        cell: CellConfig,
-        cfg: CellMrConfig,
-        materialized: bool,
-    ) -> Result<Self, CellConfigError> {
-        let machine = CellMachine::new(cell, materialized)?;
-        machine.config().check_block_size(cfg.record_size)?;
-        if !(cfg.staging_bytes_per_sec > 0.0 && cfg.staging_bytes_per_sec.is_finite()) {
-            return Err(CellConfigError::Degenerate(
-                "staging_bytes_per_sec not positive and finite",
-            ));
-        }
-        Ok(CellMrRuntime { machine, cfg })
+    /// Builds a runtime over a Cell machine model.
+    pub fn new(cell: CellConfig, _: CellMrConfig, materialized: bool) -> Result<Self, Infallible> {
+        let Ok(machine) = CellMachine::new(cell, materialized);
+        Ok(CellMrRuntime { machine })
     }
 
     /// Direct access to the underlying machine (warm-up, inspection).
@@ -92,16 +81,16 @@ impl CellMrRuntime {
         base_offset: u64,
     ) -> Result<(OffloadReport, CellMrReport), CellConfigError> {
         let bytes = input.len();
-        let records = bytes.div_ceil(self.cfg.record_size as u64);
-        let staging = self.cfg.staging_time(bytes);
-        let machine_report =
-            self.machine
-                .run_data_at(input, kernel, self.cfg.record_size, base_offset)?;
+        let records = bytes.div_ceil(RECORD_SIZE as u64);
+        let staging = staging_time(bytes);
+        let machine_report = self
+            .machine
+            .run_data_at(input, kernel, RECORD_SIZE, base_offset)?;
 
         // The PPE enqueues records while SPEs drain them; whichever is
         // slower bounds the map phase.
         let machine_body = machine_report.elapsed - machine_report.startup;
-        let ppe_serial = self.cfg.bookkeeping_time(records);
+        let ppe_serial = bookkeeping_time(records);
         let map = machine_body.max(ppe_serial);
 
         let total = machine_report.startup + staging + map;
@@ -162,34 +151,5 @@ mod tests {
         let (_, report) = fw.run_map(DataInput::Virtual(bytes), &kernel).unwrap();
         let mbps = report.throughput_bps(bytes) / 1e6;
         assert!((400.0..560.0).contains(&mbps), "framework rate {mbps} MB/s");
-    }
-
-    #[test]
-    fn new_validates_the_framework_config() {
-        let build = |cfg: CellMrConfig| CellMrRuntime::new(CellConfig::default(), cfg, false);
-        assert!(build(CellMrConfig::default()).is_ok());
-        assert!(matches!(
-            build(CellMrConfig {
-                record_size: 0,
-                ..CellMrConfig::default()
-            }),
-            Err(CellConfigError::Degenerate(_))
-        ));
-        assert!(matches!(
-            build(CellMrConfig {
-                record_size: SPU_BLOCK + 4,
-                ..CellMrConfig::default()
-            }),
-            Err(CellConfigError::Misaligned(_))
-        ));
-        for staging in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                build(CellMrConfig {
-                    staging_bytes_per_sec: staging,
-                    ..CellMrConfig::default()
-                }),
-                Err(CellConfigError::Degenerate(_))
-            ));
-        }
     }
 }

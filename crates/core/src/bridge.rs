@@ -9,30 +9,16 @@
 
 use accelmr_des::SimDuration;
 
-/// Cost model of one JNI downcall carrying a byte buffer.
-#[derive(Clone, Copy, Debug)]
-pub struct JniBridge {
-    /// Fixed call transition cost.
-    pub call_overhead: SimDuration,
-    /// Array pinning / critical-section cost per byte (GetPrimitiveArrayCritical
-    /// avoids a copy; a small per-byte touch remains).
-    pub pin_bytes_per_sec: f64,
-}
+/// Fixed call transition cost of one JNI downcall.
+pub const CALL_OVERHEAD: SimDuration = SimDuration::from_micros(60);
 
-impl Default for JniBridge {
-    fn default() -> Self {
-        JniBridge {
-            call_overhead: SimDuration::from_micros(60),
-            pin_bytes_per_sec: 20.0e9,
-        }
-    }
-}
+/// Array pinning / critical-section cost per byte (GetPrimitiveArrayCritical
+/// avoids a copy; a small per-byte touch remains), bytes/second.
+pub const PIN_BYTES_PER_SEC: f64 = 20.0e9;
 
-impl JniBridge {
-    /// Total bridge cost for one native call moving `bytes`.
-    pub fn call_cost(&self, bytes: u64) -> SimDuration {
-        self.call_overhead + SimDuration::from_secs_f64(bytes as f64 / self.pin_bytes_per_sec)
-    }
+/// Total bridge cost for one native call moving `bytes`.
+pub fn call_cost(bytes: u64) -> SimDuration {
+    CALL_OVERHEAD + SimDuration::from_secs_f64(bytes as f64 / PIN_BYTES_PER_SEC)
 }
 
 #[cfg(test)]
@@ -41,10 +27,9 @@ mod tests {
 
     #[test]
     fn call_cost_scales_with_bytes() {
-        let b = JniBridge::default();
-        let small = b.call_cost(0);
+        let small = call_cost(0);
         assert_eq!(small, SimDuration::from_micros(60));
-        let big = b.call_cost(64 << 20);
+        let big = call_cost(64 << 20);
         assert!(big > small);
         // Bridge cost for a 64 MB record stays microseconds-to-milliseconds:
         // invisible next to the ~7.5 s feed time — the ablation's point.

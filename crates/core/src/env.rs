@@ -12,7 +12,8 @@ use accelmr_mapred::{NodeEnv, NodeEnvFactory};
 
 /// Node-resident Cell BE state: the Cell machine every accelerated kernel
 /// runs on, plus a MapReduce-for-Cell framework instance for jobs routed
-/// through the second native library. Both run the default [`CellConfig`].
+/// through the second native library. Both model the one Cell of
+/// [`accelmr_cellbe::config`].
 pub struct CellNodeEnv {
     machine: CellMachine,
     framework: CellMrRuntime,
@@ -22,15 +23,10 @@ impl CellNodeEnv {
     /// Builds the environment; `materialized` machines compute on real
     /// bytes.
     pub fn new(materialized: bool) -> Self {
-        CellNodeEnv {
-            machine: CellMachine::new(CellConfig::default(), materialized).expect("valid config"),
-            framework: CellMrRuntime::new(
-                CellConfig::default(),
-                CellMrConfig::default(),
-                materialized,
-            )
-            .expect("valid config"),
-        }
+        let Ok(machine) = CellMachine::new(CellConfig::default(), materialized);
+        let Ok(framework) =
+            CellMrRuntime::new(CellConfig::default(), CellMrConfig::default(), materialized);
+        CellNodeEnv { machine, framework }
     }
 
     /// The node's Cell machine.
@@ -75,7 +71,7 @@ mod tests {
         let cell = (&mut *env as &mut dyn std::any::Any)
             .downcast_mut::<CellNodeEnv>()
             .expect("downcast");
-        let context = CellConfig::default().context_create;
+        let context = accelmr_cellbe::config::CONTEXT_CREATE;
         assert_eq!(cell.machine().warm_up(), context);
         assert_eq!(cell.machine().warm_up(), accelmr_des::SimDuration::ZERO);
     }

@@ -18,10 +18,10 @@ const FIG6_SEED: u64 = 42;
 /// averaged repeated executions.
 pub fn fig2(sizes_mb: &[u64]) -> Figure {
     let spu_kernel = AesCtrSpeKernel::new(job_key(), JOB_NONCE);
-    let mut machine = CellMachine::new(CellConfig::default(), false).expect("valid config");
+    let Ok(mut machine) = CellMachine::new(CellConfig::default(), false);
     machine.warm_up();
-    let mut framework = CellMrRuntime::new(CellConfig::default(), CellMrConfig::default(), false)
-        .expect("valid config");
+    let Ok(mut framework) =
+        CellMrRuntime::new(CellConfig::default(), CellMrConfig::default(), false);
     framework.machine_mut().warm_up();
 
     Figure::sweep(
@@ -67,7 +67,7 @@ pub fn fig6(samples: &[u64]) -> Figure {
         samples.iter().map(|&n| {
             let rate = |secs: f64| n as f64 / secs;
             // Cold machine per measurement.
-            let mut machine = CellMachine::new(CellConfig::default(), false).expect("valid config");
+            let Ok(mut machine) = CellMachine::new(CellConfig::default(), false);
             let report = machine.run_compute(n, &PiSpeKernel::new(FIG6_SEED, 0));
             (
                 n as f64,

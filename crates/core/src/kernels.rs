@@ -29,7 +29,7 @@ use accelmr_kernels::cost::{self, Engine};
 use accelmr_kernels::{pool, Aes128, AesImpl};
 use accelmr_mapred::{NodeEnv, RecordCtx, RecordOutcome, TaskKernel, UnitsOutcome};
 
-use crate::bridge::JniBridge;
+use crate::bridge;
 use crate::env::CellNodeEnv;
 
 /// Key used by every encryption kernel (fixed 128-bit key, as the paper's
@@ -114,7 +114,6 @@ impl TaskKernel for JavaAesKernel {
 #[derive(Clone)]
 pub struct CellAesKernel {
     spu: AesCtrSpeKernel,
-    bridge: JniBridge,
 }
 
 impl CellAesKernel {
@@ -122,7 +121,6 @@ impl CellAesKernel {
     pub fn new() -> Self {
         CellAesKernel {
             spu: AesCtrSpeKernel::new(job_key(), JOB_NONCE),
-            bridge: JniBridge::default(),
         }
     }
 }
@@ -145,7 +143,7 @@ impl TaskKernel for CellAesKernel {
 
     fn map_record(&self, env: &mut dyn NodeEnv, rec: &RecordCtx<'_>) -> RecordOutcome {
         let machine = cell_env(env).machine();
-        let bridge_cost = self.bridge.call_cost(rec.len);
+        let bridge_cost = bridge::call_cost(rec.len);
         match rec.bytes {
             Some(bytes) => {
                 // Functional: the record truly rides through the local
@@ -160,12 +158,7 @@ impl TaskKernel for CellAesKernel {
                 // Virtual: closed-form estimator over the same constants
                 // (property-tested against the event model).
                 let session = machine.start_session();
-                let body = estimate::data_run_body(
-                    machine.config(),
-                    rec.len,
-                    self.spu.cycles_per_byte(),
-                    SPU_BLOCK,
-                );
+                let body = estimate::data_run_body(rec.len, self.spu.cycles_per_byte(), SPU_BLOCK);
                 encrypted(rec, bridge_cost + session + body, None)
             }
         }
@@ -179,7 +172,6 @@ impl TaskKernel for CellAesKernel {
 #[derive(Clone)]
 pub struct CellMrAesKernel {
     spu: AesCtrSpeKernel,
-    bridge: JniBridge,
 }
 
 impl CellMrAesKernel {
@@ -187,7 +179,6 @@ impl CellMrAesKernel {
     pub fn new() -> Self {
         CellMrAesKernel {
             spu: AesCtrSpeKernel::new(job_key(), JOB_NONCE),
-            bridge: JniBridge::default(),
         }
     }
 }
@@ -219,11 +210,7 @@ impl TaskKernel for CellMrAesKernel {
         let output = rec
             .bytes
             .map(|_| machine_report.output.expect("materialized"));
-        encrypted(
-            rec,
-            self.bridge.call_cost(rec.len) + fw_report.total,
-            output,
-        )
+        encrypted(rec, bridge::call_cost(rec.len) + fw_report.total, output)
     }
 }
 
@@ -293,16 +280,12 @@ impl TaskKernel for JavaPiKernel {
 pub struct CellPiKernel {
     /// RNG seed namespace for the job.
     pub seed: u64,
-    bridge: JniBridge,
 }
 
 impl CellPiKernel {
     /// Builds the kernel.
     pub fn new(seed: u64) -> Self {
-        CellPiKernel {
-            seed,
-            bridge: JniBridge::default(),
-        }
+        CellPiKernel { seed }
     }
 }
 
@@ -326,7 +309,7 @@ impl TaskKernel for CellPiKernel {
         let report = cell_env(env).machine().run_compute(units, &spu_kernel);
         let inside: u64 = report.unit_results.iter().sum();
         UnitsOutcome {
-            compute: self.bridge.call_cost(64) + report.elapsed,
+            compute: bridge::call_cost(64) + report.elapsed,
             kv: vec![(0, inside), (1, units)],
         }
     }

@@ -11,7 +11,7 @@
 //!   whose SPU contexts stay warm across map tasks, plus the
 //!   MapReduce-for-Cell framework instance [`CellMrAesKernel`] runs its
 //!   map-only records through;
-//! * [`bridge`] — the JNI call-cost model;
+//! * [`bridge`] — the JNI call cost, [`bridge::call_cost`];
 //! * [`kernels`] — one map kernel per paper configuration (Java scalar /
 //!   direct Cell / Cell framework / Empty, for both AES and Pi workloads);
 //! * [`experiments`] — a runner per paper figure (2, 4, 5, 6, 7, 8) plus
@@ -30,7 +30,6 @@ pub mod hetero;
 pub mod kernels;
 pub mod presets;
 
-pub use bridge::JniBridge;
 pub use env::{CellEnvFactory, CellNodeEnv};
 pub use hetero::{AdaptiveAesKernel, AdaptiveKernel, AdaptivePiKernel, MixedEnvFactory};
 pub use kernels::{

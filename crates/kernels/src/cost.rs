@@ -17,6 +17,9 @@
 
 use accelmr_des::SimDuration;
 
+/// Clock of the QS22's Cell BE, Hz: the PPE and the SPEs share it.
+pub const CELL_CLOCK_HZ: f64 = 3.2e9;
+
 /// An execution engine the paper evaluates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
@@ -46,21 +49,21 @@ pub struct EngineCost {
 }
 
 const SPE_SIMD: EngineCost = EngineCost {
-    clock_hz: 3.2e9,
+    clock_hz: CELL_CLOCK_HZ,
     aes_cycles_per_byte: 36.6,   // 8 SPEs => ~700 MB/s per Cell (Fig. 2)
     pi_cycles_per_sample: 256.0, // 8 SPEs => ~1e8 samples/s per Cell
     sort_cycles_per_byte: 8.0,
 };
 
 const JAVA_PPE: EngineCost = EngineCost {
-    clock_hz: 3.2e9,
+    clock_hz: CELL_CLOCK_HZ,
     aes_cycles_per_byte: 290.0,     // ~11 MB/s (Fig. 2 "PPC")
     pi_cycles_per_sample: 16_000.0, // ~2e5 samples/s (Fig. 6 "PPC")
     sort_cycles_per_byte: 60.0,
 };
 
 const JAVA_PPE_TASK: EngineCost = EngineCost {
-    clock_hz: 3.2e9,
+    clock_hz: CELL_CLOCK_HZ,
     aes_cycles_per_byte: 160.0,    // ~20 MB/s with both SMT threads
     pi_cycles_per_sample: 3_200.0, // ~1e6 samples/s (Figs. 7/8 Java mapper)
     sort_cycles_per_byte: 40.0,

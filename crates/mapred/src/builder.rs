@@ -34,8 +34,8 @@ use crate::session::JobRequest;
 
 /// Fluent deployment of a simulated cluster: fabric + DFS + MapReduce
 /// runtime over `workers` nodes, with named setters and defaults matching
-/// the paper's configuration (`NetConfig`/`DfsConfig`/`MrConfig` defaults,
-/// timing-only simulation, no accelerators).
+/// the paper's configuration (`DfsConfig`/`MrConfig` defaults, timing-only
+/// simulation, no accelerators) on the paper's Gigabit Ethernet network.
 pub struct ClusterBuilder {
     seed: u64,
     workers: usize,
@@ -56,7 +56,8 @@ impl Default for ClusterBuilder {
 impl ClusterBuilder {
     /// Starts from the defaults: seed 42, 4 workers, default DFS/MR
     /// configs, no per-node accelerator state, timing-only data. The
-    /// network is always the paper's (`NetConfig::default()`).
+    /// network is always the paper's: its rates are constants of
+    /// `accelmr_net::config`.
     pub fn new() -> Self {
         ClusterBuilder {
             seed: 42,

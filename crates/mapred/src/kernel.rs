@@ -11,6 +11,7 @@
 use std::any::Any;
 
 use accelmr_des::SimDuration;
+use accelmr_kernels::cost::CELL_CLOCK_HZ;
 
 /// Node-resident execution environment (accelerator state). One per
 /// TaskTracker, shared by every task that runs on the node. Kernels
@@ -126,7 +127,8 @@ pub trait ReduceKernel: Send + Sync {
 /// Pi estimator's single reduce does with its `(inside, total)` pairs).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SumReducer {
-    /// Cycles charged per reduced byte at 3.2 GHz-equivalent.
+    /// Cycles charged per reduced byte at the Cell's clock
+    /// ([`CELL_CLOCK_HZ`]).
     pub cycles_per_byte: f64,
 }
 
@@ -137,7 +139,7 @@ impl ReduceKernel for SumReducer {
 
     fn reduce_time(&self, bytes: u64, pairs: u64) -> SimDuration {
         let cycles = self.cycles_per_byte * bytes as f64 + 50.0 * pairs as f64;
-        SimDuration::from_secs_f64(cycles / 3.2e9)
+        SimDuration::from_secs_f64(cycles / CELL_CLOCK_HZ)
     }
 
     fn aggregate(&self, pairs: &[(u64, u64)]) -> Vec<(u64, u64)> {

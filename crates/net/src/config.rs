@@ -1,4 +1,5 @@
-//! Network parameters.
+//! The network's hardware: node ids, link rates and RPC costs, each a
+//! constant.
 
 use accelmr_des::SimDuration;
 
@@ -24,40 +25,34 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Fabric configuration. Defaults model the paper's testbed: Gigabit
-/// Ethernet NICs (125 MB/s full duplex per node) behind a non-blocking
-/// switch, and a loopback device whose raw capacity is high but whose
-/// *per-stream* useful rate is protocol-limited — the effect the paper
-/// measured between DataNode and TaskTracker.
-#[derive(Clone, Debug)]
-pub struct NetConfig {
-    /// Per-node NIC bandwidth, each direction, bytes/second.
-    pub link_bytes_per_sec: f64,
-    /// Loopback device aggregate bandwidth per node, bytes/second.
-    pub loopback_bytes_per_sec: f64,
-    /// Fixed one-way latency of a control RPC.
-    pub rpc_latency: SimDuration,
-    /// Serialization rate applied to RPC payload bytes.
-    pub rpc_bytes_per_sec: f64,
+/// Per-node NIC bandwidth, each direction, bytes/second. The paper's
+/// testbed: Gigabit Ethernet NICs (125 MB/s full duplex per node) behind a
+/// non-blocking switch.
+pub const LINK_BYTES_PER_SEC: f64 = 125.0e6;
+
+/// Loopback device aggregate bandwidth per node, bytes/second. The raw
+/// capacity is high, but the *per-stream* useful rate is protocol-limited
+/// — the effect the paper measured between DataNode and TaskTracker.
+pub const LOOPBACK_BYTES_PER_SEC: f64 = 1.5e9;
+
+/// Fixed one-way latency of a control RPC.
+pub const RPC_LATENCY: SimDuration = SimDuration::from_micros(200);
+
+/// Serialization rate applied to RPC payload bytes.
+pub const RPC_BYTES_PER_SEC: f64 = 125.0e6;
+
+/// One-way delivery delay of a control message carrying `bytes`.
+pub fn rpc_delay(bytes: u64) -> SimDuration {
+    RPC_LATENCY + SimDuration::from_secs_f64(bytes as f64 / RPC_BYTES_PER_SEC)
 }
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            link_bytes_per_sec: 125.0e6,
-            loopback_bytes_per_sec: 1.5e9,
-            rpc_latency: SimDuration::from_micros(200),
-            rpc_bytes_per_sec: 125.0e6,
-        }
-    }
-}
-
-impl NetConfig {
-    /// One-way delivery delay of a control message carrying `bytes`.
-    pub fn rpc_delay(&self, bytes: u64) -> SimDuration {
-        self.rpc_latency + SimDuration::from_secs_f64(bytes as f64 / self.rpc_bytes_per_sec)
-    }
-}
+/// Carries no setting: the network is the paper's, stated by the constants
+/// above. The type exists only as the argument of [`Fabric::new`], a call
+/// surface the benchmark package is built against.
+///
+/// [`Fabric::new`]: crate::Fabric::new
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NetConfig {}
 
 #[cfg(test)]
 mod tests {
@@ -72,10 +67,9 @@ mod tests {
 
     #[test]
     fn rpc_delay_includes_serialization() {
-        let cfg = NetConfig::default();
-        let d0 = cfg.rpc_delay(0);
-        assert_eq!(d0, cfg.rpc_latency);
-        let d = cfg.rpc_delay(125_000_000);
-        assert_eq!(d.as_nanos(), cfg.rpc_latency.as_nanos() + 1_000_000_000);
+        let d0 = rpc_delay(0);
+        assert_eq!(d0, RPC_LATENCY);
+        let d = rpc_delay(125_000_000);
+        assert_eq!(d.as_nanos(), RPC_LATENCY.as_nanos() + 1_000_000_000);
     }
 }

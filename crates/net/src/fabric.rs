@@ -79,7 +79,7 @@ use std::collections::hash_map::Entry;
 use accelmr_des::prelude::*;
 use accelmr_des::{FxHashMap, Ladder, QueueStats, Timed};
 
-use crate::config::{NetConfig, NodeId};
+use crate::config::{rpc_delay, NetConfig, NodeId, LINK_BYTES_PER_SEC, LOOPBACK_BYTES_PER_SEC};
 use crate::flow::{LinkId, LinkTable, MaxMinSolver, Route};
 
 /// Control RPC from `src` to an actor on node `dst`.
@@ -315,7 +315,6 @@ const NONE: u32 = u32::MAX;
 
 /// The interconnect actor.
 pub struct Fabric {
-    cfg: NetConfig,
     links: LinkTable,
     tx: Vec<LinkId>,
     rx: Vec<LinkId>,
@@ -394,20 +393,15 @@ pub struct Fabric {
 
 impl Fabric {
     /// Builds a fabric for `nodes` machines.
-    pub fn new(cfg: NetConfig, nodes: usize) -> Self {
+    pub fn new(_: NetConfig, nodes: usize) -> Self {
         let mut links = LinkTable::new();
-        let tx: Vec<LinkId> = (0..nodes)
-            .map(|_| links.add(cfg.link_bytes_per_sec))
-            .collect();
-        let rx: Vec<LinkId> = (0..nodes)
-            .map(|_| links.add(cfg.link_bytes_per_sec))
-            .collect();
+        let tx: Vec<LinkId> = (0..nodes).map(|_| links.add(LINK_BYTES_PER_SEC)).collect();
+        let rx: Vec<LinkId> = (0..nodes).map(|_| links.add(LINK_BYTES_PER_SEC)).collect();
         let loopback: Vec<LinkId> = (0..nodes)
-            .map(|_| links.add(cfg.loopback_bytes_per_sec))
+            .map(|_| links.add(LOOPBACK_BYTES_PER_SEC))
             .collect();
         let n_links = links.len();
         Fabric {
-            cfg,
             links,
             tx,
             rx,
@@ -449,10 +443,9 @@ impl Fabric {
     fn ensure_node(&mut self, node: NodeId) -> usize {
         let before = self.tx.len();
         while self.tx.len() <= node.index() {
-            self.tx.push(self.links.add(self.cfg.link_bytes_per_sec));
-            self.rx.push(self.links.add(self.cfg.link_bytes_per_sec));
-            self.loopback
-                .push(self.links.add(self.cfg.loopback_bytes_per_sec));
+            self.tx.push(self.links.add(LINK_BYTES_PER_SEC));
+            self.rx.push(self.links.add(LINK_BYTES_PER_SEC));
+            self.loopback.push(self.links.add(LOOPBACK_BYTES_PER_SEC));
         }
         let n_links = self.links.len();
         self.link_classes.resize_with(n_links, Vec::new);
@@ -485,7 +478,7 @@ impl Fabric {
             ctx.stats().incr("net.partitions_started");
         }
         self.degrade[node.index()] = factor;
-        let cap = self.cfg.link_bytes_per_sec * factor;
+        let cap = LINK_BYTES_PER_SEC * factor;
         let (tx, rx) = (self.tx[node.index()], self.rx[node.index()]);
         self.links.set_capacity(tx, cap);
         self.links.set_capacity(rx, cap);
@@ -1022,7 +1015,7 @@ impl Actor for Fabric {
                 FabricInbox::Unicast(u) => {
                     ctx.stats().incr("net.rpcs");
                     ctx.stats().add("net.rpc_bytes", u.bytes);
-                    let delay = self.cfg.rpc_delay(u.bytes);
+                    let delay = rpc_delay(u.bytes);
                     ctx.send_boxed(u.to, u.payload, delay);
                 }
                 FabricInbox::EnsureNode(grow) => {
@@ -1359,7 +1352,7 @@ mod tests {
                     if let Some(h) = msg.peek::<Hello>() {
                         assert_eq!(h.0, 7);
                         let t = ctx.now();
-                        assert_eq!(t, SimTime::ZERO + NetConfig::default().rpc_delay(1000));
+                        assert_eq!(t, SimTime::ZERO + rpc_delay(1000));
                         ctx.stats().incr("got_hello");
                     }
                 }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use accelmr_des::prelude::*;
 
-use crate::config::{NetConfig, NodeId};
+use crate::config::{rpc_delay, NetConfig, NodeId, LINK_BYTES_PER_SEC, LOOPBACK_BYTES_PER_SEC};
 use crate::fabric::{
     Fabric, FabricInbox, FlowAborted, FlowDone, NetHandle, StartFlow, PARTITION_FACTOR,
 };
@@ -35,10 +35,9 @@ impl Engine {
 
     /// Spawns this engine's fabric actor for `nodes` machines.
     pub(crate) fn spawn(self, sim: &mut Sim, nodes: usize) -> NetHandle {
-        let cfg = NetConfig::default();
         let fabric = match self {
-            Engine::Production => sim.spawn(Box::new(Fabric::new(cfg, nodes))),
-            Engine::Reference => sim.spawn(Box::new(ReferenceFabric::new(cfg, nodes))),
+            Engine::Production => sim.spawn(Box::new(Fabric::new(NetConfig::default(), nodes))),
+            Engine::Reference => sim.spawn(Box::new(ReferenceFabric::new(nodes))),
         };
         NetHandle { fabric }
     }
@@ -60,7 +59,6 @@ const EPS_BYTES: f64 = 1e-3;
 
 /// The oracle interconnect actor (see the module docs).
 pub(crate) struct ReferenceFabric {
-    cfg: NetConfig,
     links: LinkTable,
     tx: Vec<LinkId>,
     rx: Vec<LinkId>,
@@ -76,17 +74,16 @@ pub(crate) struct ReferenceFabric {
 }
 
 impl ReferenceFabric {
-    pub(crate) fn new(cfg: NetConfig, nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         // Same link numbering as `Fabric::new` / `Fabric::ensure_node`, so
         // the global solve sees links in the order the fabric's would.
         let mut links = LinkTable::new();
         let mut per_node =
             |rate: f64| -> Vec<LinkId> { (0..nodes).map(|_| links.add(rate)).collect() };
-        let tx = per_node(cfg.link_bytes_per_sec);
-        let rx = per_node(cfg.link_bytes_per_sec);
-        let loopback = per_node(cfg.loopback_bytes_per_sec);
+        let tx = per_node(LINK_BYTES_PER_SEC);
+        let rx = per_node(LINK_BYTES_PER_SEC);
+        let loopback = per_node(LOOPBACK_BYTES_PER_SEC);
         ReferenceFabric {
-            cfg,
             links,
             tx,
             rx,
@@ -102,10 +99,9 @@ impl ReferenceFabric {
     fn ensure_node(&mut self, node: NodeId) -> usize {
         let before = self.tx.len();
         while self.tx.len() <= node.index() {
-            self.tx.push(self.links.add(self.cfg.link_bytes_per_sec));
-            self.rx.push(self.links.add(self.cfg.link_bytes_per_sec));
-            self.loopback
-                .push(self.links.add(self.cfg.loopback_bytes_per_sec));
+            self.tx.push(self.links.add(LINK_BYTES_PER_SEC));
+            self.rx.push(self.links.add(LINK_BYTES_PER_SEC));
+            self.loopback.push(self.links.add(LOOPBACK_BYTES_PER_SEC));
         }
         self.degrade.resize(self.tx.len(), 1.0);
         self.tx.len() - before
@@ -248,7 +244,7 @@ impl ReferenceFabric {
             ctx.stats().incr("net.partitions_started");
         }
         self.degrade[node.index()] = factor;
-        let cap = self.cfg.link_bytes_per_sec * factor;
+        let cap = LINK_BYTES_PER_SEC * factor;
         self.links.set_capacity(self.tx[node.index()], cap);
         self.links.set_capacity(self.rx[node.index()], cap);
         ctx.stats().incr("net.bandwidth_changes");
@@ -274,7 +270,7 @@ impl Actor for ReferenceFabric {
                 FabricInbox::Unicast(u) => {
                     ctx.stats().incr("net.rpcs");
                     ctx.stats().add("net.rpc_bytes", u.bytes);
-                    let delay = self.cfg.rpc_delay(u.bytes);
+                    let delay = rpc_delay(u.bytes);
                     ctx.send_boxed(u.to, u.payload, delay);
                 }
                 FabricInbox::EnsureNode(grow) => {

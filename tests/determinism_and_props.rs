@@ -302,17 +302,16 @@ fn cell_estimator_tracks_event_model() {
         let mb = rng.range_inclusive(1, 63);
         let cpb = 1.0 + rng.next_f64() * 299.0;
         let block_kb = rng.range_inclusive(1, 7) as usize;
-        let cfg = CellConfig::default();
         let block = block_kb * 4096; // 4..32 KB, aligned
         let bytes = mb << 20;
-        let mut m = CellMachine::new(cfg.clone(), false).unwrap();
+        let mut m = CellMachine::new(CellConfig::default(), false).unwrap();
         m.warm_up();
         let kernel = IdentityKernel::new(cpb);
         let detailed = m
             .run_data(DataInput::Virtual(bytes), &kernel, block)
             .unwrap();
         let body = (detailed.elapsed - detailed.startup).as_secs_f64();
-        let est = estimate::data_run_body(&cfg, bytes, cpb, block).as_secs_f64();
+        let est = estimate::data_run_body(bytes, cpb, block).as_secs_f64();
         let rel = (est - body).abs() / body.max(1e-9);
         assert!(
             rel < 0.15,

@@ -10,8 +10,9 @@
 //! attributes only, not inner ones. These tests walk every source file the
 //! workspace lints apply to and pin all three, and two conventions no lint
 //! knows: an actor receives through its `accelmr_des::inbox!`, and the
-//! functional path allocates no record image of its own. A last test keeps the
-//! tier-1 test profile's debug assertions on.
+//! functional path allocates no record image of its own. A last pair keeps
+//! the tier-1 test profile's debug assertions on and the hardware model free
+//! of settings.
 //!
 //! Needles are assembled with `concat!` so this file does not match them.
 
@@ -241,5 +242,20 @@ fn the_tier1_test_profile_keeps_debug_assertions() {
     assert!(
         cfg!(debug_assertions),
         "cargo test must build with debug assertions"
+    );
+}
+
+/// The testbed's hardware is constants, not settings: the three config
+/// types the benchmark package passes exist only as a call surface and
+/// carry nothing. A field re-added to any of them fails here.
+#[test]
+fn hardware_model_structs_carry_no_setting() {
+    use std::mem::size_of;
+    assert_eq!(size_of::<accelmr::net::NetConfig>(), 0, "NetConfig");
+    assert_eq!(size_of::<accelmr::cellbe::CellConfig>(), 0, "CellConfig");
+    assert_eq!(
+        size_of::<accelmr::cellmr::CellMrConfig>(),
+        0,
+        "CellMrConfig"
     );
 }
