@@ -130,7 +130,7 @@ fn ablations(_quick: bool) {
     println!("\n# ablation 1b — feed cap sweep (Cell mapper; linear in 1/cap)");
     for cap_mbps in [4.25, 8.5, 17.0, 34.0] {
         let cfg = MrConfig {
-            record_feed_cap: Some(cap_mbps * 1e6),
+            record_feed_cap: cap_mbps * 1e6,
             ..MrConfig::default()
         };
         let r = run_encrypt_job(2, nodes, bytes, AesMapper::Cell, &cfg);

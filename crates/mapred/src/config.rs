@@ -171,6 +171,9 @@ impl std::fmt::Display for MrConfigError {
                 "tt_dead_after ({tt_dead_after}) must exceed heartbeat_interval \
                  ({heartbeat_interval}); healthy trackers would be declared dead"
             ),
+            MrConfigError::NotPositive {
+                what: "record_feed_cap",
+            } => write!(f, "record_feed_cap must be positive"),
             MrConfigError::NotPositive { what } => {
                 write!(f, "{what} must be positive (or None to disable)")
             }
@@ -196,7 +199,7 @@ pub struct MrConfig {
     /// Per-stream ceiling of the DataNode→RecordReader feed path,
     /// bytes/second. The paper measured "several seconds" per 64 MB record
     /// over loopback — about 8.5 MB/s per stream.
-    pub record_feed_cap: Option<f64>,
+    pub record_feed_cap: f64,
     /// Overlap record reads with map computation (Hadoop's streaming
     /// RecordReader). `false` is the stop-and-wait ablation.
     pub pipelined_reads: bool,
@@ -269,7 +272,7 @@ impl MrConfig {
         let not_positive = [
             (
                 "record_feed_cap",
-                self.record_feed_cap.is_some_and(|c| c.is_nan() || c <= 0.0),
+                self.record_feed_cap.is_nan() || self.record_feed_cap <= 0.0,
             ),
             ("shuffle_fetch_timeout", self.shuffle_fetch_timeout == zero),
             ("read_timeout", self.read_timeout == zero),
@@ -307,7 +310,7 @@ impl Default for MrConfig {
             map_slots_per_node: 2,
             heartbeat_interval: SimDuration::from_secs(3),
             tt_dead_after: SimDuration::from_secs(30),
-            record_feed_cap: Some(8.5e6),
+            record_feed_cap: 8.5e6,
             pipelined_reads: true,
             speculative: false,
             max_attempts: 4,
@@ -333,7 +336,7 @@ mod tests {
         assert_eq!(c.heartbeat_interval, SimDuration::from_secs(3));
         assert!(c.pipelined_reads);
         assert_eq!(c.scheduler, SchedulerPolicy::LocalityFirst);
-        let cap = c.record_feed_cap.unwrap();
+        let cap = c.record_feed_cap;
         // ~7.5 s per 64 MB record, the paper's "several seconds".
         let per_record = (64 << 20) as f64 / cap;
         assert!((6.0..10.0).contains(&per_record), "{per_record}");
@@ -375,10 +378,10 @@ mod tests {
             })
         );
         // A zero, negative or NaN feed cap would price every record read
-        // at rate 0 and hang the run; `None` (uncapped) stays valid.
+        // at rate 0 and hang the run.
         for cap in [0.0, -1.0, f64::NAN] {
             let bad = MrConfig {
-                record_feed_cap: Some(cap),
+                record_feed_cap: cap,
                 ..MrConfig::default()
             };
             let err = bad.validate().unwrap_err();
@@ -388,13 +391,8 @@ mod tests {
                     what: "record_feed_cap"
                 }
             );
-            assert!(err.to_string().contains("record_feed_cap must be positive"));
+            assert_eq!(err.to_string(), "record_feed_cap must be positive");
         }
-        let uncapped = MrConfig {
-            record_feed_cap: None,
-            ..MrConfig::default()
-        };
-        uncapped.validate().unwrap();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Heartbeat dispatch: which job, which task, which straggler, which victim.
 //!
 //! Every decision here shows the scheduler the same picture of a job —
-//! [`JobState::view`] over the pending entries [`JobState::pending_filter`]
+//! [`JobState::view`] over the pending entries
+//! [`SlotLedger::pending_filter`](super::ledger::SlotLedger::pending_filter)
 //! offers — so the task-level and job-level halves of the two-level pick
 //! cannot disagree about what is runnable.
 
@@ -14,7 +15,6 @@ use crate::job::{OutputSink, ReduceSpec, TaskDescriptor, TaskWork};
 use crate::msgs::{AssignTask, KillTask};
 use crate::sched::{ReclaimVictim, SchedView, Scheduler};
 
-use super::lifecycle::{reduce_fetches, shuffle_outputs};
 use super::{JobState, JobTracker, Phase};
 
 impl JobTracker {
@@ -50,7 +50,7 @@ impl JobTracker {
             };
             if !regular_declined.contains(&job_id) {
                 if let Some(task) = self.pick_task(job_id, node) {
-                    self.assign(ctx, job_id, task, node);
+                    self.assign(ctx, job_id, task, node, false);
                     free -= 1;
                     continue;
                 }
@@ -60,11 +60,8 @@ impl JobTracker {
             // back).
             if self.cfg.speculative {
                 if let Some(task) = self.pick_straggler(now, job_id, node) {
-                    if let Some(job) = self.jobs.get_mut(&job_id) {
-                        job.speculative_attempts += 1;
-                    }
                     ctx.stats().incr("mr.speculative_launches");
-                    self.assign(ctx, job_id, task, node);
+                    self.assign(ctx, job_id, task, node, true);
                     free -= 1;
                     continue;
                 }
@@ -111,7 +108,7 @@ impl JobTracker {
             .iter()
             .map(|id| {
                 let job = &self.jobs[id];
-                let filter = job.pending_filter();
+                let filter = job.ledger.pending_filter();
                 let offered = filter.as_deref().unwrap_or(job.ledger.pending()).len();
                 let eligible = eligible(job, offered);
                 (filter, eligible)
@@ -139,7 +136,7 @@ impl JobTracker {
         let speculative = self.cfg.speculative;
         self.ask_over_jobs(
             |job, offered| {
-                (offered > 0 || (speculative && job.ledger.running_tasks() > 0))
+                (offered > 0 || (speculative && job.ledger.tally().running_tasks > 0))
                     && !exhausted.contains(&job.id.0)
             },
             |scheduler, views| {
@@ -176,7 +173,7 @@ impl JobTracker {
         let slots_per_node = self.cfg.map_slots_per_node;
         let job = self.jobs.get_mut(&job_id)?;
         job.ledger.make_contiguous();
-        let filter = job.pending_filter();
+        let filter = job.ledger.pending_filter();
         let pending = filter.as_deref().unwrap_or(job.ledger.pending());
         if pending.is_empty() {
             return None;
@@ -207,13 +204,20 @@ impl JobTracker {
         // No speculative reduce copies while the shuffle's map outputs are
         // incomplete: a duplicate dispatched now would be rebuilt against
         // a partial output set (see `assign`).
-        if job.ledger.task(pick).is_reduce && !job.shuffle_ready() {
+        if job.ledger.task(pick).is_reduce && !job.ledger.shuffle_ready() {
             return None;
         }
         Some(pick)
     }
 
-    fn assign(&mut self, ctx: &mut Ctx<'_>, job_id: u32, task: TaskId, node: NodeId) {
+    fn assign(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        job_id: u32,
+        task: TaskId,
+        node: NodeId,
+        speculative: bool,
+    ) {
         let Some(tt) = self.tts.get(&node) else {
             return;
         };
@@ -223,47 +227,36 @@ impl JobTracker {
         };
         let now = ctx.now();
         // Reduce fetch lists are rebuilt from the *current* map outputs at
-        // every dispatch: after churn, a re-executed map's output lives on
-        // a different node than when the reduce task was first planned.
-        // Dispatch is gated on `shuffle_ready`, so the set is complete.
-        if job.ledger.task(task).is_reduce && job.shuffle_ready() {
-            let reducers = job.reduce_count as usize;
-            let r = (task.0 - job.map_count) as usize;
-            let (outputs, total_pairs) = shuffle_outputs(&job.map_outputs);
-            if let TaskWork::Reduce { fetches, pairs, .. } = job.ledger.work_mut(task) {
-                *fetches = reduce_fetches(&outputs, reducers, r);
-                *pairs = total_pairs / reducers as u64;
-            }
+        // every dispatch. Dispatch is gated on `shuffle_ready`, so the set
+        // is complete.
+        if job.ledger.task(task).is_reduce && job.ledger.shuffle_ready() {
+            job.ledger.partition([task]);
         }
-        let attempt = job.ledger.add_attempt(task, node, now);
-        job.dispatch_log.push((task, node));
-        job.last_progress = now;
+        let attempt = job.ledger.add_attempt(task, node, now, speculative);
         let ts = job.ledger.task(task);
-        let reduce_merge_time = if ts.is_reduce {
-            match (&job.spec.reduce, &ts.work) {
-                (ReduceSpec::Shuffle { reducer, .. }, TaskWork::Reduce { fetches, pairs, .. }) => {
-                    let bytes: u64 = fetches.iter().map(|&(_, b)| b).sum();
-                    Some(reducer.reduce_time(bytes, *pairs))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let output = if ts.is_reduce {
-            match &ts.work {
-                TaskWork::Reduce {
-                    write_output: true,
-                    output_path,
-                    ..
-                } => OutputSink::Dfs {
-                    path: output_path.clone(),
-                    replication: None,
+        let (reduce_merge_time, output) = match &ts.work {
+            TaskWork::Reduce {
+                fetches,
+                pairs,
+                write_output,
+                output_path,
+            } => (
+                match &job.spec.reduce {
+                    ReduceSpec::Shuffle { reducer, .. } => {
+                        Some(reducer.reduce_time(fetches.iter().map(|&(_, b)| b).sum(), *pairs))
+                    }
+                    _ => None,
                 },
-                _ => OutputSink::Discard,
-            }
-        } else {
-            job.spec.output.clone()
+                if *write_output {
+                    OutputSink::Dfs {
+                        path: output_path.clone(),
+                        replication: None,
+                    }
+                } else {
+                    OutputSink::Discard
+                },
+            ),
+            _ => (None, job.spec.output.clone()),
         };
         let descriptor = TaskDescriptor {
             job: JobId(job_id),
@@ -279,13 +272,11 @@ impl JobTracker {
         net.unicast(ctx, my, node, tt_actor, 1024, AssignTask { descriptor });
     }
 
-    /// Executes one preemption kill: removes the attempt from the ledger
-    /// (which requeues the task unless a speculative sibling still runs
-    /// it), fences the attempt so its eventual completion report is
-    /// rejected (the PR-8 zombie path, reused verbatim), re-bills the
-    /// discarded slot-seconds from the victim job to the beneficiary, and
-    /// tells the TaskTracker to kill the attempt. The freed slot surfaces
-    /// in the node's next heartbeat.
+    /// Executes one preemption kill: the victim job's ledger removes and
+    /// fences the attempt (the zombie path of node deaths, reused
+    /// verbatim), its discarded slot-seconds move to the beneficiary, and
+    /// the TaskTracker is told to kill it. The freed slot surfaces in the
+    /// node's next heartbeat.
     ///
     /// Exactly-once needs no kv/digest surgery here: a *running* map
     /// attempt has folded nothing into the job (folding happens only on a
@@ -300,36 +291,17 @@ impl JobTracker {
             debug_assert!(false, "reclaim named unknown job {}", v.job);
             return;
         };
-        let Some(ts) = job.ledger.tasks().get(v.task.0 as usize) else {
-            debug_assert!(false, "reclaim named unknown task {}/{}", v.job, v.task);
+        let Some(elapsed) = job.ledger.preempt(v.task, v.attempt, node, now) else {
+            debug_assert!(
+                false,
+                "reclaim named no running map attempt {v:?} on {node}"
+            );
             return;
         };
-        debug_assert!(
-            !ts.is_reduce && !ts.completed,
-            "reclaim named a reduce or completed task {}/{}",
-            v.job,
-            v.task
-        );
-        if ts.is_reduce || ts.completed {
-            return;
-        }
-        let killed = job
-            .ledger
-            .remove_attempts(v.task, now, |a, n| a == v.attempt && n == node);
-        let Some(&(_, _, started)) = killed.first() else {
-            debug_assert!(false, "reclaim named attempt not running on node");
-            return;
-        };
-        // Charge the killing tenant: the victim's discarded runtime moves
-        // from its slot-seconds to the beneficiary's, and is reported as
-        // the beneficiary's wasted work.
-        let elapsed = now.since(started).as_secs_f64();
-        job.ledger.charge(-elapsed);
-        job.preempted_attempts += 1;
-        self.fenced.insert((v.job.0, v.task.0, v.attempt));
+        // Charge the killing tenant: the victim's discarded runtime is
+        // reported as the beneficiary's wasted work.
         if let Some(b) = self.jobs.get_mut(&v.beneficiary.0) {
-            b.ledger.charge(elapsed);
-            b.wasted_slot_seconds += elapsed;
+            b.ledger.bill_waste(elapsed);
         }
         ctx.stats().incr("mr.preemptions");
         self.send_kill(ctx, node, v.job, v.task, v.attempt);

@@ -1,26 +1,28 @@
-//! The slot ledger: one job's task table and pending queue, and every
-//! count derived from them, behind a single owner.
+//! The slot ledger: one job's books behind a single owner — its task table
+//! and pending queue, every count derived from them, its attempt history,
+//! its folded output and its epoch fences.
 //!
-//! The JobTracker reads these counts on every free heartbeat slot
+//! The JobTracker reads the counts on every free heartbeat slot
 //! ([`SchedView::running_slots`](crate::sched::SchedView::running_slots),
 //! `running_incomplete`, the fair-share slot-seconds integral), so they are
-//! maintained incrementally rather than recounted. They have exactly one
-//! writer: every change to a task's running attempts or completion goes
-//! through [`SlotLedger::update`], which derives the counter deltas from the
-//! task's state before and after — dispatch, reports, sibling kills,
-//! preemption and node deaths cannot drift apart because none of them
-//! touches a counter. Debug builds recount the whole table after every
-//! mutation.
+//! maintained incrementally rather than recounted. Everything has exactly
+//! one writer, the mutators below, which together are the job's complete
+//! state-change log. Every change to a task's running attempts or
+//! completion goes through [`SlotLedger::update`], which derives the
+//! counter deltas from the task's state before and after — dispatch,
+//! reports, sibling kills, preemption and node deaths cannot drift apart
+//! because none of them touches a counter. Debug builds recount the whole
+//! table after every mutation.
 //!
-//! The second half of the file is the same idea for the job's output
-//! aggregates: [`MapOutput`] is what one successful attempt folds into
-//! [`Totals`], kept so a map output lost to a node death can be taken back
-//! out exactly.
+//! Exactly-once accounting is the same idea for the job's output: a
+//! winning attempt's [`MapOutput`] is folded into [`Totals`] and taken back
+//! out exactly if a node death loses it, and the attempts a node death or a
+//! preemption removes are fenced, so their late reports are rejected.
 
 use std::collections::VecDeque;
 
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
+use accelmr_des::{FxHashMap, FxHashSet};
 use accelmr_net::NodeId;
 
 use crate::config::{JobId, TaskId};
@@ -54,43 +56,97 @@ impl TaskState {
     }
 }
 
+/// Tasks of one kind in the table, and how many of them are complete.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Count {
+    pub(crate) tasks: u32,
+    pub(crate) completed: u32,
+}
+
+/// What the ledger counts and records. Readable crate-wide, but the ledger
+/// never hands out a `&mut Tally`, so only its mutators write it.
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    /// Map and reduce tasks, indexed by `is_reduce`.
+    pub(crate) counts: [Count; 2],
+    /// Running attempts summed over all tasks.
+    pub(crate) running_now: u32,
+    /// Incomplete tasks with at least one running attempt.
+    pub(crate) running_tasks: u32,
+    /// The integral of `running_now` over time, plus preemption
+    /// re-billing, and its step timeline (fairness accounting).
+    pub(crate) slot_seconds: f64,
+    pub(crate) share_timeline: Vec<(SimTime, u32)>,
+    /// Every dispatch, in order: `(task, node)`, one entry per attempt.
+    pub(crate) dispatch_log: Vec<(TaskId, NodeId)>,
+    /// Winning attempts' runtimes, in completion order.
+    pub(crate) task_times: Vec<SimDuration>,
+    pub(crate) failed_attempts: u32,
+    pub(crate) speculative_attempts: u32,
+    /// Attempts of this job killed by preemptive reclamation.
+    pub(crate) preempted_attempts: u32,
+    /// Victim runtime discarded on this job's behalf (it was the
+    /// beneficiary of the kills), already charged to its slot-seconds.
+    pub(crate) wasted_slot_seconds: f64,
+    pub(crate) totals: Totals,
+    /// Last instant the job dispatched or completed an attempt (or was
+    /// submitted): the stall watchdog's input.
+    pub(crate) last_progress: SimTime,
+}
+
+impl Tally {
+    pub(crate) fn maps(&self) -> Count {
+        self.counts[0]
+    }
+
+    pub(crate) fn reduces(&self) -> Count {
+        self.counts[1]
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct SlotLedger {
     /// Owning job, for diagnostics.
     job: JobId,
+    /// A shuffle keeps each completed map's output: it is the reduces'
+    /// partitioning input, and a node death can lose it.
+    shuffle: bool,
     tasks: Vec<TaskState>,
     /// Tasks awaiting dispatch, in queue order. Entered at creation, when
     /// an incomplete task loses its last running attempt, and when a
     /// completed map's output is lost; left only by dispatch.
     pending: VecDeque<TaskId>,
-    /// Running attempts summed over all tasks.
-    running_now: u32,
-    /// Incomplete tasks with at least one running attempt.
-    running_tasks: u32,
-    // Fairness accounting: the integral of `running_now` over time
-    // (slot-seconds) and its step timeline.
+    tally: Tally,
     share_last_change: SimTime,
-    slot_seconds: f64,
-    share_timeline: Vec<(SimTime, u32)>,
+    map_outputs: FxHashMap<TaskId, MapOutput>,
+    /// Attempts `(task, attempt)` removed by a node death or a preemption,
+    /// whose eventual reports — from a falsely-declared-dead tracker that
+    /// kept running, or one back after a partition heal — are rejected
+    /// wholesale: the re-execution's report is the one that counts.
+    fenced: FxHashSet<(TaskId, u32)>,
 }
 
 impl SlotLedger {
-    pub(crate) fn new(job: JobId, now: SimTime) -> Self {
+    pub(crate) fn new(job: JobId, shuffle: bool, now: SimTime) -> Self {
         SlotLedger {
             job,
+            shuffle,
             tasks: Vec::new(),
             pending: VecDeque::new(),
-            running_now: 0,
-            running_tasks: 0,
+            tally: Tally {
+                last_progress: now,
+                ..Tally::default()
+            },
             share_last_change: now,
-            slot_seconds: 0.0,
-            share_timeline: Vec::new(),
+            map_outputs: FxHashMap::default(),
+            fenced: FxHashSet::default(),
         }
     }
 
     /// Appends a task to the table and queues it for dispatch.
     pub(crate) fn push_task(&mut self, work: TaskWork, hints: Vec<NodeId>, is_reduce: bool) {
         self.pending.push_back(TaskId(self.tasks.len() as u32));
+        self.tally.counts[usize::from(is_reduce)].tasks += 1;
         self.tasks.push(TaskState {
             work,
             hints,
@@ -102,17 +158,27 @@ impl SlotLedger {
         });
     }
 
+    /// Books the RPC reducer, which runs inside the JobTracker rather than
+    /// in a slot, as one reduce task that completes unqueued at `now`.
+    pub(crate) fn push_rpc_reduce(&mut self, now: SimTime) {
+        let work = TaskWork::Reduce {
+            fetches: Vec::new(),
+            pairs: 0,
+            write_output: false,
+            output_path: String::new(),
+        };
+        self.push_task(work, Vec::new(), true);
+        let task = self.pending.pop_back().expect("just queued");
+        self.update(task, now, |ts| ts.completed = true);
+    }
+
     /// Empties the task table for a re-plan. Only legal while nothing has
-    /// been dispatched, so every derived count is already zero.
+    /// been dispatched, so every other book is still empty.
     pub(crate) fn clear(&mut self) {
-        debug_assert_eq!(
-            self.running_now, 0,
-            "{}: re-plan with attempts out",
-            self.job
-        );
+        debug_assert!(self.tally.dispatch_log.is_empty(), "re-plan after dispatch");
         self.tasks.clear();
         self.pending.clear();
-        self.debug_check();
+        self.tally.counts = Default::default();
     }
 
     pub(crate) fn tasks(&self) -> &[TaskState] {
@@ -123,26 +189,50 @@ impl SlotLedger {
         &self.tasks[task.0 as usize]
     }
 
-    /// The task's work description, for the reduce fetch rebuild at
-    /// dispatch.
-    pub(crate) fn work_mut(&mut self, task: TaskId) -> &mut TaskWork {
-        &mut self.tasks[task.0 as usize].work
+    pub(crate) fn tally(&self) -> &Tally {
+        &self.tally
     }
 
-    pub(crate) fn running_now(&self) -> u32 {
-        self.running_now
+    /// Whether every map output a shuffle needs is currently available.
+    /// Reduce dispatch is held while this is false (a map output was lost
+    /// to a node death and its task is re-executing); rebuilt fetches are
+    /// only correct against a complete output set. Trivially true for
+    /// non-shuffle jobs.
+    pub(crate) fn shuffle_ready(&self) -> bool {
+        let maps = self.tally.maps().tasks;
+        !self.shuffle || (maps > 0 && self.map_outputs.len() as u32 == maps)
     }
 
-    pub(crate) fn running_tasks(&self) -> u32 {
-        self.running_tasks
-    }
-
-    pub(crate) fn slot_seconds(&self) -> f64 {
-        self.slot_seconds
-    }
-
-    pub(crate) fn share_timeline(&self) -> &[(SimTime, u32)] {
-        &self.share_timeline
+    /// Points each reduce in `reduces` at an even share of every current
+    /// map output: at shuffle start, and again at every dispatch, because
+    /// after churn a re-executed map's output lives on a different node
+    /// than when the reduce was planned. Only correct while
+    /// [`shuffle_ready`](Self::shuffle_ready).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted below by the whole tuple, so equal elements are indistinguishable"
+    )]
+    pub(crate) fn partition(&mut self, reduces: impl IntoIterator<Item = TaskId>) {
+        let mut outputs: Vec<(NodeId, u64, u64)> = self
+            .map_outputs
+            .values()
+            .map(|mo| (mo.node, mo.bytes_output, mo.pairs))
+            .collect();
+        outputs.sort_unstable_by_key(|&(n, b, p)| (n, b, p));
+        let total_pairs: u64 = outputs.iter().map(|&(_, _, p)| p).sum();
+        let first = self.tally.maps().tasks;
+        let reducers = u64::from(self.tally.reduces().tasks);
+        for task in reduces {
+            let r = u64::from(task.0 - first);
+            let share = |bytes: u64| bytes / reducers + u64::from(bytes % reducers > r);
+            if let TaskWork::Reduce { fetches, pairs, .. } = &mut self.tasks[task.0 as usize].work {
+                *fetches = outputs
+                    .iter()
+                    .map(|&(node, bytes, _)| (node, share(bytes)))
+                    .collect();
+                *pairs = total_pairs / reducers;
+            }
+        }
     }
 
     /// Rotates the queue's storage so [`pending`](Self::pending) can slice
@@ -155,12 +245,22 @@ impl SlotLedger {
     /// [`make_contiguous`](Self::make_contiguous).
     pub(crate) fn pending(&self) -> &[TaskId] {
         let (queue, wrapped) = self.pending.as_slices();
-        debug_assert!(
-            wrapped.is_empty(),
-            "{}: pending queue not contiguous",
-            self.job
-        );
+        debug_assert!(wrapped.is_empty(), "pending queue not contiguous");
         queue
+    }
+
+    /// The pending entries the job currently offers to dispatch, as an
+    /// owned snapshot — or `None` when that is the whole queue, which is
+    /// always except while a shuffle's reduces are withheld (a reduce task
+    /// exists but the output set it would fetch from is incomplete). Every
+    /// decision that shows schedulers this job's queue goes through here,
+    /// so task-level and job-level views cannot disagree about what is
+    /// runnable.
+    pub(crate) fn pending_filter(&self) -> Option<Vec<TaskId>> {
+        (!self.shuffle_ready() && self.tally.reduces().tasks > 0).then(|| {
+            let pending = self.pending().iter().copied();
+            pending.filter(|&task| !self.task(task).is_reduce).collect()
+        })
     }
 
     /// Dispatch takes the entry at `idx` out of the queue.
@@ -168,8 +268,18 @@ impl SlotLedger {
         self.pending.remove(idx)
     }
 
-    /// Records a new attempt of `task` on `node`; returns its number.
-    pub(crate) fn add_attempt(&mut self, task: TaskId, node: NodeId, now: SimTime) -> u32 {
+    /// Records a new attempt of `task` on `node` — `speculative` if it
+    /// duplicates a straggler — and returns its number.
+    pub(crate) fn add_attempt(
+        &mut self,
+        task: TaskId,
+        node: NodeId,
+        now: SimTime,
+        speculative: bool,
+    ) -> u32 {
+        self.tally.dispatch_log.push((task, node));
+        self.tally.speculative_attempts += u32::from(speculative);
+        self.tally.last_progress = now;
         self.update(task, now, |ts| {
             ts.attempts += 1;
             ts.running.push((ts.attempts, node, now));
@@ -178,15 +288,16 @@ impl SlotLedger {
     }
 
     /// Removes the running attempts of `task` that `gone(attempt, node)`
-    /// selects and returns them. An incomplete task left with nothing
-    /// running re-enters the pending queue.
+    /// selects and returns them, fenced if `fence`. An incomplete task
+    /// left with nothing running re-enters the pending queue.
     pub(crate) fn remove_attempts(
         &mut self,
         task: TaskId,
         now: SimTime,
+        fence: bool,
         mut gone: impl FnMut(u32, NodeId) -> bool,
     ) -> Vec<Attempt> {
-        self.update(task, now, |ts| {
+        let removed = self.update(task, now, |ts| {
             let mut removed = Vec::new();
             ts.running.retain(|&attempt| {
                 let gone = gone(attempt.0, attempt.1);
@@ -196,43 +307,101 @@ impl SlotLedger {
                 !gone
             });
             removed
-        })
+        });
+        if fence {
+            self.fenced
+                .extend(removed.iter().map(|&(attempt, _, _)| (task, attempt)));
+        }
+        removed
     }
 
-    /// Marks `task` completed by its attempt on `node` and removes every
-    /// running attempt — the winner's and any speculative siblings', which
-    /// stop occupying (and billing) slots now: a killed attempt never
-    /// reports back, and a natural-completion race arrives as a stale
-    /// report that finds nothing left to remove.
-    pub(crate) fn complete(&mut self, task: TaskId, node: NodeId, now: SimTime) -> Vec<Attempt> {
-        self.update(task, now, |ts| {
+    /// Lifts the fence on `attempt` of `task`, if any: whether its report
+    /// is a zombie's, to be dropped.
+    pub(crate) fn unfence(&mut self, task: TaskId, attempt: u32) -> bool {
+        self.fenced.remove(&(task, attempt))
+    }
+
+    /// The reporter's attempt failed and leaves. Returns the task's
+    /// attempts so far.
+    pub(crate) fn fail(&mut self, report: &TaskReport, now: SimTime) -> u32 {
+        let reporter = (report.attempt, report.node);
+        self.remove_attempts(report.task, now, false, |a, n| (a, n) == reporter);
+        self.tally.failed_attempts += 1;
+        self.task(report.task).attempts
+    }
+
+    /// Marks the reporter's task completed, folds the report's
+    /// contribution (a shuffle keeps it as the map's output) and removes
+    /// every running attempt. Returns the speculative siblings, for the
+    /// caller to kill: they stop occupying (and billing) slots now, and a
+    /// natural-completion race arrives as a stale report.
+    pub(crate) fn complete(&mut self, report: &TaskReport, now: SimTime) -> Vec<Attempt> {
+        let mut others = self.update(report.task, now, |ts| {
             ts.completed = true;
-            ts.ran_on = Some(node);
+            ts.ran_on = Some(report.node);
             std::mem::take(&mut ts.running)
-        })
+        });
+        others.retain(|&(attempt, node, _)| (attempt, node) != (report.attempt, report.node));
+        self.tally.last_progress = now;
+        self.tally.task_times.push(report.metrics.elapsed);
+        let kept = self.shuffle && !self.task(report.task).is_reduce;
+        let output = MapOutput::of(report, kept);
+        output.fold(&report.kv, &mut self.tally.totals);
+        if kept {
+            self.map_outputs.insert(report.task, output);
+        }
+        others
     }
 
-    /// A completed task's output was lost: it is incomplete again and
-    /// re-enters the pending queue.
-    pub(crate) fn uncomplete(&mut self, task: TaskId, now: SimTime) {
+    /// A completed map's output was lost with its node: the task is
+    /// incomplete again and re-enters the pending queue, and its folded
+    /// contribution comes back out, so re-execution keeps exactly-once
+    /// accounting.
+    pub(crate) fn lose_output(&mut self, task: TaskId, now: SimTime) {
         self.update(task, now, |ts| {
             ts.completed = false;
             ts.ran_on = None;
         });
         self.pending.push_back(task);
+        if let Some(lost) = self.map_outputs.remove(&task) {
+            lost.unfold(&mut self.tally.totals);
+        }
     }
 
-    /// Re-bills `seconds` of slot time to (or, negative, away from) this
-    /// job outside the timeline: preemption moves a victim's discarded
-    /// runtime onto the job that forced the kill.
-    pub(crate) fn charge(&mut self, seconds: f64) {
-        self.slot_seconds += seconds;
+    /// Preemptive reclamation kills `attempt` of the incomplete map `task`
+    /// on `node`: it leaves, fenced, and its runtime so far comes off this
+    /// job's slot-seconds. Returns that runtime, for the beneficiary's
+    /// [`bill_waste`](Self::bill_waste), or `None` if no such attempt runs.
+    pub(crate) fn preempt(
+        &mut self,
+        task: TaskId,
+        attempt: u32,
+        node: NodeId,
+        now: SimTime,
+    ) -> Option<f64> {
+        let ts = self.tasks.get(task.0 as usize)?;
+        if ts.is_reduce || ts.completed {
+            return None;
+        }
+        let killed = self.remove_attempts(task, now, true, |a, n| (a, n) == (attempt, node));
+        let elapsed = now.since(killed.first()?.2).as_secs_f64();
+        self.tally.slot_seconds -= elapsed;
+        self.tally.preempted_attempts += 1;
+        Some(elapsed)
+    }
+
+    /// Bills `seconds` of a preempted victim's discarded runtime to this
+    /// job, which forced the kill: as slot-seconds, outside the timeline,
+    /// and as wasted work.
+    pub(crate) fn bill_waste(&mut self, seconds: f64) {
+        self.tally.slot_seconds += seconds;
+        self.tally.wasted_slot_seconds += seconds;
     }
 
     /// Integrates the current occupancy into `slot_seconds` up to `now`.
     pub(crate) fn settle(&mut self, now: SimTime) {
-        self.slot_seconds +=
-            self.running_now as f64 * now.since(self.share_last_change).as_secs_f64();
+        let level = f64::from(self.tally.running_now);
+        self.tally.slot_seconds += level * now.since(self.share_last_change).as_secs_f64();
         self.share_last_change = now;
     }
 
@@ -245,19 +414,18 @@ impl SlotLedger {
         change: impl FnOnce(&mut TaskState) -> R,
     ) -> R {
         let ts = &mut self.tasks[task.0 as usize];
-        let (was_active, was_running) = (ts.active(), ts.running.len());
+        let before = (ts.active(), ts.running.len(), ts.completed);
         let out = change(ts);
-        let (is_active, is_running) = (ts.active(), ts.running.len());
-        match (was_active, is_active) {
-            (false, true) => self.running_tasks += 1,
-            (true, false) => self.running_tasks -= 1,
-            _ => {}
-        }
-        if is_running < was_running && !ts.completed && is_running == 0 {
+        let after = (ts.active(), ts.running.len(), ts.completed);
+        let tally = &mut self.tally;
+        tally.running_tasks = tally.running_tasks + u32::from(after.0) - u32::from(before.0);
+        let count = &mut tally.counts[usize::from(ts.is_reduce)];
+        count.completed = count.completed + u32::from(after.2) - u32::from(before.2);
+        if after.1 < before.1 && after.1 == 0 && !after.2 {
             self.pending.push_back(task);
         }
-        self.note_share(now, is_running as i64 - was_running as i64);
-        if (was_active, was_running) != (is_active, is_running) {
+        self.note_share(now, after.1 as i64 - before.1 as i64);
+        if before != after {
             self.debug_check();
         }
         out
@@ -271,28 +439,35 @@ impl SlotLedger {
             return;
         }
         self.settle(now);
-        let level = self.running_now as i64 + delta;
+        let tally = &mut self.tally;
+        let level = tally.running_now as i64 + delta;
         debug_assert!(level >= 0, "{}: occupied-slot count underflow", self.job);
-        self.running_now = level.max(0) as u32;
-        match self.share_timeline.last_mut() {
-            Some((t, level)) if *t == now => *level = self.running_now,
-            _ => self.share_timeline.push((now, self.running_now)),
+        tally.running_now = level.max(0) as u32;
+        match tally.share_timeline.last_mut() {
+            Some((t, level)) if *t == now => *level = tally.running_now,
+            _ => tally.share_timeline.push((now, tally.running_now)),
         }
     }
 
     /// Debug-build recount of the derived counts against the task table,
     /// run after every mutation. Compiles to nothing in release builds.
     fn debug_check(&self) {
+        let recount = || {
+            let (mut running, mut active, mut counts) = (0, 0, [Count::default(); 2]);
+            for t in &self.tasks {
+                running += t.running.len() as u32;
+                active += u32::from(t.active());
+                let count = &mut counts[usize::from(t.is_reduce)];
+                count.tasks += 1;
+                count.completed += u32::from(t.completed);
+            }
+            (running, active, counts)
+        };
+        let tally = &self.tally;
         debug_assert_eq!(
-            self.running_now as usize,
-            self.tasks.iter().map(|t| t.running.len()).sum::<usize>(),
-            "{}: running_now diverged from the task table",
-            self.job
-        );
-        debug_assert_eq!(
-            self.running_tasks as usize,
-            self.tasks.iter().filter(|t| t.active()).count(),
-            "{}: running_tasks diverged from the task table",
+            (tally.running_now, tally.running_tasks, tally.counts),
+            recount(),
+            "{}: (running_now, running_tasks, counts) diverged from the task table",
             self.job
         );
     }
@@ -319,7 +494,7 @@ impl TaskLookup for SlotLedger {
 }
 
 /// The aggregates a job folds its successful attempts into.
-#[derive(Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct Totals {
     pub(crate) bytes_read: u64,
     pub(crate) bytes_output: u64,
@@ -337,12 +512,13 @@ pub(crate) struct Totals {
 /// [`fold`](MapOutput::fold) put in (otherwise re-execution would
 /// double-count kv pairs, digests and byte totals — exactly-once
 /// accounting under churn depends on this).
-pub(crate) struct MapOutput {
-    pub(crate) node: NodeId,
-    pub(crate) pairs: u64,
+#[derive(Debug)]
+struct MapOutput {
+    node: NodeId,
+    pairs: u64,
     /// Output size: shuffle partitioning input *and* the amount to take
     /// out of `Totals::bytes_output` on loss.
-    pub(crate) bytes_output: u64,
+    bytes_output: u64,
     /// The attempt's kv pairs as a multiset (pair → count): subtraction-
     /// ready, and never larger than the pair list it summarizes.
     kv_counts: FxHashMap<(u64, u64), u64>,
@@ -356,7 +532,7 @@ impl MapOutput {
     /// The contribution `report` carries. Only a record that will be
     /// `kept` (a shuffle's map output, the one kind that can be lost) pays
     /// for the kv multiset.
-    pub(crate) fn of(report: &TaskReport, kept: bool) -> Self {
+    fn of(report: &TaskReport, kept: bool) -> Self {
         let mut kv_counts: FxHashMap<(u64, u64), u64> = FxHashMap::default();
         if kept {
             for &pair in &report.kv {
@@ -376,7 +552,7 @@ impl MapOutput {
     }
 
     /// Adds this contribution, whose pairs are `kv`, to `totals`.
-    pub(crate) fn fold(&self, kv: &[(u64, u64)], totals: &mut Totals) {
+    fn fold(&self, kv: &[(u64, u64)], totals: &mut Totals) {
         totals.bytes_read += self.bytes_read;
         totals.bytes_output += self.bytes_output;
         totals.local_reads += self.local_reads;
@@ -387,7 +563,7 @@ impl MapOutput {
     }
 
     /// Takes this contribution back out of `totals`.
-    pub(crate) fn unfold(mut self, totals: &mut Totals) {
+    fn unfold(mut self, totals: &mut Totals) {
         totals.bytes_read -= self.bytes_read;
         totals.bytes_output -= self.bytes_output;
         totals.local_reads -= self.local_reads;

@@ -2,7 +2,6 @@
 //! phase transitions, shuffle start, finalization.
 
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
 use accelmr_dfs::msgs::{BlockLoc, FileView, LocationsReply};
 use accelmr_net::NodeId;
 
@@ -11,42 +10,7 @@ use crate::job::{JobError, JobInput, JobResult, OutputSink, ReduceSpec, TaskWork
 use crate::msgs::JobComplete;
 use crate::sched::SplitRequest;
 
-use super::ledger::MapOutput;
 use super::{job_timer_tag, JobTracker, Phase, JOB_FINALIZE_TIME, KIND_FINALIZE, KIND_REDUCE_RPC};
-
-/// Sorted `(node, bytes, pairs)` map-output list plus total pairs — the
-/// shuffle partitioning input, shared by initial reduce-task construction
-/// and the fetch rebuild at (re-)dispatch.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "sorted below by the whole tuple, so equal elements are indistinguishable"
-)]
-pub(super) fn shuffle_outputs(
-    map_outputs: &FxHashMap<TaskId, MapOutput>,
-) -> (Vec<(NodeId, u64, u64)>, u64) {
-    let mut outputs: Vec<(NodeId, u64, u64)> = map_outputs
-        .values()
-        .map(|mo| (mo.node, mo.bytes_output, mo.pairs))
-        .collect();
-    outputs.sort_unstable_by_key(|&(n, b, p)| (n, b, p));
-    let total_pairs: u64 = outputs.iter().map(|&(_, _, p)| p).sum();
-    (outputs, total_pairs)
-}
-
-/// Reducer `r`'s fetch list: an even share of every map output.
-pub(super) fn reduce_fetches(
-    outputs: &[(NodeId, u64, u64)],
-    reducers: usize,
-    r: usize,
-) -> Vec<(NodeId, u64)> {
-    outputs
-        .iter()
-        .map(|&(node, bytes, _)| {
-            let share = bytes / reducers as u64 + u64::from((bytes % reducers as u64) > r as u64);
-            (node, share)
-        })
-        .collect()
-}
 
 /// One `MapRange` task per non-empty entry of `counts` (records per task,
 /// in file order), each with its replica holders as locality hints.
@@ -168,7 +132,6 @@ impl JobTracker {
         for (work, hints) in map_range_tasks(view, record_bytes, &counts) {
             job.ledger.push_task(work, hints, false);
         }
-        job.map_count = job.ledger.tasks().len() as u32;
         job.phase = Phase::MapRunning;
     }
 
@@ -186,7 +149,6 @@ impl JobTracker {
             };
             job.ledger.push_task(work, Vec::new(), false);
         }
-        job.map_count = job.ledger.tasks().len() as u32;
         job.phase = Phase::MapRunning;
     }
 
@@ -194,14 +156,15 @@ impl JobTracker {
         let Some(job) = self.jobs.get_mut(&job_id.0) else {
             return;
         };
-        let maps_done = job.maps_completed == job.map_count;
-        let reduces_done = job.reduce_count > 0 && job.reduces_completed == job.reduce_count;
+        let (maps, reduces) = (job.ledger.tally().maps(), job.ledger.tally().reduces());
+        let maps_done = maps.completed == maps.tasks;
+        let reduces_done = reduces.tasks > 0 && reduces.completed == reduces.tasks;
         match job.phase {
             Phase::MapRunning if maps_done => match &job.spec.reduce {
                 ReduceSpec::None => self.finalize(ctx, job_id),
                 ReduceSpec::RpcAggregate { reducer } => {
                     // Lightweight reducer at the JobTracker.
-                    let pairs = job.totals.kv.len() as u64;
+                    let pairs = job.ledger.tally().totals.kv.len() as u64;
                     let dur = reducer.reduce_time(16 * pairs, pairs);
                     job.phase = Phase::ReduceRpc;
                     ctx.after(dur, job_timer_tag(KIND_REDUCE_RPC, job_id));
@@ -237,18 +200,19 @@ impl JobTracker {
             OutputSink::Dfs { path, .. } => format!("{path}-reduced"),
             _ => format!("/{}-reduced", job.spec.name),
         };
-        // Partition every map output evenly across reducers.
-        let (outputs, total_pairs) = shuffle_outputs(&job.map_outputs);
-        for r in 0..reducers {
+        let maps = job.ledger.tally().maps().tasks;
+        for _ in 0..reducers {
             let work = TaskWork::Reduce {
-                fetches: reduce_fetches(&outputs, reducers, r),
-                pairs: total_pairs / reducers as u64,
+                fetches: Vec::new(),
+                pairs: 0,
                 write_output,
                 output_path: output_path.clone(),
             };
             job.ledger.push_task(work, Vec::new(), true);
         }
-        job.reduce_count = reducers as u32;
+        // Partition every map output evenly across reducers.
+        job.ledger
+            .partition((maps..maps + reducers as u32).map(TaskId));
         job.phase = Phase::ReduceRunning;
         ctx.stats().incr("mr.shuffles_started");
     }
@@ -271,12 +235,14 @@ impl JobTracker {
         let now = ctx.now();
         // Flush the slot-seconds integral to the completion instant.
         job.ledger.settle(now);
+        let tally = job.ledger.tally();
+        let totals = &tally.totals;
         // Final aggregate for RpcAggregate jobs.
         let kv = match &job.spec.reduce {
             ReduceSpec::RpcAggregate { reducer } | ReduceSpec::Shuffle { reducer, .. } => {
-                reducer.aggregate(&job.totals.kv)
+                reducer.aggregate(&totals.kv)
             }
-            ReduceSpec::None => job.totals.kv.clone(),
+            ReduceSpec::None => totals.kv.clone(),
         };
         let result = JobResult {
             job: job_id,
@@ -288,24 +254,24 @@ impl JobTracker {
             weight: job.spec.weight,
             deadline: job.spec.deadline,
             deadline_met: job.spec.deadline.map(|d| now <= d),
-            slot_seconds: job.ledger.slot_seconds(),
-            share_timeline: job.ledger.share_timeline().to_vec(),
-            preempted_attempts: job.preempted_attempts,
-            wasted_slot_seconds: job.wasted_slot_seconds,
-            map_tasks: job.map_count,
-            reduce_tasks: job.reduce_count,
-            attempts: job.dispatch_log.len() as u32,
-            failed_attempts: job.failed_attempts,
-            speculative_attempts: job.speculative_attempts,
-            bytes_read: job.totals.bytes_read,
-            bytes_output: job.totals.bytes_output,
-            local_reads: job.totals.local_reads,
-            remote_reads: job.totals.remote_reads,
+            slot_seconds: tally.slot_seconds,
+            share_timeline: tally.share_timeline.clone(),
+            preempted_attempts: tally.preempted_attempts,
+            wasted_slot_seconds: tally.wasted_slot_seconds,
+            map_tasks: tally.maps().tasks,
+            reduce_tasks: tally.reduces().tasks,
+            attempts: tally.dispatch_log.len() as u32,
+            failed_attempts: tally.failed_attempts,
+            speculative_attempts: tally.speculative_attempts,
+            bytes_read: totals.bytes_read,
+            bytes_output: totals.bytes_output,
+            local_reads: totals.local_reads,
+            remote_reads: totals.remote_reads,
             kv,
-            digest: (job.totals.digest_acc, job.totals.digest_count),
-            task_times: job.task_times.clone(),
+            digest: (totals.digest_acc, totals.digest_count),
+            task_times: tally.task_times.clone(),
             scheduler: self.scheduler.name(),
-            dispatch_log: job.dispatch_log.clone(),
+            dispatch_log: tally.dispatch_log.clone(),
             node_throughput: self.scheduler.throughput_estimates(job.spec.kernel.name()),
         };
         let client = job.client;

@@ -149,12 +149,11 @@ impl JobTracker {
     /// simply drained onto the new node by heartbeat dispatch.
     fn replan_unassigned(&mut self, ctx: &mut Ctx<'_>) {
         let job_ids = sorted_keys_where(&self.jobs, |_, j| {
-            j.phase == Phase::MapRunning && j.dispatch_log.is_empty()
+            j.phase == Phase::MapRunning && j.ledger.tally().dispatch_log.is_empty()
         });
         for job_id in job_ids {
             if let Some(job) = self.jobs.get_mut(&job_id) {
                 job.ledger.clear();
-                job.map_count = 0;
             }
             ctx.stats().incr("mr.jobs_replanned");
             // Plan again from scratch; a file job re-fetches locations,
@@ -194,25 +193,17 @@ impl JobTracker {
         // land; in-flight fetches off the dead node abort and requeue).
         let loses_outputs = matches!(job.spec.reduce, ReduceSpec::Shuffle { .. })
             && matches!(job.phase, Phase::MapRunning | Phase::ReduceRunning);
-        for i in 0..job.ledger.tasks().len() as u32 {
-            let task = TaskId(i);
+        for task in (0..job.ledger.tasks().len() as u32).map(TaskId) {
             // Running attempts on the dead node vanish (the ledger
             // requeues a task left with none) — and are *fenced*: should
             // the node turn out to be alive (heartbeat loss, partition),
             // the zombie executions' eventual reports must not fold a
             // second copy of the work into the job.
-            for (attempt, _, _) in job.ledger.remove_attempts(task, now, |_, n| n == node) {
-                self.fenced.insert((job_id, i, attempt));
-            }
+            job.ledger
+                .remove_attempts(task, now, true, |_, n| n == node);
             let ts = job.ledger.task(task);
             if loses_outputs && ts.completed && ts.ran_on == Some(node) && !ts.is_reduce {
-                // The lost attempt's folded contribution comes back out,
-                // so re-execution keeps exactly-once accounting.
-                job.ledger.uncomplete(task, now);
-                job.maps_completed -= 1;
-                if let Some(lost) = job.map_outputs.remove(&task) {
-                    lost.unfold(&mut job.totals);
-                }
+                job.ledger.lose_output(task, now);
             }
         }
     }
@@ -230,13 +221,13 @@ impl JobTracker {
         };
         let stalled = sorted_keys_where(&self.jobs, |_, j| {
             !matches!(j.phase, Phase::Done | Phase::Finalizing)
-                && j.ledger.running_now() == 0
-                && now.since(j.last_progress) > timeout
+                && j.ledger.tally().running_now == 0
+                && now.since(j.ledger.tally().last_progress) > timeout
         });
         for id in stalled {
             if let Some(job) = self.jobs.get_mut(&id) {
                 job.error = Some(JobError::Stalled {
-                    idle_for: now.since(job.last_progress),
+                    idle_for: now.since(job.ledger.tally().last_progress),
                 });
             }
             ctx.stats().incr("mr.jobs_stalled");

@@ -20,16 +20,16 @@
 //!
 //! The actor is split by responsibility:
 //!
-//! * this file — the actor itself: per-job state, message and timer
-//!   handling, task-report folding;
+//! * this file — the actor itself: per-job state (spec, phase, error and
+//!   the ledger), message and timer handling, task reports;
 //! * `lifecycle` — split planning and task construction, phase
 //!   transitions, shuffle start, finalization and the job result;
 //! * `dispatch` — the heartbeat dispatch loop: job, task and straggler
 //!   picks over the one `JobState` → [`SchedView`] constructor,
 //!   assignment, preemption kills;
-//! * `ledger` — the task table, pending queue and every count derived
-//!   from them behind one owner, plus the fold/unfold pair for map-output
-//!   contributions;
+//! * `ledger` — the job's books behind one owner: the task table, pending
+//!   queue and every count derived from them, the attempt history, the
+//!   folded output and the epoch fences;
 //! * `liveness` — TaskTracker registration, joins and re-planning,
 //!   heartbeat-silence detection, the progressive blacklist and the job
 //!   stall watchdog.
@@ -40,7 +40,7 @@ mod lifecycle;
 mod liveness;
 
 use accelmr_des::prelude::*;
-use accelmr_des::{FxHashMap, FxHashSet};
+use accelmr_des::FxHashMap;
 use accelmr_dfs::msgs::LocationsReply;
 use accelmr_dfs::{DfsHandle, BLOCK_SIZE};
 use accelmr_net::{Liveness, NetHandle, NodeId};
@@ -50,7 +50,7 @@ use crate::job::{JobError, JobInput, JobSpec, ReduceSpec, TaskWork};
 use crate::msgs::{SubmitJob, TaskReport, TtHeartbeat};
 use crate::sched::{build_scheduler, SchedView, Scheduler, TaskCompletion};
 
-use ledger::{MapOutput, SlotLedger, Totals};
+use ledger::SlotLedger;
 use liveness::TtInfo;
 
 /// Job initialization (staging, split computation, queue population).
@@ -63,12 +63,10 @@ const KIND_INIT: u64 = 1;
 const KIND_REDUCE_RPC: u64 = 2;
 const KIND_FINALIZE: u64 = 3;
 
-#[inline]
 fn job_timer_tag(kind: u64, job: JobId) -> u64 {
     (kind << 32) | job.0 as u64
 }
 
-#[inline]
 fn unpack_job_timer(tag: u64) -> (u64, JobId) {
     (tag >> 32, JobId(tag as u32))
 }
@@ -90,106 +88,20 @@ struct JobState {
     client: (ActorId, NodeId),
     submitted: SimTime,
     phase: Phase,
-    /// Task table, pending queue, running-attempt counts and the
-    /// slot-seconds integral.
+    /// The job's books: tasks, attempts, completions, contributions and
+    /// fences.
     ledger: SlotLedger,
-    map_count: u32,
-    reduce_count: u32,
-    maps_completed: u32,
-    reduces_completed: u32,
-    // Aggregation.
-    failed_attempts: u32,
-    speculative_attempts: u32,
-    totals: Totals,
-    task_times: Vec<SimDuration>,
-    /// Every dispatch, in order: `(task, node)` — one entry per attempt.
-    dispatch_log: Vec<(TaskId, NodeId)>,
-    /// Completed map outputs (and their folded contributions) for the
-    /// shuffle.
-    map_outputs: FxHashMap<TaskId, MapOutput>,
     /// Typed cause of failure, for [`JobResult::error`](crate::JobResult::error);
     /// the job succeeded exactly when this stays `None`.
     error: Option<JobError>,
-    /// Last instant the job dispatched or completed an attempt (or was
-    /// submitted): the watchdog input. Maintained unconditionally; only
-    /// *checked* when [`MrConfig::job_stall_timeout`] is set.
-    last_progress: SimTime,
-    /// Attempts of *this* job killed by preemptive reclamation.
-    preempted_attempts: u32,
-    /// Victim runtime discarded on this job's behalf (it was the
-    /// beneficiary of the kills), already charged to its slot-seconds —
-    /// preemption bills the killing tenant for the work it wasted.
-    wasted_slot_seconds: f64,
 }
 
 impl JobState {
-    fn new(id: JobId, spec: JobSpec, client: (ActorId, NodeId), now: SimTime) -> Self {
-        JobState {
-            id,
-            spec,
-            client,
-            submitted: now,
-            phase: Phase::Initializing,
-            ledger: SlotLedger::new(id, now),
-            map_count: 0,
-            reduce_count: 0,
-            maps_completed: 0,
-            reduces_completed: 0,
-            failed_attempts: 0,
-            speculative_attempts: 0,
-            totals: Totals::default(),
-            task_times: Vec::new(),
-            dispatch_log: Vec::new(),
-            map_outputs: FxHashMap::default(),
-            error: None,
-            last_progress: now,
-            preempted_attempts: 0,
-            wasted_slot_seconds: 0.0,
-        }
-    }
-
     fn record_bytes(&self) -> u64 {
         match &self.spec.input {
             JobInput::File { record_bytes, .. } => record_bytes.unwrap_or(BLOCK_SIZE),
             JobInput::Synthetic { .. } => 0,
         }
-    }
-
-    /// Whether every map output a shuffle needs is currently available.
-    /// Reduce dispatch is held while this is false (a map output was lost
-    /// to a node death and its task is re-executing); rebuilt fetches are
-    /// only correct against a complete output set. Trivially true for
-    /// non-shuffle jobs.
-    fn shuffle_ready(&self) -> bool {
-        match &self.spec.reduce {
-            ReduceSpec::Shuffle { .. } => {
-                self.map_count > 0 && self.map_outputs.len() as u32 == self.map_count
-            }
-            _ => true,
-        }
-    }
-
-    /// Whether pending reduce entries are currently withheld from dispatch
-    /// (the churn-transient "shuffle with lost outputs" state: a reduce
-    /// task exists but the output set it would fetch from is incomplete).
-    fn withholds_reduces(&self) -> bool {
-        !self.shuffle_ready() && self.ledger.tasks().len() != self.map_count as usize
-    }
-
-    /// The pending entries the job currently offers to dispatch, as an
-    /// owned snapshot — or `None` when that is the whole queue, which is
-    /// always except while reduces are withheld. Every decision that shows
-    /// schedulers this job's queue goes through here, so task-level and
-    /// job-level views cannot disagree about what is runnable.
-    fn pending_filter(&self) -> Option<Vec<TaskId>> {
-        self.withholds_reduces().then(|| {
-            self.ledger
-                .pending()
-                .iter()
-                .copied()
-                .filter(|&task| !self.ledger.task(task).is_reduce)
-                .collect()
-        })
     }
 
     /// The job as schedulers see it, offering `pending`.
@@ -210,9 +122,9 @@ impl JobState {
             cluster_slots,
             pending,
             tasks: &self.ledger,
-            running_slots: self.ledger.running_now() as usize,
-            running_incomplete: self.ledger.running_tasks() as usize,
-            completed_task_times: &self.task_times,
+            running_slots: self.ledger.tally().running_now as usize,
+            running_incomplete: self.ledger.tally().running_tasks as usize,
+            completed_task_times: &self.ledger.tally().task_times,
             slots_per_node,
         }
     }
@@ -232,13 +144,6 @@ pub struct JobTracker {
     /// every observation goes to it. Long-lived, so adaptive policies
     /// learn across jobs within a session.
     scheduler: Box<dyn Scheduler>,
-    /// Epoch-fenced attempts `(job, task, attempt)`: attempts that were
-    /// requeued when their node was declared dead. A fenced attempt's
-    /// eventual report — from a falsely-declared-dead tracker that kept
-    /// running, or one that heartbeats again after a partition heal — is
-    /// rejected wholesale, keeping kv/digest accounting exactly-once (the
-    /// re-execution's report is the one that counts).
-    fenced: FxHashSet<(u32, u32, u32)>,
     /// Next instant the probation sweep halves every blacklist score.
     blacklist_decay_at: SimTime,
     /// TaskTracker heartbeat silence past `MrConfig::tt_dead_after`, and
@@ -260,7 +165,6 @@ impl JobTracker {
             jobs: FxHashMap::default(),
             next_job: 0,
             scheduler,
-            fenced: FxHashSet::default(),
             blacklist_decay_at: SimTime::ZERO,
             liveness,
         }
@@ -274,9 +178,17 @@ impl JobTracker {
     fn handle_submit(&mut self, ctx: &mut Ctx<'_>, submit: SubmitJob) {
         let id = JobId(self.next_job);
         self.next_job += 1;
-        let client = (submit.reply, submit.reply_node);
-        self.jobs
-            .insert(id.0, JobState::new(id, submit.spec, client, ctx.now()));
+        let shuffle = matches!(submit.spec.reduce, ReduceSpec::Shuffle { .. });
+        let job = JobState {
+            id,
+            spec: submit.spec,
+            client: (submit.reply, submit.reply_node),
+            submitted: ctx.now(),
+            phase: Phase::Initializing,
+            ledger: SlotLedger::new(id, shuffle, ctx.now()),
+            error: None,
+        };
+        self.jobs.insert(id.0, job);
         ctx.stats().incr("mr.jobs_submitted");
         ctx.after(JOB_INIT_TIME, job_timer_tag(KIND_INIT, id));
     }
@@ -293,11 +205,13 @@ impl JobTracker {
 
     fn handle_report(&mut self, ctx: &mut Ctx<'_>, report: TaskReport) {
         let job_id = report.job.0;
-        // Epoch fence: the attempt was requeued when its node was declared
-        // dead, so this report is from a zombie execution. Reject it
-        // before it can touch running lists, pending queues, or kv/digest
-        // folds — the re-executed attempt's report is the real one.
-        if self.fenced.remove(&(job_id, report.task.0, report.attempt)) {
+        // Epoch fence: the attempt was removed when its node was declared
+        // dead (or by preemption), so this report is from a zombie
+        // execution. Reject it before it can touch running lists, pending
+        // queues, or kv/digest folds — the re-executed attempt's report is
+        // the real one.
+        let job = self.jobs.get_mut(&job_id);
+        if job.is_some_and(|job| job.ledger.unfence(report.task, report.attempt)) {
             ctx.stats().incr("mr.fenced_reports");
             return;
         }
@@ -312,15 +226,11 @@ impl JobTracker {
         };
         let already_completed = ts.completed;
         let now = ctx.now();
-        let is_reporter =
-            |attempt: u32, node: NodeId| attempt == report.attempt && node == report.node;
 
         if !report.ok {
             // The ledger requeues the task if this was its last attempt.
-            job.ledger.remove_attempts(report.task, now, is_reporter);
-            job.failed_attempts += 1;
+            let attempts = job.ledger.fail(&report, now);
             ctx.stats().incr("mr.attempt_failures");
-            let attempts = job.ledger.task(report.task).attempts;
             if !already_completed && attempts >= self.cfg.max_attempts {
                 job.error = Some(JobError::TaskFailed {
                     task: report.task,
@@ -332,45 +242,27 @@ impl JobTracker {
         }
         if already_completed {
             // Speculative loser or zombie after recovery: drop the result.
-            job.ledger.remove_attempts(report.task, now, is_reporter);
+            let reporter = (report.attempt, report.node);
+            job.ledger
+                .remove_attempts(report.task, now, false, |a, n| (a, n) == reporter);
             ctx.stats().incr("mr.stale_reports");
             return;
         }
 
         // First winner. Other in-flight attempts of the same task leave
         // the ledger with it and are killed below.
-        let mut others = job.ledger.complete(report.task, report.node, now);
-        others.retain(|&(attempt, node, _)| !is_reporter(attempt, node));
+        let others = job.ledger.complete(&report, now);
         let ts = job.ledger.task(report.task);
-        let is_reduce = ts.is_reduce;
-        let kernel = job.spec.kernel.name();
         // The work the attempt performed, for throughput learning: samples
         // for synthetic tasks, actual bytes read otherwise.
         let work = match &ts.work {
             TaskWork::MapUnits { units, .. } => *units,
             _ => report.metrics.bytes_read,
         };
-        job.last_progress = now;
-        job.task_times.push(report.metrics.elapsed);
-        // Only shuffles consume map outputs — and only shuffles can lose
-        // one to a node death and need the folded contribution back out;
-        // other reduce shapes skip the retention entirely.
-        let kept = !is_reduce && matches!(job.spec.reduce, ReduceSpec::Shuffle { .. });
-        let output = MapOutput::of(&report, kept);
-        output.fold(&report.kv, &mut job.totals);
-        if kept {
-            job.map_outputs.insert(report.task, output);
-        }
-        if is_reduce {
-            job.reduces_completed += 1;
-        } else {
-            job.maps_completed += 1;
-        }
-
         self.scheduler.on_task_completed(&TaskCompletion {
             node: report.node,
-            kernel,
-            is_reduce,
+            kernel: job.spec.kernel.name(),
+            is_reduce: ts.is_reduce,
             elapsed: report.metrics.elapsed,
             work,
         });
@@ -418,8 +310,7 @@ impl Actor for JobTracker {
                     KIND_INIT => self.init_job(ctx, job_id),
                     KIND_REDUCE_RPC => {
                         if let Some(job) = self.jobs.get_mut(&job_id.0) {
-                            job.reduce_count = 1;
-                            job.reduces_completed = 1;
+                            job.ledger.push_rpc_reduce(ctx.now());
                         }
                         self.finalize(ctx, job_id);
                     }

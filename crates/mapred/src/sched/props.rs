@@ -730,150 +730,281 @@ fn zero_budget_preemption_is_trace_identical() {
 
 /// The JobTracker's [`SlotLedger`](crate::jobtracker::ledger::SlotLedger)
 /// against an independent model, through seeded random interleavings of
-/// everything that changes a job's running attempts: dispatch, speculative
-/// launch, successful report (killing siblings), stale report, failed
-/// report, preemption kill, and node death (vanished attempts and lost map
-/// outputs). After every step the derived counts, the slot-seconds
-/// integral and the pending queue must agree with the model.
+/// everything that changes a shuffle job's books: dispatch, speculative
+/// launch, successful report (folding its contribution, killing siblings),
+/// a late report of a killed or fenced attempt, failed report, preemption
+/// kill, and node death (vanished and fenced attempts, lost map outputs).
+/// After every step the derived counts, the attempt log and tallies, the
+/// folded totals, the slot-seconds integral and the pending queue must
+/// agree with the model; a fenced attempt's report is caught exactly once;
+/// and a map output lost right after it completed leaves the totals as
+/// they were.
 #[test]
 fn slot_ledger_agrees_with_a_model_under_random_interleavings() {
     use super::TaskLookup;
-    use crate::job::TaskWork;
-    use crate::jobtracker::ledger::SlotLedger;
+    use crate::job::{TaskMetrics, TaskWork};
+    use crate::jobtracker::ledger::{Count, SlotLedger, Totals};
+    use crate::msgs::TaskReport;
     use accelmr_des::SimDuration;
 
-    const TASKS: usize = 6;
+    /// Tasks `0..MAPS` are maps, the rest reduces.
+    const MAPS: usize = 5;
+    const TASKS: usize = 7;
     const NODES: u64 = 4;
 
     #[derive(Default, Clone)]
     struct ModelTask {
-        running: Vec<(u32, NodeId)>,
+        running: Vec<(u32, NodeId, SimTime)>,
         attempts: u32,
-        completed_on: Option<NodeId>,
+        /// The winning report, while the task is complete.
+        won: Option<TaskReport>,
+    }
+
+    /// A report with a random contribution; keys and values come from a
+    /// small range, so tasks share pairs and unfolding one is a true
+    /// multiset subtraction.
+    fn report(rng: &mut Xoshiro256, task: usize, attempt: u32, node: NodeId) -> TaskReport {
+        TaskReport {
+            job: JobId(0),
+            task: TaskId(task as u32),
+            attempt,
+            ok: true,
+            metrics: TaskMetrics {
+                elapsed: SimDuration::from_millis(rng.range_inclusive(1, 5000)),
+                bytes_read: rng.next_below(1 << 20),
+                bytes_output: rng.next_below(1 << 20),
+                local_reads: rng.next_below(4),
+                remote_reads: rng.next_below(4),
+            },
+            kv: (0..rng.next_below(4))
+                .map(|_| (rng.next_below(3), rng.next_below(3)))
+                .collect(),
+            digest: (rng.next_u64(), rng.next_below(3)),
+            node,
+        }
+    }
+
+    /// `totals` with its pairs sorted: folding is order-independent.
+    fn sorted(totals: &Totals) -> Totals {
+        let mut totals = totals.clone();
+        totals.kv.sort_unstable();
+        totals
     }
 
     for seed in 0..24 {
         let mut rng = Xoshiro256::seed_from_u64(0x1ED6E2 ^ seed);
         let mut now = SimTime::ZERO + SimDuration::from_secs(1);
-        let mut ledger = SlotLedger::new(JobId(seed as u32), now);
+        let mut ledger = SlotLedger::new(JobId(seed as u32), true, now);
         for index in 0..TASKS as u64 {
-            ledger.push_task(TaskWork::MapUnits { units: 1, index }, Vec::new(), false);
+            let work = TaskWork::MapUnits { units: 1, index };
+            ledger.push_task(work, Vec::new(), index >= MAPS as u64);
         }
         let mut model = vec![ModelTask::default(); TASKS];
-        // Slot-seconds moved outside the timeline by preemption re-billing.
-        let mut charged = 0.0f64;
-        // Attempts killed as speculative losers, whose reports may still
-        // arrive.
+        let mut log: Vec<(TaskId, NodeId)> = Vec::new();
+        let (mut failures, mut speculative, mut preemptions) = (0u32, 0u32, 0u32);
+        let mut task_times: Vec<SimDuration> = Vec::new();
+        let mut last_progress = now;
+        let mut fenced: Vec<(TaskId, u32)> = Vec::new();
+        // Slot-seconds moved outside the timeline by preemption re-billing,
+        // and the part billed back as wasted work.
+        let (mut charged, mut wasted) = (0.0f64, 0.0f64);
+        // Attempts killed as speculative losers, by preemption or by a
+        // node death, whose reports may still arrive.
         let mut zombies: Vec<(TaskId, u32, NodeId)> = Vec::new();
 
         for step in 0..400 {
+            let ctx = format!("seed {seed} step {step}");
             now += SimDuration::from_millis(rng.range_inclusive(0, 900));
             // A running attempt picked at random, if any: (task, attempt, node).
             let running: Vec<(usize, u32, NodeId)> = model
                 .iter()
                 .enumerate()
-                .flat_map(|(t, m)| m.running.iter().map(move |&(a, n)| (t, a, n)))
+                .flat_map(|(t, m)| m.running.iter().map(move |&(a, n, _)| (t, a, n)))
                 .collect();
             let victim = rng.choose_index(running.len()).map(|i| running[i]);
             let node = NodeId(rng.range_inclusive(1, NODES) as u32);
-            match rng.next_below(8) {
-                // Dispatch a pending task (twice as likely as the rest).
-                0 | 1 => {
-                    ledger.make_contiguous();
-                    if let Some(idx) = rng.choose_index(ledger.pending().len()) {
-                        let task = ledger.take_pending(idx).expect("index in range");
-                        let attempt = ledger.add_attempt(task, node, now);
+            match rng.next_below(9) {
+                // Dispatch a pending task (twice as likely as the rest), or
+                // a speculative copy of a running incomplete one.
+                op @ 0..=2 => {
+                    let task = if op < 2 {
+                        ledger.make_contiguous();
+                        rng.choose_index(ledger.pending().len())
+                            .map(|idx| ledger.take_pending(idx).expect("index in range"))
+                    } else {
+                        victim.map(|(t, _, _)| TaskId(t as u32))
+                    };
+                    if let Some(task) = task {
+                        let attempt = ledger.add_attempt(task, node, now, op == 2);
                         let m = &mut model[task.0 as usize];
                         m.attempts += 1;
-                        assert_eq!(attempt, m.attempts);
-                        m.running.push((attempt, node));
+                        assert_eq!(attempt, m.attempts, "{ctx}");
+                        m.running.push((attempt, node, now));
+                        log.push((task, node));
+                        speculative += u32::from(op == 2);
+                        last_progress = now;
                     }
                 }
-                // Speculative copy of a running incomplete task.
-                2 => {
-                    if let Some((t, _, _)) = victim {
-                        let attempt = ledger.add_attempt(TaskId(t as u32), node, now);
-                        model[t].attempts += 1;
-                        model[t].running.push((attempt, node));
-                    }
-                }
-                // Successful report: the task completes, siblings die.
+                // Successful report: the task completes and folds its
+                // contribution, siblings die. Sometimes the map's node dies
+                // at once and the output is lost again.
                 3 => {
                     if let Some((t, a, n)) = victim {
-                        let removed = ledger.complete(TaskId(t as u32), n, now);
-                        let removed: Vec<(u32, NodeId)> =
-                            removed.iter().map(|&(a, n, _)| (a, n)).collect();
-                        assert_eq!(removed, model[t].running, "seed {seed} step {step}");
-                        for &(sa, sn) in removed.iter().filter(|&&s| s != (a, n)) {
-                            zombies.push((TaskId(t as u32), sa, sn));
-                        }
+                        let r = report(&mut rng, t, a, n);
+                        let prior = sorted(&ledger.tally().totals);
+                        let others = ledger.complete(&r, now);
+                        let expect: Vec<_> = model[t]
+                            .running
+                            .iter()
+                            .filter(|s| (s.0, s.1) != (a, n))
+                            .copied()
+                            .collect();
+                        assert_eq!(others, expect, "{ctx}");
+                        zombies
+                            .extend(others.iter().map(|&(sa, sn, _)| (TaskId(t as u32), sa, sn)));
                         model[t].running.clear();
-                        model[t].completed_on = Some(n);
+                        task_times.push(r.metrics.elapsed);
+                        last_progress = now;
+                        if t < MAPS && rng.next_below(4) == 0 {
+                            ledger.lose_output(TaskId(t as u32), now);
+                            assert_eq!(sorted(&ledger.tally().totals), prior, "{ctx}: round trip");
+                        } else {
+                            model[t].won = Some(r);
+                        }
                     }
                 }
-                // A killed sibling's report arrives after all: nothing to
-                // remove, nothing changes.
+                // A killed attempt's report arrives after all: a fenced
+                // one is caught exactly once; otherwise there is nothing to
+                // remove and nothing changes.
                 4 => {
                     if let Some((task, a, n)) = zombies.pop() {
-                        let removed = ledger.remove_attempts(task, now, |x, y| x == a && y == n);
-                        assert!(removed.is_empty(), "seed {seed} step {step}");
-                    }
-                }
-                // Failed report, or a preemption kill (which also re-bills
-                // the attempt's runtime): the one attempt leaves.
-                5 | 6 => {
-                    if let Some((t, a, n)) = victim {
-                        let removed =
-                            ledger.remove_attempts(TaskId(t as u32), now, |x, y| x == a && y == n);
-                        assert_eq!(removed.len(), 1, "seed {seed} step {step}");
-                        if rng.next_below(2) == 0 {
-                            let elapsed = now.since(removed[0].2).as_secs_f64();
-                            ledger.charge(-elapsed);
-                            charged -= elapsed;
+                        let was_fenced = fenced.iter().position(|&f| f == (task, a));
+                        assert_eq!(ledger.unfence(task, a), was_fenced.is_some(), "{ctx}");
+                        assert!(!ledger.unfence(task, a), "{ctx}: fence lifted twice");
+                        if let Some(i) = was_fenced {
+                            fenced.swap_remove(i);
                         }
-                        model[t].running.retain(|&r| r != (a, n));
+                        let removed =
+                            ledger.remove_attempts(task, now, false, |x, y| x == a && y == n);
+                        assert!(removed.is_empty(), "{ctx}");
                     }
                 }
-                // Node death: its attempts vanish, its completed outputs
-                // are lost.
+                // Failed report: the one attempt leaves.
+                5 => {
+                    if let Some((t, a, n)) = victim {
+                        let r = TaskReport {
+                            ok: false,
+                            ..report(&mut rng, t, a, n)
+                        };
+                        assert_eq!(ledger.fail(&r, now), model[t].attempts, "{ctx}");
+                        failures += 1;
+                        model[t].running.retain(|&s| (s.0, s.1) != (a, n));
+                    }
+                }
+                // Preemption kill of a map attempt: it leaves, fenced, and
+                // its runtime is re-billed (here, half the time, back to the
+                // same job as its wasted work). A reduce is never a victim.
+                6 => match victim {
+                    Some((t, a, n)) if t >= MAPS => {
+                        assert_eq!(ledger.preempt(TaskId(t as u32), a, n, now), None, "{ctx}");
+                    }
+                    Some((t, a, n)) => {
+                        let task = TaskId(t as u32);
+                        let elapsed = ledger.preempt(task, a, n, now).expect("attempt runs");
+                        let started = model[t].running.iter().find(|s| (s.0, s.1) == (a, n));
+                        let elapsed_model = now.since(started.expect("in the model").2);
+                        assert_eq!(elapsed, elapsed_model.as_secs_f64(), "{ctx}");
+                        charged -= elapsed;
+                        preemptions += 1;
+                        if rng.next_below(2) == 0 {
+                            ledger.bill_waste(elapsed);
+                            charged += elapsed;
+                            wasted += elapsed;
+                        }
+                        model[t].running.retain(|&s| (s.0, s.1) != (a, n));
+                        fenced.push((task, a));
+                        zombies.push((task, a, n));
+                    }
+                    None => {}
+                },
+                // Node death: its attempts vanish, fenced, and its
+                // completed map outputs are lost.
                 _ => {
                     for (t, m) in model.iter_mut().enumerate() {
                         let task = TaskId(t as u32);
-                        let removed = ledger.remove_attempts(task, now, |_, n| n == node);
+                        let removed = ledger.remove_attempts(task, now, true, |_, n| n == node);
                         let before = m.running.len();
-                        m.running.retain(|&(_, n)| n != node);
-                        assert_eq!(removed.len(), before - m.running.len());
-                        assert_eq!(ledger.task(task).ran_on, m.completed_on);
-                        if m.completed_on == Some(node) {
-                            ledger.uncomplete(task, now);
-                            m.completed_on = None;
+                        m.running.retain(|&(_, n, _)| n != node);
+                        assert_eq!(removed.len(), before - m.running.len(), "{ctx}");
+                        for &(a, n, _) in &removed {
+                            fenced.push((task, a));
+                            zombies.push((task, a, n));
+                        }
+                        let ran_on = m.won.as_ref().map(|r| r.node);
+                        assert_eq!(ledger.task(task).ran_on, ran_on, "{ctx}");
+                        if t < MAPS && ran_on == Some(node) {
+                            ledger.lose_output(task, now);
+                            m.won = None;
                         }
                     }
                 }
             }
 
-            let ctx = format!("seed {seed} step {step}");
             // The task table itself.
             for (t, m) in model.iter().enumerate() {
                 let view = ledger.get(t);
-                let running: Vec<(u32, NodeId)> =
-                    view.running.iter().map(|&(a, n, _)| (a, n)).collect();
+                let running: Vec<(u32, NodeId, SimTime)> = view.running.to_vec();
                 assert_eq!(running, m.running, "{ctx}: running list of task {t}");
-                assert_eq!(view.completed, m.completed_on.is_some(), "{ctx}");
+                assert_eq!(view.completed, m.won.is_some(), "{ctx}");
                 assert_eq!(ledger.task(TaskId(t as u32)).attempts, m.attempts, "{ctx}");
             }
+            // Completed maps and reduces, booked and recounted.
+            let count = |tasks: &[ModelTask]| Count {
+                tasks: tasks.len() as u32,
+                completed: tasks.iter().filter(|m| m.won.is_some()).count() as u32,
+            };
+            let tally = ledger.tally();
+            assert_eq!(tally.maps(), count(&model[..MAPS]), "{ctx}");
+            assert_eq!(tally.reduces(), count(&model[MAPS..]), "{ctx}");
+            let maps_done = tally.maps().completed == tally.maps().tasks;
+            assert_eq!(ledger.shuffle_ready(), maps_done, "{ctx}");
+            // The attempt log, the tallies and the folded totals.
+            assert_eq!(tally.dispatch_log, log, "{ctx}");
+            assert_eq!(
+                (
+                    tally.failed_attempts,
+                    tally.speculative_attempts,
+                    tally.preempted_attempts
+                ),
+                (failures, speculative, preemptions),
+                "{ctx}"
+            );
+            assert_eq!(tally.wasted_slot_seconds, wasted, "{ctx}");
+            assert_eq!(tally.task_times, task_times, "{ctx}");
+            assert_eq!(tally.last_progress, last_progress, "{ctx}");
+            let mut totals = Totals::default();
+            for r in model.iter().filter_map(|m| m.won.as_ref()) {
+                totals.bytes_read += r.metrics.bytes_read;
+                totals.bytes_output += r.metrics.bytes_output;
+                totals.local_reads += r.metrics.local_reads;
+                totals.remote_reads += r.metrics.remote_reads;
+                totals.digest_acc = totals.digest_acc.wrapping_add(r.digest.0);
+                totals.digest_count += r.digest.1;
+                totals.kv.extend_from_slice(&r.kv);
+            }
+            assert_eq!(sorted(&tally.totals), sorted(&totals), "{ctx}: totals");
             // running_now = Σ running; running_tasks = #{incomplete ∧ running}.
             let running_now: usize = model.iter().map(|m| m.running.len()).sum();
-            assert_eq!(ledger.running_now() as usize, running_now, "{ctx}");
+            assert_eq!(tally.running_now as usize, running_now, "{ctx}");
             let running_tasks = model
                 .iter()
-                .filter(|m| m.completed_on.is_none() && !m.running.is_empty())
+                .filter(|m| m.won.is_none() && !m.running.is_empty())
                 .count();
-            assert_eq!(ledger.running_tasks() as usize, running_tasks, "{ctx}");
+            assert_eq!(tally.running_tasks as usize, running_tasks, "{ctx}");
             // The timeline ends at the current level, and its integral (up
             // to its last step, where the ledger last integrated) plus the
             // re-billed seconds is the slot-seconds figure.
-            let timeline = ledger.share_timeline();
+            let timeline = &tally.share_timeline;
             assert_eq!(
                 timeline.last().map_or(0, |&(_, level)| level as usize),
                 running_now,
@@ -884,9 +1015,9 @@ fn slot_ledger_agrees_with_a_model_under_random_interleavings() {
                 .map(|w| w[0].1 as f64 * w[1].0.since(w[0].0).as_secs_f64())
                 .sum();
             assert!(
-                (ledger.slot_seconds() - (integral + charged)).abs() < 1e-9,
+                (tally.slot_seconds - (integral + charged)).abs() < 1e-9,
                 "{ctx}: slot_seconds {} vs timeline {} + charged {}",
-                ledger.slot_seconds(),
+                tally.slot_seconds,
                 integral,
                 charged
             );
@@ -897,7 +1028,7 @@ fn slot_ledger_agrees_with_a_model_under_random_interleavings() {
             let idle: Vec<u32> = (0..TASKS as u32)
                 .filter(|&t| {
                     let m = &model[t as usize];
-                    m.completed_on.is_none() && m.running.is_empty()
+                    m.won.is_none() && m.running.is_empty()
                 })
                 .collect();
             assert_eq!(queued, idle, "{ctx}: pending queue");

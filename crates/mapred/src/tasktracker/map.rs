@@ -175,7 +175,7 @@ impl TaskRun {
                 return;
             };
             let tag = node.track(self, IoKind::Read(read));
-            let cap = node.cfg.record_feed_cap;
+            let cap = Some(node.cfg.record_feed_cap);
             let ok =
                 node.dfs
                     .read_range(ctx, node.id, dn_node, block, offset_in_block, len, cap, tag);

@@ -57,6 +57,9 @@ fn synthetic_job_completes_and_aggregates() {
     assert!(result.succeeded);
     // Default task count = 2 slots × 4 nodes.
     assert_eq!(result.map_tasks, 8);
+    // The RPC reduce runs inside the JobTracker, in no slot, and still
+    // counts as the job's one reduce task.
+    assert_eq!(result.reduce_tasks, 1);
     assert_eq!(result.attempts, 8);
     assert_eq!(result.failed_attempts, 0);
     // Sum of per-task unit counts equals the total.
