@@ -293,11 +293,12 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
         "comp_class_visits" => class_visits,
         "flows_per_class" => float(flows_per_class, 2),
         "queue" => super::queue_json(&stats.queue()),
-        // The fabric's completion queue (a second ladder): rungs spawned
-        // and its longest sorted run.
+        // The fabric's completion queue (a second ladder): rungs spawned,
+        // its longest sorted run and the most item slots it held.
         "completion_queue" => obj! {
             "rungs_spawned" => stats.counter("net.completion_rungs_spawned"),
             "peak_cur_len" => stats.counter("net.completion_peak_cur_len"),
+            "peak_slots" => stats.counter("net.completion_peak_slots"),
         },
         // Chaos-plane robustness counters (zero in fault-free churn runs
         // unless hardening knobs are enabled; surfaced so regressions in

@@ -17,7 +17,8 @@
 //!   bucket width follows the pending *span* puts every heartbeat inside
 //!   one bucket and sorts each rearm into the middle of it; the ladder
 //!   splits that bucket. Asserted as a ratio to `timer_wheel` on the same
-//!   run.
+//!   run, and on the item slots its ladder held per pending event (a
+//!   count, so the same on every host).
 //!
 //! `timer_wheel` at full size is also the `perf` binary's calibration
 //! (read through [`super::calibration`]): the unit every
@@ -45,6 +46,29 @@ const FULL: (usize, u64) = (8_192, 200);
 /// ladder queue measures 0.83-1.05 (full) and 0.76-0.96 (`--quick`); the
 /// single span-wide wheel before it ([`before`]) 0.04-0.06 and 0.05-0.08.
 const SKEWED_RATIO_BAR: f64 = 0.4;
+
+/// Bar on `skewed_horizon`'s `peak_slots / peak_depth`: the item slots the
+/// queue held per pending event, at most. With its spare bucket list the
+/// ladder reads 5.6 (full) and 5.1 (`--quick`); each non-empty bucket holds
+/// at least four slots. With every bucket keeping its storage
+/// ([`slots_before`]) it read 35.7 and 19.8, growing with every rung-0
+/// bucket the run passes.
+const SLOTS_PER_PENDING_BAR: u64 = 8;
+
+/// `skewed_horizon`'s `peak_slots` before the spare list, when every bucket
+/// kept the storage it once grew to: commit `ed25fd3`'s ladder with only
+/// the slot counter added (a count, host-independent).
+fn slots_before(quick: bool) -> Json {
+    let (peak_slots, over) = if quick {
+        (324_656u64, 19.82)
+    } else {
+        (584_816, 35.69)
+    };
+    obj! {
+        "commit" => "ed25fd3", "skewed_horizon_peak_slots" => peak_slots,
+        "slots_over_peak_depth" => float(over, 2),
+    }
+}
 
 /// The parent commit's queue under this section (median of five full runs
 /// on the machine that regenerated it, events/s).
@@ -156,7 +180,8 @@ pub(super) fn calibrate() -> f64 {
     rates[1]
 }
 
-/// Runs the two workloads and holds `skewed_horizon` to its ratio bar.
+/// Runs the two workloads and holds `skewed_horizon` to its ratio and slot
+/// bars.
 pub fn run(quick: bool) -> Json {
     let (n, firings) = if quick { (512, 40) } else { FULL };
     let samples = [timer_wheel(n, firings), skewed_horizon(FULL.0, firings)];
@@ -174,13 +199,26 @@ pub fn run(quick: bool) -> Json {
         skewed_ratio >= SKEWED_RATIO_BAR,
         "skewed_horizon runs at {skewed_ratio:.2} of timer_wheel (bar {SKEWED_RATIO_BAR})"
     );
+    // Queue storage follows the pending events: a ladder whose buckets keep
+    // their peak storage epoch after epoch fails here.
+    let q = &samples[1].queue;
+    assert!(
+        q.peak_slots <= SLOTS_PER_PENDING_BAR * q.peak_depth,
+        "skewed_horizon's queue held {} slots for {} pending events (bar {SLOTS_PER_PENDING_BAR}x)",
+        q.peak_slots,
+        q.peak_depth
+    );
+    let slots_ratio = q.peak_slots as f64 / q.peak_depth as f64;
 
     obj! { "des_core" => obj! {
         "scenario" => "engine-only: staggered periodic timers, heartbeats beside far-out one-shots",
         "quick" => quick,
         "skewed_over_timer_wheel" => float(skewed_ratio, 2),
         "ratio_bar" => float(SKEWED_RATIO_BAR, 1),
+        "skewed_slots_over_peak_depth" => float(slots_ratio, 2),
+        "slots_bar" => SLOTS_PER_PENDING_BAR,
         "before" => before(),
+        "slots_before" => slots_before(quick),
         "runs" => samples.map(|s| s.row).to_vec(),
     } }
 }

@@ -56,5 +56,6 @@ fn queue_json(q: &QueueStats) -> Json {
         "timer_slots" => q.timer_slots,
         "rungs_spawned" => q.rungs_spawned,
         "peak_cur_len" => q.peak_cur_len,
+        "peak_slots" => q.peak_slots,
     }
 }

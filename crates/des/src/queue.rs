@@ -52,7 +52,8 @@
 //!    into a `cur` of ~1,900 events; the ladder splits that bucket instead.
 //!    An exhausted rung pops back to its parent; rungs are allocated on the
 //!    first anchor or split at their depth and reused, so an empty ladder
-//!    owns no heap memory. Bucket splits alone nest at most `log_1024` of
+//!    owns no heap memory (see *Storage* for the buckets' item storage).
+//!    Bucket splits alone nest at most `log_1024` of
 //!    the top width deep (7 for the whole `u64` range); `cur` splits can
 //!    stack further, so past `MAX_DEPTH` rungs both kinds fall back to
 //!    sorting into `cur`.
@@ -61,6 +62,22 @@
 //!    derived from the overflow's time span and the items redistributed
 //!    (each item moves down a tier at most once per rung depth, keeping
 //!    the amortized cost constant).
+//!
+//! ## Storage
+//!
+//! A bucket's items live in its own `Vec`, which leaves the bucket when the
+//! bucket comes due: sorted into `cur` or split, it is emptied and goes to
+//! the ladder's one spare list, and a push or a `descend` into an empty
+//! bucket takes a `Vec` from that list before it allocates. Storage grown
+//! past `2 * SPLIT` items (a crowded rung-0 bucket, a same-instant flood)
+//! is freed instead of kept. So the item slots held follow the pending
+//! items, not every bucket's past peak: on the 1000-worker Pi job, whose
+//! 513 rung-0 buckets each come due with ~2,100 heartbeats, buckets that
+//! kept their storage held 52.7 MB for at most 4,005 pending events. The
+//! slots held — buckets, spare list, `cur`, `now_fifo` and `overflow` —
+//! are counted as they grow and are freed, and reported as
+//! [`QueueStats::peak_slots`]; an empty ladder holds none, and a non-empty
+//! bucket at least four.
 //!
 //! ## Determinism
 //!
@@ -143,6 +160,68 @@ impl Timed for Queued {
     }
 }
 
+/// The ladder's one spare list of bucket storage and its slot count (see
+/// *Storage* in the module doc).
+struct Store<T> {
+    spare: Vec<Vec<T>>,
+    /// Item slots allocated across every tier and the spare list, kept on
+    /// growth and release (never by a walk) / its high-water mark since
+    /// the last [`Ladder::report`].
+    slots: usize,
+    peak_slots: usize,
+}
+
+impl<T> Store<T> {
+    /// Appends `item` to `bucket`, giving it spare storage first if it has
+    /// none.
+    #[inline]
+    fn append(&mut self, bucket: &mut Vec<T>, item: T) {
+        if bucket.len() == bucket.capacity() {
+            self.make_room(bucket);
+        }
+        bucket.push(item);
+    }
+
+    #[cold]
+    fn make_room(&mut self, bucket: &mut Vec<T>) {
+        if bucket.capacity() == 0 {
+            if let Some(v) = self.spare.pop() {
+                *bucket = v;
+                return;
+            }
+        }
+        self.counted(bucket, Vec::capacity, |b| b.reserve(1));
+    }
+
+    /// An empty `Vec`, spare storage if there is any.
+    fn take(&mut self) -> Vec<T> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Takes back `v`'s storage (its items are gone): onto the spare list,
+    /// or freed if it grew past `2 * SPLIT` items.
+    fn give(&mut self, v: Vec<T>) {
+        debug_assert!(v.is_empty());
+        match v.capacity() {
+            0 => {}
+            cap if cap > 2 * SPLIT => self.slots -= cap,
+            _ => self.spare.push(v),
+        }
+    }
+
+    /// Runs `op` on the container `c` and counts the slots it grew by.
+    #[inline]
+    fn counted<C>(&mut self, c: &mut C, capacity: fn(&C) -> usize, op: impl FnOnce(&mut C)) {
+        let before = capacity(c);
+        op(c);
+        let after = capacity(c);
+        if after != before {
+            self.slots += after - before;
+            self.peak_slots = self.peak_slots.max(self.slots);
+        }
+    }
+}
+
 /// One wheel of the ladder: bucket `i` covers the `width` nanoseconds from
 /// `start + i*width`, cut off after `last`. All bounds are inclusive so a
 /// rung can cover `SimTime::MAX` without an unrepresentable end.
@@ -190,6 +269,8 @@ pub struct Ladder<T: Timed> {
     depth: usize,
     /// Items beyond rung 0, unsorted.
     overflow: Vec<T>,
+    /// Spare bucket storage and the slot count of every tier.
+    store: Store<T>,
     /// Instant of the most recently popped item — or the `lo` of a later
     /// `cur` split, if earlier. Everything in `now_fifo` is at it.
     now: SimTime,
@@ -225,6 +306,11 @@ impl<T: Timed> Ladder<T> {
             rungs: Vec::new(),
             depth: 0,
             overflow: Vec::new(),
+            store: Store {
+                spare: Vec::new(),
+                slots: 0,
+                peak_slots: 0,
+            },
             now: SimTime::ZERO,
             len: 0,
             rungs_spawned: 0,
@@ -245,11 +331,14 @@ impl<T: Timed> Ladder<T> {
     }
 
     /// Moves the ladder's health counters (child rungs spawned, longest
-    /// sorted run) into `qs` and restarts them.
+    /// sorted run, most item slots held) into `qs` and restarts them. O(1):
+    /// the engine reports after every [`step`](crate::Sim::step).
     pub fn report(&mut self, qs: &mut QueueStats) {
         qs.rungs_spawned += std::mem::take(&mut self.rungs_spawned);
         let peak = std::mem::replace(&mut self.peak_cur_len, self.cur.len());
         qs.peak_cur_len = qs.peak_cur_len.max(peak as u64);
+        let peak = std::mem::replace(&mut self.store.peak_slots, self.store.slots);
+        qs.peak_slots = qs.peak_slots.max(peak as u64);
     }
 
     /// Adds `item`. Any instant is accepted, including one before the last
@@ -261,7 +350,10 @@ impl<T: Timed> Ladder<T> {
             // At the last popped instant and not below the FIFO's back: the
             // FIFO stays sorted. (The engine's same-instant sends always get
             // here — its seq only grows.)
-            self.now_fifo.push_back(item);
+            self.store
+                .counted(&mut self.now_fifo, VecDeque::capacity, |f| {
+                    f.push_back(item)
+                });
         } else if at <= self.cur_last {
             // Lands inside the window already promoted to `cur` (this also
             // absorbs a push below the deepest rung's start — a harness
@@ -270,7 +362,8 @@ impl<T: Timed> Ladder<T> {
             // before `now`: it sorts to its place and pops in key order).
             let key = item.key();
             let idx = self.cur.partition_point(|e| e.key() <= key);
-            self.cur.insert(idx, item);
+            self.store
+                .counted(&mut self.cur, VecDeque::capacity, |c| c.insert(idx, item));
             if self.cur.len() > 2 * SPLIT {
                 self.split_cur();
             }
@@ -284,8 +377,12 @@ impl<T: Timed> Ladder<T> {
                 .rev()
                 .find(|r| at <= r.last)
             {
-                Some(r) => r.buckets[((at - r.start) / r.width) as usize].push(item),
-                None => self.overflow.push(item),
+                Some(r) => self
+                    .store
+                    .append(&mut r.buckets[((at - r.start) / r.width) as usize], item),
+                None => self
+                    .store
+                    .counted(&mut self.overflow, Vec::capacity, |o| o.push(item)),
             }
         }
     }
@@ -375,15 +472,18 @@ impl<T: Timed> Ladder<T> {
                     let mut items = std::mem::take(bucket);
                     let width = (last - min) / N_BUCKETS as u64 + 1;
                     self.descend(min, width, last, &mut items);
-                    self.rungs[self.depth - 2].buckets[cursor] = items;
+                    self.store.give(items);
                     self.rungs_spawned += 1;
                     continue;
                 }
             }
             bucket.sort_unstable_by_key(|q| q.key());
-            // `drain` keeps the bucket's allocation for reuse next epoch —
-            // item nodes are recycled, never freed.
-            self.cur.extend(bucket.drain(..));
+            self.store.counted(&mut self.cur, VecDeque::capacity, |c| {
+                c.extend(bucket.drain(..))
+            });
+            // The bucket is not filled again before its rung is re-anchored
+            // or re-descended: its storage goes where the next push needs it.
+            self.store.give(std::mem::take(bucket));
             self.peak_cur_len = self.peak_cur_len.max(self.cur.len());
         }
     }
@@ -407,7 +507,11 @@ impl<T: Timed> Ladder<T> {
             self.now_fifo.len()
         };
         let fifo = self.now_fifo.drain(fifo_from..);
-        let mut moved: Vec<T> = self.cur.drain(keep..).chain(fifo).collect();
+        let mut moved = self.store.take();
+        let cur = &mut self.cur;
+        self.store.counted(&mut moved, Vec::capacity, |m| {
+            m.extend(cur.drain(keep..).chain(fifo))
+        });
         let (start, last) = (lo.as_nanos() + 1, self.cur_last.as_nanos());
         self.descend(
             start,
@@ -415,6 +519,7 @@ impl<T: Timed> Ladder<T> {
             last,
             &mut moved,
         );
+        self.store.give(moved);
         self.now = self.now.min(lo);
         self.cur_last = lo;
         self.rungs_spawned += 1;
@@ -429,7 +534,8 @@ impl<T: Timed> Ladder<T> {
         let rung = &mut self.rungs[self.depth];
         (rung.cursor, rung.start, rung.width, rung.last) = (0, start, width, last);
         for q in items.drain(..) {
-            rung.buckets[((q.at().as_nanos() - start) / width) as usize].push(q);
+            let i = ((q.at().as_nanos() - start) / width) as usize;
+            self.store.append(&mut rung.buckets[i], q);
         }
         self.depth += 1;
     }
@@ -867,6 +973,80 @@ mod tests {
         assert!(q.rungs.is_empty(), "a push alone anchors nothing");
         assert_eq!(q.pop().map(|e| e.seq), Some(0));
         assert_eq!(q.rungs.len(), 1, "the first settle anchors rung 0");
+    }
+
+    /// Item slots `q` holds, counted by walking every tier: what the
+    /// running `store.slots` must equal.
+    fn walked_slots<T: Timed>(q: &Ladder<T>) -> usize {
+        let rungs = q.rungs.iter().flat_map(|r| &r.buckets);
+        rungs
+            .chain(&q.store.spare)
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + q.overflow.capacity()
+            + q.cur.capacity()
+            + q.now_fifo.capacity()
+    }
+
+    /// The Pi shape over many rung-0 buckets: heartbeats re-armed 1 s and
+    /// 3 s ahead (each with an RPC 0.1 ms out) beside one-shots 10^4 s out,
+    /// so rung 0's buckets are ~20 s wide and each one is split when it
+    /// comes due. Pops must follow the oracle, and the storage the ladder
+    /// holds must follow the pending events: kept per bucket, it would
+    /// grow by a crowded bucket's worth every rung-0 bucket.
+    #[test]
+    fn periodic_rearms_beside_far_one_shots_hold_bounded_storage() {
+        const SEND: u64 = 0;
+        /// Slots held per pending event, at most (7-8 measured here).
+        const K: usize = 16;
+        let mut rng = Xoshiro256::seed_from_u64(45);
+        let mut p = Pair::new();
+        let mut period = Vec::new();
+        for i in 0..400u64 {
+            p.push(rng.next_u64() % 1_000_000_000);
+            period.push(if i % 2 == 0 {
+                1_000_000_000
+            } else {
+                3_000_000_000
+            });
+        }
+        for i in 0..8 {
+            p.push(10_000_000_000_000 + i * 1_000_003);
+            period.push(SEND);
+        }
+        let (mut pending, mut peak) = (p.cal.len(), p.cal.len());
+        let (mut at, mut pops) = (0, 0u64);
+        // 1,100 simulated seconds: past 55 rung-0 buckets.
+        while at < 1_100_000_000_000 {
+            let seq;
+            (at, seq) = p.pop().expect("heartbeats never run dry");
+            pending -= 1;
+            let every = period[seq as usize];
+            if every != SEND {
+                p.push(at + every);
+                period.push(every);
+                p.push(at + 100_000);
+                period.push(SEND);
+                pending += 2;
+            }
+            peak = peak.max(pending);
+            pops += 1;
+            if pops % 4_096 == 0 {
+                assert_eq!(p.cal.store.slots, walked_slots(&p.cal));
+                assert!(
+                    p.cal.store.slots <= K * peak,
+                    "{} slots held for at most {peak} pending, after {} s",
+                    p.cal.store.slots,
+                    at / 1_000_000_000
+                );
+            }
+        }
+        let mut qs = QueueStats::default();
+        p.cal.report(&mut qs);
+        assert!(qs.rungs_spawned >= 55, "{} splits", qs.rungs_spawned);
+        assert!(qs.peak_slots as usize <= K * peak, "{qs:?}, peak {peak}");
+        p.drain();
+        assert_eq!(p.cal.store.slots, walked_slots(&p.cal));
     }
 
     /// A projected completion as the network fabric queues it: keyed on

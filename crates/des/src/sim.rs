@@ -246,7 +246,9 @@ impl Sim {
     }
 
     /// Runs until `deadline` (events at exactly `deadline` still fire).
-    /// The clock is left at `min(deadline, time of last event)`.
+    /// The clock is left at `deadline` if an event is still pending after
+    /// it, else at the last event dispatched; it never moves backwards, so
+    /// a deadline before [`now`](Self::now) leaves it where it is.
     ///
     /// A `Ctx::stop` requested during a previous run only ended that run;
     /// each call starts afresh, so a simulation can be resumed (e.g. to
@@ -257,7 +259,7 @@ impl Sim {
             match self.core.queue.peek() {
                 None => break,
                 Some(q) if q.at > deadline => {
-                    self.core.now = deadline;
+                    self.core.now = self.core.now.max(deadline);
                     break;
                 }
                 Some(_) => {}
@@ -712,6 +714,28 @@ mod tests {
         // Resuming continues from the queue.
         sim.run_until(SimTime::from_nanos(5_500_000_000));
         assert_eq!(sim.stats().counter("ticks"), 6);
+    }
+
+    #[test]
+    fn run_until_an_earlier_deadline_keeps_the_clock() {
+        struct Tick;
+        impl Actor for Tick {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+                if let Event::Start | Event::Timer { .. } = ev {
+                    ctx.after(SimDuration::from_secs(1), 0);
+                }
+            }
+        }
+        let mut sim = Sim::new(0);
+        sim.spawn(Box::new(Tick));
+        let five = SimTime::from_nanos(5_000_000_000);
+        sim.run_until(five);
+        assert_eq!(sim.now(), five);
+        // The 6 s tick is pending and after the deadline: nothing runs, and
+        // the clock stays at 5 s rather than going back to 2 s.
+        let summary = sim.run_until(SimTime::from_nanos(2_000_000_000));
+        assert_eq!(sim.now(), five);
+        assert_eq!(summary.end_time, five);
     }
 
     #[test]

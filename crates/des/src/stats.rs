@@ -32,6 +32,10 @@ pub struct QueueStats {
     /// Longest the queue's sorted current run ever was — pushes into it
     /// are the only ones that cost a search and a shift.
     pub peak_cur_len: u64,
+    /// Most item slots the queue's storage held at once, pending or spare
+    /// (see `queue.rs`). Far above `peak_depth`, it is storage that no
+    /// pending event occupies.
+    pub peak_slots: u64,
 }
 
 /// Per-actor-class event cost, collected only when profiling is enabled

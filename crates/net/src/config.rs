@@ -41,9 +41,16 @@ pub const RPC_LATENCY: SimDuration = SimDuration::from_micros(200);
 /// Serialization rate applied to RPC payload bytes.
 pub const RPC_BYTES_PER_SEC: f64 = 125.0e6;
 
-/// One-way delivery delay of a control message carrying `bytes`.
+/// [`RPC_BYTES_PER_SEC`] as the time one payload byte takes, exactly.
+const RPC_NANOS_PER_BYTE: u64 = 8;
+const _: () = assert!(RPC_NANOS_PER_BYTE as f64 * RPC_BYTES_PER_SEC == 1e9);
+
+/// One-way delivery delay of a control message carrying `bytes`: the
+/// latency plus 8 ns a byte, in integer nanoseconds (saturating).
 pub fn rpc_delay(bytes: u64) -> SimDuration {
-    RPC_LATENCY + SimDuration::from_secs_f64(bytes as f64 / RPC_BYTES_PER_SEC)
+    RPC_LATENCY.saturating_add(SimDuration::from_nanos(
+        bytes.saturating_mul(RPC_NANOS_PER_BYTE),
+    ))
 }
 
 /// Carries no setting: the network is the paper's, stated by the constants
@@ -71,5 +78,22 @@ mod tests {
         assert_eq!(d0, RPC_LATENCY);
         let d = rpc_delay(125_000_000);
         assert_eq!(d.as_nanos(), RPC_LATENCY.as_nanos() + 1_000_000_000);
+        assert_eq!(rpc_delay(u64::MAX), SimDuration::MAX);
+    }
+
+    /// The integer delay equals the float formula it replaced, rounded to
+    /// the nanosecond, on every count up to 2·10^6 and on random counts up
+    /// to 2^46 (64 TiB, past any message the simulator sends).
+    #[test]
+    fn rpc_delay_matches_the_float_formula() {
+        let float = |b: u64| RPC_LATENCY + SimDuration::from_secs_f64(b as f64 / RPC_BYTES_PER_SEC);
+        for bytes in 0..2_000_000 {
+            assert_eq!(rpc_delay(bytes), float(bytes), "{bytes} bytes");
+        }
+        let mut rng = accelmr_des::Xoshiro256::seed_from_u64(46);
+        for _ in 0..2_000_000 {
+            let bytes = rng.next_u64() >> 18;
+            assert_eq!(rpc_delay(bytes), float(bytes), "{bytes} bytes");
+        }
     }
 }

@@ -386,8 +386,9 @@ pub struct Fabric {
     /// `rearm` drop stale entries wherever they sit, ahead of the clock
     /// too, so a later push can land behind the ladder's last popped
     /// instant — which the ladder accepts (see [`Ladder::push`]). Its
-    /// counters go to `net.completion_rungs_spawned` and
-    /// `net.completion_peak_cur_len` after every advance.
+    /// counters go to `net.completion_rungs_spawned`,
+    /// `net.completion_peak_cur_len` and `net.completion_peak_slots` after
+    /// every advance.
     completions: Ladder<Done>,
 }
 
@@ -880,6 +881,8 @@ impl Fabric {
             .add("net.completion_rungs_spawned", qs.rungs_spawned);
         ctx.stats()
             .raise("net.completion_peak_cur_len", qs.peak_cur_len);
+        ctx.stats()
+            .raise("net.completion_peak_slots", qs.peak_slots);
         #[cfg(debug_assertions)]
         self.debug_check_link_index();
     }
