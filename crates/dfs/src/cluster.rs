@@ -1,9 +1,6 @@
 //! Cluster assembly and the client-side handle.
 
-use std::sync::Arc;
-
 use accelmr_des::prelude::*;
-use accelmr_des::FxHashMap;
 use accelmr_net::{NetHandle, NodeId, NodeRegistry};
 
 use crate::config::{BlockId, DfsConfig};
@@ -20,7 +17,8 @@ pub struct DfsHandle {
     pub head_node: NodeId,
     /// Live `node → DataNode actor` registry. Shared (not a snapshot):
     /// joins and departures are visible to every handle clone immediately,
-    /// so reads fail fast off departed nodes instead of hanging.
+    /// so reads fail fast off departed nodes instead of hanging. It is also
+    /// the one record DataNodes resolve their pipeline hops through.
     pub datanodes: NodeRegistry,
     /// The network fabric.
     pub net: NetHandle,
@@ -37,19 +35,16 @@ impl DfsHandle {
 
     /// Joins a DataNode on `node` mid-run and returns its actor. Within
     /// the instant, in order: the DataNode spawns wired to the NameNode
-    /// and the current peers, every registered peer learns it through
+    /// and the registry as it stands, every registered peer is sent
     /// [`AddPeer`] in registry order, the registry routes to it, and
     /// [`AddDataNode`] admits it to the NameNode's placement rotation. The
     /// fabric must already carry `node` ([`NetHandle::ensure_node`]).
     pub fn add_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) -> ActorId {
-        let registered = self.datanodes.snapshot();
-        let mut dn = DataNode::new(self.net, node, self.head_node, self.materialized);
-        dn.rewire(
-            self.namenode,
-            Arc::new(registered.iter().copied().collect()),
-        );
+        let peers = self.datanodes.view();
+        let mut dn = DataNode::new(self.net, node, self.head_node, self.materialized, peers);
+        dn.rewire(self.namenode);
         let actor = ctx.spawn(Box::new(dn));
-        for &(_, peer) in &registered {
+        for (_, peer) in self.datanodes.snapshot() {
             ctx.send(peer, AddPeer { node, actor });
         }
         self.datanodes.insert(node, actor);
@@ -57,9 +52,10 @@ impl DfsHandle {
         actor
     }
 
-    /// Crashes the DataNode on `node`: the registry stops routing to it
-    /// and it receives [`Shutdown`]. The NameNode learns of the loss by
-    /// heartbeat silence. Returns whether `node` had a DataNode to crash.
+    /// Crashes the DataNode on `node`: the registry stops routing clients
+    /// to it (DataNodes wired before now still resolve it) and it receives
+    /// [`Shutdown`]. The NameNode learns of the loss by heartbeat silence.
+    /// Returns whether `node` had a DataNode to crash.
     pub fn remove_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) -> bool {
         let dn = self.datanodes.remove(node);
         if let Some(dn) = dn {
@@ -196,23 +192,27 @@ pub fn deploy_dfs(
     if let Err(e) = cfg.validate() {
         panic!("invalid DfsConfig: {e}");
     }
-    let mut spawn_dn = |w| sim.spawn(Box::new(DataNode::new(net, w, head_node, materialized)));
+    let datanodes = NodeRegistry::default();
+    let peers = datanodes.view();
+    let mut spawn_dn = |w| {
+        let dn = DataNode::new(net, w, head_node, materialized, peers.clone());
+        sim.spawn(Box::new(dn))
+    };
     let dns: Vec<(NodeId, ActorId)> = workers.iter().map(|&w| (w, spawn_dn(w))).collect();
+    datanodes.extend(&dns);
     let namenode = sim.spawn(Box::new(NameNode::new(
         cfg.clone(),
         net,
         head_node,
         dns.clone(),
     )));
-    let peers: Arc<FxHashMap<NodeId, ActorId>> = Arc::new(dns.iter().copied().collect());
     for &(_, dn) in &dns {
-        let peers = Arc::clone(&peers);
-        sim.post(dn, Box::new(WireDataNode { namenode, peers }));
+        sim.post(dn, Box::new(WireDataNode { namenode }));
     }
     DfsHandle {
         namenode,
         head_node,
-        datanodes: NodeRegistry::new(dns),
+        datanodes,
         net,
         materialized,
     }
@@ -223,7 +223,6 @@ pub fn deploy_dfs(
 #[derive(Debug)]
 pub(crate) struct WireDataNode {
     pub(crate) namenode: ActorId,
-    pub(crate) peers: Arc<FxHashMap<NodeId, ActorId>>,
 }
 
 #[cfg(test)]
@@ -601,8 +600,8 @@ mod tests {
         assert_eq!(sim.stats().counter("dfs.bytes_written"), 4 << 20);
     }
 
-    /// Node 2 leaves, then node 3 joins: node 3's DataNode was wired from
-    /// a registry snapshot without node 2, so its peer map lacks it.
+    /// Node 2 leaves, then node 3 joins: node 3's DataNode was wired after
+    /// node 2 left, so it never resolves node 2.
     fn join_after_leave(ctx: &mut Ctx<'_>, dfs: &DfsHandle) -> ActorId {
         assert!(dfs.remove_datanode(ctx, NodeId(2)));
         dfs.net.ensure_node(ctx, NodeId(3));
@@ -615,8 +614,8 @@ mod tests {
         base_offset: 0,
     };
 
-    /// A repair whose first hop is missing from the source's peer map is
-    /// answered with `ReplicationFailed`, naming the block.
+    /// A repair whose first hop the source does not resolve is answered
+    /// with `ReplicationFailed`, naming the block.
     #[test]
     fn replicate_to_a_peer_the_source_never_learned_is_rejected() {
         let mut sim = Sim::new(13);
@@ -650,9 +649,9 @@ mod tests {
         assert_eq!(sim.stats().counter("dfs.replications_forwarded"), 0);
     }
 
-    /// A write whose next hop is missing from the landing DataNode's peer
-    /// map lands there and goes no further: nothing is sent to the next
-    /// hop and the writer never gets a `WriteAck`.
+    /// A write whose next hop the landing DataNode does not resolve lands
+    /// there and goes no further: nothing is sent to the next hop and the
+    /// writer never gets a `WriteAck`.
     #[test]
     fn write_forward_to_a_peer_the_datanode_never_learned_stalls() {
         let mut sim = Sim::new(14);
@@ -682,6 +681,54 @@ mod tests {
                     msg.peek::<WriteAck>().is_none(),
                     "a stalled write was acked"
                 );
+            }
+        });
+    }
+
+    /// The other half of the rule: a DataNode deployed before node 2 left
+    /// still resolves it, so its repair hop to node 2 is sent — one RPC —
+    /// and dropped at node 2's dead actor.
+    #[test]
+    fn replicate_to_a_peer_that_left_after_the_source_was_wired_is_sent() {
+        let mut sim = Sim::new(15);
+        let dfs = deploy(&mut sim, 3, false);
+        // `(net.rpcs, dead_actor_drops)` as the hop is sent.
+        let mut before = (0, 0);
+        run_client(&mut sim, dfs, move |ctx, ev, dfs, _| match ev {
+            Event::Start => {
+                assert!(dfs.remove_datanode(ctx, NodeId(2)));
+                // Past node 2's last heartbeat timer.
+                ctx.after(SimDuration::from_secs(5), 1);
+            }
+            Event::Timer { tag: 1, .. } => {
+                let dn1 = dfs.datanode_on(NodeId(1)).expect("node 1 stays");
+                let (block, content) = (BlockId(7), MB_CONTENT);
+                ctx.send(dn1, AddBlockMeta { block, content });
+                let replicate = ReplicateBlock {
+                    block,
+                    pipeline: vec![NodeId(2)],
+                    ack_to: ctx.self_id(),
+                    ack_node: NodeId(1),
+                    tag: 9,
+                };
+                ctx.send(dn1, replicate);
+                before = (
+                    ctx.stats().counter("net.rpcs"),
+                    ctx.stats().queue().dead_actor_drops,
+                );
+                // Long enough for the hop's RPC, too short for a heartbeat.
+                ctx.after(SimDuration::from_millis(1), 2);
+            }
+            Event::Timer { .. } => {
+                let (rpcs, drops) = before;
+                assert_eq!(ctx.stats().counter("net.rpcs"), rpcs + 1);
+                let drops_now = ctx.stats().queue().dead_actor_drops;
+                assert_eq!(drops_now, drops + 1, "the hop reached node 2");
+                assert_eq!(ctx.stats().counter("dfs.replications_forwarded"), 1);
+                verified(ctx);
+            }
+            Event::Msg { msg, .. } => {
+                assert!(msg.peek::<ReplicationFailed>().is_none(), "hop rejected");
             }
         });
     }

@@ -1,10 +1,8 @@
 //! The DataNode: block storage and streaming.
 
-use std::sync::Arc;
-
 use accelmr_des::prelude::*;
 use accelmr_des::FxHashMap;
-use accelmr_net::{FlowAborted, NetHandle, NodeId};
+use accelmr_net::{FlowAborted, NetHandle, NodeId, PeerView};
 
 use crate::cluster::WireDataNode;
 use crate::config::{BlockId, HEARTBEAT_INTERVAL};
@@ -30,9 +28,10 @@ struct WriteLanded(WriteBlock);
 ///
 /// The one place a `WriteBlock` is built. Its callers differ only in what
 /// they pass: a client's first hop ([`DfsHandle::write_block`]) resolves
-/// through the live registry in a 256-byte RPC; a repair source's first
-/// hop and every DataNode-to-DataNode forward resolve through the
-/// DataNode's peer map in 128 bytes.
+/// the registered DataNodes in a 256-byte RPC; a repair source's first hop
+/// and every DataNode-to-DataNode forward resolve, in 128 bytes, the peers
+/// the sending DataNode knows: every node registered with the DFS except
+/// one that had already left when the sender was wired ([`PeerView`]).
 ///
 /// [`DfsHandle::write_block`]: crate::DfsHandle::write_block
 pub(crate) fn send_next_hop(
@@ -69,34 +68,38 @@ pub struct DataNode {
     node: NodeId,
     namenode: ActorId,
     head_node: NodeId,
-    /// Peer DataNode actors for pipeline forwarding, indexed by node. One
-    /// map shared by every DataNode wired from it, copied on the first
-    /// [`AddPeer`] that finds it shared.
-    peers: Arc<FxHashMap<NodeId, ActorId>>,
+    /// The DFS's DataNode registry as of this DataNode's wiring: what its
+    /// pipeline hops resolve through.
+    peers: PeerView,
     blocks: FxHashMap<BlockId, BlockContent>,
     materialized: bool,
 }
 
 impl DataNode {
-    /// Builds a DataNode on `node`, not yet wired to the NameNode or its
-    /// peers: `deploy_dfs` wires it by message, `DfsHandle::add_datanode`
-    /// before spawning it.
-    pub fn new(net: NetHandle, node: NodeId, head_node: NodeId, materialized: bool) -> Self {
+    /// Builds a DataNode on `node` that resolves its peers through
+    /// `peers`. It is not yet wired to the NameNode: `deploy_dfs` wires it
+    /// by message, `DfsHandle::add_datanode` before spawning it.
+    pub fn new(
+        net: NetHandle,
+        node: NodeId,
+        head_node: NodeId,
+        materialized: bool,
+        peers: PeerView,
+    ) -> Self {
         DataNode {
             net,
             node,
             namenode: ActorId::ENGINE,
             head_node,
-            peers: Arc::default(),
+            peers,
             blocks: FxHashMap::default(),
             materialized,
         }
     }
 
-    /// Installs the NameNode id and peer DataNode registry.
-    pub(crate) fn rewire(&mut self, namenode: ActorId, peers: Arc<FxHashMap<NodeId, ActorId>>) {
+    /// Installs the NameNode id.
+    pub(crate) fn rewire(&mut self, namenode: ActorId) {
         self.namenode = namenode;
-        self.peers = peers;
     }
 
     fn materialize(
@@ -142,18 +145,17 @@ impl Actor for DataNode {
                 ctx.rearm_after(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
             }
             Event::Msg { msg } => match Inbox::decode(msg) {
-                Inbox::AddPeer(peer) => {
-                    // A node joined: learn its DataNode so write and
-                    // re-replication pipelines can forward through it.
-                    Arc::make_mut(&mut self.peers).insert(peer.node, peer.actor);
-                }
+                // A node joined. The registry already resolves it: the
+                // NameNode names a joiner in a pipeline only after
+                // `AddDataNode`, which the join sends after every `AddPeer`.
+                Inbox::AddPeer(_peer) => {}
                 Inbox::ReplicateBlock(req) => {
                     let (net, node, peers) = (self.net, self.node, &self.peers);
                     let sent = self.blocks.get(&req.block).is_some_and(|&content| {
                         send_next_hop(
                             ctx,
                             (net, node, 128),
-                            |n| peers.get(&n).copied(),
+                            |n| peers.resolve(n),
                             req.block,
                             content,
                             &req.pipeline,
@@ -239,12 +241,12 @@ impl Actor for DataNode {
                         };
                         net.unicast(ctx, node, w.ack_node, w.ack_to, 64, ack);
                     } else {
-                        // A next hop missing from the peer map is sent
+                        // A next hop this DataNode does not know is sent
                         // nothing: the write stalls, never acknowledged.
                         send_next_hop(
                             ctx,
                             (net, node, 128),
-                            |n| peers.get(&n).copied(),
+                            |n| peers.resolve(n),
                             w.block,
                             w.content,
                             &w.rest,
@@ -257,7 +259,7 @@ impl Actor for DataNode {
                     let me = ctx.self_id();
                     ctx.kill(me);
                 }
-                Inbox::WireDataNode(w) => self.rewire(w.namenode, w.peers),
+                Inbox::WireDataNode(w) => self.rewire(w.namenode),
                 // The source of an inbound pipeline write left mid-stream:
                 // the block never lands and the write stalls unacknowledged.
                 Inbox::FlowAborted(_aborted) => {}

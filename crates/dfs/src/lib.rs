@@ -18,12 +18,12 @@
 //! ## Invariants callers rely on
 //!
 //! * **Dynamic membership.** The DataNode set is no longer fixed at
-//!   deploy: [`DfsHandle::add_datanode`] joins a node mid-run (its peers
-//!   learn it via [`msgs::AddPeer`], the NameNode admits it to placement
-//!   via [`msgs::AddDataNode`]) and [`DfsHandle::remove_datanode`] crashes
-//!   one. [`DfsHandle::datanodes`] is a live
-//!   [`accelmr_net::NodeRegistry`], not a snapshot — a read routed to a
-//!   departed node fails fast instead of hanging.
+//!   deploy: [`DfsHandle::add_datanode`] joins a node mid-run (the
+//!   NameNode admits it to placement via [`msgs::AddDataNode`]) and
+//!   [`DfsHandle::remove_datanode`] crashes one. [`DfsHandle::datanodes`]
+//!   is a live [`accelmr_net::NodeRegistry`], not a snapshot — a read
+//!   routed to a departed node fails fast instead of hanging — and the one
+//!   record DataNodes resolve their pipeline hops through.
 //! * **Replication repair.** When a DataNode dies (heartbeat silence) or
 //!   capacity joins, the NameNode re-replicates every block below its
 //!   target by streaming a surviving replica through a
@@ -34,8 +34,9 @@
 //! * **One write path.** Every pipeline hop (a client's first hop via
 //!   [`DfsHandle::write_block`], a repair's, each forward) is a
 //!   [`msgs::WriteBlock`] built by one routine; callers differ only in
-//!   how they resolve the hop (the live registry for a client, the
-//!   DataNode's peer map otherwise), the RPC size and what a miss does.
+//!   how they resolve the hop (the registered nodes for a client, the
+//!   peers a DataNode knew when it was wired otherwise), the RPC size and
+//!   what a miss does.
 //!   [`msgs::BlockContent`] is the one record a DataNode stores per block.
 //! * **Burst-friendly reads.** A reader fans all segment requests of a
 //!   record out in one simulated instant; the resulting DataNode flows

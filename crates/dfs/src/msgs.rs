@@ -165,8 +165,10 @@ pub struct AddDataNode {
     pub actor: ActorId,
 }
 
-/// Teaches an existing DataNode about a joined peer (control plane), so
-/// replication pipelines can forward through it.
+/// Tells an existing DataNode a peer joined (control plane). The DataNode
+/// learns nothing from it, since the DFS registry already resolves the
+/// peer; it is still sent because its deliveries are part of the pinned
+/// event stream.
 #[derive(Debug, Clone, Copy)]
 pub struct AddPeer {
     /// The peer's node.

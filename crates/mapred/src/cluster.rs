@@ -56,16 +56,8 @@ impl MrHandle {
     /// environment from the deployment's factory, the registry routes to
     /// it, and [`RegisterTaskTracker`] admits it at the JobTracker.
     pub fn add_tasktracker(&self, ctx: &mut Ctx<'_>, node: NodeId, dfs: &DfsHandle) -> ActorId {
-        // Worker indices are node ids shifted past the head node.
-        let tt = TaskTracker::new(
-            self.cfg.clone(),
-            self.net,
-            dfs.clone(),
-            node,
-            self.head_node,
-            self.jobtracker,
-            self.env.build(node.index() - 1),
-        );
+        let (net, head, jt) = (self.net, self.head_node, self.jobtracker);
+        let tt = tasktracker(&self.cfg, self.env.as_ref(), net, dfs, head, jt, node);
         let actor = ctx.spawn(Box::new(tt));
         self.tasktrackers.insert(node, actor);
         ctx.send(self.jobtracker, RegisterTaskTracker { node, actor });
@@ -104,31 +96,39 @@ pub(crate) fn deploy_mr(
         head_node,
     )));
     let mut tts = Vec::with_capacity(workers.len());
-    for (i, &w) in workers.iter().enumerate() {
-        let tt = TaskTracker::new(
-            cfg.clone(),
-            net,
-            dfs.clone(),
-            w,
-            head_node,
-            jobtracker,
-            env.build(i),
-        );
-        let id = sim.spawn(Box::new(tt));
-        tts.push((w, id));
-        sim.post(
-            jobtracker,
-            Box::new(RegisterTaskTracker { node: w, actor: id }),
-        );
+    for &node in workers {
+        let tt = tasktracker(&cfg, env.as_ref(), net, dfs, head_node, jobtracker, node);
+        let actor = sim.spawn(Box::new(tt));
+        tts.push((node, actor));
+        sim.post(jobtracker, Box::new(RegisterTaskTracker { node, actor }));
     }
+    let tasktrackers = NodeRegistry::default();
+    tasktrackers.extend(&tts);
     MrHandle {
         jobtracker,
         head_node,
-        tasktrackers: NodeRegistry::new(tts),
+        tasktrackers,
         net,
         cfg,
         env,
     }
+}
+
+/// The TaskTracker of worker `node`, deployed or joined, reporting to the
+/// JobTracker `jt` on `head`: a deployment's `cfg`, and an environment
+/// from its factory `env`.
+fn tasktracker(
+    cfg: &MrConfig,
+    env: &dyn NodeEnvFactory,
+    net: NetHandle,
+    dfs: &DfsHandle,
+    head: NodeId,
+    jt: ActorId,
+    node: NodeId,
+) -> TaskTracker {
+    // Worker indices are node ids shifted past the head node.
+    let env = env.build(node.index() - 1);
+    TaskTracker::new(cfg.clone(), net, dfs.clone(), node, head, jt, env)
 }
 
 /// A file to preload before running a job.

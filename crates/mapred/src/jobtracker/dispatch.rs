@@ -1,10 +1,10 @@
 //! Heartbeat dispatch: which job, which task, which straggler, which victim.
 //!
 //! Every decision here shows the scheduler the same picture of a job —
-//! [`JobState::view`] over the pending entries
-//! [`SlotLedger::pending_filter`](super::ledger::SlotLedger::pending_filter)
-//! offers — so the task-level and job-level halves of the two-level pick
-//! cannot disagree about what is runnable.
+//! [`JobState::view`] over the pending queue
+//! [`SlotLedger::offered`](super::ledger::SlotLedger::offered) names — so
+//! the task-level and job-level halves of the two-level pick cannot
+//! disagree about what is runnable.
 
 use accelmr_des::prelude::*;
 use accelmr_des::sorted_keys_where;
@@ -104,26 +104,23 @@ impl JobTracker {
                 job.ledger.make_contiguous();
             }
         }
-        let offers: Vec<(Option<Vec<TaskId>>, bool)> = ids
+        let eligible: Vec<bool> = ids
             .iter()
             .map(|id| {
                 let job = &self.jobs[id];
-                let filter = job.ledger.pending_filter();
-                let offered = filter.as_deref().unwrap_or(job.ledger.pending()).len();
-                let eligible = eligible(job, offered);
-                (filter, eligible)
+                eligible(job, job.ledger.offered().len())
             })
             .collect();
-        if !offers.iter().any(|&(_, eligible)| eligible) {
+        if !eligible.contains(&true) {
             return None;
         }
         let views: Vec<SchedView<'_>> = ids
             .iter()
-            .zip(&offers)
-            .map(|(id, (filter, eligible))| {
+            .zip(eligible)
+            .map(|(id, eligible)| {
                 let job = &self.jobs[id];
-                let pending = filter.as_deref().unwrap_or(job.ledger.pending());
-                job.view(pending, *eligible, cluster_slots, slots_per_node)
+                let offered = job.ledger.offered();
+                job.view(offered, eligible, cluster_slots, slots_per_node)
             })
             .collect();
         Some(ask(self.scheduler.as_mut(), &views))
@@ -163,33 +160,23 @@ impl JobTracker {
     /// scheduler. `None` when the job offers nothing — or when the
     /// scheduler holds the node back (adaptive admission control).
     ///
-    /// While a shuffle's map outputs are incomplete (a node death forced
-    /// map re-execution), reduce tasks are withheld from the scheduler's
-    /// view: their fetch lists can only be rebuilt against a complete
-    /// output set. In static runs every pending entry is always offered,
-    /// so the scheduler sees exactly the historical view.
+    /// The scheduler sees one of the job's two pending queues, the one
+    /// [`SlotLedger::offered_kind`](super::ledger::SlotLedger::offered_kind)
+    /// names: reduces wait while a map is pending or a node death left the
+    /// shuffle's map outputs incomplete.
     fn pick_task(&mut self, job_id: u32, node: NodeId) -> Option<TaskId> {
         let cluster_slots = self.total_slots();
         let slots_per_node = self.cfg.map_slots_per_node;
         let job = self.jobs.get_mut(&job_id)?;
         job.ledger.make_contiguous();
-        let filter = job.ledger.pending_filter();
-        let pending = filter.as_deref().unwrap_or(job.ledger.pending());
+        let kind = job.ledger.offered_kind();
+        let pending = job.ledger.pending(kind);
         if pending.is_empty() {
             return None;
         }
         let view = job.view(pending, true, cluster_slots, slots_per_node);
         let idx = self.scheduler.pick_task(&view, node)?;
-        // The scheduler indexed what it was offered, which is the queue
-        // itself unless entries were withheld.
-        let queue_idx = match &filter {
-            None => idx,
-            Some(offered) => {
-                let picked = offered[idx];
-                job.ledger.pending().iter().position(|&t| t == picked)?
-            }
-        };
-        job.ledger.take_pending(queue_idx)
+        job.ledger.take_pending(kind, idx)
     }
 
     /// Asks the scheduler for a straggler of `job_id` to speculatively
@@ -199,7 +186,7 @@ impl JobTracker {
         let slots_per_node = self.cfg.map_slots_per_node;
         let job = self.jobs.get_mut(&job_id)?;
         job.ledger.make_contiguous();
-        let view = job.view(job.ledger.pending(), true, cluster_slots, slots_per_node);
+        let view = job.view(job.ledger.offered(), true, cluster_slots, slots_per_node);
         let pick = self.scheduler.pick_straggler(&view, node, now)?;
         // No speculative reduce copies while the shuffle's map outputs are
         // incomplete: a duplicate dispatched now would be rebuilt against

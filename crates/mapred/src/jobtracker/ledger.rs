@@ -1,5 +1,5 @@
 //! The slot ledger: one job's books behind a single owner — its task table
-//! and pending queue, every count derived from them, its attempt history,
+//! and pending queues, every count derived from them, its attempt history,
 //! its folded output and its epoch fences.
 //!
 //! The JobTracker reads the counts on every free heartbeat slot
@@ -112,10 +112,11 @@ pub(crate) struct SlotLedger {
     /// partitioning input, and a node death can lose it.
     shuffle: bool,
     tasks: Vec<TaskState>,
-    /// Tasks awaiting dispatch, in queue order. Entered at creation, when
-    /// an incomplete task loses its last running attempt, and when a
-    /// completed map's output is lost; left only by dispatch.
-    pending: VecDeque<TaskId>,
+    /// Tasks awaiting dispatch, in queue order, one queue per kind indexed
+    /// by `is_reduce`. Entered at creation, when an incomplete task loses
+    /// its last running attempt, and when a completed map's output is
+    /// lost; left only by dispatch.
+    pending: [VecDeque<TaskId>; 2],
     tally: Tally,
     share_last_change: SimTime,
     map_outputs: FxHashMap<TaskId, MapOutput>,
@@ -132,7 +133,7 @@ impl SlotLedger {
             job,
             shuffle,
             tasks: Vec::new(),
-            pending: VecDeque::new(),
+            pending: Default::default(),
             tally: Tally {
                 last_progress: now,
                 ..Tally::default()
@@ -145,7 +146,7 @@ impl SlotLedger {
 
     /// Appends a task to the table and queues it for dispatch.
     pub(crate) fn push_task(&mut self, work: TaskWork, hints: Vec<NodeId>, is_reduce: bool) {
-        self.pending.push_back(TaskId(self.tasks.len() as u32));
+        self.pending[usize::from(is_reduce)].push_back(TaskId(self.tasks.len() as u32));
         self.tally.counts[usize::from(is_reduce)].tasks += 1;
         self.tasks.push(TaskState {
             work,
@@ -168,7 +169,7 @@ impl SlotLedger {
             output_path: String::new(),
         };
         self.push_task(work, Vec::new(), true);
-        let task = self.pending.pop_back().expect("just queued");
+        let task = self.pending[1].pop_back().expect("just queued");
         self.update(task, now, |ts| ts.completed = true);
     }
 
@@ -177,7 +178,7 @@ impl SlotLedger {
     pub(crate) fn clear(&mut self) {
         debug_assert!(self.tally.dispatch_log.is_empty(), "re-plan after dispatch");
         self.tasks.clear();
-        self.pending.clear();
+        self.pending = Default::default();
         self.tally.counts = Default::default();
     }
 
@@ -235,37 +236,42 @@ impl SlotLedger {
         }
     }
 
-    /// Rotates the queue's storage so [`pending`](Self::pending) can slice
-    /// it.
+    /// Rotates the queues' storage so [`pending`](Self::pending) can slice
+    /// them.
     pub(crate) fn make_contiguous(&mut self) {
-        self.pending.make_contiguous();
+        for queue in &mut self.pending {
+            queue.make_contiguous();
+        }
     }
 
-    /// The pending queue as one slice — whole only after
+    /// The pending queue of one kind as one slice — whole only after
     /// [`make_contiguous`](Self::make_contiguous).
-    pub(crate) fn pending(&self) -> &[TaskId] {
-        let (queue, wrapped) = self.pending.as_slices();
+    pub(crate) fn pending(&self, is_reduce: bool) -> &[TaskId] {
+        let (queue, wrapped) = self.pending[usize::from(is_reduce)].as_slices();
         debug_assert!(wrapped.is_empty(), "pending queue not contiguous");
         queue
     }
 
-    /// The pending entries the job currently offers to dispatch, as an
-    /// owned snapshot — or `None` when that is the whole queue, which is
-    /// always except while a shuffle's reduces are withheld (a reduce task
-    /// exists but the output set it would fetch from is incomplete). Every
-    /// decision that shows schedulers this job's queue goes through here,
-    /// so task-level and job-level views cannot disagree about what is
-    /// runnable.
-    pub(crate) fn pending_filter(&self) -> Option<Vec<TaskId>> {
-        (!self.shuffle_ready() && self.tally.reduces().tasks > 0).then(|| {
-            let pending = self.pending().iter().copied();
-            pending.filter(|&task| !self.task(task).is_reduce).collect()
-        })
+    /// The kind of task (`is_reduce`) the job offers to dispatch: its maps
+    /// while any is pending or the shuffle's outputs are incomplete (a
+    /// reduce's fetch list is only correct against a complete output set),
+    /// else its reduces. Reduces are queued only at shuffle start, once
+    /// every map has completed, so the queue not offered never holds a
+    /// runnable task. Every decision that shows schedulers this job's
+    /// queue goes through here, so task-level and job-level views cannot
+    /// disagree about what is runnable.
+    pub(crate) fn offered_kind(&self) -> bool {
+        self.pending[0].is_empty() && self.shuffle_ready()
     }
 
-    /// Dispatch takes the entry at `idx` out of the queue.
-    pub(crate) fn take_pending(&mut self, idx: usize) -> Option<TaskId> {
-        self.pending.remove(idx)
+    /// The pending queue of the [`offered_kind`](Self::offered_kind).
+    pub(crate) fn offered(&self) -> &[TaskId] {
+        self.pending(self.offered_kind())
+    }
+
+    /// Dispatch takes the entry at `idx` out of the `is_reduce` queue.
+    pub(crate) fn take_pending(&mut self, is_reduce: bool, idx: usize) -> Option<TaskId> {
+        self.pending[usize::from(is_reduce)].remove(idx)
     }
 
     /// Records a new attempt of `task` on `node` — `speculative` if it
@@ -362,7 +368,7 @@ impl SlotLedger {
             ts.completed = false;
             ts.ran_on = None;
         });
-        self.pending.push_back(task);
+        self.pending[0].push_back(task);
         if let Some(lost) = self.map_outputs.remove(&task) {
             lost.unfold(&mut self.tally.totals);
         }
@@ -422,7 +428,7 @@ impl SlotLedger {
         let count = &mut tally.counts[usize::from(ts.is_reduce)];
         count.completed = count.completed + u32::from(after.2) - u32::from(before.2);
         if after.1 < before.1 && after.1 == 0 && !after.2 {
-            self.pending.push_back(task);
+            self.pending[usize::from(ts.is_reduce)].push_back(task);
         }
         self.note_share(now, after.1 as i64 - before.1 as i64);
         if before != after {

@@ -28,7 +28,7 @@
 //!   picks over the one `JobState` → [`SchedView`] constructor,
 //!   assignment, preemption kills;
 //! * `ledger` — the job's books behind one owner: the task table, pending
-//!   queue and every count derived from them, the attempt history, the
+//!   queues and every count derived from them, the attempt history, the
 //!   folded output and the epoch fences;
 //! * `liveness` — TaskTracker registration, joins and re-planning,
 //!   heartbeat-silence detection, the progressive blacklist and the job

@@ -829,8 +829,16 @@ fn slot_ledger_agrees_with_a_model_under_random_interleavings() {
                 op @ 0..=2 => {
                     let task = if op < 2 {
                         ledger.make_contiguous();
-                        rng.choose_index(ledger.pending().len())
-                            .map(|idx| ledger.take_pending(idx).expect("index in range"))
+                        let maps = ledger.pending(false).len();
+                        rng.choose_index(maps + ledger.pending(true).len())
+                            .map(|idx| {
+                                let (kind, idx) = if idx < maps {
+                                    (false, idx)
+                                } else {
+                                    (true, idx - maps)
+                                };
+                                ledger.take_pending(kind, idx).expect("index in range")
+                            })
                     } else {
                         victim.map(|(t, _, _)| TaskId(t as u32))
                     };
@@ -1021,9 +1029,21 @@ fn slot_ledger_agrees_with_a_model_under_random_interleavings() {
                 integral,
                 charged
             );
-            // Pending holds exactly the idle incomplete tasks, each once.
+            // Pending holds exactly the idle incomplete tasks, each once,
+            // each in its kind's queue.
             ledger.make_contiguous();
-            let mut queued: Vec<u32> = ledger.pending().iter().map(|t| t.0).collect();
+            for kind in [false, true] {
+                let queue = ledger.pending(kind);
+                assert!(
+                    queue.iter().all(|&t| ledger.task(t).is_reduce == kind),
+                    "{ctx}"
+                );
+            }
+            let mut queued: Vec<u32> = [false, true]
+                .into_iter()
+                .flat_map(|kind| ledger.pending(kind))
+                .map(|t| t.0)
+                .collect();
             queued.sort_unstable();
             let idle: Vec<u32> = (0..TASKS as u32)
                 .filter(|&t| {

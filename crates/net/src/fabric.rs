@@ -68,8 +68,8 @@
 //!    completion keys `(finish, id, gen)` are unique, so pops ignore push
 //!    order.
 //!
-//! The engine this one replaced — one global [`crate::flow::max_min_rates`]
-//! solve over all flows per flow event — survives as the test-only
+//! The engine this one replaced — one global `max_min_rates` solve over
+//! all flows per flow event — survives as the test-only
 //! `ReferenceFabric` actor (`reference.rs`, compiled under `cfg(test)`
 //! only): the tests below run their scripts on both and require flow
 //! completion *times* equal within float epsilon.

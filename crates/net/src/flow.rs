@@ -10,10 +10,10 @@
 //!
 //! Two solvers share that definition:
 //!
-//! * [`max_min_rates`] — the **reference** solver: a pure function taking
-//!   the whole flow set, allocating fresh buffers per call. It is the
-//!   oracle the property tests check against, and what the fabric's
-//!   test-only reference actor solves with.
+//! * `max_min_rates` — the **reference** solver, test-only, in
+//!   `reference.rs`: a pure function taking the whole flow set, allocating
+//!   fresh buffers per call. It is the oracle the property tests check
+//!   against, and what the fabric's test-only reference actor solves with.
 //! * [`MaxMinSolver`] — the **production** solver: identical progressive
 //!   filling over reusable scratch buffers, fed one *connected component*
 //!   of the link/flow sharing graph at a time, with flows that share
@@ -87,109 +87,6 @@ impl LinkTable {
     }
 }
 
-/// One flow's demand description for the solver.
-#[derive(Clone, Debug)]
-pub struct FlowDemand {
-    /// Links the flow traverses (1-2 in this fabric).
-    pub links: Vec<LinkId>,
-    /// Intrinsic rate ceiling, bytes/second (`f64::INFINITY` when unlimited).
-    pub cap: f64,
-}
-
-/// Computes max-min fair rates for `flows` over `links`.
-///
-/// Returns one rate per flow, in input order. Runs in
-/// O(iterations × flows × links-per-flow); each iteration freezes at least
-/// one flow, so it terminates in ≤ `flows.len()` rounds.
-pub fn max_min_rates(links: &LinkTable, flows: &[FlowDemand]) -> Vec<f64> {
-    let n = flows.len();
-    let mut rates = vec![0.0f64; n];
-    if n == 0 {
-        return rates;
-    }
-    let mut frozen = vec![false; n];
-    let mut remaining_cap: Vec<f64> = links.caps.clone();
-
-    loop {
-        // Count unfrozen flows per link.
-        let mut unfrozen_on_link = vec![0usize; links.len()];
-        let mut any_unfrozen = false;
-        for (f, demand) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
-            }
-            any_unfrozen = true;
-            for l in &demand.links {
-                unfrozen_on_link[l.0] += 1;
-            }
-        }
-        if !any_unfrozen {
-            break;
-        }
-
-        // The next increment every unfrozen flow can take uniformly.
-        let mut delta = f64::INFINITY;
-        for (l, &cnt) in unfrozen_on_link.iter().enumerate() {
-            if cnt > 0 {
-                delta = delta.min(remaining_cap[l] / cnt as f64);
-            }
-        }
-        for (f, demand) in flows.iter().enumerate() {
-            if !frozen[f] {
-                delta = delta.min(demand.cap - rates[f]);
-            }
-        }
-        // Flows with no links and no finite cap would make delta infinite;
-        // treat that as "unlimited" and freeze them at an arbitrary high
-        // rate (callers always provide at least one link or a cap).
-        if !delta.is_finite() {
-            for f in 0..n {
-                if !frozen[f] {
-                    rates[f] = f64::MAX / 4.0;
-                    frozen[f] = true;
-                }
-            }
-            break;
-        }
-        let delta = delta.max(0.0);
-
-        // Apply the increment.
-        for (f, demand) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
-            }
-            rates[f] += delta;
-            for l in &demand.links {
-                remaining_cap[l.0] -= delta;
-            }
-        }
-
-        // Freeze: flows at their cap, and flows crossing a saturated link.
-        let mut frozen_any = false;
-        for (f, demand) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
-            }
-            let at_cap = rates[f] >= demand.cap - EPS;
-            let on_saturated = demand
-                .links
-                .iter()
-                .any(|l| remaining_cap[l.0] <= EPS * links.caps[l.0].max(1.0));
-            if at_cap || on_saturated {
-                frozen[f] = true;
-                frozen_any = true;
-            }
-        }
-        if !frozen_any {
-            // Numerical guard: freeze everything to guarantee progress.
-            for f in frozen.iter_mut() {
-                *f = true;
-            }
-        }
-    }
-    rates
-}
-
 /// The links a fabric flow traverses, stored inline.
 ///
 /// Every flow in this fabric crosses either one link (loopback) or two
@@ -228,11 +125,11 @@ impl Route {
 
 /// Progressive-filling max-min solver with reusable scratch state.
 ///
-/// Semantically identical to [`max_min_rates`] but built for the hot path:
-/// all working buffers (per-link residual capacity, unfrozen counts and
-/// saturation, the entry records, the active lists, output rates) are
-/// retained across calls, so a steady-state re-solve performs **zero heap
-/// allocations**. The caller describes one connected component per solve:
+/// Semantically identical to the test-only `max_min_rates` but built for
+/// the hot path: all working buffers (per-link residual capacity, unfrozen
+/// counts and saturation, the entry records, the active lists, output
+/// rates) are retained across calls, so a steady-state re-solve performs
+/// **zero heap allocations**. The caller describes one connected component per solve:
 /// first the component's links via [`MaxMinSolver::add_link`] (which
 /// returns dense component-local indices), then its flows via
 /// [`MaxMinSolver::add_flow`] with routes expressed in those local indices
@@ -276,7 +173,7 @@ struct Entry {
 
 /// Freeze tolerance of both solvers: a flow within `EPS` of its cap, or a
 /// link within `EPS` x its capacity (at least 1) of saturation, is done.
-const EPS: f64 = 1e-6;
+pub(crate) const EPS: f64 = 1e-6;
 
 impl MaxMinSolver {
     /// Fresh solver; buffers grow on first use and are then reused.
@@ -471,6 +368,7 @@ impl MaxMinSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{max_min_rates, FlowDemand};
 
     fn table(caps: &[f64]) -> LinkTable {
         let mut t = LinkTable::new();
@@ -563,6 +461,61 @@ mod tests {
         }
         for (l, u) in used.iter().enumerate() {
             assert!(*u <= links.caps[l] + 1e-3, "link {l} over: {u}");
+        }
+    }
+
+    /// Random links and one- or two-link flows: no link oversubscribed,
+    /// no flow over its cap, and some flow served.
+    #[test]
+    fn max_min_never_oversubscribes() {
+        let mut rng = accelmr_des::Xoshiro256::seed_from_u64(0xF10);
+        for _ in 0..64 {
+            let n_links = rng.range_inclusive(1, 5) as usize;
+            let caps: Vec<f64> = (0..n_links).map(|_| 1.0 + rng.next_f64() * 999.0).collect();
+            let n_flows = rng.next_below(12) as usize;
+            let flows: Vec<(usize, usize, f64)> = (0..n_flows)
+                .map(|_| {
+                    (
+                        rng.next_below(6) as usize,
+                        rng.next_below(6) as usize,
+                        0.5 + rng.next_f64() * 499.5,
+                    )
+                })
+                .collect();
+
+            let mut links = LinkTable::new();
+            for &c in &caps {
+                links.add(c);
+            }
+            let demands: Vec<FlowDemand> = flows
+                .iter()
+                .map(|&(a, b, cap)| {
+                    let mut ls = vec![LinkId(a % caps.len())];
+                    let l2 = LinkId(b % caps.len());
+                    if !ls.contains(&l2) {
+                        ls.push(l2);
+                    }
+                    FlowDemand { links: ls, cap }
+                })
+                .collect();
+            let rates = max_min_rates(&links, &demands);
+            assert_eq!(rates.len(), demands.len());
+            let mut used = vec![0.0f64; caps.len()];
+            for (r, d) in rates.iter().zip(&demands) {
+                assert!(*r >= 0.0);
+                assert!(*r <= d.cap + 1e-6);
+                for l in &d.links {
+                    used[l.0] += r;
+                }
+            }
+            for (u, c) in used.iter().zip(&caps) {
+                assert!(*u <= c + 1e-3, "link oversubscribed: {u} > {c}");
+            }
+            // Work conservation: at least one flow gets a positive rate unless
+            // there are no flows.
+            if !demands.is_empty() {
+                assert!(rates.iter().any(|&r| r > 0.0));
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 //! kept max-min fair incrementally: same-instant flow bursts coalesce into
 //! one solve and only the affected connected component of the link/flow
 //! sharing graph is re-priced ([`flow::MaxMinSolver`]; the per-event
-//! global reference solver survives as [`flow::max_min_rates`], and the
-//! engine built on it as a test-only oracle actor in `reference.rs`).
+//! global reference solver and the engine built on it survive as
+//! test-only oracles in `reference.rs`).
 //!
 //! Two modeling choices matter for reproducing the paper:
 //!
@@ -60,6 +60,6 @@ pub use fabric::{
     AbortNode, EnsureNode, Fabric, FlowAborted, FlowDone, NetHandle, SetNodeBandwidth, StartFlow,
     Unicast, PARTITION_FACTOR,
 };
-pub use flow::{max_min_rates, FlowDemand, LinkId, LinkTable, MaxMinSolver, Route};
+pub use flow::{LinkId, LinkTable, MaxMinSolver, Route};
 pub use liveness::{Liveness, NodeState};
-pub use registry::NodeRegistry;
+pub use registry::{NodeRegistry, PeerView};

@@ -21,7 +21,112 @@ use crate::config::{rpc_delay, NetConfig, NodeId, LINK_BYTES_PER_SEC, LOOPBACK_B
 use crate::fabric::{
     Fabric, FabricInbox, FlowAborted, FlowDone, NetHandle, StartFlow, PARTITION_FACTOR,
 };
-use crate::flow::{max_min_rates, FlowDemand, LinkId, LinkTable};
+use crate::flow::{LinkId, LinkTable, EPS};
+
+/// One flow's demand description for the solver.
+#[derive(Clone, Debug)]
+pub(crate) struct FlowDemand {
+    /// Links the flow traverses (1-2 in this fabric).
+    pub(crate) links: Vec<LinkId>,
+    /// Intrinsic rate ceiling, bytes/second (`f64::INFINITY` when unlimited).
+    pub(crate) cap: f64,
+}
+
+/// Computes max-min fair rates for `flows` over `links`.
+///
+/// Returns one rate per flow, in input order. Runs in
+/// O(iterations × flows × links-per-flow); each iteration freezes at least
+/// one flow, so it terminates in ≤ `flows.len()` rounds.
+pub(crate) fn max_min_rates(links: &LinkTable, flows: &[FlowDemand]) -> Vec<f64> {
+    let n = flows.len();
+    let mut rates = vec![0.0f64; n];
+    if n == 0 {
+        return rates;
+    }
+    let mut frozen = vec![false; n];
+    let mut remaining_cap: Vec<f64> = (0..links.len())
+        .map(|l| links.capacity(LinkId(l)))
+        .collect();
+
+    loop {
+        // Count unfrozen flows per link.
+        let mut unfrozen_on_link = vec![0usize; links.len()];
+        let mut any_unfrozen = false;
+        for (f, demand) in flows.iter().enumerate() {
+            if frozen[f] {
+                continue;
+            }
+            any_unfrozen = true;
+            for l in &demand.links {
+                unfrozen_on_link[l.0] += 1;
+            }
+        }
+        if !any_unfrozen {
+            break;
+        }
+
+        // The next increment every unfrozen flow can take uniformly.
+        let mut delta = f64::INFINITY;
+        for (l, &cnt) in unfrozen_on_link.iter().enumerate() {
+            if cnt > 0 {
+                delta = delta.min(remaining_cap[l] / cnt as f64);
+            }
+        }
+        for (f, demand) in flows.iter().enumerate() {
+            if !frozen[f] {
+                delta = delta.min(demand.cap - rates[f]);
+            }
+        }
+        // Flows with no links and no finite cap would make delta infinite;
+        // treat that as "unlimited" and freeze them at an arbitrary high
+        // rate (callers always provide at least one link or a cap).
+        if !delta.is_finite() {
+            for f in 0..n {
+                if !frozen[f] {
+                    rates[f] = f64::MAX / 4.0;
+                    frozen[f] = true;
+                }
+            }
+            break;
+        }
+        let delta = delta.max(0.0);
+
+        // Apply the increment.
+        for (f, demand) in flows.iter().enumerate() {
+            if frozen[f] {
+                continue;
+            }
+            rates[f] += delta;
+            for l in &demand.links {
+                remaining_cap[l.0] -= delta;
+            }
+        }
+
+        // Freeze: flows at their cap, and flows crossing a saturated link.
+        let mut frozen_any = false;
+        for (f, demand) in flows.iter().enumerate() {
+            if frozen[f] {
+                continue;
+            }
+            let at_cap = rates[f] >= demand.cap - EPS;
+            let on_saturated = demand
+                .links
+                .iter()
+                .any(|&l| remaining_cap[l.0] <= EPS * links.capacity(l).max(1.0));
+            if at_cap || on_saturated {
+                frozen[f] = true;
+                frozen_any = true;
+            }
+        }
+        if !frozen_any {
+            // Numerical guard: freeze everything to guarantee progress.
+            for f in frozen.iter_mut() {
+                *f = true;
+            }
+        }
+    }
+    rates
+}
 
 /// Which implementation a both-engines test runs on.
 #[derive(Clone, Copy, Debug)]

@@ -9,8 +9,8 @@
 //! share nothing but the code, so any hash-order, allocation-order or
 //! ambient-state leak into event scheduling diverges the fingerprint here.
 //!
-//! Properties: AES implementation equivalence, CTR split composition,
-//! flow-model invariants, and the Cell estimator-vs-event-model agreement.
+//! Properties: AES implementation equivalence, CTR split composition and
+//! the Cell estimator-vs-event-model agreement.
 //! Cases are generated with the workspace's own deterministic RNG (no
 //! external property-testing dependency): every run explores the same
 //! fixed set of random cases, so failures reproduce exactly.
@@ -19,7 +19,6 @@ use accelmr::cellbe::{estimate, CellConfig, CellMachine, DataInput, IdentityKern
 use accelmr::des::{Trace, Xoshiro256};
 use accelmr::kernels::aes::modes::{ctr_xor, ecb_decrypt, ecb_encrypt};
 use accelmr::mapred::SchedulerPolicy;
-use accelmr::net::{max_min_rates, FlowDemand, LinkId, LinkTable};
 use accelmr::prelude::*;
 
 fn run_cluster_pi(seed: u64) -> (JobResult, Trace) {
@@ -239,59 +238,6 @@ fn ctr_split_composition() {
         ctr_xor(&aes, AesImpl::Scalar, nonce, split as u64 / 16, b);
         assert_eq!(data, serial);
         assert_eq!(hardware, serial);
-    }
-}
-
-#[test]
-fn max_min_never_oversubscribes() {
-    let mut rng = Xoshiro256::seed_from_u64(0xF10);
-    for _ in 0..64 {
-        let n_links = rng.range_inclusive(1, 5) as usize;
-        let caps: Vec<f64> = (0..n_links).map(|_| 1.0 + rng.next_f64() * 999.0).collect();
-        let n_flows = rng.next_below(12) as usize;
-        let flows: Vec<(usize, usize, f64)> = (0..n_flows)
-            .map(|_| {
-                (
-                    rng.next_below(6) as usize,
-                    rng.next_below(6) as usize,
-                    0.5 + rng.next_f64() * 499.5,
-                )
-            })
-            .collect();
-
-        let mut links = LinkTable::new();
-        for &c in &caps {
-            links.add(c);
-        }
-        let demands: Vec<FlowDemand> = flows
-            .iter()
-            .map(|&(a, b, cap)| {
-                let mut ls = vec![LinkId(a % caps.len())];
-                let l2 = LinkId(b % caps.len());
-                if !ls.contains(&l2) {
-                    ls.push(l2);
-                }
-                FlowDemand { links: ls, cap }
-            })
-            .collect();
-        let rates = max_min_rates(&links, &demands);
-        assert_eq!(rates.len(), demands.len());
-        let mut used = vec![0.0f64; caps.len()];
-        for (r, d) in rates.iter().zip(&demands) {
-            assert!(*r >= 0.0);
-            assert!(*r <= d.cap + 1e-6);
-            for l in &d.links {
-                used[l.0] += r;
-            }
-        }
-        for (u, c) in used.iter().zip(&caps) {
-            assert!(*u <= c + 1e-3, "link oversubscribed: {u} > {c}");
-        }
-        // Work conservation: at least one flow gets a positive rate unless
-        // there are no flows.
-        if !demands.is_empty() {
-            assert!(rates.iter().any(|&r| r > 0.0));
-        }
     }
 }
 
