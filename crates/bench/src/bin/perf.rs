@@ -1,6 +1,6 @@
 //! perf — runs the wall-clock and robustness sections: `perf [--quick]
-//! [des_core|net_scale|kernels_host|churn_scale|fault_matrix|
-//! sched_ablation|all]...`; no name means all of them.
+//! [des_core|net_scale|churn_scale|fault_matrix|sched_ablation|
+//! kernels_host|all]...`; no name means all of them, in that order.
 //!
 //! Before any section runs, the host's pace is measured once
 //! ([`calibration`]); host-speed bars

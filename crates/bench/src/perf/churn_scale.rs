@@ -26,14 +26,16 @@
 //!
 //! Each run must finish with a successful job, zero under-replicated
 //! blocks, and work dispatched onto joined nodes, with its simulated
-//! outcome pinned exactly (at full scale and under `--quick`). Host speed
-//! is held to floors on events/s over the process's calibration.
+//! outcome pinned exactly by its golden-ledger row (`<section>.full` or
+//! `<section>.quick` in `crates/bench/goldens.txt`). Host speed is held to
+//! floors on events/s over the process's calibration.
 //! Returns the `churn_scale` and `terasort_10k` sections of
 //! `BENCH_perf.json`: the second pins the 10,000-node run, or under
 //! `--quick` a 1000-worker stand-in of the same shape.
 
 use std::time::Instant;
 
+use accelmr_des::golden::Row;
 use accelmr_des::{ActorCost, SimDuration};
 use accelmr_dfs::{DfsConfig, NameNode};
 use accelmr_hybrid::presets;
@@ -62,23 +64,6 @@ struct Scenario {
     /// reads exactly 1 here. The ratio is simulated, so it repeats exactly;
     /// each floor sits about a third under its scenario's measured value.
     flows_per_class_floor: f64,
-}
-
-/// What a scenario is held to. The simulated outcome is a contract: a
-/// host-side optimisation must leave every one of these exactly where the
-/// parent commit had it (asserted).
-struct Pinned {
-    events: u64,
-    makespan_s: f64,
-    attempts: u32,
-    rereplications: u64,
-    solver_calls: u64,
-    solver_rounds: u64,
-    /// `net.solver_entry_visits`: entries the solver's rounds examined.
-    /// The solve touches only unfrozen entries; one that walks every entry
-    /// every round again reads 2.1-2.3x this (36,527 and 5,089,771 against
-    /// the `--quick` pins).
-    solver_entry_visits: u64,
     /// The scenario's host-speed bar, if it has one.
     floor: Option<Floor>,
 }
@@ -123,8 +108,13 @@ fn before(wall_s: f64, fabric_ns_per_event: f64, solve_busy_s: f64) -> Json {
     } }
 }
 
-/// What the caller pins across scenarios.
+/// What the caller pins, within and across scenarios.
 struct Sample {
+    /// The simulated outcome as a golden-ledger row. (A solve that walks
+    /// every entry every round again reads 2.1-2.3x the `--quick` rows'
+    /// `solver_entry_visits`.)
+    pins: Row,
+    events_per_sec: f64,
     /// Per-actor-class dispatch costs (events + host nanos), collected
     /// with engine profiling on. The 1k→10k per-event cost ratio is
     /// pinned from these, so heartbeat-path O(cluster) regressions fail
@@ -168,9 +158,26 @@ fn growth(base: &Sample, big: &Sample, keep: impl Fn(&str) -> bool) -> f64 {
     pick(big) / pick(base)
 }
 
-/// Runs one scenario, holds it to `pinned`, and returns its sample (so the
-/// caller can pin cross-scenario ratios) and its section of the bench file.
-fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sample, Json) {
+/// Holds the runs' simulated outcomes to the golden ledger in one report,
+/// then each run to its host-speed floor.
+fn hold(runs: [(&Scenario, &Sample); 2]) {
+    super::goldens().check(&runs.map(|(_, s)| s.pins.clone()));
+    let calibration = super::calibration();
+    for (Scenario { floor, .. }, s) in runs {
+        let speed = s.events_per_sec / calibration;
+        assert!(
+            !floor.is_some_and(|f| f.fails(s.events_per_sec, calibration)),
+            "{}: {:.0} events/s is {speed:.4} of the calibration, floor {:.4}",
+            s.pins.0,
+            s.events_per_sec,
+            floor.map_or(0.0, |f| f.0)
+        );
+    }
+}
+
+/// Runs one scenario and returns its sample (so the caller can hold it to
+/// its pins and bars) and its section of the bench file.
+fn measure(sc: &Scenario, section: &str, quick: bool) -> (Sample, Json) {
     // Elastic-deployment tuning: a 12 s silence window keeps repair and
     // re-execution latency proportionate to churn, and generous attempt
     // budgets absorb fetch aborts from mid-shuffle departures.
@@ -249,14 +256,19 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
         "blocks did not re-reach target replication"
     );
 
-    let events = summary.events;
-    let events_per_sec = events as f64 / wall_s.max(1e-9);
-    let calibration = super::calibration();
-    let makespan_s = result.elapsed.as_secs_f64();
-    let replications = stats.counter("dfs.blocks_replicated");
-    let solver_calls = stats.counter("net.solver_calls");
-    let solver_rounds = stats.counter("net.solver_rounds");
-    let solver_entry_visits = stats.counter("net.solver_entry_visits");
+    let pins = vec![
+        ("events", summary.events),
+        ("attempts", u64::from(result.attempts)),
+        ("rereplications", stats.counter("dfs.blocks_replicated")),
+        ("solver_calls", stats.counter("net.solver_calls")),
+        ("solver_rounds", stats.counter("net.solver_rounds")),
+        (
+            "solver_entry_visits",
+            stats.counter("net.solver_entry_visits"),
+        ),
+        ("makespan_ns", result.elapsed.as_nanos()),
+    ];
+    let events_per_sec = summary.events as f64 / wall_s.max(1e-9);
     let comp_visits = stats.counter("net.comp_flow_visits");
     let class_visits = stats.counter("net.comp_class_visits");
     let flows_per_class = comp_visits as f64 / class_visits.max(1) as f64;
@@ -271,24 +283,21 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
     let settle_share = nanos_of(&laps, "net.fabric.phase.settle") as f64
         / nanos_of(&actor_costs, "net.fabric").max(1) as f64;
     let per_event = |c: &ActorCost| float(c.nanos as f64 / c.events.max(1) as f64, 0);
-    let row = obj! {
+    let mut row = obj! {
         "workers" => sc.workers,
         "joins" => sc.joins,
         "leaves" => n_leaves,
         "churn_pct" => float(100.0 * (sc.joins + n_leaves) as f64 / sc.workers as f64, 1),
         "flows" => stats.counter("net.flows_done"),
-        "events" => events,
+    };
+    row.extend(Json::object(pins.iter().copied()));
+    row.extend(obj! {
         "events_per_sec" => float(events_per_sec, 0),
-        "events_per_sec_over_calibration" => float(events_per_sec / calibration, 4),
+        "events_per_sec_over_calibration" => float(events_per_sec / super::calibration(), 4),
         "wall_s" => float(wall_s, 4),
-        "makespan_s" => float(makespan_s, 3),
-        "attempts" => result.attempts,
-        "rereplications" => replications,
+        "makespan_s" => float(result.elapsed.as_secs_f64(), 3),
         "abort_flows_scanned" => stats.counter("net.abort_flows_scanned"),
         "joined_node_dispatches" => joined_dispatches,
-        "solver_calls" => solver_calls,
-        "solver_rounds" => solver_rounds,
-        "solver_entry_visits" => solver_entry_visits,
         "comp_flow_visits" => comp_visits,
         "comp_class_visits" => class_visits,
         "flows_per_class" => float(flows_per_class, 2),
@@ -320,7 +329,7 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
             (&c.class, obj! { "laps" => c.events, "busy_s" => busy_s })
         })),
         "settle_share_of_fabric" => float(settle_share, 3),
-    };
+    });
     // Flows re-priced per solver entry fed.
     assert!(
         flows_per_class >= sc.flows_per_class_floor,
@@ -339,34 +348,16 @@ fn measure(sc: &Scenario, section: &str, pinned: &Pinned, quick: bool) -> (Sampl
         ),
         "quick" => quick,
     };
-    assert_eq!(
-        (events, result.attempts, replications, solver_calls, solver_rounds, solver_entry_visits),
-        (
-            pinned.events,
-            pinned.attempts,
-            pinned.rereplications,
-            pinned.solver_calls,
-            pinned.solver_rounds,
-            pinned.solver_entry_visits
-        ),
-        "{section}: simulated outcome (events, attempts, re-replications, solver calls, solver rounds, solver entry visits) moved"
-    );
-    assert!(
-        (makespan_s - pinned.makespan_s).abs() < 1e-3,
-        "{section}: makespan moved: {makespan_s} s, pinned {} s",
-        pinned.makespan_s
-    );
-    if let Some(floor) = pinned.floor {
-        assert!(
-            !floor.fails(events_per_sec, calibration),
-            "{section}: {events_per_sec:.0} events/s is {:.4} of the calibration ({calibration:.0} events/s), floor {:.4}",
-            events_per_sec / calibration,
-            floor.0
-        );
+    if let Some(floor) = sc.floor {
         body.extend(obj! { "floor_over_calibration" => float(floor.0, 4) });
     }
     body.extend(obj! { "runs" => vec![row] });
     let sample = Sample {
+        pins: (
+            format!("{section}.{}", if quick { "quick" } else { "full" }),
+            pins,
+        ),
+        events_per_sec,
         actor_costs,
         settle_share,
     };
@@ -386,9 +377,11 @@ pub fn run(quick: bool) -> Json {
         churn_window_s: 40,
         // Measured 12.1: 6 maps per node x 2 reducers per reducer node.
         flows_per_class_floor: 8.0,
+        // The raw bar was a 10 s wall for the run's 1,729,614 events.
+        floor: Some(Floor::restating(172_961.4)),
     };
-    let (sc, pinned) = if quick {
-        let sc = Scenario {
+    let sc = if quick {
+        Scenario {
             workers: 128,
             // ~3 map dispatch waves (one record per task, 2 slots per
             // node): the pending queue outlives the churn window, so
@@ -400,34 +393,13 @@ pub fn run(quick: bool) -> Json {
             churn_window_s: 30,
             // Measured 10.2.
             flows_per_class_floor: 6.5,
-            ..full_1k
-        };
-        let pinned = Pinned {
-            events: 122_307,
-            makespan_s: 140.447,
-            attempts: 822,
-            rereplications: 180,
-            solver_calls: 484,
-            solver_rounds: 1079,
-            solver_entry_visits: 16_180,
             floor: None,
-        };
-        (sc, pinned)
+            ..full_1k
+        }
     } else {
-        let pinned = Pinned {
-            events: 1_729_614,
-            makespan_s: 221.219,
-            attempts: 6296,
-            rereplications: 971,
-            solver_calls: 3475,
-            solver_rounds: 7653,
-            solver_entry_visits: 1_793_192,
-            // The raw bar was a 10 s wall for these events.
-            floor: Some(Floor::restating(1_729_614.0 / 10.0)),
-        };
-        (full_1k, pinned)
+        full_1k
     };
-    let (base, mut base_json) = measure(&sc, "churn_scale", &pinned, quick);
+    let (base, mut base_json) = measure(&sc, "churn_scale", quick);
 
     if quick {
         // CI smoke of the 10k scenario's *shape* at a scaled-down worker
@@ -439,20 +411,12 @@ pub fn run(quick: bool) -> Json {
             blocks: 3 * 1000,
             // Measured 6.2, as the full 10k run it stands in for.
             flows_per_class_floor: 4.0,
-            ..full_1k
-        };
-        let pinned = Pinned {
-            events: 1_162_893,
-            makespan_s: 152.171,
-            attempts: 3218,
-            rereplications: 490,
-            solver_calls: 1760,
-            solver_rounds: 3733,
-            solver_entry_visits: 2_412_348,
             // The raw bar was 150,000 events/s.
             floor: Some(Floor::restating(150_000.0)),
+            ..full_1k
         };
-        let (s, smoke_json) = measure(&smoke, "terasort_10k", &pinned, quick);
+        let (s, smoke_json) = measure(&smoke, "terasort_10k", quick);
+        hold([(&sc, &base), (&smoke, &s)]);
         assert_settle_share(&s, "terasort_10k");
         return obj! { "churn_scale" => base_json, "terasort_10k" => smoke_json };
     }
@@ -475,20 +439,12 @@ pub fn run(quick: bool) -> Json {
             joins: 600,
             // Measured 6.2: 3 maps per node, same reducer placement.
             flows_per_class_floor: 4.0,
+            // The raw bar was a 47 s wall for the run's 29,708,157 events.
+            floor: Some(Floor::restating(632_088.446_808_510_7)),
             ..full_1k
         };
-        let pinned_10k = Pinned {
-            events: 29_708_157,
-            makespan_s: 782.040,
-            attempts: 31_550,
-            rereplications: 4873,
-            solver_calls: 16_540,
-            solver_rounds: 33_416,
-            solver_entry_visits: 24_793_779,
-            // The raw bar was a 47 s wall for these events.
-            floor: Some(Floor::restating(29_708_157.0 / 47.0)),
-        };
-        let (big, mut big_json) = measure(&sc10k, "terasort_10k", &pinned_10k, quick);
+        let (big, mut big_json) = measure(&sc10k, "terasort_10k", quick);
+        hold([(&sc, &base), (&sc10k, &big)]);
         assert_settle_share(&big, "terasort_10k");
 
         // The heartbeat-path scalability pin: per-event host cost must
@@ -566,6 +522,8 @@ mod tests {
         };
         let actor_costs = costs.iter().map(cost).collect();
         Sample {
+            pins: Default::default(),
+            events_per_sec: 0.0,
             actor_costs,
             settle_share: 0.0,
         }
@@ -590,9 +548,9 @@ mod tests {
 
     #[test]
     fn a_floor_fails_exactly_the_runs_its_raw_bar_fails() {
-        // The three raw bars: 10 s and 47 s walls on pinned event counts,
-        // and the --quick stand-in's 150,000 events/s.
-        for raw in [1_729_614.0 / 10.0, 29_708_157.0 / 47.0, 150_000.0] {
+        // The three raw bars: 10 s and 47 s walls on the full runs' event
+        // counts, and the --quick stand-in's 150,000 events/s.
+        for raw in [172_961.4, 632_088.446_808_510_7, 150_000.0] {
             let floor = Floor::restating(raw);
             for scale in [0.2, 0.9, 0.999, 1.001, 1.1, 5.0] {
                 let rate = raw * scale;

@@ -7,11 +7,12 @@
 //! per-stream caps and per-reducer size skew — at 16/64/256/1024 nodes.
 //!
 //! The simulated side of every row is pinned: each size's makespan (to the
-//! nanosecond) and `net.solver_calls` must equal the constants in
-//! `FULL` / `QUICK`. Same-instant starts coalesce into one solve and
-//! re-solves stay component-local, so a whole wave costs a handful of
-//! solves however many flows it carries; a fabric change that prices
-//! per flow, or moves a completion, fails here. (The per-flow-event global
+//! nanosecond) and `net.solver_calls` must equal its golden-ledger row
+//! (`net_scale.full.<nodes>` or `net_scale.quick.<nodes>` in
+//! `crates/bench/goldens.txt`). Same-instant starts coalesce into one
+//! solve and re-solves stay component-local, so a whole wave costs a
+//! handful of solves however many flows it carries; a fabric change that
+//! prices per flow, or moves a completion, fails here. (The per-flow-event global
 //! solver this engine replaced is kept as a test-only oracle in
 //! `accelmr-net`: 12,333 solves and 183x the wall at 256 nodes when last
 //! measured, at 5e8d4b6.)
@@ -38,6 +39,7 @@
 
 use std::time::Instant;
 
+use accelmr_des::golden::Row;
 use accelmr_des::prelude::*;
 use accelmr_des::Stats;
 use accelmr_net::{Fabric, FlowDone, NetConfig, NetHandle, NodeId};
@@ -228,22 +230,9 @@ fn incast_before() -> Json {
     }
 }
 
-/// Pinned simulated outcome per size: (nodes, `net.solver_calls`,
-/// makespan in nanoseconds). Three waves in full mode, two under `--quick`.
-const FULL: (u32, &[(u32, u64, u64)]) = (
-    3,
-    &[
-        (16, 48, 4_139_778_048),
-        (64, 48, 4_731_174_912),
-        (256, 48, 4_731_174_912),
-        (1024, 48, 4_731_174_912),
-    ],
-);
-const QUICK: (u32, &[(u32, u64, u64)]) = (2, &[(16, 32, 2_759_852_032), (64, 32, 3_154_116_608)]);
-
-/// One shuffle size, held to its pinned `(solver calls, makespan ns)`;
-/// returns its row.
-fn run_scenario(nodes: u32, waves: u32, pinned: (u64, u64)) -> Json {
+/// One shuffle size: its row, and its simulated outcome as a ledger row
+/// named `net_scale.<mode>.<nodes>`.
+fn run_scenario(nodes: u32, waves: u32, mode: &str) -> (Json, Row) {
     let fanin = nodes.saturating_sub(1).min(16);
     let mut sim = Sim::new(7);
     let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), nodes as usize)));
@@ -275,12 +264,11 @@ fn run_scenario(nodes: u32, waves: u32, pinned: (u64, u64)) -> Json {
         "{nodes} nodes: the shuffle rows are the one-member-per-class side"
     );
     let solver_calls = sim.stats().counter("net.solver_calls");
-    assert_eq!(
-        (solver_calls, summary.end_time.as_nanos()),
-        pinned,
-        "{nodes} nodes: (solver calls, makespan ns) moved off the pinned values"
-    );
-    obj! {
+    let pins = vec![
+        ("solver_calls", solver_calls),
+        ("makespan_ns", summary.end_time.as_nanos()),
+    ];
+    let row = obj! {
         "nodes" => nodes,
         "flows" => flows,
         "wall_s" => float(wall_s, 4),
@@ -292,18 +280,23 @@ fn run_scenario(nodes: u32, waves: u32, pinned: (u64, u64)) -> Json {
         "flows_per_class" => 1u32,
         "makespan_s" => float(summary.end_time.as_secs_f64(), 6),
         "queue" => super::queue_json(&sim.stats().queue()),
-    }
+    };
+    (row, (format!("net_scale.{mode}.{nodes}"), pins))
 }
 
-/// Runs the shuffle at every pinned size, then the two incasts.
+/// Runs the shuffle at every size (three waves; two under `--quick`) and
+/// holds them to the golden ledger, then the two incasts.
 pub fn run(quick: bool) -> Json {
-    let (waves, pinned) = if quick { QUICK } else { FULL };
-    let rows: Vec<Json> = pinned
+    let (waves, mode, sizes): (u32, &str, &[u32]) = if quick {
+        (2, "quick", &[16, 64])
+    } else {
+        (3, "full", &[16, 64, 256, 1024])
+    };
+    let (rows, pins): (Vec<Json>, Vec<Row>) = sizes
         .iter()
-        .map(|&(nodes, solver_calls, makespan_ns)| {
-            run_scenario(nodes, waves, (solver_calls, makespan_ns))
-        })
-        .collect();
+        .map(|&nodes| run_scenario(nodes, waves, mode))
+        .unzip();
+    super::goldens().check(&pins);
 
     // Incast: the linear-unlink bar. Same size under `--quick`: the whole
     // row costs ~0.1 s, and at 2k flows the scan it guards against is

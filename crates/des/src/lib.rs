@@ -62,6 +62,7 @@
 
 pub mod actor;
 pub mod fxmap;
+pub mod golden;
 mod queue;
 pub mod rng;
 pub mod sim;
@@ -71,6 +72,7 @@ pub mod trace;
 
 pub use actor::{Actor, ActorId, Event, Msg, TimerHandle};
 pub use fxmap::{sorted_keys_where, FxHashMap, FxHashSet, FxHasher};
+pub use golden::Ledger;
 pub use queue::{Ladder, Timed};
 pub use rng::{splitmix64, Xoshiro256};
 pub use sim::{Ctx, RunSummary, Sim};

@@ -50,13 +50,13 @@
 //!   and a reducer's whole fetch wave out in one simulated instant; the
 //!   fabric coalesces each wave into one rate solve. Keep new I/O call
 //!   sites burst-shaped.
-//! * **Trace pinning.** The golden tables in `tests.rs` pin thirteen
+//! * **Trace pinning.** The golden tests in `tests.rs` hold thirteen
 //!   scenarios' whole-run event-stream fingerprints *and* their makespans
 //!   to the nanosecond (four of them under faults, for the TaskTracker's
-//!   time-out, failover, abort and kill paths). A fabric change that
-//!   reorders events within an instant moves a fingerprint and must leave
-//!   every makespan alone; re-record the fingerprint then, never the
-//!   makespan.
+//!   time-out, failover, abort and kill paths) to their rows of the golden
+//!   ledger, `crates/bench/goldens.txt`. A fabric change that reorders
+//!   events within an instant moves a fingerprint and must leave every
+//!   makespan alone; re-record the fingerprint then, never the makespan.
 
 pub mod builder;
 pub mod cluster;

@@ -4,7 +4,8 @@
 
 use std::sync::Arc;
 
-use accelmr_des::{SimDuration, SimTime};
+use accelmr_des::golden::{Ledger, Row};
+use accelmr_des::{Sim, SimDuration, SimTime};
 use accelmr_dfs::DfsConfig;
 
 use crate::builder::{ClusterBuilder, JobBuilder};
@@ -26,6 +27,22 @@ fn cluster(seed: u64, workers: usize, mr_cfg: MrConfig, materialized: bool) -> M
         .mr(mr_cfg)
         .materialized(materialized)
         .deploy()
+}
+
+/// A traced cluster whose DataNodes are declared dead after 12 s of
+/// silence, as in every elastic and fault trace scenario.
+fn elastic_cluster(seed: u64, workers: usize, mr_cfg: MrConfig) -> MrCluster {
+    let dfs = DfsConfig {
+        dead_after: SimDuration::from_secs(12),
+    };
+    let mut c = ClusterBuilder::new()
+        .seed(seed)
+        .workers(workers)
+        .mr(mr_cfg)
+        .dfs(dfs)
+        .deploy();
+    c.sim.enable_trace(16);
+    c
 }
 
 fn synthetic_spec(kernel: Arc<dyn TaskKernel>, units: u64, maps: Option<usize>) -> JobSpec {
@@ -79,13 +96,7 @@ fn synthetic_job_completes_and_aggregates() {
 fn file_job_processes_every_record_exactly_once() {
     let mut c = cluster(2, 3, MrConfig::default(), true);
     // 18 MB file, 1 MB records, 2 MB blocks.
-    let preload = PreloadSpec {
-        path: "/in".into(),
-        len: 18 * MB,
-        block_size: Some(2 * MB),
-        replication: None,
-        seed: 77,
-    };
+    let preload = PreloadSpec::new("/in", 18 * MB, 77).block_size(2 * MB);
     let spec = JobBuilder::new("scan")
         .input_file("/in")
         .record_bytes(MB)
@@ -122,13 +133,7 @@ fn feed_cap_dominates_data_job_time() {
         ..MrConfig::default()
     };
     let mut c = cluster(3, 1, mr_cfg, false);
-    let preload = PreloadSpec {
-        path: "/d".into(),
-        len: 32 * MB,
-        block_size: Some(8 * MB),
-        replication: None,
-        seed: 1,
-    };
+    let preload = PreloadSpec::new("/d", 32 * MB, 1).block_size(8 * MB);
     let spec = JobBuilder::new("feed")
         .input_file("/d")
         .record_bytes(8 * MB)
@@ -161,13 +166,7 @@ fn pipelined_reads_overlap_compute() {
             ..MrConfig::default()
         };
         let mut c = cluster(4, 1, mr_cfg, false);
-        let preload = PreloadSpec {
-            path: "/p".into(),
-            len: 192 * MB,
-            block_size: Some(8 * MB),
-            replication: None,
-            seed: 2,
-        };
+        let preload = PreloadSpec::new("/p", 192 * MB, 2).block_size(8 * MB);
         // Compute ≈ feed time per record: overlap halves the total.
         let spec = JobBuilder::new("pipe")
             .input_file("/p")
@@ -206,13 +205,7 @@ fn a_kernel_slower_than_the_feed_computes_every_record() {
     let mut c = cluster(3, 1, mr_cfg, false);
     // A stalled attempt heartbeats forever: make it drain instead.
     c.sim.set_event_limit(100_000);
-    let preload = PreloadSpec {
-        path: "/slow".into(),
-        len: 8 * MB,
-        block_size: Some(MB),
-        replication: None,
-        seed: 5,
-    };
+    let preload = PreloadSpec::new("/slow", 8 * MB, 5).block_size(MB);
     let spec = JobBuilder::new("slow-kernel")
         .input_file("/slow")
         .record_bytes(MB)
@@ -244,13 +237,7 @@ fn locality_scheduler_beats_fifo() {
         };
         let mut c = cluster(5, 4, mr_cfg, false);
         // One block per task so a local assignment means a local read.
-        let preload = PreloadSpec {
-            path: "/l".into(),
-            len: 64 * MB,
-            block_size: Some(4 * MB),
-            replication: None,
-            seed: 3,
-        };
+        let preload = PreloadSpec::new("/l", 64 * MB, 3).block_size(4 * MB);
         let spec = JobBuilder::new("loc")
             .input_file("/l")
             .record_bytes(4 * MB)
@@ -278,13 +265,9 @@ fn locality_scheduler_beats_fifo() {
 fn tasktracker_crash_recovers_with_reexecution() {
     let mut c = cluster(6, 3, MrConfig::default(), true);
     // Replication 2 so the dead node's blocks stay readable.
-    let preload = PreloadSpec {
-        path: "/ft".into(),
-        len: 24 * MB,
-        block_size: Some(2 * MB),
-        replication: Some(2),
-        seed: 9,
-    };
+    let preload = PreloadSpec::new("/ft", 24 * MB, 9)
+        .block_size(2 * MB)
+        .replication(2);
     let spec = JobBuilder::new("ft")
         .input_file("/ft")
         .record_bytes(2 * MB)
@@ -377,13 +360,7 @@ fn speculative_execution_duplicates_stragglers() {
 #[test]
 fn shuffle_reduce_runs_and_writes() {
     let mut c = cluster(8, 3, MrConfig::default(), false);
-    let preload = PreloadSpec {
-        path: "/sh".into(),
-        len: 24 * MB,
-        block_size: Some(4 * MB),
-        replication: None,
-        seed: 4,
-    };
+    let preload = PreloadSpec::new("/sh", 24 * MB, 4).block_size(4 * MB);
     // Map output = input (sorted runs), kept node-local for shuffle.
     let spec = JobBuilder::new("sortish")
         .input_file("/sh")
@@ -413,41 +390,54 @@ fn shuffle_reduce_runs_and_writes() {
     assert!(c.sim.stats().counter("mr.shuffles_started") == 1);
 }
 
-/// One golden-trace scenario's outcome: name, whole-run event-trace
-/// fingerprint, events recorded, makespan.
-type TraceOutcome = (&'static str, u64, u64, SimDuration);
+/// A trace scenario's outcome as a ledger row, named without its group:
+/// whole-run event-trace fingerprint, events recorded, and the longest
+/// job's makespan. Every job must have succeeded.
+fn traced(name: &str, sim: &Sim, results: &[JobResult]) -> Row {
+    let errors: Vec<_> = results.iter().map(|r| &r.error).collect();
+    assert!(results.iter().all(|r| r.succeeded), "{name}: {errors:?}");
+    let makespan = results.iter().map(|r| r.elapsed).max().expect("a job");
+    let fields = vec![
+        ("fingerprint", sim.trace().fingerprint()),
+        ("events", sim.trace().recorded()),
+        ("makespan_ns", makespan.as_nanos()),
+    ];
+    (name.to_string(), fields)
+}
 
-/// Holds scenario outcomes to a golden table of (name, fingerprint,
-/// events, makespan in nanoseconds). The fingerprint covers every message,
-/// timer and delivery time of the run, so any drift in dispatch,
+/// The groups of trace scenarios, one golden test each.
+const TRACE_GROUPS: [&str; 4] = ["sched", "job_level", "liveness", "hardened_io"];
+
+/// Holds one group's scenarios to the golden ledger's `trace.<group>.`
+/// rows (`crates/bench/goldens.txt`). The fingerprint covers every
+/// message, timer and delivery time of the run, so any drift in dispatch,
 /// speculation, split arithmetic, recovery or fabric event order moves it.
-/// The makespan column separates the two ways it can move: a fabric change
-/// that only reorders events *inside* an instant moves the fingerprint and
-/// must leave the makespan alone; a change that moves the makespan moved
-/// simulated time.
-fn assert_golden(got: &[TraceOutcome], golden: &[(&str, u64, u64, u64)]) {
-    assert_eq!(got.len(), golden.len());
-    for (&(name, fp, events, makespan), &(gname, gfp, gevents, gmakespan)) in got.iter().zip(golden)
-    {
-        assert_eq!(name, gname);
-        assert_eq!(
-            makespan.as_nanos(),
-            gmakespan,
-            "scenario '{name}': simulated makespan moved"
-        );
-        assert_eq!(
-            (fp, events),
-            (gfp, gevents),
-            "scenario '{name}' diverged from the golden event stream \
-             (makespan unchanged: events moved, times did not)"
-        );
+/// The makespan separates the two ways it can move: a fabric change that
+/// only reorders events *inside* an instant moves the fingerprint and must
+/// leave the makespan alone; a change that moves the makespan moved
+/// simulated time. The group's rows must be exactly its scenarios and
+/// every trace row must belong to a group, so the four golden tests
+/// together hold the ledger's trace rows to exactly the scenarios they run.
+fn check_trace_group(group: &str, outcomes: Vec<Row>) {
+    let ledger = Ledger::parse(include_str!("../../bench/goldens.txt")).expect("ledger parses");
+    let prefix = format!("trace.{group}.");
+    let rows: Vec<Row> = outcomes
+        .into_iter()
+        .map(|(name, fields)| (format!("{prefix}{name}"), fields))
+        .collect();
+    ledger.check(&rows);
+    let names: Vec<&str> = rows.iter().map(|row| row.0.as_str()).collect();
+    assert_eq!(ledger.rows(&prefix), names, "the ledger's {prefix} rows");
+    for row in ledger.rows("trace.") {
+        let owned = |g: &&str| row.starts_with(&format!("trace.{g}."));
+        assert!(TRACE_GROUPS.iter().any(owned), "{row}: no trace group");
     }
 }
 
 /// Scenarios exercising every task-level scheduling code path (FIFO pick,
 /// locality pick, straggler speculation, liveness re-queue, reduce
 /// dispatch), pinned by `ported_schedulers_are_trace_equivalent`.
-fn sched_trace_scenarios() -> Vec<TraceOutcome> {
+fn sched_trace_scenarios() -> Vec<Row> {
     let mut out = Vec::new();
 
     // FIFO + speculation: exercises Fifo::pick_task and pick_straggler.
@@ -464,13 +454,7 @@ fn sched_trace_scenarios() -> Vec<TraceOutcome> {
             vec![],
             synthetic_spec(Arc::new(SkewKernel), 800_000, Some(8)),
         );
-        assert!(r.succeeded);
-        out.push((
-            "fifo+speculative",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            r.elapsed,
-        ));
+        out.push(traced("fifo+speculative", &c.sim, &[r]));
     }
 
     // LocalityFirst over a block-per-task file job: exercises the
@@ -482,13 +466,7 @@ fn sched_trace_scenarios() -> Vec<TraceOutcome> {
         };
         let mut c = cluster(22, 4, cfg, false);
         c.sim.enable_trace(16);
-        let preload = PreloadSpec {
-            path: "/l".into(),
-            len: 64 * MB,
-            block_size: Some(4 * MB),
-            replication: None,
-            seed: 3,
-        };
+        let preload = PreloadSpec::new("/l", 64 * MB, 3).block_size(4 * MB);
         let spec = JobBuilder::new("loc")
             .input_file("/l")
             .record_bytes(4 * MB)
@@ -499,13 +477,7 @@ fn sched_trace_scenarios() -> Vec<TraceOutcome> {
             .map_tasks(16)
             .build();
         let r = run_one(&mut c, vec![preload], spec);
-        assert!(r.succeeded);
-        out.push((
-            "locality-file",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            r.elapsed,
-        ));
+        out.push(traced("locality-file", &c.sim, &[r]));
     }
 
     // LocalityFirst + TaskTracker crash + shuffle: exercises the liveness
@@ -519,13 +491,9 @@ fn sched_trace_scenarios() -> Vec<TraceOutcome> {
             Box::new(CrashTaskTracker),
             SimDuration::from_secs(20),
         );
-        let preload = PreloadSpec {
-            path: "/sh".into(),
-            len: 24 * MB,
-            block_size: Some(4 * MB),
-            replication: Some(2),
-            seed: 4,
-        };
+        let preload = PreloadSpec::new("/sh", 24 * MB, 4)
+            .block_size(4 * MB)
+            .replication(2);
         let spec = JobBuilder::new("crash-shuffle")
             .input_file("/sh")
             .record_bytes(4 * MB)
@@ -544,13 +512,7 @@ fn sched_trace_scenarios() -> Vec<TraceOutcome> {
             )
             .build();
         let r = run_one(&mut c, vec![preload], spec);
-        assert!(r.succeeded);
-        out.push((
-            "crash-shuffle",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            r.elapsed,
-        ));
+        out.push(traced("crash-shuffle", &c.sim, &[r]));
     }
 
     out
@@ -561,7 +523,7 @@ fn sched_trace_scenarios() -> Vec<TraceOutcome> {
 /// task policies, speculation, and a churn wave over the elastic paths)
 /// whose event streams pin down which job each free slot went to; pinned
 /// by `job_level_dispatch_is_trace_equivalent`.
-fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
+fn job_level_trace_scenarios() -> Vec<Row> {
     let mut out = Vec::new();
 
     // Three staggered FIFO jobs with speculation: pins the regular-then-
@@ -592,14 +554,7 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
             },
         );
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "fifo-multi",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("fifo-multi", &c.sim, &rs));
     }
 
     // Two concurrent LocalityFirst file jobs over distinct files: slots
@@ -622,26 +577,13 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
                 })
                 .map_tasks(8)
                 .build(),
-            preloads: vec![PreloadSpec {
-                path: path.into(),
-                len: 32 * MB,
-                block_size: Some(4 * MB),
-                replication: None,
-                seed,
-            }],
+            preloads: vec![PreloadSpec::new(path, 32 * MB, seed).block_size(4 * MB)],
         };
         let mut session = c.session();
         session.submit(file_job("loc-a", "/a", 13));
         session.submit(file_job("loc-b", "/b", 14));
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "locality-multi",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("locality-multi", &c.sim, &rs));
     }
 
     // Two concurrent adaptive jobs on a half-turbo cluster: the learned
@@ -673,14 +615,7 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
         session.submit(job(600_000_000));
         session.submit_after(SimDuration::from_secs(6), job(300_000_000));
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "adaptive-multi",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("adaptive-multi", &c.sim, &rs));
     }
 
     // A churn wave (join + leave mid-map) under two concurrent jobs: the
@@ -691,15 +626,7 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
             tt_dead_after: SimDuration::from_secs(12),
             ..MrConfig::default()
         };
-        let mut c = ClusterBuilder::new()
-            .seed(64)
-            .workers(4)
-            .mr(cfg)
-            .dfs(DfsConfig {
-                dead_after: SimDuration::from_secs(12),
-            })
-            .deploy();
-        c.sim.enable_trace(16);
+        let mut c = elastic_cluster(64, 4, cfg);
         let mut session = c.session();
         session.churn(crate::session::ChurnSchedule::wave(
             1,
@@ -718,13 +645,9 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
                 .map_tasks(12)
                 .digest_output()
                 .build(),
-            preloads: vec![PreloadSpec {
-                path: "/cf".into(),
-                len: 24 * MB,
-                block_size: Some(2 * MB),
-                replication: Some(2),
-                seed: 15,
-            }],
+            preloads: vec![PreloadSpec::new("/cf", 24 * MB, 15)
+                .block_size(2 * MB)
+                .replication(2)],
         });
         session.submit_after(
             SimDuration::from_secs(5),
@@ -734,14 +657,7 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
             },
         );
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "churn-multi",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("churn-multi", &c.sim, &rs));
     }
 
     out
@@ -755,7 +671,7 @@ fn job_level_trace_scenarios() -> Vec<TraceOutcome> {
 /// the incremental counters are on the clock: FairShare (weighted shares
 /// from running slots) under a join+leave churn wave, and DeadlineSlack
 /// (slack from running incomplete tasks) across a mid-map node death.
-fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
+fn liveness_trace_scenarios() -> Vec<Row> {
     let mut out = Vec::new();
 
     // FairShare, two tenants, churn wave with a join and a leave: shares
@@ -767,15 +683,7 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
             tt_dead_after: SimDuration::from_secs(12),
             ..MrConfig::default()
         };
-        let mut c = ClusterBuilder::new()
-            .seed(71)
-            .workers(4)
-            .mr(cfg)
-            .dfs(DfsConfig {
-                dead_after: SimDuration::from_secs(12),
-            })
-            .deploy();
-        c.sim.enable_trace(16);
+        let mut c = elastic_cluster(71, 4, cfg);
         let mut session = c.session();
         session.churn(crate::session::ChurnSchedule::wave(
             1,
@@ -801,14 +709,7 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
         session.submit(tenant_job("alpha", 800_000));
         session.submit(tenant_job("beta", 600_000));
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "fair-churn",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("fair-churn", &c.sim, &rs));
     }
 
     // DeadlineSlack, one deadline job and one deadline-less, with a
@@ -820,15 +721,7 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
             tt_dead_after: SimDuration::from_secs(12),
             ..MrConfig::default()
         };
-        let mut c = ClusterBuilder::new()
-            .seed(72)
-            .workers(3)
-            .mr(cfg)
-            .dfs(DfsConfig {
-                dead_after: SimDuration::from_secs(12),
-            })
-            .deploy();
-        c.sim.enable_trace(16);
+        let mut c = elastic_cluster(72, 3, cfg);
         let victim_tt = c.mr.tasktracker_on(accelmr_net::NodeId(2)).unwrap();
         c.sim.post_after(
             victim_tt,
@@ -859,14 +752,7 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
             },
         );
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "deadline-crash",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("deadline-crash", &c.sim, &rs));
     }
 
     out
@@ -878,7 +764,7 @@ fn liveness_trace_scenarios() -> Vec<TraceOutcome> {
 /// job, and a preemption kill that strands reads in flight. Each asserts
 /// the counter that proves its path ran; pinned by
 /// `hardened_io_paths_are_trace_pinned`.
-fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
+fn hardened_io_trace_scenarios() -> Vec<Row> {
     use crate::config::PreemptionTuning;
     use crate::session::{FaultOp, FaultPlan};
     use accelmr_net::NodeId;
@@ -890,18 +776,6 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
         read_timeout: Some(SimDuration::from_secs(5)),
         job_stall_timeout: Some(SimDuration::from_secs(30)),
         ..MrConfig::hardened()
-    };
-    let deploy = |seed: u64, workers: usize, cfg: MrConfig| {
-        let mut c = ClusterBuilder::new()
-            .seed(seed)
-            .workers(workers)
-            .mr(cfg)
-            .dfs(DfsConfig {
-                dead_after: SimDuration::from_secs(12),
-            })
-            .deploy();
-        c.sim.enable_trace(16);
-        c
     };
     let file_job = |name: &str, path: &str, records: u64, record: u64, per_record_ms: u64| {
         JobBuilder::new(name)
@@ -923,7 +797,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
     // outputs time out, re-issue under backed-off patience, and get through
     // once the partition heals.
     {
-        let mut c = deploy(91, 4, hardened());
+        let mut c = elastic_cluster(91, 4, hardened());
         let mut session = c.session();
         session.faults(FaultPlan::new().op_at(
             SimDuration::from_secs(12),
@@ -948,12 +822,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
         assert!(r.succeeded, "{:?}", r.error);
         assert!(c.sim.stats().counter("mr.attempt_retries") >= 1);
         assert_eq!(c.sim.stats().counter("net.partitions_healed"), 1);
-        out.push((
-            "partition-shuffle",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            r.elapsed,
-        ));
+        out.push(traced("partition-shuffle", &c.sim, &[r]));
     }
 
     // A partition during the map phase on a replication-2 input: reads
@@ -964,7 +833,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
             scheduler: SchedulerPolicy::Fifo,
             ..hardened()
         };
-        let mut c = deploy(92, 4, cfg);
+        let mut c = elastic_cluster(92, 4, cfg);
         let mut session = c.session();
         session.faults(FaultPlan::new().op_at(
             SimDuration::from_secs(11),
@@ -981,12 +850,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
         let r = session.run();
         assert!(r.succeeded, "{:?}", r.error);
         assert!(c.sim.stats().counter("dfs.read_retries") >= 1);
-        out.push((
-            "partition-read",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            r.elapsed,
-        ));
+        out.push(traced("partition-read", &c.sim, &[r]));
     }
 
     // Two nodes leave under a DFS-writing shuffle job, one mid-map and one
@@ -997,7 +861,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
             scheduler: SchedulerPolicy::Fifo,
             ..hardened()
         };
-        let mut c = deploy(93, 5, cfg);
+        let mut c = elastic_cluster(93, 5, cfg);
         let mut session = c.session();
         session.remove_node_at(SimDuration::from_secs(13), NodeId(2));
         session.remove_node_at(SimDuration::from_secs(38), NodeId(4));
@@ -1018,12 +882,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
         assert!(c.sim.stats().counter("mr.read_retries") >= 1);
         assert!(c.sim.stats().counter("mr.tasks_failed") >= 1);
         assert!(c.sim.stats().counter("dfs.blocks_allocated") >= 1);
-        out.push((
-            "crash-dfs-write",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            r.elapsed,
-        ));
+        out.push(traced("crash-dfs-write", &c.sim, &[r]));
     }
 
     // Fair-share preemption of file maps: the batch tenant's attempts
@@ -1040,7 +899,7 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
             },
             ..MrConfig::default()
         };
-        let mut c = deploy(94, 3, cfg);
+        let mut c = elastic_cluster(94, 3, cfg);
         let mut session = c.session();
         session.submit(
             file_job("batch", "/pb", 48, 8 * MB, 100)
@@ -1054,53 +913,27 @@ fn hardened_io_trace_scenarios() -> Vec<TraceOutcome> {
                 .tenant("interactive"),
         );
         let rs = session.run_until_complete();
-        assert!(rs.iter().all(|r| r.succeeded));
         assert!(c.sim.stats().counter("mr.preemptions") >= 1);
-        let makespan = rs.iter().map(|r| r.elapsed).max().unwrap();
-        out.push((
-            "preempt-reads",
-            c.sim.trace().fingerprint(),
-            c.sim.trace().recorded(),
-            makespan,
-        ));
+        out.push(traced("preempt-reads", &c.sim, &rs));
     }
 
     out
 }
 
-/// Golden table for [`hardened_io_trace_scenarios`], recorded against the
+/// The ledger rows of [`hardened_io_trace_scenarios`], recorded against the
 /// single-file TaskTracker before it became `tasktracker/`: the time-out,
 /// failover, abort and kill paths keep their event streams bit for bit.
 #[test]
 fn hardened_io_paths_are_trace_pinned() {
-    assert_golden(
-        &hardened_io_trace_scenarios(),
-        &[
-            (
-                "partition-shuffle",
-                0xf5eea0646a686829,
-                1091,
-                46_211_680_380,
-            ),
-            ("partition-read", 0x9facedf2819646b4, 661, 36_293_157_977),
-            ("crash-dfs-write", 0xb2331c81f76eddbe, 1244, 47_147_860_197),
-            ("preempt-reads", 0x3774e9f9fe1d6463, 898, 35_559_310_631),
-        ],
-    );
+    check_trace_group("hardened_io", hardened_io_trace_scenarios());
 }
 
-/// Golden table for [`liveness_trace_scenarios`]: death detection through
+/// The ledger rows of [`liveness_trace_scenarios`]: death detection through
 /// the liveness tracker and the incremental slot counters must keep producing
 /// these event streams bit for bit.
 #[test]
 fn liveness_rewrite_is_trace_equivalent() {
-    assert_golden(
-        &liveness_trace_scenarios(),
-        &[
-            ("fair-churn", 0x3d5d2624d131fd37, 305, 18_047_987_214),
-            ("deadline-crash", 0xf1ebcfa67f4c34f8, 317, 33_943_479_037),
-        ],
-    );
+    check_trace_group("liveness", liveness_trace_scenarios());
 }
 
 /// A node that joins one tick before the liveness sweep fires must not be
@@ -1158,38 +991,23 @@ fn joiner_survives_liveness_tick_before_first_heartbeat() {
     assert_eq!(c.sim.stats().counter("mr.tt_resurrections"), 0);
 }
 
-/// Golden table for [`job_level_trace_scenarios`]: under the default job
+/// The ledger rows of [`job_level_trace_scenarios`]: under the default job
 /// picker the two-level dispatch loop visits jobs in ascending id order,
 /// each drained regular-then-speculative — FIFO equivalence is pinned, not
 /// assumed.
 #[test]
 fn job_level_dispatch_is_trace_equivalent() {
-    assert_golden(
-        &job_level_trace_scenarios(),
-        &[
-            ("fifo-multi", 0x9a1ca458ab8578f6, 363, 16_667_679_096),
-            ("locality-multi", 0x3d475247621e61bb, 377, 17_416_353_871),
-            ("adaptive-multi", 0x3af9198a1d79f86a, 721, 45_219_413_246),
-            ("churn-multi", 0x554c41d8e740e1a5, 617, 30_460_001_894),
-        ],
-    );
+    check_trace_group("job_level", job_level_trace_scenarios());
 }
 
-/// Golden table for [`sched_trace_scenarios`]: `sched::Fifo` and
+/// The ledger rows of [`sched_trace_scenarios`]: `sched::Fifo` and
 /// `sched::LocalityFirst` dispatch, speculate, split and recover exactly
 /// as pinned. In `crash-shuffle` a map output lost to a node death during
 /// the *reduce* phase is re-executed with its folded contributions
 /// subtracted, and reducers fetch from current output locations.
 #[test]
 fn ported_schedulers_are_trace_equivalent() {
-    assert_golden(
-        &sched_trace_scenarios(),
-        &[
-            ("fifo+speculative", 0xc55290eb28bae88a, 238, 19_292_936_422),
-            ("locality-file", 0x36c3e9e9894cf184, 387, 18_587_960_800),
-            ("crash-shuffle", 0xe6d8b887f92de415, 623, 65_230_775_421),
-        ],
-    );
+    check_trace_group("sched", sched_trace_scenarios());
 }
 
 #[test]
@@ -1197,13 +1015,7 @@ fn deterministic_runs_from_same_seed() {
     let run_fp = || {
         let mut c = cluster(42, 3, MrConfig::default(), false);
         c.sim.enable_trace(1 << 12);
-        let preload = PreloadSpec {
-            path: "/det".into(),
-            len: 16 * MB,
-            block_size: Some(4 * MB),
-            replication: None,
-            seed: 5,
-        };
+        let preload = PreloadSpec::new("/det", 16 * MB, 5).block_size(4 * MB);
         let spec = JobBuilder::new("det")
             .input_file("/det")
             .record_bytes(4 * MB)
@@ -1250,13 +1062,9 @@ fn fifo_dispatch_order_is_submission_order_across_requeue() {
         ..MrConfig::default()
     };
     let mut c = cluster(31, 3, cfg, false);
-    let preload = PreloadSpec {
-        path: "/fifo".into(),
-        len: 24 * MB,
-        block_size: Some(2 * MB),
-        replication: Some(2),
-        seed: 6,
-    };
+    let preload = PreloadSpec::new("/fifo", 24 * MB, 6)
+        .block_size(2 * MB)
+        .replication(2);
     let spec = JobBuilder::new("fifo-order")
         .input_file("/fifo")
         .record_bytes(2 * MB)
@@ -1317,13 +1125,9 @@ fn fifo_dispatch_order_is_submission_order_across_requeue() {
 #[test]
 fn tasktracker_death_during_reduce_reexecutes_reduce() {
     let mut c = cluster(32, 3, MrConfig::default(), false);
-    let preload = PreloadSpec {
-        path: "/rd".into(),
-        len: 16 * MB,
-        block_size: Some(4 * MB),
-        replication: Some(2),
-        seed: 8,
-    };
+    let preload = PreloadSpec::new("/rd", 16 * MB, 8)
+        .block_size(4 * MB)
+        .replication(2);
     // Fast maps, long reduce merges (~66 s each): a crash at t=45 s lands
     // squarely inside the reduce phase.
     let spec = JobBuilder::new("reduce-death")

@@ -36,8 +36,9 @@
 //!   reorder the events of one simulated instant (and so move a golden
 //!   event-stream fingerprint) but must not move a completion time: the
 //!   fabric tests hold every flow's completion to the oracle's within
-//!   1e-6 s, and the `mapred` golden tables pin each scenario's makespan
-//!   to the nanosecond beside its fingerprint.
+//!   1e-6 s, and the golden ledger (`crates/bench/goldens.txt`) pins each
+//!   `mapred` trace scenario's makespan to the nanosecond beside its
+//!   fingerprint.
 //! * **Dynamic membership.** The node set is no longer fixed at
 //!   construction: [`fabric::EnsureNode`] grows the link tables mid-run
 //!   (never re-pricing existing flows), [`fabric::AbortNode`] tears a
