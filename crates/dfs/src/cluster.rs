@@ -13,8 +13,6 @@ use crate::namenode::NameNode;
 pub struct DfsHandle {
     /// The NameNode actor.
     pub namenode: ActorId,
-    /// The head node the NameNode runs on.
-    pub head_node: NodeId,
     /// Live `node → DataNode actor` registry. Shared (not a snapshot):
     /// joins and departures are visible to every handle clone immediately,
     /// so reads fail fast off departed nodes instead of hanging. It is also
@@ -41,11 +39,11 @@ impl DfsHandle {
     /// fabric must already carry `node` ([`NetHandle::ensure_node`]).
     pub fn add_datanode(&self, ctx: &mut Ctx<'_>, node: NodeId) -> ActorId {
         let peers = self.datanodes.view();
-        let mut dn = DataNode::new(self.net, node, self.head_node, self.materialized, peers);
+        let mut dn = DataNode::new(self.net, node, self.materialized, peers);
         dn.rewire(self.namenode);
         let actor = ctx.spawn(Box::new(dn));
         for (_, peer) in self.datanodes.snapshot() {
-            ctx.send(peer, AddPeer { node, actor });
+            ctx.send(peer, AddPeer);
         }
         self.datanodes.insert(node, actor);
         ctx.send(self.namenode, AddDataNode { node, actor });
@@ -64,17 +62,15 @@ impl DfsHandle {
         dn.is_some()
     }
 
-    /// Sends a [`GetLocations`] request from `my_node`; the reply arrives
-    /// at the calling actor as [`LocationsReply`] with `tag`.
-    pub fn get_locations(&self, ctx: &mut Ctx<'_>, my_node: NodeId, path: &str, tag: u64) {
+    /// Sends a [`GetLocations`] request; the reply arrives at the calling
+    /// actor as [`LocationsReply`] with `tag`.
+    pub fn get_locations(&self, ctx: &mut Ctx<'_>, path: &str, tag: u64) {
         let req = GetLocations {
             path: path.to_string(),
             reply: ctx.self_id(),
-            reply_node: my_node,
             tag,
         };
-        self.net
-            .unicast(ctx, my_node, self.head_node, self.namenode, 256, req);
+        self.net.unicast(ctx, self.namenode, 256, req);
     }
 
     /// Reads `[offset_in_block, offset_in_block + len)` of `block` from the
@@ -107,28 +103,19 @@ impl DfsHandle {
             cap_bytes_per_sec,
             tag,
         };
-        self.net.unicast(ctx, my_node, dn_node, dn, 256, req);
+        self.net.unicast(ctx, dn, 256, req);
         true
     }
 
     /// Creates an empty file; the caller receives [`CreateAck`] with `tag`.
-    pub fn create_file(
-        &self,
-        ctx: &mut Ctx<'_>,
-        my_node: NodeId,
-        path: &str,
-        replication: Option<usize>,
-        tag: u64,
-    ) {
+    pub fn create_file(&self, ctx: &mut Ctx<'_>, path: &str, replication: Option<usize>, tag: u64) {
         let req = CreateFile {
             path: path.to_string(),
             replication,
             reply: ctx.self_id(),
-            reply_node: my_node,
             tag,
         };
-        self.net
-            .unicast(ctx, my_node, self.head_node, self.namenode, 256, req);
+        self.net.unicast(ctx, self.namenode, 256, req);
     }
 
     /// Allocates the next block of `path`; the caller receives
@@ -139,11 +126,9 @@ impl DfsHandle {
             len,
             writer_node: my_node,
             reply: ctx.self_id(),
-            reply_node: my_node,
             tag,
         };
-        self.net
-            .unicast(ctx, my_node, self.head_node, self.namenode, 256, req);
+        self.net.unicast(ctx, self.namenode, 256, req);
     }
 
     /// Streams an allocated block into its pipeline; the caller receives
@@ -159,7 +144,7 @@ impl DfsHandle {
         pipeline: &[NodeId],
         tag: u64,
     ) -> bool {
-        let ack = (ctx.self_id(), my_node, tag);
+        let ack = (ctx.self_id(), tag);
         send_next_hop(
             ctx,
             (self.net, my_node, 256),
@@ -172,8 +157,8 @@ impl DfsHandle {
     }
 }
 
-/// Spawns a NameNode on `head_node` plus one DataNode per worker node and
-/// wires them together. `materialized` makes DataNodes serve real bytes.
+/// Spawns a NameNode plus one DataNode per worker node and wires them
+/// together. `materialized` makes DataNodes serve real bytes.
 /// Panics on a `cfg` that [`DfsConfig::validate`] rejects.
 ///
 /// Actor ids form a cycle (DataNodes need the NameNode id, the NameNode
@@ -185,7 +170,6 @@ pub fn deploy_dfs(
     sim: &mut Sim,
     net: NetHandle,
     cfg: &DfsConfig,
-    head_node: NodeId,
     workers: &[NodeId],
     materialized: bool,
 ) -> DfsHandle {
@@ -195,23 +179,17 @@ pub fn deploy_dfs(
     let datanodes = NodeRegistry::default();
     let peers = datanodes.view();
     let mut spawn_dn = |w| {
-        let dn = DataNode::new(net, w, head_node, materialized, peers.clone());
+        let dn = DataNode::new(net, w, materialized, peers.clone());
         sim.spawn(Box::new(dn))
     };
     let dns: Vec<(NodeId, ActorId)> = workers.iter().map(|&w| (w, spawn_dn(w))).collect();
     datanodes.extend(&dns);
-    let namenode = sim.spawn(Box::new(NameNode::new(
-        cfg.clone(),
-        net,
-        head_node,
-        dns.clone(),
-    )));
+    let namenode = sim.spawn(Box::new(NameNode::new(cfg.clone(), net, dns.clone())));
     for &(_, dn) in &dns {
         sim.post(dn, Box::new(WireDataNode { namenode }));
     }
     DfsHandle {
         namenode,
-        head_node,
         datanodes,
         net,
         materialized,
@@ -237,7 +215,7 @@ mod tests {
             fabric: sim.spawn(Box::new(fabric)),
         };
         let cfg = DfsConfig::default();
-        deploy_dfs(sim, net, &cfg, NodeId::HEAD, &nodes, materialized)
+        deploy_dfs(sim, net, &cfg, &nodes, materialized)
     }
 
     /// Asks the NameNode to preload `path`; the caller receives
@@ -392,7 +370,7 @@ mod tests {
         let dfs = deploy(&mut sim, 3, false);
         run_client(&mut sim, dfs, |ctx, ev, dfs, state| match ev {
             Event::Start => {
-                dfs.create_file(ctx, NodeId(2), "/out", Some(2), 4);
+                dfs.create_file(ctx, "/out", Some(2), 4);
             }
             Event::Msg { msg, .. } => {
                 if let Some(ack) = msg.peek::<CreateAck>() {
@@ -416,7 +394,7 @@ mod tests {
                     assert_eq!(ack.tag, 5);
                     assert_eq!(*state, 1);
                     // Re-locate: both replicas visible.
-                    dfs.get_locations(ctx, NodeId(2), "/out", 6);
+                    dfs.get_locations(ctx, "/out", 6);
                     *state = 2;
                 } else if let Some(loc) = msg.peek::<LocationsReply>() {
                     let view = loc.view.as_ref().expect("file exists");
@@ -435,7 +413,7 @@ mod tests {
         let dfs = deploy(&mut sim, 1, false);
         run_client(&mut sim, dfs, |ctx, ev, dfs, state| match ev {
             Event::Start => {
-                dfs.get_locations(ctx, NodeId(1), "/nope", 1);
+                dfs.get_locations(ctx, "/nope", 1);
             }
             Event::Msg { msg, .. } => {
                 if let Some(rep) = msg.peek::<LocationsReply>() {
@@ -480,7 +458,7 @@ mod tests {
                 }
             }
             Event::Timer { .. } => {
-                dfs.get_locations(ctx, NodeId(2), "/r2", 3);
+                dfs.get_locations(ctx, "/r2", 3);
             }
         });
         assert!(sim.stats().counter("dfs.replications_started") >= 1);
@@ -529,7 +507,7 @@ mod tests {
                 ctx.after(SimDuration::from_secs(30), 2);
             }
             Event::Timer { .. } => {
-                dfs.get_locations(ctx, NodeId(2), "/f", 7);
+                dfs.get_locations(ctx, "/f", 7);
             }
         });
         assert_eq!(sim.stats().counter("dfs.datanodes_joined"), 1);
@@ -571,7 +549,7 @@ mod tests {
             Event::Start => {
                 dfs.net.ensure_node(ctx, NodeId(2));
                 dfs.add_datanode(ctx, NodeId(2));
-                dfs.create_file(ctx, NodeId(1), "/two", Some(2), 0);
+                dfs.create_file(ctx, "/two", Some(2), 0);
             }
             Event::Msg { msg, .. } => {
                 if msg.peek::<CreateAck>().is_some() {
@@ -630,7 +608,6 @@ mod tests {
                     block,
                     pipeline: vec![NodeId(2)],
                     ack_to: ctx.self_id(),
-                    ack_node: NodeId(1),
                     tag: 9,
                 };
                 ctx.send(dn3, replicate);
@@ -708,7 +685,6 @@ mod tests {
                     block,
                     pipeline: vec![NodeId(2)],
                     ack_to: ctx.self_id(),
-                    ack_node: NodeId(1),
                     tag: 9,
                 };
                 ctx.send(dn1, replicate);
@@ -757,7 +733,7 @@ mod tests {
             }
             Event::Timer { .. } => {
                 *state += 1;
-                dfs.get_locations(ctx, NodeId(2), "/f", 3);
+                dfs.get_locations(ctx, "/f", 3);
             }
         });
         assert_eq!(sim.stats().counter("dfs.datanodes_declared_dead"), 1);

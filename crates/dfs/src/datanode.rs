@@ -20,10 +20,10 @@ pub struct Shutdown;
 struct WriteLanded(WriteBlock);
 
 /// Sends the next hop of a pipeline write: a [`WriteBlock`] of `block`,
-/// unicast over `net` from `from_node` in an RPC of `rpc_bytes` to the
-/// head of `pipeline`, whose DataNode `resolve` finds. The write carries
-/// the rest of the pipeline and `(ack_to, ack_node, tag)`, the address of
-/// the final [`WriteAck`]. Returns `false`, sending nothing, when the
+/// unicast over `net` in an RPC of `rpc_bytes` to the head of `pipeline`,
+/// whose DataNode `resolve` finds; its bytes stream from `from_node`. The
+/// write carries the rest of the pipeline and `(ack_to, tag)`, the address
+/// of the final [`WriteAck`]. Returns `false`, sending nothing, when the
 /// pipeline is empty or its head does not resolve.
 ///
 /// The one place a `WriteBlock` is built. Its callers differ only in what
@@ -41,7 +41,7 @@ pub(crate) fn send_next_hop(
     block: BlockId,
     content: BlockContent,
     pipeline: &[NodeId],
-    (ack_to, ack_node, tag): (ActorId, NodeId, u64),
+    (ack_to, tag): (ActorId, u64),
 ) -> bool {
     let Some((&next, rest)) = pipeline.split_first() else {
         return false;
@@ -55,10 +55,9 @@ pub(crate) fn send_next_hop(
         from_node,
         rest: rest.to_vec(),
         ack_to,
-        ack_node,
         tag,
     };
-    net.unicast(ctx, from_node, next, next_actor, rpc_bytes, write);
+    net.unicast(ctx, next_actor, rpc_bytes, write);
     true
 }
 
@@ -67,7 +66,6 @@ pub struct DataNode {
     net: NetHandle,
     node: NodeId,
     namenode: ActorId,
-    head_node: NodeId,
     /// The DFS's DataNode registry as of this DataNode's wiring: what its
     /// pipeline hops resolve through.
     peers: PeerView,
@@ -79,18 +77,11 @@ impl DataNode {
     /// Builds a DataNode on `node` that resolves its peers through
     /// `peers`. It is not yet wired to the NameNode: `deploy_dfs` wires it
     /// by message, `DfsHandle::add_datanode` before spawning it.
-    pub fn new(
-        net: NetHandle,
-        node: NodeId,
-        head_node: NodeId,
-        materialized: bool,
-        peers: PeerView,
-    ) -> Self {
+    pub fn new(net: NetHandle, node: NodeId, materialized: bool, peers: PeerView) -> Self {
         DataNode {
             net,
             node,
             namenode: ActorId::ENGINE,
-            head_node,
             peers,
             blocks: FxHashMap::default(),
             materialized,
@@ -138,8 +129,7 @@ impl Actor for DataNode {
             }
             Event::Timer { .. } => {
                 let hb = DnHeartbeat { node: self.node };
-                let (net, node, head, nn) = (self.net, self.node, self.head_node, self.namenode);
-                net.unicast(ctx, node, head, nn, 128, hb);
+                self.net.unicast(ctx, self.namenode, 128, hb);
                 // In-place rearm: the heartbeat chain holds one timer slot
                 // for the actor's whole lifetime.
                 ctx.rearm_after(HEARTBEAT_INTERVAL, TIMER_HEARTBEAT);
@@ -159,7 +149,7 @@ impl Actor for DataNode {
                             req.block,
                             content,
                             &req.pipeline,
-                            (req.ack_to, req.ack_node, req.tag),
+                            (req.ack_to, req.tag),
                         )
                     });
                     if sent {
@@ -172,7 +162,7 @@ impl Actor for DataNode {
                             block: req.block,
                             tag: req.tag,
                         };
-                        net.unicast(ctx, node, req.ack_node, req.ack_to, 64, failed);
+                        net.unicast(ctx, req.ack_to, 64, failed);
                     }
                 }
                 Inbox::AddBlockMeta(add) => {
@@ -180,15 +170,8 @@ impl Actor for DataNode {
                 }
                 Inbox::ReadRange(req) => {
                     let Some(&content) = self.blocks.get(&req.block) else {
-                        let (net, node) = (self.net, self.node);
-                        net.unicast(
-                            ctx,
-                            node,
-                            req.reader_node,
-                            req.reader,
-                            64,
-                            ReadError { tag: req.tag },
-                        );
+                        let error = ReadError { tag: req.tag };
+                        self.net.unicast(ctx, req.reader, 64, error);
                         ctx.stats().incr("dfs.read_errors");
                         return;
                     };
@@ -239,7 +222,7 @@ impl Actor for DataNode {
                             tag: w.tag,
                             block: w.block,
                         };
-                        net.unicast(ctx, node, w.ack_node, w.ack_to, 64, ack);
+                        net.unicast(ctx, w.ack_to, 64, ack);
                     } else {
                         // A next hop this DataNode does not know is sent
                         // nothing: the write stalls, never acknowledged.
@@ -250,7 +233,7 @@ impl Actor for DataNode {
                             w.block,
                             w.content,
                             &w.rest,
-                            (w.ack_to, w.ack_node, w.tag),
+                            (w.ack_to, w.tag),
                         );
                     }
                 }

@@ -76,8 +76,6 @@ pub struct GetLocations {
     pub path: String,
     /// Who receives [`LocationsReply`].
     pub reply: ActorId,
-    /// Node the reply RPC travels to.
-    pub reply_node: NodeId,
     /// Correlation tag echoed in the reply.
     pub tag: u64,
 }
@@ -100,8 +98,6 @@ pub struct CreateFile {
     pub replication: Option<usize>,
     /// Who receives [`CreateAck`].
     pub reply: ActorId,
-    /// Node the reply RPC travels to.
-    pub reply_node: NodeId,
     /// Correlation tag echoed in the reply.
     pub tag: u64,
 }
@@ -128,8 +124,6 @@ pub struct AllocBlock {
     pub writer_node: NodeId,
     /// Who receives [`BlockAllocated`].
     pub reply: ActorId,
-    /// Node the reply RPC travels to.
-    pub reply_node: NodeId,
     /// Correlation tag.
     pub tag: u64,
 }
@@ -165,17 +159,11 @@ pub struct AddDataNode {
     pub actor: ActorId,
 }
 
-/// Tells an existing DataNode a peer joined (control plane). The DataNode
-/// learns nothing from it, since the DFS registry already resolves the
-/// peer; it is still sent because its deliveries are part of the pinned
-/// event stream.
+/// Tells an existing DataNode a peer joined (control plane). It carries
+/// nothing: the DFS registry already resolves the peer. It is still sent
+/// because its deliveries are part of the pinned event stream.
 #[derive(Debug, Clone, Copy)]
-pub struct AddPeer {
-    /// The peer's node.
-    pub node: NodeId,
-    /// The peer's DataNode actor.
-    pub actor: ActorId,
-}
+pub struct AddPeer;
 
 /// NameNode → source DataNode: stream a locally-held block through
 /// `pipeline` (re-replication of an under-replicated block). Each hop
@@ -189,8 +177,6 @@ pub struct ReplicateBlock {
     pub pipeline: Vec<NodeId>,
     /// Who receives the final [`WriteAck`] (the NameNode).
     pub ack_to: ActorId,
-    /// Node the ack RPC travels to.
-    pub ack_node: NodeId,
     /// Correlation tag (the NameNode's pending-replication key).
     pub tag: u64,
 }
@@ -282,8 +268,6 @@ pub struct WriteBlock {
     pub rest: Vec<NodeId>,
     /// Writer actor to ack when the pipeline finishes.
     pub ack_to: ActorId,
-    /// Writer's node (the ack RPC travels there).
-    pub ack_node: NodeId,
     /// Correlation tag for the ack.
     pub tag: u64,
 }

@@ -57,7 +57,6 @@ struct Repair {
 /// deployment, a Power6 JS22 blade).
 pub struct NameNode {
     net: NetHandle,
-    my_node: NodeId,
     /// Registered DataNodes: `(node, actor)`, ascending by node.
     datanodes: Vec<(NodeId, ActorId)>,
     files: FxHashMap<String, FileMeta>,
@@ -79,18 +78,12 @@ pub struct NameNode {
 impl NameNode {
     /// Builds a NameNode for an initial DataNode registry (more may join
     /// later via [`AddDataNode`]).
-    pub fn new(
-        cfg: DfsConfig,
-        net: NetHandle,
-        my_node: NodeId,
-        mut datanodes: Vec<(NodeId, ActorId)>,
-    ) -> Self {
+    pub fn new(cfg: DfsConfig, net: NetHandle, mut datanodes: Vec<(NodeId, ActorId)>) -> Self {
         // Membership updates binary-search this list; callers may pass
         // workers in any order.
         datanodes.sort_unstable_by_key(|&(n, _)| n);
         NameNode {
             net,
-            my_node,
             datanodes,
             files: FxHashMap::default(),
             block_map: FxHashMap::default(),
@@ -314,15 +307,13 @@ impl NameNode {
         let displaced = self.repairs.insert(block, repair);
         debug_assert!(displaced.is_none(), "two repairs of {block}");
         ctx.stats().incr("dfs.replications_started");
-        let (net, my) = (self.net, self.my_node);
         let req = ReplicateBlock {
             block,
             pipeline: targets,
             ack_to: ctx.self_id(),
-            ack_node: my,
             tag,
         };
-        net.unicast(ctx, my, source, src_actor, 128, req);
+        self.net.unicast(ctx, src_actor, 128, req);
         true
     }
 
@@ -413,8 +404,7 @@ impl Actor for NameNode {
                     let view = self.view_of(&req.path);
                     ctx.stats().incr("dfs.get_locations");
                     let reply = LocationsReply { tag: req.tag, view };
-                    let (net, my) = (self.net, self.my_node);
-                    net.unicast(ctx, my, req.reply_node, req.reply, 256, reply);
+                    self.net.unicast(ctx, req.reply, 256, reply);
                 }
                 Inbox::CreateFile(req) => {
                     let ok = !self.files.contains_key(&req.path);
@@ -424,8 +414,7 @@ impl Actor for NameNode {
                         ctx.stats().incr("dfs.files_created");
                     }
                     let ack = CreateAck { tag: req.tag, ok };
-                    let (net, my) = (self.net, self.my_node);
-                    net.unicast(ctx, my, req.reply_node, req.reply, 64, ack);
+                    self.net.unicast(ctx, req.reply, 64, ack);
                 }
                 Inbox::AllocBlock(req) => {
                     let (block, pipeline) =
@@ -436,8 +425,7 @@ impl Actor for NameNode {
                         block,
                         pipeline,
                     };
-                    let (net, my) = (self.net, self.my_node);
-                    net.unicast(ctx, my, req.reply_node, req.reply, 128, reply);
+                    self.net.unicast(ctx, req.reply, 128, reply);
                 }
                 Inbox::DnHeartbeat(hb) => {
                     self.liveness.heard(hb.node, ctx.now());

@@ -147,23 +147,8 @@ impl ClusterBuilder {
             self.workers + 1,
         )));
         let net = NetHandle { fabric };
-        let dfs = accelmr_dfs::deploy_dfs(
-            &mut sim,
-            net,
-            &self.dfs,
-            NodeId::HEAD,
-            &workers,
-            self.materialized,
-        );
-        let mr = deploy_mr(
-            &mut sim,
-            net,
-            &dfs,
-            self.mr,
-            NodeId::HEAD,
-            &workers,
-            self.env,
-        );
+        let dfs = accelmr_dfs::deploy_dfs(&mut sim, net, &self.dfs, &workers, self.materialized);
+        let mr = deploy_mr(&mut sim, net, &dfs, self.mr, &workers, self.env);
         MrCluster {
             sim,
             net,

@@ -20,8 +20,6 @@ use crate::tasktracker::TaskTracker;
 pub struct MrHandle {
     /// The JobTracker actor.
     pub jobtracker: ActorId,
-    /// Node the JobTracker runs on.
-    pub head_node: NodeId,
     /// Live `node → TaskTracker actor` registry. Shared (not a snapshot):
     /// joins and departures are visible to every handle clone immediately.
     pub tasktrackers: NodeRegistry,
@@ -41,14 +39,12 @@ impl MrHandle {
 
     /// Submits a job; the calling actor receives
     /// [`JobComplete`](crate::msgs::JobComplete).
-    pub fn submit(&self, ctx: &mut Ctx<'_>, my_node: NodeId, spec: JobSpec) {
+    pub fn submit(&self, ctx: &mut Ctx<'_>, spec: JobSpec) {
         let submit = SubmitJob {
             spec,
             reply: ctx.self_id(),
-            reply_node: my_node,
         };
-        self.net
-            .unicast(ctx, my_node, self.head_node, self.jobtracker, 4096, submit);
+        self.net.unicast(ctx, self.jobtracker, 4096, submit);
     }
 
     /// Joins a TaskTracker on `node` mid-run, reading through `dfs`, and
@@ -56,8 +52,8 @@ impl MrHandle {
     /// environment from the deployment's factory, the registry routes to
     /// it, and [`RegisterTaskTracker`] admits it at the JobTracker.
     pub fn add_tasktracker(&self, ctx: &mut Ctx<'_>, node: NodeId, dfs: &DfsHandle) -> ActorId {
-        let (net, head, jt) = (self.net, self.head_node, self.jobtracker);
-        let tt = tasktracker(&self.cfg, self.env.as_ref(), net, dfs, head, jt, node);
+        let (net, jt) = (self.net, self.jobtracker);
+        let tt = tasktracker(&self.cfg, self.env.as_ref(), net, dfs, jt, node);
         let actor = ctx.spawn(Box::new(tt));
         self.tasktrackers.insert(node, actor);
         ctx.send(self.jobtracker, RegisterTaskTracker { node, actor });
@@ -77,7 +73,7 @@ impl MrHandle {
     }
 }
 
-/// Spawns the JobTracker (head node) and one TaskTracker per worker, wired
+/// Spawns the JobTracker and one TaskTracker per worker, wired
 /// to an existing DFS deployment. `env` builds each node's accelerator
 /// environment (the hybrid crate supplies Cell machines here).
 pub(crate) fn deploy_mr(
@@ -85,19 +81,13 @@ pub(crate) fn deploy_mr(
     net: NetHandle,
     dfs: &DfsHandle,
     cfg: MrConfig,
-    head_node: NodeId,
     workers: &[NodeId],
     env: Arc<dyn NodeEnvFactory>,
 ) -> MrHandle {
-    let jobtracker = sim.spawn(Box::new(JobTracker::new(
-        cfg.clone(),
-        net,
-        dfs.clone(),
-        head_node,
-    )));
+    let jobtracker = sim.spawn(Box::new(JobTracker::new(cfg.clone(), net, dfs.clone())));
     let mut tts = Vec::with_capacity(workers.len());
     for &node in workers {
-        let tt = tasktracker(&cfg, env.as_ref(), net, dfs, head_node, jobtracker, node);
+        let tt = tasktracker(&cfg, env.as_ref(), net, dfs, jobtracker, node);
         let actor = sim.spawn(Box::new(tt));
         tts.push((node, actor));
         sim.post(jobtracker, Box::new(RegisterTaskTracker { node, actor }));
@@ -106,7 +96,6 @@ pub(crate) fn deploy_mr(
     tasktrackers.extend(&tts);
     MrHandle {
         jobtracker,
-        head_node,
         tasktrackers,
         net,
         cfg,
@@ -115,20 +104,19 @@ pub(crate) fn deploy_mr(
 }
 
 /// The TaskTracker of worker `node`, deployed or joined, reporting to the
-/// JobTracker `jt` on `head`: a deployment's `cfg`, and an environment
-/// from its factory `env`.
+/// JobTracker `jt`: a deployment's `cfg`, and an environment from its
+/// factory `env`.
 fn tasktracker(
     cfg: &MrConfig,
     env: &dyn NodeEnvFactory,
     net: NetHandle,
     dfs: &DfsHandle,
-    head: NodeId,
     jt: ActorId,
     node: NodeId,
 ) -> TaskTracker {
     // Worker indices are node ids shifted past the head node.
     let env = env.build(node.index() - 1);
-    TaskTracker::new(cfg.clone(), net, dfs.clone(), node, head, jt, env)
+    TaskTracker::new(cfg.clone(), net, dfs.clone(), node, jt, env)
 }
 
 /// A file to preload before running a job.

@@ -255,8 +255,8 @@ impl JobTracker {
             reduce_merge_time,
         };
         ctx.stats().incr("mr.assignments");
-        let (net, my) = (self.net, self.node);
-        net.unicast(ctx, my, node, tt_actor, 1024, AssignTask { descriptor });
+        self.net
+            .unicast(ctx, tt_actor, 1024, AssignTask { descriptor });
     }
 
     /// Executes one preemption kill: the victim job's ledger removes and
@@ -305,7 +305,7 @@ impl JobTracker {
     ) {
         if let Some(tt) = self.tts.get(&node) {
             let kill = KillTask { job, task, attempt };
-            self.net.unicast(ctx, self.node, node, tt.actor, 128, kill);
+            self.net.unicast(ctx, tt.actor, 128, kill);
         }
     }
 }

@@ -69,8 +69,7 @@ impl JobTracker {
         match job.spec.input.clone() {
             JobInput::File { path, .. } => {
                 job.phase = Phase::WaitingLocations;
-                let (dfs, node) = (self.dfs.clone(), self.node);
-                dfs.get_locations(ctx, node, &path, job_id.0 as u64);
+                self.dfs.get_locations(ctx, &path, job_id.0 as u64);
             }
             JobInput::Synthetic { total_units } => {
                 self.build_synthetic_tasks(job_id, total_units);
@@ -276,8 +275,7 @@ impl JobTracker {
         };
         let client = job.client;
         ctx.stats().incr("mr.jobs_completed");
-        let (net, my) = (self.net, self.node);
-        net.unicast(ctx, my, client.1, client.0, 2048, JobComplete { result });
+        self.net.unicast(ctx, client, 2048, JobComplete { result });
     }
 }
 

@@ -49,8 +49,8 @@ impl JobTracker {
         self.handle_node_join(ctx, reg.node);
     }
 
-    /// Moves `node`'s liveness clock to `now`, discovering or resurrecting
-    /// the tracker as needed.
+    /// Moves `node`'s liveness clock to `now`, resurrecting the tracker if
+    /// it was declared dead.
     ///
     /// A heartbeat from a tracker we declared dead means the declaration
     /// was a false positive (heartbeat loss, or a healed partition):
@@ -59,6 +59,11 @@ impl JobTracker {
     /// rejected in `handle_report` — the node rejoins with a clean slate.
     /// Genuinely crashed trackers never heartbeat again, so this path is
     /// unreachable outside chaos runs.
+    ///
+    /// Panics on a node that never registered: its `RegisterTaskTracker`
+    /// is posted as it spawns, before its first heartbeat can arrive, so
+    /// an unknown sender is a wiring fault, and work assigned to it would
+    /// reach no actor.
     pub(super) fn note_heartbeat(&mut self, ctx: &mut Ctx<'_>, node: NodeId, now: SimTime) {
         match self.liveness.heard(node, now) {
             NodeState::Live => {}
@@ -68,11 +73,7 @@ impl JobTracker {
                 self.scheduler.on_node_join(node);
             }
             NodeState::Unknown => {
-                // Discovery by heartbeat alone (no registration observed):
-                // still a join for the scheduler.
-                self.tts.insert(node, TtInfo::new(ActorId::ENGINE));
-                self.liveness.admit(node, now);
-                self.handle_node_join(ctx, node);
+                panic!("heartbeat from {node}, whose TaskTracker never registered")
             }
         }
     }
@@ -233,5 +234,27 @@ impl JobTracker {
             ctx.stats().incr("mr.jobs_stalled");
             self.finalize(ctx, JobId(id));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msgs::TtHeartbeat;
+    use crate::ClusterBuilder;
+
+    /// Node 2 has no TaskTracker: its heartbeat is a wiring fault, not a
+    /// join that would record the tracker at no actor.
+    #[test]
+    #[should_panic(expected = "heartbeat from node2, whose TaskTracker never registered")]
+    fn a_heartbeat_from_an_unregistered_node_panics() {
+        let mut c = ClusterBuilder::new().workers(1).deploy();
+        let hb = TtHeartbeat {
+            node: NodeId(2),
+            free_slots: 2,
+            completed: Vec::new(),
+        };
+        c.sim.post(c.mr.jobtracker, Box::new(hb));
+        c.sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     }
 }

@@ -85,7 +85,8 @@ enum Phase {
 struct JobState {
     id: JobId,
     spec: JobSpec,
-    client: (ActorId, NodeId),
+    /// The submitting actor, which receives `JobComplete`.
+    client: ActorId,
     submitted: SimTime,
     phase: Phase,
     /// The job's books: tasks, attempts, completions, contributions and
@@ -136,7 +137,6 @@ pub struct JobTracker {
     cfg: MrConfig,
     net: NetHandle,
     dfs: DfsHandle,
-    node: NodeId,
     tts: FxHashMap<NodeId, TtInfo>,
     jobs: FxHashMap<u32, JobState>,
     next_job: u32,
@@ -152,15 +152,14 @@ pub struct JobTracker {
 }
 
 impl JobTracker {
-    /// Builds a JobTracker on `node` (normally the head node).
-    pub fn new(cfg: MrConfig, net: NetHandle, dfs: DfsHandle, node: NodeId) -> Self {
+    /// Builds a JobTracker that reads job input through `dfs`.
+    pub fn new(cfg: MrConfig, net: NetHandle, dfs: DfsHandle) -> Self {
         let scheduler = build_scheduler(cfg.scheduler, &cfg);
         let liveness = Liveness::new(cfg.tt_dead_after);
         JobTracker {
             cfg,
             net,
             dfs,
-            node,
             tts: FxHashMap::default(),
             jobs: FxHashMap::default(),
             next_job: 0,
@@ -182,7 +181,7 @@ impl JobTracker {
         let job = JobState {
             id,
             spec: submit.spec,
-            client: (submit.reply, submit.reply_node),
+            client: submit.reply,
             submitted: ctx.now(),
             phase: Phase::Initializing,
             ledger: SlotLedger::new(id, shuffle, ctx.now()),

@@ -13,8 +13,6 @@ pub struct SubmitJob {
     pub spec: JobSpec,
     /// Actor receiving [`JobComplete`].
     pub reply: ActorId,
-    /// Node the reply travels to.
-    pub reply_node: NodeId,
 }
 
 /// JobTracker → client: the job finished.

@@ -762,8 +762,7 @@ impl JobDriver {
 
     fn submit(&mut self, ctx: &mut Ctx<'_>) {
         let spec = self.spec.take().expect("spec present");
-        let node = self.mr.head_node;
-        self.mr.submit(ctx, node, spec);
+        self.mr.submit(ctx, spec);
     }
 }
 

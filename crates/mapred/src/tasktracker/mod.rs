@@ -181,7 +181,6 @@ impl TaskRun {
 /// Per-node execution daemon.
 pub struct TaskTracker {
     node: Node,
-    head_node: NodeId,
     jobtracker: ActorId,
     slots: Vec<Option<Box<TaskRun>>>,
     gen_counter: u32,
@@ -198,7 +197,6 @@ impl TaskTracker {
         net: NetHandle,
         dfs: DfsHandle,
         node: NodeId,
-        head_node: NodeId,
         jobtracker: ActorId,
         env: Box<dyn NodeEnv>,
     ) -> Self {
@@ -215,7 +213,6 @@ impl TaskTracker {
                 io: IoTable::default(),
                 next_tag: 1,
             },
-            head_node,
             jobtracker,
             slots,
             gen_counter: 0,
@@ -279,8 +276,7 @@ impl TaskTracker {
             completed: std::mem::take(&mut self.pending_reports),
         };
         let bytes = 256 + 512 * hb.completed.len() as u64;
-        let (net, node, head, jt) = (self.node.net, self.node.id, self.head_node, self.jobtracker);
-        net.unicast(ctx, node, head, jt, bytes, hb);
+        self.node.net.unicast(ctx, self.jobtracker, bytes, hb);
     }
 
     fn start_task(&mut self, ctx: &mut Ctx<'_>, desc: TaskDescriptor) {

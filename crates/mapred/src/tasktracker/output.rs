@@ -52,7 +52,7 @@ impl TaskRun {
         if !self.out.create_requested {
             self.out.create_requested = true;
             let tag = node.track(self, IoKind::Create);
-            node.dfs.create_file(ctx, node.id, &path, replication, tag);
+            node.dfs.create_file(ctx, &path, replication, tag);
             return;
         }
         while let Some(len) = self.out.queue.pop_front() {

@@ -67,27 +67,12 @@ fn world(seed: u64, cfg: MrConfig) -> World {
     )));
     let net = NetHandle { fabric };
     let workers: Vec<NodeId> = (1..=WORKERS).map(NodeId).collect();
-    let dfs = deploy_dfs(
-        &mut sim,
-        net,
-        &DfsConfig::default(),
-        NodeId::HEAD,
-        &workers,
-        false,
-    );
+    let dfs = deploy_dfs(&mut sim, net, &DfsConfig::default(), &workers, false);
     let sink = sim.spawn(Box::new(Sink {
         namenode: dfs.namenode,
         view: None,
     }));
-    let tracker = TaskTracker::new(
-        cfg,
-        net,
-        dfs,
-        NodeId(1),
-        NodeId::HEAD,
-        sink,
-        Box::new(NullEnv),
-    );
+    let tracker = TaskTracker::new(cfg, net, dfs, NodeId(1), sink, Box::new(NullEnv));
     let tt = sim.spawn(Box::new(tracker));
     let view = loop {
         assert!(sim.step(), "preload never completed");

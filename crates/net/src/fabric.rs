@@ -5,7 +5,8 @@
 //! switch between them. Protocol actors (DFS, MapReduce) talk to it with
 //! two primitives:
 //!
-//! * [`Unicast`] — control RPCs: fixed latency + serialization time.
+//! * [`Unicast`] — control RPCs: fixed latency + serialization time of
+//!   their size, naming only the receiving actor (no node, no link).
 //! * [`StartFlow`] — bulk data: a fluid flow sharing link bandwidth
 //!   max-min-fairly with every other active flow, optionally capped by a
 //!   per-stream protocol ceiling (the paper's loopback feed behavior).
@@ -82,13 +83,10 @@ use accelmr_des::{FxHashMap, Ladder, QueueStats, Timed};
 use crate::config::{rpc_delay, NetConfig, NodeId, LINK_BYTES_PER_SEC, LOOPBACK_BYTES_PER_SEC};
 use crate::flow::{LinkId, LinkTable, MaxMinSolver, Route};
 
-/// Control RPC from `src` to an actor on node `dst`.
+/// Control RPC to actor `to`. It names no node: its delay is
+/// [`rpc_delay`] of its size alone, off the fluid links, so neither
+/// bandwidth nor a partition can see it.
 pub struct Unicast {
-    /// Sending node (for accounting; RPCs are small enough to ignore in
-    /// the fluid model).
-    pub src: NodeId,
-    /// Receiving node.
-    pub dst: NodeId,
     /// Destination actor.
     pub to: ActorId,
     /// Payload size for serialization delay.
@@ -99,14 +97,8 @@ pub struct Unicast {
 
 impl std::fmt::Debug for Unicast {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Unicast({}→{}, {} B, {})",
-            self.src,
-            self.dst,
-            self.bytes,
-            self.payload.as_ref().label()
-        )
+        let label = self.payload.as_ref().label();
+        write!(f, "Unicast({} B, {label})", self.bytes)
     }
 }
 
@@ -1058,26 +1050,11 @@ pub struct NetHandle {
 }
 
 impl NetHandle {
-    /// Sends a control RPC to actor `to` on node `dst`.
-    pub fn unicast(
-        self,
-        ctx: &mut Ctx<'_>,
-        src: NodeId,
-        dst: NodeId,
-        to: ActorId,
-        bytes: u64,
-        payload: impl Msg,
-    ) {
-        ctx.send(
-            self.fabric,
-            Unicast {
-                src,
-                dst,
-                to,
-                bytes,
-                payload: Box::new(payload),
-            },
-        );
+    /// Sends a control RPC of `bytes` to actor `to`, delivered
+    /// [`rpc_delay`]`(bytes)` after the fabric receives it.
+    pub fn unicast(self, ctx: &mut Ctx<'_>, to: ActorId, bytes: u64, payload: impl Msg) {
+        let payload = Box::new(payload);
+        ctx.send(self.fabric, Unicast { to, bytes, payload });
     }
 
     /// Starts a bulk flow; the *calling* actor receives [`FlowDone`] /
@@ -1368,21 +1345,22 @@ mod tests {
         impl Actor for Sender {
             fn handle(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
                 if matches!(ev, Event::Start) {
-                    self.net
-                        .unicast(ctx, NodeId(1), NodeId(2), self.to, 1000, Hello(7));
+                    self.net.unicast(ctx, self.to, 1000, Hello(7));
                 }
             }
         }
 
-        let mut sim = Sim::new(0);
-        let fabric = sim.spawn(Box::new(Fabric::new(NetConfig::default(), 4)));
-        let recv = sim.spawn(Box::new(Receiver));
-        sim.spawn(Box::new(Sender {
-            net: NetHandle { fabric },
-            to: recv,
-        }));
-        sim.run();
-        assert_eq!(sim.stats().counter("got_hello"), 1);
+        for engine in Engine::BOTH {
+            let mut sim = Sim::new(0);
+            let net = engine.spawn(&mut sim, 4);
+            let to = sim.spawn(Box::new(Receiver));
+            sim.spawn(Box::new(Sender { net, to }));
+            sim.run();
+            let stats = sim.stats();
+            assert_eq!(stats.counter("got_hello"), 1, "{engine:?}");
+            assert_eq!(stats.counter("net.rpcs"), 1, "{engine:?}");
+            assert_eq!(stats.counter("net.rpc_bytes"), 1000, "{engine:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! knows: an actor receives through its `accelmr_des::inbox!`, and the
 //! functional path allocates no record image of its own. A last pair keeps
 //! the tier-1 test profile's debug assertions on and the hardware model free
-//! of settings.
+//! of settings, and a ceiling holds the non-test code to its size.
 //!
 //! Needles are assembled with `concat!` so this file does not match them.
 
@@ -20,10 +20,10 @@ use std::path::{Path, PathBuf};
 
 const ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
-/// Every `.rs` file under [`ROOTS`], skipping build output, hidden
-/// directories and the benchmark package, which has its own manifest and
-/// `unsafe_code = "forbid"`.
-fn workspace_sources() -> Vec<(String, String)> {
+/// Every `.rs` file under [`ROOTS`] as written, skipping build output,
+/// hidden directories and the benchmark package, which has its own
+/// manifest and `unsafe_code = "forbid"`.
+fn raw_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut stack: Vec<PathBuf> = ROOTS.iter().map(|r| root.join(r)).collect();
     let mut out = Vec::new();
@@ -42,13 +42,18 @@ fn workspace_sources() -> Vec<(String, String)> {
                 }
             } else if name.ends_with(".rs") {
                 let src = std::fs::read_to_string(&path).expect("readable source file");
-                // Attributes may wrap: compare with all whitespace removed.
-                out.push((rel, src.split_whitespace().collect()));
+                out.push((rel, src));
             }
         }
     }
     out.sort();
     out
+}
+
+/// [`raw_sources`] with all whitespace removed: attributes may wrap.
+fn workspace_sources() -> Vec<(String, String)> {
+    let strip = |(rel, src): (String, String)| (rel, src.split_whitespace().collect());
+    raw_sources().into_iter().map(strip).collect()
 }
 
 fn files_containing<'a>(sources: &'a [(String, String)], needle: &str) -> Vec<&'a str> {
@@ -110,9 +115,10 @@ fn lints_are_excused_only_by_reasoned_expects() {
 const CFG_TEST: &str = concat!("#[cfg(", "test)]");
 
 /// The module's name when `rest`, the text right after a `#[cfg(test)]`,
-/// declares a test-only module file (`mod name;`).
+/// declares a test-only module file (`mod name;`), with or without
+/// whitespace.
 fn declared_test_module(rest: &str) -> Option<&str> {
-    let rest = rest.strip_prefix("mod")?;
+    let rest = rest.trim_start().strip_prefix("mod")?.trim_start();
     let len = rest.find(|c: char| !(c.is_alphanumeric() || c == '_'))?;
     (len > 0 && rest[len..].starts_with(';')).then(|| &rest[..len])
 }
@@ -257,5 +263,39 @@ fn hardware_model_structs_carry_no_setting() {
         size_of::<accelmr::cellmr::CellMrConfig>(),
         0,
         "CellMrConfig"
+    );
+}
+
+/// Non-test code lines the workspace may hold. A change that grows the
+/// tree past it raises it in the same diff and says why in CHANGES.md.
+const CEILING: usize = 11_949;
+
+/// The tree's size by the rule ROADMAP's "Lines" table is kept by: every
+/// file outside a `tests/` directory and outside the test-only modules, read
+/// up to its own test section. "Code" is a non-blank line that is not a
+/// `//` comment. Prints both counts; fails when code exceeds [`CEILING`].
+#[test]
+fn non_test_code_stays_under_its_ceiling() {
+    let sources = raw_sources();
+    let exempt = test_only_modules(&sources);
+    let (mut raw, mut code) = (0, 0);
+    for (rel, src) in &sources {
+        if rel.starts_with("tests/") || rel.contains("/tests/") || exempt.contains(rel) {
+            continue;
+        }
+        for line in before_inline_tests(src).lines() {
+            raw += 1;
+            let line = line.trim();
+            code += usize::from(!line.is_empty() && !line.starts_with("//"));
+        }
+    }
+    println!("non-test lines: {raw} raw / {code} code (ceiling {CEILING})");
+    assert!(
+        code > CEILING / 2,
+        "the walk must reach the sources: {code} code lines"
+    );
+    assert!(
+        code <= CEILING,
+        "non-test code grew to {code} lines, past the ceiling of {CEILING}"
     );
 }
