@@ -134,6 +134,18 @@ struct Sample {
 /// crosses the bar.
 const SETTLE_SHARE_BAR: f64 = 0.3;
 
+/// Bar on the fabric's completion ladder: the item slots it held at most,
+/// per live flow at most (`net.completion_peak_slots /
+/// net.peak_live_flows`). With its buckets in fixed-size chunks it reads
+/// 1.47 (`churn_scale.full`), 2.07 (`terasort_10k.full`), 2.54
+/// (`churn_scale.quick`) and 3.10 (`terasort_10k.quick`); most of what
+/// stands above 1 is stale entries (the quick stand-in holds ~2.9 pending
+/// per live flow), which the bar does not target. With a doubling `Vec`
+/// per bucket, whose crowded bucket was split into a second set of `Vec`s
+/// while the emptied source was still held, it read 3.39, 5.17, 3.59 and
+/// 7.05. A count, so it repeats exactly.
+const COMPLETION_SLOTS_PER_LIVE_FLOW_BAR: f64 = 3.2;
+
 fn assert_settle_share(s: &Sample, section: &str) {
     assert!(
         s.settle_share <= SETTLE_SHARE_BAR,
@@ -283,6 +295,9 @@ fn measure(sc: &Scenario, section: &str, quick: bool) -> (Sample, Json) {
     let settle_share = nanos_of(&laps, "net.fabric.phase.settle") as f64
         / nanos_of(&actor_costs, "net.fabric").max(1) as f64;
     let per_event = |c: &ActorCost| float(c.nanos as f64 / c.events.max(1) as f64, 0);
+    let peak_slots = stats.counter("net.completion_peak_slots");
+    let peak_live_flows = stats.counter("net.peak_live_flows");
+    let slots_per_live_flow = peak_slots as f64 / peak_live_flows.max(1) as f64;
     let mut row = obj! {
         "workers" => sc.workers,
         "joins" => sc.joins,
@@ -303,11 +318,20 @@ fn measure(sc: &Scenario, section: &str, quick: bool) -> (Sample, Json) {
         "flows_per_class" => float(flows_per_class, 2),
         "queue" => super::queue_json(&stats.queue()),
         // The fabric's completion queue (a second ladder): rungs spawned,
-        // its longest sorted run and the most item slots it held.
+        // its longest sorted run and the most item slots it held, beside
+        // the most flows live at once.
         "completion_queue" => obj! {
             "rungs_spawned" => stats.counter("net.completion_rungs_spawned"),
             "peak_cur_len" => stats.counter("net.completion_peak_cur_len"),
-            "peak_slots" => stats.counter("net.completion_peak_slots"),
+            "peak_slots" => peak_slots,
+            "peak_live_flows" => peak_live_flows,
+            "slots_per_live_flow" => float(slots_per_live_flow, 2),
+        },
+        // The fabric's two largest structures at their peaks, in bytes:
+        // the completion ladder's slots and the flow slab's capacity.
+        "held_bytes" => obj! {
+            "completion_peak" => stats.counter("net.completion_peak_bytes"),
+            "flow_slab_peak" => stats.counter("net.flow_slab_peak_bytes"),
         },
         // Chaos-plane robustness counters (zero in fault-free churn runs
         // unless hardening knobs are enabled; surfaced so regressions in
@@ -330,6 +354,10 @@ fn measure(sc: &Scenario, section: &str, quick: bool) -> (Sample, Json) {
         })),
         "settle_share_of_fabric" => float(settle_share, 3),
     });
+    assert!(
+        slots_per_live_flow <= COMPLETION_SLOTS_PER_LIVE_FLOW_BAR,
+        "{section}: the completion queue held {peak_slots} slots for at most {peak_live_flows} live flows ({slots_per_live_flow:.2} each, bar {COMPLETION_SLOTS_PER_LIVE_FLOW_BAR}) — its buckets carry slack or a split holds a second copy again"
+    );
     // Flows re-priced per solver entry fed.
     assert!(
         flows_per_class >= sc.flows_per_class_floor,

@@ -48,11 +48,12 @@ const FULL: (usize, u64) = (8_192, 200);
 const SKEWED_RATIO_BAR: f64 = 0.4;
 
 /// Bar on `skewed_horizon`'s `peak_slots / peak_depth`: the item slots the
-/// queue held per pending event, at most. With its spare bucket list the
-/// ladder reads 5.6 (full) and 5.1 (`--quick`); each non-empty bucket holds
-/// at least four slots. With every bucket keeping its storage
-/// ([`slots_before`]) it read 35.7 and 19.8, growing with every rung-0
-/// bucket the run passes.
+/// queue held per pending event, at most. With its buckets in chunks the
+/// ladder reads 3.3 (full and `--quick`); each non-empty bucket holds at
+/// least one chunk of 32 slots. With a `Vec` per bucket it read 5.6 and
+/// 5.1 when emptied storage went to a spare list, and 35.7 and 19.8 when
+/// every bucket kept its storage ([`slots_before`]), growing with every
+/// rung-0 bucket the run passes.
 const SLOTS_PER_PENDING_BAR: u64 = 8;
 
 /// `skewed_horizon`'s `peak_slots` before the spare list, when every bucket

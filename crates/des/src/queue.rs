@@ -65,19 +65,27 @@
 //!
 //! ## Storage
 //!
-//! A bucket's items live in its own `Vec`, which leaves the bucket when the
-//! bucket comes due: sorted into `cur` or split, it is emptied and goes to
-//! the ladder's one spare list, and a push or a `descend` into an empty
-//! bucket takes a `Vec` from that list before it allocates. Storage grown
-//! past `2 * SPLIT` items (a crowded rung-0 bucket, a same-instant flood)
-//! is freed instead of kept. So the item slots held follow the pending
-//! items, not every bucket's past peak: on the 1000-worker Pi job, whose
-//! 513 rung-0 buckets each come due with ~2,100 heartbeats, buckets that
-//! kept their storage held 52.7 MB for at most 4,005 pending events. The
-//! slots held — buckets, spare list, `cur`, `now_fifo` and `overflow` —
-//! are counted as they grow and are freed, and reported as
+//! Every bucket, and the overflow, keeps its items in fixed-size chunks of
+//! `CHUNK` slots: a short list of full chunks and the last one, which a
+//! push appends to. A bucket that comes due is drained one chunk at a time
+//! — into `cur`, which is then sorted in place, or into a child rung — and
+//! each emptied chunk goes back to the ladder's one spare list before the
+//! next is read; a push that fills its bucket's last chunk takes the next
+//! from that list before it allocates. So no bucket carries doubling
+//! slack, and a split never holds its items twice: with a doubling `Vec`
+//! per bucket, the 1000-node churn run's crowded completion bucket
+//! (~527k entries) was copied into the child rung's `Vec`s while its
+//! emptied 524,288-slot source was still held, 1,299,436 slots for
+//! 527,528 pending; in chunks the run peaks at 564,488. The published
+//! ladder queue (Tang, Goh & Thng 2005) links single items; a chunk pays
+//! one allocation and one link per `CHUNK` items. The spare list holds at
+//! most as many slots as there are pending items, and a chunk returned
+//! past that is freed, so the storage held follows the pending items, not
+//! the largest bucket the ladder ever drained. The slots held — chunks in
+//! buckets and on the spare list, `cur` and `now_fifo` — are counted as
+//! they are allocated and freed, and reported as
 //! [`QueueStats::peak_slots`]; an empty ladder holds none, and a non-empty
-//! bucket at least four.
+//! bucket at least `CHUNK`.
 //!
 //! ## Determinism
 //!
@@ -160,9 +168,50 @@ impl Timed for Queued {
     }
 }
 
-/// The ladder's one spare list of bucket storage and its slot count (see
+/// Items per chunk of bucket storage. Every non-empty bucket holds at
+/// least one chunk, so a child rung over a few thousand pending events,
+/// hundreds of its buckets non-empty, holds a few slots per event: 3.3 in
+/// `perf des_core`'s `skewed_horizon` at 32, 5.3 at 64. Smaller chunks
+/// cost more per item in allocator headers and chunk-list entries: on
+/// `churn_terasort_1k` with glibc's mmap threshold pinned, 16 read 3.3 MiB
+/// more peak RSS than 32.
+const CHUNK: usize = 32;
+
+/// A bucket's items: its full chunks in push order, then the chunk pushes
+/// append to. `tail` is empty only when the whole bucket is.
+struct Bucket<T> {
+    full: Vec<Vec<T>>,
+    tail: Vec<T>,
+}
+
+impl<T> Default for Bucket<T> {
+    fn default() -> Self {
+        Bucket {
+            full: Vec::new(),
+            tail: Vec::new(),
+        }
+    }
+}
+
+impl<T> Bucket<T> {
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.tail.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        self.full.len() * CHUNK + self.tail.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.full.iter().flatten().chain(&self.tail)
+    }
+}
+
+/// The ladder's one spare list of chunks and its slot count (see
 /// *Storage* in the module doc).
 struct Store<T> {
+    /// Empty chunks of `CHUNK` slots each.
     spare: Vec<Vec<T>>,
     /// Item slots allocated across every tier and the spare list, kept on
     /// growth and release (never by a walk) / its high-water mark since
@@ -172,40 +221,49 @@ struct Store<T> {
 }
 
 impl<T> Store<T> {
-    /// Appends `item` to `bucket`, giving it spare storage first if it has
-    /// none.
+    /// Appends `item` to `bucket`, starting a chunk if its last is full.
     #[inline]
-    fn append(&mut self, bucket: &mut Vec<T>, item: T) {
-        if bucket.len() == bucket.capacity() {
-            self.make_room(bucket);
+    fn append(&mut self, bucket: &mut Bucket<T>, item: T) {
+        if bucket.tail.len() == bucket.tail.capacity() {
+            self.new_tail(bucket);
         }
-        bucket.push(item);
+        bucket.tail.push(item);
     }
 
+    /// Gives `bucket` an empty last chunk, a spare one if there is any.
     #[cold]
-    fn make_room(&mut self, bucket: &mut Vec<T>) {
-        if bucket.capacity() == 0 {
-            if let Some(v) = self.spare.pop() {
-                *bucket = v;
-                return;
-            }
+    fn new_tail(&mut self, bucket: &mut Bucket<T>) {
+        let chunk = self.spare.pop().unwrap_or_else(|| {
+            self.slots += CHUNK;
+            self.peak_slots = self.peak_slots.max(self.slots);
+            Vec::with_capacity(CHUNK)
+        });
+        let full = std::mem::replace(&mut bucket.tail, chunk);
+        if full.capacity() != 0 {
+            bucket.full.push(full);
         }
-        self.counted(bucket, Vec::capacity, |b| b.reserve(1));
     }
 
-    /// An empty `Vec`, spare storage if there is any.
-    fn take(&mut self) -> Vec<T> {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Takes back `v`'s storage (its items are gone): onto the spare list,
-    /// or freed if it grew past `2 * SPLIT` items.
-    fn give(&mut self, v: Vec<T>) {
-        debug_assert!(v.is_empty());
-        match v.capacity() {
-            0 => {}
-            cap if cap > 2 * SPLIT => self.slots -= cap,
-            _ => self.spare.push(v),
+    /// Empties the non-empty `bucket` one chunk at a time: `empty` takes
+    /// every item out of the chunk, which then goes back before the next
+    /// one is read — onto the spare list if that keeps the list at most
+    /// `pending` slots, else freed.
+    fn drain(
+        &mut self,
+        bucket: Bucket<T>,
+        pending: usize,
+        mut empty: impl FnMut(&mut Self, &mut Vec<T>),
+    ) {
+        let Bucket { full, tail } = bucket;
+        for mut chunk in full.into_iter().chain([tail]) {
+            debug_assert_eq!(chunk.capacity(), CHUNK);
+            empty(self, &mut chunk);
+            debug_assert!(chunk.is_empty());
+            if (self.spare.len() + 1) * CHUNK <= pending {
+                self.spare.push(chunk);
+            } else {
+                self.slots -= CHUNK;
+            }
         }
     }
 
@@ -226,7 +284,7 @@ impl<T> Store<T> {
 /// `start + i*width`, cut off after `last`. All bounds are inclusive so a
 /// rung can cover `SimTime::MAX` without an unrepresentable end.
 struct Rung<T> {
-    buckets: Vec<Vec<T>>,
+    buckets: Vec<Bucket<T>>,
     /// Next bucket to activate; everything below it has moved to `cur`.
     cursor: usize,
     start: u64,
@@ -236,15 +294,22 @@ struct Rung<T> {
     last: u64,
 }
 
-impl<T> Rung<T> {
+impl<T: Timed> Rung<T> {
     fn new() -> Self {
         Rung {
-            buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: (0..N_BUCKETS).map(|_| Bucket::default()).collect(),
             cursor: 0,
             start: 0,
             width: 1,
             last: 0,
         }
+    }
+
+    /// Appends `item`, which lies in this rung's range, to its bucket.
+    #[inline]
+    fn put(&mut self, store: &mut Store<T>, item: T) {
+        let i = ((item.at().as_nanos() - self.start) / self.width) as usize;
+        store.append(&mut self.buckets[i], item);
     }
 }
 
@@ -268,7 +333,7 @@ pub struct Ladder<T: Timed> {
     /// 0 from the actual workload instead of a guess.
     depth: usize,
     /// Items beyond rung 0, unsorted.
-    overflow: Vec<T>,
+    overflow: Bucket<T>,
     /// Spare bucket storage and the slot count of every tier.
     store: Store<T>,
     /// Instant of the most recently popped item — or the `lo` of a later
@@ -283,7 +348,7 @@ pub struct Ladder<T: Timed> {
 }
 
 /// Earliest and latest instant in `items` (non-empty), in nanoseconds.
-fn span<T: Timed>(items: &[T]) -> (u64, u64) {
+fn span<T: Timed>(items: &Bucket<T>) -> (u64, u64) {
     items.iter().fold((u64::MAX, 0), |(min, max), q| {
         let at = q.at().as_nanos();
         (min.min(at), max.max(at))
@@ -305,7 +370,7 @@ impl<T: Timed> Ladder<T> {
             cur_last: SimTime::ZERO,
             rungs: Vec::new(),
             depth: 0,
-            overflow: Vec::new(),
+            overflow: Bucket::default(),
             store: Store {
                 spare: Vec::new(),
                 slots: 0,
@@ -377,12 +442,8 @@ impl<T: Timed> Ladder<T> {
                 .rev()
                 .find(|r| at <= r.last)
             {
-                Some(r) => self
-                    .store
-                    .append(&mut r.buckets[((at - r.start) / r.width) as usize], item),
-                None => self
-                    .store
-                    .counted(&mut self.overflow, Vec::capacity, |o| o.push(item)),
+                Some(r) => r.put(&mut self.store, item),
+                None => self.store.append(&mut self.overflow, item),
             }
         }
     }
@@ -441,12 +502,11 @@ impl<T: Timed> Ladder<T> {
                     !self.overflow.is_empty(),
                     "non-empty queue, nothing to anchor"
                 );
-                let mut items = std::mem::take(&mut self.overflow);
+                let items = std::mem::take(&mut self.overflow);
                 let (min, max) = span(&items);
                 let width = ((max - min) / (N_BUCKETS as u64 / 2)).max(1);
                 let last = min.saturating_add(width.saturating_mul(N_BUCKETS as u64) - 1);
-                self.descend(min, width, last, &mut items);
-                self.overflow = items;
+                self.descend(min, width, last, items);
                 continue;
             };
             // Buckets past `rung.last` are empty too, so running off the
@@ -463,27 +523,28 @@ impl<T: Timed> Ladder<T> {
             let first = rung.start + rung.width * cursor as u64;
             let last = first.saturating_add(rung.width - 1).min(rung.last);
             self.cur_last = SimTime::from_nanos(last);
-            let bucket = &mut rung.buckets[cursor];
+            // The bucket is not filled again before its rung is re-anchored
+            // or re-descended: its chunks go where the next push needs them.
+            let bucket = std::mem::take(&mut rung.buckets[cursor]);
             if bucket.len() > SPLIT && self.depth < MAX_DEPTH {
-                let (min, max) = span(bucket);
+                let (min, max) = span(&bucket);
                 if min != max {
                     // The child starts at the earliest item (so its first
                     // bucket is never empty) and ends with this bucket.
-                    let mut items = std::mem::take(bucket);
                     let width = (last - min) / N_BUCKETS as u64 + 1;
-                    self.descend(min, width, last, &mut items);
-                    self.store.give(items);
+                    self.descend(min, width, last, bucket);
                     self.rungs_spawned += 1;
                     continue;
                 }
             }
-            bucket.sort_unstable_by_key(|q| q.key());
-            self.store.counted(&mut self.cur, VecDeque::capacity, |c| {
-                c.extend(bucket.drain(..))
+            // Empty already; `clear` moves its head back to the start, so
+            // the chunks land contiguous and `make_contiguous` moves nothing.
+            self.cur.clear();
+            let cur = &mut self.cur;
+            self.store.drain(bucket, self.len, |store, chunk| {
+                store.counted(cur, VecDeque::capacity, |c| c.extend(chunk.drain(..)))
             });
-            // The bucket is not filled again before its rung is re-anchored
-            // or re-descended: its storage goes where the next push needs it.
-            self.store.give(std::mem::take(bucket));
+            self.cur.make_contiguous().sort_unstable_by_key(|q| q.key());
             self.peak_cur_len = self.peak_cur_len.max(self.cur.len());
         }
     }
@@ -506,38 +567,41 @@ impl<T: Timed> Ladder<T> {
         } else {
             self.now_fifo.len()
         };
-        let fifo = self.now_fifo.drain(fifo_from..);
-        let mut moved = self.store.take();
-        let cur = &mut self.cur;
-        self.store.counted(&mut moved, Vec::capacity, |m| {
-            m.extend(cur.drain(keep..).chain(fifo))
-        });
         let (start, last) = (lo.as_nanos() + 1, self.cur_last.as_nanos());
-        self.descend(
-            start,
-            (last - start) / N_BUCKETS as u64 + 1,
-            last,
-            &mut moved,
-        );
-        self.store.give(moved);
+        let rung = self.activate(start, (last - start) / N_BUCKETS as u64 + 1, last);
+        let rung = &mut self.rungs[rung];
+        let fifo = self.now_fifo.drain(fifo_from..);
+        for q in self.cur.drain(keep..).chain(fifo) {
+            rung.put(&mut self.store, q);
+        }
         self.now = self.now.min(lo);
         self.cur_last = lo;
         self.rungs_spawned += 1;
     }
 
-    /// Activates the next rung down over `[start, last]` and spreads
-    /// `items`, all of which lie in that range, across it.
-    fn descend(&mut self, start: u64, width: u64, last: u64, items: &mut Vec<T>) {
+    /// Activates the next rung down over `[start, last]`, `width`
+    /// nanoseconds a bucket, and returns its index.
+    fn activate(&mut self, start: u64, width: u64, last: u64) -> usize {
         if self.depth == self.rungs.len() {
             self.rungs.push(Rung::new());
         }
         let rung = &mut self.rungs[self.depth];
         (rung.cursor, rung.start, rung.width, rung.last) = (0, start, width, last);
-        for q in items.drain(..) {
-            let i = ((q.at().as_nanos() - start) / width) as usize;
-            self.store.append(&mut rung.buckets[i], q);
-        }
         self.depth += 1;
+        self.depth - 1
+    }
+
+    /// Activates the next rung down over `[start, last]` and spreads
+    /// `items`, all of which lie in that range, across it a chunk at a
+    /// time, so no second copy of them is ever held.
+    fn descend(&mut self, start: u64, width: u64, last: u64, items: Bucket<T>) {
+        let rung = self.activate(start, width, last);
+        let rung = &mut self.rungs[rung];
+        self.store.drain(items, self.len, |store, chunk| {
+            for q in chunk.drain(..) {
+                rung.put(store, q);
+            }
+        });
     }
 }
 
@@ -978,12 +1042,14 @@ mod tests {
     /// Item slots `q` holds, counted by walking every tier: what the
     /// running `store.slots` must equal.
     fn walked_slots<T: Timed>(q: &Ladder<T>) -> usize {
-        let rungs = q.rungs.iter().flat_map(|r| &r.buckets);
-        rungs
+        let buckets = q.rungs.iter().flat_map(|r| &r.buckets);
+        let chunks = buckets
+            .chain([&q.overflow])
+            .flat_map(|b| b.full.iter().chain([&b.tail]));
+        chunks
             .chain(&q.store.spare)
             .map(Vec::capacity)
             .sum::<usize>()
-            + q.overflow.capacity()
             + q.cur.capacity()
             + q.now_fifo.capacity()
     }
@@ -1045,6 +1111,42 @@ mod tests {
         p.cal.report(&mut qs);
         assert!(qs.rungs_spawned >= 55, "{} splits", qs.rungs_spawned);
         assert!(qs.peak_slots as usize <= K * peak, "{qs:?}, peak {peak}");
+        p.drain();
+        assert_eq!(p.cal.store.slots, walked_slots(&p.cal));
+    }
+
+    /// The churn shape: one far item anchors rung 0 two seconds a bucket,
+    /// and 120k items at distinct instants pile into its second bucket.
+    /// That bucket comes due and splits while every pop pushes a
+    /// replacement up to two seconds on. Pops must follow the oracle, and
+    /// the slots held must stay near the pending items: a split that holds
+    /// the emptied source beside its doubling copy, or buckets that carry
+    /// doubling slack, hold about 2.5 slots per pending item here.
+    #[test]
+    fn a_crowded_bucket_splits_without_a_second_copy() {
+        const PILE: u64 = 120_000;
+        let mut rng = Xoshiro256::seed_from_u64(50);
+        let mut p = Pair::new();
+        p.push(1);
+        p.push(1_000_000_000_000);
+        assert_eq!(p.pop(), Some((1, 0)));
+        for _ in 0..PILE {
+            p.push(2_000_000_000 + rng.next_u64() % 1_900_000_000);
+        }
+        let mut peak = p.cal.len();
+        for _ in 0..2 * PILE {
+            let (at, _) = p.pop().expect("pending");
+            p.push(at + 1 + rng.next_u64() % 2_000_000_000);
+            peak = peak.max(p.cal.len());
+        }
+        let mut qs = QueueStats::default();
+        p.cal.report(&mut qs);
+        assert!(qs.rungs_spawned >= 1, "the crowded bucket never split");
+        assert!(
+            2 * qs.peak_slots as usize <= 3 * peak,
+            "{} slots held for at most {peak} pending",
+            qs.peak_slots
+        );
         p.drain();
         assert_eq!(p.cal.store.slots, walked_slots(&p.cal));
     }

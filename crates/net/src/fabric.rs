@@ -267,6 +267,16 @@ struct FlowCold {
     on_done: Option<Box<dyn Msg>>,
 }
 
+impl FlowCold {
+    /// A free slot's record (its hot record's `id` says it is free).
+    const VACANT: FlowCold = FlowCold {
+        notify: ActorId::ENGINE,
+        tag: 0,
+        total: 0,
+        on_done: None,
+    };
+}
+
 /// A projected completion: flow `id` (in slab `slot`) finishes at `at`
 /// if its rate is still the one of generation `gen`. Keyed on `(at, id,
 /// gen)`, unique among entries, so the pop order is the key order whatever
@@ -316,15 +326,18 @@ pub struct Fabric {
     degrade: Vec<f64>,
     /// Active flows in a slot-indexed hot/cold slab: `hot[s]` holds the
     /// per-flow fluid state ([`FlowHot`]; `id == u64::MAX` = free slot),
-    /// `cold[s]` the completion bookkeeping. Direct Vec indexing on the
+    /// `cold[s]` the completion bookkeeping ([`FlowCold::VACANT`] in a
+    /// free slot). Direct Vec indexing on the
     /// hot path — the write-back visits every flow of a component per
     /// resolve, and map descents dominated the 1000-node churn profile.
     /// Slots recycle through `free_slots`; the monotonic flow *id* lives
     /// in [`FlowHot`], and the one sweep whose order reaches the event
     /// stream (abort notifications) sorts by it.
     hot: Vec<FlowHot>,
-    cold: Vec<Option<FlowCold>>,
+    cold: Vec<FlowCold>,
     free_slots: Vec<u32>,
+    /// Flows in the slab; its high-water mark is `net.peak_live_flows`,
+    /// and the slab's bytes at its largest `net.flow_slab_peak_bytes`.
     live_flows: usize,
     next_flow_id: u64,
     /// Route classes in a recycled slab (`free_classes`), and the map that
@@ -379,8 +392,8 @@ pub struct Fabric {
     /// too, so a later push can land behind the ladder's last popped
     /// instant — which the ladder accepts (see [`Ladder::push`]). Its
     /// counters go to `net.completion_rungs_spawned`,
-    /// `net.completion_peak_cur_len` and `net.completion_peak_slots` after
-    /// every advance.
+    /// `net.completion_peak_cur_len`, `net.completion_peak_slots` and the
+    /// slots' size, `net.completion_peak_bytes`, after every advance.
     completions: Ladder<Done>,
 }
 
@@ -503,15 +516,17 @@ impl Fabric {
             class,
             idx,
         };
-        let c = Some(FlowCold {
+        let c = FlowCold {
             notify: req.notify,
             tag: req.tag,
             total: req.bytes,
             on_done: req.on_done,
-        });
+        };
         self.next_flow_id += 1;
         self.live_flows += 1;
         ctx.stats().incr("net.flows_started");
+        ctx.stats()
+            .raise("net.peak_live_flows", self.live_flows as u64);
         match self.hot.get_mut(slot as usize) {
             Some(vacant) => {
                 debug_assert_eq!(vacant.id, u64::MAX);
@@ -531,9 +546,10 @@ impl Fabric {
         self.live_flows -= 1;
         self.free_slots.push(slot);
         let h = self.hot[slot as usize];
+        assert_ne!(h.id, u64::MAX, "flow present");
         self.hot[slot as usize].id = u64::MAX;
         self.leave_class(&h, slot);
-        let c = self.cold[slot as usize].take().expect("flow present");
+        let c = std::mem::replace(&mut self.cold[slot as usize], FlowCold::VACANT);
         (h, c)
     }
 
@@ -875,6 +891,16 @@ impl Fabric {
             .raise("net.completion_peak_cur_len", qs.peak_cur_len);
         ctx.stats()
             .raise("net.completion_peak_slots", qs.peak_slots);
+        ctx.stats().raise(
+            "net.completion_peak_bytes",
+            qs.peak_slots * size_of::<Done>() as u64,
+        );
+        // The slab never shrinks: its capacities now are its peak.
+        ctx.stats().raise(
+            "net.flow_slab_peak_bytes",
+            (self.hot.capacity() * size_of::<FlowHot>()
+                + self.cold.capacity() * size_of::<FlowCold>()) as u64,
+        );
         #[cfg(debug_assertions)]
         self.debug_check_link_index();
     }
@@ -1720,6 +1746,7 @@ mod tests {
         assert!(std::mem::size_of::<FlowHot>() <= 56);
         assert_eq!(std::mem::size_of::<RouteClass>(), 32);
         assert_eq!(std::mem::size_of::<Done>(), 24);
+        assert_eq!(std::mem::size_of::<FlowCold>(), 40);
     }
 
     /// Directed class-membership case: three flows over one route at one

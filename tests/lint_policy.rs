@@ -268,7 +268,7 @@ fn hardware_model_structs_carry_no_setting() {
 
 /// Non-test code lines the workspace may hold. A change that grows the
 /// tree past it raises it in the same diff and says why in CHANGES.md.
-const CEILING: usize = 11_949;
+const CEILING: usize = 11_983;
 
 /// The tree's size by the rule ROADMAP's "Lines" table is kept by: every
 /// file outside a `tests/` directory and outside the test-only modules, read
